@@ -13,7 +13,8 @@ The package provides:
 * :mod:`repro.net` — a modeled cluster network (rendezvous links, star
   topology, per-node communication accounting).
 * :mod:`repro.mp` — an MPI-like message-passing layer (blocking
-  send/recv, tags, collectives) on top of the network model.
+  point-to-point send/recv, typed-expect receives) on top of the
+  network model.
 * :mod:`repro.data` — tuple batches and fixed-size blocks (the paper's
   64-byte tuples in 4 KB blocks).
 * :mod:`repro.workload` — Poisson arrivals and b-model skewed join keys.

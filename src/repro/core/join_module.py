@@ -26,6 +26,7 @@ unit has executed, so cost and effect always agree.
 
 from __future__ import annotations
 
+import threading
 import typing as t
 from collections import deque
 
@@ -95,6 +96,13 @@ class JoinModule:
         #: runs inside ``WorkUnit.execute`` so this equals ``emit_time``.
         self._now_fn = now_fn
         self.groups: dict[int, PartitionGroup] = {}
+        #: Guards the mini-buffers (the dict and its deques) and the two
+        #: scalars derived from them.  On the wall-clock backends the
+        #: comm thread files shipments (:meth:`enqueue`) while the join
+        #: thread drains, so every access goes through this mutex; it
+        #: covers queue bookkeeping only and is never held across a
+        #: probe, an expiry or any other work unit.
+        self._buf_lock = threading.Lock()
         self._minibuffers: dict[int, deque[TupleBatch]] = {}
         self._pending_bytes = 0
         self._oldest_pending_ts = float("inf")
@@ -108,7 +116,8 @@ class JoinModule:
             raise ProtocolError(f"node {self.node_id} already owns partition {pid}")
         on_double = self._directory_doubled if self.tracer.enabled else None
         self.groups[pid] = PartitionGroup(pid, self.geometry, on_double=on_double)
-        self._minibuffers.setdefault(pid, deque())
+        with self._buf_lock:
+            self._minibuffers.setdefault(pid, deque())
 
     def _directory_doubled(self, pid: int, depth: int) -> None:
         # Callback wired only when tracing is on (add_partition), but the
@@ -128,8 +137,11 @@ class JoinModule:
         if group is None:
             raise ProtocolError(f"node {self.node_id} does not own partition {pid}")
         state = group.extract_state()
-        buffered = TupleBatch.concat(list(self._minibuffers.pop(pid, deque())))
-        self._pending_bytes -= buffered.payload_bytes(self.geometry.tuple_bytes)
+        with self._buf_lock:
+            buffered = TupleBatch.concat(list(self._minibuffers.pop(pid, ())))
+            self._pending_bytes -= buffered.payload_bytes(
+                self.geometry.tuple_bytes
+            )
         # The popped mini-buffer may have been the one pinning the expiry
         # watermark; re-derive it from the surviving queues.
         self._rearm_watermark()
@@ -137,19 +149,24 @@ class JoinModule:
         return state, buffered
 
     def _rearm_watermark(self) -> None:
-        """Recompute ``_oldest_pending_ts`` from the surviving queues
-        (``inf`` when all are empty).  Every queued batch is inspected,
-        not just the head: a later batch can hold *older* tuples — a
-        restore replays the checkpointed mini-buffer followed by logged
-        shipments whose epochs overlap it, and a post-move shipment can
-        trail tuples predating an earlier one — and a cutoff derived
-        from the head alone would expire window tuples those batches
-        still need to join against."""
+        """Recompute ``_oldest_pending_ts`` from the surviving queues."""
+        with self._buf_lock:
+            self._oldest_pending_ts = self._oldest_queued_ts()
+
+    def _oldest_queued_ts(self) -> float:
+        """Oldest timestamp over the queued batches, ``inf`` when all
+        queues are empty (caller holds ``_buf_lock``).  Every queued
+        batch is inspected, not just the head: a later batch can hold
+        *older* tuples — a restore replays the checkpointed mini-buffer
+        followed by logged shipments whose epochs overlap it, and a
+        post-move shipment can trail tuples predating an earlier one —
+        and a cutoff derived from the head alone would expire window
+        tuples those batches still need to join against."""
         oldest = float("inf")
         for queue in self._minibuffers.values():
             for batch in queue:
                 oldest = min(oldest, float(batch.ts.min()))
-        self._oldest_pending_ts = oldest
+        return oldest
 
     def snapshot_partition(self, pid: int) -> tuple[PartitionGroupState, TupleBatch]:
         """Non-destructive copy of *pid*'s window state + unprocessed
@@ -158,8 +175,9 @@ class JoinModule:
         if group is None:
             raise ProtocolError(f"node {self.node_id} does not own partition {pid}")
         state = group.snapshot_state()
-        buffered = TupleBatch.concat(list(self._minibuffers.get(pid, deque())))
-        return state, buffered
+        with self._buf_lock:
+            queued = list(self._minibuffers.get(pid, ()))
+        return state, TupleBatch.concat(queued)
 
     def restore_partition(
         self,
@@ -182,15 +200,9 @@ class JoinModule:
         replay = list(log)
         if buffered is not None and len(buffered):
             replay.insert(0, buffered)
-        tb = self.geometry.tuple_bytes
         for batch in replay:
-            if not len(batch):
-                continue
-            self._minibuffers[pid].append(batch)
-            self._pending_bytes += batch.payload_bytes(tb)
-            self._oldest_pending_ts = min(
-                self._oldest_pending_ts, float(batch.ts.min())
-            )
+            if len(batch):
+                self._file(pid, batch)
 
     def install_partition(
         self, pid: int, state: PartitionGroupState, buffered: TupleBatch
@@ -199,16 +211,28 @@ class JoinModule:
         self.add_partition(pid)
         self.groups[pid].install_state(state)
         if len(buffered):
-            self._minibuffers[pid].append(buffered)
-            self._pending_bytes += buffered.payload_bytes(self.geometry.tuple_bytes)
-            self._oldest_pending_ts = min(
-                self._oldest_pending_ts, float(buffered.ts.min())
-            )
+            self._file(pid, buffered)
         self.metrics.groups_moved_in += 1
 
     # -- buffering ---------------------------------------------------------
+    def _file(self, pid: int, batch: TupleBatch) -> None:
+        """Queue one non-empty batch on *pid*'s mini-buffer."""
+        nbytes = batch.payload_bytes(self.geometry.tuple_bytes)
+        # A batch right after a partition move or a restore can carry
+        # tuples that predate this slave's epoch window — and need not
+        # be timestamp-sorted — so the expiry cutoff must respect the
+        # true oldest timestamp, not the first.
+        oldest = float(batch.ts.min())
+        with self._buf_lock:
+            self._minibuffers[pid].append(batch)
+            self._pending_bytes += nbytes
+            self._oldest_pending_ts = min(self._oldest_pending_ts, oldest)
+
     def enqueue(self, shipment: Shipment) -> None:
-        """File an epoch's shipment into the per-partition mini-buffers."""
+        """File an epoch's shipment into the per-partition mini-buffers.
+
+        Called by the comm thread *without* the slave's state lock, so a
+        join pass may be draining the same queues concurrently."""
         batch = shipment.batch
         if len(batch):
             pids = partition_of(batch.key, self.npart)
@@ -220,16 +244,11 @@ class JoinModule:
                         f"node {self.node_id} received tuples for partition "
                         f"{pid} it does not own"
                     )
-                self._minibuffers[pid].append(sub)
-            self._pending_bytes += batch.payload_bytes(self.geometry.tuple_bytes)
-            # A shipment right after a partition move can carry tuples
-            # that predate this slave's epoch window — and need not be
-            # timestamp-sorted — so the expiry cutoff must respect the
-            # true oldest timestamp, not the first.
+                self._file(pid, sub)
+        with self._buf_lock:
             self._oldest_pending_ts = min(
-                self._oldest_pending_ts, float(batch.ts.min())
+                self._oldest_pending_ts, shipment.epoch_start
             )
-        self._oldest_pending_ts = min(self._oldest_pending_ts, shipment.epoch_start)
 
     @property
     def pending_bytes(self) -> int:
@@ -249,7 +268,8 @@ class JoinModule:
 
     @property
     def has_work(self) -> bool:
-        return any(self._minibuffers.values())
+        with self._buf_lock:
+            return any(self._minibuffers.values())
 
     def spill_fraction(self) -> float:
         """Fraction of window state currently residing on disk."""
@@ -272,11 +292,10 @@ class JoinModule:
         grab the lock between passes, so the paper's rebalancing can
         still reach an overloaded node.
         """
-        if not self.has_work:
+        oldest, drained = self._drain()
+        if not drained:
             return
-        cutoff = self._oldest_pending_ts - self.geometry.window_seconds
-        drained = self._drain()
-        yield self._expire_unit(cutoff)
+        yield self._expire_unit(oldest - self.geometry.window_seconds)
         for pid in sorted(drained):
             group = self.groups.get(pid)
             if group is None:  # moved away mid-backlog; cannot happen
@@ -286,30 +305,25 @@ class JoinModule:
             if self.geometry.fine_tuning:
                 yield from self._tuning_units(group)
 
-    def _drain(self, max_batches_per_pid: int = 1) -> dict[int, TupleBatch]:
-        # Reset the oldest-pending watermark *before* popping so a
-        # concurrent enqueue (thread backend) can only make the expiry
-        # cutoff more conservative, never unsafe.
-        self._oldest_pending_ts = float("inf")
-        out: dict[int, TupleBatch] = {}
-        for pid, queue in self._minibuffers.items():
-            if queue:
-                parts = [
-                    queue.popleft()
-                    for _ in range(min(len(queue), max_batches_per_pid))
-                ]
-                out[pid] = TupleBatch.concat(parts)
-            # Batches left behind re-arm the expiry watermark.  Scan
-            # them ALL: tuples need not be timestamp-sorted within a
-            # batch (post-move shipments) nor monotone across batches
-            # (restore-replay queues a checkpointed mini-buffer ahead
-            # of logged shipments that overlap it), so the head batch
-            # alone can overstate the oldest pending timestamp.
-            for batch in queue:
-                self._oldest_pending_ts = min(
-                    self._oldest_pending_ts, float(batch.ts.min())
-                )
-        return out
+    def _drain(self) -> tuple[float, dict[int, TupleBatch]]:
+        """Pop the head batch of every mini-buffer.
+
+        Returns the pre-drain watermark (what this pass's expiry cutoff
+        must respect) with the popped batches, and re-arms the watermark
+        from the batches left behind — all in one critical section, so
+        a shipment filed concurrently is either part of this pass and
+        its cutoff, or wholly deferred to the next one.
+        """
+        with self._buf_lock:
+            oldest = self._oldest_pending_ts
+            out = {
+                pid: queue.popleft()
+                for pid, queue in self._minibuffers.items()
+                if queue
+            }
+            if out:
+                self._oldest_pending_ts = self._oldest_queued_ts()
+        return oldest, out
 
     # -- unit builders ----------------------------------------------------------
     def _expire_unit(self, cutoff: float) -> WorkUnit:
@@ -351,7 +365,8 @@ class JoinModule:
                         key[pos : pos + take],
                         seq[pos : pos + take],
                     )
-                    self._pending_bytes -= take * tb
+                    with self._buf_lock:
+                        self._pending_bytes -= take * tb
                     self.metrics.tuples_processed += take
                     pos += take
                     if window.head_space() == 0:

@@ -289,9 +289,10 @@ class SlaveNode:
     def _accept_shipment(self, shipment: Shipment) -> t.Generator:
         self._last_shipment_epoch = max(self._last_shipment_epoch, shipment.epoch)
         self._prune_limbo(shipment.epoch)
-        # Filing into the module's mini-buffers is safe alongside a
-        # running join pass (the pass picks the tuples up at its next
-        # drain); only state moves need the lock.
+        # Filed without the state lock, so a backlogged join pass never
+        # delays the comm schedule: the module's own buffer mutex orders
+        # this against the pass's drain, which picks the tuples up next
+        # time round.  Only state moves need the state lock.
         self.module.enqueue(shipment)
         yield self.work_queue.put(WAKE_TOKEN)
 

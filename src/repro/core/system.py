@@ -17,7 +17,7 @@ Backends live in a registry keyed by ``SystemConfig.backend``:
     :mod:`repro.net.wire` codec
     (:class:`~repro.runtime.process.ProcessBackend`).
 ``tcp``
-    One worker process per cluster node over real TCP connections,
+    The process backend with handshaken TCP connections for sockets,
     optionally spanning multiple hosts via ``swjoin worker``
     (:class:`~repro.runtime.tcp.TcpBackend`).
 
@@ -445,7 +445,7 @@ register_backend("tcp", _tcp_backend)
 
 def master_snapshot(cluster: "Cluster") -> dict[str, t.Any]:
     """Master-side metric snapshot (shared by every backend; the
-    process backend pickles this dict across the result pipe).
+    multi-process backends pickle this dict over the control channel).
 
     Reads through :attr:`Cluster.acting_master`: after a standby
     takeover the authoritative coordinator state — partition mapping,

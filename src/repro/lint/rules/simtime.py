@@ -49,13 +49,14 @@ WALL_CLOCK_NAMES = frozenset(
 #: elapsed-time reporting.
 WALL_CLOCK_ALLOWED_SUFFIXES: tuple[str, ...] = (
     "repro/runtime/thread.py",
+    # The multi-process launcher and node body (start barrier, run
+    # deadline, crash timers) — shared by the tcp backend, whose own
+    # module only wires sockets and never reads the clock.
     "repro/runtime/process.py",
-    "repro/runtime/tcp.py",
     "repro/net/thread_transport.py",
     "repro/net/proc_transport.py",
-    # The TCP transport/backend pair is real-socket infrastructure:
-    # handshake timeouts, retry backoff sleeps and the shared start
-    # barrier are wall-clock by nature, like the process pair above.
+    # Real-socket connect path: handshake timeouts and retry backoff
+    # sleeps are wall-clock by nature.
     "repro/net/tcp_transport.py",
     # The admin HTTP server reports real uptime: it is wall-clock
     # infrastructure by definition, never part of the modeled cluster.

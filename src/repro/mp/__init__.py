@@ -2,9 +2,9 @@
 
 The paper implements its prototype on mpiJava/LAM-MPI; here the
 equivalent layer is a :class:`~repro.mp.comm.Communicator` providing
-blocking point-to-point ``send``/``recv`` plus the collective patterns
-the join protocol needs (serial broadcast, gather, barrier), all
-expressed as generators so they run unchanged on either runtime
+blocking point-to-point ``send``/``recv`` and a typed-expect receive —
+all the join protocol's fixed communication schedule needs — expressed
+as awaitables and generators so they run unchanged on every runtime
 backend.
 """
 

@@ -1,10 +1,10 @@
-"""Blocking communicator and collectives.
+"""Blocking point-to-point communicator.
 
-Point-to-point operations return awaitables to ``yield``; collectives
-are generator functions to ``yield from``.  Collectives are built from
-serial point-to-point exchanges — exactly how the paper's master
-distributes tuples, which is what creates the slot/ordering effects of
-Figures 12 and V-B.
+``send``/``recv`` return awaitables to ``yield``; ``recv_expect`` is a
+generator function to ``yield from``.  There are no collectives: the
+paper's master distributes tuples by serial point-to-point exchanges
+on a fixed schedule, which is what creates the slot/ordering effects
+of Figures 12 and V-B.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.faults.markers import peer_silent
 
 
 class Endpoint(t.Protocol):
-    """Transport-backend endpoint (sim or thread)."""
+    """What every transport backend's endpoint provides."""
 
     node_id: int
 
@@ -55,7 +55,7 @@ class Communicator:
 
     def recv_expect(
         self, src: int, *types: type, timeout: float | None = None
-    ) -> t.Generator:
+    ) -> t.Generator[t.Any, t.Any, t.Any]:
         """Receive from *src* and type-check against the fixed schedule.
 
         Usage: ``msg = yield from comm.recv_expect(src, Shipment, Halt)``.
@@ -80,37 +80,3 @@ class Communicator:
         """Fence the channel from *src*: pending and future sends by
         *src* to this node complete silently (see the transport)."""
         self.endpoint.drain(src)
-
-    # -- collectives (serial, fixed order) -----------------------------------
-    def bcast(self, targets: t.Sequence[int], message: t.Any) -> t.Generator:
-        """Send *message* to each target in order (serial broadcast)."""
-        for dst in targets:
-            yield self.endpoint.send(dst, message)
-
-    def scatter(
-        self, payloads: t.Mapping[int, t.Any]
-    ) -> t.Generator:
-        """Send each target its own payload, in sorted target order."""
-        for dst in sorted(payloads):
-            yield self.endpoint.send(dst, payloads[dst])
-
-    def gather(self, sources: t.Sequence[int]) -> t.Generator:
-        """Receive one message from each source (in the given order);
-        returns ``{source: message}``."""
-        out: dict[int, t.Any] = {}
-        for src in sources:
-            out[src] = yield self.endpoint.recv(src)
-        return out
-
-    def barrier_root(self, members: t.Sequence[int], token: t.Any) -> t.Generator:
-        """Root side of a barrier: collect a token from every member,
-        then release them all."""
-        for src in members:
-            yield self.endpoint.recv(src)
-        for dst in members:
-            yield self.endpoint.send(dst, token)
-
-    def barrier_member(self, root: int, token: t.Any) -> t.Generator:
-        """Member side of a barrier rooted at *root*."""
-        yield self.endpoint.send(root, token)
-        yield self.endpoint.recv(root)

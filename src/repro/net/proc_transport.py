@@ -1,15 +1,19 @@
-"""Socket-pair channels for the process backend.
+"""Framed stream-socket channels: the one wall-clock data plane the
+``process`` and ``tcp`` backends share.
 
-Each unordered node pair of the cluster shares one full-duplex
-``socket.socketpair()``; the two endpoint processes inherit one end
-each (the parent closes both after forking, so peer death is
-observable as EOF).  Messages travel as length-prefixed frames::
+Each unordered node pair of the cluster shares one full-duplex stream
+socket.  Where it comes from is the caller's business — a
+``socket.socketpair()`` inherited across ``fork`` (the parent closes
+both ends afterwards, so peer death is observable as EOF) or a
+handshaken TCP connection (:mod:`repro.net.tcp_transport`); everything
+from the first frame on is this module.  Messages travel as
+length-prefixed frames::
 
     length  4 bytes  big-endian payload size
     payload         one :mod:`repro.net.wire` encoded message
 
 Semantics, mirrored from :class:`~repro.net.sim_transport.SimTransport`
-so :mod:`repro.mp.comm` collectives behave identically:
+so node code behind :mod:`repro.mp.comm` behaves identically:
 
 * **FIFO per pair** — kernel stream sockets preserve order; the fixed
   communication schedule needs nothing stronger.
@@ -18,10 +22,11 @@ so :mod:`repro.mp.comm` collectives behave identically:
   to :class:`~repro.faults.markers.NodeDown`, the same marker the DES
   transport synthesizes for a reaped node.  The PR 3 failure-detection
   path in the master therefore works unchanged.
-* **sends to a dead peer complete silently** — a write hitting a
-  closed socket (``BrokenPipeError``/``ECONNRESET``) is the
-  TCP-buffered-write model of a fail-stop peer: the sender cannot
-  know, the message is discarded, the send "succeeds".
+* **sends to a dead peer still complete** — a write hitting a closed
+  socket (``EPIPE``/``ECONNRESET``) is the TCP-buffered-write model of
+  a fail-stop peer: the message is discarded and nothing raises
+  (callers ignore send values), but the thunk resolves to ``NodeDown``
+  instead of ``None`` so tests and diagnostics can see the broken pipe.
 * **recv timeout → RecvTimeout** — an armed detection timeout that
   elapses with no frame resolves to
   :class:`~repro.faults.markers.RecvTimeout` (timeout is in *modeled*
@@ -37,6 +42,12 @@ completes once the frame is written to the socket, which blocks only
 when the kernel buffer fills (natural backpressure).  Statistics
 therefore measure real wall time spent writing/reading, not modeled
 rendezvous spans — see the backend matrix in the README.
+
+Every channel also tallies the frames and wire bytes (header +
+payload) it moved in each direction: :meth:`ProcTransport.pair_stats`
+reads them raw, :meth:`ProcTransport.attach_registry` exposes them as
+``<prefix>.tx_bytes.to_n*`` / ``<prefix>.rx_frames.from_n*`` series on
+the node's metrics registry.
 """
 
 from __future__ import annotations
@@ -53,6 +64,7 @@ from repro.faults.markers import NodeDown, RecvTimeout
 from repro.net.sim_transport import CommStats
 from repro.net.wire import decode_message, encode_message
 from repro.obs.events import TransportEvent
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.thread import Thunk
 
@@ -140,12 +152,22 @@ class FrameReader:
         return payload
 
 
+#: Per-channel tallies: attribute, series direction, help text.
+_TALLIES = (
+    ("tx_frames", "to", "wire frames written to this peer"),
+    ("tx_bytes", "to", "wire bytes (header + payload) written to this peer"),
+    ("rx_frames", "from", "wire frames read from this peer"),
+    ("rx_bytes", "from", "wire bytes (header + payload) read from this peer"),
+)
+
+
 class _Channel:
     """This node's half of one peer socket."""
 
     __slots__ = (
         "peer", "sock", "reader", "send_lock", "draining",
         "send_seq", "recv_seq",
+        "tx_frames", "tx_bytes", "rx_frames", "rx_bytes",
     )
 
     def __init__(self, peer: int, sock: socket.socket) -> None:
@@ -160,6 +182,11 @@ class _Channel:
         # exactly one thread reads a channel, so ``recv_seq`` is not.
         self.send_seq = 0
         self.recv_seq = 0
+        # Free-standing until ``attach_registry`` swaps in the node
+        # registry's instruments; tx under ``send_lock``, rx by the one
+        # reader thread.
+        for attr, _, help_ in _TALLIES:
+            setattr(self, attr, Counter(attr, help_))
 
 
 class _ForeignEndpoint:
@@ -190,9 +217,12 @@ class ProcTransport:
     """One process's view of the cluster interconnect.
 
     ``peers`` maps peer node id -> this process's end of the shared
-    socket pair.  ``endpoint`` hands out the real endpoint for the
+    stream socket.  ``endpoint`` hands out the real endpoint for the
     local node and refusing stubs for every other node.
     """
+
+    #: First component of the pair-tally metric series names.
+    series_prefix = "proc"
 
     def __init__(
         self,
@@ -253,6 +283,31 @@ class ProcTransport:
                 pass
             chan.sock.close()
 
+    # -- pair tallies --------------------------------------------------------
+    def attach_registry(self, registry: MetricsRegistry) -> None:
+        """Expose every pair tally on *registry*, carrying over what was
+        counted before it existed (``build_cluster`` creates it after
+        the transport)."""
+        if not registry.enabled:
+            return
+        for peer in sorted(self._channels):
+            chan = self._channels[peer]
+            for attr, direction, help_ in _TALLIES:
+                counter = registry.counter(
+                    f"{self.series_prefix}.{attr}.{direction}_n{peer}", help_
+                )
+                counter.inc(getattr(chan, attr).value)
+                setattr(chan, attr, counter)
+
+    def pair_stats(self) -> dict[int, dict[str, int]]:
+        """Raw per-peer counters (always maintained, registry or not)."""
+        return {
+            peer: {
+                attr: int(getattr(chan, attr).value) for attr, _, _ in _TALLIES
+            }
+            for peer, chan in sorted(self._channels.items())
+        }
+
     def _message_bytes(self, message: t.Any) -> int:
         # Stats record the *modeled* 64 B/tuple wire size, like the sim
         # and thread transports, so per-byte metrics stay comparable.
@@ -303,19 +358,22 @@ class ProcEndpoint:
         transport = self.transport
         chan = transport.channel(dst)
 
-        def fn() -> None:
+        def fn() -> NodeDown | None:
             payload = encode_message(message)
             t0 = transport._now()
+            dead = False
             try:
                 with chan.send_lock:
                     seq = chan.send_seq
                     chan.send_seq += 1
                     write_frame(chan.sock, payload)
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                # Fail-stop peer: the write lands in a void, exactly
-                # like a TCP write buffered towards a dead host.  The
-                # sender cannot observe the difference.
-                pass
+                    chan.tx_frames.inc()
+                    chan.tx_bytes.inc(FRAME_HEADER.size + len(payload))
+            except OSError:
+                # Fail-stop peer (EPIPE/ECONNRESET): the send still
+                # completes, like a TCP write buffered towards a dead
+                # host, but the thunk value records the broken pipe.
+                dead = True
             t1 = transport._now()
             nbytes = transport._message_bytes(message)
             if self.stats is not None:
@@ -334,6 +392,7 @@ class ProcEndpoint:
                         xfer_seq=seq,
                     )
                 )
+            return NodeDown(dst) if dead else None
 
         return Thunk(fn)
 
@@ -361,6 +420,8 @@ class ProcEndpoint:
                 if self.stats is not None:
                     self.stats.record_idle(t0, t1)
                 return NodeDown(src)
+            chan.rx_frames.inc()
+            chan.rx_bytes.inc(FRAME_HEADER.size + len(frame))
             message = decode_message(frame)
             seq = chan.recv_seq
             chan.recv_seq += 1

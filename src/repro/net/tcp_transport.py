@@ -1,10 +1,10 @@
-"""TCP channels for the multi-host backend.
+"""What TCP adds to the framed transport: obtaining the socket.
 
-This is the :mod:`repro.net.proc_transport` channel model lifted onto
-real sockets: each unordered node pair shares one full-duplex TCP
-connection, messages travel as the same length-prefixed
-:mod:`repro.net.wire` frames, and :class:`FrameReader` reassembles
-partial reads.  What TCP adds over inherited socketpairs:
+Once connected, a TCP pair is driven by exactly the code that drives an
+inherited socketpair — :class:`~repro.net.proc_transport.ProcTransport`
+and its endpoint (framing, FIFO, EOF → ``NodeDown``, dead-peer send →
+``NodeDown``, drain fencing, per-pair tallies).  This module only covers
+the part a ``fork`` gives the process backend for free:
 
 * **an explicit connect handshake** — every connection opens with a
   fixed :data:`HELLO` struct carrying the wire ``MAGIC``, the
@@ -18,19 +18,6 @@ partial reads.  What TCP adds over inherited socketpairs:
   a :class:`~repro.simul.rng.RngRegistry` substream (the schedule for
   a given ``(seed, src, dst)`` is reproducible).  Exhaustion raises
   :class:`~repro.errors.ConnectError` naming the peer and address.
-* **per-pair byte/frame counters** — every channel tallies frames and
-  wire bytes in both directions; :meth:`TcpTransport.attach_registry`
-  binds the tallies to the PR 6 metrics registry so ``swjoin`` runs
-  expose ``tcp.tx_bytes.to_n*`` / ``tcp.rx_frames.from_n*`` series.
-
-Failure semantics are deliberately identical to the process transport
-with one observable refinement: a send to a dead peer still *completes*
-(callers ignore send values — the TCP-buffered-write model of a
-fail-stop peer), but the thunk resolves to
-:class:`~repro.faults.markers.NodeDown` instead of ``None`` so tests
-and diagnostics can see the broken pipe.  Peer EOF on receive resolves
-to ``NodeDown`` exactly as before, which is what the PR 3 master
-failure-detection path keys on.
 """
 
 from __future__ import annotations
@@ -39,26 +26,12 @@ import select
 import socket
 import struct
 import time
-import typing as t
 
 import numpy as np
 
 from repro.errors import ConnectError, WireError
-from repro.faults.markers import NodeDown, RecvTimeout
-from repro.net.proc_transport import (
-    _EOF,
-    _TIMED_OUT,
-    FRAME_HEADER,
-    FrameReader,
-    ProcTransport,
-    _ForeignEndpoint,
-    write_frame,
-)
-from repro.net.sim_transport import CommStats
-from repro.net.wire import MAGIC, WIRE_VERSION, decode_message, encode_message
-from repro.obs.events import TransportEvent
-from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.thread import Thunk
+from repro.net.proc_transport import ProcTransport
+from repro.net.wire import MAGIC, WIRE_VERSION
 
 #: Connect handshake: magic, wire version, connection kind, node id.
 HELLO = struct.Struct("!2sBBq")
@@ -215,229 +188,9 @@ def connect_with_retry(
 
 
 # -- transport ---------------------------------------------------------------
-class _PairTally:
-    """Both-direction frame/byte counters for one peer channel."""
-
-    __slots__ = (
-        "tx_frames", "tx_bytes", "rx_frames", "rx_bytes",
-        "_c_tx_frames", "_c_tx_bytes", "_c_rx_frames", "_c_rx_bytes",
-    )
-
-    def __init__(self) -> None:
-        self.tx_frames = 0
-        self.tx_bytes = 0
-        self.rx_frames = 0
-        self.rx_bytes = 0
-        self._c_tx_frames = None
-        self._c_tx_bytes = None
-        self._c_rx_frames = None
-        self._c_rx_bytes = None
-
-    def bind(self, registry: t.Any, peer: int) -> None:
-        self._c_tx_frames = registry.counter(
-            f"tcp.tx_frames.to_n{peer}",
-            "wire frames written to this peer",
-        )
-        self._c_tx_bytes = registry.counter(
-            f"tcp.tx_bytes.to_n{peer}",
-            "wire bytes (header + payload) written to this peer",
-        )
-        self._c_rx_frames = registry.counter(
-            f"tcp.rx_frames.from_n{peer}",
-            "wire frames read from this peer",
-        )
-        self._c_rx_bytes = registry.counter(
-            f"tcp.rx_bytes.from_n{peer}",
-            "wire bytes (header + payload) read from this peer",
-        )
-        # Replay anything tallied before the registry was attached
-        # (the mesh handshake happens before build_cluster creates it).
-        if self.tx_frames:
-            self._c_tx_frames.inc(self.tx_frames)
-            self._c_tx_bytes.inc(self.tx_bytes)
-        if self.rx_frames:
-            self._c_rx_frames.inc(self.rx_frames)
-            self._c_rx_bytes.inc(self.rx_bytes)
-
-    def on_send(self, wire_bytes: int) -> None:
-        self.tx_frames += 1
-        self.tx_bytes += wire_bytes
-        if self._c_tx_frames is not None:
-            self._c_tx_frames.inc()
-            self._c_tx_bytes.inc(wire_bytes)
-
-    def on_recv(self, wire_bytes: int) -> None:
-        self.rx_frames += 1
-        self.rx_bytes += wire_bytes
-        if self._c_rx_frames is not None:
-            self._c_rx_frames.inc()
-            self._c_rx_bytes.inc(wire_bytes)
-
-
 class TcpTransport(ProcTransport):
-    """One host's view of the TCP interconnect.
+    """The framed transport under its TCP name: the pair tallies appear
+    as ``tcp.*`` series.  Sockets in ``peers`` are already handshaken;
+    from there a TCP connection is just another stream socket."""
 
-    ``peers`` maps peer node id -> the established (handshaken) TCP
-    socket for that pair.  Channel mechanics — FIFO frames, drain
-    fencing, EOF → ``NodeDown`` — are inherited from
-    :class:`ProcTransport`; this class adds the per-pair tallies and
-    hands out :class:`TcpEndpoint` for the local node.
-    """
-
-    def __init__(
-        self,
-        node_id: int,
-        peers: t.Mapping[int, socket.socket],
-        tuple_bytes: int,
-        time_scale: float = 1.0,
-        origin: float | None = None,
-        tracer: Tracer = NULL_TRACER,
-        now_fn: t.Callable[[], float] | None = None,
-    ) -> None:
-        super().__init__(
-            node_id, peers, tuple_bytes, time_scale, origin, tracer, now_fn
-        )
-        self._tallies = {peer: _PairTally() for peer in peers}
-
-    def endpoint(
-        self, node_id: int, stats: CommStats | None = None
-    ) -> "TcpEndpoint | _ForeignEndpoint":
-        if node_id != self.node_id:
-            return _ForeignEndpoint(node_id)
-        return TcpEndpoint(self, stats)
-
-    def tally(self, peer: int) -> _PairTally:
-        return self._tallies[peer]
-
-    def attach_registry(self, registry: t.Any) -> None:
-        """Bind every pair tally to a metrics registry (PR 6)."""
-        for peer in sorted(self._tallies):
-            self._tallies[peer].bind(registry, peer)
-
-    def pair_stats(self) -> dict[int, dict[str, int]]:
-        """Raw per-peer counters (always maintained, registry or not)."""
-        return {
-            peer: {
-                "tx_frames": tally.tx_frames,
-                "tx_bytes": tally.tx_bytes,
-                "rx_frames": tally.rx_frames,
-                "rx_bytes": tally.rx_bytes,
-            }
-            for peer, tally in sorted(self._tallies.items())
-        }
-
-
-class TcpEndpoint:
-    """The local node's handle on the TCP transport.
-
-    Mirrors :class:`~repro.net.proc_transport.ProcEndpoint` except that
-    a send hitting a dead peer resolves the thunk to
-    :class:`NodeDown` (still completing — callers ignore send values)
-    and every frame updates the pair tallies.
-    """
-
-    __slots__ = ("transport", "node_id", "stats")
-
-    def __init__(
-        self, transport: TcpTransport, stats: CommStats | None
-    ) -> None:
-        self.transport = transport
-        self.node_id = transport.node_id
-        self.stats = stats
-
-    def send(self, dst: int, message: t.Any) -> Thunk:
-        transport = self.transport
-        chan = transport.channel(dst)
-        tally = transport.tally(dst)
-
-        def fn() -> t.Any:
-            payload = encode_message(message)
-            t0 = transport._now()
-            dead = False
-            try:
-                with chan.send_lock:
-                    seq = chan.send_seq
-                    chan.send_seq += 1
-                    write_frame(chan.sock, payload)
-            except (BrokenPipeError, ConnectionResetError, OSError):
-                # Fail-stop peer: the send still completes (the sender
-                # of a buffered TCP write cannot tell), but the thunk
-                # value records the broken pipe for diagnostics.
-                dead = True
-            else:
-                tally.on_send(FRAME_HEADER.size + len(payload))
-            t1 = transport._now()
-            nbytes = transport._message_bytes(message)
-            if self.stats is not None:
-                self.stats.record_comm(t0, t1, nbytes, sent=True)
-            tracer = transport.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TransportEvent(
-                        t=t0,
-                        node=self.node_id,
-                        dst=dst,
-                        msg=type(message).__name__,
-                        nbytes=nbytes,
-                        duration=t1 - t0,
-                        phase="send",
-                        xfer_seq=seq,
-                    )
-                )
-            return NodeDown(dst) if dead else None
-
-        return Thunk(fn)
-
-    def recv(self, src: int, timeout: float | None = None) -> Thunk:
-        transport = self.transport
-        chan = transport.channel(src)
-        tally = transport.tally(src)
-
-        def fn() -> t.Any:
-            t0 = transport._now()
-            if chan.draining:
-                return NodeDown(src)
-            wall = (
-                None
-                if timeout is None
-                else max(0.0, timeout) * transport.time_scale
-            )
-            frame = chan.reader.read_frame(wall)
-            t1 = transport._now()
-            if frame is _TIMED_OUT:
-                if self.stats is not None:
-                    self.stats.record_idle(t0, t1)
-                return RecvTimeout(timeout or 0.0)
-            if frame is _EOF:
-                if self.stats is not None:
-                    self.stats.record_idle(t0, t1)
-                return NodeDown(src)
-            tally.on_recv(FRAME_HEADER.size + len(frame))
-            message = decode_message(frame)
-            seq = chan.recv_seq
-            chan.recv_seq += 1
-            nbytes = transport._message_bytes(message)
-            if self.stats is not None:
-                self.stats.record_idle(t0, t1)
-                self.stats.record_comm(t1, t1, nbytes, sent=False)
-            tracer = transport.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TransportEvent(
-                        t=t1,
-                        node=self.node_id,
-                        dst=src,
-                        msg=type(message).__name__,
-                        nbytes=nbytes,
-                        duration=t1 - t0,
-                        phase="recv",
-                        xfer_seq=seq,
-                    )
-                )
-            return message
-
-        return Thunk(fn)
-
-    def drain(self, src: int) -> None:
-        """Fence the channel from *src* (see :meth:`ProcTransport.drain_peer`)."""
-        self.transport.drain_peer(src)
+    series_prefix = "tcp"

@@ -122,7 +122,7 @@ def merge_records(
     Records are ordered by ``(t, node, seq)``: node-local ``seq``
     numbers break wall-clock timestamp ties, so the merged order is a
     pure function of the records themselves — shipping order over the
-    result pipes never leaks into the output.  ``sorted`` is stable,
+    control channels never leaks into the output.  ``sorted`` is stable,
     and the key is unique per record (each node stamps a strictly
     increasing ``seq``), so equal inputs always merge identically.
     """
@@ -140,9 +140,9 @@ def replay_records(
 ) -> None:
     """Feed already-merged records through *exporters*, then close them.
 
-    Used by the process backend's parent: children trace into pipe
-    buffers, the parent merges and replays into the JSONL/console sinks
-    the config asked for.
+    Used by the multi-process launcher: nodes ship their trace batches
+    over their control channels, the launcher merges and replays into
+    the JSONL/console sinks the config asked for.
     """
     for record in records:
         for exporter in exporters:

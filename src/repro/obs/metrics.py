@@ -14,7 +14,7 @@ instruments and every instrumentation site pays one attribute load and
 branch — measured by ``benchmarks/bench_obs.py``.
 
 Snapshots are plain nested dicts (JSON-serializable, picklable across
-the process backend's result pipes); :func:`render_prometheus` renders
+the process backend's control channels); :func:`render_prometheus` renders
 a set of per-node snapshots in the Prometheus text exposition format
 for the admin endpoint's ``/metrics``.
 """

@@ -1,37 +1,49 @@
-"""Multicore process backend: one OS process per cluster node.
+"""Multi-process backends: one OS process per cluster node.
 
 ``backend="process"`` runs the master, each slave and the collector as
-real OS processes (``fork``), connected by one full-duplex
-``socket.socketpair()`` per node pair carrying :mod:`repro.net.wire`
-frames.  Each child rebuilds the *full* cluster deterministically from
-the config (same seed, same round-robin partition map) but spawns only
-its own node's generators, driven by a per-process
+real OS processes (``fork``), connected by one full-duplex stream
+socket per node pair carrying :mod:`repro.net.wire` frames.  Each node
+rebuilds the *full* cluster deterministically from the config (same
+seed, same round-robin partition map) but spawns only its own node's
+generators, driven by a per-process
 :class:`~repro.runtime.thread.ThreadRuntime` — the identical generator
 code that runs on the DES kernel and the thread backend.
 
-Startup protocol (per child, over a parent<->child pipe):
+Everything here is shared with ``backend="tcp"``
+(:mod:`repro.runtime.tcp`): one node body (:func:`run_node`), one
+control channel (:class:`ControlConn`), one launcher
+(:meth:`ProcessBackend.run`).  The two backends differ only in the
+*connector* — how a node comes by its job and its peer sockets, and how
+the launcher comes by its control connections
+(:meth:`ProcessBackend._launch`): here, socketpairs created before the
+fork and inherited across it.
 
-1. build the cluster, report ``("ready", node_id)``;
-2. receive the shared clock *origin* (a ``time.monotonic()`` value —
+Control protocol (per node, pickled tuples over its control channel):
+
+1. the node connects, builds the cluster and reports ``("ready",)``;
+2. the launcher answers ``("start", origin)`` once every node is ready:
+   the shared clock *origin* is a ``time.monotonic()`` value —
    system-wide on Linux — placed slightly in the future so every node
-   starts modeled t=0 simultaneously, after all setup work);
-3. rebase runtime and transport, spawn the node's generators;
-4. on completion, ship a pickled metrics payload back and exit —
-   process exit closes the sockets, so peers observe EOF exactly when
-   the node is truly gone.
+   starts modeled t=0 simultaneously, after all setup work.  A node on
+   another host gets ``None`` and anchors to its own clock;
+3. the node rebases runtime and transport and spawns its generators,
+   streaming ``("trace", batch)`` messages while it runs;
+4. on completion it ships ``("result", payload)`` — or, from any stage,
+   ``("error", exception, traceback)`` — and exits.  Process exit
+   closes the sockets, so peers observe EOF exactly when the node is
+   truly gone.
 
-Crash faults (``crash:<slave>@<t>``) are injected by the parent:
+Crash faults (``crash:<slave>@<t>``) are injected by the launcher:
 a timer SIGKILLs the victim's process at the scaled wall time.  Peer
 EOF then drives the same ``NodeDown`` detection/recovery machinery the
 DES fault plane exercises.  Message and slowdown faults hang off the
 simulated transport and are rejected up front.
 
-Distributed tracing: each child owns a node-local
+Distributed tracing: each node owns a node-local
 :class:`~repro.obs.tracer.Tracer` writing to a :class:`PipeExporter`,
-which batches records back to the parent as ``("trace", node_id,
-batch)`` pipe messages.  Timestamps are already on the shared modeled
-clock (every child rebased onto the broadcast origin), so the parent
-just merges all buffers with
+which batches records back to the launcher.  Timestamps are already on
+the shared modeled clock (every node rebased onto the broadcast
+origin), so the launcher just merges all buffers with
 :func:`~repro.obs.exporters.merge_records` — a stable ``(t, node,
 seq)`` order — and replays them into the configured sinks.  Batches
 flush every :data:`TRACE_BATCH` records *during* the run, so a
@@ -47,12 +59,14 @@ See DESIGN.md ("Runtime backends").
 from __future__ import annotations
 
 import multiprocessing as mp
+import pickle
 import socket
 import threading
 import time
 import traceback
 import typing as t
-from multiprocessing import connection as mp_connection
+from dataclasses import dataclass
+from queue import Empty, Queue
 
 import numpy as np
 
@@ -69,7 +83,13 @@ from repro.core.cluster import (
 from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
 from repro.core.system import RunResult, master_snapshot, start_admin_server
 from repro.errors import ConfigError, DeadlockError
-from repro.net.proc_transport import ProcTransport
+from repro.net.proc_transport import (
+    _EOF,
+    _TIMED_OUT,
+    FrameReader,
+    ProcTransport,
+    write_frame,
+)
 from repro.obs.exporters import (
     ConsoleSummaryExporter,
     Exporter,
@@ -80,49 +100,93 @@ from repro.obs.exporters import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.thread import ThreadRuntime, reject_unsupported
 
-#: Wall seconds between "all nodes ready" and modeled t=0: covers pipe
-#: latency, the rebase and thread spawning in every child.
+#: Wall seconds between "all nodes ready" and modeled t=0: covers
+#: control-message latency, the rebase and thread spawning in every node.
 STARTUP_GRACE = 0.5
-#: Wall seconds the parent waits for each child's "ready".
+#: Wall seconds the launcher waits for the nodes' "ready", and a node
+#: for its job and the start barrier.
 SETUP_TIMEOUT = 120.0
-#: Trace records per ``("trace", ...)`` pipe message.  Large enough
-#: that pickling doesn't dominate high-volume tracing (transport
+#: Trace records per ``("trace", batch)`` control message.  Large
+#: enough that pickling doesn't dominate high-volume tracing (transport
 #: spans); the wall-time bound below covers low-volume tracers.
 TRACE_BATCH = 64
 #: Maximum wall seconds a buffered trace record may wait before it is
-#: flushed to the parent.  Bounds how much of its trace a SIGKILLed
+#: flushed to the launcher.  Bounds how much of its trace a SIGKILLed
 #: victim can lose, regardless of event rate.
 TRACE_FLUSH_WALL_S = 0.05
 
-_Pair = tuple[int, int]
-_Sockets = dict[_Pair, tuple[socket.socket, socket.socket]]
+#: key -> the two ends of one ``socket.socketpair()``.
+_SocketPairs = dict[t.Any, tuple[socket.socket, socket.socket]]
+_Inbox = Queue[tuple[int, t.Any]]
+
+
+@dataclass(frozen=True)
+class NodeJob:
+    """Everything a process needs to run one cluster node."""
+
+    node_id: int
+    cfg: SystemConfig
+    collect_pairs: bool
+    workload: t.Any
+
+
+class ControlConn:
+    """Pickled-object control plane over one length-prefixed stream.
+
+    The launcher<->node link of both multi-process backends: an
+    inherited socketpair or a handshaken TCP connection.  It is trusted
+    — it only ever connects a launcher to nodes it was pointed at —
+    which is why it may carry pickle; the data plane speaks the
+    versioned wire codec only.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self.sock = sock
+        self._reader = FrameReader(sock)
+        self._lock = threading.Lock()
+
+    def send(self, obj: t.Any) -> None:
+        payload = pickle.dumps(obj)
+        with self._lock:
+            write_frame(self.sock, payload)
+
+    def recv(self, timeout: float | None = None) -> t.Any:
+        frame = self._reader.read_frame(timeout)
+        if frame is _EOF:
+            raise EOFError("control connection closed")
+        if frame is _TIMED_OUT:
+            raise TimeoutError(f"no control message within {timeout:g}s")
+        return pickle.loads(frame)
+
+    def close(self) -> None:
+        try:
+            self.sock.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self.sock.close()
 
 
 class PipeExporter(Exporter):
-    """Trace sink that ships records to the parent over the child pipe.
+    """Trace sink that ships records to the launcher over the node's
+    control channel.
 
     Records accumulate in a local buffer and flush as ``("trace",
-    node_id, batch)`` messages every :data:`TRACE_BATCH` records, when
-    the oldest buffered record is :data:`TRACE_FLUSH_WALL_S` old, and
-    on :meth:`close`.  The tracer's emit lock already serializes
+    batch)`` messages every :data:`TRACE_BATCH` records, when the
+    oldest buffered record is :data:`TRACE_FLUSH_WALL_S` old, and on
+    :meth:`close`.  The tracer's emit lock already serializes
     ``export`` calls; the exporter's own lock additionally guards the
-    buffer against a concurrent ``close`` and keeps pickled messages
-    from interleaving on the pipe.
+    buffer against a concurrent ``close``.
     """
 
-    def __init__(self, conn: t.Any, node_id: int) -> None:
+    def __init__(self, conn: ControlConn) -> None:
         self._conn = conn
-        self._node_id = node_id
         self._buffer: list[dict[str, t.Any]] = []
         self._lock = threading.Lock()
         self._last_flush = time.monotonic()
-        self.n_records = 0
-        self.n_batches = 0
 
     def export(self, record: dict[str, t.Any]) -> None:
         with self._lock:
             self._buffer.append(record)
-            self.n_records += 1
             if (
                 len(self._buffer) >= TRACE_BATCH
                 or time.monotonic() - self._last_flush >= TRACE_FLUSH_WALL_S
@@ -133,16 +197,25 @@ class PipeExporter(Exporter):
         self._last_flush = time.monotonic()
         if not self._buffer:
             return
-        self._conn.send(("trace", self._node_id, self._buffer))
+        self._conn.send(("trace", self._buffer))
         self._buffer = []
-        self.n_batches += 1
 
     def close(self) -> None:
         with self._lock:
             try:
                 self._flush_locked()
-            except (BrokenPipeError, OSError):  # pragma: no cover
-                pass  # parent gone: nothing left to ship the tail to
+            except OSError:  # pragma: no cover
+                pass  # launcher gone: nothing left to ship the tail to
+
+
+def cluster_node_ids(cfg: SystemConfig) -> list[int]:
+    """Every node id of the cluster *cfg* describes, ascending."""
+    node_ids = [MASTER_ID, COLLECTOR_ID] + [
+        slave_node_id(i) for i in range(cfg.num_slaves)
+    ]
+    if cfg.standby:
+        node_ids.append(standby_node_id(cfg))
+    return node_ids
 
 
 def _owner_of(name: str, standby_id: int | None = None) -> int:
@@ -217,46 +290,31 @@ def _obs_payload(node_id: int, cluster: Cluster) -> dict[str, t.Any]:
     }
 
 
-def _node_main(
-    node_id: int,
-    cfg: SystemConfig,
-    sockets: _Sockets,
-    pipes: dict[int, tuple[t.Any, t.Any]],
-    workload: t.Any,
-    collect_pairs: bool,
+def run_node(
+    control: ControlConn,
+    connect: t.Callable[[], tuple[NodeJob, dict[int, socket.socket]]],
+    transport_cls: type[ProcTransport] = ProcTransport,
 ) -> None:
-    """Child entry point (runs post-fork, inherits all fds)."""
-    conn = pipes[node_id][1]
-    try:
-        # Keep only this node's socket ends.  Critical: a leaked foreign
-        # fd would keep a dead peer's channel open and suppress the EOF
-        # its peers rely on for failure detection.
-        peers: dict[int, socket.socket] = {}
-        for (a, b), (sock_a, sock_b) in sockets.items():
-            if a == node_id:
-                peers[b] = sock_a
-                sock_b.close()
-            elif b == node_id:
-                peers[a] = sock_b
-                sock_a.close()
-            else:
-                sock_a.close()
-                sock_b.close()
-        for other, (parent_conn, child_conn) in pipes.items():
-            parent_conn.close()
-            if other != node_id:
-                child_conn.close()
+    """Run one cluster node to completion, reporting over *control*.
 
+    *connect* is the backend's connector: it yields the node's job and
+    its established peer sockets (peer node id -> stream socket).
+    Whatever fails — the connector included — ships to the launcher as
+    ``("error", exception, traceback)``.
+    """
+    transport = None
+    try:
+        job, peers = connect()
+        node_id, cfg = job.node_id, job.cfg
         runtime = ThreadRuntime(time_scale=cfg.time_scale)
-        # Node-local tracer: records ship to the parent over the pipe
-        # and merge there — children never touch the JSONL/console
-        # sinks themselves.
+        # Node-local tracer: records ship to the launcher and merge
+        # there — nodes never touch the JSONL/console sinks themselves.
         tracer = (
-            Tracer([PipeExporter(conn, node_id)])
+            Tracer([PipeExporter(control)])
             if cfg.obs.tracing
             else NULL_TRACER
         )
-        transport = ProcTransport(
+        transport = transport_cls(
             node_id,
             peers,
             cfg.tuple_bytes,
@@ -268,12 +326,15 @@ def _node_main(
             cfg,
             runtime,
             transport,
-            workload=workload,
-            collect_pairs=collect_pairs,
+            workload=job.workload,
+            collect_pairs=job.collect_pairs,
             tracer=tracer,
             local_node=node_id,
         )
-        # The sampler generator is node-local: every child runs one,
+        registry = cluster.registries.get(node_id)
+        if registry is not None:
+            transport.attach_registry(registry)
+        # The sampler generator is node-local: every node runs one,
         # and ``local_node`` restricts it to this node's gauges.
         sid = standby_node_id(cfg) if cfg.standby else None
         mine = [
@@ -282,53 +343,86 @@ def _node_main(
             if name == "sampler" or _owner_of(name, sid) == node_id
         ]
 
-        conn.send(("ready", node_id))
-        origin = conn.recv()
+        control.send(("ready",))
+        msg = control.recv(timeout=SETUP_TIMEOUT)
+        if msg[0] != "start":
+            raise RuntimeError(f"expected the start barrier, got {msg[0]!r}")
+        origin = msg[1]
+        if origin is None:
+            # Another host than the launcher's: no shared monotonic
+            # clock.  Anchor t=0 to our own; the protocol is
+            # message-driven, so only wall-time *reporting* shifts by
+            # the (bounded) skew.
+            origin = time.monotonic() + STARTUP_GRACE
         runtime.rebase(origin)
         transport.rebase(origin)
 
         # The admin endpoint lives wherever the master runs.
         admin = (
-            start_admin_server(cfg, cluster, runtime.now, "process")
+            start_admin_server(cfg, cluster, runtime.now, cfg.backend)
             if node_id == MASTER_ID
             else None
         )
         try:
             for name, gen in mine:
                 runtime.spawn(gen, name=name)
-            # No local timeout: the parent owns the deadline and SIGKILLs
-            # stragglers, which peers then observe as EOF.
+            # No local timeout: the launcher owns the deadline and
+            # SIGKILLs stragglers, which peers then observe as EOF.
             runtime.join_all()
         finally:
             if admin is not None:
                 admin.close()
-        # Flush the trace tail before the result: the parent treats the
-        # result message as this node's end-of-stream.
+        # Flush the trace tail before the result: the launcher treats
+        # the result message as this node's end-of-stream.
         tracer.close()
-        payload = _node_payload(node_id, cluster, collect_pairs)
+        payload = _node_payload(node_id, cluster, job.collect_pairs)
         payload.update(_obs_payload(node_id, cluster))
-        conn.send(("result", node_id, payload))
-    except BaseException as error:  # noqa: BLE001 - shipped to the parent
+        control.send(("result", payload))
+    except BaseException as error:  # noqa: BLE001 - shipped to the launcher
         detail = traceback.format_exc()
         try:
-            conn.send(("error", node_id, error, detail))
+            control.send(("error", error, detail))
         except Exception:
             try:
-                conn.send(("error", node_id, None, detail))
+                # The exception itself did not pickle; the text will.
+                control.send(("error", None, detail))
             except Exception:
                 pass
     finally:
-        try:
-            conn.close()
-        except Exception:
-            pass
+        if transport is not None:
+            transport.close()
+        control.close()
+
+
+def _forked_node(job: NodeJob, mesh: _SocketPairs, ctl: _SocketPairs) -> None:
+    """Fork-child entry of the process backend (inherits every fd)."""
+    node_id = job.node_id
+    # Keep only this node's socket ends.  Critical: a leaked foreign fd
+    # would keep a dead peer's channel open and suppress the EOF its
+    # peers rely on for failure detection.
+    peers: dict[int, socket.socket] = {}
+    for (a, b), (sock_a, sock_b) in mesh.items():
+        if a == node_id:
+            peers[b] = sock_a
+            sock_b.close()
+        elif b == node_id:
+            peers[a] = sock_b
+            sock_a.close()
+        else:
+            sock_a.close()
+            sock_b.close()
+    for nid, (launcher_end, node_end) in ctl.items():
+        launcher_end.close()
+        if nid != node_id:
+            node_end.close()
+    run_node(ControlConn(ctl[node_id][1]), lambda: (job, peers))
 
 
 class ProcessBackend:
     """One OS process per cluster node (``backend="process"``).
 
-    The only backend where slaves execute their numpy join work on
-    separate cores — the GIL bounds the thread backend to one core.
+    The only single-host backend where slaves execute their numpy join
+    work on separate cores — the GIL bounds the thread backend to one.
     """
 
     name = "process"
@@ -345,55 +439,33 @@ class ProcessBackend:
             ctx = mp.get_context("fork")
         except ValueError as error:  # pragma: no cover - non-POSIX hosts
             raise ConfigError(
-                "the process backend requires the 'fork' start method "
-                "(POSIX only)"
+                f"the {self.name} backend requires the 'fork' start "
+                "method (POSIX only)"
             ) from error
 
-        node_ids = [MASTER_ID, COLLECTOR_ID] + [
-            slave_node_id(i) for i in range(cfg.num_slaves)
-        ]
-        if cfg.standby:
-            node_ids.append(standby_node_id(cfg))
-        # Full mesh: every unordered node pair shares one socketpair.
-        # All fds exist before the first fork so every child can close
-        # exactly the foreign ones.
-        sockets: _Sockets = {}
-        for i, a in enumerate(node_ids):
-            for b in node_ids[i + 1:]:
-                sockets[(a, b)] = socket.socketpair()
-        pipes = {nid: ctx.Pipe() for nid in node_ids}
-
+        jobs = {
+            nid: NodeJob(nid, cfg, collect_pairs, workload)
+            for nid in cluster_node_ids(cfg)
+        }
+        #: Nodes forked on this host (the ones the launcher can signal,
+        #: and that share its monotonic clock); every node has a control.
         procs: dict[int, t.Any] = {}
+        controls: dict[int, ControlConn] = {}
+        inbox: _Inbox = Queue()
         timers: list[threading.Timer] = []
-        try:
-            for nid in node_ids:
-                proc = ctx.Process(
-                    target=_node_main,
-                    args=(nid, cfg, sockets, pipes, workload, collect_pairs),
-                    name=f"swjoin-node{nid}",
-                    daemon=True,
-                )
-                procs[nid] = proc
-                proc.start()
-        finally:
-            # The parent is pure control plane: it must hold no data
-            # sockets (a parent-held fd would suppress peer EOF), and no
-            # child ends of the pipes (EOF on a pipe = its child died).
-            for sock_a, sock_b in sockets.values():
-                sock_a.close()
-                sock_b.close()
-            for _, child_conn in pipes.values():
-                child_conn.close()
-
-        conns = {nid: parent_conn for nid, (parent_conn, _) in pipes.items()}
         killed: set[int] = set()
         injected: list[dict[str, t.Any]] = []
         traces: dict[int, list[dict[str, t.Any]]] = {}
         try:
-            origin = self._start_barrier(conns, procs)
+            self._launch(ctx, cfg, jobs, procs, controls)
+            for nid, control in controls.items():
+                self._start_pump(nid, control, inbox)
+            origin = self._start_barrier(controls, inbox, set(procs))
             deadline = origin + cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
             timers = self._arm_crashes(cfg, origin, procs, killed, injected)
-            payloads = self._collect(conns, procs, killed, deadline, traces)
+            payloads = self._collect(
+                inbox, set(jobs), procs, killed, deadline, traces
+            )
         finally:
             for timer in timers:
                 timer.cancel()
@@ -401,32 +473,115 @@ class ProcessBackend:
                 if proc.is_alive():
                     proc.kill()
                 proc.join(timeout=10.0)
-            for conn in conns.values():
-                conn.close()
+            for control in controls.values():
+                control.close()
 
         return self._assemble(cfg, payloads, injected, collect_pairs, traces)
 
-    # -- run phases ----------------------------------------------------------
-    def _start_barrier(
-        self, conns: dict[int, t.Any], procs: dict[int, t.Any]
-    ) -> float:
-        """Wait for every child's "ready", then broadcast the shared
-        clock origin (slightly in the future, so nobody starts late)."""
-        for nid, conn in conns.items():
-            if not conn.poll(timeout=SETUP_TIMEOUT):
-                raise DeadlockError(
-                    f"node {nid} never became ready (setup wedged)"
+    # -- connector -----------------------------------------------------------
+    def _launch(
+        self,
+        ctx: t.Any,
+        cfg: SystemConfig,
+        jobs: dict[int, NodeJob],
+        procs: dict[int, t.Any],
+        controls: dict[int, ControlConn],
+    ) -> None:
+        """Start every node and open its control channel.
+
+        The one step the multi-process backends do differently.  Fills
+        *procs* with the processes forked here and *controls* with one
+        connection per node; both are filled in place so that a failure
+        half-way leaves :meth:`run` able to tear down what did start.
+
+        Here: a full mesh of socketpairs (one per unordered node pair)
+        plus one control socketpair per node, all created before the
+        first fork so every child can close exactly the foreign ends.
+        """
+        node_ids = list(jobs)
+        mesh: _SocketPairs = {
+            (a, b): socket.socketpair()
+            for i, a in enumerate(node_ids)
+            for b in node_ids[i + 1:]
+        }
+        ctl: _SocketPairs = {nid: socket.socketpair() for nid in node_ids}
+        try:
+            for nid, job in jobs.items():
+                procs[nid] = ctx.Process(
+                    target=_forked_node,
+                    args=(job, mesh, ctl),
+                    name=f"swjoin-node{nid}",
+                    daemon=True,
                 )
-            msg = conn.recv()
+                procs[nid].start()
+        finally:
+            # The launcher is pure control plane: it must hold no data
+            # sockets (a launcher-held fd would suppress peer EOF), and
+            # no node ends of the controls (EOF there = the node died).
+            for sock_a, sock_b in mesh.values():
+                sock_a.close()
+                sock_b.close()
+            for nid, (launcher_end, node_end) in ctl.items():
+                node_end.close()
+                controls[nid] = ControlConn(launcher_end)
+
+    # -- run phases ----------------------------------------------------------
+    @staticmethod
+    def _start_pump(nid: int, control: ControlConn, inbox: _Inbox) -> None:
+        """One reader thread per control connection, funneling messages
+        into the shared inbox as ``(nid, msg)``.  EOF (node exit, clean
+        or killed) is delivered as ``(nid, None)``."""
+
+        def pump() -> None:
+            while True:
+                try:
+                    msg = control.recv(None)
+                except Exception:  # noqa: BLE001 - EOF/reset/unpickle all mean "node gone"
+                    inbox.put((nid, None))
+                    return
+                inbox.put((nid, msg))
+
+        threading.Thread(
+            target=pump, name=f"control:n{nid}", daemon=True
+        ).start()
+
+    def _start_barrier(
+        self,
+        controls: dict[int, ControlConn],
+        inbox: _Inbox,
+        local_ids: set[int],
+    ) -> float:
+        """Wait for every node's "ready", then broadcast the start.
+
+        Nodes forked on this host share the launcher's monotonic clock
+        and get the real origin (slightly in the future, so nobody
+        starts late); the others get ``None`` and anchor to their own
+        clock (see :func:`run_node`)."""
+        waiting = set(controls)
+        deadline = time.monotonic() + SETUP_TIMEOUT
+        while waiting:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                raise DeadlockError(
+                    f"nodes never became ready (setup wedged): "
+                    f"{sorted(waiting)}"
+                )
+            try:
+                nid, msg = inbox.get(timeout=min(remaining, 1.0))
+            except Empty:
+                continue
+            if msg is None:
+                raise RuntimeError(f"node {nid} died during setup")
             if msg[0] == "error":
-                self._raise_node_error(msg)
+                self._raise_node_error(nid, msg)
             if msg[0] != "ready":
                 raise RuntimeError(
                     f"node {nid} sent {msg[0]!r} before the start barrier"
                 )
+            waiting.discard(nid)
         origin = time.monotonic() + STARTUP_GRACE
-        for conn in conns.values():
-            conn.send(origin)
+        for nid, control in controls.items():
+            control.send(("start", origin if nid in local_ids else None))
         return origin
 
     def _arm_crashes(
@@ -467,7 +622,8 @@ class ProcessBackend:
 
     def _collect(
         self,
-        conns: dict[int, t.Any],
+        inbox: _Inbox,
+        node_ids: set[int],
         procs: dict[int, t.Any],
         killed: set[int],
         deadline: float,
@@ -475,11 +631,11 @@ class ProcessBackend:
     ) -> dict[int, dict[str, t.Any]]:
         """Gather result payloads until every node reported or died.
 
-        ``("trace", node_id, batch)`` messages stream in throughout the
-        run and accumulate into *traces*; a node killed by the fault
-        plane keeps every batch it flushed before dying."""
+        ``("trace", batch)`` messages stream in throughout the run and
+        accumulate into *traces*; a node killed by the fault plane
+        keeps every batch it flushed before dying."""
         payloads: dict[int, dict[str, t.Any]] = {}
-        pending = dict(conns)
+        pending = set(node_ids)
         while pending:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
@@ -487,42 +643,38 @@ class ProcessBackend:
                     if proc.is_alive():
                         proc.kill()
                 raise DeadlockError(
-                    f"node processes never finished: {sorted(pending)}"
+                    f"nodes never finished: {sorted(pending)}"
                 )
-            ready = mp_connection.wait(
-                list(pending.values()), timeout=min(remaining, 1.0)
-            )
-            for conn in ready:
-                nid = next(n for n, c in pending.items() if c is conn)
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    # Child gone without a payload: expected if and only
-                    # if the fault plane killed it.
-                    del pending[nid]
-                    if nid not in killed:
-                        raise RuntimeError(
-                            f"node {nid} process died without reporting "
-                            "a result or an error"
-                        ) from None
-                    continue
-                if msg[0] == "error":
-                    self._raise_node_error(msg)
-                if msg[0] == "trace":
-                    traces.setdefault(nid, []).extend(msg[2])
-                    continue
-                del pending[nid]
-                payloads[nid] = msg[2]
+            try:
+                nid, msg = inbox.get(timeout=min(remaining, 1.0))
+            except Empty:
+                continue
+            if nid not in pending:
+                continue  # the EOF that follows a node's result
+            if msg is None:
+                # Node gone without a payload: expected if and only if
+                # the fault plane killed it.
+                pending.discard(nid)
+                if nid not in killed:
+                    raise RuntimeError(
+                        f"node {nid} died without reporting a result "
+                        "or an error"
+                    )
+            elif msg[0] == "error":
+                self._raise_node_error(nid, msg)
+            elif msg[0] == "trace":
+                traces.setdefault(nid, []).extend(msg[1])
+            elif msg[0] == "result":
+                payloads[nid] = msg[1]
+                pending.discard(nid)
         return payloads
 
     @staticmethod
-    def _raise_node_error(msg: tuple) -> t.NoReturn:
-        _, nid, error, detail = msg
-        if isinstance(error, BaseException):
-            raise RuntimeError(
-                f"node {nid} process failed:\n{detail}"
-            ) from error
-        raise RuntimeError(f"node {nid} process failed:\n{detail}")
+    def _raise_node_error(nid: int, msg: tuple[t.Any, ...]) -> t.NoReturn:
+        _, error, detail = msg
+        raise RuntimeError(f"node {nid} failed:\n{detail}") from (
+            error if isinstance(error, BaseException) else None
+        )
 
     @staticmethod
     def _finish_trace(

@@ -334,3 +334,82 @@ def _run_and_collect(module):
         units.append(unit)
         unit.execute(10.0)
     return units
+
+
+class TestConcurrentFiling:
+    """The comm thread files shipments while the join thread drains
+    (thread/process/tcp backends): the mini-buffers must tolerate it."""
+
+    def test_enqueue_races_drain_without_losing_updates(self, geometry):
+        import sys
+        import threading
+        import time
+
+        module, metrics = make_module(geometry, npart=4)
+        from repro.data.tuples import TupleBatch
+
+        n_shipments = 1000
+        batch = workload_batch(0.0, 0.2, rate=100.0)
+        assert len(batch)
+        # Windows insist on temporal order, so each shipment is the
+        # same batch shifted one epoch further on.
+        shipments = [
+            Shipment(
+                epoch,
+                epoch * 0.2,
+                (epoch + 1) * 0.2,
+                TupleBatch(
+                    batch.ts + epoch * 0.2,
+                    batch.key,
+                    batch.seq + epoch * len(batch),
+                    batch.stream,
+                ),
+            )
+            for epoch in range(n_shipments)
+        ]
+        errors: list[BaseException] = []
+        filed = threading.Event()
+        # Wall bound on the whole stress, checked by both loops.
+        give_up = time.monotonic() + 60.0
+
+        def file_shipments():
+            try:
+                for shipment in shipments:
+                    if time.monotonic() > give_up:
+                        raise TimeoutError("filing loop overran its bound")
+                    module.enqueue(shipment)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+            finally:
+                filed.set()
+
+        def drain():
+            try:
+                while not filed.is_set() or module.has_work:
+                    if time.monotonic() > give_up:
+                        raise TimeoutError("drain loop overran its bound")
+                    for unit in module.work_units():
+                        unit.execute(100.0)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=file_shipments, daemon=True),
+            threading.Thread(target=drain, daemon=True),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        # A lost read-modify-write on the byte counter, or a batch
+        # dropped by a torn queue operation, would break these.
+        assert metrics.tuples_processed == n_shipments * len(batch)
+        assert module.pending_bytes == 0
+        assert not module.has_work

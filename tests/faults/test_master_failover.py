@@ -130,7 +130,7 @@ def test_sim_master_kill_with_slave_backup_restore():
     assert_survived_master_kill(result, trace, cfg)
 
 
-@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("backend", ["thread", "process", "tcp"])
 @pytest.mark.parametrize(
     "when", ["before-reorg", "mid-epoch"], ids=["before-reorg", "mid-epoch"]
 )

@@ -1,4 +1,4 @@
-"""The MPI-like communicator layer and its collectives."""
+"""The MPI-like communicator layer."""
 
 import pytest
 
@@ -47,75 +47,3 @@ class TestPointToPoint:
         p = sim.process(receiver(sim))
         with pytest.raises(ProtocolError, match="expected str"):
             sim.run(until=p)
-
-
-class TestCollectives:
-    def test_bcast_in_order(self, cluster):
-        sim, comms = cluster
-        arrival = []
-
-        def root(sim):
-            yield from comms[0].bcast([1, 2, 3], "payload")
-
-        def member(sim, i):
-            yield comms[i].recv(0)
-            arrival.append((i, sim.now))
-
-        sim.process(root(sim))
-        for i in (1, 2, 3):
-            sim.process(member(sim, i))
-        sim.run(None)
-        order = [i for i, _ in sorted(arrival, key=lambda x: x[1])]
-        assert order == [1, 2, 3]  # serial broadcast
-
-    def test_scatter_delivers_individual_payloads(self, cluster):
-        sim, comms = cluster
-        got = {}
-
-        def root(sim):
-            yield from comms[0].scatter({1: "a", 2: "b"})
-
-        def member(sim, i):
-            got[i] = yield comms[i].recv(0)
-
-        sim.process(root(sim))
-        sim.process(member(sim, 1))
-        sim.process(member(sim, 2))
-        sim.run(None)
-        assert got == {1: "a", 2: "b"}
-
-    def test_gather_returns_by_source(self, cluster):
-        sim, comms = cluster
-        result = {}
-
-        def root(sim):
-            out = yield from comms[0].gather([1, 2])
-            result.update(out)
-
-        def member(sim, i):
-            yield comms[i].send(0, i * 100)
-
-        sim.process(root(sim))
-        sim.process(member(sim, 1))
-        sim.process(member(sim, 2))
-        sim.run(None)
-        assert result == {1: 100, 2: 200}
-
-    def test_barrier_synchronizes(self, cluster):
-        sim, comms = cluster
-        release_times = []
-
-        def root(sim):
-            yield from comms[0].barrier_root([1, 2], token="go")
-
-        def member(sim, i, delay):
-            yield sim.timeout(delay)
-            yield from comms[i].barrier_member(0, token="ready")
-            release_times.append(sim.now)
-
-        sim.process(root(sim))
-        sim.process(member(sim, 1, 1.0))
-        sim.process(member(sim, 2, 8.0))
-        sim.run(None)
-        # Both released only after the slowest member arrived.
-        assert min(release_times) >= 8.0

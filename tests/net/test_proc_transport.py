@@ -2,7 +2,9 @@
 
 Covers the contract :mod:`repro.mp.comm` relies on: framing across
 partial reads and large frames, peer EOF mapping to ``NodeDown``,
-recv timeouts, and drain/fence semantics matching ``SimTransport``.
+recv timeouts, drain/fence semantics matching ``SimTransport``, and
+the dead-peer-send marker and pair tallies it shares with the tcp
+backend.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from repro.net.proc_transport import (
     write_frame,
 )
 from repro.net.wire import encode_message
+from repro.obs.metrics import MetricsRegistry
 
 
 def make_pair(a=0, b=2, tuple_bytes=64):
@@ -144,6 +147,18 @@ class TestFailureSemantics:
             ea.send(2, Halt(k)).run()
         ta.close()
 
+    def test_send_to_dead_peer_resolves_to_node_down(self):
+        # Shared with the tcp backend: the first send may still land in
+        # the kernel buffer (None); once the broken pipe is visible the
+        # thunk says so instead of staying silent.
+        ta, tb = make_pair()
+        tb.close()
+        ea = ta.endpoint(0)
+        results = [ea.send(2, Halt(k)).run() for k in range(8)]
+        assert NodeDown(2) in results
+        assert set(results) <= {None, NodeDown(2)}
+        ta.close()
+
     def test_recv_timeout_marker(self):
         ta, tb = make_pair()
         t0 = time.monotonic()
@@ -227,6 +242,36 @@ class TestStats:
         assert tx_stats.comm[0][2] == expected
         assert rx_stats.comm[0][2] == expected
         assert rx_stats.idle, "receiver wait must be recorded as idle"
+        ta.close(), tb.close()
+
+    def test_pair_stats_count_header_and_payload_bytes(self):
+        ta, tb = make_pair()
+        ea, eb = ta.endpoint(0), tb.endpoint(2)
+        payloads = [encode_message(Halt(k)) for k in range(3)]
+        for k in range(3):
+            ea.send(2, Halt(k)).run()
+            eb.recv(0).run()
+        expected = sum(FRAME_HEADER.size + len(p) for p in payloads)
+        assert ta.pair_stats()[2] == {
+            "tx_frames": 3, "tx_bytes": expected,
+            "rx_frames": 0, "rx_bytes": 0,
+        }
+        assert tb.pair_stats()[0] == {
+            "tx_frames": 0, "tx_bytes": 0,
+            "rx_frames": 3, "rx_bytes": expected,
+        }
+        # Attached late, the registry starts from the tallies so far and
+        # counts on from there under this transport's series prefix.
+        registry = MetricsRegistry(2)
+        tb.attach_registry(registry)
+        ea.send(2, Halt(3)).run()
+        eb.recv(0).run()
+        snapshot = registry.snapshot()
+        assert snapshot["proc.rx_frames.from_n0"]["value"] == 4
+        assert (
+            snapshot["proc.rx_bytes.from_n0"]["value"]
+            == tb.pair_stats()[0]["rx_bytes"]
+        )
         ta.close(), tb.close()
 
     def test_foreign_endpoint_refuses(self):
