@@ -7,9 +7,10 @@ keyed by :attr:`~repro.config.SystemConfig.kernel`, mirroring the
 runtime-backend registry in :mod:`repro.core.system`:
 
 ``blocknlj``
-    The baseline: a lazily rebuilt sorted-by-key snapshot of the
-    committed window, binary-searched per probe batch (the probe cost
-    charged follows the paper's block nested-loop scan model).
+    The baseline: an incrementally kept key-sorted run of the
+    committed window (head blocks merged in, expired tuples masked
+    out), binary-searched per probe batch (the probe cost charged
+    follows the paper's block nested-loop scan model).
 ``indexed``
     A per-window hash index (join key -> growable vector of SoA
     positions) with incremental insert on commit, numpy-vectorized
@@ -58,8 +59,8 @@ class JoinKernel(abc.ABC):
 
     One kernel instance is attached to each window and probes *that
     window's* committed tuples on behalf of the opposite stream's
-    fresh head block.  Kernels may keep arbitrary derived state (sort
-    snapshots, hash indexes) but the committed
+    fresh head block.  Kernels may keep arbitrary derived state (sorted
+    runs, hash indexes) but the committed
     :class:`~repro.data.soa.GrowableSoA` remains the single source of
     truth — a kernel must behave identically after being rebuilt from
     it (:meth:`warm`), which is what makes crash restores lossless
@@ -116,7 +117,7 @@ class JoinKernel(abc.ABC):
 
         Incremental kernels index the freshly committed tuples here so
         insert cost is paid at commit time; the default is nothing
-        (the blocknlj snapshot is rebuilt lazily on the next probe).
+        (blocknlj merges them into its sorted run at the next probe).
         """
 
     def warm(self) -> None:

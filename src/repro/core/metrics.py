@@ -225,8 +225,11 @@ class SlaveMetrics:
             return
         self.outputs_emitted += len(newer_ts)
         delays = emit_time - newer_ts
-        self.delays.record(delays)
-        self.unreported.record(delays)
+        # Bin the vector once; both accumulators take the same summary.
+        batch = DelayStats()
+        batch.record(delays)
+        self.delays.merge(batch)
+        self.unreported.merge(batch)
         if self.registry.enabled:
             self.m_outputs.inc(len(newer_ts))
             self.m_delay.observe_many(delays.tolist())

@@ -18,6 +18,9 @@ from __future__ import annotations
 import typing as t
 
 import numpy as np
+import numpy.typing as npt
+
+from repro.data.tuples import KeyArray, SeqArray, TsArray
 
 
 class ProbeResult(t.NamedTuple):
@@ -27,23 +30,23 @@ class ProbeResult(t.NamedTuple):
     n_pairs: int
     #: For each output pair, the timestamp of the *newer* joining tuple
     #: (production delay is ``emit_time - newer_ts``).
-    newer_ts: np.ndarray
+    newer_ts: TsArray
     #: Identity of the pairs as ``(probe_seq, window_seq)``; filled only
     #: when ``collect_pairs=True`` (testing against the oracle).
-    pairs: np.ndarray | None
+    pairs: npt.NDArray[np.int64] | None
 
 
-_EMPTY_TS = np.empty(0, dtype=np.float64)
-_EMPTY_PAIRS = np.empty((0, 2), dtype=np.int64)
+_EMPTY_TS: TsArray = np.empty(0, dtype=np.float64)
+_EMPTY_PAIRS: npt.NDArray[np.int64] = np.empty((0, 2), dtype=np.int64)
 
 
 def probe_sorted(
-    probe_ts: np.ndarray,
-    probe_key: np.ndarray,
-    probe_seq: np.ndarray,
-    sorted_key: np.ndarray,
-    sorted_ts: np.ndarray,
-    sorted_seq: np.ndarray | None,
+    probe_ts: TsArray,
+    probe_key: KeyArray,
+    probe_seq: SeqArray,
+    sorted_key: KeyArray,
+    sorted_ts: TsArray,
+    sorted_seq: SeqArray | None,
     window: float,
     collect_pairs: bool = False,
 ) -> ProbeResult:
@@ -62,12 +65,11 @@ def probe_sorted(
     if total == 0:
         return ProbeResult(0, _EMPTY_TS, _EMPTY_PAIRS if collect_pairs else None)
 
-    # Expand candidate ranges: candidate j of probe i sits at
-    # sorted position lo[i] + j.
+    # Expand candidate ranges: candidate j of probe i is output slot
+    # first_slot[i] + j and sits at sorted position lo[i] + j.
     owner = np.repeat(np.arange(len(probe_key)), counts)
     first_slot = np.cumsum(counts) - counts
-    offsets = np.arange(total) - np.repeat(first_slot, counts)
-    positions = np.repeat(lo, counts) + offsets
+    positions = np.repeat(lo - first_slot, counts) + np.arange(total)
 
     cand_ts = sorted_ts[positions]
     own_ts = probe_ts[owner]
@@ -77,11 +79,11 @@ def probe_sorted(
         return ProbeResult(0, _EMPTY_TS, _EMPTY_PAIRS if collect_pairs else None)
 
     newer = np.maximum(cand_ts[valid], own_ts[valid])
-    pairs: np.ndarray | None = None
+    pairs: npt.NDArray[np.int64] | None = None
     if collect_pairs:
         if sorted_seq is None:
             raise ValueError("collect_pairs=True requires sorted_seq")
         pairs = np.column_stack(
             (probe_seq[owner[valid]], sorted_seq[positions[valid]])
-        ).astype(np.int64)
+        ).astype(np.int64, copy=False)
     return ProbeResult(n_pairs, newer, pairs)

@@ -14,23 +14,36 @@ A :class:`StreamWindow` holds:
 
 Probing is delegated to a pluggable *join kernel*
 (:mod:`repro.core.kernels`, selected by ``JoinGeometry.kernel`` /
-``SystemConfig.kernel``): the ``blocknlj`` baseline binary-searches a
-lazily rebuilt sorted-by-key snapshot of the committed tuples; the
-``indexed`` kernel keeps an incrementally maintained hash index with
-lazy bulk expiry.  Every kernel computes the *exact* match set — the
+``SystemConfig.kernel``): the ``blocknlj`` baseline binary-searches
+the window's key-sorted *run* (:meth:`StreamWindow.sorted_view`), which
+is kept incrementally — committed head blocks are merged in, expired
+tuples masked out, the live window never re-sorted; the ``indexed``
+kernel keeps an incrementally maintained hash index with lazy bulk
+expiry.  Every kernel computes the *exact* match set — the
 simulated CPU cost charged per probe is the kernel's own model
 (:mod:`repro.core.costmodel`), not the cost of these structures.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import typing as t
 
-from repro.core.kernels import make_kernel
+import numpy as np
+import numpy.typing as npt
+
+from repro.core.kernels import JoinKernel, make_kernel
 from repro.core.probe import ProbeResult
 from repro.data.blocks import block_bytes_used, n_blocks
 from repro.data.soa import GrowableSoA
-from repro.data.tuples import KEY_DTYPE, SEQ_DTYPE, TS_DTYPE, TupleBatch
+from repro.data.tuples import (
+    KEY_DTYPE,
+    SEQ_DTYPE,
+    TS_DTYPE,
+    KeyArray,
+    SeqArray,
+    TsArray,
+    TupleBatch,
+)
 
 
 class StreamWindow:
@@ -46,10 +59,9 @@ class StreamWindow:
         "_fresh_key",
         "_fresh_seq",
         "_fresh_n",
-        "_sorted_key",
-        "_sorted_ts",
-        "_sorted_seq",
-        "_index_dirty",
+        "_run",
+        "_run_synced",
+        "_run_floor",
     )
 
     def __init__(
@@ -65,15 +77,23 @@ class StreamWindow:
         self.committed = GrowableSoA()
         #: The probe strategy matching the opposite stream's fresh
         #: tuples against this window's committed ones.
-        self.kernel = make_kernel(kernel, self)
+        self.kernel: JoinKernel = make_kernel(kernel, self)
         self._fresh_ts = np.empty(tuples_per_block, TS_DTYPE)
         self._fresh_key = np.empty(tuples_per_block, KEY_DTYPE)
         self._fresh_seq = np.empty(tuples_per_block, SEQ_DTYPE)
         self._fresh_n = 0
-        self._sorted_key: np.ndarray | None = None
-        self._sorted_ts: np.ndarray | None = None
-        self._sorted_seq: np.ndarray | None = None
-        self._index_dirty = True
+        #: Committed tuples in stable key order, as columns ``(key, ts,
+        #: seq, SoA logical id)``, synced pull-style from the SoA's
+        #: counters: ``_run_synced``/``_run_floor`` are its
+        #: ``appended_total``/``expired_total`` at the last sync.
+        self._run: tuple[npt.NDArray[t.Any], ...] = (
+            np.empty(0, KEY_DTYPE),
+            np.empty(0, TS_DTYPE),
+            np.empty(0, SEQ_DTYPE),
+            np.empty(0, np.int64),
+        )
+        self._run_synced = 0
+        self._run_floor = 0
 
     # -- sizes -----------------------------------------------------------
     @property
@@ -108,9 +128,7 @@ class StreamWindow:
         """Tuples the head block can still accept before it is full."""
         return self.tuples_per_block - self._fresh_n
 
-    def append_fresh(
-        self, ts: np.ndarray, key: np.ndarray, seq: np.ndarray
-    ) -> None:
+    def append_fresh(self, ts: TsArray, key: KeyArray, seq: SeqArray) -> None:
         """Add tuples to the head block (must fit; see :meth:`head_space`)."""
         n = len(ts)
         if n == 0:
@@ -125,7 +143,7 @@ class StreamWindow:
         self._fresh_seq[f : f + n] = seq
         self._fresh_n = f + n
 
-    def fresh_view(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def fresh_view(self) -> tuple[TsArray, KeyArray, SeqArray]:
         """(ts, key, seq) views of the current fresh tuples."""
         f = self._fresh_n
         return self._fresh_ts[:f], self._fresh_key[:f], self._fresh_seq[:f]
@@ -149,9 +167,9 @@ class StreamWindow:
     # -- probing ----------------------------------------------------------
     def probe_committed(
         self,
-        probe_ts: np.ndarray,
-        probe_key: np.ndarray,
-        probe_seq: np.ndarray,
+        probe_ts: TsArray,
+        probe_key: KeyArray,
+        probe_seq: SeqArray,
         window_seconds: float,
         collect_pairs: bool = False,
     ) -> ProbeResult:
@@ -164,22 +182,58 @@ class StreamWindow:
             collect_pairs=collect_pairs,
         )
 
-    def probe_scan_bytes(self, probe_key: np.ndarray, tuple_bytes: int) -> int:
+    def probe_scan_bytes(self, probe_key: KeyArray, tuple_bytes: int) -> int:
         """Bytes the configured kernel touches probing *probe_key* here
         (drives the simulated CPU charge and the disk-spill fraction)."""
         return self.kernel.probe_scan_bytes(probe_key, tuple_bytes)
 
     def sorted_view(
         self, need_seq: bool = False
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    ) -> tuple[KeyArray, TsArray, SeqArray | None]:
         """Committed tuples sorted by key: ``(key, ts, seq-or-None)``.
 
         Used by the n-way composite prober and the ``blocknlj`` kernel;
         valid until the next mutation of this window.  Kernels that do
-        not call it never pay for the sort.
+        not call it never pay for the upkeep.
+
+        The order is exactly ``argsort(committed.key, kind="stable")``,
+        but the live window is never re-sorted: tuples expired since the
+        last call are masked out by logical id, tuples committed since
+        are sorted on their own and merged in after their equal keys.
+        Only a window none of whose tuples the run holds yet (first use,
+        a state install, a split/merge child) is sorted whole.
         """
-        self._refresh_index(need_seq)
-        return self._sorted_key, self._sorted_ts, self._sorted_seq
+        soa = self.committed
+        appended, expired = soa.appended_total, soa.expired_total
+        run = self._run
+        if expired != self._run_floor:
+            live = run[3] >= expired
+            run = tuple(col[live] for col in run)
+        first_new = max(self._run_synced, expired)
+        if first_new < appended:
+            tail = first_new - expired
+            new_key = soa.key[tail:]
+            order = np.argsort(new_key, kind="stable")
+            new = (
+                new_key[order],
+                soa.ts[tail:][order],
+                soa.seq[tail:][order],
+                order + first_new,
+            )
+            if len(run[0]):
+                # side="right": a new tuple lands after the old tuples
+                # of its key, where the stable sort would put it.
+                slots = np.searchsorted(run[0], new[0], side="right")
+                slots += np.arange(len(order))
+                is_old = np.ones(len(run[0]) + len(order), dtype=np.bool_)
+                is_old[slots] = False
+                run = tuple(
+                    _spliced(o, n, is_old, slots) for o, n in zip(run, new)
+                )
+            else:
+                run = new
+        self._run, self._run_synced, self._run_floor = run, appended, expired
+        return run[0], run[1], run[2] if need_seq else None
 
     def commit_fresh(self) -> None:
         """Move the fresh head block to committed without probing
@@ -188,20 +242,9 @@ class StreamWindow:
         if self._fresh_n:
             self.committed.append(ts, key, seq)
             self._fresh_n = 0
-            self._index_dirty = True
             # Incremental insert: index the just-committed block now so
             # the structure is maintained at commit time, not probe time.
             self.kernel.on_commit()
-
-    def _refresh_index(self, need_seq: bool) -> None:
-        if not self._index_dirty and not (need_seq and self._sorted_seq is None):
-            return
-        key = self.committed.key
-        order = np.argsort(key, kind="stable")
-        self._sorted_key = key[order]
-        self._sorted_ts = self.committed.ts[order]
-        self._sorted_seq = self.committed.seq[order] if need_seq else None
-        self._index_dirty = False
 
     # -- expiry -------------------------------------------------------------
     def expire_before(self, cutoff_ts: float) -> int:
@@ -210,10 +253,7 @@ class StreamWindow:
         Fresh tuples never expire: they arrived within the current
         epoch, and the window length is far larger than an epoch.
         """
-        dropped = self.committed.expire_before(cutoff_ts)
-        if dropped:
-            self._index_dirty = True
-        return dropped
+        return self.committed.expire_before(cutoff_ts)
 
     # -- state movement --------------------------------------------------------
     def extract_all(self) -> tuple[TupleBatch, TupleBatch]:
@@ -227,7 +267,6 @@ class StreamWindow:
             np.full(self._fresh_n, self.stream_id, dtype=np.uint8),
         )
         self._fresh_n = 0
-        self._index_dirty = True
         return committed, fresh
 
     def snapshot_all(self) -> tuple[TupleBatch, TupleBatch]:
@@ -246,4 +285,16 @@ class StreamWindow:
     def install_committed(self, batch: TupleBatch) -> None:
         """Install moved committed tuples (consumer side of a state move)."""
         self.committed.append(batch.ts, batch.key, batch.seq)
-        self._index_dirty = True
+
+
+def _spliced(
+    old: npt.NDArray[t.Any],
+    new: npt.NDArray[t.Any],
+    is_old: npt.NDArray[np.bool_],
+    slots: npt.NDArray[np.intp],
+) -> npt.NDArray[t.Any]:
+    """*old* and *new* interleaved: *new* at *slots*, *old* elsewhere."""
+    out = np.empty(len(is_old), old.dtype)
+    out[is_old] = old
+    out[slots] = new
+    return out

@@ -174,6 +174,32 @@ class TestSlaveMetricsGating:
         # Local (lifetime) stats unaffected by popping.
         assert metrics.delays.count == 1
 
+    def test_record_outputs_bins_once_for_both_accumulators(self):
+        """The delay vector is summarised once and merged into the
+        lifetime and the unreported stats: both must equal, bit for
+        bit, what recording the vector into each would have given."""
+        rng = np.random.default_rng(3)
+        metrics = SlaveMetrics(1, MeasurementWindow(0.0))
+        lifetime, unreported = DelayStats(), DelayStats()
+
+        def same(a, b):
+            assert (a.count, a.total, a.minimum, a.maximum) == (
+                b.count, b.total, b.minimum, b.maximum
+            )
+            assert a.histogram.tolist() == b.histogram.tolist()
+
+        for step in range(6):
+            emit = 100.0 + step
+            newer = emit - rng.exponential(0.7, size=int(rng.integers(1, 50)))
+            metrics.record_outputs(emit, newer)
+            for stats in (lifetime, unreported):
+                stats.record(emit - newer)
+            if step == 2:
+                same(metrics.pop_unreported(), unreported)
+                unreported = DelayStats()
+        same(metrics.delays, lifetime)
+        same(metrics.pop_unreported(), unreported)
+
     def test_window_sampling_tracks_max(self):
         metrics = SlaveMetrics(1, MeasurementWindow(0.0))
         metrics.sample_window(1.0, 100)

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.window import StreamWindow
+from repro.data.tuples import TupleBatch
 
 
 def make_window(stream_id=0, tpb=4):
@@ -146,3 +149,153 @@ class TestStateMovement:
         dst0.append_fresh(fresh.ts, fresh.key, fresh.seq)
         result = dst0.flush(dst1, 100.0, collect_pairs=True)
         assert result.n_pairs == 1
+
+
+# ---------------------------------------------------------------------------
+# The key-sorted run: kept incrementally, equal to a fresh stable argsort.
+# ---------------------------------------------------------------------------
+def assert_run_is_stable_argsort(w):
+    """``sorted_view`` equals, column by column, a from-scratch stable
+    argsort of the committed SoA (unique seqs pin the order of ties)."""
+    soa = w.committed
+    order = np.argsort(soa.key, kind="stable")
+    key, ts, seq = w.sorted_view(need_seq=True)
+    np.testing.assert_array_equal(key, soa.key[order])
+    np.testing.assert_array_equal(ts, soa.ts[order])
+    np.testing.assert_array_equal(seq, soa.seq[order])
+    assert w.sorted_view()[2] is None
+
+
+class RunDriver:
+    """Feeds a window tuples with a monotone clock and unique seqs."""
+
+    def __init__(self, tpb=4):
+        self.w = make_window(tpb=tpb)
+        self.clock = 0
+
+    def columns(self, keys):
+        n = len(keys)
+        ts = np.arange(self.clock, self.clock + n, dtype=float)
+        seq = np.arange(self.clock, self.clock + n, dtype=np.int64)
+        self.clock += n
+        return ts, np.asarray(keys, dtype=np.int64), seq
+
+    def apply(self, op, arg):
+        w = self.w
+        if op == "fresh":
+            w.append_fresh(*self.columns(arg[: w.head_space()]))
+        elif op == "commit":
+            w.commit_fresh()
+        elif op == "expire":  # arg == 0 empties the window
+            w.expire_before(float(self.clock - arg))
+        elif op == "extract":
+            w.extract_all()
+        elif op == "probe":
+            assert_run_is_stable_argsort(w)
+        else:
+            # Wholesale paths append behind any fresh tuples' timestamps,
+            # so (like split/merge) they run on an empty head block.
+            w.commit_fresh()
+            ts, key, seq = self.columns(arg)
+            if op == "install":
+                w.install_committed(TupleBatch(ts, key, seq, np.zeros(len(ts))))
+            else:  # the split/merge children's direct append
+                w.committed.append(ts, key, seq)
+
+
+# Four keys: duplicates straddle old and new tuples all the time.
+_keys = st.lists(st.integers(0, 3), min_size=0, max_size=9)
+_run_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("fresh"), _keys),
+        st.tuples(st.just("commit"), st.none()),
+        st.tuples(st.just("expire"), st.integers(0, 12)),
+        st.tuples(st.just("extract"), st.none()),
+        st.tuples(st.just("probe"), st.none()),
+        st.tuples(st.just("install"), _keys),
+        st.tuples(st.just("append"), _keys),
+    ),
+    max_size=40,
+)
+
+
+class TestSortedRun:
+    @given(ops=_run_ops)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fresh_stable_argsort_after_any_interleaving(self, ops):
+        driver = RunDriver()
+        for op, arg in ops:
+            driver.apply(op, arg)
+        assert_run_is_stable_argsort(driver.w)
+
+    def test_duplicate_keys_straddling_old_and_new(self):
+        driver = RunDriver()
+        driver.apply("append", [2, 1, 2, 1])
+        driver.apply("probe", None)
+        driver.apply("fresh", [1, 2, 0, 2])
+        driver.apply("commit", None)
+        key, _ts, seq = driver.w.sorted_view(need_seq=True)
+        assert key.tolist() == [0, 1, 1, 1, 2, 2, 2, 2]
+        assert seq.tolist() == [6, 1, 3, 4, 0, 2, 5, 7]
+
+    def test_expiry_that_empties_the_window_then_append(self):
+        driver = RunDriver()
+        driver.apply("append", [3, 1, 2])
+        driver.apply("probe", None)
+        driver.apply("expire", 0)
+        assert driver.w.n_committed == 0
+        driver.apply("probe", None)
+        driver.apply("fresh", [2, 1])
+        driver.apply("commit", None)
+        driver.apply("probe", None)
+        assert driver.w.sorted_view()[0].tolist() == [1, 2]
+
+    def test_several_commits_and_an_expiry_between_two_probes(self):
+        driver = RunDriver()
+        driver.apply("append", [1, 0, 1, 0, 1])
+        driver.apply("probe", None)
+        for keys in ([0, 1], [1, 1, 0], [0]):
+            driver.apply("fresh", keys)
+            driver.apply("commit", None)
+        driver.apply("expire", 8)  # drops the three oldest
+        driver.apply("probe", None)
+        assert driver.w.n_committed == 8
+
+    def test_steady_path_never_sorts_the_window(self, monkeypatch):
+        """Commit a head block into a large window, expire one, probe,
+        repeat: after the first build no ``argsort`` may see more than
+        the newly committed tuples."""
+        n, block = 50_000, 64
+        rng = np.random.default_rng(7)
+        w0, w1 = make_window(0, tpb=block), make_window(1, tpb=block)
+        w0.committed.append(
+            np.arange(n, dtype=float),
+            rng.integers(0, n // 8, n),
+            np.arange(n, dtype=np.int64),
+        )
+        w0.kernel.warm()  # the one full sort
+
+        sorted_sizes = []
+        real_argsort = np.argsort
+
+        def spy(a, *args, **kwargs):
+            sorted_sizes.append(len(a))
+            return real_argsort(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "argsort", spy)
+        clock = n
+        for _ in range(12):
+            ts = np.arange(clock, clock + block, dtype=float)
+            key = rng.integers(0, n // 8, block)
+            seq = np.arange(clock, clock + block, dtype=np.int64)
+            clock += block
+            w0.append_fresh(ts, key, seq)
+            w0.commit_fresh()
+            w0.expire_before(float(clock - n))
+            w1.append_fresh(ts, key, seq)
+            w1.flush(w0, window_seconds=float(n), collect_pairs=True)
+        monkeypatch.undo()
+
+        assert w0.n_committed == n
+        assert sorted_sizes and max(sorted_sizes) <= block
+        assert_run_is_stable_argsort(w0)

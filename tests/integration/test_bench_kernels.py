@@ -16,7 +16,9 @@ from benchmarks.bench_kernels import main
 
 def test_benchmark_verifies_equal_work_across_kernels(tmp_path):
     out = tmp_path / "bench.json"
-    assert main(["--iters", "20", "--out", str(out)]) == 0
+    assert main(
+        ["--iters", "20", "--e2e-horizon", "10", "--out", str(out)]
+    ) == 0
 
     report = json.loads(out.read_text())
     assert report["verified"] is True
@@ -39,3 +41,11 @@ def test_benchmark_verifies_equal_work_across_kernels(tmp_path):
         if k != "oracle_pairs"
     )
     assert set(report["indexed_over_blocknlj_speedup"]) == {"10000", "100000"}
+    # Beside the microbench cells: every kernel's whole-run tuples/s,
+    # fine tuning on and off, each run oracle-exact on one trace.
+    rows = report["end_to_end_tuples_per_s"]
+    assert {(r["kernel"], r["fine_tuning"]) for r in rows} == {
+        (k, ft) for k in kernels for ft in (True, False)
+    }
+    assert len({r["trace_tuples"] for r in rows}) == 1
+    assert all(r["oracle_exact"] and r["tuples_per_s"] > 0 for r in rows)
