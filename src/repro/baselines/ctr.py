@@ -126,7 +126,7 @@ class CtrSlave(LightSlaveMixin):
                 def run(
                     emit: float, part=part, mini=mini, sid=sid, opposite=opposite
                 ) -> None:
-                    result = opposite.probe_committed(
+                    result = opposite.probe(
                         part.ts,
                         part.key,
                         part.seq,

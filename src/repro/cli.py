@@ -59,12 +59,6 @@ def _add_run_parser(sub: t.Any) -> None:
                    metavar="FACTOR",
                    help="wall seconds per modeled second on the thread/"
                         "process backends (default 0.05; ignored by sim)")
-    p.add_argument("--kernel", choices=("blocknlj", "indexed"),
-                   default="blocknlj",
-                   help="join kernel probing each window: the paper's "
-                        "block-NLJ sorted scan (blocknlj, default) or the "
-                        "hash-index kernel with incremental insert and "
-                        "lazy bulk expiry (indexed)")
     p.add_argument("--no-fine-tuning", action="store_true")
     p.add_argument("--adaptive", action="store_true",
                    help="enable adaptive degree of declustering")
@@ -160,7 +154,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         tcp_peers=_parse_peers(args.peers or ()),
         tcp_host=args.bind_host,
         time_scale=args.time_scale,
-        kernel=args.kernel,
         fine_tuning=not args.no_fine_tuning,
         adaptive_declustering=args.adaptive,
         load_balancing=not args.no_load_balancing,

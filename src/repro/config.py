@@ -76,11 +76,6 @@ class CostModelConfig:
     #: sequential read on the era's disks).  Charged once per probe
     #: over the spilled fraction of the scanned bytes.
     disk_read_byte_cost: float = 2.0e-8
-    #: CPU seconds per probing tuple for one hash-index lookup when the
-    #: ``indexed`` join kernel runs (bucket fetch + dead-prefix check);
-    #: the per-candidate gather work is charged via ``scan_byte_cost``
-    #: over the candidate bytes, not the whole window.
-    index_lookup_cost: float = 5.0e-6
 
     def validated(self) -> "CostModelConfig":
         for name in (
@@ -89,7 +84,6 @@ class CostModelConfig:
             "state_move_byte_cost",
             "expire_byte_cost",
             "disk_read_byte_cost",
-            "index_lookup_cost",
         ):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be non-negative")
@@ -298,14 +292,11 @@ class SystemConfig:
     #: (thread/process): ``time_scale=0.01`` compresses a 60-second
     #: scenario into 0.6 wall seconds.  Ignored by the DES backend.
     time_scale: float = 1.0
-    #: Join kernel probing each window: ``"blocknlj"`` (sorted-key
-    #: snapshot, charged as the paper's block nested-loop scan) or
-    #: ``"indexed"`` (per-window hash index, incremental insert, lazy
-    #: bulk expiry).  Registered in :mod:`repro.core.kernels`; every
-    #: kernel yields the identical joined-pair multiset — only the
-    #: simulated probe cost differs.  Unknown names raise
-    #: :class:`ConfigError` when the cluster is built.
-    kernel: str = "blocknlj"
+    #: Not a setting (a ``ClassVar`` is no dataclass field): the name
+    #: perf/spans.py hands :func:`repro.core.kernels.get_kernel` to find
+    #: its ``kernel.probe`` span.  Deleted by the ``benchmark`` PR that
+    #: re-points the span.
+    kernel: t.ClassVar[str] = "window"
 
     # -- run --------------------------------------------------------------
     #: Simulated run length, seconds (paper: 20 minutes).
@@ -466,8 +457,6 @@ class SystemConfig:
                     )
         if not self.tcp_host:
             raise ConfigError("tcp_host must be a non-empty host name")
-        if not self.kernel or not isinstance(self.kernel, str):
-            raise ConfigError("kernel must be a non-empty string")
         if self.time_scale <= 0:
             raise ConfigError("time_scale must be positive")
         if self.run_seconds <= 0 or not 0 <= self.warmup_seconds < self.run_seconds:

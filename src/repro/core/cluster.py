@@ -16,7 +16,6 @@ from repro.core.collector import CollectorMetrics, CollectorNode
 from repro.core.costmodel import CostModel
 from repro.core.declustering import DeclusteringController
 from repro.core.join_module import JoinModule
-from repro.core.kernels import get_kernel
 from repro.core.master import MasterNode
 from repro.core.metrics import MasterMetrics, MeasurementWindow, SlaveMetrics
 from repro.core.partition_group import JoinGeometry
@@ -168,16 +167,6 @@ class Cluster(t.NamedTuple):
 
 
 def geometry_of(cfg: SystemConfig) -> JoinGeometry:
-    # Fail fast on unknown kernels — every window of every slave would
-    # otherwise raise deep inside a work unit.  The n-way composite
-    # prober has a single probe strategy of its own, so non-default
-    # kernels are a two-stream feature.
-    get_kernel(cfg.kernel)
-    if cfg.n_streams != 2 and cfg.kernel != "blocknlj":
-        raise ConfigError(
-            f"kernel {cfg.kernel!r} requires n_streams=2 "
-            "(the n-way composite prober has its own probe strategy)"
-        )
     return JoinGeometry(
         tuples_per_block=cfg.tuples_per_block,
         block_bytes=cfg.block_bytes,
@@ -186,7 +175,6 @@ def geometry_of(cfg: SystemConfig) -> JoinGeometry:
         fine_tuning=cfg.fine_tuning,
         tuple_bytes=cfg.tuple_bytes,
         n_streams=cfg.n_streams,
-        kernel=cfg.kernel,
     )
 
 

@@ -80,31 +80,6 @@ class CostModel:
         disk = self.cfg.disk_read_byte_cost * spilled_bytes
         return (cpu + disk) / self.speed
 
-    def indexed_probe_cost(
-        self,
-        n_probe_tuples: int,
-        candidate_bytes: int,
-        spilled_bytes: int = 0,
-    ) -> float:
-        """Hash-index probe of *n* fresh tuples gathering *candidate_bytes*.
-
-        Each probing tuple pays one hash lookup
-        (:attr:`~repro.config.CostModelConfig.index_lookup_cost`) on top
-        of the fixed per-tuple cost; the scan term covers only the
-        candidate tuples the buckets return — crucially *not* multiplied
-        by ``n``, since each candidate is touched once, not once per
-        probing tuple.  This is the cost asymmetry that makes the
-        ``indexed`` kernel's simulated time drop with window size
-        relative to the block-NLJ model.
-        """
-        if n_probe_tuples == 0:
-            return 0.0
-        cpu = (
-            self.cfg.tuple_cost + self.cfg.index_lookup_cost
-        ) * n_probe_tuples + self.cfg.scan_byte_cost * candidate_bytes
-        disk = self.cfg.disk_read_byte_cost * spilled_bytes
-        return (cpu + disk) / self.speed
-
     def expire_cost(self, expired_bytes: int) -> float:
         """Dropping expired blocks from the front of windows."""
         return self.cfg.expire_byte_cost * expired_bytes / self.speed

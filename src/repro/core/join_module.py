@@ -8,8 +8,8 @@ the simulated CPU cost of one step of the paper's algorithm:
 * ``expire``  — dropping expired blocks from the front of every window;
 * ``probe``   — flushing a fresh head block: joining the fresh tuples
   against the opposite stream's committed window in the same
-  mini-partition-group via the configured join kernel
-  (:mod:`repro.core.kernels`), charged that kernel's cost model;
+  mini-partition-group, charged the paper's block nested-loop scan of
+  that window's committed blocks;
 * ``tune``    — splitting an oversized mini-group / merging undersized
   buddies (fine-grained partition tuning).
 
@@ -386,22 +386,13 @@ class JoinModule:
 
     def _flush_unit(self, pid: int, mini: MiniGroup, sid: int) -> WorkUnit:
         window = mini.windows[sid]
-        # Each opposite window's kernel decides what the probe touches:
-        # block-NLJ scans its committed blocks wholesale, the indexed
-        # kernel only the candidate tuples its buckets return.  The
-        # kernel likewise picks the matching cost formula, so an indexed
-        # run is charged the indexed model, never the NLJ cross-product.
-        _ts, fresh_key, _seq = window.fresh_view()
-        tb = self.geometry.tuple_bytes
+        # The block nested-loop scan reads every committed block of the
+        # opposite windows, whatever the fresh keys are.
         scanned = sum(
-            w.probe_scan_bytes(fresh_key, tb)
-            for k, w in enumerate(mini.windows)
-            if k != sid
+            w.committed_bytes for k, w in enumerate(mini.windows) if k != sid
         )
         spilled = int(scanned * self.spill_fraction())
-        cost = window.kernel.probe_cost(
-            self.cost_model, window.n_fresh, scanned, spilled
-        )
+        cost = self.cost_model.probe_cost(window.n_fresh, scanned, spilled)
         if spilled:
             self.metrics.disk_bytes_read += spilled
 

@@ -40,8 +40,6 @@ class JoinGeometry(t.NamedTuple):
     #: Number of joining streams (the paper's general model; the
     #: evaluation prototype uses 2).
     n_streams: int = 2
-    #: Join kernel probing each window (:mod:`repro.core.kernels`).
-    kernel: str = "blocknlj"
 
 
 class MiniGroup:
@@ -52,12 +50,7 @@ class MiniGroup:
     def __init__(self, geometry: JoinGeometry) -> None:
         self.geometry = geometry
         self.windows = tuple(
-            StreamWindow(
-                sid,
-                geometry.tuples_per_block,
-                geometry.block_bytes,
-                kernel=geometry.kernel,
-            )
+            StreamWindow(sid, geometry.tuples_per_block, geometry.block_bytes)
             for sid in range(geometry.n_streams)
         )
 
@@ -80,9 +73,10 @@ class MiniGroup:
         """Flush stream *sid*'s fresh head block: join it against the
         other streams' committed windows and commit it.
 
-        Two streams use the fast pairwise kernel; more use the n-way
-        composite prober (its :class:`CompositeResult` is normalized to
-        a :class:`ProbeResult` so callers see a single return type).
+        Two streams use the pairwise :meth:`StreamWindow.flush`; more
+        use the n-way composite prober (its :class:`CompositeResult` is
+        normalized to a :class:`ProbeResult` so callers see a single
+        return type).
         In both cases only committed tuples of the other streams
         participate (the duplicate-elimination rule: a result is
         emitted by the last of its members to flush).
@@ -361,18 +355,10 @@ class PartitionGroup:
         if self._on_double is not None:
             directory.on_double = lambda depth: self._on_double(self.pid, depth)
         self.directory = directory
-        self.warm_kernels()
-
-    def warm_kernels(self) -> None:
-        """Eagerly rebuild every window's kernel-derived state.
-
-        Kernels are never serialized: a shipped
-        :class:`PartitionGroupState` carries window contents only, so
-        after a state install (migration or crash restore) the consumer
-        rebuilds indexes from the installed SoAs.  Lossless by
-        construction — the committed store is the single source of
-        truth for every kernel.
-        """
-        for bucket in self.directory.buckets():
+        # Sorted runs are never serialized: the blob carries window
+        # contents only, so build each run now (one full sort) and the
+        # first probe after a migration or crash restore only merges,
+        # as on a node that saw every commit live.
+        for bucket in directory.buckets():
             for window in bucket.payload.windows:
-                window.kernel.warm()
+                window.sorted_view()

@@ -12,16 +12,16 @@ A :class:`StreamWindow` holds:
   or the stream buffer drains (:meth:`flush` is called by the join
   module at those points).
 
-Probing is delegated to a pluggable *join kernel*
-(:mod:`repro.core.kernels`, selected by ``JoinGeometry.kernel`` /
-``SystemConfig.kernel``): the ``blocknlj`` baseline binary-searches
-the window's key-sorted *run* (:meth:`StreamWindow.sorted_view`), which
-is kept incrementally — committed head blocks are merged in, expired
-tuples masked out, the live window never re-sorted; the ``indexed``
-kernel keeps an incrementally maintained hash index with lazy bulk
-expiry.  Every kernel computes the *exact* match set — the
-simulated CPU cost charged per probe is the kernel's own model
-(:mod:`repro.core.costmodel`), not the cost of these structures.
+A probe (:meth:`StreamWindow.probe`) binary-searches the window's
+key-sorted *run* (:meth:`StreamWindow.sorted_view`), which is kept
+incrementally — committed head blocks are merged in, expired tuples
+masked out, the live window never re-sorted.  The run is derived state:
+never serialized, rebuilt from the committed tuples wherever a window
+is installed.  The *computed* match set is exact; the simulated CPU
+*charged* per probe is the paper's block nested-loop scan over
+:attr:`StreamWindow.committed_bytes`
+(:meth:`repro.core.costmodel.CostModel.probe_cost`), not the cost of
+this structure.
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.kernels import JoinKernel, make_kernel
-from repro.core.probe import ProbeResult
+from repro.core.probe import ProbeResult, probe_sorted
 from repro.data.blocks import block_bytes_used, n_blocks
 from repro.data.soa import GrowableSoA
 from repro.data.tuples import (
@@ -54,7 +53,6 @@ class StreamWindow:
         "tuples_per_block",
         "block_bytes",
         "committed",
-        "kernel",
         "_fresh_ts",
         "_fresh_key",
         "_fresh_seq",
@@ -65,19 +63,12 @@ class StreamWindow:
     )
 
     def __init__(
-        self,
-        stream_id: int,
-        tuples_per_block: int,
-        block_bytes: int,
-        kernel: str = "blocknlj",
+        self, stream_id: int, tuples_per_block: int, block_bytes: int
     ) -> None:
         self.stream_id = int(stream_id)
         self.tuples_per_block = int(tuples_per_block)
         self.block_bytes = int(block_bytes)
         self.committed = GrowableSoA()
-        #: The probe strategy matching the opposite stream's fresh
-        #: tuples against this window's committed ones.
-        self.kernel: JoinKernel = make_kernel(kernel, self)
         self._fresh_ts = np.empty(tuples_per_block, TS_DTYPE)
         self._fresh_key = np.empty(tuples_per_block, KEY_DTYPE)
         self._fresh_seq = np.empty(tuples_per_block, SEQ_DTYPE)
@@ -158,14 +149,17 @@ class StreamWindow:
         which time this window's tuples are committed.
         """
         ts, key, seq = self.fresh_view()
-        result = opposite.probe_committed(
+        result = opposite.probe(
             ts, key, seq, window_seconds, collect_pairs=collect_pairs
         )
         self.commit_fresh()
         return result
 
     # -- probing ----------------------------------------------------------
-    def probe_committed(
+    # perf/spans.py wraps this method as its ``kernel.probe`` span, found
+    # by the name ``probe`` through :mod:`repro.core.kernels`: keep the
+    # name and the call boundary until a ``benchmark`` PR re-points it.
+    def probe(
         self,
         probe_ts: TsArray,
         probe_key: KeyArray,
@@ -173,28 +167,33 @@ class StreamWindow:
         window_seconds: float,
         collect_pairs: bool = False,
     ) -> ProbeResult:
-        """Match *probe* tuples against this window's committed tuples."""
-        return self.kernel.probe(
+        """Match *probe* tuples against this window's committed tuples.
+
+        A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
+        p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
+        is *inclusive* on both sides.
+        """
+        sorted_key, sorted_ts, sorted_seq = self.sorted_view(
+            need_seq=collect_pairs
+        )
+        return probe_sorted(
             probe_ts,
             probe_key,
             probe_seq,
+            sorted_key,
+            sorted_ts,
+            sorted_seq,
             window_seconds,
             collect_pairs=collect_pairs,
         )
-
-    def probe_scan_bytes(self, probe_key: KeyArray, tuple_bytes: int) -> int:
-        """Bytes the configured kernel touches probing *probe_key* here
-        (drives the simulated CPU charge and the disk-spill fraction)."""
-        return self.kernel.probe_scan_bytes(probe_key, tuple_bytes)
 
     def sorted_view(
         self, need_seq: bool = False
     ) -> tuple[KeyArray, TsArray, SeqArray | None]:
         """Committed tuples sorted by key: ``(key, ts, seq-or-None)``.
 
-        Used by the n-way composite prober and the ``blocknlj`` kernel;
-        valid until the next mutation of this window.  Kernels that do
-        not call it never pay for the upkeep.
+        Used by :meth:`probe` and the n-way composite prober; valid
+        until the next mutation of this window.
 
         The order is exactly ``argsort(committed.key, kind="stable")``,
         but the live window is never re-sorted: tuples expired since the
@@ -242,9 +241,6 @@ class StreamWindow:
         if self._fresh_n:
             self.committed.append(ts, key, seq)
             self._fresh_n = 0
-            # Incremental insert: index the just-committed block now so
-            # the structure is maintained at commit time, not probe time.
-            self.kernel.on_commit()
 
     # -- expiry -------------------------------------------------------------
     def expire_before(self, cutoff_ts: float) -> int:

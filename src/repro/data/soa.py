@@ -63,9 +63,10 @@ class GrowableSoA:
     # (0, 1, 2, ...) that survives internal rebases (`_reserve`,
     # `_compact`).  Expiry only ever removes a prefix, so the live ids
     # are exactly [expired_total, appended_total) and the tuple with
-    # logical id L sits at view offset ``L - expired_total``.  External
-    # index structures (:mod:`repro.core.kernels.indexed`) store logical
-    # ids and never need rebase notifications.
+    # logical id L sits at view offset ``L - expired_total``.  The
+    # window's key-sorted run (:meth:`repro.core.window.StreamWindow.
+    # sorted_view`) stores logical ids and never needs rebase
+    # notifications.
     @property
     def appended_total(self) -> int:
         """Count of tuples ever appended (next logical id)."""

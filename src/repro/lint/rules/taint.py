@@ -52,9 +52,7 @@ BLOCKING_SCOPE_SUFFIXES: tuple[str, ...] = (
     "repro/core/master.py",
     "repro/core/join_module.py",
     "repro/core/probe.py",
-    "repro/core/kernels/__init__.py",
-    "repro/core/kernels/blocknlj.py",
-    "repro/core/kernels/indexed.py",
+    "repro/core/window.py",
     "repro/data/soa.py",
 )
 

@@ -319,6 +319,30 @@ class TestCosts:
         costly = process_all(module2)
         assert costly > cheap
 
+    def test_probe_charges_whole_committed_blocks_whatever_the_keys(
+        self, geometry
+    ):
+        """The paper's block nested-loop model: a probe is charged for
+        every committed block of the opposite window, matching or not."""
+        from repro.data.tuples import TupleBatch
+
+        module, _ = make_module(geometry._replace(fine_tuning=False), npart=1)
+        committed = TupleBatch.build(
+            ts=np.linspace(0, 1, 10), key=np.full(10, 5), stream=1
+        )
+        module.enqueue(Shipment(0, 0.0, 1.0, committed))
+        process_all(module)
+        (bucket,) = module.groups[0].directory.buckets()
+        opposite = bucket.payload.windows[1]
+        assert opposite.committed_bytes == 3 * geometry.block_bytes
+
+        miss = TupleBatch.build(ts=[1.5], key=[99], stream=0)
+        module.enqueue(Shipment(1, 1.0, 2.0, miss))
+        probes = [u for u in _run_and_collect(module) if u.kind == "probe"]
+        assert [u.cost for u in probes] == [
+            module.cost_model.probe_cost(1, opposite.committed_bytes)
+        ]
+
     def test_unit_kinds(self, geometry):
         module, _ = make_module(geometry)
         batch = workload_batch(0.0, 2.0, rate=600.0)

@@ -1,29 +1,25 @@
-"""Property-based equivalence wall around the join kernels.
+"""Property-based equivalence wall around the probe path.
 
-Every kernel in the registry must produce the *identical* joined-pair
+``StreamWindow.probe`` must produce the *identical* joined-pair
 multiset as the naive O(n*m) oracle — for any committed contents, any
 probe batch, any interleaving of appends, flushes and watermark-driven
-expiry.  The strategies deliberately cover the cases the ISSUE calls
-out: duplicate keys, all-equal keys, empty windows and batches,
-unsorted probe batches, and the exact ``|a.ts - b.ts| == W`` inclusive
-boundary (integer timestamps and integer windows make exact-distance
-collisions common rather than measure-zero).
+expiry.  The strategies deliberately cover duplicate keys, all-equal
+keys, empty windows and batches, unsorted probe batches, and the exact
+``|a.ts - b.ts| == W`` inclusive boundary (integer timestamps and
+integer windows make exact-distance collisions common rather than
+measure-zero).
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.kernels import available_kernels, make_kernel
 from repro.core.partition_group import JoinGeometry, MiniGroup
 from repro.core.window import StreamWindow
 from tests.conftest import brute_force_pairs
 
-KERNELS = available_kernels()
 
-
-def geometry_for(kernel, tpb=4, window=10.0, fine_tuning=False):
+def geometry_for(tpb=4, window=10.0, fine_tuning=False):
     return JoinGeometry(
         tuples_per_block=tpb,
         block_bytes=tpb * 64,
@@ -32,13 +28,7 @@ def geometry_for(kernel, tpb=4, window=10.0, fine_tuning=False):
         fine_tuning=fine_tuning,
         tuple_bytes=64,
         n_streams=2,
-        kernel=kernel,
     )
-
-
-def sorted_pairs(rows):
-    arr = np.asarray(sorted(rows), dtype=np.int64).reshape(-1, 2)
-    return arr.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -70,15 +60,14 @@ def probe_case(draw):
     return window, committed_ts, committed_key, probe_ts, probe_key, cutoff
 
 
-@pytest.mark.parametrize("kernel", KERNELS)
 @given(case=probe_case())
 @settings(max_examples=120, deadline=None)
-def test_probe_matches_brute_force(kernel, case):
-    """kernel.probe == O(n*m) oracle, including after expiry and with
+def test_probe_matches_brute_force(case):
+    """probe == O(n*m) oracle, including after expiry and with
     window contents appended directly to the SoA (the split/merge path
     that bypasses the head-block protocol)."""
     window_s, c_ts, c_key, p_ts, p_key, cutoff = case
-    win = StreamWindow(0, 4, 256, kernel=kernel)
+    win = StreamWindow(0, 4, 256)
     c_ts = np.array(c_ts, dtype=np.float64)
     c_key = np.array(c_key, dtype=np.int64)
     c_seq = np.arange(len(c_ts), dtype=np.int64)
@@ -91,20 +80,17 @@ def test_probe_matches_brute_force(kernel, case):
     p_key = np.array(p_key, dtype=np.int64)
     p_seq = np.arange(1000, 1000 + len(p_ts), dtype=np.int64)
 
-    result = win.probe_committed(p_ts, p_key, p_seq, window_s, collect_pairs=True)
+    result = win.probe(p_ts, p_key, p_seq, window_s, collect_pairs=True)
 
     expected = brute_force_pairs(p_ts, p_key, p_seq, c_ts, c_key, c_seq, window_s)
     got = [tuple(r) for r in result.pairs.tolist()]
     assert sorted(got) == sorted(expected)  # multiset equality
     assert result.n_pairs == len(expected)
-    # The scan-bytes accounting must never go negative or exceed what a
-    # full scan could touch.
-    assert 0 <= win.probe_scan_bytes(p_key, 64)
 
 
 # ---------------------------------------------------------------------------
 # Protocol-level: arbitrary interleavings of appends, flushes and
-# watermark expiry, all kernels run side by side on the same ops.
+# watermark expiry on one mini-group.
 # ---------------------------------------------------------------------------
 @st.composite
 def interleavings(draw):
@@ -133,9 +119,9 @@ def interleavings(draw):
 
 @given(ops=interleavings(), tpb=st.integers(1, 4), window=st.integers(1, 12))
 @settings(max_examples=100, deadline=None)
-def test_all_kernels_exactly_once_under_interleaving(ops, tpb, window):
-    """Every kernel emits every valid pair exactly once, and all kernels
-    agree pairwise, under arbitrary append/flush/expire interleavings.
+def test_exactly_once_under_interleaving(ops, tpb, window):
+    """Every valid pair is emitted exactly once under arbitrary
+    append/flush/expire interleavings.
 
     Expiry uses the join module's watermark rule (cutoff = oldest
     pending tuple minus W), which is exactly what makes dropping
@@ -143,35 +129,32 @@ def test_all_kernels_exactly_once_under_interleaving(ops, tpb, window):
     correct oracle even though windows shrink mid-run.
     """
     window = float(window)
-    minis = {k: MiniGroup(geometry_for(k, tpb=tpb, window=window)) for k in KERNELS}
+    mini = MiniGroup(geometry_for(tpb=tpb, window=window))
     clock = 0.0
     seqs = {0: 0, 1: 0}
     rows = {0: [], 1: []}
-    found = {k: [] for k in KERNELS}
+    found = []
     pending = {0: [], 1: []}  # unflushed (fresh) tuple timestamps
 
     def flush(sid):
-        for k, mini in minis.items():
-            result = mini.flush_stream(sid, collect_pairs=True)
-            pairs = result.pairs
-            if pairs is not None and len(pairs):
-                if sid == 1:
-                    pairs = pairs[:, ::-1]
-                found[k].extend(map(tuple, pairs.tolist()))
+        pairs = mini.flush_stream(sid, collect_pairs=True).pairs
+        if pairs is not None and len(pairs):
+            if sid == 1:
+                pairs = pairs[:, ::-1]
+            found.extend(map(tuple, pairs.tolist()))
         pending[sid].clear()
 
     for op in ops:
         if op[0] == "append":
             _, sid, dt, key = op
             clock += dt
-            if minis[KERNELS[0]].windows[sid].head_space() == 0:
+            if mini.windows[sid].head_space() == 0:
                 flush(sid)
-            for mini in minis.values():
-                mini.windows[sid].append_fresh(
-                    np.array([clock]),
-                    np.array([key], dtype=np.int64),
-                    np.array([seqs[sid]], dtype=np.int64),
-                )
+            mini.windows[sid].append_fresh(
+                np.array([clock]),
+                np.array([key], dtype=np.int64),
+                np.array([seqs[sid]], dtype=np.int64),
+            )
             rows[sid].append((clock, key, seqs[sid]))
             pending[sid].append(clock)
             seqs[sid] += 1
@@ -179,9 +162,7 @@ def test_all_kernels_exactly_once_under_interleaving(ops, tpb, window):
             flush(op[1])
         else:
             oldest = min(pending[0] + pending[1], default=clock)
-            cutoff = oldest - window
-            for mini in minis.values():
-                mini.expire_before(cutoff)
+            mini.expire_before(oldest - window)
 
     flush(0)
     flush(1)
@@ -195,27 +176,23 @@ def test_all_kernels_exactly_once_under_interleaving(ops, tpb, window):
         np.array([r[2] for r in rows[1]]),
         window,
     )
-    for k in KERNELS:
-        assert set(found[k]) == expected, f"kernel {k} diverged from oracle"
-        assert len(found[k]) == len(expected), f"kernel {k} duplicated pairs"
-    for k in KERNELS[1:]:
-        assert sorted_pairs(found[k]) == sorted_pairs(found[KERNELS[0]])
+    assert set(found) == expected, "diverged from oracle"
+    assert len(found) == len(expected), "duplicated pairs"
 
 
 # ---------------------------------------------------------------------------
 # Deterministic edge cases.
 # ---------------------------------------------------------------------------
-@pytest.mark.parametrize("kernel", KERNELS)
 class TestEdgeCases:
-    def test_exact_window_boundary_is_inclusive(self, kernel):
-        win = StreamWindow(0, 4, 256, kernel=kernel)
+    def test_exact_window_boundary_is_inclusive(self):
+        win = StreamWindow(0, 4, 256)
         win.committed.append(
             np.array([0.0, 0.0, 5.0]),
             np.array([7, 7, 7], dtype=np.int64),
             np.array([0, 1, 2], dtype=np.int64),
         )
         # |10.0 - 0.0| == W exactly: both ts=0 tuples must match.
-        r = win.probe_committed(
+        r = win.probe(
             np.array([10.0]),
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
@@ -226,7 +203,7 @@ class TestEdgeCases:
             (100, 0), (100, 1), (100, 2),
         ]
         # One epsilon beyond: only the duplicate pair at ts=5 remains.
-        r = win.probe_committed(
+        r = win.probe(
             np.array([np.nextafter(10.0, 11.0)]),
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
@@ -235,11 +212,11 @@ class TestEdgeCases:
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [(100, 2)]
 
-    def test_empty_window_and_empty_batch(self, kernel):
-        win = StreamWindow(0, 4, 256, kernel=kernel)
+    def test_empty_window_and_empty_batch(self):
+        win = StreamWindow(0, 4, 256)
         empty_f = np.empty(0, dtype=np.float64)
         empty_i = np.empty(0, dtype=np.int64)
-        r = win.probe_committed(
+        r = win.probe(
             np.array([1.0]), np.array([3], dtype=np.int64),
             np.array([0], dtype=np.int64), 10.0, collect_pairs=True,
         )
@@ -248,14 +225,13 @@ class TestEdgeCases:
             np.array([1.0]), np.array([3], dtype=np.int64),
             np.array([0], dtype=np.int64),
         )
-        r = win.probe_committed(empty_f, empty_i, empty_i, 10.0, collect_pairs=True)
+        r = win.probe(empty_f, empty_i, empty_i, 10.0, collect_pairs=True)
         assert r.n_pairs == 0 and len(r.pairs) == 0
-        assert win.probe_scan_bytes(empty_i, 64) >= 0
 
-    def test_unsorted_probe_batch(self, kernel):
+    def test_unsorted_probe_batch(self):
         """Probe batches need not be timestamp-sorted (post-move
-        shipments); both kernels must handle them identically."""
-        win = StreamWindow(0, 4, 256, kernel=kernel)
+        shipments)."""
+        win = StreamWindow(0, 4, 256)
         win.committed.append(
             np.array([0.0, 4.0, 9.0]),
             np.array([1, 1, 1], dtype=np.int64),
@@ -264,25 +240,24 @@ class TestEdgeCases:
         p_ts = np.array([9.5, 0.5, 20.0])
         p_key = np.array([1, 1, 1], dtype=np.int64)
         p_seq = np.array([100, 101, 102], dtype=np.int64)
-        r = win.probe_committed(p_ts, p_key, p_seq, 5.0, collect_pairs=True)
+        r = win.probe(p_ts, p_key, p_seq, 5.0, collect_pairs=True)
         expected = brute_force_pairs(
             p_ts, p_key, p_seq,
             np.array([0.0, 4.0, 9.0]), p_key, np.array([0, 1, 2]), 5.0,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == sorted(expected)
 
-    def test_probe_after_direct_soa_append(self, kernel):
+    def test_probe_after_direct_soa_append(self):
         """split_by_bit/merged/install_committed write straight to the
-        SoA; the kernel must pick the tuples up without any hook."""
-        win = StreamWindow(0, 4, 256, kernel=kernel)
-        kern = win.kernel
-        kern.warm()  # build derived state while the window is empty
+        SoA; the run must pick the tuples up without any hook."""
+        win = StreamWindow(0, 4, 256)
+        win.sorted_view()  # build derived state while the window is empty
         win.committed.append(
             np.array([1.0, 2.0]),
             np.array([5, 6], dtype=np.int64),
             np.array([0, 1], dtype=np.int64),
         )
-        r = win.probe_committed(
+        r = win.probe(
             np.array([2.5, 2.5]),
             np.array([5, 6], dtype=np.int64),
             np.array([100, 101], dtype=np.int64),
@@ -291,29 +266,29 @@ class TestEdgeCases:
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [(100, 0), (101, 1)]
 
-    def test_warm_then_probe_equals_cold_probe(self, kernel):
-        """A kernel rebuilt from the SoA (crash restore) must behave as
+    def test_warm_then_probe_equals_cold_probe(self):
+        """A run rebuilt from the SoA (crash restore) must behave as
         one that observed every mutation live."""
         ts = np.array([0.0, 1.0, 2.0, 8.0])
         key = np.array([4, 4, 9, 4], dtype=np.int64)
         seq = np.arange(4, dtype=np.int64)
-        live = StreamWindow(0, 4, 256, kernel=kernel)
+        live = StreamWindow(0, 4, 256)
         live.committed.append(ts, key, seq)
-        live.kernel.warm()
+        live.sorted_view()
         live.expire_before(1.5)
 
-        restored = StreamWindow(0, 4, 256, kernel=kernel)
+        restored = StreamWindow(0, 4, 256)
         keep = ts >= 1.5
         restored.committed.append(ts[keep], key[keep], seq[keep])
-        restored.kernel.warm()
+        restored.sorted_view()
 
         p = (
             np.array([5.0]),
             np.array([4], dtype=np.int64),
             np.array([100], dtype=np.int64),
         )
-        a = live.probe_committed(*p, 10.0, collect_pairs=True)
-        b = restored.probe_committed(*p, 10.0, collect_pairs=True)
+        a = live.probe(*p, 10.0, collect_pairs=True)
+        b = restored.probe(*p, 10.0, collect_pairs=True)
         assert sorted(map(tuple, a.pairs.tolist())) == sorted(
             map(tuple, b.pairs.tolist())
         ) == [(100, 3)]

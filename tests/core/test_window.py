@@ -273,7 +273,7 @@ class TestSortedRun:
             rng.integers(0, n // 8, n),
             np.arange(n, dtype=np.int64),
         )
-        w0.kernel.warm()  # the one full sort
+        w0.sorted_view()  # the one full sort
 
         sorted_sizes = []
         real_argsort = np.argsort
@@ -299,3 +299,34 @@ class TestSortedRun:
         assert w0.n_committed == n
         assert sorted_sizes and max(sorted_sizes) <= block
         assert_run_is_stable_argsort(w0)
+
+
+def test_perf_kernel_probe_span_still_sees_every_probe(monkeypatch, geometry):
+    """perf/ is outside tier-1, so pin here the lookup perf/spans.py uses
+    for its ``kernel.probe`` span (``_resolve``): it must name a function
+    that every flush calls exactly once.  Fails if the probe is inlined
+    past that function or the lookup stops resolving."""
+    from repro.config import SystemConfig
+    from repro.core.kernels import get_kernel
+    from repro.core.partition_group import MiniGroup
+
+    cls = get_kernel(SystemConfig.paper_defaults().kernel)
+    owner = next(c for c in cls.__mro__ if "probe" in vars(c))
+    original = vars(owner)["probe"]
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, "probe", counted)
+
+    w0, w1 = make_window(0), make_window(1)
+    w0.append_fresh(*arrs([(1.0, 5, 0)]))
+    w0.flush(w1, window_seconds=100.0)
+    assert len(calls) == 1
+
+    mini = MiniGroup(geometry)
+    mini.windows[1].append_fresh(*arrs([(2.0, 5, 100)]))
+    mini.flush_stream(1)
+    assert len(calls) == 2

@@ -71,20 +71,17 @@ def sorted_pairs(pairs):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
-@pytest.mark.parametrize("kernel", ["blocknlj", "indexed"])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("when", sorted(CRASH_TIMES), ids=sorted(CRASH_TIMES))
-def test_checkpoint_log_crash_is_lossless(seed, when, kernel):
+def test_checkpoint_log_crash_is_lossless(seed, when):
     """checkpoint+log replication: crash -> restore at the backup ->
     output multiset identical to the crash-free oracle, not degraded.
 
-    The kernel column proves index state is safely *derived*: with the
-    ``indexed`` kernel the victim dies holding live hash indexes, the
-    backup restores window contents only, and the rebuilt indexes must
-    reproduce the crash-free oracle bit for bit."""
+    The victim dies holding live sorted runs, the backup restores
+    window contents only, and the rebuilt runs must reproduce the
+    crash-free oracle bit for bit: the run is safely *derived* state."""
     cfg = lossless_cfg(
         seed,
-        kernel=kernel,
         faults=FaultPlan.parse([f"crash:1@{CRASH_TIMES[when]}s"]),
     )
     trace = closed_trace(cfg, seed)
@@ -170,31 +167,11 @@ def test_replication_off_crash_stays_degraded_and_restricted():
     assert got <= oracle
 
 
-def test_log_only_indexed_kernel_is_lossless():
-    """Log-only replication with the indexed kernel: the whole window
-    (and therefore the whole index) is rebuilt purely from shipment
-    replay through the normal ingest path."""
-    cfg = lossless_cfg(
-        SEEDS[0],
-        replication="log",
-        kernel="indexed",
-        faults=FaultPlan.parse(["crash:1@5s"]),
-    )
-    trace = closed_trace(cfg, SEEDS[0])
-    result = run_with_trace(cfg, trace)
-    assert not result.degraded
-    oracle = naive_window_join(trace, cfg.window_seconds)
-    assert np.array_equal(sorted_pairs(result.pairs), oracle)
-
-
-@pytest.mark.parametrize("kernel", ["blocknlj", "indexed"])
-def test_recovered_run_replays_byte_identically(kernel):
+def test_recovered_run_replays_byte_identically():
     """Determinism survives the whole crash/restore machinery: same
     seed, same plan, same replication mode -> identical output pairs,
     outputs count, and replication byte accounting."""
-    cfg = lossless_cfg(
-        SEEDS[0], kernel=kernel, faults=FaultPlan.parse(["crash:1@5s"])
-    )
+    cfg = lossless_cfg(SEEDS[0], faults=FaultPlan.parse(["crash:1@5s"]))
     trace = closed_trace(cfg, SEEDS[0])
     a = run_with_trace(cfg, trace)
     b = run_with_trace(cfg, trace)

@@ -135,9 +135,8 @@ class TestFourWayConformance:
     identical joined-output multisets — equal to each other and to the
     ``naive_window_join`` oracle — across several seeds."""
 
-    @pytest.mark.parametrize("kernel", ["blocknlj", "indexed"])
     @pytest.mark.parametrize("seed", CONFORMANCE_SEEDS)
-    def test_all_backends_match_each_other_and_oracle(self, seed, kernel):
+    def test_all_backends_match_each_other_and_oracle(self, seed):
         cfg = (
             SystemConfig.paper_defaults()
             .scaled(0.01)
@@ -150,7 +149,6 @@ class TestFourWayConformance:
                 window_seconds=3.0,
                 reorg_epoch=4.0,
                 time_scale=0.02,
-                kernel=kernel,
             )
         )
         wl = TwoStreamWorkload.poisson_bmodel(
@@ -278,9 +276,8 @@ class TestLosslessRecoveryConformance:
     must restore the victim's partitions from the backup slave and
     produce the crash-free oracle's exact pair multiset, undegraded."""
 
-    @pytest.mark.parametrize("kernel", ["blocknlj", "indexed"])
     @pytest.mark.parametrize("backend", ["sim", "thread", "process", "tcp"])
-    def test_crash_with_replication_matches_oracle(self, backend, kernel):
+    def test_crash_with_replication_matches_oracle(self, backend):
         from repro.core.cluster import slave_node_id
         from repro.faults.plan import FaultPlan
 
@@ -299,7 +296,6 @@ class TestLosslessRecoveryConformance:
                 time_scale=0.05,
                 replication="checkpoint+log",
                 faults=FaultPlan.parse(["crash:1@5s"]),
-                kernel=kernel,
             )
         )
         wl = TwoStreamWorkload.poisson_bmodel(

@@ -163,6 +163,30 @@ class TestValidation:
             CostModelConfig(tuple_cost=-1.0).validated()
 
 
+class TestRemovedKernelKnob:
+    """There is one probe path; nothing that selected or priced a second
+    one is settable any more."""
+
+    def test_kernel_is_not_a_config_field(self):
+        assert "kernel" not in {f.name for f in dataclasses.fields(SystemConfig)}
+        with pytest.raises(TypeError, match="kernel"):
+            SystemConfig(kernel="indexed")
+        with pytest.raises(ConfigError, match=r"unknown config field.*kernel"):
+            SystemConfig.paper_defaults().with_(kernel="indexed")
+
+    def test_index_lookup_cost_is_gone(self):
+        with pytest.raises(TypeError, match="index_lookup_cost"):
+            CostModelConfig(index_lookup_cost=5.0e-6)
+
+    def test_cli_rejects_kernel_flag(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "--kernel", "indexed"])
+        assert exit_info.value.code == 2
+        assert "--kernel" in capsys.readouterr().err
+
+
 class TestNetworkModel:
     def test_transfer_time(self):
         net = NetworkConfig(latency=1e-3, bandwidth=1e6)
