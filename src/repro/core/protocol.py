@@ -10,12 +10,12 @@ Payload sizes: tuple-bearing messages cost ``n * tuple_bytes`` wire
 bytes (the paper's 64 B machine-independent tuple format); control
 messages cost a small fixed size.
 
-Two lint rules keep this module honest: PROTO001 (every ``Message``
-subclass is constructed and, when sent, dispatched by a node loop) and
-PROTO002 (every subclass has a unique, append-only tag with an
-encoder/decoder in :mod:`repro.net.wire` — adding a message here
-without extending the codec *and* its ``_TAG_LEDGER``/``WIRE_VERSION``
-is a finding).
+The field annotations below *are* the wire schema: :mod:`repro.net.wire`
+derives every message's encoder and decoder from them at import, and
+fails the import if an annotation has no wire rule or a ``Message``
+subclass defined here has no row in its tag ledger.  Lint rule PROTO001
+keeps the schedule side honest (every subclass is constructed and, when
+sent, dispatched by a node loop).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.core.metrics import DelayStats
 from repro.core.partition_group import PartitionGroupState
 from repro.core.subgroups import SlotSchedule
 from repro.data.tuples import TupleBatch
@@ -36,6 +37,11 @@ REPORT_BYTES = 96
 #: Wire size of a per-epoch result report to the collector (stats +
 #: log-spaced delay histogram).
 RESULT_REPORT_BYTES = 640
+
+#: An ``(n, 2)`` int64 matrix of joined ``(seq, seq)`` pairs.  Type
+#: checkers see a plain ndarray; the wire codec keys its pair-matrix
+#: rule (flattened on the wire, even element count) on the marker.
+PairMatrix = t.Annotated[np.ndarray, "(n, 2) int64 pairs"]
 
 
 @dataclass(frozen=True)
@@ -143,7 +149,7 @@ class MoveAck(Message):
 
     pid: int
     role: str  # "supplier" | "consumer" | "adopt" | "restore"
-    pairs: np.ndarray | None = None
+    pairs: PairMatrix | None = None
 
     def wire_bytes(self, tuple_bytes: int) -> int:
         n = 0 if self.pairs is None else len(self.pairs)
@@ -169,7 +175,7 @@ class ResultReport(Message):
     """
 
     epoch: int
-    stats: t.Any  # DelayStats
+    stats: DelayStats
 
     def wire_bytes(self, tuple_bytes: int) -> int:
         return RESULT_REPORT_BYTES
@@ -214,7 +220,7 @@ class Checkpoint(Message):
     epoch: int
     state: PartitionGroupState
     buffered: TupleBatch
-    pairs: np.ndarray | None = None
+    pairs: PairMatrix | None = None
 
     def wire_bytes(self, tuple_bytes: int) -> int:
         n = self.state.n_tuples + len(self.buffered)
@@ -289,7 +295,9 @@ class StandbySync(Message):
     """
 
     epoch: int
-    ops: tuple[tuple[str, float, float], ...] = ()
+    ops: tuple[
+        tuple[t.Literal["gen", "drain", "remap"], float, float], ...
+    ] = ()
     active: tuple[int, ...] = ()
     dead: tuple[int, ...] = ()
     next_gen_time: float = 0.0
@@ -300,7 +308,7 @@ class StandbySync(Message):
     pending: tuple[tuple[int, "Replicate"], ...] = ()
     failures_json: str = "[]"
     #: Durable pair chunks banked this round: ``(slave, pid, epoch, rows)``.
-    pairs: tuple[tuple[int, int, int, np.ndarray], ...] = ()
+    pairs: tuple[tuple[int, int, int, PairMatrix], ...] = ()
 
     def wire_bytes(self, tuple_bytes: int) -> int:
         total = CONTROL_BYTES + 24 * len(self.ops) + 8 * (
@@ -389,7 +397,7 @@ class Rejoin(Message):
     last_order_epoch: int = -1
     active: bool = True
     #: Possibly-unbanked pair chunks: ``(pid, epoch, rows)``.
-    pairs: tuple[tuple[int, int, np.ndarray], ...] = ()
+    pairs: tuple[tuple[int, int, PairMatrix], ...] = ()
 
     def wire_bytes(self, tuple_bytes: int) -> int:
         total = CONTROL_BYTES + 8 * len(self.owned_pids)

@@ -94,7 +94,7 @@ def _compute_findings(
     """Run every selected rule; returns post-pragma findings + suppressed.
 
     Pragma suppression is applied here, uniformly: a finding from a
-    *project* rule (PROTO001/PROTO002, the taint rules, CFG001) honors a
+    *project* rule (PROTO001, the taint rules, CFG001) honors a
     line-scoped ``# lint: disable=`` exactly like a file-rule finding —
     the filter keys on the finding's anchor, not on the rule flavor.
     """

@@ -17,8 +17,6 @@ OBS002     metric instrument updates guarded by registry.enabled
 PERF001    no blocking call (socket/select/sleep/file I/O) reachable
            from the master epoch loop, probe path, or data/soa.py
 PROTO001   protocol message set == dispatched set (no dead surface)
-PROTO002   wire _TAGS == Message set; tags unique + append-only, and
-           tag-set changes bump WIRE_VERSION (ledger-checked)
 CFG001     every SystemConfig/ObservabilityConfig field is read
 =========  ==========================================================
 """
@@ -29,7 +27,6 @@ from repro.lint.rules.randomness import NoDirectRandom
 from repro.lint.rules.simtime import NoFloatTimestampEquality, NoWallClock
 from repro.lint.rules.taint import BlockingReachability, RngTaint, WallClockTaint
 from repro.lint.rules.tracing import GuardedMetricUpdate, GuardedTraceEmit
-from repro.lint.rules.wireproto import WireProtocolConsistency
 
 __all__ = [
     "NoWallClock",
@@ -41,6 +38,5 @@ __all__ = [
     "GuardedTraceEmit",
     "GuardedMetricUpdate",
     "ProtocolExhaustiveness",
-    "WireProtocolConsistency",
     "ConfigFieldsRead",
 ]

@@ -103,7 +103,6 @@ class TestOutput:
             "OBS002",
             "PERF001",
             "PROTO001",
-            "PROTO002",
             "CFG001",
         ):
             assert rule_id in out

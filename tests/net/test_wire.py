@@ -8,6 +8,9 @@ never return a partially decoded message.
 
 from __future__ import annotations
 
+import dataclasses
+import typing as t
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -37,6 +40,7 @@ from repro.core.protocol import (
 from repro.core.subgroups import SlotSchedule
 from repro.data.tuples import TupleBatch
 from repro.errors import WireError
+from repro.net import wire
 from repro.net.wire import MAGIC, WIRE_VERSION, decode_message, encode_message
 
 # -- strategies ---------------------------------------------------------------
@@ -488,6 +492,43 @@ class TestMalformed:
         with pytest.raises(WireError):
             decode_message(frame[:cut])
 
+    @settings(max_examples=300, deadline=None)
+    @given(message=messages, data=st.data())
+    def test_corrupted_body_decodes_or_raises_wireerror(self, message, data):
+        # Overwrite 1-3 body bytes of any message: the codec answers
+        # with a message or a WireError, never a stray exception (a
+        # corrupted string field used to escape as UnicodeDecodeError).
+        frame = bytearray(encode_message(message))
+        offsets = st.integers(min_value=4, max_value=len(frame) - 1)
+        hits = st.lists(
+            st.tuples(offsets, st.integers(0, 255)), min_size=1, max_size=3
+        )
+        for offset, byte in data.draw(hits):
+            frame[offset] = byte
+        try:
+            decode_message(bytes(frame))
+        except WireError:
+            pass
+
+    def test_corrupted_string_field_raises_wireerror(self):
+        frame = encode_message(MoveAck(7, "supplier"))
+        at = frame.index(b"supplier")
+        bad = frame[: at + 2] + b"\xff" + frame[at + 3 :]
+        with pytest.raises(WireError, match="UTF-8"):
+            decode_message(bad)
+
+    def test_literal_code_out_of_range_raises_wireerror(self):
+        frame = encode_message(StandbySync(1, ops=(("remap", 3, 4),)))
+        # body: epoch (8), op count (4), then the op's one-byte kind code
+        assert frame[4 + 8 + 4] == 2
+        bad = frame[: 4 + 8 + 4] + b"\x03" + frame[4 + 8 + 4 + 1 :]
+        with pytest.raises(WireError, match="StandbySync.ops"):
+            decode_message(bad)
+
+    def test_unknown_op_kind_rejected_on_encode(self):
+        with pytest.raises(WireError, match="'rewind'"):
+            encode_message(StandbySync(1, ops=(("rewind", 1.0, 2.0),)))
+
     def test_bad_magic(self):
         frame = self.frame()
         with pytest.raises(WireError, match="magic"):
@@ -512,3 +553,116 @@ class TestMalformed:
     def test_non_wire_object_rejected(self):
         with pytest.raises(WireError, match="not a wire message"):
             encode_message({"not": "a message"})
+
+
+# -- the tag ledger and the derivation ----------------------------------------
+#
+# What lint rule PROTO002 used to police statically is now enforced by
+# ``wire._build_tags`` when the module is imported; these cases hand it
+# broken tables directly.
+
+
+LEDGER_ROWS = [row for rows in wire._TAG_LEDGER.values() for row in rows]
+
+
+def ledger_without(dropped):
+    return {
+        version: tuple(row for row in rows if row != dropped)
+        for version, rows in wire._TAG_LEDGER.items()
+    }
+
+
+class TestLedger:
+    def test_the_real_ledger_is_the_protocol(self):
+        assert WIRE_VERSION == 4 == max(wire._TAG_LEDGER)
+        assert len(LEDGER_ROWS) == 16
+        tagged = {tag: tp.__name__ for tag, (tp, *_rule) in wire._TAGS.items()}
+        assert tagged == dict(LEDGER_ROWS)
+
+    @pytest.mark.parametrize("row", LEDGER_ROWS, ids=lambda row: row[1])
+    def test_dropping_any_row_names_the_uncovered_message(self, row):
+        with pytest.raises(ValueError, match=rf"no wire tag .*'{row[1]}'"):
+            wire._build_tags(ledger_without(row))
+
+    def test_duplicate_tag_fails(self):
+        ledger = ledger_without((16, "Rejoin")) | {5: ((15, "Rejoin"),)}
+        with pytest.raises(ValueError, match="tag 15 .*above every earlier"):
+            wire._build_tags(ledger)
+
+    def test_tag_below_an_earlier_versions_tags_fails(self):
+        # Tag 12 is free here, but a new version may only append.
+        ledger = ledger_without((12, "Restore")) | {5: ((12, "Restore"),)}
+        with pytest.raises(ValueError, match="tag 12 .*above every earlier"):
+            wire._build_tags(ledger)
+
+    def test_tag_must_fit_the_header_byte(self):
+        ledger = ledger_without((16, "Rejoin")) | {5: ((256, "Rejoin"),)}
+        with pytest.raises(ValueError, match="tag 256"):
+            wire._build_tags(ledger)
+
+    @pytest.mark.parametrize(
+        "name", ["MoveDirective", "Message", "CONTROL_BYTES", "Nope", "Halt"]
+    )
+    def test_row_naming_a_non_message_fails(self, name):
+        # NamedTuple payload, the abstract base, a constant, an unknown
+        # name, and a message that already has a tag.
+        with pytest.raises(ValueError, match=f"names '{name}'"):
+            wire._build_tags({**wire._TAG_LEDGER, 5: ((17, name),)})
+
+
+class Inner(t.NamedTuple):
+    kind: t.Literal["a", "b"]
+    weight: float
+
+
+@dataclasses.dataclass(frozen=True)
+class Outer:
+    """One field per composite rule (not a Message: it has no tag)."""
+
+    flag: bool
+    label: str
+    maybe: Inner | None
+    none: Inner | None
+    runs: tuple[tuple[int, Inner], ...]
+
+
+class Chunks(t.NamedTuple):
+    chunks: tuple[tuple[int, np.ndarray], ...]
+
+
+class TestDerivation:
+    @pytest.mark.parametrize(
+        "annotation", [dict[str, int], np.ndarray, t.Any, int | str, list[int]]
+    )
+    def test_annotation_without_a_rule_names_the_field(self, annotation):
+        record = dataclasses.make_dataclass(
+            "Probe", [("epoch", int), ("payload", annotation)]
+        )
+        with pytest.raises(TypeError, match=r"Probe\.payload: no wire rule"):
+            wire._record(record)
+
+    def test_nested_annotation_without_a_rule_names_the_field(self):
+        with pytest.raises(TypeError, match=r"Chunks\.chunks: no wire rule"):
+            wire._record(Chunks)
+
+    def test_every_rule_lays_out_its_bytes(self):
+        put, get = wire._record(Outer)
+        value = Outer(
+            True, "h\u00e9", Inner("b", 0.5), None, ((1, Inner("a", 2.0)),)
+        )
+        buf = bytearray()
+        put(buf, value)
+        assert get(wire._Reader(bytes(buf))) == value
+        assert bytes(buf) == (
+            b"\x01"  # flag
+            b"\x00\x00\x00\x03h\xc3\xa9"  # label: length, UTF-8
+            b"\x01\x01\x3f\xe0\x00\x00\x00\x00\x00\x00"  # present, "b", 0.5
+            b"\x00"  # none: absent
+            b"\x00\x00\x00\x01"  # runs: one item
+            b"\x00\x00\x00\x00\x00\x00\x00\x01"  # 1
+            b"\x00\x40\x00\x00\x00\x00\x00\x00\x00"  # "a", 2.0
+        )
+
+    def test_fixed_tuple_of_the_wrong_length_is_refused(self):
+        with pytest.raises(ValueError):
+            encode_message(StandbySync(1, ops=(("gen", 1.0),)))
