@@ -305,7 +305,7 @@ class StandbySync(Message):
     backup_of: tuple[tuple[int, int], ...] = ()
     covered: tuple[int, ...] = ()
     #: Un-flushed replication maintenance, per backup slave.
-    pending: tuple[tuple[int, "Replicate"], ...] = ()
+    pending: tuple[tuple[int, Replicate], ...] = ()
     failures_json: str = "[]"
     #: Durable pair chunks banked this round: ``(slave, pid, epoch, rows)``.
     pairs: tuple[tuple[int, int, int, PairMatrix], ...] = ()

@@ -103,21 +103,26 @@ def _put_array(buf: bytearray, arr: np.ndarray) -> None:
 _Put = t.Callable[[bytearray, t.Any], None]
 _Get = t.Callable[[_Reader], t.Any]
 _Codec = tuple[_Put, _Get]
+_Fn = t.Callable[[t.Any], t.Any]
 
 
-def _scalar(fmt: str, cast: t.Callable[[t.Any], t.Any]) -> _Codec:
-    """``cast(value)`` in ``struct`` format *fmt*."""
-    packer = struct.Struct(fmt)
+def _packed(codes: str, split: _Fn, build: _Fn) -> _Codec:
+    """The scalars ``split(value)`` in ``struct`` format ``!`` + *codes*."""
+    packer = struct.Struct("!" + codes)
     pack, unpack, size = packer.pack, packer.unpack, packer.size
 
     def put(buf: bytearray, value: t.Any) -> None:
-        buf += pack(cast(value))
+        buf += pack(*split(value))
 
-    return put, lambda r: cast(unpack(r.take(size))[0])
+    return put, lambda r: build(unpack(r.take(size)))
 
 
-_put_u8, _get_u8 = _scalar("!B", int)
-_put_u32, _get_u32 = _scalar("!I", int)
+def _scalar(code: str) -> _Codec:
+    return _packed(code, lambda value: (value,), operator.itemgetter(0))
+
+
+_put_u8, _get_u8 = _scalar("B")
+_put_u32, _get_u32 = _scalar("I")
 
 
 def _put_str(buf: bytearray, value: str) -> None:
@@ -156,21 +161,19 @@ def _get_pairs(r: _Reader) -> np.ndarray:
     return flat.reshape(-1, 2)
 
 
-_STATS_HEAD = struct.Struct("!qddd")
+_put_stats_head, _get_stats_head = _packed(
+    "qddd", operator.attrgetter("count", "total", "minimum", "maximum"), tuple
+)
 
 
 def _put_delay_stats(buf: bytearray, stats: DelayStats) -> None:
-    buf += _STATS_HEAD.pack(
-        stats.count, stats.total, stats.minimum, stats.maximum
-    )
+    _put_stats_head(buf, stats)
     _put_array(buf, stats.histogram)
 
 
 def _get_delay_stats(r: _Reader) -> DelayStats:
     stats = DelayStats()
-    stats.count, stats.total, stats.minimum, stats.maximum = (
-        _STATS_HEAD.unpack(r.take(_STATS_HEAD.size))
-    )
+    stats.count, stats.total, stats.minimum, stats.maximum = _get_stats_head(r)
     histogram = r.array().astype(np.int64, copy=False)
     if len(histogram) != len(stats.histogram):
         raise WireError(
@@ -181,10 +184,10 @@ def _get_delay_stats(r: _Reader) -> DelayStats:
     return stats
 
 
+#: The scalar annotations and their ``struct`` codes.
+_SCALARS: dict[t.Any, str] = {int: "q", float: "d", bool: "?"}
 _LEAVES: dict[t.Any, _Codec] = {
-    int: _scalar("!q", int),
-    float: _scalar("!d", float),
-    bool: _scalar("!B", bool),
+    **{hint: _scalar(code) for hint, code in _SCALARS.items()},
     str: (_put_str, _get_str),
     TupleBatch: (_put_batch, _get_batch),
     protocol.PairMatrix: (_put_pairs, _get_pairs),
@@ -235,14 +238,15 @@ def _sequence(item: _Codec) -> _Codec:
 
 
 def _items(
-    codecs: t.Sequence[_Codec],
-    split: t.Callable[[t.Any], t.Iterable[t.Any]],
-    build: t.Callable[[list[t.Any]], t.Any],
+    fields: t.Sequence[tuple[t.Any, str]], split: _Fn, build: _Fn
 ) -> _Codec:
-    """A fixed run of differently typed items, back to back: the
-    elements of a ``tuple[A, B, C]`` or the fields of a record."""
-    puts = tuple(put for put, _get in codecs)
-    gets = tuple(get for _put, get in codecs)
+    """A fixed run of differently typed ``(annotation, where)`` items,
+    back to back: the elements of a ``tuple[A, B, C]`` or the fields of
+    a record.  Nothing but scalars is one ``struct`` format."""
+    if all(hint in _SCALARS for hint, _where in fields):
+        codes = "".join(_SCALARS[hint] for hint, _where in fields)
+        return _packed(codes, split, build)
+    puts, gets = zip(*[_derive(hint, where) for hint, where in fields])
 
     def put(buf: bytearray, value: t.Any) -> None:
         for put_item, item in zip(puts, split(value), strict=True):
@@ -252,15 +256,13 @@ def _items(
 
 
 def _record(cls: type) -> _Codec:
-    """A dataclass or NamedTuple: its fields, in declaration order."""
-    names = getattr(cls, "_fields", None) or tuple(
-        f.name for f in dataclasses.fields(cls)
-    )
+    """A dataclass or NamedTuple: its annotated fields, in declaration
+    order (bases first, as ``dataclass`` and ``get_type_hints`` agree)."""
     hints = t.get_type_hints(cls, include_extras=True)
-    fetch = operator.attrgetter(*names)  # a bare value for a single name
+    fetch = operator.attrgetter(*hints)  # a bare value for a single name
     return _items(
-        [_derive(hints[name], f"{cls.__name__}.{name}") for name in names],
-        fetch if len(names) > 1 else lambda value: (fetch(value),),
+        [(hint, f"{cls.__name__}.{name}") for name, hint in hints.items()],
+        fetch if len(hints) > 1 else lambda value: (fetch(value),),
         lambda values: cls(*values),
     )
 
@@ -277,7 +279,7 @@ def _derive(hint: t.Any, where: str) -> _Codec:
     if origin is tuple and args[1:] == (Ellipsis,):
         return _sequence(_derive(args[0], where))
     if origin is tuple and args:
-        return _items([_derive(arg, where) for arg in args], iter, tuple)
+        return _items([(arg, where) for arg in args], iter, tuple)
     if dataclasses.is_dataclass(hint) or hasattr(hint, "_fields"):
         return _record(hint)
     raise TypeError(f"{where}: no wire rule for annotation {hint!r}")

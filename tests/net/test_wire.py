@@ -9,6 +9,8 @@ never return a partially decoded message.
 from __future__ import annotations
 
 import dataclasses
+import struct
+import sys
 import typing as t
 
 import numpy as np
@@ -630,6 +632,32 @@ class Chunks(t.NamedTuple):
     chunks: tuple[tuple[int, np.ndarray], ...]
 
 
+class Gauge(t.NamedTuple):
+    """Nothing but scalars: one ``struct`` format."""
+
+    epoch: int
+    level: float
+    armed: bool
+
+
+def quoted_names(hint, where, seen):
+    """Strings left inside *hint* when its nested quotes are not turned
+    into forward references — which is what Python 3.10's
+    ``get_type_hints`` does inside ``tuple[...]`` (gh-85542)."""
+    if isinstance(hint, str):
+        yield f"{where}: {hint!r}"
+    elif isinstance(hint, type) and "__annotations__" in vars(hint):
+        if hint not in seen:
+            seen.add(hint)
+            scope = vars(sys.modules[hint.__module__])
+            for name, raw in vars(hint)["__annotations__"].items():
+                field = eval(raw, scope) if isinstance(raw, str) else raw
+                yield from quoted_names(field, f"{hint.__name__}.{name}", seen)
+    elif t.get_origin(hint) not in (t.Literal, t.Annotated):
+        for arg in t.get_args(hint):
+            yield from quoted_names(arg, where, seen)
+
+
 class TestDerivation:
     @pytest.mark.parametrize(
         "annotation", [dict[str, int], np.ndarray, t.Any, int | str, list[int]]
@@ -666,3 +694,22 @@ class TestDerivation:
     def test_fixed_tuple_of_the_wrong_length_is_refused(self):
         with pytest.raises(ValueError):
             encode_message(StandbySync(1, ops=(("gen", 1.0),)))
+
+    def test_a_run_of_scalars_is_one_struct(self):
+        put, get = wire._record(Gauge)
+        buf = bytearray()
+        put(buf, Gauge(np.int64(7), 2, np.True_))
+        assert bytes(buf) == struct.pack("!qdB", 7, 2.0, 1)
+        decoded = get(wire._Reader(bytes(buf)))
+        assert decoded == Gauge(7, 2.0, True)
+        assert [type(item) for item in decoded] == [int, float, bool]
+        with pytest.raises(struct.error):  # refused, not truncated
+            put(bytearray(), Gauge(7.5, 2.0, True))
+
+    def test_no_quoted_name_hides_inside_a_generic(self):
+        # On 3.10 such a name reaches ``_derive`` as a plain ``str`` and
+        # fails the import; 3.11+ resolves it, so look at the source.
+        seen: set[type] = set()
+        for _cls, _put, _get in wire._TAGS.values():
+            assert not list(quoted_names(_cls, _cls.__name__, seen))
+        assert list(quoted_names(tuple[tuple[int, "Halt"], ...], "X.y", seen))
