@@ -1,25 +1,28 @@
-"""Observability overhead benchmark: what tracing and metrics cost.
+"""Observability overhead benchmark: what tracing costs.
 
-The observability plane's contract is *near-zero cost when off* (rules
-OBS001/OBS002: every hook guards event construction behind
-``tracer.enabled`` / ``registry.enabled``) and *bounded cost when on*.
-This benchmark quantifies both ends:
+The tracing plane's contract is *near-zero cost when off* (rule OBS001:
+every hook guards event construction behind ``tracer.enabled``) and
+*bounded cost when on*.  This benchmark quantifies both ends:
 
 * **hot-path micro-costs** — nanoseconds per instrumentation site for
   the disabled guard (the price every un-traced run pays), a tracer
-  emitting into a :class:`MemoryExporter`, a tracer emitting into a
-  :class:`JsonlExporter`, and the metric instruments (guarded no-op
-  counter vs live counter/histogram updates);
+  emitting into a :class:`MemoryExporter`, and a tracer emitting into
+  a :class:`JsonlExporter`;
 * **end-to-end run overhead** — wall time of an identical sim-backend
-  run with observability off, with metrics on, with in-memory tracing,
-  and with JSONL tracing (transport spans on, the chattiest tracer
-  configuration), reported as percent overhead versus the baseline.
+  run with observability off, with in-memory tracing, and with JSONL
+  tracing (transport spans on, the chattiest tracer configuration),
+  reported as percent overhead versus the baseline.
+
+The typed metric views have no row: they are built from the run's own
+counters when asked for, so no update site exists to time.
 
 The sim backend is used for the end-to-end runs because its wall time
 is pure compute (no real sleeps), so tracer overhead is not hidden
-inside idle waits.  Each variant runs ``--reps`` times and the fastest
-run is published (minimum = least-interference estimate, same rule as
-``bench_backends.py``).
+inside idle waits.  One discarded run warms imports and caches, then
+the variants run interleaved, ``--reps`` rounds of one run each, so
+none of them owns the cold start or a noisy stretch of the host; the
+fastest run of each is published (minimum = least-interference
+estimate, same rule as ``bench_backends.py``).
 
 Writes a JSON report (CI publishes it as a build artifact; the file is
 gitignored — results are machine-specific)::
@@ -40,7 +43,6 @@ from repro.config import ObservabilityConfig, SystemConfig
 from repro.core.system import JoinSystem
 from repro.obs.events import TransportEvent
 from repro.obs.exporters import JsonlExporter, MemoryExporter
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
@@ -78,50 +80,18 @@ def _emit_loop(tracer: Tracer) -> t.Callable[[int], None]:
 
 
 def bench_hot_paths(args: argparse.Namespace, tmpdir: str) -> dict[str, t.Any]:
-    n_emit, n_metric = args.emit_ops, args.metric_ops
-
     jsonl_path = os.path.join(tmpdir, "bench_tracer.jsonl")
     jsonl_tracer = Tracer([JsonlExporter(jsonl_path)])
     memory_tracer = Tracer([MemoryExporter()])
-
-    registry = MetricsRegistry(node=2)
-    live_counter = registry.counter("bench_ops", "benchmark counter")
-    live_hist = registry.histogram("bench_lat", "benchmark histogram")
-    null_counter = NULL_REGISTRY.counter("bench_ops")
-
-    def guarded_null_counter(n: int) -> None:
-        for _ in range(n):
-            if NULL_REGISTRY.enabled:
-                null_counter.inc()
-
-    def live_counter_inc(n: int) -> None:
-        for _ in range(n):
-            if registry.enabled:
-                live_counter.inc()
-
-    def live_hist_observe(n: int) -> None:
-        for i in range(n):
-            if registry.enabled:
-                live_hist.observe(i * 1e-4)
-
     out = {
         "tracer_disabled_guard_ns": _best_ns_per_op(
-            _emit_loop(NULL_TRACER), n_emit, args.reps
+            _emit_loop(NULL_TRACER), args.emit_ops, args.reps
         ),
         "tracer_memory_emit_ns": _best_ns_per_op(
-            _emit_loop(memory_tracer), n_emit, args.reps
+            _emit_loop(memory_tracer), args.emit_ops, args.reps
         ),
         "tracer_jsonl_emit_ns": _best_ns_per_op(
-            _emit_loop(jsonl_tracer), n_emit, args.reps
-        ),
-        "metrics_disabled_guard_ns": _best_ns_per_op(
-            guarded_null_counter, n_metric, args.reps
-        ),
-        "metrics_counter_inc_ns": _best_ns_per_op(
-            live_counter_inc, n_metric, args.reps
-        ),
-        "metrics_histogram_observe_ns": _best_ns_per_op(
-            live_hist_observe, n_metric, args.reps
+            _emit_loop(jsonl_tracer), args.emit_ops, args.reps
         ),
     }
     jsonl_tracer.close()
@@ -143,13 +113,12 @@ def bench_cfg(args: argparse.Namespace) -> SystemConfig:
     )
 
 
-#: End-to-end variants, chattiest last.  ``trace_transport`` is on for
-#: the tracing variants so every message send becomes a trace record —
-#: the worst realistic event rate.
+#: End-to-end variants, baseline first, chattiest last.
+#: ``trace_transport`` is on for the tracing variants so every message
+#: send becomes a trace record — the worst realistic event rate.
 def _variants(tmpdir: str) -> list[tuple[str, ObservabilityConfig]]:
     return [
         ("off", ObservabilityConfig()),
-        ("metrics", ObservabilityConfig(metrics=True)),
         (
             "trace_memory",
             ObservabilityConfig(
@@ -171,28 +140,26 @@ def bench_end_to_end(
     args: argparse.Namespace, tmpdir: str
 ) -> list[dict[str, t.Any]]:
     cfg = bench_cfg(args)
-    rows: list[dict[str, t.Any]] = []
-    baseline: float | None = None
-    for name, obs in _variants(tmpdir):
-        best_wall, trace_records = float("inf"), 0
-        for _ in range(max(1, args.reps)):
+    variants = _variants(tmpdir)
+    JoinSystem(cfg).run()  # warm-up, discarded
+    best = {name: (float("inf"), 0) for name, _ in variants}
+    for _ in range(max(1, args.reps)):
+        for name, obs in variants:
             t0 = time.perf_counter()
             result = JoinSystem(cfg.with_(obs=obs)).run()
             wall = time.perf_counter() - t0
-            if wall < best_wall:
-                best_wall = wall
-                trace_records = len(result.trace or ())
-        if baseline is None:
-            baseline = best_wall
-        rows.append(
-            {
-                "variant": name,
-                "wall_seconds": round(best_wall, 3),
-                "overhead_pct": round(100.0 * (best_wall / baseline - 1.0), 1),
-                "trace_records": trace_records,
-            }
-        )
-    return rows
+            if wall < best[name][0]:
+                best[name] = (wall, len(result.trace or ()))
+    baseline = best["off"][0]
+    return [
+        {
+            "variant": name,
+            "wall_seconds": round(wall, 3),
+            "overhead_pct": round(100.0 * (wall / baseline - 1.0), 1),
+            "trace_records": trace_records,
+        }
+        for name, (wall, trace_records) in best.items()
+    ]
 
 
 def main(argv: t.Sequence[str] | None = None) -> int:
@@ -203,7 +170,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=20130724)
     parser.add_argument("--reps", type=int, default=3)
     parser.add_argument("--emit-ops", type=int, default=50_000)
-    parser.add_argument("--metric-ops", type=int, default=200_000)
     parser.add_argument("--out", default="BENCH_obs.json")
     args = parser.parse_args(argv)
 
@@ -213,6 +179,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
         runs = bench_end_to_end(args, tmpdir)
 
     cfg = bench_cfg(args)
+    overhead = {row["variant"]: row["overhead_pct"] for row in runs}
     report = {
         "benchmark": "obs",
         "reps": max(1, args.reps),
@@ -223,7 +190,6 @@ def main(argv: t.Sequence[str] | None = None) -> int:
             "run_s": cfg.run_seconds,
             "seed": cfg.seed,
             "emit_ops": args.emit_ops,
-            "metric_ops": args.metric_ops,
         },
         "hot_path_ns": hot,
         "runs": runs,
@@ -232,9 +198,8 @@ def main(argv: t.Sequence[str] | None = None) -> int:
             # at every instrumentation site; it must stay trivial.
             "disabled_guard_ns": hot["tracer_disabled_guard_ns"],
             "guard_is_cheap": hot["tracer_disabled_guard_ns"] < 1000.0,
-            "memory_trace_overhead_pct": runs[2]["overhead_pct"],
-            "jsonl_trace_overhead_pct": runs[3]["overhead_pct"],
-            "metrics_overhead_pct": runs[1]["overhead_pct"],
+            "memory_trace_overhead_pct": overhead["trace_memory"],
+            "jsonl_trace_overhead_pct": overhead["trace_jsonl"],
         },
         "wall_seconds": round(time.perf_counter() - started, 2),
     }

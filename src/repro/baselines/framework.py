@@ -15,7 +15,12 @@ import typing as t
 import numpy as np
 
 from repro.config import SystemConfig
-from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
+from repro.core.metrics import (
+    CommAccount,
+    DelayStats,
+    MeasurementWindow,
+    SlaveMetrics,
+)
 from repro.core.protocol import Halt, Shipment
 from repro.errors import DeadlockError
 from repro.mp.comm import Communicator
@@ -202,7 +207,7 @@ def run_baseline(
     )
 
     slave_ids = [1 + i for i in range(cfg.num_slaves)]
-    master_metrics = SlaveMetrics(MASTER_ID, gate)  # comm stats only
+    master_metrics = CommAccount(gate)
     master = make_master(
         cfg,
         runtime,

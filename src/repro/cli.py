@@ -71,12 +71,11 @@ def _add_run_parser(sub: t.Any) -> None:
                    help="sample per-node gauges every SECONDS of sim time "
                         "(default: the distribution epoch when tracing)")
     p.add_argument("--metrics", action="store_true",
-                   help="register typed per-node metric instruments and "
-                        "print their cluster snapshot after the run")
+                   help="print the typed per-node view of the run's "
+                        "counters after the run")
     p.add_argument("--admin-port", type=int, metavar="PORT",
                    help="serve the admin/health HTTP endpoint on PORT "
-                        "for the duration of the run (0 = ephemeral; "
-                        "implies --metrics)")
+                        "for the duration of the run (0 = ephemeral)")
     p.add_argument("--plot-gauge", metavar="GAUGE",
                    help="chart one sampled gauge after the run "
                         "(e.g. occupancy, window_bytes, queue_depth)")
@@ -129,7 +128,6 @@ def _obs_config(args: argparse.Namespace) -> ObservabilityConfig:
         trace_path=args.trace,
         trace_transport=args.trace_transport,
         sample_period=sample_period,
-        metrics=args.metrics,
         admin_port=args.admin_port,
     )
 
@@ -174,7 +172,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"(simulated {cfg.run_seconds:g}s in {elapsed:.1f}s wall)")
     if args.trace:
         print(f"trace written to {args.trace} (inspect: swjoin report {args.trace})")
-    if args.metrics and result.node_metrics:
+    if args.metrics:
         for node, snapshot in sorted(result.node_metrics.items()):
             parts = []
             for name, sample in sorted(snapshot.items()):

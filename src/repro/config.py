@@ -151,14 +151,9 @@ class ObservabilityConfig:
     sample_period: float | None = None
     #: Capacity of each ``(node, gauge)`` reservoir.
     reservoir_capacity: int = 512
-    #: Register typed per-node metric instruments
-    #: (:mod:`repro.obs.metrics`) and thread their snapshots into
-    #: :attr:`~repro.core.system.RunResult.node_metrics`.
-    metrics: bool = False
     #: Serve the admin/health HTTP endpoint (:mod:`repro.obs.admin`) on
     #: this port for the duration of the run (0 = ephemeral; None = no
-    #: server).  Implies :attr:`metrics` — ``/metrics`` needs a live
-    #: registry.
+    #: server).
     admin_port: int | None = None
 
     @property
@@ -167,16 +162,11 @@ class ObservabilityConfig:
         return bool(self.trace_path or self.trace_memory or self.console_summary)
 
     @property
-    def metrics_enabled(self) -> bool:
-        """True when per-node metric registries should be live."""
-        return self.metrics or self.admin_port is not None
-
-    @property
     def enabled(self) -> bool:
         return (
             self.tracing
             or self.sample_period is not None
-            or self.metrics_enabled
+            or self.admin_port is not None
         )
 
     def validated(self) -> "ObservabilityConfig":

@@ -12,12 +12,17 @@ import typing as t
 
 from repro.config import SystemConfig
 from repro.core.buffer import MasterBuffer
-from repro.core.collector import CollectorMetrics, CollectorNode
+from repro.core.collector import CollectorNode
 from repro.core.costmodel import CostModel
 from repro.core.declustering import DeclusteringController
 from repro.core.join_module import JoinModule
 from repro.core.master import MasterNode
-from repro.core.metrics import MasterMetrics, MeasurementWindow, SlaveMetrics
+from repro.core.metrics import (
+    CommAccount,
+    MasterMetrics,
+    MeasurementWindow,
+    SlaveMetrics,
+)
 from repro.core.partition_group import JoinGeometry
 from repro.core.slave import SlaveNode
 from repro.core.standby import StandbyNode
@@ -25,7 +30,7 @@ from repro.core.subgroups import build_schedules
 from repro.errors import ConfigError
 from repro.mp.comm import Communicator
 from repro.obs.events import SampleEvent
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
+from repro.obs.metrics import gauge
 from repro.obs.sampler import TimeSeriesSampler
 from repro.obs.tracer import Tracer, build_tracer
 from repro.simul.rng import RngRegistry
@@ -56,7 +61,7 @@ class Cluster(t.NamedTuple):
     collector: CollectorNode
     master_metrics: MasterMetrics
     slave_metrics: list[SlaveMetrics]
-    collector_metrics: CollectorMetrics
+    collector_metrics: CommAccount
     buffer: MasterBuffer
     workload: t.Any
     gate: MeasurementWindow
@@ -64,12 +69,12 @@ class Cluster(t.NamedTuple):
     sampler: TimeSeriesSampler | None
     #: Shared fault injector (None on fault-free runs).
     faults: "FaultInjector | None" = None
-    #: Per-node typed metric registries, keyed by node id (empty when
-    #: ``cfg.obs.metrics_enabled`` is off).
-    registries: dict[int, MetricsRegistry] = {}
+    #: The transport the nodes were wired on.
+    transport: t.Any = None
     #: When set, this cluster object lives in a process that *runs*
-    #: only this node (the process backend): the sampler reads only the
-    #: local node's state — foreign node objects exist but never run.
+    #: only this node (the socket backends): the sampler and
+    #: :meth:`node_metrics` read only the local node's state — foreign
+    #: node objects exist but never run.
     local_node: int | None = None
     #: Hot-standby coordinator (None unless ``cfg.standby``).
     standby: StandbyNode | None = None
@@ -103,6 +108,29 @@ class Cluster(t.NamedTuple):
 
     def _samples_node(self, node_id: int) -> bool:
         return self.local_node is None or self.local_node == node_id
+
+    def node_metrics(self) -> dict[int, dict[str, dict[str, t.Any]]]:
+        """Typed view of the run's counters, ``{node id: {name: sample}}``
+        (:mod:`repro.obs.metrics`), built from the plain attributes on
+        demand — ``/metrics``, ``--metrics`` and ``RunResult.node_metrics``
+        all read this.  The collector reports no series."""
+        coordinators = [self.master]
+        if self.standby is not None:
+            coordinators.append(self.standby.master)
+        out: dict[int, dict[str, dict[str, t.Any]]] = {}
+        for node in coordinators:
+            node_id = node.comm.node_id
+            if self._samples_node(node_id):
+                out[node_id] = node.metrics.series()
+                out[node_id]["dead_slaves"] = gauge(len(node.dead))
+        for slave in self.slaves:
+            if self._samples_node(slave.node_id):
+                out[slave.node_id] = slave.metrics.series()
+        if self.local_node in out:
+            # One node per process means a socket transport, which
+            # tallies the frames and bytes it moved per peer.
+            out[self.local_node].update(self.transport.series())
+        return out
 
     # -- periodic gauge sampling ----------------------------------------------
     def _sample_all(self, now: float) -> None:
@@ -224,18 +252,6 @@ def build_cluster(
         if cfg.obs.sample_period is not None
         else None
     )
-    metrics_on = cfg.obs.metrics_enabled
-    registries: dict[int, MetricsRegistry] = {}
-
-    def registry_for(node_id: int) -> MetricsRegistry:
-        # A process-backend child registers only its own node: foreign
-        # node objects exist here but never run, and a registry full of
-        # zeros would pollute the merged cluster snapshot.
-        if not metrics_on or (local_node is not None and node_id != local_node):
-            return NULL_REGISTRY
-        registry = MetricsRegistry(node_id)
-        registries[node_id] = registry
-        return registry
     supplied_workload = workload
     workload = workload or TwoStreamWorkload.poisson_bmodel(
         rng, cfg.rate, cfg.b_skew, cfg.key_domain, n_streams=cfg.n_streams
@@ -250,7 +266,7 @@ def build_cluster(
     buffer = MasterBuffer(cfg.npart, cfg.tuple_bytes)
     buffer.assign_round_robin(active_ids)
 
-    master_metrics = MasterMetrics(gate, registry=registry_for(MASTER_ID))
+    master_metrics = MasterMetrics(gate)
     master = MasterNode(
         cfg,
         runtime,
@@ -291,7 +307,7 @@ def build_cluster(
             )
         shadow_buffer = MasterBuffer(cfg.npart, cfg.tuple_bytes)
         shadow_buffer.assign_round_robin(active_ids)
-        standby_metrics = MasterMetrics(gate, registry=registry_for(standby_id))
+        standby_metrics = MasterMetrics(gate)
         standby_comm = Communicator(
             transport.endpoint(standby_id, standby_metrics)
         )
@@ -323,7 +339,7 @@ def build_cluster(
     slaves: list[SlaveNode] = []
     slave_metrics: list[SlaveMetrics] = []
     for index, node_id in enumerate(slave_ids):
-        metrics = SlaveMetrics(node_id, gate, registry=registry_for(node_id))
+        metrics = SlaveMetrics(node_id, gate)
         module = JoinModule(
             node_id,
             geometry,
@@ -356,7 +372,7 @@ def build_cluster(
         )
         slave_metrics.append(metrics)
 
-    collector_metrics = CollectorMetrics(gate)
+    collector_metrics = CommAccount(gate)
     collector = CollectorNode(
         COLLECTOR_ID,
         Communicator(transport.endpoint(COLLECTOR_ID, collector_metrics)),
@@ -377,7 +393,7 @@ def build_cluster(
         tracer,
         sampler,
         faults,
-        registries,
+        transport,
         local_node,
         standby,
     )

@@ -14,36 +14,11 @@ from __future__ import annotations
 
 import typing as t
 
-from repro.core.metrics import DelayStats, MeasurementWindow
+from repro.core.metrics import CommAccount, DelayStats
 from repro.core.protocol import Halt, ResultReport
 from repro.errors import ProtocolError
 from repro.faults.markers import NodeDown
 from repro.mp.comm import Communicator
-
-
-class CollectorMetrics:
-    """Comm accounting for the collector (duck-typed CommStats)."""
-
-    def __init__(self, gate: MeasurementWindow) -> None:
-        self.gate = gate
-        self.comm_time = 0.0
-        self.idle_time = 0.0
-        self.bytes_received = 0
-        self.messages = 0
-
-    def record_comm(self, t0: float, t1: float, nbytes: int, sent: bool) -> None:
-        span = self.gate.overlap(t0, t1)
-        if span > 0.0:
-            self.comm_time += span
-        if self.gate.active(t1):
-            self.messages += 1
-            if not sent:
-                self.bytes_received += nbytes
-
-    def record_idle(self, t0: float, t1: float) -> None:
-        span = self.gate.overlap(t0, t1)
-        if span > 0.0:
-            self.idle_time += span
 
 
 class CollectorNode:
@@ -53,7 +28,7 @@ class CollectorNode:
         self,
         node_id: int,
         comm: Communicator,
-        metrics: CollectorMetrics,
+        metrics: CommAccount,
         slave_ids: t.Sequence[int],
     ) -> None:
         self.node_id = node_id
@@ -61,8 +36,6 @@ class CollectorNode:
         self.metrics = metrics
         self.slave_ids = sorted(slave_ids)
         self.delays = DelayStats()
-        self.reports_received = 0
-        self.per_slave_outputs: dict[int, int] = {s: 0 for s in self.slave_ids}
         #: Per-epoch merged statistics: epoch -> DelayStats (the
         #: delay/throughput timeline of the run).
         self.timeline: dict[int, DelayStats] = {}
@@ -91,9 +64,7 @@ class CollectorNode:
                     f"collector expected ResultReport/Halt from {slave}, "
                     f"got {type(msg).__name__}"
                 )
-            self.reports_received += 1
             stats: DelayStats = msg.stats
-            self.per_slave_outputs[slave] += stats.count
             self.delays.merge(stats)
             if stats.count:
                 bucket = self.timeline.setdefault(msg.epoch, DelayStats())

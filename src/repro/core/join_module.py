@@ -145,7 +145,6 @@ class JoinModule:
         # The popped mini-buffer may have been the one pinning the expiry
         # watermark; re-derive it from the surviving queues.
         self._rearm_watermark()
-        self.metrics.groups_moved_out += 1
         return state, buffered
 
     def _rearm_watermark(self) -> None:
@@ -212,7 +211,6 @@ class JoinModule:
         self.groups[pid].install_state(state)
         if len(buffered):
             self._file(pid, buffered)
-        self.metrics.groups_moved_in += 1
 
     # -- buffering ---------------------------------------------------------
     def _file(self, pid: int, batch: TupleBatch) -> None:

@@ -230,8 +230,6 @@ class MasterNode:
             if self.standby_id is not None:
                 yield from self._send_standby_sync(k)
             self.metrics.epochs += 1
-            if self.metrics.registry.enabled:
-                self.metrics.m_epochs.inc()
             k += 1
         yield from self._halt_round(k)
 
@@ -263,8 +261,6 @@ class MasterNode:
         rt = self.rt
         now = rt.now()
         self.dead.add(s)
-        if self.metrics.registry.enabled:
-            self.metrics.m_dead_slaves.set(len(self.dead))
         self.comm.drain(s)
         # Replication maintenance queued for a dead backup is moot; the
         # next placement refresh reassigns its partitions' backups.
@@ -502,10 +498,6 @@ class MasterNode:
             batch = parts[pid]
             self._pending_for(backup).entries.append((pid, k, batch))
             self.metrics.replication_bytes += len(batch) * self.cfg.tuple_bytes
-            if self.metrics.registry.enabled:
-                self.metrics.m_replication_bytes.inc(
-                    len(batch) * self.cfg.tuple_bytes
-                )
 
     def _send_replicate(self, k: int, s: int) -> t.Generator:
         """Flush replication maintenance queued for backup *s*.
@@ -595,8 +587,6 @@ class MasterNode:
         self._covered.add(cp.pid)
         nbytes = cp.wire_bytes(self.cfg.tuple_bytes)
         self.metrics.replication_bytes += nbytes
-        if self.metrics.registry.enabled:
-            self.metrics.m_replication_bytes.inc(nbytes)
         if self.tracer.enabled:
             self.tracer.emit(
                 CheckpointEvent(
@@ -637,8 +627,6 @@ class MasterNode:
             batch = self.workload.generate(self._next_gen_time, now)
             self.buffer.ingest(batch)
             self.metrics.tuples_ingested += len(batch)
-            if self.metrics.registry.enabled:
-                self.metrics.m_tuples_ingested.inc(len(batch))
             self._log_op("gen", self._next_gen_time, now)
             self._next_gen_time = now
         self.metrics.sample_buffer(now, self.buffer.total_bytes)
@@ -852,8 +840,6 @@ class MasterNode:
         )
         self.schedules = schedules
         self.metrics.reorgs += 1
-        if self.metrics.registry.enabled:
-            self.metrics.m_reorgs.inc()
 
     # -- recovery epoch (fault plane) -------------------------------------
     def _recovery_round(self, k: int) -> t.Generator:

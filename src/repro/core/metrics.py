@@ -20,17 +20,12 @@ from __future__ import annotations
 import typing as t
 
 import numpy as np
+import numpy.typing as npt
 
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.sampler import Reservoir
+from repro.obs.metrics import counter, gauge, histogram
 
 #: Log-spaced delay histogram edges, seconds (1 ms .. ~17 min).
-DELAY_BIN_EDGES: np.ndarray = np.logspace(-3, 3, 61)
-
-#: Bound on the per-slave occupancy sample reservoir.  Occupancy is
-#: sampled once per distribution epoch for the whole run (not gated),
-#: so without a bound a long run grows this without limit.
-OCCUPANCY_RESERVOIR_CAPACITY = 512
+DELAY_BIN_EDGES: npt.NDArray[np.float64] = np.logspace(-3, 3, 61)
 
 
 class MeasurementWindow:
@@ -62,7 +57,7 @@ class DelayStats:
         self.maximum = 0.0
         self.histogram = np.zeros(len(DELAY_BIN_EDGES) + 1, dtype=np.int64)
 
-    def record(self, delays: np.ndarray) -> None:
+    def record(self, delays: npt.NDArray[np.float64]) -> None:
         n = len(delays)
         if n == 0:
             return
@@ -124,48 +119,51 @@ class DelayStats:
         }
 
 
-class SlaveMetrics:
-    """Per-slave counters, gated on the measurement window.
+class CommAccount:
+    """Gated communication account of one node: what the transports
+    record against (:class:`~repro.net.sim_transport.CommStats`).
 
-    *registry* is the node's typed instrument registry
-    (:data:`~repro.obs.metrics.NULL_REGISTRY` when observability is
-    off): the ``m_*`` instruments mirror the headline counters for the
-    admin endpoint's ``/metrics`` and
-    :attr:`~repro.core.system.RunResult.node_metrics`, updated behind
-    ``registry.enabled`` (rule OBS002) so disabled runs pay only the
-    branch.
+    The collector's metrics are exactly this; :class:`SlaveMetrics` and
+    :class:`MasterMetrics` add their own counters on top.
     """
 
-    def __init__(
-        self,
-        node_id: int,
-        gate: MeasurementWindow,
-        registry: MetricsRegistry = NULL_REGISTRY,
-    ) -> None:
-        self.node_id = node_id
+    def __init__(self, gate: MeasurementWindow) -> None:
         self.gate = gate
-        self.registry = registry
-        self.m_outputs = registry.counter(
-            "outputs", "joined output tuples emitted (gated)"
-        )
-        self.m_delay = registry.histogram(
-            "production_delay_seconds", "production delay of emitted outputs"
-        )
-        self.m_messages = registry.counter(
-            "messages", "transport messages sent or received (gated)"
-        )
-        self.m_bytes_sent = registry.counter(
-            "bytes_sent", "modeled payload bytes sent (gated)"
-        )
-        self.m_bytes_received = registry.counter(
-            "bytes_received", "modeled payload bytes received (gated)"
-        )
-        self.m_window_bytes = registry.gauge(
-            "window_bytes", "window state held by this slave"
-        )
-        self.m_occupancy = registry.gauge(
-            "occupancy", "stream-tuple buffer occupancy [0, 1]"
-        )
+        self.comm_time = 0.0
+        self.idle_time = 0.0
+        self.bytes_received = 0
+        self.bytes_sent = 0
+        self.messages = 0
+
+    def record_comm(self, t0: float, t1: float, nbytes: int, sent: bool) -> None:
+        span = self.gate.overlap(t0, t1)
+        if span > 0.0:
+            self.comm_time += span
+        if self.gate.active(t1):
+            self.messages += 1
+            if sent:
+                self.bytes_sent += nbytes
+            else:
+                self.bytes_received += nbytes
+
+    def record_idle(self, t0: float, t1: float) -> None:
+        span = self.gate.overlap(t0, t1)
+        if span > 0.0:
+            self.idle_time += span
+
+
+class SlaveMetrics(CommAccount):
+    """Per-slave counters, gated on the measurement window.
+
+    These plain attributes are the only place a slave's numbers are
+    counted: :meth:`snapshot` feeds ``RunResult.slaves`` and the
+    figures, :meth:`series` renders the typed view behind ``/metrics``,
+    ``--metrics`` and ``RunResult.node_metrics`` when asked for.
+    """
+
+    def __init__(self, node_id: int, gate: MeasurementWindow) -> None:
+        super().__init__(gate)
+        self.node_id = node_id
         self.delays = DelayStats()
         #: Outputs not yet reported to the collector (same gating as
         #: ``delays`` so collector totals match local totals exactly).
@@ -175,28 +173,20 @@ class SlaveMetrics:
         self.cpu_expire = 0.0
         self.cpu_tuning = 0.0
         self.cpu_state_move = 0.0
-        # Communication accounting (filled by the transport layer).
-        self.comm_time = 0.0
-        self.idle_time = 0.0
-        self.bytes_received = 0
-        self.bytes_sent = 0
-        self.messages = 0
         # Window / buffer accounting.
         self.max_window_bytes = 0
-        self.occupancy_samples = Reservoir(OCCUPANCY_RESERVOIR_CAPACITY)
+        #: Last sampled values (ungated: they describe *now*).
+        self.window_bytes = 0
+        self.occupancy = 0.0
         self.tuples_processed = 0
         self.outputs_emitted = 0
         self.splits = 0
         self.merges = 0
         self.disk_bytes_read = 0
-        self.groups_moved_in = 0
-        self.groups_moved_out = 0
-        self.state_bytes_moved = 0
         #: (probe_seq_or_s1, window_seq_or_s2) pairs, test mode only,
         #: keyed by owning partition so replication can flush a pid's
         #: output upstream when its state leaves this slave.
-        self.pairs: dict[int, list[np.ndarray]] = {}
-        self.active_time = 0.0
+        self.pairs: dict[int, list[npt.NDArray[np.int64]]] = {}
 
     # -- recording -----------------------------------------------------------
     @property
@@ -220,7 +210,9 @@ class SlaveMetrics:
         else:  # pragma: no cover - defensive
             raise ValueError(f"unknown cpu kind {kind!r}")
 
-    def record_outputs(self, emit_time: float, newer_ts: np.ndarray) -> None:
+    def record_outputs(
+        self, emit_time: float, newer_ts: npt.NDArray[np.float64]
+    ) -> None:
         if len(newer_ts) == 0 or not self.gate.active(emit_time):
             return
         self.outputs_emitted += len(newer_ts)
@@ -230,24 +222,21 @@ class SlaveMetrics:
         batch.record(delays)
         self.delays.merge(batch)
         self.unreported.merge(batch)
-        if self.registry.enabled:
-            self.m_outputs.inc(len(newer_ts))
-            self.m_delay.observe_many(delays.tolist())
 
     def pop_unreported(self) -> DelayStats:
         """Drain the outputs accumulated since the last collector report."""
         stats, self.unreported = self.unreported, DelayStats()
         return stats
 
-    def record_pairs(self, pid: int, rows: np.ndarray) -> None:
+    def record_pairs(self, pid: int, rows: npt.NDArray[np.int64]) -> None:
         """File collected join pairs under their partition."""
         self.pairs.setdefault(pid, []).append(rows)
 
-    def pair_chunks(self) -> list[np.ndarray]:
+    def pair_chunks(self) -> list[npt.NDArray[np.int64]]:
         """All collected pair chunks, in deterministic (pid) order."""
         return [c for pid in sorted(self.pairs) for c in self.pairs[pid]]
 
-    def pop_pairs(self, pid: int) -> np.ndarray | None:
+    def pop_pairs(self, pid: int) -> npt.NDArray[np.int64] | None:
         """Drain partition *pid*'s collected pairs (``None`` if none).
 
         Called when the pid's state leaves this slave — checkpoint or
@@ -259,41 +248,16 @@ class SlaveMetrics:
             return None
         return np.concatenate(chunks)
 
-    def record_comm(self, t0: float, t1: float, nbytes: int, sent: bool) -> None:
-        span = self.gate.overlap(t0, t1)
-        if span > 0.0:
-            self.comm_time += span
-        if self.gate.active(t1):
-            self.messages += 1
-            if sent:
-                self.bytes_sent += nbytes
-            else:
-                self.bytes_received += nbytes
-            if self.registry.enabled:
-                self.m_messages.inc()
-                if sent:
-                    self.m_bytes_sent.inc(nbytes)
-                else:
-                    self.m_bytes_received.inc(nbytes)
-
-    def record_idle(self, t0: float, t1: float) -> None:
-        span = self.gate.overlap(t0, t1)
-        if span > 0.0:
-            self.idle_time += span
-
     def sample_window(self, now: float, window_bytes: int) -> None:
         if self.gate.active(now):
             self.max_window_bytes = max(self.max_window_bytes, window_bytes)
-        if self.registry.enabled:
-            self.m_window_bytes.set(float(window_bytes))
+        self.window_bytes = window_bytes
 
     def sample_occupancy(self, now: float, occupancy: float) -> None:
-        # Occupancy drives the load balancer at all times; samples are
-        # kept unconditionally (no gate), but in a bounded decimating
-        # reservoir so arbitrarily long runs stay O(1) in memory.
-        self.occupancy_samples.add(now, occupancy)
-        if self.registry.enabled:
-            self.m_occupancy.set(occupancy)
+        # Occupancy drives the load balancer at all times, so the last
+        # sample is kept unconditionally (no gate); its history is the
+        # sampler's ``n<node>.occupancy`` series.
+        self.occupancy = occupancy
 
     def snapshot(self) -> dict[str, t.Any]:
         return {
@@ -317,39 +281,35 @@ class SlaveMetrics:
             "delay": self.delays.snapshot(),
         }
 
+    def series(self) -> dict[str, dict[str, t.Any]]:
+        """Typed view of the headline counters, built when asked for.
 
-class MasterMetrics:
+        The delay histogram is exported on :data:`DELAY_BIN_EDGES`
+        itself (upper bounds; the last count is the ``+Inf`` tail).
+        """
+        return {
+            "outputs": counter(self.outputs_emitted),
+            "production_delay_seconds": histogram(
+                DELAY_BIN_EDGES.tolist(),
+                self.delays.histogram.tolist(),
+                self.delays.total,
+            ),
+            "messages": counter(self.messages),
+            "bytes_sent": counter(self.bytes_sent),
+            "bytes_received": counter(self.bytes_received),
+            "window_bytes": gauge(self.window_bytes),
+            "occupancy": gauge(self.occupancy),
+        }
+
+
+class MasterMetrics(CommAccount):
     """Master-side counters."""
 
-    def __init__(
-        self,
-        gate: MeasurementWindow,
-        registry: MetricsRegistry = NULL_REGISTRY,
-    ) -> None:
-        self.gate = gate
-        self.registry = registry
-        self.m_epochs = registry.counter(
-            "epochs", "distribution/reorganization epochs completed"
-        )
-        self.m_reorgs = registry.counter("reorgs", "reorganization rounds run")
-        self.m_tuples_ingested = registry.counter(
-            "tuples_ingested", "stream tuples ingested by the master"
-        )
-        self.m_replication_bytes = registry.counter(
-            "replication_bytes", "payload bytes shipped for state replication"
-        )
-        self.m_buffer_bytes = registry.gauge(
-            "buffer_bytes", "master partition-buffer backlog"
-        )
-        self.m_dead_slaves = registry.gauge(
-            "dead_slaves", "slaves currently fenced as failed"
-        )
-        self.comm_time = 0.0
-        self.idle_time = 0.0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.messages = 0
+    def __init__(self, gate: MeasurementWindow) -> None:
+        super().__init__(gate)
         self.max_buffer_bytes = 0
+        #: Last sampled partition-buffer backlog (ungated).
+        self.buffer_bytes = 0
         self.tuples_ingested = 0
         self.epochs = 0
         self.reorgs = 0
@@ -365,24 +325,18 @@ class MasterMetrics:
         #: overhead, not just the steady-state share.
         self.replication_bytes = 0
 
-    def record_comm(self, t0: float, t1: float, nbytes: int, sent: bool) -> None:
-        span = self.gate.overlap(t0, t1)
-        if span > 0.0:
-            self.comm_time += span
-        if self.gate.active(t1):
-            self.messages += 1
-            if sent:
-                self.bytes_sent += nbytes
-            else:
-                self.bytes_received += nbytes
-
-    def record_idle(self, t0: float, t1: float) -> None:
-        span = self.gate.overlap(t0, t1)
-        if span > 0.0:
-            self.idle_time += span
-
     def sample_buffer(self, now: float, nbytes: int) -> None:
         if self.gate.active(now):
             self.max_buffer_bytes = max(self.max_buffer_bytes, nbytes)
-        if self.registry.enabled:
-            self.m_buffer_bytes.set(float(nbytes))
+        self.buffer_bytes = nbytes
+
+    def series(self) -> dict[str, dict[str, t.Any]]:
+        """Typed view of the coordinator counters (``dead_slaves`` is
+        the owning node's to add: the dead set lives on the master)."""
+        return {
+            "epochs": counter(self.epochs),
+            "reorgs": counter(self.reorgs),
+            "tuples_ingested": counter(self.tuples_ingested),
+            "replication_bytes": counter(self.replication_bytes),
+            "buffer_bytes": gauge(self.buffer_bytes),
+        }

@@ -355,7 +355,6 @@ class SlaveNode:
             self._trace_move("begin", "supplier", mv.pid, mv.dst, nbytes, t0)
             yield rt.cpu(self._cpu_cost(self.cost_model.state_move_cost(nbytes)))
             metrics.charge_cpu("state_move", t0, rt.now())
-            metrics.state_bytes_moved += nbytes
             if self._peer_timeout is not None:
                 # A consumer only posts a *timed* receive for this
                 # transfer once the master is dead, and may have given
@@ -503,7 +502,6 @@ class SlaveNode:
         self._trace_move("begin", "consumer", transfer.pid, src, nbytes, t0)
         yield rt.cpu(self._cpu_cost(self.cost_model.state_move_cost(nbytes)))
         metrics.charge_cpu("state_move", t0, rt.now())
-        metrics.state_bytes_moved += nbytes
         yield self.lock.acquire()
         self.module.install_partition(transfer.pid, transfer.state, transfer.buffered)
         self.lock.release()

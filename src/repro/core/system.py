@@ -91,9 +91,11 @@ class RunResult:
     #: Sampled gauge series ``{"n<node>.<gauge>": [(t, v), ...]}``
     #: (only with ``obs.sample_period``).
     series: dict[str, list[tuple[float, float]]] | None = None
-    #: Typed metric-registry snapshots per node id (only with
-    #: ``obs.metrics`` or an admin endpoint; see ``repro.obs.metrics``).
-    node_metrics: dict[int, dict[str, t.Any]] | None = None
+    #: Typed view of each node's counters, ``{node id: {name: sample}}``
+    #: (see :meth:`~repro.core.cluster.Cluster.node_metrics`).
+    node_metrics: dict[int, dict[str, t.Any]] = dataclasses.field(
+        default_factory=dict
+    )
     #: Slave failures the master detected (fault plane): one record per
     #: dead slave with detection epoch/time, lost pids and — once a
     #: recovery round ran — recovery time and latency.
@@ -295,7 +297,7 @@ class JoinSystem:
         ):
             raise ConfigError(
                 f"backend {self.cfg.backend!r} does not support the "
-                "observability plane (tracing/sampling/metrics); it must "
+                "observability plane (tracing/sampling/admin); it must "
                 "declare supports_observability=True and ship traces to "
                 "the caller"
             )
@@ -409,12 +411,7 @@ def start_admin_server(
         return cluster_status(cfg, cluster, now_fn, backend)
 
     def metrics() -> str:
-        return render_prometheus(
-            {
-                node: registry.snapshot()
-                for node, registry in cluster.registries.items()
-            }
-        )
+        return render_prometheus(cluster.node_metrics())
 
     return AdminServer(status, metrics, port=cfg.obs.admin_port, announce=True)
 
@@ -510,14 +507,6 @@ def collect_result(
     series = (
         cluster.sampler.series_dict() if cluster.sampler is not None else None
     )
-    node_metrics = (
-        {
-            node: registry.snapshot()
-            for node, registry in sorted(cluster.registries.items())
-        }
-        if cluster.registries
-        else None
-    )
     cluster.tracer.close()
 
     workload = acting.workload
@@ -536,7 +525,7 @@ def collect_result(
         pairs=pairs,
         trace=trace,
         series=series,
-        node_metrics=node_metrics,
+        node_metrics=cluster.node_metrics(),
         faults=list(master_metrics.failures),
         injected_faults=(
             cluster.faults.injected_records() if cluster.faults else []

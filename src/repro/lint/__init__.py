@@ -13,7 +13,7 @@ system.  This package checks them statically:
   cycle-safe **taint dataflow** fixpoint (:mod:`repro.lint.dataflow`)
   — the interprocedural rules SIM004/SIM005/PERF001 flag call *chains*
   that reach the wall clock, unseeded randomness, or blocking I/O;
-* a **rule registry** with eleven built-in rules
+* a **rule registry** with nine built-in rules
   (:mod:`repro.lint.rules`);
 * line-scoped ``# lint: disable=<rule>`` **pragmas** (honored by file
   and project rules alike) and a shrink-only **baseline** file for

@@ -13,7 +13,6 @@ SIM004     no *call chain* to the wall clock off the allowlist
 SIM005     no *call chain* to stdlib random / numpy.random module
            state outside simul/rng.py (interprocedural SIM002)
 OBS001     trace-event construction guarded by the null-tracer check
-OBS002     metric instrument updates guarded by registry.enabled
 PERF001    no blocking call (socket/select/sleep/file I/O) reachable
            from the master epoch loop, probe path, or data/soa.py
 PROTO001   protocol message set == dispatched set (no dead surface)
@@ -26,7 +25,7 @@ from repro.lint.rules.protocol import ProtocolExhaustiveness
 from repro.lint.rules.randomness import NoDirectRandom
 from repro.lint.rules.simtime import NoFloatTimestampEquality, NoWallClock
 from repro.lint.rules.taint import BlockingReachability, RngTaint, WallClockTaint
-from repro.lint.rules.tracing import GuardedMetricUpdate, GuardedTraceEmit
+from repro.lint.rules.tracing import GuardedTraceEmit
 
 __all__ = [
     "NoWallClock",
@@ -36,7 +35,6 @@ __all__ = [
     "RngTaint",
     "BlockingReachability",
     "GuardedTraceEmit",
-    "GuardedMetricUpdate",
     "ProtocolExhaustiveness",
     "ConfigFieldsRead",
 ]

@@ -1,4 +1,4 @@
-"""OBS001/OBS002 — observability hot paths must guard on the null object.
+"""OBS001 — observability hot paths must guard on the null object.
 
 The observability layer's zero-overhead contract (PR 1) is that an
 instrumented hot path pays one attribute load and branch when tracing
@@ -21,14 +21,6 @@ The rule accepts two guard shapes:
 
 The :mod:`repro.obs` package itself is exempt — the tracer's own
 ``emit`` is where the enabled check lives.
-
-OBS002 extends the same discipline to the typed metric registry
-(:mod:`repro.obs.metrics`): instruments are bound to ``m_``-prefixed
-attributes at wiring time, and every hot-path update
-(``inc``/``set``/``add``/``observe``/``observe_many``) must sit behind
-``if <...>registry.enabled:`` — the null instruments make unguarded
-updates *correct*, but each one still pays a method call and argument
-construction (often a list or comprehension) per invocation.
 """
 
 from __future__ import annotations
@@ -144,86 +136,3 @@ class GuardedTraceEmit(FileRule):
             # Still visit arguments: nested emits are implausible but cheap.
         yield from self._walk(src, node, guards)
 
-
-#: Hot-path mutators of registry instruments (OBS002).
-METRIC_UPDATE_METHODS: frozenset[str] = frozenset(
-    {"inc", "set", "add", "observe", "observe_many"}
-)
-#: Attribute prefix marking a bound instrument (`self.m_outputs = ...`).
-METRIC_ATTR_PREFIX = "m_"
-
-
-def _looks_like_instrument(receiver: ast.expr) -> bool:
-    name = terminal_name(receiver)
-    return name is not None and name.startswith(METRIC_ATTR_PREFIX)
-
-
-def _registry_guarded(guards: frozenset[str], receiver: str) -> bool:
-    """True when some active guard covers this instrument update.
-
-    Accepts a guard on the instrument itself or on any receiver whose
-    terminal name ends with ``registry`` (the idiomatic ``if
-    self.registry.enabled:`` covering a block of instrument updates).
-    """
-    if receiver in guards:
-        return True
-    return any(guard.split(".")[-1].endswith("registry") for guard in guards)
-
-
-@register
-class GuardedMetricUpdate(FileRule):
-    """OBS002: ``m_*.inc(...)`` etc. without a ``registry.enabled`` guard."""
-
-    id = "OBS002"
-    summary = (
-        "metric instrument updates (m_*.inc/set/add/observe...) must be "
-        "guarded by `if <...>registry.enabled:` — null instruments keep "
-        "unguarded updates correct but not free"
-    )
-
-    def check_file(self, src: SourceFile) -> t.Iterator[Finding]:
-        if any(fragment in src.path for fragment in TRACING_EXEMPT_FRAGMENTS):
-            return
-        yield from self._walk(src, src.tree, frozenset())
-
-    def _walk(
-        self, src: SourceFile, node: ast.AST, guards: frozenset[str]
-    ) -> t.Iterator[Finding]:
-        for child in ast.iter_child_nodes(node):
-            yield from self._visit(src, child, guards)
-
-    def _visit(
-        self, src: SourceFile, node: ast.AST, guards: frozenset[str]
-    ) -> t.Iterator[Finding]:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield from self._walk(
-                src, node, guards | _early_bailout_receivers(node)
-            )
-            return
-        if isinstance(node, ast.If):
-            inside = guards | _guarded_receivers(node.test)
-            for stmt in node.body:
-                yield from self._visit(src, stmt, inside)
-            for stmt in node.orelse:
-                yield from self._visit(src, stmt, guards)
-            return
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in METRIC_UPDATE_METHODS
-            and _looks_like_instrument(node.func.value)
-        ):
-            receiver = dotted(node.func.value)
-            if receiver is not None and not _registry_guarded(guards, receiver):
-                yield Finding(
-                    path=src.path,
-                    line=node.lineno,
-                    rule=self.id,
-                    message=(
-                        f"`{receiver}.{node.func.attr}(...)` updates a "
-                        "metric instrument unconditionally — guard with "
-                        "`if <...>registry.enabled:` so disabled runs pay "
-                        "only the branch"
-                    ),
-                )
-        yield from self._walk(src, node, guards)

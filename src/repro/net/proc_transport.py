@@ -44,10 +44,11 @@ therefore measure real wall time spent writing/reading, not modeled
 rendezvous spans — see the backend matrix in the README.
 
 Every channel also tallies the frames and wire bytes (header +
-payload) it moved in each direction: :meth:`ProcTransport.pair_stats`
-reads them raw, :meth:`ProcTransport.attach_registry` exposes them as
-``<prefix>.tx_bytes.to_n*`` / ``<prefix>.rx_frames.from_n*`` series on
-the node's metrics registry.
+payload) it moved in each direction, as plain ints:
+:meth:`ProcTransport.pair_stats` reads them raw,
+:meth:`ProcTransport.series` renders them as the node's
+``<prefix>.tx_bytes.to_n*`` / ``<prefix>.rx_frames.from_n*`` counter
+series.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from repro.faults.markers import NodeDown, RecvTimeout
 from repro.net.sim_transport import CommStats
 from repro.net.wire import decode_message, encode_message
 from repro.obs.events import TransportEvent
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import counter
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.thread import Thunk
 
@@ -152,12 +153,13 @@ class FrameReader:
         return payload
 
 
-#: Per-channel tallies: attribute, series direction, help text.
+#: Per-channel tallies of wire frames and wire bytes (header + payload)
+#: written to / read from the peer: attribute, series direction.
 _TALLIES = (
-    ("tx_frames", "to", "wire frames written to this peer"),
-    ("tx_bytes", "to", "wire bytes (header + payload) written to this peer"),
-    ("rx_frames", "from", "wire frames read from this peer"),
-    ("rx_bytes", "from", "wire bytes (header + payload) read from this peer"),
+    ("tx_frames", "to"),
+    ("tx_bytes", "to"),
+    ("rx_frames", "from"),
+    ("rx_bytes", "from"),
 )
 
 
@@ -182,11 +184,8 @@ class _Channel:
         # exactly one thread reads a channel, so ``recv_seq`` is not.
         self.send_seq = 0
         self.recv_seq = 0
-        # Free-standing until ``attach_registry`` swaps in the node
-        # registry's instruments; tx under ``send_lock``, rx by the one
-        # reader thread.
-        for attr, _, help_ in _TALLIES:
-            setattr(self, attr, Counter(attr, help_))
+        # tx under ``send_lock``, rx by the one reader thread.
+        self.tx_frames = self.tx_bytes = self.rx_frames = self.rx_bytes = 0
 
 
 class _ForeignEndpoint:
@@ -284,28 +283,19 @@ class ProcTransport:
             chan.sock.close()
 
     # -- pair tallies --------------------------------------------------------
-    def attach_registry(self, registry: MetricsRegistry) -> None:
-        """Expose every pair tally on *registry*, carrying over what was
-        counted before it existed (``build_cluster`` creates it after
-        the transport)."""
-        if not registry.enabled:
-            return
-        for peer in sorted(self._channels):
-            chan = self._channels[peer]
-            for attr, direction, help_ in _TALLIES:
-                counter = registry.counter(
-                    f"{self.series_prefix}.{attr}.{direction}_n{peer}", help_
-                )
-                counter.inc(getattr(chan, attr).value)
-                setattr(chan, attr, counter)
-
     def pair_stats(self) -> dict[int, dict[str, int]]:
-        """Raw per-peer counters (always maintained, registry or not)."""
+        """Raw per-peer counters."""
         return {
-            peer: {
-                attr: int(getattr(chan, attr).value) for attr, _, _ in _TALLIES
-            }
+            peer: {attr: getattr(chan, attr) for attr, _ in _TALLIES}
             for peer, chan in sorted(self._channels.items())
+        }
+
+    def series(self) -> dict[str, dict[str, t.Any]]:
+        """The pair tallies as this node's typed counter series."""
+        return {
+            f"{self.series_prefix}.{attr}.{direction}_n{peer}": counter(stats[attr])
+            for peer, stats in self.pair_stats().items()
+            for attr, direction in _TALLIES
         }
 
     def _message_bytes(self, message: t.Any) -> int:
@@ -367,8 +357,8 @@ class ProcEndpoint:
                     seq = chan.send_seq
                     chan.send_seq += 1
                     write_frame(chan.sock, payload)
-                    chan.tx_frames.inc()
-                    chan.tx_bytes.inc(FRAME_HEADER.size + len(payload))
+                    chan.tx_frames += 1
+                    chan.tx_bytes += FRAME_HEADER.size + len(payload)
             except OSError:
                 # Fail-stop peer (EPIPE/ECONNRESET): the send still
                 # completes, like a TCP write buffered towards a dead
@@ -420,8 +410,8 @@ class ProcEndpoint:
                 if self.stats is not None:
                     self.stats.record_idle(t0, t1)
                 return NodeDown(src)
-            chan.rx_frames.inc()
-            chan.rx_bytes.inc(FRAME_HEADER.size + len(frame))
+            chan.rx_frames += 1
+            chan.rx_bytes += FRAME_HEADER.size + len(frame)
             message = decode_message(frame)
             seq = chan.recv_seq
             chan.recv_seq += 1

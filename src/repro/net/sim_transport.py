@@ -53,7 +53,7 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
 
 class CommStats(t.Protocol):
     """What the transport records against (duck-typed; implemented by
-    SlaveMetrics / MasterMetrics / CollectorMetrics)."""
+    :class:`~repro.core.metrics.CommAccount` and its subclasses)."""
 
     def record_comm(
         self, t0: float, t1: float, nbytes: int, sent: bool

@@ -9,9 +9,10 @@ The subsystem has three layers, all near-zero cost when disabled:
 * :mod:`repro.obs.sampler` — bounded decimating reservoirs and the
   periodic per-node gauge sampler.
 
-:mod:`repro.obs.metrics` adds typed per-node counter/gauge/histogram
-registries and :mod:`repro.obs.admin` the opt-in HTTP admin endpoint
-(``/health``, ``/status``, Prometheus ``/metrics``).
+:mod:`repro.obs.metrics` renders the run's own counters as typed
+per-node counter/gauge/histogram samples and :mod:`repro.obs.admin`
+serves them on the opt-in HTTP admin endpoint (``/health``,
+``/status``, Prometheus ``/metrics``).
 
 :mod:`repro.obs.report` (imported lazily by the CLI — it pulls in the
 analysis layer) renders epoch timelines, hot-partition tables and
@@ -40,14 +41,7 @@ from repro.obs.exporters import (
     merge_records,
     replay_records,
 )
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-)
+from repro.obs.metrics import render_prometheus
 from repro.obs.sampler import Reservoir, TimeSeriesSampler
 from repro.obs.tracer import NULL_TRACER, Tracer, build_tracer
 
@@ -70,11 +64,6 @@ __all__ = [
     "ConsoleSummaryExporter",
     "merge_records",
     "replay_records",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NULL_REGISTRY",
     "render_prometheus",
     "Reservoir",
     "TimeSeriesSampler",

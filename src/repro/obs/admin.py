@@ -12,10 +12,10 @@ introspection while a run is in flight:
     and occupancy, epoch progress, replication bytes, recovery
     latencies and the degraded flag (``STATUS_SCHEMA_VERSION``).
 ``/metrics``
-    Prometheus text exposition of every node registry the hosting
-    process can see (all nodes on sim/thread; the master's own on the
-    process backend — slave registries live in other processes and
-    arrive only with the final result payloads).
+    Prometheus text exposition of the counters of every node the
+    hosting process runs (all nodes on sim/thread; the master's own on
+    the socket backends — the slaves count in other processes and their
+    views arrive only with the final result payloads).
 
 The server runs on wall-clock daemon threads and is *read-only*: status
 callbacks snapshot master-owned state without mutating it, so an

@@ -277,16 +277,15 @@ def _node_payload(
 
 def _obs_payload(node_id: int, cluster: Cluster) -> dict[str, t.Any]:
     """Observability extras every node ships: its local gauge series
-    (keys are ``n<node>.<gauge>``, disjoint across children) and its
-    metric-registry snapshot (``None`` when metrics are off)."""
-    registry = cluster.registries.get(node_id)
+    (keys are ``n<node>.<gauge>``, disjoint across children) and the
+    typed view of its own counters (``None`` for the collector)."""
     return {
         "series": (
             cluster.sampler.series_dict()
             if cluster.sampler is not None
             else None
         ),
-        "metrics": registry.snapshot() if registry is not None else None,
+        "metrics": cluster.node_metrics().get(node_id),
     }
 
 
@@ -331,9 +330,6 @@ def run_node(
             tracer=tracer,
             local_node=node_id,
         )
-        registry = cluster.registries.get(node_id)
-        if registry is not None:
-            transport.attach_registry(registry)
         # The sampler generator is node-local: every node runs one,
         # and ``local_node`` restricts it to this node's gauges.
         sid = standby_node_id(cfg) if cfg.standby else None
@@ -758,13 +754,11 @@ class ProcessBackend:
                 node_series = payloads[nid].get("series")
                 if node_series:
                     series.update(node_series)
-        node_metrics: dict[int, dict[str, t.Any]] | None = None
-        if cfg.obs.metrics_enabled:
-            node_metrics = {
-                nid: payloads[nid]["metrics"]
-                for nid in sorted(payloads)
-                if payloads[nid].get("metrics") is not None
-            }
+        node_metrics = {
+            nid: payloads[nid]["metrics"]
+            for nid in sorted(payloads)
+            if payloads[nid].get("metrics") is not None
+        }
 
         return RunResult(
             cfg=cfg,

@@ -77,3 +77,21 @@ def brute_force_pairs(
             if key0[i] == key1[j] and abs(ts0[i] - ts1[j]) <= window:
                 out.add((int(seq0[i]), int(seq1[j])))
     return out
+
+
+def assert_slave_views_agree(result) -> None:
+    """``RunResult.node_metrics`` tells, slave by slave, exactly what
+    ``RunResult.slaves`` tells: both are read off the same counters."""
+    merged = np.zeros_like(result.delays.histogram)
+    for snap in result.slaves:
+        view = result.node_metrics[snap["node"]]
+        for name in ("outputs", "messages", "bytes_sent", "bytes_received"):
+            assert view[name]["value"] == snap[name], (snap["node"], name)
+        delay = view["production_delay_seconds"]
+        assert delay["count"] == snap["delay"]["count"] == snap["outputs"]
+        assert delay["sum"] == pytest.approx(
+            snap["delay"]["mean"] * snap["delay"]["count"]
+        )
+        merged += np.asarray(delay["counts"])
+    # Per-slave bucket counts are the slaves' own DelayStats histograms.
+    assert merged.tolist() == result.delays.histogram.tolist()

@@ -239,19 +239,12 @@ class TestSlaveMetricsGating:
         metrics.record_idle(0.0, 9.0)
         assert metrics.idle_time == pytest.approx(5.0 + 2.0)
 
-    def test_occupancy_samples_bounded(self):
-        from repro.core.metrics import OCCUPANCY_RESERVOIR_CAPACITY
-
-        metrics = SlaveMetrics(1, MeasurementWindow(0.0))
-        n = OCCUPANCY_RESERVOIR_CAPACITY * 10
-        for i in range(n):
-            metrics.sample_occupancy(float(i), i / n)
-        assert metrics.occupancy_samples.total == n
-        assert len(metrics.occupancy_samples) <= OCCUPANCY_RESERVOIR_CAPACITY
-        # Decimated but still spanning the whole run.
-        times = [t for t, _ in metrics.occupancy_samples.items()]
-        assert times[0] == 0.0
-        assert times[-1] >= n * 0.8
+    def test_occupancy_last_sample_wins_ungated(self):
+        metrics = SlaveMetrics(1, MeasurementWindow(10.0, 20.0))
+        metrics.sample_occupancy(1.0, 0.9)  # before the gate opens
+        metrics.sample_occupancy(2.0, 0.4)
+        assert metrics.occupancy == 0.4
+        assert metrics.series()["occupancy"] == {"kind": "gauge", "value": 0.4}
 
     def test_snapshot_contains_everything(self):
         metrics = SlaveMetrics(1, MeasurementWindow(0.0))

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from repro.config import SystemConfig
+from repro.core.cluster import standby_node_id
 from repro.core.system import JoinSystem, MASTER_ID
 from repro.faults.plan import FaultPlan
 from repro.reference import naive_window_join
@@ -128,6 +129,13 @@ def test_sim_master_kill_with_slave_backup_restore():
     trace = closed_trace(cfg, SEEDS[0])
     result = run_with_trace(cfg, trace)
     assert_survived_master_kill(result, trace, cfg)
+    # The acting master's typed view is read off the very counters
+    # RunResult.master reports, mirrored ones included: a takeover
+    # cannot leave the two tellings apart.
+    view = result.node_metrics[standby_node_id(cfg)]
+    for name in ("tuples_ingested", "replication_bytes"):
+        assert view[name]["value"] == result.master[name] > 0
+    assert view["dead_slaves"]["value"] == len(result.master["dead_slaves"]) == 1
 
 
 @pytest.mark.parametrize("backend", ["thread", "process", "tcp"])

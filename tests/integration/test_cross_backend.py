@@ -18,6 +18,7 @@ from repro.runtime.thread import ThreadRuntime
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer
+from tests.conftest import assert_slave_views_agree
 
 #: Independent workloads for the four-way conformance sweep.
 CONFORMANCE_SEEDS = (5, 11, 23)
@@ -166,6 +167,16 @@ class TestFourWayConformance:
                 workload=TraceReplayer(trace),
             ).run()
             produced[backend] = sorted_pairs([result.pairs])
+            assert_slave_views_agree(result)
+            prefix = {"process": "proc", "tcp": "tcp"}.get(backend)
+            if prefix is not None:
+                # A frame is counted when written, then when read.
+                views = result.node_metrics
+                for snap in result.slaves:
+                    node = snap["node"]
+                    sent = views[node][f"{prefix}.tx_frames.to_n0"]["value"]
+                    read = views[0][f"{prefix}.rx_frames.from_n{node}"]["value"]
+                    assert sent >= read > 0, (backend, node, sent, read)
 
         for backend, pairs in produced.items():
             assert np.array_equal(pairs, oracle), (

@@ -18,6 +18,7 @@ import pytest
 from repro.cli import main
 from repro.config import ObservabilityConfig, SystemConfig
 from repro.core.system import JoinSystem
+from tests.conftest import assert_slave_views_agree
 
 
 def provocative_config(**obs_kwargs) -> SystemConfig:
@@ -75,6 +76,11 @@ class TestTracedRun:
         points = series["n2.occupancy"]
         assert len(points) > 0
         assert all(t0 < t1 for (t0, _), (t1, _) in zip(points, points[1:]))
+
+    def test_node_metrics_are_views_of_the_slave_counters(self, traced_result):
+        assert sorted(traced_result.node_metrics) == [0, 2, 3]
+        assert_slave_views_agree(traced_result)
+        assert traced_result.outputs > 0
 
     def test_dod_growth_traced(self, traced_result):
         dod = [r for r in traced_result.trace if r["kind"] == "dod"]

@@ -100,7 +100,6 @@ class TestOutput:
             "SIM004",
             "SIM005",
             "OBS001",
-            "OBS002",
             "PERF001",
             "PROTO001",
             "CFG001",

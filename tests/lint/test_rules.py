@@ -205,84 +205,6 @@ class TestOBS001:
 
 
 # ---------------------------------------------------------------------------
-# OBS002 — metric instrument updates behind registry.enabled
-# ---------------------------------------------------------------------------
-
-METRICS_MIXED = """\
-class Slave:
-    def __init__(self, registry):
-        self.registry = registry
-        self.m_outputs = registry.counter("outputs")
-        self.m_occ = registry.gauge("occupancy")
-        self.m_delay = registry.histogram("delay")
-
-    def good_block_guard(self, n, occ, delays):
-        if self.registry.enabled:
-            self.m_outputs.inc(n)
-            self.m_occ.set(occ)
-            self.m_delay.observe_many(delays.tolist())
-
-    def good_early_bailout(self, n):
-        if not self.registry.enabled:
-            return
-        self.m_outputs.inc(n)
-
-    def bad_unguarded(self, n, occ):
-        self.m_outputs.inc(n)
-        self.m_occ.add(occ)
-
-    def bad_else_branch(self, v):
-        if self.registry.enabled:
-            pass
-        else:
-            self.m_delay.observe(v)
-"""
-
-
-class TestOBS002:
-    def test_only_unguarded_updates_are_flagged(self):
-        keys = fresh_keys(
-            {"src/repro/core/x.py": METRICS_MIXED}, only={"OBS002"}
-        )
-        assert keys == [
-            "OBS002 src/repro/core/x.py:20",
-            "OBS002 src/repro/core/x.py:21",
-            "OBS002 src/repro/core/x.py:27",
-        ]
-
-    def test_obs_package_is_exempt(self):
-        assert (
-            fresh_keys(
-                {"src/repro/obs/metrics.py": METRICS_MIXED}, only={"OBS002"}
-            )
-            == []
-        )
-
-    def test_non_instrument_receivers_are_ignored(self):
-        """set()/add() on ordinary objects (no m_ prefix) are not
-        metric updates."""
-        clean = (
-            "def f(seen, cache, registry):\n"
-            "    seen.add(1)\n"
-            "    cache.set('k')\n"
-            "    registry.counter('x')\n"
-        )
-        assert (
-            fresh_keys({"src/repro/core/x.py": clean}, only={"OBS002"}) == []
-        )
-
-    def test_any_registry_suffix_guard_counts(self):
-        clean = (
-            "def f(self):\n"
-            "    if self.metrics.registry.enabled:\n"
-            "        self.m_epochs.inc()\n"
-        )
-        assert (
-            fresh_keys({"src/repro/core/x.py": clean}, only={"OBS002"}) == []
-        )
-
-
-# ---------------------------------------------------------------------------
 # PROTO001 — protocol exhaustiveness (a project rule: needs several files)
 # ---------------------------------------------------------------------------
 

@@ -28,7 +28,6 @@ from repro.net.proc_transport import (
     write_frame,
 )
 from repro.net.wire import encode_message
-from repro.obs.metrics import MetricsRegistry
 
 
 def make_pair(a=0, b=2, tuple_bytes=64):
@@ -260,13 +259,11 @@ class TestStats:
             "tx_frames": 0, "tx_bytes": 0,
             "rx_frames": 3, "rx_bytes": expected,
         }
-        # Attached late, the registry starts from the tallies so far and
-        # counts on from there under this transport's series prefix.
-        registry = MetricsRegistry(2)
-        tb.attach_registry(registry)
+        # The typed view reads the same tallies, whenever it is asked
+        # for, under this transport's series prefix.
         ea.send(2, Halt(3)).run()
         eb.recv(0).run()
-        snapshot = registry.snapshot()
+        snapshot = tb.series()
         assert snapshot["proc.rx_frames.from_n0"]["value"] == 4
         assert (
             snapshot["proc.rx_bytes.from_n0"]["value"]

@@ -3,7 +3,7 @@
 Covers the connect handshake (version/magic/identity rejection), the
 bounded retry with its deterministic RNG-substream backoff schedule,
 dead-peer send resolving to ``NodeDown``, peer-EOF fail-stop, and the
-per-pair byte/frame counters feeding the metrics registry.
+per-pair byte/frame counters behind the node's metric series.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from repro.net.tcp_transport import (
     send_hello,
 )
 from repro.net.wire import MAGIC, WIRE_VERSION, encode_message
-from repro.obs.metrics import MetricsRegistry
 from repro.simul.rng import RngRegistry
 
 
@@ -239,15 +238,14 @@ class TestPairCounters:
 
     def test_registry_counters_mirror_tallies(self):
         ta, tb = make_pair()
-        registry = MetricsRegistry(2)
-        # Attach after traffic already flowed: pre-attach counts must
-        # be replayed, post-attach traffic increments live.
+        # The view is built from the tallies when asked for, so it
+        # covers all traffic so far however late it is first read.
         ta.endpoint(0).send(2, Halt(0)).run()
         tb.endpoint(2).recv(0).run()
-        tb.attach_registry(registry)
+        assert tb.series()["tcp.rx_frames.from_n0"]["value"] == 1
         ta.endpoint(0).send(2, Halt(1)).run()
         tb.endpoint(2).recv(0).run()
-        snapshot = registry.snapshot()
+        snapshot = tb.series()
         assert snapshot["tcp.rx_frames.from_n0"]["value"] == 2
         assert (
             snapshot["tcp.rx_bytes.from_n0"]["value"]

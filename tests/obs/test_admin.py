@@ -48,11 +48,7 @@ def _get(url, timeout=5.0):
 
 
 def _tiny_cluster():
-    cfg = (
-        SystemConfig.paper_defaults()
-        .scaled(0.02)
-        .with_(obs=ObservabilityConfig(metrics=True))
-    )
+    cfg = SystemConfig.paper_defaults().scaled(0.02)
     sim = Simulator()
     runtime = SimRuntime(sim)
     transport = SimTransport(sim, cfg.network, cfg.tuple_bytes)
@@ -152,9 +148,7 @@ class TestClusterStatus:
         cfg, cluster, runtime = _tiny_cluster()
         server = AdminServer(
             lambda: cluster_status(cfg, cluster, runtime.now, "sim"),
-            lambda: render_prometheus(
-                {n: r.snapshot() for n, r in cluster.registries.items()}
-            ),
+            lambda: render_prometheus(cluster.node_metrics()),
         )
         try:
             _, _, body = _get(f"{server.url}/status")
@@ -205,7 +199,7 @@ class TestLiveRunEndpoint:
         assert "result" in results
         # The run closed its server on the way out.
         assert all(s in before for s in ACTIVE_SERVERS)
-        # admin_port implies metrics: snapshots came back with the result.
+        # The counters' typed view came back with the result.
         assert results["result"].node_metrics
 
     def test_status_stays_coherent_through_master_failover(self):

@@ -1,103 +1,37 @@
-"""Unit tests for the typed metrics registry (repro.obs.metrics)."""
+"""Unit tests for the typed metric samples (repro.obs.metrics)."""
 
-import pytest
+import json
 
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    NULL_REGISTRY,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    render_prometheus,
-)
+from repro.obs.metrics import counter, gauge, histogram, render_prometheus
 
 
-class TestInstruments:
-    def test_counter_accumulates(self):
-        c = Counter("outputs")
-        c.inc()
-        c.inc(2.5)
-        assert c.value == 3.5
-        assert c.snapshot() == {"kind": "counter", "value": 3.5}
-
-    def test_counter_rejects_negative(self):
-        c = Counter("outputs")
-        with pytest.raises(ValueError, match="cannot decrease"):
-            c.inc(-1.0)
-
-    def test_gauge_set_and_add(self):
-        g = Gauge("occupancy")
-        g.set(0.25)
-        g.add(0.5)
-        assert g.value == 0.75
-        assert g.snapshot()["kind"] == "gauge"
-
-    def test_histogram_buckets(self):
-        h = Histogram("delay", buckets=(0.1, 1.0, 10.0))
-        h.observe_many([0.05, 0.5, 0.5, 5.0, 100.0])
-        snap = h.snapshot()
-        assert snap["counts"] == [1, 2, 1, 1]  # last bin = +Inf tail
-        assert snap["count"] == 5
-        assert snap["sum"] == pytest.approx(106.05)
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        with pytest.raises(ValueError, match="strictly increase"):
-            Histogram("delay", buckets=(1.0, 0.5))
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
-
-
-class TestRegistry:
-    def test_factories_are_idempotent(self):
-        reg = MetricsRegistry(node=2)
-        a = reg.counter("outputs")
-        b = reg.counter("outputs")
-        assert a is b
-        assert len(reg) == 1
-
-    def test_type_mismatch_raises(self):
-        reg = MetricsRegistry(node=2)
-        reg.counter("outputs")
-        with pytest.raises(ValueError, match="already registered"):
-            reg.gauge("outputs")
-
-    def test_snapshot_is_sorted_and_plain(self):
-        import json
-
-        reg = MetricsRegistry(node=2)
-        reg.gauge("b").set(1.0)
-        reg.counter("a").inc()
-        snap = reg.snapshot()
-        assert list(snap) == ["a", "b"]
-        json.dumps(snap)  # must be JSON-serializable
-
-    def test_null_registry_registers_nothing(self):
-        assert not NULL_REGISTRY.enabled
-        c = NULL_REGISTRY.counter("outputs")
-        c.inc(100.0)
-        g = NULL_REGISTRY.gauge("occ")
-        g.set(5.0)
-        h = NULL_REGISTRY.histogram("delay")
-        h.observe(1.0)
-        assert c.value == 0.0
-        assert g.value == 0.0
-        assert h.count == 0
-        assert len(NULL_REGISTRY) == 0
-        assert NULL_REGISTRY.snapshot() == {}
-
-    def test_null_instruments_are_shared(self):
-        assert NULL_REGISTRY.counter("x") is NULL_REGISTRY.counter("y")
+class TestSamples:
+    def test_shapes_are_plain_and_json_serializable(self):
+        view = {
+            "outputs": counter(3),
+            "occupancy": gauge(0.25),
+            "delay": histogram((0.1, 1.0, 10.0), [1, 2, 1, 1], 106.05),
+        }
+        assert view["outputs"] == {"kind": "counter", "value": 3}
+        assert view["occupancy"] == {"kind": "gauge", "value": 0.25}
+        assert view["delay"] == {
+            "kind": "histogram",
+            "buckets": [0.1, 1.0, 10.0],
+            "counts": [1, 2, 1, 1],  # last bin = +Inf tail
+            "sum": 106.05,
+            "count": 5,
+        }
+        json.dumps(view)
 
 
 class TestPrometheusRendering:
     def test_families_carry_node_labels(self):
-        a, b = MetricsRegistry(node=0), MetricsRegistry(node=2)
-        a.counter("epochs").inc(3)
-        b.counter("epochs").inc(5)
-        b.gauge("occupancy").set(0.5)
-        text = render_prometheus({0: a.snapshot(), 2: b.snapshot()})
+        text = render_prometheus(
+            {
+                0: {"epochs": counter(3)},
+                2: {"epochs": counter(5), "occupancy": gauge(0.5)},
+            }
+        )
         assert "# TYPE swjoin_epochs counter" in text
         assert 'swjoin_epochs_total{node="0"} 3' in text
         assert 'swjoin_epochs_total{node="2"} 5' in text
@@ -105,20 +39,16 @@ class TestPrometheusRendering:
         assert text.endswith("\n")
 
     def test_histogram_renders_cumulative_buckets(self):
-        reg = MetricsRegistry(node=2)
-        h = reg.histogram("delay", buckets=(0.1, 1.0))
-        h.observe_many([0.05, 0.5, 5.0])
-        text = render_prometheus({2: reg.snapshot()})
+        # Observations 0.05, 0.5 and 5.0 against bounds 0.1 and 1.0.
+        sample = histogram((0.1, 1.0), [1, 1, 1], 5.55)
+        text = render_prometheus({2: {"delay": sample}})
         assert 'swjoin_delay_bucket{node="2",le="0.1"} 1' in text
         assert 'swjoin_delay_bucket{node="2",le="1"} 2' in text
         assert 'swjoin_delay_bucket{node="2",le="+Inf"} 3' in text
         assert 'swjoin_delay_count{node="2"} 3' in text
 
     def test_output_is_deterministic(self):
-        reg = MetricsRegistry(node=0)
-        reg.counter("z").inc()
-        reg.counter("a").inc()
-        snaps = {0: reg.snapshot()}
+        snaps = {0: {"z": counter(1), "a": counter(1)}}
         assert render_prometheus(snaps) == render_prometheus(snaps)
 
     def test_empty_input_renders_empty(self):
