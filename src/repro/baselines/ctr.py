@@ -97,15 +97,12 @@ class CtrSlave(LightSlaveMixin):
         cutoff = shipment.epoch_start - cfg.window_seconds
 
         def expire(_emit: float) -> None:
-            for bucket in self.group.directory.buckets():
-                bucket.payload.expire_before(cutoff)
+            self.group.expire_before(cutoff)
 
         expired = 0
         for bucket in self.group.directory.buckets():
             for window in bucket.payload.windows:
-                expired += int(
-                    np.searchsorted(window.committed.ts, cutoff, "left")
-                ) * cfg.tuple_bytes
+                expired += window.committed.count_before(cutoff) * cfg.tuple_bytes
         yield WorkUnit("expire", self.cost_model.expire_cost(expired), expire)
 
         batch = shipment.batch
@@ -118,19 +115,19 @@ class CtrSlave(LightSlaveMixin):
                 mini = buckets[pattern].payload
                 idx = np.flatnonzero(patterns == pattern)
                 part = sub.take(idx)
-                opposite = mini.windows[1 - sid]
                 cost = self.cost_model.probe_cost(
-                    len(part), opposite.committed_bytes
+                    len(part), mini.windows[1 - sid].committed_bytes
                 )
 
-                def run(
-                    emit: float, part=part, mini=mini, sid=sid, opposite=opposite
-                ) -> None:
-                    result = opposite.probe(
+                def run(emit: float, part=part, mini=mini, sid=sid) -> None:
+                    # The group's run holds every mini-group's tuples;
+                    # mini-groups are key-disjoint, so *part* matches
+                    # only those of its own.
+                    result = self.group.probe(
+                        1 - sid,
                         part.ts,
                         part.key,
                         part.seq,
-                        cfg.window_seconds,
                         collect_pairs=self.collect_pairs,
                     )
                     self.metrics.record_outputs(emit, result.newer_ts)
@@ -145,6 +142,7 @@ class CtrSlave(LightSlaveMixin):
                     home = part.select(self._home_mask(part.ts))
                     if len(home):
                         mini.windows[sid].install_committed(home)
+                        self.group.commit(sid, home.ts, home.key, home.seq)
 
                 yield WorkUnit("probe", cost, run)
         # Fine tuning still applies to the local slices.

@@ -26,6 +26,10 @@ import typing as t
 
 from repro.errors import SimulationError
 
+if t.TYPE_CHECKING:
+    import numpy as np
+    import numpy.typing as npt
+
 T = t.TypeVar("T")
 
 #: Hard cap on the directory's global depth; prevents unbounded
@@ -67,7 +71,7 @@ class ExtendibleDirectory(t.Generic[T]):
         self.slots: list[Bucket[T]] = [Bucket(0, 0, initial_payload)]
         self._pattern_table: t.Any = None  # numpy cache, see pattern_table()
 
-    def pattern_table(self):
+    def pattern_table(self) -> npt.NDArray[np.int64]:
         """``int64[2**global_depth]`` mapping slot -> bucket pattern.
 
         Cached between structural changes; used by the vectorized

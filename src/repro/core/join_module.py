@@ -33,6 +33,7 @@ from collections import deque
 import numpy as np
 
 from repro.core.costmodel import CostModel
+from repro.core.exthash import Bucket
 from repro.core.hashing import partition_of
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
@@ -41,8 +42,9 @@ from repro.core.partition_group import (
     PartitionGroup,
     PartitionGroupState,
 )
+from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
-from repro.data.tuples import TupleBatch
+from repro.data.tuples import KeyArray, SeqArray, TsArray, TupleBatch
 from repro.errors import ProtocolError
 from repro.obs.events import DirectoryEvent, MergeEvent, SplitEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -298,8 +300,7 @@ class JoinModule:
             group = self.groups.get(pid)
             if group is None:  # moved away mid-backlog; cannot happen
                 raise ProtocolError(f"lost partition {pid} with pending data")
-            yield from self._ingest_units(group, drained[pid])
-            yield from self._final_flush_units(group)
+            yield from self._probe_units(group, drained[pid])
             if self.geometry.fine_tuning:
                 yield from self._tuning_units(group)
 
@@ -330,34 +331,70 @@ class JoinModule:
         for group in self.groups.values():
             for bucket in group.directory.buckets():
                 for window in bucket.payload.windows:
-                    idx = int(np.searchsorted(window.committed.ts, cutoff, "left"))
-                    expired_bytes += idx * tb
+                    expired_bytes += window.committed.count_before(cutoff) * tb
         cost = self.cost_model.expire_cost(expired_bytes)
 
         def run(_emit_time: float) -> None:
             for group in self.groups.values():
-                for bucket in group.directory.buckets():
-                    bucket.payload.expire_before(cutoff)
+                group.expire_before(cutoff)
 
         return WorkUnit("expire", cost, run)
 
-    def _ingest_units(
+    def _probe_units(
         self, group: PartitionGroup, batch: TupleBatch
     ) -> t.Iterator[WorkUnit]:
-        tb = self.geometry.tuple_bytes
-        for sid in range(self.geometry.n_streams):
+        """One ``probe`` unit per head block, as Section IV-D flushes
+        them: stream by stream, every block that fills while its
+        mini-group's share of *batch* is appended; then, the buffer
+        drained, each mini-group's partial blocks, stream 0 before
+        stream 1 (the order that finds a fresh/fresh pair exactly once).
+
+        Units are the granularity of what is *charged* and of when
+        outputs are emitted.  The matches of the two-stream join are
+        computed a whole step at a time (:meth:`_join_step`): mini-groups
+        are disjoint in key space, so probing the group's run with all
+        the full blocks of a stream, or all the partial ones, finds for
+        each block exactly the rows a probe of its own mini-group would,
+        and each unit slices its rows out.
+        """
+        geometry = self.geometry
+        tb, tpb = geometry.tuple_bytes, geometry.tuples_per_block
+        pairwise = geometry.n_streams == 2
+        for sid in range(geometry.n_streams):
             sub = batch.by_stream(sid)
             if not len(sub):
                 continue
-            slots, buckets = group.route(sub.key)
-            for slot in sorted(buckets):
+            patterns, buckets = group.route(sub.key)
+            # One stable sort groups the tuples by mini-group, each
+            # mini-group's in arrival order.
+            order = np.argsort(patterns, kind="stable")
+            ts, key, seq = sub.ts[order], sub.key[order], sub.seq[order]
+            slots = sorted(buckets)
+            cuts = np.searchsorted(patterns[order], slots).tolist() + [len(order)]
+            matches: ProbeResult | None = None
+            if pairwise:
+                # What will fill whole blocks: per mini-group, the tuples
+                # already in its head, then as many of its arrivals as
+                # round the total down to a multiple of the block size.
+                blocks: list[tuple[TsArray, KeyArray, SeqArray]] = []
+                for slot, lo, hi in zip(slots, cuts, cuts[1:]):
+                    window = buckets[slot].payload.windows[sid]
+                    held = window.n_fresh
+                    n_full = (held + hi - lo) // tpb * tpb
+                    if n_full:
+                        if held:
+                            blocks.append(window.fresh_view())
+                        stop = lo + n_full - held
+                        blocks.append((ts[lo:stop], key[lo:stop], seq[lo:stop]))
+                if blocks:
+                    matches = self._join_step(group, sid, blocks)
+            done = 0
+            for slot, lo, hi in zip(slots, cuts, cuts[1:]):
                 mini = buckets[slot].payload
-                idx = np.flatnonzero(slots == slot)
-                ts, key, seq = sub.ts[idx], sub.key[idx], sub.seq[idx]
                 window = mini.windows[sid]
-                pos, n = 0, len(idx)
-                while pos < n:
-                    take = min(window.head_space(), n - pos)
+                pos = lo
+                while pos < hi:
+                    take = min(window.head_space(), hi - pos)
                     window.append_fresh(
                         ts[pos : pos + take],
                         key[pos : pos + take],
@@ -369,20 +406,66 @@ class JoinModule:
                     pos += take
                     if window.head_space() == 0:
                         # Head block full: it joins now (Section IV-D).
-                        yield self._flush_unit(group.pid, mini, sid)
+                        yield self._probe_unit(group, mini, sid, matches, done)
+                        done += tpb
+        # The partition's buffer is drained: every head block is as full
+        # as this pass makes it, so both partial-block steps can run now.
+        minis = [bucket.payload for bucket in group.directory.buckets()]
+        partial: list[ProbeResult | None] = [None] * geometry.n_streams
+        if pairwise:
+            for sid in range(geometry.n_streams):
+                blocks = [
+                    mini.windows[sid].fresh_view()
+                    for mini in minis
+                    if mini.windows[sid].n_fresh
+                ]
+                if blocks:
+                    partial[sid] = self._join_step(group, sid, blocks)
+        done_by_stream = [0] * geometry.n_streams
+        for mini in minis:
+            for sid in range(geometry.n_streams):
+                n_fresh = mini.windows[sid].n_fresh
+                if n_fresh:
+                    yield self._probe_unit(
+                        group, mini, sid, partial[sid], done_by_stream[sid]
+                    )
+                    done_by_stream[sid] += n_fresh
 
-    def _final_flush_units(self, group: PartitionGroup) -> t.Iterator[WorkUnit]:
-        """Flush partial head blocks once the partition's buffer drained.
+    def _join_step(
+        self,
+        group: PartitionGroup,
+        sid: int,
+        blocks: list[tuple[TsArray, KeyArray, SeqArray]],
+    ) -> ProbeResult:
+        """Probe the opposite stream's run with *blocks* — one or more
+        head blocks of stream *sid*, as ``(ts, key, seq)``, in the order
+        their units will be yielded — then add them to their own
+        stream's run.
 
-        Stream order 0-then-1 implements the duplicate-elimination rule
-        for fresh/fresh pairs within the same pass.
+        That runs the group's runs *ahead* of its windows: a block is
+        in the run from here, in its window only once its unit executes
+        :meth:`StreamWindow.commit_fresh`.  A later step of the same pass
+        needs exactly that (the partial blocks of stream 1 must see the
+        partial blocks of stream 0, whose units are interleaved with
+        their own), and nothing else can look: a pass holds the slave's
+        state lock from its first unit to its last.
         """
-        for bucket in group.directory.buckets():
-            for sid in range(self.geometry.n_streams):
-                if bucket.payload.windows[sid].n_fresh:
-                    yield self._flush_unit(group.pid, bucket.payload, sid)
+        ts, key, seq = (np.concatenate(cols) for cols in zip(*blocks))
+        matches = group.probe(1 - sid, ts, key, seq, self.collect_pairs)
+        group.commit(sid, ts, key, seq)
+        return matches
 
-    def _flush_unit(self, pid: int, mini: MiniGroup, sid: int) -> WorkUnit:
+    def _probe_unit(
+        self,
+        group: PartitionGroup,
+        mini: MiniGroup,
+        sid: int,
+        matches: ProbeResult | None,
+        first: int,
+    ) -> WorkUnit:
+        """The unit flushing *mini*'s head block of stream *sid*: tuples
+        ``[first, first + n_fresh)`` of the step *matches* was computed
+        for (``None``: the n-way join, which probes per unit)."""
         window = mini.windows[sid]
         # The block nested-loop scan reads every committed block of the
         # opposite windows, whatever the fresh keys are.
@@ -393,18 +476,24 @@ class JoinModule:
         cost = self.cost_model.probe_cost(window.n_fresh, scanned, spilled)
         if spilled:
             self.metrics.disk_bytes_read += spilled
+        last = first + window.n_fresh
 
         def run(emit_time: float) -> None:
-            result = mini.flush_stream(sid, collect_pairs=self.collect_pairs)
-            self.metrics.record_outputs(emit_time, result.newer_ts)
-            if self.collect_pairs and result.pairs is not None:
-                rows = result.pairs
-                if len(rows):
-                    if self.geometry.n_streams == 2 and sid == 1:
-                        # Normalize the pairwise orientation to
-                        # (stream-0 seq, stream-1 seq).
-                        rows = rows[:, ::-1]
-                    self.metrics.record_pairs(pid, rows)
+            if matches is None:
+                composites = group.flush_composites(mini, sid, self.collect_pairs)
+                newer_ts, rows = composites.newest_ts, composites.members
+            else:
+                lo, hi = matches.offsets[first], matches.offsets[last]
+                newer_ts = matches.newer_ts[lo:hi]
+                rows = None if matches.pairs is None else matches.pairs[lo:hi]
+                if sid == 1 and rows is not None:
+                    # Normalize the pairwise orientation to
+                    # (stream-0 seq, stream-1 seq).
+                    rows = rows[:, ::-1]
+                window.commit_fresh()
+            self.metrics.record_outputs(emit_time, newer_ts)
+            if self.collect_pairs and rows is not None and len(rows):
+                self.metrics.record_pairs(group.pid, rows)
 
         return WorkUnit("probe", cost, run)
 
@@ -412,13 +501,17 @@ class JoinModule:
         # Split every oversized mini-group; children may still overflow
         # under heavy key skew, so iterate to a fixed point.
         while True:
-            oversized = group.oversized_buckets()
+            oversized, undersized = group.tuning_candidates()
             if not oversized:
                 break
-            for bucket in oversized:
-                cost = self.cost_model.tuning_cost(bucket.payload.bytes_used)
+            for bucket, nbytes in oversized:
+                cost = self.cost_model.tuning_cost(nbytes)
 
-                def run(_emit: float, b=bucket, g=group) -> None:
+                def run(
+                    _emit: float,
+                    b: Bucket[MiniGroup] = bucket,
+                    g: PartitionGroup = group,
+                ) -> None:
                     moved = g.split_bucket(b)
                     self.metrics.splits += 1
                     if self.tracer.enabled:
@@ -435,18 +528,22 @@ class JoinModule:
 
                 yield WorkUnit("tune", cost, run)
         # One merge round per pass (further merges happen next pass).
-        for bucket in group.undersized_buckets():
+        for bucket, nbytes in undersized:
             if group.directory.bucket_for(bucket.pattern) is not bucket:
                 continue  # already merged away this round
             buddy = group.directory.buddy_of(bucket)
             if buddy is None:
                 continue
-            combined = bucket.payload.bytes_used + buddy.payload.bytes_used
+            combined = nbytes + buddy.payload.bytes_used
             if combined >= 2 * self.geometry.theta_bytes:
                 continue
             cost = self.cost_model.tuning_cost(combined)
 
-            def run(_emit: float, b=bucket, g=group) -> None:
+            def run(
+                _emit: float,
+                b: Bucket[MiniGroup] = bucket,
+                g: PartitionGroup = group,
+            ) -> None:
                 touched = g.try_merge_bucket(b)
                 if touched:
                     self.metrics.merges += 1

@@ -2,17 +2,17 @@
 
 ``perf/spans.py`` (frozen outside ``benchmark`` PRs) finds the probe it
 times as ``get_kernel(SystemConfig.kernel).probe``.  There is one probe
-path, :meth:`repro.core.window.StreamWindow.probe`.  The ``benchmark``
-PR that points the span at it deletes this module.
+path, :meth:`repro.core.partition_group.PartitionGroup.probe`.  The
+``benchmark`` PR that points the span at it deletes this module.
 """
 
 from __future__ import annotations
 
-from repro.core.window import StreamWindow
+from repro.core.partition_group import PartitionGroup
 
 __all__ = ["get_kernel"]
 
 
-def get_kernel(name: str) -> type[StreamWindow]:
+def get_kernel(name: str) -> type[PartitionGroup]:
     """The class whose ``probe`` the ``kernel.probe`` span wraps."""
-    return StreamWindow
+    return PartitionGroup

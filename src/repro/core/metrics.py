@@ -17,6 +17,7 @@ are full and the system is in steady state.
 
 from __future__ import annotations
 
+import threading
 import typing as t
 
 import numpy as np
@@ -164,10 +165,16 @@ class SlaveMetrics(CommAccount):
     def __init__(self, node_id: int, gate: MeasurementWindow) -> None:
         super().__init__(gate)
         self.node_id = node_id
-        self.delays = DelayStats()
-        #: Outputs not yet reported to the collector (same gating as
-        #: ``delays`` so collector totals match local totals exactly).
-        self.unreported = DelayStats()
+        self._delays = DelayStats()
+        #: Outputs not yet reported to the collector.
+        self._unreported = DelayStats()
+        #: ``(emit_time, newer_ts)`` of outputs recorded but not binned
+        #: yet: :meth:`record_outputs` runs once per work unit, binning
+        #: once per read.  The lock makes "take what is stashed, bin it
+        #: into both accumulators, maybe swap ``_unreported``" one step
+        #: against the join thread recording meanwhile.
+        self._stash: list[tuple[float, npt.NDArray[np.float64]]] = []
+        self._stash_lock = threading.Lock()
         # CPU accounting (seconds of modeled work inside the gate).
         self.cpu_probe = 0.0
         self.cpu_expire = 0.0
@@ -216,16 +223,34 @@ class SlaveMetrics(CommAccount):
         if len(newer_ts) == 0 or not self.gate.active(emit_time):
             return
         self.outputs_emitted += len(newer_ts)
-        delays = emit_time - newer_ts
-        # Bin the vector once; both accumulators take the same summary.
+        with self._stash_lock:
+            self._stash.append((emit_time, newer_ts))
+
+    def _bin_stash(self) -> None:
+        """Bin everything stashed, once, into both accumulators (caller
+        holds ``_stash_lock``)."""
+        if not self._stash:
+            return
         batch = DelayStats()
-        batch.record(delays)
-        self.delays.merge(batch)
-        self.unreported.merge(batch)
+        batch.record(np.concatenate([emit - newer for emit, newer in self._stash]))
+        self._stash.clear()
+        self._delays.merge(batch)
+        self._unreported.merge(batch)
+
+    @property
+    def delays(self) -> DelayStats:
+        """Production delays of every output recorded so far."""
+        with self._stash_lock:
+            self._bin_stash()
+            return self._delays
 
     def pop_unreported(self) -> DelayStats:
-        """Drain the outputs accumulated since the last collector report."""
-        stats, self.unreported = self.unreported, DelayStats()
+        """Drain the outputs accumulated since the last collector report
+        (same gating as ``delays``, so collector totals match local
+        totals exactly)."""
+        with self._stash_lock:
+            self._bin_stash()
+            stats, self._unreported = self._unreported, DelayStats()
         return stats
 
     def record_pairs(self, pid: int, rows: npt.NDArray[np.int64]) -> None:

@@ -26,6 +26,7 @@ import typing as t
 
 import numpy as np
 
+from repro.core.probe import key_ranges
 from repro.data.tuples import TupleBatch
 
 #: Safety cap on enumerated combinations per probe tuple.  Composite
@@ -46,14 +47,6 @@ class CompositeResult(t.NamedTuple):
 
 
 _EMPTY = np.empty(0, dtype=np.float64)
-
-
-def _candidate_ranges(
-    sorted_key: np.ndarray, probe_key: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    lo = np.searchsorted(sorted_key, probe_key, side="left")
-    hi = np.searchsorted(sorted_key, probe_key, side="right")
-    return lo, hi
 
 
 def probe_composites(
@@ -78,7 +71,7 @@ def probe_composites(
         )
 
     ranges = [
-        _candidate_ranges(sorted_key, probe_key)
+        key_ranges(sorted_key, probe_key)
         for (_sid, sorted_key, _ts, _seq) in others
     ]
 

@@ -12,6 +12,14 @@ combined size stays below ``2*theta``.
 With fine tuning disabled the partition-group degenerates to a single
 mini-group of unbounded size — the configuration the paper uses as its
 "no fine-tuning" comparison (Figures 7–10).
+
+Mini-groups bound what a probe is *charged* for scanning.  What a probe
+*searches* is one key-sorted **run** per stream, kept here over the
+committed tuples of all mini-groups together
+(:meth:`PartitionGroup.probe`).  The directory splits on bits of
+``g(key)``, so mini-groups are disjoint in key space and probing the
+group's run returns exactly the rows a probe of the one mini-group a
+key routes to would.
 """
 
 from __future__ import annotations
@@ -19,13 +27,25 @@ from __future__ import annotations
 import typing as t
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.exthash import Bucket, ExtendibleDirectory
 from repro.core.hashing import directory_hash
 from repro.core.nway import CompositeResult, probe_composites
-from repro.core.probe import ProbeResult
+from repro.core.probe import ProbeResult, probe_sorted
 from repro.core.window import StreamWindow
-from repro.data.tuples import TupleBatch
+from repro.data.tuples import (
+    KEY_DTYPE,
+    SEQ_DTYPE,
+    TS_DTYPE,
+    KeyArray,
+    SeqArray,
+    TsArray,
+    TupleBatch,
+)
+
+#: One stream's tuples as ``(key, ts, seq)`` columns.
+Columns = tuple[KeyArray, TsArray, SeqArray]
 
 
 class JoinGeometry(t.NamedTuple):
@@ -69,33 +89,25 @@ class MiniGroup:
         return any(w.n_fresh for w in self.windows)
 
     # -- join-protocol operations -------------------------------------------
-    def flush_stream(self, sid: int, collect_pairs: bool = False) -> ProbeResult:
-        """Flush stream *sid*'s fresh head block: join it against the
-        other streams' committed windows and commit it.
+    def flush_stream(
+        self,
+        sid: int,
+        others: t.Sequence[tuple[int, KeyArray, TsArray, SeqArray]],
+        collect_pairs: bool = False,
+    ) -> CompositeResult:
+        """n-way join: match stream *sid*'s fresh head block against the
+        *others* — per other stream ``(stream id, key, ts, seq)``, its
+        committed tuples sorted by key — and commit it.
 
-        Two streams use the pairwise :meth:`StreamWindow.flush`; more
-        use the n-way composite prober (its :class:`CompositeResult` is
-        normalized to a :class:`ProbeResult` so callers see a single
-        return type).
-        In both cases only committed tuples of the other streams
-        participate (the duplicate-elimination rule: a result is
-        emitted by the last of its members to flush).
+        Only committed tuples of the other streams take part (the
+        duplicate-elimination rule: a result is emitted by the last of
+        its members to flush).  The two-stream join never comes here:
+        the join module probes a whole pass at once through
+        :meth:`PartitionGroup.probe`.
         """
         window = self.windows[sid]
-        if self.geometry.n_streams == 2:
-            return window.flush(
-                self.windows[1 - sid],
-                self.geometry.window_seconds,
-                collect_pairs=collect_pairs,
-            )
         ts, key, seq = window.fresh_view()
-        others = []
-        for k, other in enumerate(self.windows):
-            if k == sid:
-                continue
-            s_key, s_ts, s_seq = other.sorted_view(need_seq=collect_pairs)
-            others.append((k, s_key, s_ts, s_seq))
-        result: CompositeResult = probe_composites(
+        result = probe_composites(
             sid,
             ts,
             key,
@@ -105,18 +117,7 @@ class MiniGroup:
             collect_members=collect_pairs,
         )
         window.commit_fresh()
-        return ProbeResult(result.n_composites, result.newest_ts, result.members)
-
-    def flush_all(self, collect_pairs: bool = False) -> list:
-        """Flush every stream's fresh head block, in stream order."""
-        results = []
-        for sid, window in enumerate(self.windows):
-            if window.n_fresh:
-                results.append(self.flush_stream(sid, collect_pairs))
-        return results
-
-    def expire_before(self, cutoff_ts: float) -> int:
-        return sum(w.expire_before(cutoff_ts) for w in self.windows)
+        return result
 
     # -- fine-tuning operations ---------------------------------------------------
     def split_by_bit(self, bit: int) -> tuple["MiniGroup", "MiniGroup"]:
@@ -202,6 +203,10 @@ class PartitionGroupState(t.NamedTuple):
         return self.n_tuples * tuple_bytes
 
 
+#: A directory bucket with its mini-group's ``bytes_used``.
+SizedBucket = tuple[Bucket[MiniGroup], int]
+
+
 class PartitionGroup:
     """One hash partition's window data, fine-tuned into mini-groups."""
 
@@ -216,12 +221,30 @@ class PartitionGroup:
         #: Observability hook: ``on_double(pid, new_global_depth)``.
         self._on_double = on_double
         self.directory: ExtendibleDirectory[MiniGroup] = self._new_directory()
+        #: Per stream, the committed tuples of every mini-group in
+        #: stable key order (equal keys in commit order).  Derived
+        #: state: never serialized, rebuilt by :meth:`install_state`,
+        #: untouched by splits and merges (which only re-label it).
+        self._runs: list[Columns] = []
+        #: Per stream, commits not yet spliced into its run.
+        self._pending: list[list[Columns]] = []
+        self._clear_runs()
+
+    def _clear_runs(self) -> None:
+        empty = (np.empty(0, KEY_DTYPE), np.empty(0, TS_DTYPE), np.empty(0, SEQ_DTYPE))
+        self._runs = [empty for _ in range(self.geometry.n_streams)]
+        self._pending = [[] for _ in range(self.geometry.n_streams)]
+
+    def _double_hook(self) -> t.Callable[[int], None] | None:
+        on_double = self._on_double
+        if on_double is None:
+            return None
+        return lambda depth: on_double(self.pid, depth)
 
     def _new_directory(self) -> ExtendibleDirectory[MiniGroup]:
-        hook = None
-        if self._on_double is not None:
-            hook = lambda depth: self._on_double(self.pid, depth)  # noqa: E731
-        return ExtendibleDirectory(MiniGroup(self.geometry), on_double=hook)
+        return ExtendibleDirectory(
+            MiniGroup(self.geometry), on_double=self._double_hook()
+        )
 
     # -- sizes --------------------------------------------------------------
     @property
@@ -237,7 +260,9 @@ class PartitionGroup:
         return self.directory.n_buckets
 
     # -- routing --------------------------------------------------------------
-    def route(self, keys: np.ndarray) -> tuple[np.ndarray, dict[int, Bucket]]:
+    def route(
+        self, keys: KeyArray
+    ) -> tuple[npt.NDArray[np.int64], dict[int, Bucket[MiniGroup]]]:
         """Bucket assignment for *keys*.
 
         Returns ``(patterns, buckets)`` where ``patterns[i]`` is the
@@ -257,24 +282,127 @@ class PartitionGroup:
             int(p): directory.slots[int(p)] for p in np.unique(patterns)
         }
 
-    # -- maintenance --------------------------------------------------------------
-    def oversized_buckets(self) -> list[Bucket[MiniGroup]]:
-        limit = 2 * self.geometry.theta_bytes
-        return [
-            b
-            for b in self.directory.buckets()
-            if b.payload.bytes_used > limit
-            and self.directory.can_split(b)
-            and b.payload.can_subdivide(b.local_depth)
-        ]
+    # -- the key-sorted runs ----------------------------------------------------
+    def commit(self, sid: int, ts: TsArray, key: KeyArray, seq: SeqArray) -> None:
+        """Add tuples to stream *sid*'s run.
 
-    def undersized_buckets(self) -> list[Bucket[MiniGroup]]:
-        return [
-            b
-            for b in self.directory.buckets()
-            if b.payload.bytes_used < self.geometry.theta_bytes
-            and b.local_depth > 0
+        The caller also commits them to the window of the mini-group
+        they route to — or, inside one join-module pass, is about to.
+        Buffered here and spliced in by the next :meth:`sorted_run`.
+        The arrays are kept: they must not be views of a head block.
+        """
+        if len(key):
+            self._pending[sid].append((key, ts, seq))
+
+    def sorted_run(self, sid: int) -> Columns:
+        """Stream *sid*'s committed tuples of every mini-group, sorted
+        by key: ``(key, ts, seq)``, valid until the next mutation.
+
+        The order is exactly a stable argsort of the tuples in commit
+        order, but the run is never re-sorted: tuples committed since
+        the last call are sorted on their own and merged in after their
+        equal keys.  Equal keys share a mini-group, so their order is
+        also their order in that mini-group's window.
+        """
+        pending = self._pending[sid]
+        if pending:
+            new = tuple(np.concatenate(cols) for cols in zip(*pending))
+            pending.clear()
+            order = np.argsort(new[0], kind="stable")
+            new = tuple(col[order] for col in new)
+            run = self._runs[sid]
+            if len(run[0]):
+                # side="right": a new tuple lands after the old tuples
+                # of its key, where the stable sort would put it.
+                slots = np.searchsorted(run[0], new[0], side="right")
+                slots += np.arange(len(order))
+                is_old = np.ones(len(run[0]) + len(order), dtype=np.bool_)
+                is_old[slots] = False
+                new = tuple(_spliced(o, n, is_old, slots) for o, n in zip(run, new))
+            self._runs[sid] = t.cast(Columns, new)
+        return self._runs[sid]
+
+    # perf/spans.py wraps this method as its ``kernel.probe`` span, found
+    # by the name ``probe`` through :mod:`repro.core.kernels`: keep the
+    # name and the call boundary until a ``benchmark`` PR re-points it.
+    def probe(
+        self,
+        sid: int,
+        probe_ts: TsArray,
+        probe_key: KeyArray,
+        probe_seq: SeqArray,
+        collect_pairs: bool = False,
+    ) -> ProbeResult:
+        """Match *probe* tuples against stream *sid*'s committed tuples.
+
+        A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
+        p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
+        is *inclusive* on both sides.  The match set is exact; the CPU
+        *charged* for it is the caller's business (the block nested-loop
+        scan of one mini-group's ``committed_bytes``).
+        """
+        key, ts, seq = self.sorted_run(sid)
+        return probe_sorted(
+            probe_ts,
+            probe_key,
+            probe_seq,
+            key,
+            ts,
+            seq,
+            self.geometry.window_seconds,
+            collect_pairs=collect_pairs,
+        )
+
+    def flush_composites(
+        self, mini: MiniGroup, sid: int, collect_pairs: bool = False
+    ) -> CompositeResult:
+        """n-way join: flush stream *sid*'s head block of *mini* against
+        the other streams' runs, and add it to its own."""
+        others = [
+            (k, *self.sorted_run(k))
+            for k in range(self.geometry.n_streams)
+            if k != sid
         ]
+        ts, key, seq = mini.windows[sid].fresh_view()
+        self.commit(sid, ts.copy(), key.copy(), seq.copy())
+        return mini.flush_stream(sid, others, collect_pairs)
+
+    def expire_before(self, cutoff_ts: float) -> int:
+        """Drop committed tuples older than *cutoff_ts* from every
+        window, and from the runs; returns the count dropped."""
+        dropped = [0] * self.geometry.n_streams
+        for bucket in self.directory.buckets():
+            for sid, window in enumerate(bucket.payload.windows):
+                dropped[sid] += window.expire_before(cutoff_ts)
+        for sid, n in enumerate(dropped):
+            if n:
+                run = self.sorted_run(sid)
+                live = run[1] >= cutoff_ts
+                self._runs[sid] = t.cast(Columns, tuple(col[live] for col in run))
+        return sum(dropped)
+
+    # -- maintenance --------------------------------------------------------------
+    def tuning_candidates(self) -> tuple[list[SizedBucket], list[SizedBucket]]:
+        """``(oversized, undersized)`` buckets with their ``bytes_used``,
+        each computed once: those above ``2*theta`` that a split can
+        actually subdivide, and those below ``theta`` that may have a
+        buddy to merge with."""
+        theta = self.geometry.theta_bytes
+        oversized: list[SizedBucket] = []
+        undersized: list[SizedBucket] = []
+        for b in self.directory.buckets():
+            nbytes = b.payload.bytes_used
+            if nbytes > 2 * theta:
+                if self.directory.can_split(b) and b.payload.can_subdivide(
+                    b.local_depth
+                ):
+                    oversized.append((b, nbytes))
+            elif nbytes < theta and b.local_depth > 0:
+                undersized.append((b, nbytes))
+        return oversized, undersized
+
+    def oversized_buckets(self) -> list[Bucket[MiniGroup]]:
+        return [b for b, _nbytes in self.tuning_candidates()[0]]
 
     def split_bucket(self, bucket: Bucket[MiniGroup]) -> int:
         """Split one oversized bucket; returns bytes redistributed."""
@@ -311,6 +439,7 @@ class PartitionGroup:
             )
         # Reset to a pristine directory.
         self.directory = self._new_directory()
+        self._clear_runs()
         return PartitionGroupState(self.pid, global_depth, tuple(groups))
 
     def snapshot_state(self) -> PartitionGroupState:
@@ -348,17 +477,29 @@ class PartitionGroup:
             for sid, (committed, fresh) in enumerate(group.streams):
                 window = mini.windows[sid]
                 window.install_committed(committed)
+                self.commit(sid, committed.ts, committed.key, committed.seq)
                 if len(fresh):
                     window.append_fresh(fresh.ts, fresh.key, fresh.seq)
         # Attach the observability hook only after the rebuild: replayed
         # doublings are structure restoration, not new tuning activity.
-        if self._on_double is not None:
-            directory.on_double = lambda depth: self._on_double(self.pid, depth)
+        directory.on_double = self._double_hook()
         self.directory = directory
-        # Sorted runs are never serialized: the blob carries window
-        # contents only, so build each run now (one full sort) and the
+        # The runs are never serialized: the blob carries window contents
+        # only, so build each now (one full sort per stream) and the
         # first probe after a migration or crash restore only merges,
         # as on a node that saw every commit live.
-        for bucket in directory.buckets():
-            for window in bucket.payload.windows:
-                window.sorted_view()
+        for sid in range(self.geometry.n_streams):
+            self.sorted_run(sid)
+
+
+def _spliced(
+    old: npt.NDArray[t.Any],
+    new: npt.NDArray[t.Any],
+    is_old: npt.NDArray[np.bool_],
+    slots: npt.NDArray[np.intp],
+) -> npt.NDArray[t.Any]:
+    """*old* and *new* interleaved: *new* at *slots*, *old* elsewhere."""
+    out = np.empty(len(is_old), old.dtype)
+    out[is_old] = old
+    out[slots] = new
+    return out

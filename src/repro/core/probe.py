@@ -34,10 +34,33 @@ class ProbeResult(t.NamedTuple):
     #: Identity of the pairs as ``(probe_seq, window_seq)``; filled only
     #: when ``collect_pairs=True`` (testing against the oracle).
     pairs: npt.NDArray[np.int64] | None
+    #: Output rows are grouped by probe tuple, in probe order: tuple
+    #: ``i`` produced rows ``[offsets[i], offsets[i + 1])``, so a caller
+    #: that probed several head blocks at once can cut the result back
+    #: into one slice per block.
+    offsets: npt.NDArray[np.intp]
 
 
 _EMPTY_TS: TsArray = np.empty(0, dtype=np.float64)
 _EMPTY_PAIRS: npt.NDArray[np.int64] = np.empty((0, 2), dtype=np.int64)
+
+
+def _no_pairs(n_probe: int, collect_pairs: bool) -> ProbeResult:
+    return ProbeResult(
+        0,
+        _EMPTY_TS,
+        _EMPTY_PAIRS if collect_pairs else None,
+        np.zeros(n_probe + 1, dtype=np.intp),
+    )
+
+
+def key_ranges(
+    sorted_key: KeyArray, probe_key: KeyArray
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Per probe key, the ``[lo, hi)`` slice of *sorted_key* equal to it."""
+    lo = np.searchsorted(sorted_key, probe_key, side="left")
+    hi = np.searchsorted(sorted_key, probe_key, side="right")
+    return lo, hi
 
 
 def probe_sorted(
@@ -55,28 +78,35 @@ def probe_sorted(
     ``sorted_key``/``sorted_ts`` (and ``sorted_seq`` when pairs are
     collected) are the committed window contents ordered by key.
     """
-    if len(probe_key) == 0 or len(sorted_key) == 0:
-        return ProbeResult(0, _EMPTY_TS, _EMPTY_PAIRS if collect_pairs else None)
+    n_probe = len(probe_key)
+    if n_probe == 0 or len(sorted_key) == 0:
+        return _no_pairs(n_probe, collect_pairs)
 
-    lo = np.searchsorted(sorted_key, probe_key, side="left")
-    hi = np.searchsorted(sorted_key, probe_key, side="right")
+    lo, hi = key_ranges(sorted_key, probe_key)
     counts = hi - lo
-    total = int(counts.sum())
+    # Candidate j of probe i is slot first_slot[i] + j and sits at
+    # sorted position lo[i] + j; slot_ends[i] closes probe i's slots.
+    slot_ends = np.cumsum(counts)
+    total = int(slot_ends[-1])
     if total == 0:
-        return ProbeResult(0, _EMPTY_TS, _EMPTY_PAIRS if collect_pairs else None)
+        return _no_pairs(n_probe, collect_pairs)
 
-    # Expand candidate ranges: candidate j of probe i is output slot
-    # first_slot[i] + j and sits at sorted position lo[i] + j.
-    owner = np.repeat(np.arange(len(probe_key)), counts)
-    first_slot = np.cumsum(counts) - counts
+    owner = np.repeat(np.arange(n_probe), counts)
+    first_slot = slot_ends - counts
     positions = np.repeat(lo - first_slot, counts) + np.arange(total)
 
     cand_ts = sorted_ts[positions]
     own_ts = probe_ts[owner]
     valid = np.abs(cand_ts - own_ts) <= window
-    n_pairs = int(np.count_nonzero(valid))
+    # Valid candidates before each slot; read at the slot boundaries it
+    # is the row offset of every probe tuple.
+    rows_before = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(valid, out=rows_before[1:])
+    n_pairs = int(rows_before[-1])
     if n_pairs == 0:
-        return ProbeResult(0, _EMPTY_TS, _EMPTY_PAIRS if collect_pairs else None)
+        return _no_pairs(n_probe, collect_pairs)
+    offsets = np.zeros(n_probe + 1, dtype=np.intp)
+    offsets[1:] = rows_before[slot_ends]
 
     newer = np.maximum(cand_ts[valid], own_ts[valid])
     pairs: npt.NDArray[np.int64] | None = None
@@ -86,4 +116,4 @@ def probe_sorted(
         pairs = np.column_stack(
             (probe_seq[owner[valid]], sorted_seq[positions[valid]])
         ).astype(np.int64, copy=False)
-    return ProbeResult(n_pairs, newer, pairs)
+    return ProbeResult(n_pairs, newer, pairs, offsets)

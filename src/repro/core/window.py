@@ -7,31 +7,25 @@ A :class:`StreamWindow` holds:
   algorithms (Section IV-D);
 * the **fresh head block**: up to one block of newly added tuples that
   have not yet participated in a join.  Fresh tuples are excluded when
-  the *opposite* stream probes this window (the paper's duplicate
-  elimination rule) and are probed themselves when the head block fills
-  or the stream buffer drains (:meth:`flush` is called by the join
-  module at those points).
+  the *opposite* stream probes (the paper's duplicate elimination rule)
+  and are probed themselves when the head block fills or the stream
+  buffer drains; :meth:`StreamWindow.commit_fresh` then moves them to
+  the committed side.
 
-A probe (:meth:`StreamWindow.probe`) binary-searches the window's
-key-sorted *run* (:meth:`StreamWindow.sorted_view`), which is kept
-incrementally — committed head blocks are merged in, expired tuples
-masked out, the live window never re-sorted.  The run is derived state:
-never serialized, rebuilt from the committed tuples wherever a window
-is installed.  The *computed* match set is exact; the simulated CPU
-*charged* per probe is the paper's block nested-loop scan over
+That is all a window knows.  It is the paper's storage and accounting
+granularity: what a probe is *charged* is the block nested-loop scan of
 :attr:`StreamWindow.committed_bytes`
-(:meth:`repro.core.costmodel.CostModel.probe_cost`), not the cost of
-this structure.
+(:meth:`repro.core.costmodel.CostModel.probe_cost`).  What a probe
+*searches* is kept one level up, by the partition-group
+(:meth:`repro.core.partition_group.PartitionGroup.probe`): one
+key-sorted run per stream over the committed tuples of all its
+mini-groups.
 """
 
 from __future__ import annotations
 
-import typing as t
-
 import numpy as np
-import numpy.typing as npt
 
-from repro.core.probe import ProbeResult, probe_sorted
 from repro.data.blocks import block_bytes_used, n_blocks
 from repro.data.soa import GrowableSoA
 from repro.data.tuples import (
@@ -57,9 +51,6 @@ class StreamWindow:
         "_fresh_key",
         "_fresh_seq",
         "_fresh_n",
-        "_run",
-        "_run_synced",
-        "_run_floor",
     )
 
     def __init__(
@@ -73,18 +64,6 @@ class StreamWindow:
         self._fresh_key = np.empty(tuples_per_block, KEY_DTYPE)
         self._fresh_seq = np.empty(tuples_per_block, SEQ_DTYPE)
         self._fresh_n = 0
-        #: Committed tuples in stable key order, as columns ``(key, ts,
-        #: seq, SoA logical id)``, synced pull-style from the SoA's
-        #: counters: ``_run_synced``/``_run_floor`` are its
-        #: ``appended_total``/``expired_total`` at the last sync.
-        self._run: tuple[npt.NDArray[t.Any], ...] = (
-            np.empty(0, KEY_DTYPE),
-            np.empty(0, TS_DTYPE),
-            np.empty(0, SEQ_DTYPE),
-            np.empty(0, np.int64),
-        )
-        self._run_synced = 0
-        self._run_floor = 0
 
     # -- sizes -----------------------------------------------------------
     @property
@@ -139,104 +118,9 @@ class StreamWindow:
         f = self._fresh_n
         return self._fresh_ts[:f], self._fresh_key[:f], self._fresh_seq[:f]
 
-    def flush(self, opposite: "StreamWindow", window_seconds: float,
-              collect_pairs: bool = False) -> ProbeResult:
-        """Join the fresh tuples against *opposite*'s committed window
-        and commit them.
-
-        Fresh tuples of *opposite* are excluded (duplicate elimination):
-        they will produce those pairs themselves when they flush, by
-        which time this window's tuples are committed.
-        """
-        ts, key, seq = self.fresh_view()
-        result = opposite.probe(
-            ts, key, seq, window_seconds, collect_pairs=collect_pairs
-        )
-        self.commit_fresh()
-        return result
-
-    # -- probing ----------------------------------------------------------
-    # perf/spans.py wraps this method as its ``kernel.probe`` span, found
-    # by the name ``probe`` through :mod:`repro.core.kernels`: keep the
-    # name and the call boundary until a ``benchmark`` PR re-points it.
-    def probe(
-        self,
-        probe_ts: TsArray,
-        probe_key: KeyArray,
-        probe_seq: SeqArray,
-        window_seconds: float,
-        collect_pairs: bool = False,
-    ) -> ProbeResult:
-        """Match *probe* tuples against this window's committed tuples.
-
-        A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
-        p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
-        is *inclusive* on both sides.
-        """
-        sorted_key, sorted_ts, sorted_seq = self.sorted_view(
-            need_seq=collect_pairs
-        )
-        return probe_sorted(
-            probe_ts,
-            probe_key,
-            probe_seq,
-            sorted_key,
-            sorted_ts,
-            sorted_seq,
-            window_seconds,
-            collect_pairs=collect_pairs,
-        )
-
-    def sorted_view(
-        self, need_seq: bool = False
-    ) -> tuple[KeyArray, TsArray, SeqArray | None]:
-        """Committed tuples sorted by key: ``(key, ts, seq-or-None)``.
-
-        Used by :meth:`probe` and the n-way composite prober; valid
-        until the next mutation of this window.
-
-        The order is exactly ``argsort(committed.key, kind="stable")``,
-        but the live window is never re-sorted: tuples expired since the
-        last call are masked out by logical id, tuples committed since
-        are sorted on their own and merged in after their equal keys.
-        Only a window none of whose tuples the run holds yet (first use,
-        a state install, a split/merge child) is sorted whole.
-        """
-        soa = self.committed
-        appended, expired = soa.appended_total, soa.expired_total
-        run = self._run
-        if expired != self._run_floor:
-            live = run[3] >= expired
-            run = tuple(col[live] for col in run)
-        first_new = max(self._run_synced, expired)
-        if first_new < appended:
-            tail = first_new - expired
-            new_key = soa.key[tail:]
-            order = np.argsort(new_key, kind="stable")
-            new = (
-                new_key[order],
-                soa.ts[tail:][order],
-                soa.seq[tail:][order],
-                order + first_new,
-            )
-            if len(run[0]):
-                # side="right": a new tuple lands after the old tuples
-                # of its key, where the stable sort would put it.
-                slots = np.searchsorted(run[0], new[0], side="right")
-                slots += np.arange(len(order))
-                is_old = np.ones(len(run[0]) + len(order), dtype=np.bool_)
-                is_old[slots] = False
-                run = tuple(
-                    _spliced(o, n, is_old, slots) for o, n in zip(run, new)
-                )
-            else:
-                run = new
-        self._run, self._run_synced, self._run_floor = run, appended, expired
-        return run[0], run[1], run[2] if need_seq else None
-
     def commit_fresh(self) -> None:
-        """Move the fresh head block to committed without probing
-        (the n-way prober has already matched it)."""
+        """Move the fresh head block to the committed side (its matches
+        have been computed by then)."""
         ts, key, seq = self.fresh_view()
         if self._fresh_n:
             self.committed.append(ts, key, seq)
@@ -282,15 +166,3 @@ class StreamWindow:
         """Install moved committed tuples (consumer side of a state move)."""
         self.committed.append(batch.ts, batch.key, batch.seq)
 
-
-def _spliced(
-    old: npt.NDArray[t.Any],
-    new: npt.NDArray[t.Any],
-    is_old: npt.NDArray[np.bool_],
-    slots: npt.NDArray[np.intp],
-) -> npt.NDArray[t.Any]:
-    """*old* and *new* interleaved: *new* at *slots*, *old* elsewhere."""
-    out = np.empty(len(is_old), old.dtype)
-    out[is_old] = old
-    out[slots] = new
-    return out

@@ -35,15 +35,13 @@ class GrowableSoA:
     arrival order), which makes expiry a binary search.
     """
 
-    __slots__ = ("_ts", "_key", "_seq", "_start", "_stop", "_appended", "_expired")
+    __slots__ = ("_ts", "_key", "_seq", "_start", "_stop")
 
     _ts: TsArray
     _key: KeyArray
     _seq: SeqArray
     _start: int
     _stop: int
-    _appended: int
-    _expired: int
 
     def __init__(self, capacity: int = _MIN_CAPACITY) -> None:
         capacity = max(int(capacity), _MIN_CAPACITY)
@@ -52,30 +50,9 @@ class GrowableSoA:
         self._seq = np.empty(capacity, SEQ_DTYPE)
         self._start = 0
         self._stop = 0
-        self._appended = 0
-        self._expired = 0
 
     def __len__(self) -> int:
         return self._stop - self._start
-
-    # -- logical positions ---------------------------------------------------
-    # Every appended tuple gets a monotonically increasing *logical id*
-    # (0, 1, 2, ...) that survives internal rebases (`_reserve`,
-    # `_compact`).  Expiry only ever removes a prefix, so the live ids
-    # are exactly [expired_total, appended_total) and the tuple with
-    # logical id L sits at view offset ``L - expired_total``.  The
-    # window's key-sorted run (:meth:`repro.core.window.StreamWindow.
-    # sorted_view`) stores logical ids and never needs rebase
-    # notifications.
-    @property
-    def appended_total(self) -> int:
-        """Count of tuples ever appended (next logical id)."""
-        return self._appended
-
-    @property
-    def expired_total(self) -> int:
-        """Count of tuples ever dropped from the front (first live id)."""
-        return self._expired
 
     # -- views (valid until the next mutation) ------------------------------
     @property
@@ -107,16 +84,21 @@ class GrowableSoA:
         self._key[stop : stop + n] = key
         self._seq[stop : stop + n] = seq
         self._stop = stop + n
-        self._appended += n
+
+    def count_before(self, cutoff_ts: float) -> int:
+        """How many tuples :meth:`expire_before` would drop.
+
+        Relies on ``ts`` being non-decreasing: a store whose oldest
+        tuple is no older than the cutoff answers without a search.
+        """
+        if self._start == self._stop or self._ts[self._start] >= cutoff_ts:
+            return 0
+        return int(np.searchsorted(self.ts, cutoff_ts, side="left"))
 
     def expire_before(self, cutoff_ts: float) -> int:
-        """Drop all tuples with ``ts < cutoff_ts``; returns count dropped.
-
-        Relies on ``ts`` being non-decreasing.
-        """
-        idx = int(np.searchsorted(self.ts, cutoff_ts, side="left"))
+        """Drop all tuples with ``ts < cutoff_ts``; returns count dropped."""
+        idx = self.count_before(cutoff_ts)
         self._start += idx
-        self._expired += idx
         if self._start == self._stop:
             self._start = self._stop = 0
         elif self._start > max(_MIN_CAPACITY, len(self)):
@@ -127,7 +109,6 @@ class GrowableSoA:
         """Remove and return the whole contents (used by the state mover)."""
         batch = self.snapshot()
         self._start = self._stop = 0
-        self._expired = self._appended
         return batch
 
     def snapshot(self, stream_id: int = 0) -> TupleBatch:

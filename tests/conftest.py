@@ -95,3 +95,36 @@ def assert_slave_views_agree(result) -> None:
         merged += np.asarray(delay["counts"])
     # Per-slave bucket counts are the slaves' own DelayStats histograms.
     assert merged.tolist() == result.delays.histogram.tolist()
+
+
+def flush_head(group, mini, sid: int, collect_pairs: bool = True):
+    """Flush stream *sid*'s head block of *mini* the way a join-module
+    unit does, one block at a time: probe the opposite stream's run of
+    *group*, add the block to its own stream's run, commit it."""
+    ts, key, seq = (col.copy() for col in mini.windows[sid].fresh_view())
+    result = group.probe(1 - sid, ts, key, seq, collect_pairs=collect_pairs)
+    group.commit(sid, ts, key, seq)
+    mini.windows[sid].commit_fresh()
+    return result
+
+
+def commit_rows(group, sid: int, ts, key, seq) -> None:
+    """Commit tuples of stream *sid* straight to the windows of the
+    mini-groups they route to (arrival order kept), and to the run."""
+    ts, key, seq = np.asarray(ts, float), np.asarray(key, np.int64), np.asarray(seq, np.int64)
+    patterns, buckets = group.route(key)
+    for pattern, bucket in buckets.items():
+        mine = patterns == pattern
+        bucket.payload.windows[sid].committed.append(ts[mine], key[mine], seq[mine])
+    group.commit(sid, ts, key, seq)
+
+
+def tune(group) -> None:
+    """One maintenance round on *group*: split what is oversized, merge
+    what is undersized (mini-groups holding fresh tuples are left alone)."""
+    for bucket in group.oversized_buckets():
+        if not bucket.payload.has_fresh:
+            group.split_bucket(bucket)
+    for bucket in group.directory.buckets():
+        if group.directory.bucket_for(bucket.pattern) is bucket:
+            group.try_merge_bucket(bucket)

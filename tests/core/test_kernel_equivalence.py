@@ -1,12 +1,13 @@
 """Property-based equivalence wall around the probe path.
 
-``StreamWindow.probe`` must produce the *identical* joined-pair
-multiset as the naive O(n*m) oracle — for any committed contents, any
-probe batch, any interleaving of appends, flushes and watermark-driven
-expiry.  The strategies deliberately cover duplicate keys, all-equal
-keys, empty windows and batches, unsorted probe batches, and the exact
-``|a.ts - b.ts| == W`` inclusive boundary (integer timestamps and
-integer windows make exact-distance collisions common rather than
+``PartitionGroup.probe`` — one key-sorted run per stream over all the
+group's mini-groups — must produce the *identical* joined-pair multiset
+as the naive O(n*m) oracle: for any committed contents, any probe
+batch, any interleaving of appends, flushes, watermark-driven expiry,
+splits and merges.  The strategies deliberately cover duplicate keys,
+all-equal keys, empty windows and batches, unsorted probe batches, and
+the exact ``|a.ts - b.ts| == W`` inclusive boundary (integer timestamps
+and integer windows make exact-distance collisions common rather than
 measure-zero).
 """
 
@@ -14,29 +15,31 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition_group import JoinGeometry, MiniGroup
-from repro.core.window import StreamWindow
-from tests.conftest import brute_force_pairs
+from repro.core.partition_group import JoinGeometry, PartitionGroup
+from tests.conftest import brute_force_pairs, commit_rows, flush_head, tune
 
 
-def geometry_for(tpb=4, window=10.0, fine_tuning=False):
-    return JoinGeometry(
-        tuples_per_block=tpb,
-        block_bytes=tpb * 64,
-        theta_bytes=tpb * 64 * 3,
-        window_seconds=window,
-        fine_tuning=fine_tuning,
-        tuple_bytes=64,
-        n_streams=2,
+def group_for(tpb=4, window=10.0, fine_tuning=True):
+    return PartitionGroup(
+        0,
+        JoinGeometry(
+            tuples_per_block=tpb,
+            block_bytes=tpb * 64,
+            theta_bytes=tpb * 64 * 3,
+            window_seconds=window,
+            fine_tuning=fine_tuning,
+            tuple_bytes=64,
+            n_streams=2,
+        ),
     )
 
 
 # ---------------------------------------------------------------------------
-# Window-level: one probe batch against arbitrary committed contents.
+# Group-level: one probe batch against arbitrary committed contents.
 # ---------------------------------------------------------------------------
 @st.composite
 def probe_case(draw):
-    n_keys = draw(st.integers(1, 5))  # 1 => all keys equal
+    n_keys = draw(st.integers(1, 9))  # 1 => all keys equal
     keys = st.integers(0, n_keys - 1)
     # Integer timestamps + integer window => |dt| == W happens often.
     window = float(draw(st.integers(0, 8)))
@@ -63,43 +66,52 @@ def probe_case(draw):
 @given(case=probe_case())
 @settings(max_examples=120, deadline=None)
 def test_probe_matches_brute_force(case):
-    """probe == O(n*m) oracle, including after expiry and with
-    window contents appended directly to the SoA (the split/merge path
-    that bypasses the head-block protocol)."""
+    """probe == O(n*m) oracle, including after expiry and with the
+    committed tuples spread over several mini-groups by splits (the
+    run is one per group; the split only re-labels it)."""
     window_s, c_ts, c_key, p_ts, p_key, cutoff = case
-    win = StreamWindow(0, 4, 256)
+    group = group_for(window=window_s)
     c_ts = np.array(c_ts, dtype=np.float64)
     c_key = np.array(c_key, dtype=np.int64)
     c_seq = np.arange(len(c_ts), dtype=np.int64)
-    win.committed.append(c_ts, c_key, c_seq)
+    commit_rows(group, 0, c_ts, c_key, c_seq)
+    tune(group)
     if cutoff is not None:
-        win.expire_before(float(cutoff))
+        group.expire_before(float(cutoff))
         live = c_ts >= cutoff
         c_ts, c_key, c_seq = c_ts[live], c_key[live], c_seq[live]
+        tune(group)
     p_ts = np.array(p_ts, dtype=np.float64)
     p_key = np.array(p_key, dtype=np.int64)
     p_seq = np.arange(1000, 1000 + len(p_ts), dtype=np.int64)
 
-    result = win.probe(p_ts, p_key, p_seq, window_s, collect_pairs=True)
+    result = group.probe(0, p_ts, p_key, p_seq, collect_pairs=True)
 
     expected = brute_force_pairs(p_ts, p_key, p_seq, c_ts, c_key, c_seq, window_s)
     got = [tuple(r) for r in result.pairs.tolist()]
     assert sorted(got) == sorted(expected)  # multiset equality
     assert result.n_pairs == len(expected)
+    # The offsets cut the rows back into one slice per probe tuple.
+    assert result.offsets[0] == 0 and result.offsets[-1] == result.n_pairs
+    for i, seq in enumerate(p_seq):
+        rows = result.pairs[result.offsets[i] : result.offsets[i + 1]]
+        assert set(rows[:, 0].tolist()) <= {int(seq)}
 
 
 # ---------------------------------------------------------------------------
-# Protocol-level: arbitrary interleavings of appends, flushes and
-# watermark expiry on one mini-group.
+# Protocol-level: arbitrary interleavings of appends, flushes, watermark
+# expiry, splits and merges on one partition-group.
 # ---------------------------------------------------------------------------
 @st.composite
 def interleavings(draw):
-    n_keys = draw(st.integers(1, 5))
-    n = draw(st.integers(1, 40))
+    n_keys = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 60))
     ops = []
     for _ in range(n):
         kind = draw(
-            st.sampled_from(["append", "append", "append", "flush", "expire"])
+            st.sampled_from(
+                ["append", "append", "append", "append", "flush", "expire", "tune"]
+            )
         )
         if kind == "append":
             ops.append(
@@ -113,7 +125,7 @@ def interleavings(draw):
         elif kind == "flush":
             ops.append(("flush", draw(st.integers(0, 1)), None, None))
         else:
-            ops.append(("expire", None, None, None))
+            ops.append((kind, None, None, None))
     return ops
 
 
@@ -121,7 +133,7 @@ def interleavings(draw):
 @settings(max_examples=100, deadline=None)
 def test_exactly_once_under_interleaving(ops, tpb, window):
     """Every valid pair is emitted exactly once under arbitrary
-    append/flush/expire interleavings.
+    append/flush/expire/split/merge interleavings.
 
     Expiry uses the join module's watermark rule (cutoff = oldest
     pending tuple minus W), which is exactly what makes dropping
@@ -129,40 +141,47 @@ def test_exactly_once_under_interleaving(ops, tpb, window):
     correct oracle even though windows shrink mid-run.
     """
     window = float(window)
-    mini = MiniGroup(geometry_for(tpb=tpb, window=window))
+    group = group_for(tpb=tpb, window=window)
     clock = 0.0
     seqs = {0: 0, 1: 0}
     rows = {0: [], 1: []}
     found = []
     pending = {0: [], 1: []}  # unflushed (fresh) tuple timestamps
 
-    def flush(sid):
-        pairs = mini.flush_stream(sid, collect_pairs=True).pairs
-        if pairs is not None and len(pairs):
+    def flush_mini(mini, sid):
+        pairs = flush_head(group, mini, sid).pairs
+        if len(pairs):
             if sid == 1:
                 pairs = pairs[:, ::-1]
             found.extend(map(tuple, pairs.tolist()))
+
+    def flush(sid):
+        for bucket in group.directory.buckets():
+            flush_mini(bucket.payload, sid)
         pending[sid].clear()
 
     for op in ops:
         if op[0] == "append":
             _, sid, dt, key = op
             clock += dt
+            key = np.array([key], dtype=np.int64)
+            patterns, buckets = group.route(key)
+            mini = buckets[int(patterns[0])].payload
             if mini.windows[sid].head_space() == 0:
-                flush(sid)
+                flush_mini(mini, sid)
             mini.windows[sid].append_fresh(
-                np.array([clock]),
-                np.array([key], dtype=np.int64),
-                np.array([seqs[sid]], dtype=np.int64),
+                np.array([clock]), key, np.array([seqs[sid]], dtype=np.int64)
             )
-            rows[sid].append((clock, key, seqs[sid]))
+            rows[sid].append((clock, int(key[0]), seqs[sid]))
             pending[sid].append(clock)
             seqs[sid] += 1
         elif op[0] == "flush":
             flush(op[1])
+        elif op[0] == "tune":
+            tune(group)
         else:
             oldest = min(pending[0] + pending[1], default=clock)
-            mini.expire_before(oldest - window)
+            group.expire_before(oldest - window)
 
     flush(0)
     flush(1)
@@ -183,112 +202,106 @@ def test_exactly_once_under_interleaving(ops, tpb, window):
 # ---------------------------------------------------------------------------
 # Deterministic edge cases.
 # ---------------------------------------------------------------------------
+def one_window_group(window=10.0):
+    """A group that stays one mini-group; ``commit_rows`` fills it."""
+    return group_for(window=window, fine_tuning=False)
+
+
 class TestEdgeCases:
     def test_exact_window_boundary_is_inclusive(self):
-        win = StreamWindow(0, 4, 256)
-        win.committed.append(
-            np.array([0.0, 0.0, 5.0]),
-            np.array([7, 7, 7], dtype=np.int64),
-            np.array([0, 1, 2], dtype=np.int64),
-        )
+        group = one_window_group()
+        commit_rows(group, 0, [0.0, 0.0, 5.0], [7, 7, 7], [0, 1, 2])
         # |10.0 - 0.0| == W exactly: both ts=0 tuples must match.
-        r = win.probe(
+        r = group.probe(
+            0,
             np.array([10.0]),
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
-            10.0,
             collect_pairs=True,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [
             (100, 0), (100, 1), (100, 2),
         ]
         # One epsilon beyond: only the duplicate pair at ts=5 remains.
-        r = win.probe(
+        r = group.probe(
+            0,
             np.array([np.nextafter(10.0, 11.0)]),
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
-            10.0,
             collect_pairs=True,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [(100, 2)]
 
     def test_empty_window_and_empty_batch(self):
-        win = StreamWindow(0, 4, 256)
+        group = one_window_group()
         empty_f = np.empty(0, dtype=np.float64)
         empty_i = np.empty(0, dtype=np.int64)
-        r = win.probe(
-            np.array([1.0]), np.array([3], dtype=np.int64),
-            np.array([0], dtype=np.int64), 10.0, collect_pairs=True,
+        r = group.probe(
+            0, np.array([1.0]), np.array([3], dtype=np.int64),
+            np.array([0], dtype=np.int64), collect_pairs=True,
         )
         assert r.n_pairs == 0 and len(r.pairs) == 0
-        win.committed.append(
-            np.array([1.0]), np.array([3], dtype=np.int64),
-            np.array([0], dtype=np.int64),
-        )
-        r = win.probe(empty_f, empty_i, empty_i, 10.0, collect_pairs=True)
+        assert r.offsets.tolist() == [0, 0]
+        commit_rows(group, 0, [1.0], [3], [0])
+        r = group.probe(0, empty_f, empty_i, empty_i, collect_pairs=True)
         assert r.n_pairs == 0 and len(r.pairs) == 0
+        assert r.offsets.tolist() == [0]
 
     def test_unsorted_probe_batch(self):
         """Probe batches need not be timestamp-sorted (post-move
         shipments)."""
-        win = StreamWindow(0, 4, 256)
-        win.committed.append(
-            np.array([0.0, 4.0, 9.0]),
-            np.array([1, 1, 1], dtype=np.int64),
-            np.array([0, 1, 2], dtype=np.int64),
-        )
+        group = one_window_group(window=5.0)
+        commit_rows(group, 0, [0.0, 4.0, 9.0], [1, 1, 1], [0, 1, 2])
         p_ts = np.array([9.5, 0.5, 20.0])
         p_key = np.array([1, 1, 1], dtype=np.int64)
         p_seq = np.array([100, 101, 102], dtype=np.int64)
-        r = win.probe(p_ts, p_key, p_seq, 5.0, collect_pairs=True)
+        r = group.probe(0, p_ts, p_key, p_seq, collect_pairs=True)
         expected = brute_force_pairs(
             p_ts, p_key, p_seq,
             np.array([0.0, 4.0, 9.0]), p_key, np.array([0, 1, 2]), 5.0,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == sorted(expected)
+        assert r.offsets.tolist() == [0, 1, 3, 3]
 
     def test_probe_after_direct_soa_append(self):
-        """split_by_bit/merged/install_committed write straight to the
-        SoA; the run must pick the tuples up without any hook."""
-        win = StreamWindow(0, 4, 256)
-        win.sorted_view()  # build derived state while the window is empty
-        win.committed.append(
-            np.array([1.0, 2.0]),
-            np.array([5, 6], dtype=np.int64),
-            np.array([0, 1], dtype=np.int64),
-        )
-        r = win.probe(
-            np.array([2.5, 2.5]),
-            np.array([5, 6], dtype=np.int64),
-            np.array([100, 101], dtype=np.int64),
-            10.0,
-            collect_pairs=True,
-        )
-        assert sorted(map(tuple, r.pairs.tolist())) == [(100, 0), (101, 1)]
+        """split_by_bit/merged write straight to the children's SoAs and
+        tell the run nothing: it holds the group's tuples whatever
+        mini-group they are filed under, so it need not hear."""
+        group = group_for(tpb=1, window=10.0)
+        group.sorted_run(0)  # build derived state while the group is empty
+        keys = np.arange(12, dtype=np.int64)
+        commit_rows(group, 0, np.arange(12.0), keys, keys)
+        probe = (np.full(12, 11.5), keys, keys + 100)
+        before = group.probe(0, *probe, collect_pairs=True)
+        tune(group)
+        assert group.n_mini_groups > 1
+        after = group.probe(0, *probe, collect_pairs=True)
+        assert after.pairs.tolist() == before.pairs.tolist()
+        assert before.pairs.tolist() == [[k + 100, k] for k in range(2, 12)]
 
     def test_warm_then_probe_equals_cold_probe(self):
-        """A run rebuilt from the SoA (crash restore) must behave as
-        one that observed every mutation live."""
+        """A run rebuilt from the windows (migration, crash restore)
+        must behave as one that observed every mutation live."""
         ts = np.array([0.0, 1.0, 2.0, 8.0])
         key = np.array([4, 4, 9, 4], dtype=np.int64)
         seq = np.arange(4, dtype=np.int64)
-        live = StreamWindow(0, 4, 256)
-        live.committed.append(ts, key, seq)
-        live.sorted_view()
+        live = one_window_group()
+        commit_rows(live, 0, ts, key, seq)
+        live.sorted_run(0)
         live.expire_before(1.5)
 
-        restored = StreamWindow(0, 4, 256)
-        keep = ts >= 1.5
-        restored.committed.append(ts[keep], key[keep], seq[keep])
-        restored.sorted_view()
+        restored = one_window_group()
+        restored.install_state(live.snapshot_state())
 
         p = (
             np.array([5.0]),
             np.array([4], dtype=np.int64),
             np.array([100], dtype=np.int64),
         )
-        a = live.probe(*p, 10.0, collect_pairs=True)
-        b = restored.probe(*p, 10.0, collect_pairs=True)
+        a = live.probe(0, *p, collect_pairs=True)
+        b = restored.probe(0, *p, collect_pairs=True)
         assert sorted(map(tuple, a.pairs.tolist())) == sorted(
             map(tuple, b.pairs.tolist())
         ) == [(100, 3)]
+        for mine, theirs in zip(live.sorted_run(0), restored.sorted_run(0)):
+            np.testing.assert_array_equal(mine, theirs)

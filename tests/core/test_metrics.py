@@ -175,18 +175,21 @@ class TestSlaveMetricsGating:
         assert metrics.delays.count == 1
 
     def test_record_outputs_bins_once_for_both_accumulators(self):
-        """The delay vector is summarised once and merged into the
-        lifetime and the unreported stats: both must equal, bit for
-        bit, what recording the vector into each would have given."""
+        """Delay vectors are stashed and binned once per read into the
+        lifetime and the unreported stats.  Count, extremes and
+        histogram must equal, exactly, what recording each vector into
+        each accumulator would have given; the total is the same sum in
+        another order."""
         rng = np.random.default_rng(3)
         metrics = SlaveMetrics(1, MeasurementWindow(0.0))
         lifetime, unreported = DelayStats(), DelayStats()
 
         def same(a, b):
-            assert (a.count, a.total, a.minimum, a.maximum) == (
-                b.count, b.total, b.minimum, b.maximum
+            assert (a.count, a.minimum, a.maximum) == (
+                b.count, b.minimum, b.maximum
             )
             assert a.histogram.tolist() == b.histogram.tolist()
+            assert a.total == pytest.approx(b.total, rel=1e-12)
 
         for step in range(6):
             emit = 100.0 + step
@@ -197,8 +200,68 @@ class TestSlaveMetricsGating:
             if step == 2:
                 same(metrics.pop_unreported(), unreported)
                 unreported = DelayStats()
+            if step == 4:  # a read between two reports bins what it finds
+                same(metrics.delays, lifetime)
         same(metrics.delays, lifetime)
         same(metrics.pop_unreported(), unreported)
+
+    def test_reports_race_recording_without_losing_outputs(self):
+        """The join thread records outputs while the comm thread pops
+        the unreported stats for the collector (wall backends).  Every
+        output must land in exactly one report: an output merged into a
+        ``DelayStats`` already handed over, or binned twice, would break
+        the sums below."""
+        import sys
+        import threading
+        import time
+
+        metrics = SlaveMetrics(1, MeasurementWindow(0.0))
+        n_records, per_record = 100_000, 3
+        newer = np.zeros(per_record)
+        errors: list[BaseException] = []
+        recorded = threading.Event()
+        reported: list[int] = []
+        give_up = time.monotonic() + 60.0
+
+        def record():
+            try:
+                for i in range(n_records):
+                    if time.monotonic() > give_up:
+                        raise TimeoutError("recording loop overran its bound")
+                    metrics.record_outputs(1.0 + i, newer)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+            finally:
+                recorded.set()
+
+        def report():
+            try:
+                while not recorded.is_set():
+                    if time.monotonic() > give_up:
+                        raise TimeoutError("report loop overran its bound")
+                    reported.append(metrics.pop_unreported().count)
+            except BaseException as error:  # noqa: BLE001 - asserted below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=record, daemon=True),
+            threading.Thread(target=report, daemon=True),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=90.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        reported.append(metrics.pop_unreported().count)  # the final flush
+        assert sum(reported) == n_records * per_record
+        assert metrics.delays.count == n_records * per_record
+        assert metrics.outputs_emitted == n_records * per_record
 
     def test_window_sampling_tracks_max(self):
         metrics = SlaveMetrics(1, MeasurementWindow(0.0))

@@ -195,6 +195,59 @@ def test_probe_kernel_matches_oracle_three_way(rows, windows):
     assert len(found) == len(expected)  # exactly-once
 
 
+class TestModuleThreeWayFineTuned:
+    def test_three_way_with_splits_matches_oracle(self):
+        """Three streams through one join module with fine tuning on and
+        a theta of three 4-tuple blocks, so mini-groups split while the
+        run goes on.  The composite prober reads each other stream's
+        *group* run, so its exactness rests — like the pairwise join's —
+        on mini-groups being disjoint in key space."""
+        from repro.core.costmodel import CostModel
+        from repro.core.join_module import JoinModule
+        from repro.core.metrics import MeasurementWindow, SlaveMetrics
+        from repro.core.partition_group import JoinGeometry
+        from repro.core.protocol import Shipment
+
+        geometry = JoinGeometry(
+            tuples_per_block=4,
+            block_bytes=256,
+            theta_bytes=768,
+            window_seconds=3.0,
+            fine_tuning=True,
+            tuple_bytes=64,
+            n_streams=3,
+        )
+        metrics = SlaveMetrics(0, MeasurementWindow(0.0))
+        module = JoinModule(
+            0,
+            geometry,
+            CostModel(SystemConfig.paper_defaults().cost),
+            2,
+            metrics,
+            collect_pairs=True,
+        )
+        for pid in range(2):
+            module.add_partition(pid)
+        wl = TwoStreamWorkload.poisson_bmodel(
+            RngRegistry(11), 30.0, 0.7, 40, n_streams=3
+        )
+        trace = []
+        for epoch in range(8):
+            batch = wl.generate(float(epoch), float(epoch + 1))
+            trace.append(batch)
+            module.enqueue(Shipment(epoch, float(epoch), float(epoch + 1), batch))
+            while module.has_work:
+                for unit in module.work_units():
+                    unit.execute(float(epoch + 1))
+        assert metrics.splits > 0
+        assert max(g.n_mini_groups for g in module.groups.values()) > 1
+        got = np.concatenate(metrics.pair_chunks())
+        got = got[np.lexsort(tuple(got[:, c] for c in reversed(range(3))))]
+        expected = naive_multiway_join(TupleBatch.concat(trace), [3.0] * 3)
+        assert len(expected) > 0
+        assert np.array_equal(got, expected)
+
+
 class TestClusterThreeWay:
     def test_full_cluster_three_way_exact(self):
         cfg = (

@@ -5,6 +5,7 @@ import numpy as np
 from repro.core.hashing import directory_hash
 from repro.core.partition_group import JoinGeometry, PartitionGroup
 from repro.data.tuples import TupleBatch
+from tests.conftest import flush_head
 
 
 def ingest(group, sid, rows):
@@ -28,9 +29,10 @@ def ingest(group, sid, rows):
             window.append_fresh(chunk.ts, chunk.key, chunk.seq)
             pos += take
             if window.head_space() == 0:
-                window.flush(mini.windows[1 - sid], group.geometry.window_seconds)
+                flush_head(group, mini, sid)
     for bucket in group.directory.buckets():
-        bucket.payload.flush_all()
+        for k in range(group.geometry.n_streams):
+            flush_head(group, bucket.payload, k)
 
 
 def fill(group, n, sid=0, t0=0.0):
@@ -97,8 +99,7 @@ class TestFineTuningPolicy:
             group.split_bucket(group.oversized_buckets()[0])
         total = group.n_tuples
         # Expire most tuples to force undersized buckets.
-        for bucket in group.directory.buckets():
-            bucket.payload.expire_before(0.9)
+        group.expire_before(0.9)
         merged_any = False
         for bucket in list(group.directory.buckets()):
             if group.directory.bucket_for(bucket.pattern) is bucket:
@@ -134,9 +135,12 @@ class TestStateMovement:
             src.split_bucket(src.oversized_buckets()[0])
         n_tuples = src.n_tuples
         n_groups = src.n_mini_groups
+        run = [col.copy() for col in src.sorted_run(0)]
+        assert len(run[0]) == n_tuples
 
         state = src.extract_state()
         assert src.n_tuples == 0
+        assert len(src.sorted_run(0)[0]) == 0  # derived state goes with it
         assert state.pid == 3
         assert state.n_tuples == n_tuples
 
@@ -145,6 +149,9 @@ class TestStateMovement:
         assert dst.n_tuples == n_tuples
         assert dst.n_mini_groups == n_groups
         dst.directory.check_invariants()
+        # ... and is rebuilt, element for element, where it lands.
+        for rebuilt, lived in zip(dst.sorted_run(0), run):
+            np.testing.assert_array_equal(rebuilt, lived)
 
     def test_install_preserves_routing(self, geometry):
         """After a move, every key routes to a bucket actually holding

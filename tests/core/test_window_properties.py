@@ -11,8 +11,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition_group import JoinGeometry, MiniGroup
-from tests.conftest import brute_force_pairs
+from repro.core.partition_group import JoinGeometry, PartitionGroup
+from tests.conftest import brute_force_pairs, flush_head
 
 
 @st.composite
@@ -48,14 +48,16 @@ def test_head_block_protocol_exactly_once(ops, tpb, window):
         fine_tuning=False,
         tuple_bytes=64,
     )
-    mini = MiniGroup(geometry)
+    group = PartitionGroup(0, geometry)
+    (bucket,) = group.directory.buckets()
+    mini = bucket.payload
     clock = 0.0
     seqs = {0: 0, 1: 0}
     rows = {0: [], 1: []}
     found = []
 
     def flush(sid):
-        result = mini.flush_stream(sid, collect_pairs=True)
+        result = flush_head(group, mini, sid)
         if result.pairs is not None and len(result.pairs):
             pairs = result.pairs
             if sid == 1:
