@@ -32,6 +32,7 @@ from repro.core.join_module import JoinModule
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import JoinGeometry
 from repro.core.protocol import Shipment
+from repro.core.steps import Step
 from repro.baselines.framework import (
     BaselineResult,
     EpochMasterBase,
@@ -129,12 +130,12 @@ class AtrSlave(LightSlaveMixin):
         )
         self.module.add_partition(0)
 
-    def handle_shipment(self, shipment: Shipment) -> t.Iterator[t.Any]:
+    def handle_shipment(self, shipment: Shipment) -> t.Iterator[Step]:
         self.module.enqueue(shipment)
         # Passes are bounded; baseline slaves have no state moves to
         # let in, so drain everything for this shipment.
         while self.module.has_work:
-            yield from self.module.work_units()
+            yield from self.module.steps()
 
     @property
     def window_bytes(self) -> int:

@@ -18,6 +18,7 @@ from repro.core.join_module import JoinModule
 from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
 from repro.core.partition_group import JoinGeometry
 from repro.core.protocol import Shipment
+from repro.core.steps import run_steps
 from repro.runtime.sim import SimRuntime
 from repro.simul.kernel import Simulator
 from repro.simul.rng import RngRegistry
@@ -87,15 +88,7 @@ class CentralizedJoin:
                 module.enqueue(Shipment(epoch, prev, boundary, batch))
                 prev = boundary
                 while module.has_work:  # passes are bounded; drain all
-                    for unit in module.work_units():
-                        t0 = runtime.now()
-                        yield runtime.cpu(unit.cost)
-                        t1 = runtime.now()
-                        kind = "probe" if unit.kind == "probe" else (
-                            "expire" if unit.kind == "expire" else "tune"
-                        )
-                        metrics.charge_cpu(kind, t0, t1)
-                        unit.execute(t1)
+                    yield from run_steps(runtime, metrics, module.steps())
                 metrics.sample_window(runtime.now(), module.window_bytes)
                 epoch += 1
 

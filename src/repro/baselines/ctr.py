@@ -36,12 +36,22 @@ from repro.baselines.framework import (
 )
 from repro.config import SystemConfig
 from repro.core.costmodel import CostModel
-from repro.core.join_module import WorkUnit
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import JoinGeometry, PartitionGroup
 from repro.core.protocol import Shipment
+from repro.core.steps import FloatArray, Step
 from repro.data.tuples import TupleBatch
 from repro.mp.comm import Communicator
+
+
+def _unit(kind: str, cost: float, run: t.Callable[[float], None]) -> Step:
+    """A step of one unit: every CTR cost is read off the windows as
+    the unit before it left them."""
+
+    def retire(_lo: int, _hi: int, emit_times: FloatArray) -> None:
+        run(float(emit_times[0]))
+
+    return Step(kind, np.array([cost]), retire)
 
 
 class CtrMaster(EpochMasterBase):
@@ -91,7 +101,7 @@ class CtrSlave(LightSlaveMixin):
         slots = (ts // self.cfg.dist_epoch).astype(np.int64) % self.n_slots
         return slots == self.slot_index
 
-    def handle_shipment(self, shipment: Shipment) -> t.Iterator[WorkUnit]:
+    def handle_shipment(self, shipment: Shipment) -> t.Iterator[Step]:
         cfg = self.cfg
         geometry = self.group.geometry
         cutoff = shipment.epoch_start - cfg.window_seconds
@@ -103,7 +113,7 @@ class CtrSlave(LightSlaveMixin):
         for bucket in self.group.directory.buckets():
             for window in bucket.payload.windows:
                 expired += window.committed.count_before(cutoff) * cfg.tuple_bytes
-        yield WorkUnit("expire", self.cost_model.expire_cost(expired), expire)
+        yield _unit("expire", self.cost_model.expire_cost(expired), expire)
 
         batch = shipment.batch
         for sid in (0, 1):
@@ -141,10 +151,12 @@ class CtrSlave(LightSlaveMixin):
                         self.metrics.record_pairs(self.group.pid, pairs)
                     home = part.select(self._home_mask(part.ts))
                     if len(home):
-                        mini.windows[sid].install_committed(home)
+                        self.group.admit(
+                            mini.windows[sid], home.ts, home.key, home.seq, len(home)
+                        )
                         self.group.commit(sid, home.ts, home.key, home.seq)
 
-                yield WorkUnit("probe", cost, run)
+                yield _unit("probe", cost, run)
         # Fine tuning still applies to the local slices.
         if geometry.fine_tuning:
             for bucket in self.group.oversized_buckets():
@@ -154,11 +166,11 @@ class CtrSlave(LightSlaveMixin):
                     self.group.split_bucket(b)
                     self.metrics.splits += 1
 
-                yield WorkUnit("tune", cost, tune)
+                yield _unit("tune", cost, tune)
 
     @property
     def window_bytes(self) -> int:
-        return self.group.bytes_used
+        return self.group.total_bytes
 
 
 class CtrSystem:

@@ -22,6 +22,7 @@ from repro.core.metrics import (
     SlaveMetrics,
 )
 from repro.core.protocol import Halt, Shipment
+from repro.core.steps import Step, run_steps
 from repro.errors import DeadlockError
 from repro.mp.comm import Communicator
 from repro.net.sim_transport import SimTransport
@@ -85,8 +86,10 @@ class LightSlaveMixin:
     """Comm + join loops for a baseline slave.
 
     Subclasses provide ``self.handle_shipment(shipment)`` returning an
-    iterator of :class:`~repro.core.join_module.WorkUnit`-compatible
-    objects, plus ``self.window_bytes``.
+    iterator of :class:`~repro.core.steps.Step` objects — consumed lazily,
+    each fully retired before the next is asked for, by the same
+    :func:`~repro.core.steps.run_steps` the real slave uses — plus
+    ``self.window_bytes``.
     """
 
     rt: t.Any
@@ -115,21 +118,11 @@ class LightSlaveMixin:
             item = yield self._queue.get()
             if item is _HALT:
                 return
-            for unit in self.handle_shipment(item):
-                t0 = rt.now()
-                yield rt.cpu(unit.cost)
-                t1 = rt.now()
-                kind = (
-                    unit.kind
-                    if unit.kind in ("probe", "expire", "tune")
-                    else "probe"
-                )
-                self.metrics.charge_cpu(kind, t0, t1)
-                unit.execute(t1)
+            yield from run_steps(rt, self.metrics, self.handle_shipment(item))
             self.metrics.sample_window(rt.now(), self.window_bytes)
 
     # Subclass responsibilities ------------------------------------------
-    def handle_shipment(self, shipment: Shipment) -> t.Iterator[t.Any]:
+    def handle_shipment(self, shipment: Shipment) -> t.Iterator[Step]:
         raise NotImplementedError  # pragma: no cover
 
     @property

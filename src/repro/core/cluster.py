@@ -349,7 +349,6 @@ def build_cluster(
             collect_pairs=collect_pairs,
             memory_bytes=cfg.slave_memory_bytes,
             tracer=tracer,
-            now_fn=runtime.now,
         )
         for pid in buffer.pids_of(node_id):
             module.add_partition(pid)

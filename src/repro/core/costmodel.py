@@ -38,7 +38,15 @@ the 5-slave point near 7500, matching Figures 5 and 6.
 
 from __future__ import annotations
 
+import typing as t
+
+import numpy as np
+import numpy.typing as npt
+
 from repro.config import CostModelConfig
+
+_IntArray = npt.NDArray[np.int64]
+_FloatArray = npt.NDArray[np.float64]
 
 
 class CostModel:
@@ -57,13 +65,28 @@ class CostModel:
         self.cfg = cfg.validated()
         self.speed = float(speed)
 
+    @t.overload
+    def probe_cost(
+        self, n_probe_tuples: int, scanned_bytes: int, spilled_bytes: int = 0
+    ) -> float: ...
+
+    @t.overload
     def probe_cost(
         self,
-        n_probe_tuples: int,
-        scanned_bytes: int,
-        spilled_bytes: int = 0,
-    ) -> float:
-        """Block-NLJ probe of *n* fresh tuples over *scanned_bytes*.
+        n_probe_tuples: int | _IntArray,
+        scanned_bytes: _IntArray,
+        spilled_bytes: int | _IntArray = 0,
+    ) -> _FloatArray: ...
+
+    def probe_cost(
+        self,
+        n_probe_tuples: int | _IntArray,
+        scanned_bytes: int | _IntArray,
+        spilled_bytes: int | _IntArray = 0,
+    ) -> float | _FloatArray:
+        """Block-NLJ probe of *n* fresh tuples over *scanned_bytes* —
+        one probe, or an array of them costed element by element (the
+        same operations in the same order, so the same floats).
 
         The comparison work of a block nested-loop join is the cross
         product: every probing tuple is compared against every scanned
@@ -71,8 +94,6 @@ class CostModel:
         ``spilled_bytes`` of the scan live on disk (memory-limited
         nodes) and are read back once per probe block.
         """
-        if n_probe_tuples == 0:
-            return 0.0
         cpu = (
             self.cfg.tuple_cost
             + self.cfg.scan_byte_cost * scanned_bytes

@@ -28,6 +28,21 @@ from repro.obs.metrics import counter, gauge, histogram
 #: Log-spaced delay histogram edges, seconds (1 ms .. ~17 min).
 DELAY_BIN_EDGES: npt.NDArray[np.float64] = np.logspace(-3, 3, 61)
 
+#: CPU charge kind -> the :class:`SlaveMetrics` account it accrues to.
+_CPU_ACCOUNT: t.Final = {
+    "probe": "cpu_probe",
+    "expire": "cpu_expire",
+    "tune": "cpu_tuning",
+    "state_move": "cpu_state_move",
+}
+
+
+def _cpu_account(kind: str) -> str:
+    try:
+        return _CPU_ACCOUNT[kind]
+    except KeyError:
+        raise ValueError(f"unknown cpu kind {kind!r}") from None
+
 
 class MeasurementWindow:
     """Shared gate: records count only inside ``[start, stop]``."""
@@ -169,11 +184,15 @@ class SlaveMetrics(CommAccount):
         #: Outputs not yet reported to the collector.
         self._unreported = DelayStats()
         #: ``(emit_time, newer_ts)`` of outputs recorded but not binned
-        #: yet: :meth:`record_outputs` runs once per work unit, binning
-        #: once per read.  The lock makes "take what is stashed, bin it
-        #: into both accumulators, maybe swap ``_unreported``" one step
-        #: against the join thread recording meanwhile.
-        self._stash: list[tuple[float, npt.NDArray[np.float64]]] = []
+        #: yet — the emit time one instant or one per row:
+        #: :meth:`record_outputs` runs once per retired run of work
+        #: units, binning once per read.  The lock makes "take what is
+        #: stashed, bin it into both accumulators, maybe swap
+        #: ``_unreported``" one step against the join thread recording
+        #: meanwhile.
+        self._stash: list[
+            tuple[float | npt.NDArray[np.float64], npt.NDArray[np.float64]]
+        ] = []
         self._stash_lock = threading.Lock()
         # CPU accounting (seconds of modeled work inside the gate).
         self.cpu_probe = 0.0
@@ -204,23 +223,53 @@ class SlaveMetrics(CommAccount):
 
     def charge_cpu(self, kind: str, t0: float, t1: float) -> None:
         span = self.gate.overlap(t0, t1)
-        if span <= 0.0:
+        if span > 0.0:
+            attr = _cpu_account(kind)
+            setattr(self, attr, getattr(self, attr) + span)
+
+    def charge_cpu_units(
+        self, kind: str, t0: float, ends: npt.NDArray[np.float64]
+    ) -> None:
+        """Charge a run of back-to-back work units: the first starts at
+        *t0*, unit ``i`` ends at ``ends[i]`` where unit ``i + 1`` starts.
+
+        Each unit is gated on its own, as by :meth:`charge_cpu`, and the
+        spans are added one after the other in unit order, so the
+        account reads to the bit what one call per unit leaves.
+        """
+        gate = self.gate
+        if ends[-1] <= gate.start:
             return
-        if kind == "probe":
-            self.cpu_probe += span
-        elif kind == "expire":
-            self.cpu_expire += span
-        elif kind == "tune":
-            self.cpu_tuning += span
-        elif kind == "state_move":
-            self.cpu_state_move += span
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown cpu kind {kind!r}")
+        attr = _cpu_account(kind)
+        total, start = getattr(self, attr), t0
+        # A run is a handful of units: a loop over floats beats a dozen
+        # array calls, and is the per-unit arithmetic itself.
+        for end in ends.tolist():
+            span = gate.overlap(start, end)
+            if span > 0.0:
+                total += span
+            start = end
+        setattr(self, attr, total)
 
     def record_outputs(
-        self, emit_time: float, newer_ts: npt.NDArray[np.float64]
+        self,
+        emit_time: float | npt.NDArray[np.float64],
+        newer_ts: npt.NDArray[np.float64],
     ) -> None:
-        if len(newer_ts) == 0 or not self.gate.active(emit_time):
+        """Record output tuples produced at *emit_time* — one instant
+        for all of them, or one per row — whose newer joining tuple
+        arrived at *newer_ts*.  Rows emitted outside the measurement
+        window are not recorded."""
+        if len(newer_ts) == 0:
+            return
+        gate = self.gate
+        if isinstance(emit_time, np.ndarray):
+            if emit_time.min() < gate.start or emit_time.max() > gate.stop:
+                inside = (emit_time >= gate.start) & (emit_time <= gate.stop)
+                emit_time, newer_ts = emit_time[inside], newer_ts[inside]
+                if len(newer_ts) == 0:
+                    return
+        elif not gate.active(emit_time):
             return
         self.outputs_emitted += len(newer_ts)
         with self._stash_lock:

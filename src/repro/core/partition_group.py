@@ -34,6 +34,7 @@ from repro.core.hashing import directory_hash
 from repro.core.nway import CompositeResult, probe_composites
 from repro.core.probe import ProbeResult, probe_sorted
 from repro.core.window import StreamWindow
+from repro.data.blocks import n_blocks
 from repro.data.tuples import (
     KEY_DTYPE,
     SEQ_DTYPE,
@@ -81,8 +82,7 @@ class MiniGroup:
 
     @property
     def bytes_used(self) -> int:
-        tb = self.geometry.tuple_bytes
-        return sum(w.bytes_used(tb) for w in self.windows)
+        return sum(w.bytes_used for w in self.windows)
 
     @property
     def has_fresh(self) -> bool:
@@ -221,6 +221,10 @@ class PartitionGroup:
         #: Observability hook: ``on_double(pid, new_global_depth)``.
         self._on_double = on_double
         self.directory: ExtendibleDirectory[MiniGroup] = self._new_directory()
+        #: :attr:`bytes_used`, kept up to date: every operation here that
+        #: changes a window's tuple count adds its block-granular
+        #: difference, so reading the total walks nothing.
+        self.total_bytes = 0
         #: Per stream, the committed tuples of every mini-group in
         #: stable key order (equal keys in commit order).  Derived
         #: state: never serialized, rebuilt by :meth:`install_state`,
@@ -253,6 +257,8 @@ class PartitionGroup:
 
     @property
     def bytes_used(self) -> int:
+        """Block-granular bytes of every window, by walking them all
+        (:attr:`total_bytes` is the same number for free)."""
         return sum(b.payload.bytes_used for b in self.directory.buckets())
 
     @property
@@ -281,6 +287,27 @@ class PartitionGroup:
         return patterns, {
             int(p): directory.slots[int(p)] for p in np.unique(patterns)
         }
+
+    # -- admission ------------------------------------------------------------
+    def admit(
+        self,
+        window: StreamWindow,
+        ts: TsArray,
+        key: KeyArray,
+        seq: SeqArray,
+        n_commit: int = 0,
+    ) -> None:
+        """:meth:`StreamWindow.absorb` on one of this group's windows,
+        with :attr:`total_bytes` kept in step."""
+        before = window.n_tuples
+        window.absorb(ts, key, seq, n_commit)
+        self.total_bytes += self._bytes_between(before, before + len(ts))
+
+    def _bytes_between(self, fewer: int, more: int) -> int:
+        """Block-granular bytes a window gains by growing from *fewer*
+        tuples to *more* (what it frees by shrinking back)."""
+        tpb = self.geometry.tuples_per_block
+        return self.geometry.block_bytes * (n_blocks(more, tpb) - n_blocks(fewer, tpb))
 
     # -- the key-sorted runs ----------------------------------------------------
     def commit(self, sid: int, ts: TsArray, key: KeyArray, seq: SeqArray) -> None:
@@ -373,7 +400,11 @@ class PartitionGroup:
         dropped = [0] * self.geometry.n_streams
         for bucket in self.directory.buckets():
             for sid, window in enumerate(bucket.payload.windows):
-                dropped[sid] += window.expire_before(cutoff_ts)
+                n = window.expire_before(cutoff_ts)
+                if n:
+                    dropped[sid] += n
+                    left = window.n_tuples
+                    self.total_bytes -= self._bytes_between(left, left + n)
         for sid, n in enumerate(dropped):
             if n:
                 run = self.sorted_run(sid)
@@ -407,7 +438,11 @@ class PartitionGroup:
     def split_bucket(self, bucket: Bucket[MiniGroup]) -> int:
         """Split one oversized bucket; returns bytes redistributed."""
         moved = bucket.payload.bytes_used
-        self.directory.split(bucket, lambda mg, bit: mg.split_by_bit(bit))
+        low, high = self.directory.split(
+            bucket, lambda mg, bit: mg.split_by_bit(bit)
+        )
+        # Each half rounds up to whole blocks on its own.
+        self.total_bytes += low.payload.bytes_used + high.payload.bytes_used - moved
         return moved
 
     def try_merge_bucket(self, bucket: Bucket[MiniGroup]) -> int:
@@ -422,7 +457,9 @@ class PartitionGroup:
             return 0
         if bucket.payload.has_fresh or buddy.payload.has_fresh:
             return 0
-        self.directory.merge(bucket, MiniGroup.merged)
+        merged = self.directory.merge(bucket, MiniGroup.merged)
+        assert merged is not None  # the buddy was just looked up
+        self.total_bytes += merged.payload.bytes_used - combined
         return combined
 
     # -- state movement ---------------------------------------------------------------
@@ -439,6 +476,7 @@ class PartitionGroup:
             )
         # Reset to a pristine directory.
         self.directory = self._new_directory()
+        self.total_bytes = 0
         self._clear_runs()
         return PartitionGroupState(self.pid, global_depth, tuple(groups))
 
@@ -484,6 +522,7 @@ class PartitionGroup:
         # doublings are structure restoration, not new tuning activity.
         directory.on_double = self._double_hook()
         self.directory = directory
+        self.total_bytes = self.bytes_used
         # The runs are never serialized: the blob carries window contents
         # only, so build each now (one full sort per stream) and the
         # first probe after a migration or crash restore only merges,

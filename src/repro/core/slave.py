@@ -13,8 +13,9 @@ software components (each node of the testbed has two CPUs):
   for :class:`~repro.core.protocol.Activate`.
 
 * the **join module driver** (:meth:`SlaveNode.join_loop`) consumes
-  shipments from an internal queue and executes the join module's work
-  units, charging their modeled CPU cost to virtual time.
+  shipments from an internal queue and works through the join module's
+  steps (:func:`~repro.core.steps.run_steps`), charging their units'
+  modeled CPU cost to virtual time.
 
 The two share the join state under a lock; the comm module only touches
 it for state moves, so a long processing pass delays a state move — as
@@ -32,11 +33,13 @@ orders (``ReorgOrder.adopt``) can arrive at *plain* epochs too.
 from __future__ import annotations
 
 import typing as t
+from functools import partial
 
 from repro.config import SystemConfig
 from repro.faults.markers import NodeDown, RecvTimeout, peer_silent
 from repro.core.join_module import JoinModule
 from repro.core.metrics import SlaveMetrics
+from repro.core.steps import run_steps
 from repro.core.protocol import (
     Activate,
     Checkpoint,
@@ -67,8 +70,6 @@ if t.TYPE_CHECKING:  # pragma: no cover - typing only
 HALT_TOKEN = object()
 #: Sentinel waking the join loop to look for newly buffered work.
 WAKE_TOKEN = object()
-
-_CPU_KIND = {"probe": "probe", "expire": "expire", "tune": "tune"}
 
 
 class SlaveNode:
@@ -160,6 +161,11 @@ class SlaveNode:
     # -- join loop ------------------------------------------------------
     def join_loop(self) -> t.Generator:
         rt, metrics = self.rt, self.metrics
+        slowdown = (
+            None
+            if self.faults is None
+            else partial(self.faults.slowed_units, self.node_id)
+        )
         while True:
             token = yield self.work_queue.get()
             if token is HALT_TOKEN:
@@ -167,12 +173,7 @@ class SlaveNode:
             if not self.module.has_work:
                 continue
             yield self.lock.acquire()
-            for unit in self.module.work_units():
-                t0 = rt.now()
-                yield rt.cpu(self._cpu_cost(unit.cost))
-                t1 = rt.now()
-                metrics.charge_cpu(_CPU_KIND[unit.kind], t0, t1)
-                unit.execute(t1)
+            yield from run_steps(rt, metrics, self.module.steps(), slowdown)
             metrics.sample_window(rt.now(), self.module.window_bytes)
             self.lock.release()
             if self.module.has_work:

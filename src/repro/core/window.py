@@ -78,7 +78,8 @@ class StreamWindow:
     def n_tuples(self) -> int:
         return len(self.committed) + self._fresh_n
 
-    def bytes_used(self, tuple_bytes: int) -> int:
+    @property
+    def bytes_used(self) -> int:
         """Block-granular footprint (partial head block counts whole)."""
         return block_bytes_used(
             self.n_tuples, self.tuples_per_block, self.block_bytes
@@ -112,6 +113,25 @@ class StreamWindow:
         self._fresh_key[f : f + n] = key
         self._fresh_seq[f : f + n] = seq
         self._fresh_n = f + n
+
+    def absorb(
+        self, ts: TsArray, key: KeyArray, seq: SeqArray, n_commit: int
+    ) -> None:
+        """Admit tuples behind those in the head block, then commit the
+        first *n_commit* of head-block-and-arrivals together — every
+        block the arrivals fill, in one append — and keep the rest (at
+        most a block) as the new head block.
+
+        What a pass of :meth:`append_fresh` / :meth:`commit_fresh` per
+        block leaves, for a caller that has computed the blocks' matches
+        already.  *n_commit* is 0 or covers at least the present head.
+        """
+        if n_commit:
+            take = n_commit - self._fresh_n
+            self.commit_fresh()
+            self.committed.append(ts[:take], key[:take], seq[:take])
+            ts, key, seq = ts[take:], key[take:], seq[take:]
+        self.append_fresh(ts, key, seq)
 
     def fresh_view(self) -> tuple[TsArray, KeyArray, SeqArray]:
         """(ts, key, seq) views of the current fresh tuples."""

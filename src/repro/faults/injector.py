@@ -16,10 +16,15 @@ from __future__ import annotations
 
 import typing as t
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.core.cluster import MASTER_ID
 from repro.faults.plan import CrashFault, FaultPlan, MessageFault, SlowFault
 from repro.obs.events import FaultEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+_Cost = t.TypeVar("_Cost", float, npt.NDArray[np.float64])
 
 
 class FaultInjector:
@@ -108,18 +113,34 @@ class FaultInjector:
         return (fault.action, fault.delay)
 
     # -- CPU slowdowns --------------------------------------------------
-    def scaled_cpu(self, node_id: int, now: float, cost: float) -> float:
-        """CPU cost of *node_id* at *now*, with slowdowns applied."""
+    def scaled_cpu(self, node_id: int, now: float, cost: _Cost) -> _Cost:
+        """CPU cost of *node_id* at *now* — one cost, or an array of
+        them — with slowdowns applied."""
         slows = self._slow_by_node.get(node_id)
         if not slows:
             return cost
         for slow in slows:
             if slow.start <= now < slow.stop:
-                cost *= slow.factor
+                cost = cost * slow.factor
                 if slow not in self._slow_fired:
                     self._slow_fired.add(slow)
                     self._record("slow", node_id, now, info=slow.factor)
         return cost
+
+    def slowed_units(
+        self, node_id: int, now: float, costs: npt.NDArray[np.float64]
+    ) -> tuple[npt.NDArray[np.float64], float]:
+        """:meth:`scaled_cpu` of a run of work-unit *costs*, with the
+        instant until which it holds: the next start or stop of one of
+        *node_id*'s slowdowns after *now* (``inf``: none).  A unit that
+        starts at or after that instant must be costed again."""
+        edges = (
+            edge
+            for slow in self._slow_by_node.get(node_id, ())
+            for edge in (slow.start, slow.stop)
+            if edge > now
+        )
+        return self.scaled_cpu(node_id, now, costs), min(edges, default=float("inf"))
 
     # -- bookkeeping ----------------------------------------------------
     def _record(

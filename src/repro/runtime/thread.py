@@ -15,6 +15,9 @@ import threading
 import time
 import typing as t
 
+import numpy as np
+import numpy.typing as npt
+
 
 class KilledNode(BaseException):
     """Raised inside a node generator when its node was crash-injected.
@@ -98,6 +101,19 @@ class ThreadRuntime:
 
     def cpu(self, cost: float) -> Thunk:
         return self.sleep(cost)
+
+    def cpu_units(
+        self, costs: npt.NDArray[np.float64], until: float = float("inf")
+    ) -> Thunk:
+        # No event queue to consult on a wall clock: one sleep for the
+        # whole run, and every unit exists from the instant we wake.
+        wall = float(costs.sum()) * self.time_scale
+
+        def fn() -> npt.NDArray[np.float64]:
+            time.sleep(wall)
+            return np.full(len(costs), self.now())
+
+        return Thunk(fn)
 
     def spawn(self, generator: t.Generator, name: str = "") -> ThreadHandle:
         handle = ThreadHandle(

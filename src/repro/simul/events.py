@@ -19,6 +19,11 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _PENDING = object()
 
 
+def _require_exception(value: object) -> None:
+    if not isinstance(value, BaseException):
+        raise TypeError("fail() requires an exception instance")
+
+
 class Event:
     """A one-shot occurrence on a :class:`~repro.simul.kernel.Simulator`.
 
@@ -61,17 +66,20 @@ class Event:
         return self._value
 
     # -- triggering ----------------------------------------------------
-    def succeed(self, value: t.Any = None, *, delay: float = 0.0) -> "Event":
+    def succeed(
+        self, value: t.Any = None, *, delay: float = 0.0, at: float | None = None
+    ) -> "Event":
         """Trigger the event successfully with *value*.
 
         The event is scheduled ``delay`` simulated seconds in the future
-        (default: immediately, i.e. at the current simulation time).
+        (default: immediately, i.e. at the current simulation time), or
+        at the absolute time *at* when given.
         """
         if self.triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
+        self.sim._schedule(self, delay, at=at)
         return self
 
     def fail(self, exception: BaseException, *, delay: float = 0.0) -> "Event":
@@ -80,8 +88,7 @@ class Event:
         Processes waiting on the event will have the exception thrown
         into them at their ``yield`` statement.
         """
-        if not isinstance(exception, BaseException):
-            raise TypeError("fail() requires an exception instance")
+        _require_exception(exception)
         if self.triggered:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = False

@@ -44,6 +44,8 @@ class Simulator:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._serial = count()
         self._active_processes = 0
+        #: Where a numeric ``run(until=...)`` stops; ``inf`` otherwise.
+        self._horizon = float("inf")
 
     # -- clock -----------------------------------------------------------
     @property
@@ -60,7 +62,19 @@ class Simulator:
         """Create an event firing ``delay`` seconds from now."""
         return Timeout(self, delay, value)
 
-    def process(self, generator: t.Generator, name: str = "") -> Process:
+    def timeout_at(self, at: float, value: t.Any = None) -> Event:
+        """Create an event firing at the absolute time *at*.
+
+        Exactly *at*: ``timeout(at - now)`` lands on ``now + (at - now)``,
+        which in floats need not be *at* — a caller that computed an
+        instant by its own arithmetic and must meet it to the bit
+        schedules it here.
+        """
+        return Event(self, name="timeout_at").succeed(value, at=at)
+
+    def process(
+        self, generator: t.Generator[t.Any, t.Any, t.Any], name: str = ""
+    ) -> Process:
         """Spawn a cooperative process driving *generator*."""
         return Process(self, generator, name=name)
 
@@ -74,13 +88,25 @@ class Simulator:
 
     # -- scheduling (kernel internal) -------------------------------------
     def _schedule(
-        self, event: Event, delay: float = 0.0, priority: int = PRIORITY_NORMAL
+        self,
+        event: Event,
+        delay: float = 0.0,
+        priority: int = PRIORITY_NORMAL,
+        at: float | None = None,
     ) -> None:
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay!r})")
-        heapq.heappush(
-            self._queue, (self._now + delay, priority, next(self._serial), event)
-        )
+        """Queue *event* ``delay`` seconds from now, or — when given —
+        at the absolute time *at*, taken as is."""
+        if at is None:
+            if delay < 0:
+                raise SimulationError(
+                    f"cannot schedule in the past (delay={delay!r})"
+                )
+            at = self._now + delay
+        elif at < self._now:
+            raise SimulationError(
+                f"cannot schedule in the past (at={at!r}, now={self._now!r})"
+            )
+        heapq.heappush(self._queue, (at, priority, next(self._serial), event))
 
     # -- execution ---------------------------------------------------------
     def step(self) -> None:
@@ -97,6 +123,19 @@ class Simulator:
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
+
+    def quiet_until(self) -> float:
+        """The instant up to which nothing is scheduled to happen: the
+        next queued event or the horizon of a numeric ``run(until=...)``,
+        whichever is first (``inf`` when neither exists).
+
+        Whatever the running process does **strictly before** this
+        instant no other process can observe step by step, so it may be
+        folded into one event.  An event *at* this instant is another
+        matter: whether it runs before or after a queued one is decided
+        by their FIFO serials, which only scheduling it can assign.
+        """
+        return min(self.peek(), self._horizon)
 
     def run(self, until: float | Event | None = None) -> t.Any:
         """Run the simulation.
@@ -136,7 +175,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot run until {horizon!r}, already at {self._now!r}"
             )
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
+        self._horizon = horizon
+        try:
+            while self._queue and self._queue[0][0] <= horizon:
+                self.step()
+        finally:
+            self._horizon = float("inf")
         self._now = horizon
         return None

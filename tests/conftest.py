@@ -97,6 +97,27 @@ def assert_slave_views_agree(result) -> None:
     assert merged.tolist() == result.delays.histogram.tolist()
 
 
+def run_pass(module, emit_time: float) -> list[tuple[str, float]]:
+    """Drive one bounded pass of *module*, retiring its steps one unit
+    at a time, every unit at *emit_time*; returns each unit's ``(kind,
+    cost)`` in order."""
+    emit = np.array([float(emit_time)])
+    units = []
+    for step in module.steps():
+        for i, cost in enumerate(step.costs.tolist()):
+            step.retire(i, i + 1, emit)
+            units.append((step.kind, cost))
+    return units
+
+
+def drain(module, emit_time: float) -> list[tuple[str, float]]:
+    """:func:`run_pass` until *module* has no buffered work left."""
+    units = []
+    while module.has_work:  # passes are bounded to one batch per pid
+        units += run_pass(module, emit_time)
+    return units
+
+
 def flush_head(group, mini, sid: int, collect_pairs: bool = True):
     """Flush stream *sid*'s head block of *mini* the way a join-module
     unit does, one block at a time: probe the opposite stream's run of

@@ -12,6 +12,7 @@ from repro.errors import ProtocolError
 from repro.reference import naive_window_join
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
+from tests.conftest import drain, run_pass
 
 
 def make_module(geometry, npart=4, collect_pairs=False, gate_start=0.0):
@@ -30,13 +31,9 @@ def make_module(geometry, npart=4, collect_pairs=False, gate_start=0.0):
 
 
 def process_all(module, emit_time=100.0):
-    total_cost = 0.0
-    while module.has_work:  # passes are bounded to one batch per pid
-        for unit in module.work_units():
-            assert unit.cost >= 0.0
-            total_cost += unit.cost
-            unit.execute(emit_time)
-    return total_cost
+    costs = [cost for _kind, cost in drain(module, emit_time)]
+    assert all(cost >= 0.0 for cost in costs)
+    return sum(costs, 0.0)
 
 
 def workload_batch(t0, t1, rate=200.0, seed=0, domain=1000):
@@ -202,7 +199,7 @@ class TestProcessing:
         # Push a *newer* head in front of it, as restore-replay ordering
         # can: the queue's oldest tuple is now behind the head.
         head = TupleBatch.build(ts=[45.0], key=[1], seq=[9], stream=0)
-        module._minibuffers[pid].appendleft(head)
+        module._minibuffers[pid].appendleft((45.0, head))
         module._rearm_watermark()
         assert module._oldest_pending_ts == 40.0
 
@@ -236,8 +233,7 @@ class TestProcessing:
                 epoch * 2.0, (epoch + 1) * 2.0, rate=400.0, domain=10_000_001
             )
             module.enqueue(Shipment(epoch, epoch * 2.0, (epoch + 1) * 2.0, batch))
-            for unit in module.work_units():
-                unit.execute((epoch + 1) * 2.0)
+            run_pass(module, (epoch + 1) * 2.0)
             for bucket in module.groups[0].directory.buckets():
                 max_scan = max(max_scan, bucket.payload.bytes_used)
         # Sizes measured after maintenance: within 2*theta plus the
@@ -338,8 +334,8 @@ class TestCosts:
 
         miss = TupleBatch.build(ts=[1.5], key=[99], stream=0)
         module.enqueue(Shipment(1, 1.0, 2.0, miss))
-        probes = [u for u in _run_and_collect(module) if u.kind == "probe"]
-        assert [u.cost for u in probes] == [
+        units = run_pass(module, 10.0)
+        assert [cost for kind, cost in units if kind == "probe"] == [
             module.cost_model.probe_cost(1, opposite.committed_bytes)
         ]
 
@@ -347,17 +343,9 @@ class TestCosts:
         module, _ = make_module(geometry)
         batch = workload_batch(0.0, 2.0, rate=600.0)
         module.enqueue(Shipment(0, 0.0, 2.0, batch))
-        kinds = {unit.kind for unit in _run_and_collect(module)}
+        kinds = {kind for kind, _cost in run_pass(module, 10.0)}
         assert "expire" in kinds
         assert "probe" in kinds
-
-
-def _run_and_collect(module):
-    units = []
-    for unit in module.work_units():
-        units.append(unit)
-        unit.execute(10.0)
-    return units
 
 
 class TestConcurrentFiling:
@@ -365,6 +353,22 @@ class TestConcurrentFiling:
     (thread/process/tcp backends): the mini-buffers must tolerate it."""
 
     def test_enqueue_races_drain_without_losing_updates(self, geometry):
+        self.stress(geometry, lambda module: run_pass(module, 100.0))
+
+    def test_enqueue_races_a_retire_in_progress(self, geometry):
+        """The same race against whole-step retires, as the wall
+        backends drive a pass: one ``retire`` moves many blocks' worth of
+        ``_pending_bytes`` while the comm thread keeps filing."""
+
+        def whole_steps(module):
+            for step in module.steps():
+                n = len(step.costs)
+                step.retire(0, n, np.full(n, 100.0))
+
+        self.stress(geometry, whole_steps)
+
+    @staticmethod
+    def stress(geometry, one_pass):
         import sys
         import threading
         import time
@@ -412,8 +416,7 @@ class TestConcurrentFiling:
                 while not filed.is_set() or module.has_work:
                     if time.monotonic() > give_up:
                         raise TimeoutError("drain loop overran its bound")
-                    for unit in module.work_units():
-                        unit.execute(100.0)
+                    one_pass(module)
             except BaseException as error:  # noqa: BLE001 - asserted below
                 errors.append(error)
 

@@ -6,7 +6,7 @@ window state — shipments, bounded passes, partition moves, replication
 checkpoints with crash + log replay, and hand-built states whose head
 blocks are non-empty — over two :class:`JoinModule` objects with a
 4-tuple block and a theta of three blocks, so splits and merges fire
-within a few dozen tuples.  Two properties are asserted:
+within a few dozen tuples.  Three properties are asserted:
 
 (a) the pair multiset collected over the run equals
     ``brute_force_pairs`` on everything ever shipped;
@@ -16,7 +16,15 @@ within a few dozen tuples.  Two properties are asserted:
     same mini-group, commit — over plain Python rows and
     ``probe_sorted``.  It reads the module under test only for the
     *shape* of its directories (which bucket a key hashes to); sizes,
-    costs, matches and the tuning policy are its own.
+    costs, matches and the tuning policy are its own;
+(c) the module retires its steps in hypothesis-drawn prefixes — one
+    unit, the whole step, arbitrary cuts — and wherever a prefix ends,
+    what an observer could read between two units (``window_bytes``,
+    ``pending_bytes``, ``tuples_processed``, ``outputs_emitted``, every
+    window's ``n_committed`` / ``n_fresh``) is what the reference holds
+    between the same two units; each unit gets its own emit time, so a
+    row recorded at another unit's instant is a failure.  After every
+    operation each group's running ``total_bytes`` equals the walk.
 
 Timestamps are integers so ``|dt| == W`` is common.  A batch is not
 timestamp-sorted (stream-1 rows may precede stream-0 rows that are
@@ -26,7 +34,8 @@ non-decreasing, which is what ``GrowableSoA.append`` insists on.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
+from itertools import count, cycle
 
 import numpy as np
 from hypothesis import given, settings
@@ -51,6 +60,8 @@ from tests.conftest import brute_force_pairs
 TPB = 4
 NPART = 2
 EMIT_TIME = 10_000.0
+#: A prefix length no step reaches: "the whole step".
+WHOLE = 10**6
 COST_MODEL = CostModel(SystemConfig.paper_defaults().cost)
 
 
@@ -199,18 +210,20 @@ class Reference:
 
 
 class RecordingMetrics(SlaveMetrics):
-    """Keeps what each unit records, in call order."""
+    """Keeps what is recorded, row by row, in call order."""
 
     def __init__(self, node_id: int) -> None:
         super().__init__(node_id, MeasurementWindow(0.0))
-        self.recorded: list = []
+        self.outputs: list = []  # (emit time, newer ts) per output row
+        self.pair_rows: list = []  # (pid, s0 seq, s1 seq) per pair
 
     def record_outputs(self, emit_time, newer_ts) -> None:
-        self.recorded.append(("outputs", newer_ts.tolist()))
+        emits = np.broadcast_to(emit_time, newer_ts.shape)
+        self.outputs.extend(zip(emits.tolist(), newer_ts.tolist()))
         super().record_outputs(emit_time, newer_ts)
 
     def record_pairs(self, pid, rows) -> None:
-        self.recorded.append(("pairs", pid, rows.tolist()))
+        self.pair_rows.extend((pid, *row) for row in rows.tolist())
         super().record_pairs(pid, rows)
 
 
@@ -228,6 +241,8 @@ class Harness:
         for pid in range(NPART):
             self.modules[0].add_partition(pid)
         self.clock = 0.0
+        #: Every unit of the run is retired at an emit time of its own.
+        self.emit_clock = count()
         self.next_seq = [0, 0]
         self.trace: list[TupleBatch] = []
         #: Pairs that left a module with a checkpoint (they survive a crash).
@@ -260,12 +275,15 @@ class Harness:
             if pid in self.checkpoints:
                 self.checkpoints[pid][2].append(sub)
 
-    def run_pass(self, which: int) -> None:
-        module, metrics = self.modules[which], self.metrics[which]
+    def run_pass(self, which: int, cuts=(WHOLE,)) -> None:
+        """One pass of module *which*, each step retired in prefixes of
+        the lengths *cuts* cycles through."""
+        module, metrics, ref = self.modules[which], self.metrics[which], self.ref
+        owned = set(module.groups)
         held = [
             row[0]
-            for (pid, _pattern, _sid), rows in self.ref.heads.items()
-            if pid in module.groups
+            for (pid, _pattern, _sid), rows in ref.heads.items()
+            if pid in owned
             for row in rows
         ]
         if held:
@@ -275,13 +293,113 @@ class Harness:
             # way a shipment's ``epoch_start`` would.
             module.enqueue(Shipment(0, min(held), min(held), TupleBatch.empty()))
         cutoff = module._oldest_pending_ts - self.geometry.window_seconds
-        expected = self.ref.units(module, cutoff)
-        for unit in module.work_units():
-            want = next(expected)
-            metrics.recorded = []
-            unit.execute(EMIT_TIME)
-            assert (unit.kind, unit.cost, metrics.recorded) == want
+
+        # What the pass starts from, read off the reference alone.
+        drained = sum(len(q[0]) for pid, q in ref.queues.items() if q and pid in owned)
+        expired = sum(
+            row[0] < cutoff
+            for (pid, _sid), rows in ref.committed.items()
+            if pid in owned
+            for row in rows
+        )
+        in_windows = self._ref_tuples(owned)
+        processed, emitted = metrics.tuples_processed, metrics.outputs_emitted
+        pulled = n_rows = 0
+        due = False  # a state check is owed at the next between-units point
+
+        def check_state() -> None:
+            """The module now against the reference now."""
+            nonlocal due
+            due = False
+            after_expiry = in_windows - (expired if pulled else 0)
+            admitted = self._ref_tuples(owned) - after_expiry
+            queued = sum(len(b) for pid in owned for b in ref.queues.get(pid, ()))
+            tb = self.geometry.tuple_bytes
+            assert module.pending_bytes == (queued + drained - admitted) * tb
+            assert metrics.tuples_processed == processed + admitted
+            assert metrics.outputs_emitted == emitted + n_rows
+            self._check_windows(module)
+
+        # The reference flushes a unit before it yields it; what sits
+        # *between* two units is its state on entry to the flush.
+        def flush(group, pattern, sid):
+            if due:
+                check_state()
+            return Reference.flush(ref, group, pattern, sid)
+
+        ref.flush = flush
+        expected = ref.units(module, cutoff)
+        sizes = cycle(cuts)
+        for step in module.steps():
+            lo, n = 0, len(step.costs)
+            assert n > 0
+            while lo < n:
+                hi = min(n, lo + next(sizes))
+                # The reference runs ahead of the module by the prefix:
+                # it only reads the directory's shape, which a prefix
+                # never changes under it (a round of splits is sized
+                # before any of them runs).
+                due = True
+                want = []
+                for _ in range(lo, hi):
+                    want.append(next(expected))
+                    if due:  # not a flush: the reference yields, then acts
+                        check_state()
+                    pulled += 1
+                emits = [EMIT_TIME + next(self.emit_clock) for _ in range(lo, hi)]
+                metrics.outputs, metrics.pair_rows = [], []
+                step.retire(lo, hi, np.array(emits))
+                outputs, pairs = [], []
+                for emit, cost, (kind, want_cost, rows) in zip(
+                    emits, step.costs[lo:hi].tolist(), want
+                ):
+                    assert (step.kind, cost) == (kind, want_cost)
+                    for row in rows:
+                        if row[0] == "outputs":
+                            outputs += [(emit, newer) for newer in row[1]]
+                        else:
+                            pairs += [(row[1], *pair) for pair in row[2]]
+                assert metrics.outputs == outputs
+                assert metrics.pair_rows == pairs
+                n_rows += len(outputs)
+                lo = hi
         assert next(expected, None) is None
+        del ref.flush
+        if pulled:
+            check_state()
+
+    def _ref_tuples(self, pids) -> int:
+        """Tuples the reference holds in the windows of *pids*."""
+        ref = self.ref
+        return sum(
+            len(rows) for (pid, _), rows in ref.committed.items() if pid in pids
+        ) + sum(len(rows) for (pid, _, _), rows in ref.heads.items() if pid in pids)
+
+    def _check_windows(self, module) -> None:
+        """Every window of *module* holds what the reference says, and
+        the byte totals follow from those counts."""
+        ref, g = self.ref, self.geometry
+        total = 0
+        for pid, group in module.groups.items():
+            assert group.total_bytes == group.bytes_used
+            for sid in (0, 1):
+                committed = Counter(
+                    ref.pattern(group, row) for row in ref.committed.get((pid, sid), ())
+                )
+                for bucket in group.directory.buckets():
+                    window = bucket.payload.windows[sid]
+                    n_fresh = len(ref.heads.get((pid, bucket.pattern, sid), ()))
+                    assert window.n_committed == committed[bucket.pattern]
+                    assert window.n_fresh == n_fresh
+                    total += block_bytes_used(
+                        window.n_committed + n_fresh, TPB, g.block_bytes
+                    )
+        assert module.window_bytes == total
+
+    def check_totals(self) -> None:
+        for module in self.modules:
+            for group in module.groups.values():
+                assert group.total_bytes == group.bytes_used
 
     def _install(self, module, pid, state, buffered, log=None) -> None:
         if log is None:
@@ -368,10 +486,10 @@ class Harness:
         self._install(self.modules[onto], pid, state, buffered, log)
 
     # -- verdict ----------------------------------------------------------
-    def finish(self) -> None:
+    def finish(self, cuts=(WHOLE,)) -> None:
         while any(m.has_work for m in self.modules):
             for which in (0, 1):
-                self.run_pass(which)
+                self.run_pass(which, cuts)
         chunks = self.banked + [c for m in self.metrics for c in m.pair_chunks()]
         found = [tuple(r) for c in chunks for r in c.tolist()]
         trace = TupleBatch.concat(self.trace) if self.trace else TupleBatch.empty()
@@ -395,6 +513,12 @@ def scenarios(draw):
         st.integers(0, n_keys - 1),
     )
     pid = st.integers(0, NPART - 1)
+    # How a pass retires its steps: unit by unit, whole, or in pieces.
+    cuts = st.one_of(
+        st.just([1]),
+        st.just([WHOLE]),
+        st.lists(st.integers(1, 7), min_size=1, max_size=5),
+    )
     # Sizes are drawn first: hypothesis's own list lengths stay far too
     # short for a mini-group to outgrow two thetas.
     batch = st.integers(1, 48).flatmap(
@@ -403,8 +527,8 @@ def scenarios(draw):
     op = st.one_of(
         st.tuples(st.just("enqueue"), batch, st.booleans()),
         st.tuples(st.just("enqueue"), batch, st.booleans()),
-        st.tuples(st.just("pass"), st.integers(0, 1)),
-        st.tuples(st.just("pass"), st.integers(0, 1)),
+        st.tuples(st.just("pass"), st.integers(0, 1), cuts),
+        st.tuples(st.just("pass"), st.integers(0, 1), cuts),
         st.tuples(st.just("move"), pid),
         st.tuples(st.just("rehead"), pid,
                   st.lists(st.integers(0, TPB), min_size=2, max_size=2)),
@@ -413,15 +537,16 @@ def scenarios(draw):
     )
     window = float(draw(st.sampled_from([2, 8, 30, 10_000])))
     n_ops = draw(st.integers(0, 40))
-    return window, draw(st.lists(op, min_size=n_ops, max_size=n_ops))
+    return window, draw(st.lists(op, min_size=n_ops, max_size=n_ops)), draw(cuts)
 
 
 @given(scenario=scenarios())
 @settings(max_examples=150, deadline=None)
 def test_module_equals_per_unit_reference_and_oracle(scenario):
-    window, ops = scenario
+    window, ops, last_cuts = scenario
     harness = Harness(window)
     for op, *args in ops:
+        harness.check_totals()
         if op == "enqueue":
             harness.enqueue(*args)
         elif op == "pass":
@@ -434,7 +559,8 @@ def test_module_equals_per_unit_reference_and_oracle(scenario):
             harness.checkpoint(*args)
         else:
             harness.crash_and_restore(*args)
-    harness.finish()
+    harness.finish(last_cuts)
+    harness.check_totals()
 
 
 def test_scenarios_reach_splits_merges_and_full_hand_built_heads():
@@ -444,7 +570,7 @@ def test_scenarios_reach_splits_merges_and_full_hand_built_heads():
     harness = Harness(window=6.0)
     spread = [(i % 2, 0, i) for i in range(48)]  # 48 keys at one instant
     harness.enqueue(spread, False)
-    harness.run_pass(0)
+    harness.run_pass(0, cuts=[2, 5])
     assert harness.metrics[0].splits > 0
     harness.checkpoint(0)
     harness.enqueue([(0, 0, 5)] * 6 + [(1, 0, 5)] * 3, True)
@@ -452,11 +578,11 @@ def test_scenarios_reach_splits_merges_and_full_hand_built_heads():
     pid_of_5 = int(partition_of(np.array([5]), NPART)[0])
     if pid_of_5 == 0:
         assert any(len(v) == TPB for v in harness.ref.heads.values())
-    harness.run_pass(1)
+    harness.run_pass(1, cuts=[1])
     harness.crash_and_restore(0, onto=0)
     harness.enqueue([(0, 9, 1), (1, 9, 2)], False)  # everything expires
     harness.run_pass(0)
     harness.run_pass(1)
     harness.enqueue([(0, 1, 3), (1, 0, 3)], False)
-    harness.finish()
+    harness.finish(cuts=[3])
     assert sum(m.merges for m in harness.metrics) > 0

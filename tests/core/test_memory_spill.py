@@ -11,6 +11,7 @@ from repro.reference import naive_window_join
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer
+from tests.conftest import drain
 
 
 class TestSpillCost:
@@ -55,9 +56,7 @@ class TestSpillFraction:
             ts=np.linspace(0, 1, n), key=np.arange(n) * 7, stream=0
         )
         module.enqueue(Shipment(0, 0.0, 1.0, batch))
-        while module.has_work:
-            for unit in module.work_units():
-                unit.execute(1.0)
+        drain(module, 1.0)
         assert module.window_bytes > 512
         expected = 1.0 - 512 / module.window_bytes
         assert module.spill_fraction() == pytest.approx(expected)

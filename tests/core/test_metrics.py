@@ -325,6 +325,98 @@ class TestSlaveMetricsGating:
             assert key in snap
 
 
+class TestStepGating:
+    """A retired run of work units is charged and recorded unit by unit:
+    what ``charge_cpu_units`` / array ``record_outputs`` leave is to the
+    bit what one scalar call per unit leaves."""
+
+    #: Unit ``i`` runs from ``EDGES[i]`` to ``EDGES[i + 1]`` and emits
+    #: ``ROWS[i]`` output rows.
+    EDGES = np.add.accumulate([9.2, 0.3, 0.30000000000000004, 0.7, 0.1, 0.45])
+    ROWS = [2, 0, 3, 1, 2]
+
+    def per_unit(self, gate, kind="probe"):
+        """Reference: one ``charge_cpu`` + one ``record_outputs`` a unit."""
+        m = SlaveMetrics(0, gate)
+        edges = self.EDGES.tolist()
+        for i, n in enumerate(self.ROWS):
+            m.charge_cpu(kind, edges[i], edges[i + 1])
+            m.record_outputs(edges[i + 1], np.full(n, edges[i] - 1.0))
+        return m
+
+    def stepwise(self, gate, cuts, kind="probe"):
+        """The same units retired in prefixes ending at *cuts*."""
+        m = SlaveMetrics(0, gate)
+        rows, lo = np.asarray(self.ROWS), 0
+        for hi in cuts:
+            ends = self.EDGES[lo + 1 : hi + 1]
+            m.charge_cpu_units(kind, float(self.EDGES[lo]), ends)
+            m.record_outputs(
+                np.repeat(ends, rows[lo:hi]),
+                np.repeat(self.EDGES[lo:hi] - 1.0, rows[lo:hi]),
+            )
+            lo = hi
+        return m
+
+    @staticmethod
+    def same(a, b):
+        assert (a.cpu_probe, a.cpu_expire, a.cpu_tuning) == (
+            b.cpu_probe, b.cpu_expire, b.cpu_tuning
+        )
+        assert a.outputs_emitted == b.outputs_emitted
+        assert a.delays.total == b.delays.total
+        assert a.delays.snapshot() == b.delays.snapshot()
+        assert a.delays.histogram.tolist() == b.delays.histogram.tolist()
+
+    @pytest.mark.parametrize("cuts", [[5], [1, 2, 3, 4, 5], [2, 5], [3, 4, 5]])
+    def test_step_straddling_gate_start(self, cuts):
+        # The gate opens in the middle of unit 1 (9.5 .. 9.8).
+        gate = MeasurementWindow(9.65)
+        step = self.stepwise(gate, cuts)
+        self.same(step, self.per_unit(gate))
+        # Unit 0 ends before the gate: charges nothing, records nothing.
+        # Unit 1 straddles it: charges its overlap only (and emits, at
+        # 9.8, inside — but it has no rows).
+        edges = self.EDGES.tolist()
+        expected = edges[2] - 9.65
+        for a, b in zip(edges[2:], edges[3:]):
+            expected += b - a
+        assert step.cpu_probe == expected
+        assert step.outputs_emitted == sum(self.ROWS[1:])
+
+    @pytest.mark.parametrize("cuts", [[5], [1, 2, 3, 4, 5], [2, 5], [4, 5]])
+    def test_step_straddling_gate_stop(self, cuts):
+        # The gate closes in the middle of unit 3 (10.1 .. 10.8).
+        gate = MeasurementWindow(0.0, 10.5)
+        step = self.stepwise(gate, cuts)
+        self.same(step, self.per_unit(gate))
+        edges = self.EDGES.tolist()
+        expected = 0.0
+        for a, b in zip(edges[:3], edges[1:4]):
+            expected += b - a
+        expected += 10.5 - edges[3]
+        assert step.cpu_probe == expected
+        # Unit 3 emits at 10.8, past the gate: its row is not recorded,
+        # nor are unit 4's.
+        assert step.outputs_emitted == sum(self.ROWS[:3])
+
+    def test_step_wholly_outside_charges_and_records_nothing(self):
+        step = self.stepwise(MeasurementWindow(50.0), [5], kind="tune")
+        assert (step.cpu_tuning, step.outputs_emitted) == (0.0, 0)
+        assert step.delays.count == 0
+
+    def test_kinds_accrue_to_their_own_accounts(self):
+        gate = MeasurementWindow(0.0)
+        for kind, attr in (
+            ("probe", "cpu_probe"), ("expire", "cpu_expire"), ("tune", "cpu_tuning")
+        ):
+            step, ref = self.stepwise(gate, [2, 5], kind), self.per_unit(gate, kind)
+            assert getattr(step, attr) == getattr(ref, attr) > 0.0
+            assert step.cpu_total == getattr(step, attr)
+        with pytest.raises(ValueError):
+            SlaveMetrics(0, gate).charge_cpu_units("bogus", 0.0, np.array([1.0]))
+
+
 class TestMasterMetrics:
     def test_buffer_sampling(self):
         metrics = MasterMetrics(MeasurementWindow(0.0))

@@ -16,6 +16,7 @@ from repro.data.tuples import TupleBatch
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer
+from tests.conftest import drain
 
 
 
@@ -236,9 +237,7 @@ class TestModuleThreeWayFineTuned:
             batch = wl.generate(float(epoch), float(epoch + 1))
             trace.append(batch)
             module.enqueue(Shipment(epoch, float(epoch), float(epoch + 1), batch))
-            while module.has_work:
-                for unit in module.work_units():
-                    unit.execute(float(epoch + 1))
+            drain(module, float(epoch + 1))
         assert metrics.splits > 0
         assert max(g.n_mini_groups for g in module.groups.values()) > 1
         got = np.concatenate(metrics.pair_chunks())

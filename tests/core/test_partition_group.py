@@ -186,3 +186,91 @@ class TestStateMovement:
         fill(src, 32)
         state = src.extract_state()
         assert state.payload_bytes(64) == 32 * 64
+
+
+class TestTotalBytes:
+    """``total_bytes`` is ``bytes_used`` without the walk: every group
+    operation that changes a window's tuple count keeps it in step."""
+
+    @staticmethod
+    def admit(group, sid, rows, blocks_committed=True):
+        """Admit *rows* through ``PartitionGroup.admit`` the way a
+        join-module step does: per mini-group, whole blocks committed
+        (or not), the remainder left in the head block."""
+        tpb = group.geometry.tuples_per_block
+        batch = TupleBatch.build(
+            ts=[r[0] for r in rows],
+            key=[r[1] for r in rows],
+            seq=[r[2] for r in rows],
+            stream=sid,
+        )
+        patterns, buckets = group.route(batch.key)
+        for pattern, bucket in buckets.items():
+            sub = batch.take(np.flatnonzero(patterns == pattern))
+            window = bucket.payload.windows[sid]
+            whole = (window.n_fresh + len(sub)) // tpb * tpb
+            group.admit(
+                window, sub.ts, sub.key, sub.seq, whole if blocks_committed else 0
+            )
+            assert group.total_bytes == group.bytes_used
+
+    def test_follows_every_operation(self, geometry):
+        group = PartitionGroup(0, geometry)
+        assert group.total_bytes == 0
+        rows = [(i * 0.01, i * 31, i) for i in range(150)]
+        self.admit(group, 0, rows[:2], blocks_committed=False)  # heads only
+        self.admit(group, 0, rows[2:])
+        self.admit(group, 1, [(1.5 + t, k, s) for t, k, s in rows[:70]])
+        assert group.total_bytes == group.bytes_used > 0
+        for bucket in group.directory.buckets():  # empty the head blocks
+            for window in bucket.payload.windows:
+                window.commit_fresh()
+        assert group.total_bytes == group.bytes_used
+        while group.oversized_buckets():  # splits round each half up
+            group.split_bucket(group.oversized_buckets()[0])
+            assert group.total_bytes == group.bytes_used
+        assert group.n_mini_groups > 1
+        group.expire_before(1.0)  # drops most of stream 0, none of stream 1
+        assert group.total_bytes == group.bytes_used
+        merged = 0
+        for bucket in group.directory.buckets():
+            if group.directory.bucket_for(bucket.pattern) is bucket:
+                merged += bool(group.try_merge_bucket(bucket))
+                assert group.total_bytes == group.bytes_used
+        assert merged
+        held = group.total_bytes
+        state = group.extract_state()
+        assert group.total_bytes == group.bytes_used == 0
+        other = PartitionGroup(0, geometry)
+        other.install_state(state)
+        assert other.total_bytes == other.bytes_used == held
+
+    def test_absorb_is_a_pass_of_append_and_commit_per_block(self, geometry):
+        """``StreamWindow.absorb`` leaves what filling and committing the
+        head block one block at a time leaves."""
+        tpb = geometry.tuples_per_block
+        ts = np.arange(11, dtype=float)
+        key = np.arange(11, dtype=np.int64) * 3
+        seq = np.arange(11, dtype=np.int64)
+        for held in (0, 1, tpb):
+            fast = PartitionGroup(0, geometry).directory.buckets()[0].payload.windows[0]
+            slow = PartitionGroup(0, geometry).directory.buckets()[0].payload.windows[0]
+            for window in (fast, slow):
+                window.append_fresh(ts[:held] - 20, key[:held], seq[:held] + 100)
+            whole = (held + len(ts)) // tpb * tpb
+            fast.absorb(ts, key, seq, whole)
+            pos = 0
+            while pos < len(ts):
+                if slow.head_space() == 0:
+                    slow.commit_fresh()
+                take = min(slow.head_space(), len(ts) - pos)
+                slow.append_fresh(ts[pos:pos + take], key[pos:pos + take], seq[pos:pos + take])
+                pos += take
+            if slow.head_space() == 0:
+                slow.commit_fresh()
+            assert (fast.n_committed, fast.n_fresh) == (slow.n_committed, slow.n_fresh)
+            for a, b in zip(
+                (fast.committed.ts, fast.committed.key, fast.committed.seq, *fast.fresh_view()),
+                (slow.committed.ts, slow.committed.key, slow.committed.seq, *slow.fresh_view()),
+            ):
+                np.testing.assert_array_equal(a, b)

@@ -16,6 +16,7 @@ from repro.data.tuples import TupleBatch
 from repro.replication import BackupStore
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
+from tests.conftest import drain
 
 
 class TestPlanBackups:
@@ -155,9 +156,7 @@ class TestSnapshotRestoreRoundTrip:
         }
 
     def drain(self, module):
-        while module.has_work:
-            for unit in module.work_units():
-                unit.execute(100.0)
+        drain(module, 100.0)
 
     def shipments(self, n_epochs=4, rate=150.0, seed=3):
         wl = TwoStreamWorkload.poisson_bmodel(

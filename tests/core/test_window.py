@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.partition_group import JoinGeometry, PartitionGroup
 from repro.core.window import StreamWindow
-from tests.conftest import commit_rows, flush_head, tune
+from tests.conftest import commit_rows, flush_head, run_pass, tune
 
 
 def make_window(stream_id=0, tpb=4):
@@ -73,7 +73,7 @@ class TestHeadBlock:
     def test_bytes_used_counts_partial_head_block(self):
         w = make_window(tpb=4)
         w.append_fresh(*arrs([(1.0, 5, 0)]))
-        assert w.bytes_used(64) == 4 * 64  # one partial block
+        assert w.bytes_used == 4 * 64  # one partial block
 
     def test_committed_bytes_is_block_granular(self):
         w0 = make_window(0, tpb=4)
@@ -424,10 +424,7 @@ def test_perf_kernel_probe_span_still_sees_every_probe(
         ts=np.arange(10.0), key=np.full(10, 5), stream=np.arange(10) % 2
     )
     module.enqueue(Shipment(0, 0.0, 10.0, batch))
-    kinds = []
-    for unit in module.work_units():
-        unit.execute(10.0)
-        kinds.append(unit.kind)
+    kinds = [kind for kind, _cost in run_pass(module, 10.0)]
     assert kinds.count("probe") == 4
     assert len(calls) == 4
     assert metrics.outputs_emitted == 25
