@@ -36,6 +36,7 @@ from repro.baselines.framework import (
 )
 from repro.config import SystemConfig
 from repro.core.costmodel import CostModel
+from repro.core.hashing import bit_reverse
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import JoinGeometry, PartitionGroup
 from repro.core.protocol import Shipment
@@ -102,17 +103,13 @@ class CtrSlave(LightSlaveMixin):
         return slots == self.slot_index
 
     def handle_shipment(self, shipment: Shipment) -> t.Iterator[Step]:
-        cfg = self.cfg
-        geometry = self.group.geometry
+        cfg, group = self.cfg, self.group
         cutoff = shipment.epoch_start - cfg.window_seconds
 
         def expire(_emit: float) -> None:
-            self.group.expire_before(cutoff)
+            group.expire_before(cutoff)
 
-        expired = 0
-        for bucket in self.group.directory.buckets():
-            for window in bucket.payload.windows:
-                expired += window.committed.count_before(cutoff) * cfg.tuple_bytes
+        expired = group.count_before(cutoff) * cfg.tuple_bytes
         yield _unit("expire", self.cost_model.expire_cost(expired), expire)
 
         batch = shipment.batch
@@ -120,23 +117,23 @@ class CtrSlave(LightSlaveMixin):
             sub = batch.by_stream(sid)
             if not len(sub):
                 continue
-            patterns, buckets = self.group.route(sub.key)
-            for pattern in sorted(buckets):
-                mini = buckets[pattern].payload
-                idx = np.flatnonzero(patterns == pattern)
-                part = sub.take(idx)
+            at, gvals = group.route(sub.key)
+            for index in np.unique(at).tolist():
+                idx = np.flatnonzero(at == index)
+                part, rkey = sub.take(idx), bit_reverse(gvals[idx])
+                bucket = group.directory.buckets()[index]
                 cost = self.cost_model.probe_cost(
-                    len(part), mini.windows[1 - sid].committed_bytes
+                    len(part), group.committed_bytes(bucket, 1 - sid)
                 )
 
-                def run(emit: float, part=part, mini=mini, sid=sid) -> None:
+                def run(emit: float, part=part, rkey=rkey, sid=sid) -> None:
                     # The group's run holds every mini-group's tuples;
                     # mini-groups are key-disjoint, so *part* matches
                     # only those of its own.
-                    result = self.group.probe(
+                    result = group.probe(
                         1 - sid,
                         part.ts,
-                        part.key,
+                        rkey,
                         part.seq,
                         collect_pairs=self.collect_pairs,
                     )
@@ -148,25 +145,21 @@ class CtrSlave(LightSlaveMixin):
                         pairs = result.pairs
                         if sid == 1:
                             pairs = pairs[:, ::-1]
-                        self.metrics.record_pairs(self.group.pid, pairs)
-                    home = part.select(self._home_mask(part.ts))
-                    if len(home):
-                        self.group.admit(
-                            mini.windows[sid], home.ts, home.key, home.seq, len(home)
-                        )
-                        self.group.commit(sid, home.ts, home.key, home.seq)
+                        self.metrics.record_pairs(group.pid, pairs)
+                    home = self._home_mask(part.ts)
+                    if home.any():
+                        group.admit(sid, rkey[home], part.ts[home], part.seq[home])
 
                 yield _unit("probe", cost, run)
         # Fine tuning still applies to the local slices.
-        if geometry.fine_tuning:
-            for bucket in self.group.oversized_buckets():
-                cost = self.cost_model.tuning_cost(bucket.payload.bytes_used)
+        if group.geometry.fine_tuning:
+            for bucket, nbytes in group.tuning_candidates()[0]:
 
                 def tune(_emit: float, b=bucket) -> None:
-                    self.group.split_bucket(b)
+                    group.split_bucket(b)
                     self.metrics.splits += 1
 
-                yield _unit("tune", cost, tune)
+                yield _unit("tune", self.cost_model.tuning_cost(nbytes), tune)
 
     @property
     def window_bytes(self) -> int:

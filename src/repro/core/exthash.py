@@ -18,34 +18,35 @@ the most significant bit of the pattern).  The paper states the buddy
 formula for a contiguous (MSB-indexed) directory layout; this is the
 exact equivalent for the LSB layout it also prescribes.  Buckets merge
 only when both have the same local depth.
+
+The directory holds no tuples: a bucket is its ``(local_depth,
+pattern)``, and what it holds is whatever hashes to it — so a split or a
+merge is a relabelling (:mod:`repro.core.partition_group` keeps the
+tuples, ordered so that every bucket is one range of them).
 """
 
 from __future__ import annotations
 
 import typing as t
 
+import numpy as np
+import numpy.typing as npt
+
 from repro.errors import SimulationError
-
-if t.TYPE_CHECKING:
-    import numpy as np
-    import numpy.typing as npt
-
-T = t.TypeVar("T")
 
 #: Hard cap on the directory's global depth; prevents unbounded
 #: splitting when a single hot key concentrates an entire bucket.
 MAX_GLOBAL_DEPTH = 16
 
 
-class Bucket(t.Generic[T]):
+class Bucket:
     """A directory bucket (one mini-partition-group)."""
 
-    __slots__ = ("local_depth", "pattern", "payload")
+    __slots__ = ("local_depth", "pattern")
 
-    def __init__(self, local_depth: int, pattern: int, payload: T) -> None:
+    def __init__(self, local_depth: int, pattern: int) -> None:
         self.local_depth = local_depth
         self.pattern = pattern
-        self.payload = payload
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -54,12 +55,11 @@ class Bucket(t.Generic[T]):
         )
 
 
-class ExtendibleDirectory(t.Generic[T]):
-    """LSB-indexed extendible-hash directory of payload buckets."""
+class ExtendibleDirectory:
+    """LSB-indexed extendible-hash directory."""
 
     def __init__(
         self,
-        initial_payload: T,
         max_global_depth: int = MAX_GLOBAL_DEPTH,
         on_double: t.Callable[[int], None] | None = None,
     ) -> None:
@@ -68,8 +68,10 @@ class ExtendibleDirectory(t.Generic[T]):
         #: Observability hook: called with the new global depth whenever
         #: the directory doubles (the expensive structural change).
         self.on_double = on_double
-        self.slots: list[Bucket[T]] = [Bucket(0, 0, initial_payload)]
-        self._pattern_table: t.Any = None  # numpy cache, see pattern_table()
+        self.slots: list[Bucket] = [Bucket(0, 0)]
+        # Derived from ``slots``, rebuilt after a split or merge.
+        self._pattern_table: npt.NDArray[np.int64] | None = None
+        self._buckets: list[Bucket] | None = None
 
     def pattern_table(self) -> npt.NDArray[np.int64]:
         """``int64[2**global_depth]`` mapping slot -> bucket pattern.
@@ -77,11 +79,7 @@ class ExtendibleDirectory(t.Generic[T]):
         Cached between structural changes; used by the vectorized
         router on every batch.
         """
-        if self._pattern_table is None or len(self._pattern_table) != len(
-            self.slots
-        ):
-            import numpy as np
-
+        if self._pattern_table is None:
             self._pattern_table = np.fromiter(
                 (b.pattern for b in self.slots),
                 dtype=np.int64,
@@ -91,27 +89,32 @@ class ExtendibleDirectory(t.Generic[T]):
 
     def _invalidate_cache(self) -> None:
         self._pattern_table = None
+        self._buckets = None
 
     # -- lookup -----------------------------------------------------------
     def slot_of(self, g: int) -> int:
         return int(g) & ((1 << self.global_depth) - 1)
 
-    def bucket_for(self, g: int) -> Bucket[T]:
+    def bucket_for(self, g: int) -> Bucket:
         return self.slots[self.slot_of(g)]
 
-    def buckets(self) -> list[Bucket[T]]:
-        """Distinct buckets, ordered by their lowest directory slot."""
-        seen: dict[int, Bucket[T]] = {}
-        for bucket in self.slots:
-            seen.setdefault(id(bucket), bucket)
-        return list(seen.values())
+    def buckets(self) -> list[Bucket]:
+        """Distinct buckets, ordered by their lowest directory slot —
+        which is their pattern.  Cached between structural changes: do
+        not mutate the list."""
+        if self._buckets is None:
+            seen: dict[int, Bucket] = {}
+            for bucket in self.slots:
+                seen.setdefault(id(bucket), bucket)
+            self._buckets = list(seen.values())
+        return self._buckets
 
     @property
     def n_buckets(self) -> int:
         return len(self.buckets())
 
     # -- splitting ------------------------------------------------------------
-    def can_split(self, bucket: Bucket[T]) -> bool:
+    def can_split(self, bucket: Bucket) -> bool:
         return (
             bucket.local_depth < self.max_global_depth
             and (
@@ -120,18 +123,9 @@ class ExtendibleDirectory(t.Generic[T]):
             )
         )
 
-    def split(
-        self,
-        bucket: Bucket[T],
-        splitter: t.Callable[[T, int], tuple[T, T]],
-    ) -> tuple[Bucket[T], Bucket[T]]:
-        """Split *bucket*, distributing its payload by bit ``local_depth``
-        of the directory hash.
-
-        ``splitter(payload, bit_index)`` must return ``(payload0,
-        payload1)`` holding the items whose ``g`` has bit ``bit_index``
-        clear / set respectively.
-        """
+    def split(self, bucket: Bucket) -> tuple[Bucket, Bucket]:
+        """Split *bucket* by bit ``local_depth`` of the directory hash:
+        ``(low, high)`` take the hashes with that bit clear / set."""
         if not self.can_split(bucket):
             raise SimulationError("directory depth limit reached; cannot split")
         if bucket.local_depth == self.global_depth:
@@ -143,23 +137,17 @@ class ExtendibleDirectory(t.Generic[T]):
                 self.on_double(self.global_depth)
 
         bit = bucket.local_depth
-        payload0, payload1 = splitter(bucket.payload, bit)
-        low = Bucket(bit + 1, bucket.pattern, payload0)
-        high = Bucket(bit + 1, bucket.pattern | (1 << bit), payload1)
-        self._reassign(bucket, low, high)
+        low = Bucket(bit + 1, bucket.pattern)
+        high = Bucket(bit + 1, bucket.pattern | (1 << bit))
+        bit_mask = 1 << bit
+        for i, slot in enumerate(self.slots):
+            if slot is bucket:
+                self.slots[i] = high if (i & bit_mask) else low
         self._invalidate_cache()
         return low, high
 
-    def _reassign(
-        self, old: Bucket[T], low: Bucket[T], high: Bucket[T]
-    ) -> None:
-        bit_mask = 1 << old.local_depth
-        for i, slot in enumerate(self.slots):
-            if slot is old:
-                self.slots[i] = high if (i & bit_mask) else low
-
     # -- merging ---------------------------------------------------------------
-    def buddy_of(self, bucket: Bucket[T]) -> Bucket[T] | None:
+    def buddy_of(self, bucket: Bucket) -> Bucket | None:
         """The bucket's buddy, or None if it is not currently mergeable.
 
         A buddy exists only when it is a distinct bucket with the same
@@ -173,11 +161,7 @@ class ExtendibleDirectory(t.Generic[T]):
             return None
         return buddy
 
-    def merge(
-        self,
-        bucket: Bucket[T],
-        merger: t.Callable[[T, T], T],
-    ) -> Bucket[T] | None:
+    def merge(self, bucket: Bucket) -> Bucket | None:
         """Merge *bucket* with its buddy; returns the merged bucket or
         None when no eligible buddy exists.  Size policy is the caller's
         responsibility."""
@@ -185,8 +169,7 @@ class ExtendibleDirectory(t.Generic[T]):
         if buddy is None:
             return None
         depth = bucket.local_depth - 1
-        pattern = bucket.pattern & ((1 << depth) - 1)
-        merged = Bucket(depth, pattern, merger(bucket.payload, buddy.payload))
+        merged = Bucket(depth, bucket.pattern & ((1 << depth) - 1))
         for i, slot in enumerate(self.slots):
             if slot is bucket or slot is buddy:
                 self.slots[i] = merged

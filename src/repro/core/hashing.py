@@ -12,39 +12,94 @@ Both are built from the splitmix64 finalizer (a well-mixed bijection on
 ``H`` and ``g`` matters: fine tuning must be able to split the tuples of
 a single partition, so ``g`` cannot be a function of ``H(k) % npart``
 alone.
+
+``g`` is a bijection, so :func:`key_of` recovers a key from its hash,
+and :func:`run_key` — ``g`` with its bits reversed — orders a
+partition-group's tuples so that every mini-group is one contiguous
+range (:mod:`repro.core.partition_group`).
 """
 
 from __future__ import annotations
 
+import typing as t
+
 import numpy as np
+import numpy.typing as npt
+
+HashArray = npt.NDArray[np.uint64]
 
 _U64 = np.uint64
+_MASK64: t.Final = (1 << 64) - 1
 _PARTITION_SALT = _U64(0x9E3779B97F4A7C15)
 _DIRECTORY_SALT = _U64(0xD1B54A32D192ED03)
+_GOLDEN = 0x9E3779B97F4A7C15
+_MUL1 = 0xBF58476D1CE4E5B9
+_MUL2 = 0x94D049BB133111EB
+#: The multipliers' inverses modulo 2**64 (both are odd).
+_INV1 = _U64(pow(_MUL1, -1, 1 << 64))
+_INV2 = _U64(pow(_MUL2, -1, 1 << 64))
+
+#: Bit ``i`` of byte ``b`` moved to bit ``7 - i``.
+_REVERSED_BYTE: t.Final = np.array(
+    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+)
 
 
-def _splitmix64(x: np.ndarray) -> np.ndarray:
+def _splitmix64(x: HashArray) -> HashArray:
     """The splitmix64 finalizer, elementwise on uint64."""
-    x = (x + _U64(0x9E3779B97F4A7C15)).astype(_U64)
-    x = (x ^ (x >> _U64(30))) * _U64(0xBF58476D1CE4E5B9)
-    x = (x ^ (x >> _U64(27))) * _U64(0x94D049BB133111EB)
+    x = (x + _U64(_GOLDEN)).astype(_U64)
+    x = (x ^ (x >> _U64(30))) * _U64(_MUL1)
+    x = (x ^ (x >> _U64(27))) * _U64(_MUL2)
     return x ^ (x >> _U64(31))
 
 
-def partition_of(keys: np.ndarray, npart: int) -> np.ndarray:
+def _unshift(x: HashArray, shift: int) -> HashArray:
+    """Invert ``x ^= x >> shift`` (for ``shift >= 22`` three terms do)."""
+    return x ^ (x >> _U64(shift)) ^ (x >> _U64(2 * shift)) ^ (x >> _U64(3 * shift))
+
+
+def _splitmix64_inverse(x: HashArray) -> HashArray:
+    x = _unshift(x, 31) * _INV2
+    x = _unshift(x, 27) * _INV1
+    x = _unshift(x, 30)
+    return x - _U64(_GOLDEN)
+
+
+def partition_of(keys: npt.NDArray[t.Any], npart: int) -> npt.NDArray[np.int64]:
     """Partition id in ``[0, npart)`` for each key (vectorized)."""
     with np.errstate(over="ignore"):
         h = _splitmix64(keys.astype(np.int64).view(_U64) ^ _PARTITION_SALT)
     return (h % _U64(npart)).astype(np.int64)
 
 
-def directory_hash(keys: np.ndarray) -> np.ndarray:
+def directory_hash(keys: npt.NDArray[t.Any]) -> HashArray:
     """The extendible-hashing hash ``g(k)`` (uint64, full width)."""
     with np.errstate(over="ignore"):
         return _splitmix64(keys.astype(np.int64).view(_U64) ^ _DIRECTORY_SALT)
 
 
-def directory_index(gvals: np.ndarray, global_depth: int) -> np.ndarray:
+def key_of(gvals: HashArray) -> npt.NDArray[np.int64]:
+    """The keys whose :func:`directory_hash` is *gvals*."""
+    with np.errstate(over="ignore"):
+        return (_splitmix64_inverse(gvals.astype(_U64)) ^ _DIRECTORY_SALT).view(
+            np.int64
+        )
+
+
+def bit_reverse(x: HashArray) -> HashArray:
+    """Each uint64 with its 64 bits in reverse order (an involution)."""
+    swapped = np.ascontiguousarray(x, dtype=_U64).byteswap()
+    reversed_: HashArray = _REVERSED_BYTE[swapped.view(np.uint8)].view(_U64)
+    return reversed_
+
+
+def run_key(keys: npt.NDArray[t.Any]) -> HashArray:
+    """``bit_reverse(directory_hash(keys))``: what a partition-group's
+    runs are sorted by and searched with."""
+    return bit_reverse(directory_hash(keys))
+
+
+def directory_index(gvals: HashArray, global_depth: int) -> npt.NDArray[np.int64]:
     """Directory slot for each ``g`` value: its ``global_depth`` LSBs."""
     if global_depth == 0:
         return np.zeros(len(gvals), dtype=np.int64)

@@ -41,18 +41,18 @@ from __future__ import annotations
 import threading
 import typing as t
 from collections import deque
-from itertools import accumulate
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.costmodel import CostModel
 from repro.core.exthash import Bucket
-from repro.core.hashing import partition_of
+from repro.core.hashing import HashArray, bit_reverse, partition_of
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
+    Columns,
+    CountTable,
     JoinGeometry,
-    MiniGroup,
     PartitionGroup,
     PartitionGroupState,
     SizedBucket,
@@ -60,7 +60,7 @@ from repro.core.partition_group import (
 from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, IntArray, Step
-from repro.data.tuples import KeyArray, SeqArray, TsArray, TupleBatch
+from repro.data.tuples import SeqArray, TsArray, TupleBatch
 from repro.errors import ProtocolError
 from repro.obs.events import DirectoryEvent, MergeEvent, SplitEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -106,6 +106,8 @@ class JoinModule:
         #: doubling under it is stamped with (the runtime's ``now`` may
         #: already be at a later unit of the same retired prefix).
         self._tuning_time = 0.0
+        #: ``(pid, heads)`` of the partition-group a pass is working on.
+        self._live: tuple[int, _Heads] | None = None
         self.groups: dict[int, PartitionGroup] = {}
         #: Guards the mini-buffers (the dict and its deques) and the two
         #: scalars derived from them.  On the wall-clock backends the
@@ -252,16 +254,20 @@ class JoinModule:
         join pass may be draining the same queues concurrently."""
         batch = shipment.batch
         if len(batch):
+            # One stable sort groups the tuples by partition, each
+            # partition's in arrival order.
             pids = partition_of(batch.key, self.npart)
-            for pid in np.unique(pids):
-                sub = batch.take(np.flatnonzero(pids == pid))
-                pid = int(pid)
+            order = np.argsort(pids, kind="stable")
+            cuts = (np.flatnonzero(np.diff(pids[order])) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
+                rows = order[lo:hi]
+                pid = int(pids[rows[0]])
                 if pid not in self.groups:
                     raise ProtocolError(
                         f"node {self.node_id} received tuples for partition "
                         f"{pid} it does not own"
                     )
-                self._file(pid, sub)
+                self._file(pid, batch.take(rows))
         with self._buf_lock:
             self._oldest_pending_ts = min(
                 self._oldest_pending_ts, shipment.epoch_start
@@ -297,6 +303,15 @@ class JoinModule:
             return 0.0
         return 1.0 - self.memory_bytes / window
 
+    def window_counts(self, pid: int) -> tuple[CountTable, CountTable]:
+        """``(committed, head)`` tuples per mini-group of *pid* (in
+        directory order) and stream, as an observer between two units
+        would find them in the paper's windows."""
+        live = self._live
+        if live is not None and live[0] == pid:
+            return live[1].committed.copy(), live[1].fill.copy()
+        return self.groups[pid].counts()
+
     # -- work generation ------------------------------------------------------
     def steps(self) -> t.Iterator[Step]:
         """Generate costed work for ONE bounded pass over the buffers.
@@ -318,14 +333,17 @@ class JoinModule:
             if group is None:  # moved away mid-backlog; cannot happen
                 raise ProtocolError(f"lost partition {pid} with pending data")
             batch = drained[pid]
+            heads = _Heads(group)
+            self._live = (pid, heads)
             # Section IV-D's order: stream by stream, every block that
             # fills while the buffer is appended; then, the buffer
             # drained, each mini-group's partial blocks.
             for sid in range(self.geometry.n_streams):
                 sub = batch.by_stream(sid)
                 if len(sub):
-                    yield from self._full_block_steps(group, sid, sub)
-            yield from self._partial_block_steps(group)
+                    yield from self._full_block_steps(group, heads, sid, sub)
+            yield from self._partial_block_steps(group, heads)
+            self._live = None
             if self.geometry.fine_tuning:
                 yield from self._tuning_steps(group)
 
@@ -351,13 +369,8 @@ class JoinModule:
 
     # -- step builders ----------------------------------------------------------
     def _expire_step(self, cutoff: float) -> Step:
-        expired_bytes = 0
-        tb = self.geometry.tuple_bytes
-        for group in self.groups.values():
-            for bucket in group.directory.buckets():
-                for window in bucket.payload.windows:
-                    expired_bytes += window.committed.count_before(cutoff) * tb
-        cost = self.cost_model.expire_cost(expired_bytes)
+        expired = sum(group.count_before(cutoff) for group in self.groups.values())
+        cost = self.cost_model.expire_cost(expired * self.geometry.tuple_bytes)
 
         def retire(_lo: int, _hi: int, _emit_times: FloatArray) -> None:
             for group in self.groups.values():
@@ -391,7 +404,7 @@ class JoinModule:
         return self.cost_model.probe_cost(n_fresh, scanned, spilled)
 
     def _full_block_steps(
-        self, group: PartitionGroup, sid: int, sub: TupleBatch
+        self, group: PartitionGroup, heads: _Heads, sid: int, sub: TupleBatch
     ) -> t.Iterator[Step]:
         """Admit stream *sid*'s arrivals *sub* into *group*; one
         ``probe`` unit per head block they fill, mini-group by
@@ -408,72 +421,80 @@ class JoinModule:
         A unit's block is full — its tuples admitted to the head block,
         off the pending count — from the moment the unit before it is
         retired, as if the blocks were still filled one by one between
-        units; ``admit_through`` keeps the windows and the counters in
-        that state after every retire, whatever the range.
+        units; ``admit_through`` keeps the counts, the group's bytes and
+        the counters in that state after every retire, whatever the
+        range.
         """
         geometry = self.geometry
         tb, tpb = geometry.tuple_bytes, geometry.tuples_per_block
-        patterns, buckets = group.route(sub.key)
-        # One stable sort groups the tuples by mini-group, each
-        # mini-group's in arrival order.
-        order = np.argsort(patterns, kind="stable")
-        ts, key, seq = sub.ts[order], sub.key[order], sub.seq[order]
-        slots = sorted(buckets)
-        cuts = np.searchsorted(patterns[order], slots).tolist() + [len(order)]
-        minis = [buckets[slot].payload for slot in slots]
-        windows = [mini.windows[sid] for mini in minis]
-        # What fills whole blocks: per mini-group, the tuples already in
-        # its head, then as many of its arrivals as round the total
-        # down to a multiple of the block size.
-        held = [window.n_fresh for window in windows]
-        blocks = [(h + hi - lo) // tpb for h, lo, hi in zip(held, cuts, cuts[1:])]
+        arrival_bucket, gvals = group.route(sub.key)
+        # The mini-groups the arrivals reach, each with what its head
+        # already holds and how many arrive.
+        per_bucket = np.bincount(arrival_bucket, minlength=len(heads.fill))
+        slots = np.flatnonzero(per_bucket)
+        arrived = per_bucket[slots]
+        held = heads.fill[slots, sid]
+        # Lined up mini-group by mini-group: its head's tuples first,
+        # then its arrivals in arrival order (one stable sort).
+        line = (arrival_bucket, bit_reverse(gvals), sub.ts, sub.seq)
+        taken = heads.take(sid, slots)
+        if len(taken[0]):
+            line = tuple(np.concatenate(cols) for cols in zip(taken, line))
+        if len(slots) > 1:
+            order = np.argsort(line[0], kind="stable")
+            line = tuple(col[order] for col in line)
+        _bucket, rkey, ts, seq = line
+        sizes = held + arrived
+        blocks = sizes // tpb
+        rem = sizes - blocks * tpb
         #: first[s] is mini-group s's first unit, first[-1] the count.
-        first = list(accumulate(blocks, initial=0))
-        n_units = first[-1]
-        unit_slot = [s for s, n in enumerate(blocks) for _ in range(n)]
+        first = np.concatenate(([0], np.cumsum(blocks)))
+        n_units = int(first[-1])
+        unit_slot = np.repeat(np.arange(len(slots)), blocks)
         # admitted[j]: arrivals in the windows once unit j's block is
         # full; admitted[n_units]: all of them.
-        admitted = [
-            lo - h + tpb * nth
-            for lo, h, n in zip(cuts, held, blocks)
-            for nth in range(1, n + 1)
-        ]
-        admitted.append(len(order))
+        cuts = np.concatenate(([0], np.cumsum(arrived)))
+        admitted = np.append(
+            (cuts[:-1] - held - tpb * first[:-1])[unit_slot]
+            + tpb * np.arange(1, n_units + 1),
+            len(sub),
+        )
+        # Whole blocks fill the start of each mini-group's line; the
+        # rest of it (under a block) is its head after the step.
+        at_rest = np.arange(int(rem.sum())) + np.repeat(tpb * first[1:], rem)
+        heads.put(sid, np.repeat(slots, rem), (rkey[at_rest], ts[at_rest], seq[at_rest]))
+        in_full = np.ones(len(rkey), dtype=np.bool_)
+        in_full[at_rest] = False
+        full = (rkey[in_full], ts[in_full], seq[in_full])
 
         rows: _Rows | None = None
         if geometry.n_streams == 2 and n_units:
-            full: list[tuple[TsArray, KeyArray, SeqArray]] = []
-            for window, h, lo, n in zip(windows, held, cuts, blocks):
-                if n:
-                    if h:
-                        full.append(window.fresh_view())
-                    stop = lo + n * tpb - h
-                    full.append((ts[lo:stop], key[lo:stop], seq[lo:stop]))
             matches = self._join_step(group, sid, full)
             rows = _Rows(
                 matches.newer_ts, _oriented(matches, sid), matches.offsets[::tpb]
             )
 
-        retired = in_windows = at = 0
+        base_committed = heads.committed[slots, sid]
+        in_slot = base_committed + held
+        first_unit, first_arrival = first[:-1], cuts[:-1]
+        window = in_slot
+        in_windows = 0
 
-        def admit_through(unit: int, commit: bool) -> None:
+        def admit_through(unit: int) -> None:
             """Units below *unit* retired, the next one's block full."""
-            nonlocal retired, in_windows, at
-            upto = admitted[unit]
-            s = at
-            while s < len(slots) and cuts[s] < upto:
-                lo, hi = max(in_windows, cuts[s]), min(upto, cuts[s + 1])
-                n_commit = 0
-                if commit:
-                    done = min(unit, first[s + 1]) - max(retired, first[s])
-                    n_commit = tpb * max(done, 0)
-                if hi > lo or n_commit:
-                    group.admit(windows[s], ts[lo:hi], key[lo:hi], seq[lo:hi], n_commit)
-                s += 1
-            at = max(at, s - 1)
+            nonlocal window, in_windows
+            upto = int(admitted[unit])
+            done = np.minimum(np.maximum(unit - first_unit, 0), blocks)
+            now = in_slot + np.minimum(np.maximum(upto - first_arrival, 0), arrived)
+            committed = base_committed + tpb * done
+            heads.committed[slots, sid] = committed
+            heads.fill[slots, sid] = now - committed
             moved = upto - in_windows
-            retired, in_windows = unit, upto
             if moved:
+                group.total_bytes += geometry.block_bytes * int(
+                    (-(-now // tpb) - -(-window // tpb)).sum()
+                )
+                window, in_windows = now, upto
                 with self._buf_lock:
                     self._pending_bytes -= moved * tb
                 self.metrics.tuples_processed += moved
@@ -483,28 +504,31 @@ class JoinModule:
         def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
             lo, hi = base + lo, base + hi
             if rows is not None:
-                admit_through(hi, commit=True)
+                admit_through(hi)
                 self._record(group.pid, rows, lo, hi, emit_times)
                 return
             for unit, emit in zip(range(lo, hi), emit_times.tolist()):
-                self._flush_composites(group, minis[unit_slot[unit]], sid, emit)
-                admit_through(unit + 1, commit=False)
+                block = t.cast(
+                    Columns, tuple(col[unit * tpb : (unit + 1) * tpb] for col in full)
+                )
+                self._flush_composites(group, sid, block, emit)
+                admit_through(unit + 1)
 
-        admit_through(0, commit=False)
+        admit_through(0)
         # The block nested-loop scan reads every committed block of the
         # opposite windows, whatever the fresh keys are; this stream's
         # own commits do not change them.
-        scanned = [
-            sum(w.committed_bytes for k, w in enumerate(mini.windows) if k != sid)
-            if n
-            else 0
-            for mini, n in zip(minis, blocks)
-        ]
+        blocks_held = -(-heads.committed[slots] // tpb)
+        scanned = (blocks_held.sum(axis=1) - blocks_held[:, sid]) * geometry.block_bytes
+        per_unit = scanned[unit_slot]
         for base, stop, spill in self._cost_runs(n_units):
-            per_unit = np.array([scanned[s] for s in unit_slot[base:stop]])
-            yield Step("probe", self._probe_costs(tpb, per_unit, spill), retire)
+            yield Step(
+                "probe", self._probe_costs(tpb, per_unit[base:stop], spill), retire
+            )
 
-    def _partial_block_steps(self, group: PartitionGroup) -> t.Iterator[Step]:
+    def _partial_block_steps(
+        self, group: PartitionGroup, heads: _Heads
+    ) -> t.Iterator[Step]:
         """The partition's buffer is drained and every head block is as
         full as this pass makes it: flush the partial ones, one ``probe``
         unit each, mini-group by mini-group, stream 0 before stream 1
@@ -516,14 +540,11 @@ class JoinModule:
         """
         geometry = self.geometry
         tpb, n_streams = geometry.tuples_per_block, geometry.n_streams
-        minis = [bucket.payload for bucket in group.directory.buckets()]
-        windows = [window for mini in minis for window in mini.windows]
         # One row per mini-group, one column per stream.
-        fresh = np.array([w.n_fresh for w in windows]).reshape(-1, n_streams)
+        fresh, committed = heads.fill, heads.committed
         at = np.flatnonzero(fresh)  # mini-group by mini-group, stream 0 first
         if not len(at):
             return
-        committed = np.array([w.n_committed for w in windows]).reshape(fresh.shape)
         # A unit scans the committed blocks of its mini-group's other
         # windows; by the time it runs, those of the lower streams
         # include their head blocks.
@@ -533,60 +554,72 @@ class JoinModule:
         scanned = (lower + higher).ravel()[at] * geometry.block_bytes
         unit_fresh = fresh.ravel()[at]
         unit_sid = at % n_streams
-        unit_windows = [windows[i] for i in at.tolist()]
+        # Each stream's heads lie mini-group by mini-group, so unit
+        # (b, s) is rows [offset[s][b], offset[s][b + 1]) of stream s's.
+        offset = np.vstack(
+            (np.zeros(n_streams, np.int64), np.cumsum(fresh, axis=0))
+        ).T.copy()
 
         rows: _Rows | None = None
         if n_streams == 2:
-            by_stream: list[ProbeResult | None] = []
-            for sid in (0, 1):
-                heads = [w.fresh_view() for w in unit_windows if w.stream_id == sid]
-                by_stream.append(self._join_step(group, sid, heads) if heads else None)
+            by_stream = [
+                self._join_step(group, sid, heads.cols[sid])
+                if len(heads.cols[sid][0])
+                else None
+                for sid in (0, 1)
+            ]
             rows = self._in_unit_order(unit_sid, unit_fresh, by_stream)
 
         base = 0
+        flat_committed, flat_fresh = committed.reshape(-1), fresh.reshape(-1)
 
         def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
             lo, hi = base + lo, base + hi
             if rows is not None:
-                for window in unit_windows[lo:hi]:
-                    window.commit_fresh()
+                done = at[lo:hi]
+                flat_committed[done] += flat_fresh[done]
+                flat_fresh[done] = 0
                 self._record(group.pid, rows, lo, hi, emit_times)
                 return
             for unit, emit in zip(at[lo:hi].tolist(), emit_times.tolist()):
-                mini, sid = minis[unit // n_streams], unit % n_streams
-                self._flush_composites(group, mini, sid, emit)
+                b, sid = divmod(unit, n_streams)
+                start, stop = offset[sid, b], offset[sid, b + 1]
+                block = t.cast(
+                    Columns, tuple(col[start:stop] for col in heads.cols[sid])
+                )
+                self._flush_composites(group, sid, block, emit)
+                flat_committed[unit] += flat_fresh[unit]
+                flat_fresh[unit] = 0
 
         for base, stop, spill in self._cost_runs(len(at)):
             costs = self._probe_costs(unit_fresh[base:stop], scanned[base:stop], spill)
             yield Step("probe", costs, retire)
 
     def _join_step(
-        self,
-        group: PartitionGroup,
-        sid: int,
-        blocks: list[tuple[TsArray, KeyArray, SeqArray]],
+        self, group: PartitionGroup, sid: int, blocks: Columns
     ) -> ProbeResult:
         """Probe the opposite stream's run with *blocks* — any number of
-        head blocks of stream *sid*, as ``(ts, key, seq)``, in the order
-        of their units — then add them to their own stream's run.
+        head blocks of stream *sid* in the order of their units — then
+        add them to their own stream's run.
 
-        That runs the group's runs *ahead* of its windows: a block is
-        in the run from here, in its window's committed store only once
-        its unit is retired.  A later step of the same pass needs
-        exactly that (the partial blocks of stream 1 must see the
-        partial blocks of stream 0, whose units are interleaved with
-        their own), and nothing else can look: a pass holds the slave's
-        state lock from its first unit to its last.
+        That runs the group's run *ahead* of the windows an observer
+        sees (the counts ``admit_through`` and the partial step keep): a
+        block is in the run from here, committed only once its unit is
+        retired.  A later step of the same pass needs exactly that (the
+        partial blocks of stream 1 must see the partial blocks of stream
+        0, whose units are interleaved with their own), and nothing else
+        can look: a pass holds the slave's state lock from its first
+        unit to its last.
         """
-        ts, key, seq = (np.concatenate(cols) for cols in zip(*blocks))
-        matches = group.probe(1 - sid, ts, key, seq, self.collect_pairs)
-        group.commit(sid, ts, key, seq)
+        rkey, ts, seq = blocks
+        matches = group.probe(1 - sid, ts, rkey, seq, self.collect_pairs)
+        group.commit(sid, rkey, ts, seq)
         return matches
 
     def _in_unit_order(
         self,
         unit_sid: npt.NDArray[np.intp],
-        unit_fresh: npt.NDArray[np.intp],
+        unit_fresh: npt.NDArray[np.int64],
         by_stream: list[ProbeResult | None],
     ) -> _Rows:
         """The rows of the per-stream probes — ``by_stream[sid]`` probed
@@ -634,11 +667,11 @@ class JoinModule:
             self.metrics.record_pairs(pid, rows.pairs[first:last])
 
     def _flush_composites(
-        self, group: PartitionGroup, mini: MiniGroup, sid: int, emit_time: float
+        self, group: PartitionGroup, sid: int, block: Columns, emit_time: float
     ) -> None:
         """n-way join: one unit probes when it is retired, against runs
         that hold every unit retired before it."""
-        composites = group.flush_composites(mini, sid, self.collect_pairs)
+        composites = group.flush_composites(sid, block, self.collect_pairs)
         self.metrics.record_outputs(emit_time, composites.newest_ts)
         members = composites.members
         if members is not None and len(members):
@@ -661,7 +694,7 @@ class JoinModule:
             buddy = group.directory.buddy_of(bucket)
             if buddy is None:
                 continue
-            combined = nbytes + buddy.payload.bytes_used
+            combined = nbytes + group.bytes_of(buddy)
             if combined >= 2 * self.geometry.theta_bytes:
                 continue
             yield self._merge_step(group, bucket, combined)
@@ -690,9 +723,7 @@ class JoinModule:
         costs = [self.cost_model.tuning_cost(nbytes) for _b, nbytes in oversized]
         return Step("tune", np.array(costs), retire)
 
-    def _merge_step(
-        self, group: PartitionGroup, bucket: Bucket[MiniGroup], combined: int
-    ) -> Step:
+    def _merge_step(self, group: PartitionGroup, bucket: Bucket, combined: int) -> Step:
         def retire(_lo: int, _hi: int, emit_times: FloatArray) -> None:
             touched = group.try_merge_bucket(bucket)
             if touched:
@@ -710,6 +741,64 @@ class JoinModule:
                     )
 
         return Step("tune", np.array([self.cost_model.tuning_cost(combined)]), retire)
+
+
+class _Heads:
+    """One partition-group's head blocks for the length of a pass.
+
+    A head block is never a buffer: its tuples are rows of the step
+    that admitted them (or installed head tuples taken from the group),
+    kept per stream mini-group by mini-group until the partial-block
+    step flushes them.  ``committed`` and ``fill`` count, per mini-group
+    (directory order) and stream, what the paper's windows hold between
+    two retired units — the group's run is ahead of them inside a step.
+    """
+
+    __slots__ = ("cols", "bucket", "committed", "fill")
+
+    def __init__(self, group: PartitionGroup) -> None:
+        self.committed, self.fill = group.counts()
+        self.cols: list[Columns] = []
+        self.bucket: list[npt.NDArray[np.intp]] = []
+        for cols in group.take_held():
+            at = group.bucket_of(cols[0])
+            if len(at):
+                order = np.argsort(at, kind="stable")
+                at, cols = at[order], t.cast(Columns, tuple(col[order] for col in cols))
+            self.bucket.append(at)
+            self.cols.append(cols)
+
+    def take(
+        self, sid: int, slots: npt.NDArray[np.intp]
+    ) -> tuple[npt.NDArray[np.intp], HashArray, TsArray, SeqArray]:
+        """Remove stream *sid*'s head rows of the mini-groups *slots*:
+        ``(bucket, *columns)``, mini-group by mini-group."""
+        bucket = self.bucket[sid]
+        rkey, ts, seq = self.cols[sid]
+        if not len(bucket):
+            return bucket, rkey, ts, seq
+        mine = np.isin(bucket, slots)
+        keep = ~mine
+        self.bucket[sid] = bucket[keep]
+        self.cols[sid] = (rkey[keep], ts[keep], seq[keep])
+        return bucket[mine], rkey[mine], ts[mine], seq[mine]
+
+    def put(self, sid: int, bucket: npt.NDArray[np.intp], cols: Columns) -> None:
+        """Add head rows *cols* of mini-groups *bucket* (in order, and
+        none of them holding heads of stream *sid* now)."""
+        if len(self.bucket[sid]):
+            at = np.concatenate((self.bucket[sid], bucket))
+            order = np.argsort(at, kind="stable")
+            self.bucket[sid] = at[order]
+            self.cols[sid] = t.cast(
+                Columns,
+                tuple(
+                    np.concatenate((old, new))[order]
+                    for old, new in zip(self.cols[sid], cols)
+                ),
+            )
+        else:
+            self.bucket[sid], self.cols[sid] = bucket, cols
 
 
 def _oriented(matches: ProbeResult, sid: int) -> npt.NDArray[np.int64] | None:

@@ -25,9 +25,17 @@ import itertools
 import typing as t
 
 import numpy as np
+import numpy.typing as npt
 
 from repro.core.probe import key_ranges
-from repro.data.tuples import TupleBatch
+from repro.data.tuples import SeqArray, TsArray, TupleBatch
+
+#: Per other stream: ``(stream id, sort keys, ts, seq)``, ordered by the
+#: sort key (equal keys adjacent); ``seq`` may be None unless members
+#: are collected.
+Others = t.Sequence[
+    tuple[int, npt.NDArray[t.Any], TsArray, SeqArray | None]
+]
 
 #: Safety cap on enumerated combinations per probe tuple.  Composite
 #: cardinality is a product over streams; a hot key in many streams
@@ -40,21 +48,21 @@ class CompositeResult(t.NamedTuple):
 
     n_composites: int
     #: Per composite: the newest member's timestamp.
-    newest_ts: np.ndarray
+    newest_ts: TsArray
     #: Per composite: member seqs ordered by stream id; None unless
     #: collected (testing).
-    members: np.ndarray | None
+    members: npt.NDArray[np.int64] | None
 
 
-_EMPTY = np.empty(0, dtype=np.float64)
+_EMPTY: TsArray = np.empty(0, dtype=np.float64)
 
 
 def probe_composites(
     probe_stream: int,
-    probe_ts: np.ndarray,
-    probe_key: np.ndarray,
-    probe_seq: np.ndarray,
-    others: t.Sequence[tuple[int, np.ndarray, np.ndarray, np.ndarray | None]],
+    probe_ts: TsArray,
+    probe_key: npt.NDArray[t.Any],
+    probe_seq: SeqArray,
+    others: Others,
     windows_by_stream: t.Mapping[int, float],
     collect_members: bool = False,
 ) -> CompositeResult:
@@ -62,7 +70,10 @@ def probe_composites(
 
     ``others`` lists, per other stream: ``(stream_id, sorted_key,
     ts_sorted, seq_sorted)`` — the committed window contents of that
-    stream sorted by key.  ``windows_by_stream[k]`` is ``Wk``.
+    stream sorted by a key that is equal exactly when join keys are
+    (a partition-group's run key, :func:`repro.core.hashing.run_key`),
+    which *probe_key* gives for the probe tuples.  ``windows_by_stream[k]``
+    is ``Wk``.
     """
     if len(probe_ts) == 0 or any(len(o[1]) == 0 for o in others):
         return CompositeResult(
@@ -76,8 +87,8 @@ def probe_composites(
     ]
 
     total = 0
-    newest_parts: list[np.ndarray] = []
-    member_rows: list[np.ndarray] = []
+    newest_parts: list[TsArray] = []
+    member_rows: list[npt.NDArray[np.int64]] = []
     n_members = 1 + len(others)
 
     for i in range(len(probe_ts)):
@@ -111,14 +122,18 @@ def probe_composites(
         newest_parts.append(t_star[valid])
         if collect_members:
             seq_grids = np.meshgrid(
-                *[o[3][lo[i] : hi[i]] for o, (lo, hi) in zip(others, ranges)],
+                *[
+                    t.cast(SeqArray, o[3])[lo[i] : hi[i]]
+                    for o, (lo, hi) in zip(others, ranges)
+                ],
                 indexing="ij",
             )
             seq_stack = np.stack([g.ravel() for g in seq_grids], axis=0)
             rows = np.empty((n_valid, n_members), dtype=np.int64)
             # Order members by stream id: probe stream slot + others.
-            order = sorted(
-                [(probe_stream, None)] + [(o[0], j) for j, o in enumerate(others)]
+            order: list[tuple[int, int | None]] = sorted(
+                [(probe_stream, None)] + [(o[0], j) for j, o in enumerate(others)],
+                key=lambda member: member[0],
             )
             for col, (sid, j) in enumerate(order):
                 if j is None:
@@ -130,7 +145,7 @@ def probe_composites(
     newest = (
         np.concatenate(newest_parts) if newest_parts else _EMPTY
     )
-    members = None
+    members: npt.NDArray[np.int64] | None = None
     if collect_members:
         members = (
             np.concatenate(member_rows)
@@ -142,7 +157,7 @@ def probe_composites(
 
 def naive_multiway_join(
     batch: TupleBatch, windows: t.Sequence[float]
-) -> np.ndarray:
+) -> npt.NDArray[np.int64]:
     """Brute-force n-way windowed equi-join oracle.
 
     Enumerates candidate combinations *within each join key* (a full
@@ -167,7 +182,7 @@ def naive_multiway_join(
     for groups in by_key[1:]:
         shared &= set(groups)
 
-    rows = []
+    rows: list[list[int]] = []
     for key in shared:
         candidate_lists = [groups[key] for groups in by_key]
         for combo in itertools.product(*candidate_lists):
@@ -180,4 +195,7 @@ def naive_multiway_join(
     if not rows:
         return np.empty((0, n), dtype=np.int64)
     out = np.array(rows, dtype=np.int64)
-    return out[np.lexsort(tuple(out[:, c] for c in reversed(range(n))))]
+    ordered: npt.NDArray[np.int64] = out[
+        np.lexsort(tuple(out[:, c] for c in reversed(range(n))))
+    ]
+    return ordered

@@ -13,13 +13,22 @@ With fine tuning disabled the partition-group degenerates to a single
 mini-group of unbounded size — the configuration the paper uses as its
 "no fine-tuning" comparison (Figures 7–10).
 
-Mini-groups bound what a probe is *charged* for scanning.  What a probe
-*searches* is one key-sorted **run** per stream, kept here over the
-committed tuples of all mini-groups together
-(:meth:`PartitionGroup.probe`).  The directory splits on bits of
-``g(key)``, so mini-groups are disjoint in key space and probing the
-group's run returns exactly the rows a probe of the one mini-group a
-key routes to would.
+**A mini-group is a slice.**  The committed tuples of a stream are kept
+in one **run** per stream, ``(run key, ts, seq)`` sorted by the run key
+``rev(g(key))`` — the directory hash with its bits reversed — and equal
+keys in commit order (:meth:`PartitionGroup.sorted_run`).  ``g`` is a
+bijection, so equal run keys are equal join keys and a probe of the run
+(:meth:`PartitionGroup.probe`) returns the rows, in the order, of a
+probe of a key-sorted run.  A bucket with pattern ``p`` and local depth
+``d`` holds the keys whose ``d`` low bits of ``g`` equal ``p``: exactly
+the run keys whose ``d`` top bits are ``p`` reversed, one contiguous
+range.  So a mini-group's size is the distance between two
+``searchsorted`` bounds, a split costs one more bound and a merge none,
+and nothing is ever copied to move a tuple between mini-groups.
+
+Mini-groups bound what a probe is *charged* for scanning (the block
+nested-loop scan of its mini-group's committed blocks); the join module
+computes the charge from the bounds (:meth:`PartitionGroup.counts`).
 """
 
 from __future__ import annotations
@@ -30,13 +39,16 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.core.exthash import Bucket, ExtendibleDirectory
-from repro.core.hashing import directory_hash
+from repro.core.hashing import (
+    HashArray,
+    bit_reverse,
+    directory_hash,
+    key_of,
+    run_key,
+)
 from repro.core.nway import CompositeResult, probe_composites
 from repro.core.probe import ProbeResult, probe_sorted
-from repro.core.window import StreamWindow
-from repro.data.blocks import n_blocks
 from repro.data.tuples import (
-    KEY_DTYPE,
     SEQ_DTYPE,
     TS_DTYPE,
     KeyArray,
@@ -45,8 +57,12 @@ from repro.data.tuples import (
     TupleBatch,
 )
 
-#: One stream's tuples as ``(key, ts, seq)`` columns.
-Columns = tuple[KeyArray, TsArray, SeqArray]
+#: One stream's tuples as ``(run key, ts, seq)`` columns.
+Columns = tuple[HashArray, TsArray, SeqArray]
+#: Per mini-group (directory bucket order) and stream, a tuple count.
+CountTable = npt.NDArray[np.int64]
+
+_END: t.Final = 1 << 64
 
 
 class JoinGeometry(t.NamedTuple):
@@ -61,114 +77,6 @@ class JoinGeometry(t.NamedTuple):
     #: Number of joining streams (the paper's general model; the
     #: evaluation prototype uses 2).
     n_streams: int = 2
-
-
-class MiniGroup:
-    """A mini-partition-group: one window per joining stream."""
-
-    __slots__ = ("geometry", "windows")
-
-    def __init__(self, geometry: JoinGeometry) -> None:
-        self.geometry = geometry
-        self.windows = tuple(
-            StreamWindow(sid, geometry.tuples_per_block, geometry.block_bytes)
-            for sid in range(geometry.n_streams)
-        )
-
-    # -- sizes ----------------------------------------------------------
-    @property
-    def n_tuples(self) -> int:
-        return sum(w.n_tuples for w in self.windows)
-
-    @property
-    def bytes_used(self) -> int:
-        return sum(w.bytes_used for w in self.windows)
-
-    @property
-    def has_fresh(self) -> bool:
-        return any(w.n_fresh for w in self.windows)
-
-    # -- join-protocol operations -------------------------------------------
-    def flush_stream(
-        self,
-        sid: int,
-        others: t.Sequence[tuple[int, KeyArray, TsArray, SeqArray]],
-        collect_pairs: bool = False,
-    ) -> CompositeResult:
-        """n-way join: match stream *sid*'s fresh head block against the
-        *others* — per other stream ``(stream id, key, ts, seq)``, its
-        committed tuples sorted by key — and commit it.
-
-        Only committed tuples of the other streams take part (the
-        duplicate-elimination rule: a result is emitted by the last of
-        its members to flush).  The two-stream join never comes here:
-        the join module probes a whole pass at once through
-        :meth:`PartitionGroup.probe`.
-        """
-        window = self.windows[sid]
-        ts, key, seq = window.fresh_view()
-        result = probe_composites(
-            sid,
-            ts,
-            key,
-            seq,
-            others,
-            {k: self.geometry.window_seconds for k in range(len(self.windows))},
-            collect_members=collect_pairs,
-        )
-        window.commit_fresh()
-        return result
-
-    # -- fine-tuning operations ---------------------------------------------------
-    def split_by_bit(self, bit: int) -> tuple["MiniGroup", "MiniGroup"]:
-        """Redistribute tuples by bit *bit* of the directory hash.
-
-        Requires both fresh head blocks to be empty (the join module
-        flushes them first); committed tuples keep temporal order
-        because mask selection is stable.
-        """
-        if self.has_fresh:
-            raise ValueError("cannot split a mini-group with fresh tuples")
-        low, high = MiniGroup(self.geometry), MiniGroup(self.geometry)
-        bitmask = np.uint64(1 << bit)
-        for sid, window in enumerate(self.windows):
-            soa = window.committed
-            ts, key, seq = soa.ts, soa.key, soa.seq
-            high_side = (directory_hash(key) & bitmask).astype(bool)
-            for target, mask in ((low, ~high_side), (high, high_side)):
-                target.windows[sid].committed.append(ts[mask], key[mask], seq[mask])
-        return low, high
-
-    def can_subdivide(self, bit: int) -> bool:
-        """True when splitting by directory-hash bits >= *bit* can
-        actually separate this group's tuples.
-
-        A group dominated by one hot join key has identical directory
-        hashes throughout; splitting it only doubles the directory
-        without reducing scan sizes, so the tuning policy skips it.
-        """
-        keys = [w.committed.key for w in self.windows if len(w.committed)]
-        if not keys:
-            return False
-        suffixes = [directory_hash(k) >> np.uint64(bit) for k in keys]
-        lo = min(int(s.min()) for s in suffixes)
-        hi = max(int(s.max()) for s in suffixes)
-        return lo != hi
-
-    @staticmethod
-    def merged(a: "MiniGroup", b: "MiniGroup") -> "MiniGroup":
-        """Merge two buddy mini-groups, restoring temporal order."""
-        if a.has_fresh or b.has_fresh:
-            raise ValueError("cannot merge mini-groups with fresh tuples")
-        out = MiniGroup(a.geometry)
-        for sid in range(a.geometry.n_streams):
-            sa, sb = a.windows[sid].committed, b.windows[sid].committed
-            ts = np.concatenate((sa.ts, sb.ts))
-            key = np.concatenate((sa.key, sb.key))
-            seq = np.concatenate((sa.seq, sb.seq))
-            order = np.argsort(ts, kind="stable")
-            out.windows[sid].committed.append(ts[order], key[order], seq[order])
-        return out
 
 
 class GroupState(t.NamedTuple):
@@ -203,8 +111,44 @@ class PartitionGroupState(t.NamedTuple):
         return self.n_tuples * tuple_bytes
 
 
-#: A directory bucket with its mini-group's ``bytes_used``.
-SizedBucket = tuple[Bucket[MiniGroup], int]
+#: A directory bucket with its mini-group's bytes.
+SizedBucket = tuple[Bucket, int]
+
+
+class _Layout(t.NamedTuple):
+    """Where the directory's buckets lie in run-key order."""
+
+    #: The buckets in directory order (ascending pattern).
+    buckets: list[Bucket]
+    #: Directory slot -> index of its bucket in ``buckets``.
+    slot_index: npt.NDArray[np.intp]
+    #: The smallest run key of each bucket's range, ascending ...
+    edges: HashArray
+    #: ... and the directory-order index of the bucket it starts.
+    order: npt.NDArray[np.intp]
+
+
+#: No tuples (arrays are never written in place, so one is shared).
+_NO_COLUMNS: Columns = (
+    np.empty(0, np.uint64),
+    np.empty(0, TS_DTYPE),
+    np.empty(0, SEQ_DTYPE),
+)
+
+
+def _span(pattern: int, depth: int, parts: int = 1) -> list[int]:
+    """The run keys cutting the range of bucket ``(pattern, depth)``
+    into *parts* equal parts: its first key, ..., one past its last."""
+    first = int(f"{pattern:064b}"[::-1], 2)
+    width = (1 << (64 - depth)) // parts
+    return [first + i * width for i in range(parts + 1)]
+
+
+def _batch(sid: int, cols: Columns) -> TupleBatch:
+    rkey, ts, seq = cols
+    return TupleBatch(
+        ts, key_of(bit_reverse(rkey)), seq, np.full(len(ts), sid, dtype=np.uint8)
+    )
 
 
 class PartitionGroup:
@@ -220,24 +164,35 @@ class PartitionGroup:
         self.geometry = geometry
         #: Observability hook: ``on_double(pid, new_global_depth)``.
         self._on_double = on_double
-        self.directory: ExtendibleDirectory[MiniGroup] = self._new_directory()
-        #: :attr:`bytes_used`, kept up to date: every operation here that
-        #: changes a window's tuple count adds its block-granular
-        #: difference, so reading the total walks nothing.
+        self.directory = ExtendibleDirectory()
+        #: Block-granular bytes of every mini-group's windows, kept up
+        #: to date: the join module moves it as it admits arrivals, the
+        #: operations here as they drop, relabel or install tuples.
         self.total_bytes = 0
-        #: Per stream, the committed tuples of every mini-group in
-        #: stable key order (equal keys in commit order).  Derived
-        #: state: never serialized, rebuilt by :meth:`install_state`,
-        #: untouched by splits and merges (which only re-label it).
+        #: Per stream, the committed tuples in run-key order.
         self._runs: list[Columns] = []
         #: Per stream, commits not yet spliced into its run.
         self._pending: list[list[Columns]] = []
-        self._clear_runs()
+        #: Per stream, the oldest timestamp of its run and pending
+        #: commits (``inf`` when empty): expiry that drops nothing
+        #: reads nothing.
+        self._oldest: list[float] = []
+        #: Per stream, installed head-block tuples (``fresh`` in a
+        #: :class:`GroupState`) that no pass has taken yet, in arrival
+        #: order.  A live group never holds any between passes.
+        self.held: list[Columns] = []
+        self._layout_cache: _Layout | None = None
+        self._reset()
 
-    def _clear_runs(self) -> None:
-        empty = (np.empty(0, KEY_DTYPE), np.empty(0, TS_DTYPE), np.empty(0, SEQ_DTYPE))
-        self._runs = [empty for _ in range(self.geometry.n_streams)]
-        self._pending = [[] for _ in range(self.geometry.n_streams)]
+    def _reset(self) -> None:
+        n = self.geometry.n_streams
+        self.directory = ExtendibleDirectory(on_double=self._double_hook())
+        self._layout_cache = None
+        self.total_bytes = 0
+        self._runs = [_NO_COLUMNS for _ in range(n)]
+        self._pending = [[] for _ in range(n)]
+        self._oldest = [float("inf")] * n
+        self.held = [_NO_COLUMNS for _ in range(n)]
 
     def _double_hook(self) -> t.Callable[[int], None] | None:
         on_double = self._on_double
@@ -245,91 +200,146 @@ class PartitionGroup:
             return None
         return lambda depth: on_double(self.pid, depth)
 
-    def _new_directory(self) -> ExtendibleDirectory[MiniGroup]:
-        return ExtendibleDirectory(
-            MiniGroup(self.geometry), on_double=self._double_hook()
-        )
+    # -- the directory in run-key order ---------------------------------------
+    def _layout(self) -> _Layout:
+        if self._layout_cache is None:
+            buckets = self.directory.buckets()
+            patterns = np.array([b.pattern for b in buckets], dtype=np.int64)
+            firsts = np.array(
+                [_span(b.pattern, b.local_depth)[0] for b in buckets], dtype=np.uint64
+            )
+            order = np.argsort(firsts)
+            slot_index = np.searchsorted(patterns, self.directory.pattern_table())
+            self._layout_cache = _Layout(buckets, slot_index, firsts[order], order)
+        return self._layout_cache
+
+    def bucket_of(self, rkey: HashArray) -> npt.NDArray[np.intp]:
+        """Directory-order index of the bucket each run key lies in."""
+        layout = self._layout()
+        at: npt.NDArray[np.intp] = layout.order[
+            np.searchsorted(layout.edges, rkey, side="right") - 1
+        ]
+        return at
+
+    def bounds(self) -> tuple[CountTable, CountTable]:
+        """``(lo, hi)``: bucket ``b``'s committed tuples of stream ``s``
+        are rows ``[lo[b, s], hi[b, s])`` of that stream's run."""
+        layout = self._layout()
+        shape = (len(layout.buckets), self.geometry.n_streams)
+        lo, hi = np.empty(shape, np.int64), np.empty(shape, np.int64)
+        for sid in range(shape[1]):
+            rkey = self.sorted_run(sid)[0]
+            starts = np.searchsorted(rkey, layout.edges)
+            lo[layout.order, sid] = starts
+            hi[layout.order, sid] = np.append(starts[1:], len(rkey))
+        return lo, hi
+
+    def _held_counts(self) -> CountTable:
+        nb = len(self._layout().buckets)
+        if not any(len(h[1]) for h in self.held):
+            return np.zeros((nb, self.geometry.n_streams), np.int64)
+        return np.stack(
+            [np.bincount(self.bucket_of(h[0]), minlength=nb) for h in self.held],
+            axis=1,
+        ).astype(np.int64)
+
+    def _tally(self, keys: t.Sequence[int]) -> tuple[CountTable, CountTable]:
+        """Per stream (rows), the committed and held tuples whose run
+        key lies between consecutive *keys* (columns)."""
+
+        def between(sorted_keys: HashArray) -> CountTable:
+            inner = [k for k in keys if k < _END]
+            at = np.searchsorted(sorted_keys, np.array(inner, dtype=np.uint64))
+            if len(inner) < len(keys):
+                at = np.append(at, len(sorted_keys))
+            return np.diff(at)
+
+        committed = np.stack([between(self.sorted_run(s)[0]) for s in self._sids()])
+        held = np.stack([between(np.sort(h[0])) for h in self.held])
+        return committed, held
+
+    def _sids(self) -> range:
+        return range(self.geometry.n_streams)
+
+    def _block_bytes(self, n: npt.NDArray[np.int64]) -> int:
+        """Block-granular bytes of windows of *n* tuples each."""
+        tpb = self.geometry.tuples_per_block
+        return self.geometry.block_bytes * int((-(-n // tpb)).sum())
 
     # -- sizes --------------------------------------------------------------
+    def counts(self) -> tuple[CountTable, CountTable]:
+        """``(committed, head)`` tuples per mini-group and stream, the
+        mini-groups in directory order (``directory.buckets()``)."""
+        lo, hi = self.bounds()
+        return hi - lo, self._held_counts()
+
     @property
     def n_tuples(self) -> int:
-        return sum(b.payload.n_tuples for b in self.directory.buckets())
+        return sum(len(self.sorted_run(s)[0]) + len(self.held[s][0]) for s in self._sids())
 
     @property
     def bytes_used(self) -> int:
-        """Block-granular bytes of every window, by walking them all
-        (:attr:`total_bytes` is the same number for free)."""
-        return sum(b.payload.bytes_used for b in self.directory.buckets())
+        """Block-granular bytes of every window, counted from the runs
+        (:attr:`total_bytes` is the same number, kept)."""
+        committed, head = self.counts()
+        return self._block_bytes(committed + head)
+
+    def bytes_of(self, bucket: Bucket) -> int:
+        """Block-granular bytes of one mini-group's windows."""
+        committed, held = self._tally(_span(bucket.pattern, bucket.local_depth))
+        return self._block_bytes(committed + held)
+
+    def committed_bytes(self, bucket: Bucket, sid: int) -> int:
+        """Block-granular committed bytes of stream *sid* in one
+        mini-group: what a probe of the opposite stream is charged for."""
+        committed, _held = self._tally(_span(bucket.pattern, bucket.local_depth))
+        return self._block_bytes(committed[sid])
 
     @property
     def n_mini_groups(self) -> int:
         return self.directory.n_buckets
 
     # -- routing --------------------------------------------------------------
-    def route(
-        self, keys: KeyArray
-    ) -> tuple[npt.NDArray[np.int64], dict[int, Bucket[MiniGroup]]]:
-        """Bucket assignment for *keys*.
-
-        Returns ``(patterns, buckets)`` where ``patterns[i]`` is the
-        bucket *pattern* of key ``i`` and ``buckets`` maps pattern ->
-        bucket.  Several directory slots can point to one bucket (when
-        its local depth is below the global depth), so grouping must be
-        by bucket pattern, not by raw slot — otherwise a mini-group
-        would be fed multiple interleaved segments of the same batch,
-        breaking temporal order.
-        """
-        directory = self.directory
+    def route(self, keys: KeyArray) -> tuple[npt.NDArray[np.intp], HashArray]:
+        """``(buckets, g)``: the index in ``directory.buckets()`` of
+        each key's mini-group, and its directory hash (which the caller
+        keeps: nothing is hashed twice).  Several directory slots can
+        point to one bucket, so grouping is by bucket, not by slot."""
         gvals = directory_hash(keys)
-        mask = np.uint64((1 << directory.global_depth) - 1)
-        slots = (gvals & mask).astype(np.int64)
-        patterns = directory.pattern_table()[slots]
-        return patterns, {
-            int(p): directory.slots[int(p)] for p in np.unique(patterns)
-        }
+        mask = np.uint64((1 << self.directory.global_depth) - 1)
+        return self._layout().slot_index[(gvals & mask).astype(np.intp)], gvals
 
-    # -- admission ------------------------------------------------------------
-    def admit(
-        self,
-        window: StreamWindow,
-        ts: TsArray,
-        key: KeyArray,
-        seq: SeqArray,
-        n_commit: int = 0,
-    ) -> None:
-        """:meth:`StreamWindow.absorb` on one of this group's windows,
-        with :attr:`total_bytes` kept in step."""
-        before = window.n_tuples
-        window.absorb(ts, key, seq, n_commit)
-        self.total_bytes += self._bytes_between(before, before + len(ts))
+    # -- the runs ---------------------------------------------------------------
+    def commit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
+        """Add tuples to stream *sid*'s run; the caller accounts for
+        their bytes (:meth:`admit` is the call that does both).
 
-    def _bytes_between(self, fewer: int, more: int) -> int:
-        """Block-granular bytes a window gains by growing from *fewer*
-        tuples to *more* (what it frees by shrinking back)."""
-        tpb = self.geometry.tuples_per_block
-        return self.geometry.block_bytes * (n_blocks(more, tpb) - n_blocks(fewer, tpb))
-
-    # -- the key-sorted runs ----------------------------------------------------
-    def commit(self, sid: int, ts: TsArray, key: KeyArray, seq: SeqArray) -> None:
-        """Add tuples to stream *sid*'s run.
-
-        The caller also commits them to the window of the mini-group
-        they route to — or, inside one join-module pass, is about to.
         Buffered here and spliced in by the next :meth:`sorted_run`.
-        The arrays are kept: they must not be views of a head block.
+        The arrays are kept: they must not be views of storage that
+        changes.
         """
-        if len(key):
-            self._pending[sid].append((key, ts, seq))
+        if len(ts):
+            self._pending[sid].append((rkey, ts, seq))
+            self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
+
+    def admit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
+        """Commit tuples to stream *sid* and grow :attr:`total_bytes` by
+        the blocks they take in their mini-groups."""
+        committed, head = self.counts()
+        before = committed[:, sid] + head[:, sid]
+        added = np.bincount(self.bucket_of(rkey), minlength=len(before))
+        self.total_bytes += self._block_bytes(before + added) - self._block_bytes(before)
+        self.commit(sid, rkey, ts, seq)
 
     def sorted_run(self, sid: int) -> Columns:
-        """Stream *sid*'s committed tuples of every mini-group, sorted
-        by key: ``(key, ts, seq)``, valid until the next mutation.
+        """Stream *sid*'s committed tuples in run-key order, equal keys
+        in commit order: ``(run key, ts, seq)``, valid until the next
+        mutation.
 
         The order is exactly a stable argsort of the tuples in commit
         order, but the run is never re-sorted: tuples committed since
         the last call are sorted on their own and merged in after their
-        equal keys.  Equal keys share a mini-group, so their order is
-        also their order in that mini-group's window.
+        equal keys.
         """
         pending = self._pending[sid]
         if pending:
@@ -356,24 +366,26 @@ class PartitionGroup:
         self,
         sid: int,
         probe_ts: TsArray,
-        probe_key: KeyArray,
+        probe_rkey: HashArray,
         probe_seq: SeqArray,
         collect_pairs: bool = False,
     ) -> ProbeResult:
-        """Match *probe* tuples against stream *sid*'s committed tuples.
+        """Match *probe* tuples, given by their run keys
+        (:func:`~repro.core.hashing.run_key`), against stream *sid*'s
+        committed tuples.
 
         A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
         p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
         is *inclusive* on both sides.  The match set is exact; the CPU
         *charged* for it is the caller's business (the block nested-loop
-        scan of one mini-group's ``committed_bytes``).
+        scan of one mini-group's committed bytes).
         """
-        key, ts, seq = self.sorted_run(sid)
+        rkey, ts, seq = self.sorted_run(sid)
         return probe_sorted(
             probe_ts,
-            probe_key,
+            probe_rkey,
             probe_seq,
-            key,
+            rkey,
             ts,
             seq,
             self.geometry.window_seconds,
@@ -381,119 +393,167 @@ class PartitionGroup:
         )
 
     def flush_composites(
-        self, mini: MiniGroup, sid: int, collect_pairs: bool = False
+        self, sid: int, block: Columns, collect_pairs: bool = False
     ) -> CompositeResult:
-        """n-way join: flush stream *sid*'s head block of *mini* against
-        the other streams' runs, and add it to its own."""
-        others = [
-            (k, *self.sorted_run(k))
-            for k in range(self.geometry.n_streams)
-            if k != sid
-        ]
-        ts, key, seq = mini.windows[sid].fresh_view()
-        self.commit(sid, ts.copy(), key.copy(), seq.copy())
-        return mini.flush_stream(sid, others, collect_pairs)
+        """n-way join: match one head *block* of stream *sid* against the
+        other streams' runs, and commit it to its own.
+
+        Only committed tuples of the other streams take part (the
+        duplicate-elimination rule: a result is emitted by the last of
+        its members to flush).  The two-stream join never comes here:
+        the join module probes a whole pass at once through
+        :meth:`probe`.
+        """
+        others = [(k, *self.sorted_run(k)) for k in self._sids() if k != sid]
+        rkey, ts, seq = block
+        result = probe_composites(
+            sid,
+            ts,
+            rkey,
+            seq,
+            others,
+            dict.fromkeys(self._sids(), self.geometry.window_seconds),
+            collect_members=collect_pairs,
+        )
+        self.commit(sid, rkey, ts, seq)
+        return result
+
+    # -- expiry -------------------------------------------------------------------
+    def count_before(self, cutoff_ts: float) -> int:
+        """How many committed tuples :meth:`expire_before` would drop."""
+        return sum(
+            int(np.count_nonzero(self.sorted_run(sid)[1] < cutoff_ts))
+            for sid in self._sids()
+            if self._oldest[sid] < cutoff_ts
+        )
 
     def expire_before(self, cutoff_ts: float) -> int:
-        """Drop committed tuples older than *cutoff_ts* from every
-        window, and from the runs; returns the count dropped."""
-        dropped = [0] * self.geometry.n_streams
-        for bucket in self.directory.buckets():
-            for sid, window in enumerate(bucket.payload.windows):
-                n = window.expire_before(cutoff_ts)
-                if n:
-                    dropped[sid] += n
-                    left = window.n_tuples
-                    self.total_bytes -= self._bytes_between(left, left + n)
-        for sid, n in enumerate(dropped):
-            if n:
-                run = self.sorted_run(sid)
-                live = run[1] >= cutoff_ts
-                self._runs[sid] = t.cast(Columns, tuple(col[live] for col in run))
-        return sum(dropped)
+        """Drop committed tuples older than *cutoff_ts*; returns the
+        count dropped.  Head-block tuples never expire: they arrived
+        within the current epoch, far less than a window ago."""
+        dropped = 0
+        for sid in self._sids():
+            if self._oldest[sid] >= cutoff_ts:
+                continue
+            run = self.sorted_run(sid)
+            live = run[1] >= cutoff_ts
+            kept = t.cast(Columns, tuple(col[live] for col in run))
+            dropped += len(live) - len(kept[1])
+            self._runs[sid] = kept
+            self._oldest[sid] = float(kept[1].min()) if len(kept[1]) else float("inf")
+        if dropped:
+            self.total_bytes = self.bytes_used
+        return dropped
 
     # -- maintenance --------------------------------------------------------------
     def tuning_candidates(self) -> tuple[list[SizedBucket], list[SizedBucket]]:
-        """``(oversized, undersized)`` buckets with their ``bytes_used``,
-        each computed once: those above ``2*theta`` that a split can
-        actually subdivide, and those below ``theta`` that may have a
-        buddy to merge with."""
+        """``(oversized, undersized)`` buckets with their bytes, each
+        computed once: those above ``2*theta`` that a split can actually
+        subdivide, and those below ``theta`` that may have a buddy to
+        merge with."""
         theta = self.geometry.theta_bytes
-        oversized: list[SizedBucket] = []
-        undersized: list[SizedBucket] = []
-        for b in self.directory.buckets():
-            nbytes = b.payload.bytes_used
-            if nbytes > 2 * theta:
-                if self.directory.can_split(b) and b.payload.can_subdivide(
-                    b.local_depth
-                ):
-                    oversized.append((b, nbytes))
-            elif nbytes < theta and b.local_depth > 0:
-                undersized.append((b, nbytes))
+        tpb, block = self.geometry.tuples_per_block, self.geometry.block_bytes
+        lo, hi = self.bounds()
+        nbytes = block * (-(-(hi - lo + self._held_counts()) // tpb)).sum(axis=1)
+        buckets = self._layout().buckets
+        oversized = [
+            (buckets[i], int(nbytes[i]))
+            for i in np.flatnonzero(nbytes > 2 * theta).tolist()
+            if self.directory.can_split(buckets[i]) and self._separable(lo[i], hi[i])
+        ]
+        undersized = [
+            (buckets[i], int(nbytes[i]))
+            for i in np.flatnonzero(nbytes < theta).tolist()
+            if buckets[i].local_depth > 0
+        ]
         return oversized, undersized
 
-    def oversized_buckets(self) -> list[Bucket[MiniGroup]]:
+    def _separable(self, lo: CountTable, hi: CountTable) -> bool:
+        """True when a mini-group whose committed tuples are rows
+        ``[lo[s], hi[s])`` of each run holds more than one key.
+
+        A group dominated by one hot join key has identical directory
+        hashes throughout; splitting it only doubles the directory
+        without reducing scan sizes, so the tuning policy skips it.  A
+        slice is in run-key order: its first and last rows bound it.
+        """
+        ends = [
+            (rkey[a], rkey[b - 1])
+            for rkey, a, b in zip(
+                (self.sorted_run(s)[0] for s in self._sids()), lo.tolist(), hi.tolist()
+            )
+            if b > a
+        ]
+        return bool(ends) and bool(min(e[0] for e in ends) != max(e[1] for e in ends))
+
+    def oversized_buckets(self) -> list[Bucket]:
         return [b for b, _nbytes in self.tuning_candidates()[0]]
 
-    def split_bucket(self, bucket: Bucket[MiniGroup]) -> int:
-        """Split one oversized bucket; returns bytes redistributed."""
-        moved = bucket.payload.bytes_used
-        low, high = self.directory.split(
-            bucket, lambda mg, bit: mg.split_by_bit(bit)
-        )
+    def split_bucket(self, bucket: Bucket) -> int:
+        """Split one oversized bucket; returns bytes redistributed.
+
+        A relabelling: the children are the two halves of the bucket's
+        run-key range, sized with one more bound."""
+        committed, held = self._tally(_span(bucket.pattern, bucket.local_depth, 2))
+        per_half = committed + held
+        moved = self._block_bytes(per_half.sum(axis=1))
+        self.directory.split(bucket)
+        self._layout_cache = None
         # Each half rounds up to whole blocks on its own.
-        self.total_bytes += low.payload.bytes_used + high.payload.bytes_used - moved
+        self.total_bytes += self._block_bytes(per_half) - moved
         return moved
 
-    def try_merge_bucket(self, bucket: Bucket[MiniGroup]) -> int:
+    def try_merge_bucket(self, bucket: Bucket) -> int:
         """Merge *bucket* with its buddy if the paper's conditions hold
-        (same local depth, combined size < 2*theta).  Returns bytes
-        touched, or 0 when no merge happened."""
+        (same local depth, combined size < 2*theta, no head-block
+        tuples).  Returns bytes touched, or 0 when no merge happened."""
         buddy = self.directory.buddy_of(bucket)
         if buddy is None:
             return 0
-        combined = bucket.payload.bytes_used + buddy.payload.bytes_used
-        if combined >= 2 * self.geometry.theta_bytes:
+        depth = bucket.local_depth - 1
+        pattern = bucket.pattern & ((1 << depth) - 1)
+        # The two halves of the merged range are the bucket and its buddy.
+        committed, held = self._tally(_span(pattern, depth, 2))
+        combined = self._block_bytes(committed + held)
+        if combined >= 2 * self.geometry.theta_bytes or held.any():
             return 0
-        if bucket.payload.has_fresh or buddy.payload.has_fresh:
-            return 0
-        merged = self.directory.merge(bucket, MiniGroup.merged)
-        assert merged is not None  # the buddy was just looked up
-        self.total_bytes += merged.payload.bytes_used - combined
+        self.directory.merge(bucket)
+        self._layout_cache = None
+        self.total_bytes += self._block_bytes(committed.sum(axis=1)) - combined
         return combined
 
     # -- state movement ---------------------------------------------------------------
+    def take_held(self) -> list[Columns]:
+        """Hand the installed head-block tuples to a pass (they stay in
+        :attr:`total_bytes`: the pass keeps them in head blocks)."""
+        held = self.held
+        self.held = [_NO_COLUMNS for _ in self._sids()]
+        return held
+
     def extract_state(self) -> PartitionGroupState:
         """Drain this group's entire window state for migration."""
-        global_depth = self.directory.global_depth
-        groups = []
-        for bucket in self.directory.buckets():
-            streams = tuple(
-                w.extract_all() for w in bucket.payload.windows
-            )
-            groups.append(
-                GroupState(bucket.pattern, bucket.local_depth, streams)
-            )
-        # Reset to a pristine directory.
-        self.directory = self._new_directory()
-        self.total_bytes = 0
-        self._clear_runs()
-        return PartitionGroupState(self.pid, global_depth, tuple(groups))
+        state = self.snapshot_state()
+        self._reset()
+        return state
 
     def snapshot_state(self) -> PartitionGroupState:
         """Copy this group's window state without draining it — the
-        owner side of a replication checkpoint."""
+        owner side of a replication checkpoint.  Each mini-group's slice
+        is cut out of the run and put in timestamp order."""
+        lo, hi = self.bounds()
+        runs = [self.sorted_run(s) for s in self._sids()]
+        held_at = [self.bucket_of(h[0]) for h in self.held]
         groups = []
-        for bucket in self.directory.buckets():
-            streams = tuple(
-                w.snapshot_all() for w in bucket.payload.windows
-            )
-            groups.append(
-                GroupState(bucket.pattern, bucket.local_depth, streams)
-            )
-        return PartitionGroupState(
-            self.pid, self.directory.global_depth, tuple(groups)
-        )
+        for i, bucket in enumerate(self._layout().buckets):
+            streams = []
+            for sid, run in enumerate(runs):
+                cols = tuple(col[lo[i, sid] : hi[i, sid]] for col in run)
+                order = np.argsort(cols[1], kind="stable")
+                committed = t.cast(Columns, tuple(col[order] for col in cols))
+                fresh = t.cast(Columns, tuple(col[held_at[sid] == i] for col in self.held[sid]))
+                streams.append((_batch(sid, committed), _batch(sid, fresh)))
+            groups.append(GroupState(bucket.pattern, bucket.local_depth, tuple(streams)))
+        return PartitionGroupState(self.pid, self.directory.global_depth, tuple(groups))
 
     def install_state(self, state: PartitionGroupState) -> None:
         """Rebuild the fine-tuned directory from a shipped state blob."""
@@ -501,34 +561,28 @@ class PartitionGroup:
             raise ValueError(
                 f"installing state into non-empty partition-group {self.pid}"
             )
-        directory: ExtendibleDirectory[MiniGroup] = ExtendibleDirectory(
-            MiniGroup(self.geometry)
-        )
+        directory = ExtendibleDirectory()
         for group in state.groups:
             # Grow the directory until the recorded local depth fits,
             # splitting along the recorded pattern's bits.
             bucket = directory.bucket_for(group.pattern)
             while bucket.local_depth < group.local_depth:
-                directory.split(bucket, lambda mg, bit: mg.split_by_bit(bit))
+                directory.split(bucket)
                 bucket = directory.bucket_for(group.pattern)
-            mini = bucket.payload
-            for sid, (committed, fresh) in enumerate(group.streams):
-                window = mini.windows[sid]
-                window.install_committed(committed)
-                self.commit(sid, committed.ts, committed.key, committed.seq)
-                if len(fresh):
-                    window.append_fresh(fresh.ts, fresh.key, fresh.seq)
         # Attach the observability hook only after the rebuild: replayed
         # doublings are structure restoration, not new tuning activity.
         directory.on_double = self._double_hook()
         self.directory = directory
+        self._layout_cache = None
+        for sid in self._sids():
+            committed = TupleBatch.concat([g.streams[sid][0] for g in state.groups])
+            self.commit(sid, run_key(committed.key), committed.ts, committed.seq)
+            fresh = TupleBatch.concat([g.streams[sid][1] for g in state.groups])
+            self.held[sid] = (run_key(fresh.key), fresh.ts, fresh.seq)
+        # The runs are built here (one sort per stream), so the first
+        # probe after a migration or crash restore only merges, as on a
+        # node that saw every commit live.
         self.total_bytes = self.bytes_used
-        # The runs are never serialized: the blob carries window contents
-        # only, so build each now (one full sort per stream) and the
-        # first probe after a migration or crash restore only merges,
-        # as on a node that saw every commit live.
-        for sid in range(self.geometry.n_streams):
-            self.sorted_run(sid)
 
 
 def _spliced(

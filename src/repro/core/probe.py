@@ -22,6 +22,10 @@ import numpy.typing as npt
 
 from repro.data.tuples import KeyArray, SeqArray, TsArray
 
+#: What a probe searches by: join keys, or keys equal exactly where the
+#: join keys are (a partition-group's run keys).
+SortKeys = t.Union[KeyArray, npt.NDArray[np.uint64]]
+
 
 class ProbeResult(t.NamedTuple):
     """Outcome of probing fresh tuples against a committed window."""
@@ -55,7 +59,7 @@ def _no_pairs(n_probe: int, collect_pairs: bool) -> ProbeResult:
 
 
 def key_ranges(
-    sorted_key: KeyArray, probe_key: KeyArray
+    sorted_key: SortKeys, probe_key: SortKeys
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
     """Per probe key, the ``[lo, hi)`` slice of *sorted_key* equal to it."""
     lo = np.searchsorted(sorted_key, probe_key, side="left")
@@ -65,9 +69,9 @@ def key_ranges(
 
 def probe_sorted(
     probe_ts: TsArray,
-    probe_key: KeyArray,
+    probe_key: SortKeys,
     probe_seq: SeqArray,
-    sorted_key: KeyArray,
+    sorted_key: SortKeys,
     sorted_ts: TsArray,
     sorted_seq: SeqArray | None,
     window: float,

@@ -1,4 +1,4 @@
-"""Data plane: tuple batches, growable columnar storage, block math.
+"""Data plane: tuple batches and block math.
 
 Stream tuples are 64 logical bytes on the wire and in windows (the
 paper's Section VI-A); in memory we keep only the columns the join
@@ -8,7 +8,6 @@ separately.
 """
 
 from repro.data.blocks import BlockView, iter_blocks, n_blocks
-from repro.data.soa import GrowableSoA
 from repro.data.tuples import TupleBatch
 
-__all__ = ["TupleBatch", "GrowableSoA", "BlockView", "iter_blocks", "n_blocks"]
+__all__ = ["TupleBatch", "BlockView", "iter_blocks", "n_blocks"]

@@ -14,7 +14,7 @@ SIM005     no *call chain* to stdlib random / numpy.random module
            state outside simul/rng.py (interprocedural SIM002)
 OBS001     trace-event construction guarded by the null-tracer check
 PERF001    no blocking call (socket/select/sleep/file I/O) reachable
-           from the master epoch loop, probe path, or data/soa.py
+           from the master epoch loop, probe path, or window store
 PROTO001   protocol message set == dispatched set (no dead surface)
 CFG001     every SystemConfig/ObservabilityConfig field is read
 =========  ==========================================================

@@ -24,7 +24,7 @@ exempt, as in SIM002).
 
 **PERF001 — blocking-call reachability.**  The master epoch loop
 (``core/master.py``), the probe path (``core/join_module.py``) and the
-columnar store (``data/soa.py``) are the modeled hot paths: one real
+window store (``core/partition_group.py``) are the modeled hot paths: one real
 ``socket``/``select``/``sleep``/file-I/O call inside them stalls the
 epoch-synchronized schedule for every node.  Direct blocking calls in
 those modules are flagged, and so is any call whose resolvable chain
@@ -52,8 +52,7 @@ BLOCKING_SCOPE_SUFFIXES: tuple[str, ...] = (
     "repro/core/master.py",
     "repro/core/join_module.py",
     "repro/core/probe.py",
-    "repro/core/window.py",
-    "repro/data/soa.py",
+    "repro/core/partition_group.py",
 )
 
 #: Layers that exist to block: wall-clock backends, real transports,
@@ -245,7 +244,7 @@ class BlockingReachability(_TaintRule):
     id = "PERF001"
     summary = (
         "no socket/select/sleep/file-I/O reachable from the master "
-        "epoch loop, the join-module probe path, or data/soa.py"
+        "epoch loop, the join-module probe path, or the window store"
     )
     spec_name = "a blocking call"
     remedy = (

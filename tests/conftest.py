@@ -7,6 +7,7 @@ import pytest
 
 from repro.config import SystemConfig
 from repro.core.costmodel import CostModel
+from repro.core.hashing import run_key
 from repro.core.metrics import MeasurementWindow, SlaveMetrics
 from repro.core.partition_group import JoinGeometry
 from repro.simul.kernel import Simulator
@@ -118,34 +119,43 @@ def drain(module, emit_time: float) -> list[tuple[str, float]]:
     return units
 
 
-def flush_head(group, mini, sid: int, collect_pairs: bool = True):
-    """Flush stream *sid*'s head block of *mini* the way a join-module
-    unit does, one block at a time: probe the opposite stream's run of
-    *group*, add the block to its own stream's run, commit it."""
-    ts, key, seq = (col.copy() for col in mini.windows[sid].fresh_view())
-    result = group.probe(1 - sid, ts, key, seq, collect_pairs=collect_pairs)
-    group.commit(sid, ts, key, seq)
-    mini.windows[sid].commit_fresh()
+def flush_head(group, sid: int, ts, key, seq, collect_pairs: bool = True):
+    """Flush one head block of stream *sid* the way a join-module unit
+    does: probe the opposite stream's run of *group* with it, then admit
+    it to its own stream's run."""
+    ts, key, seq = _columns(ts, key, seq)
+    rkey = run_key(key)
+    result = group.probe(1 - sid, ts, rkey, seq, collect_pairs=collect_pairs)
+    group.admit(sid, rkey, ts, seq)
     return result
 
 
 def commit_rows(group, sid: int, ts, key, seq) -> None:
-    """Commit tuples of stream *sid* straight to the windows of the
-    mini-groups they route to (arrival order kept), and to the run."""
-    ts, key, seq = np.asarray(ts, float), np.asarray(key, np.int64), np.asarray(seq, np.int64)
-    patterns, buckets = group.route(key)
-    for pattern, bucket in buckets.items():
-        mine = patterns == pattern
-        bucket.payload.windows[sid].committed.append(ts[mine], key[mine], seq[mine])
-    group.commit(sid, ts, key, seq)
+    """Commit tuples of stream *sid* straight to *group* (arrival order
+    kept) through its admission call."""
+    ts, key, seq = _columns(ts, key, seq)
+    group.admit(sid, run_key(key), ts, seq)
 
 
-def tune(group) -> None:
+def _columns(ts, key, seq):
+    return (
+        np.asarray(ts, dtype=float),
+        np.asarray(key, dtype=np.int64),
+        np.asarray(seq, dtype=np.int64),
+    )
+
+
+def tune(group, busy=frozenset()) -> None:
     """One maintenance round on *group*: split what is oversized, merge
-    what is undersized (mini-groups holding fresh tuples are left alone)."""
+    what is undersized.  Mini-groups whose patterns are in *busy* (the
+    caller holds head-block tuples of theirs) are left alone."""
     for bucket in group.oversized_buckets():
-        if not bucket.payload.has_fresh:
+        if bucket.pattern not in busy:
             group.split_bucket(bucket)
-    for bucket in group.directory.buckets():
-        if group.directory.bucket_for(bucket.pattern) is bucket:
+    directory = group.directory
+    for bucket in directory.buckets():
+        if directory.bucket_for(bucket.pattern) is not bucket:
+            continue  # merged away this round
+        buddy = directory.buddy_of(bucket)
+        if buddy is not None and not {bucket.pattern, buddy.pattern} & busy:
             group.try_merge_bucket(bucket)

@@ -1,65 +1,71 @@
-"""The directory's slot->pattern cache must track structural changes."""
+"""The directory's derived caches — the slot->pattern table and the
+distinct-bucket list — must track structural changes."""
 
 import numpy as np
 
 from repro.core.exthash import ExtendibleDirectory
 
 
-class SetPayload:
-    def __init__(self, values=()):
-        self.values = set(values)
-
-    def split(self, bit):
-        mask = 1 << bit
-        return (
-            SetPayload(v for v in self.values if not v & mask),
-            SetPayload(v for v in self.values if v & mask),
-        )
-
-    @staticmethod
-    def merge(a, b):
-        return SetPayload(a.values | b.values)
-
-
 def expected_table(directory):
     return np.array([b.pattern for b in directory.slots], dtype=np.int64)
 
 
+def expected_buckets(directory):
+    seen = {}
+    for bucket in directory.slots:
+        seen.setdefault(id(bucket), bucket)
+    return list(seen.values())
+
+
+def assert_fresh(directory):
+    assert np.array_equal(directory.pattern_table(), expected_table(directory))
+    assert directory.buckets() == expected_buckets(directory)
+    assert directory.n_buckets == len(expected_buckets(directory))
+
+
 class TestPatternTableCache:
     def test_initial(self):
-        d = ExtendibleDirectory(SetPayload(range(8)))
-        assert np.array_equal(d.pattern_table(), expected_table(d))
+        d = ExtendibleDirectory()
+        assert_fresh(d)
 
     def test_invalidated_by_split(self):
-        d = ExtendibleDirectory(SetPayload(range(16)))
-        d.pattern_table()  # warm the cache
-        d.split(d.slots[0], lambda p, bit: p.split(bit))
-        assert np.array_equal(d.pattern_table(), expected_table(d))
-        d.split(d.bucket_for(0), lambda p, bit: p.split(bit))
-        assert np.array_equal(d.pattern_table(), expected_table(d))
+        d = ExtendibleDirectory()
+        d.pattern_table()  # warm the caches
+        d.buckets()
+        d.split(d.slots[0])
+        assert_fresh(d)
+        d.split(d.bucket_for(0))
+        assert_fresh(d)
 
     def test_invalidated_by_merge(self):
-        d = ExtendibleDirectory(SetPayload(range(8)))
-        d.split(d.slots[0], lambda p, bit: p.split(bit))
+        d = ExtendibleDirectory()
+        d.split(d.slots[0])
         d.pattern_table()
-        d.merge(d.bucket_for(0), SetPayload.merge)
-        assert np.array_equal(d.pattern_table(), expected_table(d))
+        d.buckets()
+        d.merge(d.bucket_for(0))
+        assert_fresh(d)
 
     def test_cache_is_reused_when_clean(self):
-        d = ExtendibleDirectory(SetPayload(range(8)))
-        first = d.pattern_table()
-        second = d.pattern_table()
-        assert first is second
+        d = ExtendibleDirectory()
+        d.split(d.slots[0])
+        assert d.pattern_table() is d.pattern_table()
+        assert d.buckets() is d.buckets()
 
     def test_random_structure_stays_consistent(self):
         rng = np.random.default_rng(0)
-        d = ExtendibleDirectory(SetPayload(range(64)), max_global_depth=6)
+        d = ExtendibleDirectory(max_global_depth=6)
         for _ in range(40):
             g = int(rng.integers(0, 64))
             bucket = d.bucket_for(g)
             if rng.random() < 0.6 and d.can_split(bucket):
-                d.split(bucket, lambda p, bit: p.split(bit))
+                d.split(bucket)
             else:
-                d.merge(bucket, SetPayload.merge)
-            assert np.array_equal(d.pattern_table(), expected_table(d))
+                d.merge(bucket)
+            assert_fresh(d)
             d.check_invariants()
+
+    def test_buckets_are_in_pattern_order(self):
+        d = ExtendibleDirectory()
+        d.split(d.slots[0])
+        d.split(d.bucket_for(1))
+        assert [b.pattern for b in d.buckets()] == [0, 1, 3]

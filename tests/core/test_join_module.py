@@ -234,8 +234,9 @@ class TestProcessing:
             )
             module.enqueue(Shipment(epoch, epoch * 2.0, (epoch + 1) * 2.0, batch))
             run_pass(module, (epoch + 1) * 2.0)
-            for bucket in module.groups[0].directory.buckets():
-                max_scan = max(max_scan, bucket.payload.bytes_used)
+            group = module.groups[0]
+            for bucket in group.directory.buckets():
+                max_scan = max(max_scan, group.bytes_of(bucket))
         # Sizes measured after maintenance: within 2*theta plus the
         # block-rounding slack of the two streams' head blocks.
         assert max_scan <= 2 * geometry.theta_bytes + 2 * geometry.block_bytes
@@ -328,15 +329,16 @@ class TestCosts:
         )
         module.enqueue(Shipment(0, 0.0, 1.0, committed))
         process_all(module)
-        (bucket,) = module.groups[0].directory.buckets()
-        opposite = bucket.payload.windows[1]
-        assert opposite.committed_bytes == 3 * geometry.block_bytes
+        group = module.groups[0]
+        (bucket,) = group.directory.buckets()
+        opposite = group.committed_bytes(bucket, 1)
+        assert opposite == 3 * geometry.block_bytes
 
         miss = TupleBatch.build(ts=[1.5], key=[99], stream=0)
         module.enqueue(Shipment(1, 1.0, 2.0, miss))
         units = run_pass(module, 10.0)
         assert [cost for kind, cost in units if kind == "probe"] == [
-            module.cost_model.probe_cost(1, opposite.committed_bytes)
+            module.cost_model.probe_cost(1, opposite)
         ]
 
     def test_unit_kinds(self, geometry):
@@ -379,8 +381,8 @@ class TestConcurrentFiling:
         n_shipments = 1000
         batch = workload_batch(0.0, 0.2, rate=100.0)
         assert len(batch)
-        # Windows insist on temporal order, so each shipment is the
-        # same batch shifted one epoch further on.
+        # Each shipment is the same batch shifted one epoch further on,
+        # as a master would send it.
         shipments = [
             Shipment(
                 epoch,

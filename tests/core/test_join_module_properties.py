@@ -1,6 +1,6 @@
 """Stateful property wall over the join module.
 
-Nothing else in ``tests/`` is stateful above one ``MiniGroup``.  Here
+Nothing else in ``tests/`` is stateful above one partition-group.  Here
 hypothesis draws interleavings of everything that touches a slave's
 window state — shipments, bounded passes, partition moves, replication
 checkpoints with crash + log replay, and hand-built states whose head
@@ -20,16 +20,18 @@ within a few dozen tuples.  Three properties are asserted:
 (c) the module retires its steps in hypothesis-drawn prefixes — one
     unit, the whole step, arbitrary cuts — and wherever a prefix ends,
     what an observer could read between two units (``window_bytes``,
-    ``pending_bytes``, ``tuples_processed``, ``outputs_emitted``, every
-    window's ``n_committed`` / ``n_fresh``) is what the reference holds
+    ``pending_bytes``, ``tuples_processed``, ``outputs_emitted``, and
+    per mini-group and stream the committed and head-block tuple counts
+    of :meth:`JoinModule.window_counts`) is what the reference holds
     between the same two units; each unit gets its own emit time, so a
     row recorded at another unit's instant is a failure.  After every
-    operation each group's running ``total_bytes`` equals the walk.
+    operation each group's running ``total_bytes`` equals the count
+    from its runs.
 
 Timestamps are integers so ``|dt| == W`` is common.  A batch is not
 timestamp-sorted (stream-1 rows may precede stream-0 rows that are
 older), keys repeat or are all equal; each *stream's* timestamps are
-non-decreasing, which is what ``GrowableSoA.append`` insists on.
+non-decreasing, as in every shipment a master sends.
 """
 
 from __future__ import annotations
@@ -376,24 +378,28 @@ class Harness:
         ) + sum(len(rows) for (pid, _, _), rows in ref.heads.items() if pid in pids)
 
     def _check_windows(self, module) -> None:
-        """Every window of *module* holds what the reference says, and
-        the byte totals follow from those counts."""
+        """Every mini-group of *module* holds, per stream, the committed
+        and head-block tuples the reference says, and the byte totals
+        follow from those counts."""
         ref, g = self.ref, self.geometry
         total = 0
         for pid, group in module.groups.items():
-            assert group.total_bytes == group.bytes_used
+            committed, head = module.window_counts(pid)
+            patterns = [b.pattern for b in group.directory.buckets()]
             for sid in (0, 1):
-                committed = Counter(
+                per_pattern = Counter(
                     ref.pattern(group, row) for row in ref.committed.get((pid, sid), ())
                 )
-                for bucket in group.directory.buckets():
-                    window = bucket.payload.windows[sid]
-                    n_fresh = len(ref.heads.get((pid, bucket.pattern, sid), ()))
-                    assert window.n_committed == committed[bucket.pattern]
-                    assert window.n_fresh == n_fresh
-                    total += block_bytes_used(
-                        window.n_committed + n_fresh, TPB, g.block_bytes
-                    )
+                assert committed[:, sid].tolist() == [per_pattern[p] for p in patterns]
+                assert head[:, sid].tolist() == [
+                    len(ref.heads.get((pid, p, sid), ())) for p in patterns
+                ]
+            held = sum(
+                block_bytes_used(n, TPB, g.block_bytes)
+                for n in (committed + head).ravel().tolist()
+            )
+            assert group.total_bytes == held
+            total += held
         assert module.window_bytes == total
 
     def check_totals(self) -> None:

@@ -15,6 +15,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hashing import directory_hash, run_key
 from repro.core.partition_group import JoinGeometry, PartitionGroup
 from tests.conftest import brute_force_pairs, commit_rows, flush_head, tune
 
@@ -85,7 +86,7 @@ def test_probe_matches_brute_force(case):
     p_key = np.array(p_key, dtype=np.int64)
     p_seq = np.arange(1000, 1000 + len(p_ts), dtype=np.int64)
 
-    result = group.probe(0, p_ts, p_key, p_seq, collect_pairs=True)
+    result = group.probe(0, p_ts, run_key(p_key), p_seq, collect_pairs=True)
 
     expected = brute_force_pairs(p_ts, p_key, p_seq, c_ts, c_key, c_seq, window_s)
     got = [tuple(r) for r in result.pairs.tolist()]
@@ -146,41 +147,40 @@ def test_exactly_once_under_interleaving(ops, tpb, window):
     seqs = {0: 0, 1: 0}
     rows = {0: [], 1: []}
     found = []
-    pending = {0: [], 1: []}  # unflushed (fresh) tuple timestamps
+    heads = {}  # (pattern, sid) -> unflushed (ts, key, seq) rows
 
-    def flush_mini(mini, sid):
-        pairs = flush_head(group, mini, sid).pairs
+    def flush_mini(pattern, sid):
+        head = heads.pop((pattern, sid), [])
+        if not head:
+            return
+        pairs = flush_head(group, sid, *zip(*head)).pairs
         if len(pairs):
             if sid == 1:
                 pairs = pairs[:, ::-1]
             found.extend(map(tuple, pairs.tolist()))
 
     def flush(sid):
-        for bucket in group.directory.buckets():
-            flush_mini(bucket.payload, sid)
-        pending[sid].clear()
+        for pattern, k in list(heads):
+            if k == sid:
+                flush_mini(pattern, sid)
 
     for op in ops:
         if op[0] == "append":
             _, sid, dt, key = op
             clock += dt
-            key = np.array([key], dtype=np.int64)
-            patterns, buckets = group.route(key)
-            mini = buckets[int(patterns[0])].payload
-            if mini.windows[sid].head_space() == 0:
-                flush_mini(mini, sid)
-            mini.windows[sid].append_fresh(
-                np.array([clock]), key, np.array([seqs[sid]], dtype=np.int64)
-            )
-            rows[sid].append((clock, int(key[0]), seqs[sid]))
-            pending[sid].append(clock)
+            g = int(directory_hash(np.array([key]))[0])
+            pattern = group.directory.bucket_for(g).pattern
+            if len(heads.get((pattern, sid), ())) == tpb:
+                flush_mini(pattern, sid)
+            heads.setdefault((pattern, sid), []).append((clock, key, seqs[sid]))
+            rows[sid].append((clock, key, seqs[sid]))
             seqs[sid] += 1
         elif op[0] == "flush":
             flush(op[1])
         elif op[0] == "tune":
-            tune(group)
+            tune(group, busy={pattern for pattern, _sid in heads})
         else:
-            oldest = min(pending[0] + pending[1], default=clock)
+            oldest = min((r[0] for h in heads.values() for r in h), default=clock)
             group.expire_before(oldest - window)
 
     flush(0)
@@ -202,6 +202,11 @@ def test_exactly_once_under_interleaving(ops, tpb, window):
 # ---------------------------------------------------------------------------
 # Deterministic edge cases.
 # ---------------------------------------------------------------------------
+def probe(group, ts, key, seq):
+    """Stream-0 matches of probe tuples given by their join keys."""
+    return group.probe(0, ts, run_key(key), seq, collect_pairs=True)
+
+
 def one_window_group(window=10.0):
     """A group that stays one mini-group; ``commit_rows`` fills it."""
     return group_for(window=window, fine_tuning=False)
@@ -212,23 +217,21 @@ class TestEdgeCases:
         group = one_window_group()
         commit_rows(group, 0, [0.0, 0.0, 5.0], [7, 7, 7], [0, 1, 2])
         # |10.0 - 0.0| == W exactly: both ts=0 tuples must match.
-        r = group.probe(
-            0,
+        r = probe(
+            group,
             np.array([10.0]),
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
-            collect_pairs=True,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [
             (100, 0), (100, 1), (100, 2),
         ]
         # One epsilon beyond: only the duplicate pair at ts=5 remains.
-        r = group.probe(
-            0,
+        r = probe(
+            group,
             np.array([np.nextafter(10.0, 11.0)]),
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
-            collect_pairs=True,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [(100, 2)]
 
@@ -236,14 +239,14 @@ class TestEdgeCases:
         group = one_window_group()
         empty_f = np.empty(0, dtype=np.float64)
         empty_i = np.empty(0, dtype=np.int64)
-        r = group.probe(
-            0, np.array([1.0]), np.array([3], dtype=np.int64),
-            np.array([0], dtype=np.int64), collect_pairs=True,
+        r = probe(
+            group, np.array([1.0]), np.array([3], dtype=np.int64),
+            np.array([0], dtype=np.int64),
         )
         assert r.n_pairs == 0 and len(r.pairs) == 0
         assert r.offsets.tolist() == [0, 0]
         commit_rows(group, 0, [1.0], [3], [0])
-        r = group.probe(0, empty_f, empty_i, empty_i, collect_pairs=True)
+        r = probe(group, empty_f, empty_i, empty_i)
         assert r.n_pairs == 0 and len(r.pairs) == 0
         assert r.offsets.tolist() == [0]
 
@@ -255,7 +258,7 @@ class TestEdgeCases:
         p_ts = np.array([9.5, 0.5, 20.0])
         p_key = np.array([1, 1, 1], dtype=np.int64)
         p_seq = np.array([100, 101, 102], dtype=np.int64)
-        r = group.probe(0, p_ts, p_key, p_seq, collect_pairs=True)
+        r = probe(group, p_ts, p_key, p_seq)
         expected = brute_force_pairs(
             p_ts, p_key, p_seq,
             np.array([0.0, 4.0, 9.0]), p_key, np.array([0, 1, 2]), 5.0,
@@ -264,24 +267,24 @@ class TestEdgeCases:
         assert r.offsets.tolist() == [0, 1, 3, 3]
 
     def test_probe_after_direct_soa_append(self):
-        """split_by_bit/merged write straight to the children's SoAs and
-        tell the run nothing: it holds the group's tuples whatever
-        mini-group they are filed under, so it need not hear."""
+        """Splits and merges copy no tuple and tell the run nothing: a
+        mini-group is a range of it, so the run answers the same
+        whatever mini-groups its tuples are filed under."""
         group = group_for(tpb=1, window=10.0)
         group.sorted_run(0)  # build derived state while the group is empty
         keys = np.arange(12, dtype=np.int64)
         commit_rows(group, 0, np.arange(12.0), keys, keys)
-        probe = (np.full(12, 11.5), keys, keys + 100)
-        before = group.probe(0, *probe, collect_pairs=True)
+        probe_rows = (np.full(12, 11.5), keys, keys + 100)
+        before = probe(group, *probe_rows)
         tune(group)
         assert group.n_mini_groups > 1
-        after = group.probe(0, *probe, collect_pairs=True)
+        after = probe(group, *probe_rows)
         assert after.pairs.tolist() == before.pairs.tolist()
         assert before.pairs.tolist() == [[k + 100, k] for k in range(2, 12)]
 
     def test_warm_then_probe_equals_cold_probe(self):
-        """A run rebuilt from the windows (migration, crash restore)
-        must behave as one that observed every mutation live."""
+        """A run rebuilt from an exported state (migration, crash
+        restore) must behave as one that observed every mutation live."""
         ts = np.array([0.0, 1.0, 2.0, 8.0])
         key = np.array([4, 4, 9, 4], dtype=np.int64)
         seq = np.arange(4, dtype=np.int64)
@@ -298,8 +301,8 @@ class TestEdgeCases:
             np.array([4], dtype=np.int64),
             np.array([100], dtype=np.int64),
         )
-        a = live.probe(0, *p, collect_pairs=True)
-        b = restored.probe(0, *p, collect_pairs=True)
+        a = probe(live, *p)
+        b = probe(restored, *p)
         assert sorted(map(tuple, a.pairs.tolist())) == sorted(
             map(tuple, b.pairs.tolist())
         ) == [(100, 3)]

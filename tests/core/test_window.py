@@ -1,46 +1,54 @@
-"""StreamWindow: head-block protocol, commit, dedup, expiry — and the
-partition-group's key-sorted run that probes search."""
+"""One stream's window inside a partition-group: the head-block
+protocol, commit, dedup, expiry, state movement — and the group's run,
+which is every window's only store."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.partition_group import JoinGeometry, PartitionGroup
-from repro.core.window import StreamWindow
-from tests.conftest import commit_rows, flush_head, run_pass, tune
+from repro.core.costmodel import CostModel
+from repro.core.hashing import bit_reverse, directory_hash, key_of, run_key
+from repro.core.join_module import JoinModule
+from repro.core.metrics import MeasurementWindow, SlaveMetrics
+from repro.core.partition_group import (
+    GroupState,
+    JoinGeometry,
+    PartitionGroup,
+    PartitionGroupState,
+)
+from repro.core.protocol import Shipment
+from repro.config import SystemConfig
+from repro.data.tuples import TupleBatch
+from tests.conftest import commit_rows, drain, flush_head, run_pass, tune
 
 
-def make_window(stream_id=0, tpb=4):
-    return StreamWindow(stream_id, tuples_per_block=tpb, block_bytes=tpb * 64)
-
-
-def make_group(tpb=4, window_seconds=100.0, fine_tuning=False):
-    return PartitionGroup(
-        0,
-        JoinGeometry(
-            tuples_per_block=tpb,
-            block_bytes=tpb * 64,
-            theta_bytes=tpb * 64 * 3,
-            window_seconds=window_seconds,
-            fine_tuning=fine_tuning,
-            tuple_bytes=64,
-        ),
+def make_geometry(tpb=4, window_seconds=100.0, fine_tuning=False):
+    return JoinGeometry(
+        tuples_per_block=tpb,
+        block_bytes=tpb * 64,
+        theta_bytes=tpb * 64 * 3,
+        window_seconds=window_seconds,
+        fine_tuning=fine_tuning,
+        tuple_bytes=64,
     )
 
 
-class Pair:
-    """Both streams' windows of a one-mini-group partition-group, with
-    the flush a join-module unit performs on one head block."""
+def make_group(tpb=4, window_seconds=100.0, fine_tuning=False):
+    return PartitionGroup(0, make_geometry(tpb, window_seconds, fine_tuning))
 
-    def __init__(self, tpb=4, window_seconds=100.0):
-        self.group = make_group(tpb, window_seconds)
-        (bucket,) = self.group.directory.buckets()
-        self.mini = bucket.payload
-        self.w0, self.w1 = self.mini.windows
 
-    def flush(self, sid, collect_pairs=False):
-        return flush_head(self.group, self.mini, sid, collect_pairs)
+def make_module(tpb=4, collect_pairs=True):
+    metrics = SlaveMetrics(0, MeasurementWindow(0.0))
+    module = JoinModule(
+        0,
+        make_geometry(tpb),
+        CostModel(SystemConfig.paper_defaults().cost),
+        1,
+        metrics,
+        collect_pairs=collect_pairs,
+    )
+    module.add_partition(0)
+    return module, metrics
 
 
 def arrs(rows):
@@ -50,46 +58,70 @@ def arrs(rows):
     return ts, key, seq
 
 
+def batch(rows, sid):
+    ts, key, seq = arrs(rows)
+    return TupleBatch(ts, key, seq, np.full(len(ts), sid, dtype=np.uint8))
+
+
+def state_with(committed=((), ()), fresh=((), ())):
+    """A one-mini-group state: per stream, committed and head rows."""
+    streams = tuple(
+        (batch(c, sid), batch(f, sid))
+        for sid, (c, f) in enumerate(zip(committed, fresh))
+    )
+    return PartitionGroupState(0, 0, (GroupState(0, 0, streams),))
+
+
+class Pair:
+    """Both streams' windows of a one-mini-group partition-group, with
+    the flush a join-module unit performs on one head block."""
+
+    def __init__(self, tpb=4, window_seconds=100.0):
+        self.group = make_group(tpb, window_seconds)
+
+    def flush(self, sid, rows, collect_pairs=False):
+        return flush_head(self.group, sid, *arrs(rows), collect_pairs=collect_pairs)
+
+
 class TestHeadBlock:
     def test_head_space(self):
-        w = make_window(tpb=4)
-        assert w.head_space() == 4
-        w.append_fresh(*arrs([(1.0, 5, 0)]))
-        assert w.head_space() == 3
-        assert w.n_fresh == 1
-
-    def test_overflow_rejected(self):
-        w = make_window(tpb=2)
-        with pytest.raises(ValueError, match="head block overflow"):
-            w.append_fresh(*arrs([(1.0, 1, 0), (2.0, 1, 1), (3.0, 1, 2)]))
+        """A head block takes arrivals up to one block: a full one is
+        probed as it fills, a partial one only once the buffer drains."""
+        cost_model = CostModel(SystemConfig.paper_defaults().cost)
+        for n, fresh in ((3, [3]), (4, [4]), (5, [4, 1])):
+            module, _ = make_module(tpb=4)
+            rows = [(float(i), 5, i) for i in range(n)]
+            module.enqueue(Shipment(0, 0.0, 10.0, batch(rows, 0)))
+            probes = [cost for kind, cost in run_pass(module, 10.0) if kind == "probe"]
+            assert probes == [cost_model.probe_cost(f, 0) for f in fresh]
 
     def test_flush_commits_fresh(self):
-        w0 = make_window(0)
-        w0.append_fresh(*arrs([(1.0, 5, 0), (2.0, 6, 1)]))
-        w0.commit_fresh()
-        assert w0.n_fresh == 0
-        assert w0.n_committed == 2
+        module, _ = make_module()
+        module.enqueue(Shipment(0, 0.0, 2.0, batch([(1.0, 5, 0), (2.0, 6, 1)], 0)))
+        drain(module, 10.0)
+        committed, head = module.window_counts(0)
+        assert committed[:, 0].tolist() == [2]
+        assert head.tolist() == [[0, 0]]
 
     def test_bytes_used_counts_partial_head_block(self):
-        w = make_window(tpb=4)
-        w.append_fresh(*arrs([(1.0, 5, 0)]))
-        assert w.bytes_used == 4 * 64  # one partial block
+        group = make_group(tpb=4)
+        group.install_state(state_with(fresh=([(1.0, 5, 0)], ())))
+        assert group.bytes_used == group.total_bytes == 4 * 64  # one partial block
+        assert group.counts()[1].tolist() == [[1, 0]]
 
     def test_committed_bytes_is_block_granular(self):
-        w0 = make_window(0, tpb=4)
-        w0.append_fresh(*arrs([(1.0, 5, 0)]))
-        w0.commit_fresh()
-        assert w0.committed_blocks == 1
-        assert w0.committed_bytes == 4 * 64
+        group = make_group(tpb=4)
+        commit_rows(group, 0, *arrs([(1.0, 5, 0)]))
+        (bucket,) = group.directory.buckets()
+        assert group.committed_bytes(bucket, 0) == 4 * 64
+        assert group.committed_bytes(bucket, 1) == 0
 
 
 class TestFlushJoinSemantics:
     def test_flush_joins_against_opposite_committed(self):
         p = Pair()
-        p.w1.append_fresh(*arrs([(1.0, 42, 100)]))
-        p.flush(1)  # commit the stream-1 tuple
-        p.w0.append_fresh(*arrs([(2.0, 42, 0)]))
-        result = p.flush(0, collect_pairs=True)
+        p.flush(1, [(1.0, 42, 100)])  # commit the stream-1 tuple
+        result = p.flush(0, [(2.0, 42, 0)], collect_pairs=True)
         assert result.n_pairs == 1
         assert result.pairs.tolist() == [[0, 100]]
 
@@ -98,107 +130,113 @@ class TestFlushJoinSemantics:
         tuples; the fresh/fresh pair appears when the second stream
         flushes."""
         p = Pair()
-        p.w0.append_fresh(*arrs([(1.0, 42, 0)]))
-        p.w1.append_fresh(*arrs([(1.5, 42, 100)]))
-        first = p.flush(0, collect_pairs=True)
-        assert first.n_pairs == 0  # w1's tuple still fresh
-        second = p.flush(1, collect_pairs=True)
-        assert second.n_pairs == 1  # now w0's tuple is committed
+        first = p.flush(0, [(1.0, 42, 0)], collect_pairs=True)
+        assert first.n_pairs == 0  # stream 1's tuple still in its head
+        second = p.flush(1, [(1.5, 42, 100)], collect_pairs=True)
+        assert second.n_pairs == 1  # now stream 0's tuple is committed
 
     def test_window_predicate_applied_at_flush(self):
         p = Pair(window_seconds=10.0)
-        p.w1.append_fresh(*arrs([(0.0, 7, 100)]))
-        p.flush(1)
-        p.w0.append_fresh(*arrs([(50.0, 7, 0)]))
-        result = p.flush(0, collect_pairs=True)
+        p.flush(1, [(0.0, 7, 100)])
+        result = p.flush(0, [(50.0, 7, 0)], collect_pairs=True)
         assert result.n_pairs == 0  # 50 - 0 > W
 
     def test_empty_flush_is_noop(self):
         p = Pair()
-        result = p.flush(0)
+        result = p.flush(0, [])
         assert result.n_pairs == 0
         assert result.offsets.tolist() == [0]
+        assert p.group.n_tuples == 0
 
 
 class TestExpiry:
     def test_expire_drops_old_committed(self):
-        w0 = make_window(0)
-        w0.append_fresh(*arrs([(1.0, 1, 0), (2.0, 2, 1), (9.0, 3, 2)]))
-        w0.commit_fresh()
-        assert w0.expire_before(5.0) == 2
-        assert w0.n_committed == 1
+        group = make_group()
+        commit_rows(group, 0, *arrs([(1.0, 1, 0), (2.0, 2, 1), (9.0, 3, 2)]))
+        assert group.count_before(5.0) == 2
+        assert group.expire_before(5.0) == 2
+        assert group.counts()[0].tolist() == [[1, 0]]
 
     def test_fresh_never_expires(self):
-        w = make_window(0)
-        w.append_fresh(*arrs([(1.0, 1, 0)]))
-        assert w.expire_before(100.0) == 0
-        assert w.n_fresh == 1
+        group = make_group()
+        group.install_state(state_with(fresh=([(1.0, 1, 0)], ())))
+        assert group.count_before(100.0) == 0
+        assert group.expire_before(100.0) == 0
+        assert group.counts()[1].tolist() == [[1, 0]]
 
     def test_probe_after_expiry_sees_survivors_only(self):
         p = Pair()
-        p.w1.append_fresh(*arrs([(1.0, 9, 100), (8.0, 9, 101)]))
-        p.flush(1)
+        p.flush(1, [(1.0, 9, 100), (8.0, 9, 101)])
         assert p.group.expire_before(5.0) == 1
-        p.w0.append_fresh(*arrs([(9.0, 9, 0)]))
-        result = p.flush(0, collect_pairs=True)
+        result = p.flush(0, [(9.0, 9, 0)], collect_pairs=True)
         assert result.pairs.tolist() == [[0, 101]]
 
 
 class TestStateMovement:
     def test_extract_returns_committed_and_fresh(self):
-        w0 = make_window(0)
-        w0.append_fresh(*arrs([(1.0, 1, 0), (2.0, 2, 1)]))
-        w0.commit_fresh()
-        w0.append_fresh(*arrs([(3.0, 3, 2)]))
-        committed, fresh = w0.extract_all()
-        assert len(committed) == 2
-        assert len(fresh) == 1
-        assert w0.n_tuples == 0
+        group = make_group()
+        group.install_state(
+            state_with(committed=([(1.0, 1, 0), (2.0, 2, 1)], ()), fresh=([(3.0, 3, 2)], ()))
+        )
+        (mini,) = group.extract_state().groups
+        committed, fresh = mini.streams[0]
+        assert committed.seq.tolist() == [0, 1]
+        assert fresh.seq.tolist() == [2]
+        assert group.n_tuples == 0
 
     def test_install_committed_restores_probe_targets(self):
         src = Pair()
-        src.w0.append_fresh(*arrs([(1.0, 7, 0)]))
-        src.flush(0)
+        src.flush(0, [(1.0, 7, 0)])
         state = src.group.extract_state()
         assert src.group.sorted_run(0)[0].tolist() == []  # cleared with it
 
         dst = Pair()
         dst.group.install_state(state)
-        (bucket,) = dst.group.directory.buckets()
-        assert bucket.payload.windows[0].n_committed == 1
-        bucket.payload.windows[1].append_fresh(*arrs([(2.0, 7, 100)]))
-        result = flush_head(dst.group, bucket.payload, 1)
+        assert dst.group.counts()[0].tolist() == [[1, 0]]
+        result = dst.flush(1, [(2.0, 7, 100)])
         assert result.n_pairs == 1
 
     def test_fresh_status_preserved_across_move(self):
-        """Moved fresh tuples must probe exactly once at the consumer."""
-        src = Pair()
-        src.w0.append_fresh(*arrs([(1.0, 7, 0)]))
-        state = src.group.extract_state()
-        assert state.groups[0].streams[0][0].ts.tolist() == []  # none committed
+        """Moved head-block tuples must probe exactly once at the
+        consumer: after the committed tuples they were never probed
+        against, and not twice."""
+        src, _ = make_module()
+        src.extract_partition(0)
+        src.install_partition(
+            0, state_with(fresh=([(1.0, 7, 0)], ())), TupleBatch.empty()
+        )
+        state, _buffered = src.extract_partition(0)
+        (mini,) = state.groups
+        assert mini.streams[0][0].ts.tolist() == []  # none committed
+        assert mini.streams[0][1].seq.tolist() == [0]  # still fresh
 
-        dst = Pair()
-        dst.w1.append_fresh(*arrs([(0.5, 7, 100)]))
-        dst.flush(1)
-        (_committed, fresh), _ = state.groups[0].streams
-        dst.w0.append_fresh(fresh.ts, fresh.key, fresh.seq)
-        result = dst.flush(0, collect_pairs=True)
-        assert result.n_pairs == 1
+        dst, metrics = make_module()
+        dst.extract_partition(0)
+        state = PartitionGroupState(
+            0, 0, (GroupState(0, 0, (mini.streams[0], (batch([(0.5, 7, 100)], 1), batch([], 1)))),)
+        )
+        # One arrival so that a pass visits the partition.
+        dst.install_partition(0, state, batch([(2.0, 8, 101)], 1))
+        drain(dst, 10.0)
+        assert np.concatenate(metrics.pair_chunks()).tolist() == [[0, 100]]
 
 
 # ---------------------------------------------------------------------------
-# The group's key-sorted run: kept incrementally, equal to a fresh stable
-# argsort of the group's commits in commit order.
+# The group's run: kept incrementally, equal to a fresh stable argsort by
+# run key of the group's commits in commit order.
 # ---------------------------------------------------------------------------
 class RunDriver:
     """Feeds stream 0 of a fine-tuned partition-group tuples with a
     monotone clock and unique seqs, and logs what it commits, in commit
-    order (the reference the run is checked against)."""
+    order (the reference the run is checked against).  Head blocks are
+    the driver's: rows per mini-group pattern, committed when flushed."""
 
     def __init__(self, tpb=4):
+        self.tpb = tpb
         self.group = make_group(tpb, fine_tuning=True)
         self.clock = 0
         self.log = []  # live committed (ts, key, seq) rows, commit order
+        self.heads = {}  # pattern -> head rows
 
     def columns(self, keys):
         n = len(keys)
@@ -207,38 +245,33 @@ class RunDriver:
         self.clock += n
         return ts, np.asarray(keys, dtype=np.int64), seq
 
-    def windows(self):
-        return [b.payload.windows[0] for b in self.group.directory.buckets()]
-
     def check(self):
         """The run equals, column by column, a from-scratch stable
-        argsort of the commit log (unique seqs pin the order of ties),
-        and holds exactly what the mini-groups' windows hold."""
-        key, ts, seq = self.group.sorted_run(0)
+        argsort by run key of the commit log (unique seqs pin the order
+        of ties), and its mini-groups' slices hold all of it."""
+        rkey, ts, seq = self.group.sorted_run(0)
         log_ts, log_key, log_seq = arrs(self.log)
-        order = np.argsort(log_key, kind="stable")
-        np.testing.assert_array_equal(key, log_key[order])
+        order = np.argsort(run_key(log_key), kind="stable")
+        np.testing.assert_array_equal(key_of(bit_reverse(rkey)), log_key[order])
         np.testing.assert_array_equal(ts, log_ts[order])
         np.testing.assert_array_equal(seq, log_seq[order])
-        held = np.concatenate([w.committed.seq for w in self.windows()])
-        assert sorted(held.tolist()) == sorted(seq.tolist())
+        assert int(self.group.counts()[0][:, 0].sum()) == len(self.log)
 
     def commit_heads(self):
-        for bucket in self.group.directory.buckets():
-            window = bucket.payload.windows[0]
-            if window.n_fresh:
-                self.log.extend(zip(*(c.tolist() for c in window.fresh_view())))
-                flush_head(self.group, bucket.payload, 0)
+        for pattern in sorted(self.heads):
+            rows = self.heads.pop(pattern)
+            self.log.extend(rows)
+            flush_head(self.group, 0, *arrs(rows))
 
     def apply(self, op, arg):
         group = self.group
         if op == "fresh":  # each key to its mini-group's head, if it fits
             for k in arg:
-                key = np.array([k], dtype=np.int64)
-                patterns, buckets = group.route(key)
-                window = buckets[int(patterns[0])].payload.windows[0]
-                if window.head_space():
-                    window.append_fresh(*self.columns([k]))
+                g = int(directory_hash(np.array([k]))[0])
+                head = self.heads.setdefault(group.directory.bucket_for(g).pattern, [])
+                if len(head) < self.tpb:
+                    ts, key, seq = self.columns([k])
+                    head.append((float(ts[0]), k, int(seq[0])))
         elif op == "commit":
             self.commit_heads()
         elif op == "expire":  # arg == 0 empties the windows
@@ -247,7 +280,7 @@ class RunDriver:
             self.log = [r for r in self.log if r[0] >= cutoff]
         elif op == "extract":
             group.extract_state()
-            self.log = []
+            self.log, self.heads = [], {}
         elif op == "probe":
             self.check()
         elif op == "install":  # a state move: the run is rebuilt by a sort
@@ -261,14 +294,18 @@ class RunDriver:
                 )))
             ]
         elif op == "tune":  # splits and merges re-label the run, no more
-            tune(group)
+            tune(group, busy={p for p, rows in self.heads.items() if rows})
         else:
-            # Wholesale commits land behind any fresh tuples' timestamps,
+            # Wholesale commits land behind any head tuples' timestamps,
             # so (like split/merge) they run on empty head blocks.
             self.commit_heads()
             ts, key, seq = self.columns(arg)
             commit_rows(group, 0, ts, key, seq)
             self.log.extend(zip(ts.tolist(), key.tolist(), seq.tolist()))
+
+    def seqs_of(self, key):
+        rkey, _ts, seq = self.group.sorted_run(0)
+        return seq[rkey == run_key(np.array([key]))[0]].tolist()
 
 
 # Eight keys: duplicates straddle old and new tuples all the time, and
@@ -304,9 +341,10 @@ class TestSortedRun:
         driver.apply("probe", None)
         driver.apply("fresh", [1, 2, 0, 2])
         driver.apply("commit", None)
-        key, _ts, seq = driver.group.sorted_run(0)
-        assert key.tolist() == [0, 1, 1, 1, 2, 2, 2, 2]
-        assert seq.tolist() == [6, 1, 3, 4, 0, 2, 5, 7]
+        driver.check()
+        assert driver.seqs_of(0) == [6]
+        assert driver.seqs_of(1) == [1, 3, 4]
+        assert driver.seqs_of(2) == [0, 2, 5, 7]
 
     def test_expiry_that_empties_the_window_then_append(self):
         driver = RunDriver()
@@ -318,7 +356,8 @@ class TestSortedRun:
         driver.apply("fresh", [2, 1])
         driver.apply("commit", None)
         driver.apply("probe", None)
-        assert driver.group.sorted_run(0)[0].tolist() == [1, 2]
+        rkey = driver.group.sorted_run(0)[0]
+        assert sorted(key_of(bit_reverse(rkey)).tolist()) == [1, 2]
 
     def test_several_commits_and_an_expiry_between_two_probes(self):
         driver = RunDriver()
@@ -351,13 +390,8 @@ class TestSortedRun:
         n, block = 50_000, 64
         rng = np.random.default_rng(7)
         p = Pair(tpb=block, window_seconds=float(n))
-        commit_rows(
-            p.group,
-            0,
-            np.arange(n, dtype=float),
-            rng.integers(0, n // 8, n),
-            np.arange(n, dtype=np.int64),
-        )
+        log = [(np.arange(n, dtype=float), rng.integers(0, n // 8, n), np.arange(n))]
+        commit_rows(p.group, 0, *log[0])
         p.group.sorted_run(0)  # the one full sort
 
         sorted_sizes = []
@@ -374,21 +408,21 @@ class TestSortedRun:
             key = rng.integers(0, n // 8, block)
             seq = np.arange(clock, clock + block, dtype=np.int64)
             clock += block
-            p.w0.append_fresh(ts, key, seq)
-            p.flush(0)
+            flush_head(p.group, 0, ts, key, seq, collect_pairs=False)
+            log.append((ts, key, seq))
             p.group.expire_before(float(clock - n))
-            p.w1.append_fresh(ts, key, seq)
-            p.flush(1, collect_pairs=True)
+            flush_head(p.group, 1, ts, key, seq)
         monkeypatch.undo()
 
-        assert p.w0.n_committed == n
+        assert p.group.counts()[0][0, 0] == n
         assert sorted_sizes and max(sorted_sizes) <= block
-        soa = p.w0.committed
-        order = np.argsort(soa.key, kind="stable")
-        key, ts, seq = p.group.sorted_run(0)
-        np.testing.assert_array_equal(key, soa.key[order])
-        np.testing.assert_array_equal(ts, soa.ts[order])
-        np.testing.assert_array_equal(seq, soa.seq[order])
+        ts, key, seq = (np.concatenate(cols) for cols in zip(*log))
+        live = ts >= clock - n
+        order = np.argsort(run_key(key[live]), kind="stable")
+        rkey, run_ts, run_seq = p.group.sorted_run(0)
+        np.testing.assert_array_equal(rkey, run_key(key[live])[order])
+        np.testing.assert_array_equal(run_ts, ts[live][order])
+        np.testing.assert_array_equal(run_seq, seq[live][order])
 
 
 def test_perf_kernel_probe_span_still_sees_every_probe(
@@ -399,11 +433,7 @@ def test_perf_kernel_probe_span_still_sees_every_probe(
     function every match of the two-stream join comes out of — once per
     step of a pass, four steps.  Fails if the probe is inlined past that
     function or the lookup stops resolving."""
-    from repro.config import SystemConfig
-    from repro.core.join_module import JoinModule
     from repro.core.kernels import get_kernel
-    from repro.core.protocol import Shipment
-    from repro.data.tuples import TupleBatch
 
     cls = get_kernel(SystemConfig.paper_defaults().kernel)
     owner = next(c for c in cls.__mro__ if "probe" in vars(c))
@@ -420,10 +450,10 @@ def test_perf_kernel_probe_span_still_sees_every_probe(
     module.add_partition(0)
     # Five tuples a stream, four to a block: a full and a partial block
     # of each stream, so all four steps have something to probe.
-    batch = TupleBatch.build(
+    shipment = TupleBatch.build(
         ts=np.arange(10.0), key=np.full(10, 5), stream=np.arange(10) % 2
     )
-    module.enqueue(Shipment(0, 0.0, 10.0, batch))
+    module.enqueue(Shipment(0, 0.0, 10.0, shipment))
     kinds = [kind for kind, _cost in run_pass(module, 10.0)]
     assert kinds.count("probe") == 4
     assert len(calls) == 4

@@ -1,4 +1,5 @@
-"""Property test of the head-block protocol at the window-pair level.
+"""Property test of the head-block protocol on one mini-group's pair of
+windows.
 
 The paper's Section IV-D rules — fresh tuples join when the head block
 fills or the buffer drains, fresh tuples of the opposite stream are
@@ -49,16 +50,16 @@ def test_head_block_protocol_exactly_once(ops, tpb, window):
         tuple_bytes=64,
     )
     group = PartitionGroup(0, geometry)
-    (bucket,) = group.directory.buckets()
-    mini = bucket.payload
     clock = 0.0
     seqs = {0: 0, 1: 0}
     rows = {0: [], 1: []}
+    heads = {0: [], 1: []}  # one mini-group: one head block per stream
     found = []
 
     def flush(sid):
-        result = flush_head(group, mini, sid)
-        if result.pairs is not None and len(result.pairs):
+        head, heads[sid] = heads[sid], []
+        result = flush_head(group, sid, *zip(*head)) if head else None
+        if result is not None and len(result.pairs):
             pairs = result.pairs
             if sid == 1:
                 pairs = pairs[:, ::-1]
@@ -68,14 +69,9 @@ def test_head_block_protocol_exactly_once(ops, tpb, window):
         if op[0] == "append":
             _, sid, dt, key = op
             clock += dt
-            window_obj = mini.windows[sid]
-            if window_obj.head_space() == 0:
+            if len(heads[sid]) == tpb:
                 flush(sid)
-            window_obj.append_fresh(
-                np.array([clock]),
-                np.array([key], dtype=np.int64),
-                np.array([seqs[sid]], dtype=np.int64),
-            )
+            heads[sid].append((clock, key, seqs[sid]))
             rows[sid].append((clock, key, seqs[sid]))
             seqs[sid] += 1
         else:

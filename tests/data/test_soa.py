@@ -1,89 +1,114 @@
-"""GrowableSoA: append/expire semantics, growth, property test."""
+"""A partition-group's run as columnar window storage: commit/expire
+semantics, growth, and a list-model property test.
+
+The run keeps ``(run key, ts, seq)`` columns in run-key order; a
+stream's window, read back through a state export, comes out in
+timestamp order."""
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data.soa import GrowableSoA
+from repro.core.partition_group import JoinGeometry, PartitionGroup
+from tests.conftest import commit_rows
 
 
-def append_n(soa, ts):
+def make_group():
+    return PartitionGroup(
+        0,
+        JoinGeometry(
+            tuples_per_block=4,
+            block_bytes=256,
+            theta_bytes=768,
+            window_seconds=10.0,
+            fine_tuning=False,
+            tuple_bytes=64,
+        ),
+    )
+
+
+def append_n(group, ts, sid=0):
     ts = np.asarray(ts, dtype=float)
-    soa.append(ts, np.zeros(len(ts), dtype=np.int64), np.arange(len(ts)))
+    commit_rows(group, sid, ts, np.zeros(len(ts), dtype=np.int64), np.arange(len(ts)))
+
+
+def stored_ts(group, sid=0):
+    """Stream *sid*'s window timestamps, as a state export lists them."""
+    (mini,) = group.snapshot_state().groups
+    return mini.streams[sid][0].ts.tolist()
 
 
 class TestAppendExpire:
     def test_roundtrip(self):
-        soa = GrowableSoA()
-        append_n(soa, [1.0, 2.0, 3.0])
-        assert list(soa.ts) == [1.0, 2.0, 3.0]
-        assert len(soa) == 3
-
-    def test_out_of_order_append_rejected(self):
-        soa = GrowableSoA()
-        append_n(soa, [5.0])
-        with pytest.raises(ValueError, match="temporal order"):
-            append_n(soa, [4.0])
+        group = make_group()
+        append_n(group, [1.0, 2.0, 3.0])
+        assert stored_ts(group) == [1.0, 2.0, 3.0]
+        assert group.n_tuples == 3
 
     def test_equal_timestamps_allowed(self):
-        soa = GrowableSoA()
-        append_n(soa, [5.0])
-        append_n(soa, [5.0])
-        assert len(soa) == 2
+        group = make_group()
+        append_n(group, [5.0])
+        append_n(group, [5.0])
+        assert group.n_tuples == 2
 
     def test_expire_before(self):
-        soa = GrowableSoA()
-        append_n(soa, [1.0, 2.0, 3.0, 4.0])
-        assert soa.expire_before(2.5) == 2
-        assert list(soa.ts) == [3.0, 4.0]
+        group = make_group()
+        append_n(group, [1.0, 2.0, 3.0, 4.0])
+        assert group.expire_before(2.5) == 2
+        assert stored_ts(group) == [3.0, 4.0]
 
     def test_expire_exact_boundary_keeps_cutoff(self):
-        soa = GrowableSoA()
-        append_n(soa, [1.0, 2.0, 3.0])
-        soa.expire_before(2.0)  # strictly-less-than semantics
-        assert list(soa.ts) == [2.0, 3.0]
+        group = make_group()
+        append_n(group, [1.0, 2.0, 3.0])
+        group.expire_before(2.0)  # strictly-less-than semantics
+        assert stored_ts(group) == [2.0, 3.0]
 
     def test_expire_everything_resets(self):
-        soa = GrowableSoA()
-        append_n(soa, [1.0, 2.0])
-        soa.expire_before(10.0)
-        assert len(soa) == 0
-        append_n(soa, [0.5])  # order restarts after full reset
-        assert list(soa.ts) == [0.5]
+        group = make_group()
+        append_n(group, [1.0, 2.0])
+        group.expire_before(10.0)
+        assert group.n_tuples == 0
+        assert group.total_bytes == 0
+        append_n(group, [0.5])
+        assert stored_ts(group) == [0.5]
 
     def test_pop_all(self):
-        soa = GrowableSoA()
-        append_n(soa, [1.0, 2.0])
-        batch = soa.pop_all()
-        assert len(batch) == 2
-        assert len(soa) == 0
+        group = make_group()
+        append_n(group, [1.0, 2.0])
+        state = group.extract_state()
+        assert state.n_tuples == 2
+        assert group.n_tuples == 0
 
     def test_snapshot_copies(self):
-        soa = GrowableSoA()
-        append_n(soa, [1.0])
-        snap = soa.snapshot(stream_id=3)
-        append_n(soa, [2.0])
-        assert len(snap) == 1
-        assert snap.stream[0] == 3
+        group = make_group()
+        append_n(group, [1.0], sid=1)
+        snap = group.snapshot_state()
+        append_n(group, [2.0], sid=1)
+        (mini,) = snap.groups
+        committed, _fresh = mini.streams[1]
+        assert len(committed) == 1
+        assert committed.stream[0] == 1
+        assert group.n_tuples == 2
 
 
 class TestGrowth:
     def test_growth_beyond_initial_capacity(self):
-        soa = GrowableSoA(capacity=4)
+        group = make_group()
         for i in range(1000):
-            append_n(soa, [float(i)])
-        assert len(soa) == 1000
-        assert list(soa.ts[:3]) == [0.0, 1.0, 2.0]
+            append_n(group, [float(i)])
+        assert group.n_tuples == 1000
+        assert stored_ts(group)[:3] == [0.0, 1.0, 2.0]
 
     def test_interleaved_growth_and_expiry(self):
-        soa = GrowableSoA(capacity=4)
+        group = make_group()
         for i in range(2000):
-            append_n(soa, [float(i)])
+            append_n(group, [float(i)])
             if i % 7 == 0:
-                soa.expire_before(float(i) - 100.0)
-        assert np.all(np.diff(soa.ts) >= 0)
-        assert soa.ts[0] >= 1899 - 100
+                group.expire_before(float(i) - 100.0)
+        ts = stored_ts(group)
+        assert np.all(np.diff(ts) >= 0)
+        assert ts[0] >= 1899 - 100
+        assert group.total_bytes == group.bytes_used
 
 
 @given(
@@ -97,19 +122,19 @@ class TestGrowth:
 )
 @settings(max_examples=100, deadline=None)
 def test_soa_matches_list_model(ops):
-    """GrowableSoA behaves like a plain sorted list under arbitrary
-    interleavings of appends (with increasing timestamps) and expiry."""
-    soa = GrowableSoA(capacity=4)
+    """The run behaves like a plain sorted list under arbitrary
+    interleavings of commits (with increasing timestamps) and expiry."""
+    group = make_group()
     model: list[float] = []
     clock = 0.0
     for op, arg in ops:
         if op == "append":
             ts = [clock + i * 0.25 for i in range(int(arg))]
             clock = ts[-1]
-            append_n(soa, ts)
+            append_n(group, ts)
             model.extend(ts)
         else:
             cutoff = clock * float(arg)
-            soa.expire_before(cutoff)
+            group.expire_before(cutoff)
             model = [x for x in model if x >= cutoff]
-        assert list(soa.ts) == model
+        assert stored_ts(group) == model

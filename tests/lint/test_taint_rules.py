@@ -228,14 +228,14 @@ class TestPERF001:
 
     def test_open_on_the_hot_path_is_flagged(self):
         sources = {
-            "src/repro/data/soa.py": (
+            "src/repro/core/partition_group.py": (
                 "def dump(path, rows):\n"
                 "    with open(path, 'w') as fh:\n"
                 "        fh.write(str(rows))\n"
             )
         }
         assert fresh_keys(sources, only={"PERF001"}) == [
-            "PERF001 src/repro/data/soa.py:2"
+            "PERF001 src/repro/core/partition_group.py:2"
         ]
 
 
@@ -261,7 +261,7 @@ class TestProjectRulePragmas:
 
     def test_perf001_direct_finding_is_pragma_suppressible(self):
         sources = {
-            "src/repro/data/soa.py": (
+            "src/repro/core/partition_group.py": (
                 "def dump(path, rows):\n"
                 "    with open(path, 'w') as fh:  # lint: disable=PERF001\n"
                 "        fh.write(str(rows))\n"
