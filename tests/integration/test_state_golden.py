@@ -1,4 +1,4 @@
-"""Golden results of four small seeded sim runs.
+"""Golden results of seven small seeded sim runs.
 
 The simulated backend is deterministic per seed, so a change to how a
 slave stores its window state — not to what the join computes or
@@ -8,7 +8,7 @@ scenario below records every per-slave snapshot field, every
 min, max, histogram, modeled mean and p99) and a digest of the joined
 pair multiset.  Counts compare exactly, floats to 1e-12 relative.
 
-The four runs use a near-zero cost model (the steady run charges
+The first four runs use a near-zero cost model (the steady run charges
 expiry, so its cost is in the golden numbers too):
 
 * ``fine_tuning`` — the arrival rate falls mid-run, so mini-groups
@@ -19,6 +19,16 @@ expiry, so its cost is in the golden numbers too):
 * ``faults`` — replication, adaptive declustering, partition moves and
   a slave crash restored at its backup, so window state is extracted,
   snapshotted and installed.
+
+The last three pin the coordinator's control rounds, in the geometry of
+``tests/faults/test_master_failover.py``:
+
+* ``master_kill_reorg`` — the master dies inside a reorganization
+  round, so the standby replays a fatal reorg round;
+* ``master_kill_recovery`` — a slave dies, and the master dies in the
+  recovery round that follows, after telling the standby its plan;
+* ``recovery_round`` — replication off, one slave crash recovered at a
+  plain epoch: its partition-groups are adopted empty and lost.
 
 Regenerate only for a change that is *meant* to move a number, and say
 so where the change is recorded::
@@ -89,6 +99,25 @@ def _falling_rate(cfg: SystemConfig, until: float, low_rate: float) -> TraceRepl
     return TraceReplayer(TupleBatch.concat([high, low]))
 
 
+def _failover(*faults: str, **overrides: t.Any) -> SystemConfig:
+    """``test_master_failover.failover_cfg``'s geometry, seed 1."""
+    base: dict[str, t.Any] = dict(
+        npart=12,
+        rate=400.0,
+        num_slaves=3,
+        run_seconds=16.0,
+        warmup_seconds=6.0,
+        window_seconds=3.0,
+        reorg_epoch=4.0,
+        seed=1,
+        replication="checkpoint+log",
+        standby=True,
+        faults=FaultPlan.parse(list(faults)),
+    )
+    base.update(overrides)
+    return SystemConfig.paper_defaults().scaled(0.01).with_(**base)
+
+
 def scenarios() -> dict[str, tuple[SystemConfig, TraceReplayer | None]]:
     ft = _config(window_seconds=2.0, rate=1500.0)
     return {
@@ -116,6 +145,20 @@ def scenarios() -> dict[str, tuple[SystemConfig, TraceReplayer | None]]:
                 replication="checkpoint+log",
                 adaptive_declustering=True,
                 faults=FaultPlan.parse(["crash:1@7s"]),
+            ),
+            None,
+        ),
+        "master_kill_reorg": (_failover("crash:master@4.02s"), None),
+        "master_kill_recovery": (
+            _failover("crash:1@2.5s", "crash:master@4.5s", reorg_epoch=8.0),
+            None,
+        ),
+        "recovery_round": (
+            _failover(
+                "crash:1@2.5s",
+                reorg_epoch=8.0,
+                replication="off",
+                standby=False,
             ),
             None,
         ),
@@ -197,6 +240,35 @@ def test_scenarios_reach_what_they_are_for(golden: dict[str, t.Any]) -> None:
     assert all(f["restored_pids"] for f in faults["master"]["failures"])
     assert faults["master"]["failures"] and not faults["degraded"]
     assert all(golden[name]["pairs"]["count"] > 0 for name in golden)
+
+    def is_reorg(name: str, k: int) -> bool:
+        cfg = scenarios()[name][0]
+        return (k + 1) % round(cfg.reorg_epoch / cfg.dist_epoch) == 0
+
+    def records(name: str) -> tuple[list[dict[str, t.Any]], dict[str, t.Any]]:
+        failures = golden[name]["master"]["failures"]
+        (master,) = [f for f in failures if f["where"] == "standby"]
+        return [f for f in failures if f["where"] != "standby"], master
+
+    # The standby's fatal round is a reorganization round.
+    slaves, master = records("master_kill_reorg")
+    assert not slaves and is_reorg("master_kill_reorg", master["epoch"])
+    assert not golden["master_kill_reorg"]["degraded"]
+    # The fatal round is the recovery round of a slave detected dead one
+    # round earlier; the acting master finishes that recovery, losslessly.
+    (slave,), master = records("master_kill_recovery")
+    assert not is_reorg("master_kill_recovery", master["epoch"])
+    assert slave["epoch"] == master["epoch"] - 1
+    assert slave["recovered_at"] > master["detected_at"]
+    assert slave["restored_pids"] and not slave["lost_pids"]
+    assert not golden["master_kill_recovery"]["degraded"]
+    # A recovery round (the round after detection is a plain epoch)
+    # adopts every lost partition-group empty.
+    (slave,) = golden["recovery_round"]["master"]["failures"]
+    assert not is_reorg("recovery_round", slave["epoch"] + 1)
+    assert slave["recovered_at"] is not None
+    assert slave["lost_pids"] == slave["pids"] and not slave["restored_pids"]
+    assert golden["recovery_round"]["degraded"]
 
 
 if __name__ == "__main__":
