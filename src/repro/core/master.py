@@ -3,17 +3,17 @@
 The master ingests the streams into its partitioned buffer, distributes
 the buffered tuples to the active slaves at every distribution epoch
 (sub-group by sub-group, serially within a group — the source of the
-communication-time divergence of Figure 12), and runs the
-reorganization protocol at every reorganization epoch:
-
-1. collect :class:`~repro.core.protocol.SlaveSync` load reports;
-2. let the :class:`~repro.core.declustering.DeclusteringController`
-   classify slaves and plan moves / degree-of-declustering changes;
-3. send each active slave its :class:`~repro.core.protocol.ReorgOrder`
-   (with its new slot schedule and clock stamp — Algorithm 1 line 18);
-4. ship pending tuples to non-participants immediately, collect
-   :class:`~repro.core.protocol.MoveAck` from participants, then ship
-   to them too (the ordering the paper specifies).
+communication-time divergence of Figure 12), and runs a *control round*
+at every reorganization epoch: collect the slaves'
+:class:`~repro.core.protocol.SlaveSync` load reports; **plan** moves and
+degree-of-declustering changes with the
+:class:`~repro.core.declustering.DeclusteringController`; **apply** the
+plan to the buffer mapping and backup placement, telling the standby
+before any slave acts; **serve** each slave its
+:class:`~repro.core.protocol.ReorgOrder` (new slot schedule and clock
+stamp — Algorithm 1 line 18), ship to non-participants at once, collect
+the participants' :class:`~repro.core.protocol.MoveAck`, then ship to
+them (the paper's ordering); **close** by installing the new active set.
 
 Failure handling (fault plane, see DESIGN.md "Fault model").  When the
 run carries a fault plan, every scheduled receive from a slave is armed
@@ -21,12 +21,12 @@ with a detection timeout.  A slave that stays silent is declared dead
 at that epoch boundary and *fenced*: its channel towards the master is
 drained and a ``Halt`` is sent, so a merely-slow slave shuts down
 cleanly instead of wedging the fixed schedule (suspected-dead becomes
-actually-stopped — the classic fail-stop conversion).  At the next
-epoch the master runs a *recovery round*: the dead slave's
-partition-groups are reassigned to survivors via the declustering
-machinery, survivors adopt them with empty window state (the lost
-window is a documented deviation; master-buffered tuples are *not*
-lost), and an updated slot schedule is broadcast.  ``self.active``
+actually-stopped — the classic fail-stop conversion).  The next control
+round — at a plain epoch a *recovery round*, the same four steps folded
+into the slots — hands the dead slave's partition-groups to survivors:
+rebuilt at a live backup from checkpoint + log with replication on,
+else adopted with empty window state (the lost window is a documented
+deviation; master-buffered tuples are *not* lost).  ``self.active``
 always mirrors the schedule last broadcast to the slaves — slaves that
 die mid-round stay in it until the next recovery round re-plans, so
 master-side slot offsets never diverge from slave-side ones.
@@ -34,6 +34,7 @@ master-side slot offsets never diverge from slave-side ones.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import typing as t
 
@@ -53,6 +54,7 @@ from repro.core.protocol import (
     Checkpoint,
     Halt,
     MoveAck,
+    MoveDirective,
     ReorgOrder,
     Replicate,
     Restore,
@@ -61,7 +63,12 @@ from repro.core.protocol import (
     StandbyPlan,
     StandbySync,
 )
-from repro.core.subgroups import build_schedules, groups_in_order
+from repro.core.subgroups import (
+    SlotSchedule,
+    build_schedules,
+    is_reorg_epoch,
+    round_slots,
+)
 from repro.data.tuples import TupleBatch
 from repro.faults.markers import peer_silent
 from repro.mp.comm import Communicator
@@ -77,20 +84,104 @@ from repro.obs.events import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 
 
+@dataclasses.dataclass(slots=True)
 class _PendingReplication:
     """Replication maintenance queued for one backup slave, delivered
     with the next :class:`Replicate` the master sends it."""
 
-    __slots__ = ("entries", "drops", "checkpoints")
+    entries: list[tuple[int, int, TupleBatch]] = dataclasses.field(
+        default_factory=list
+    )
+    drops: set[int] = dataclasses.field(default_factory=set)
+    checkpoints: dict[int, Checkpoint] = dataclasses.field(default_factory=dict)
 
-    def __init__(self) -> None:
-        self.entries: list[tuple[int, int, TupleBatch]] = []
-        self.drops: set[int] = set()
-        self.checkpoints: dict[int, Checkpoint] = {}
+    @classmethod
+    def of(cls, msg: Replicate) -> _PendingReplication:
+        """The maintenance *msg* would deliver."""
+        cps = {cp.pid: cp for cp in msg.checkpoints}
+        return cls(list(msg.entries), set(msg.drops), cps)
+
+    def message(self, k: int) -> Replicate:
+        return Replicate(
+            k,
+            entries=tuple(self.entries),
+            drops=tuple(sorted(self.drops)),
+            checkpoints=tuple(
+                self.checkpoints[pid] for pid in sorted(self.checkpoints)
+            ),
+        )
 
     def purge(self, pid: int) -> None:
         self.entries = [e for e in self.entries if e[0] != pid]
         self.checkpoints.pop(pid, None)
+
+
+@dataclasses.dataclass
+class _Round:
+    """The plan of one control round.
+
+    A reorganization round may carry moves and DoD changes; a recovery
+    round (or a reorganization round with failures to recover) carries
+    only the dead slaves' partition-groups, adopted empty or restored.
+    """
+
+    epoch: int
+    reorg: bool
+    moves: tuple[MoveDirective, ...]
+    activate: tuple[int, ...]
+    deactivate: tuple[int, ...]
+    #: Dead slaves' partition-groups per survivor, re-owned empty ...
+    adopt: dict[int, tuple[int, ...]]
+    #: ... or rebuilt from the survivor's backup replica.
+    restore: dict[int, tuple[int, ...]]
+    new_active: list[int]
+    schedules: dict[int, SlotSchedule]
+    #: The failure records this round recovers, a prefix of
+    #: ``MasterNode._unrecovered``.
+    recovering: list[dict[str, t.Any]]
+    #: Partitions each owner checkpoints; known once the plan is applied.
+    checkpoints: dict[int, tuple[int, ...]] = dataclasses.field(
+        default_factory=dict
+    )
+
+    @property
+    def standby(self) -> StandbyPlan:
+        """The plan as :meth:`MasterNode._apply_plan` applies it."""
+        restores = [p for pids in self.restore.values() for p in pids]
+        remaps = [
+            (p, s)
+            for plan in (self.adopt, self.restore)
+            for s, pids in plan.items()
+            for p in pids
+        ]
+        return StandbyPlan(
+            self.epoch,
+            self.moves,
+            tuple(self.new_active),
+            self.deactivate,
+            remaps=tuple(sorted(remaps)),
+            restores=tuple(sorted(restores)),
+        )
+
+    def acks(self, s: int) -> int:
+        """How many :class:`MoveAck` slave *s* owes this round."""
+        return (
+            sum((m.src == s) + (m.dst == s) for m in self.moves)
+            + len(self.adopt.get(s, ()))
+            + len(self.restore.get(s, ()))
+        )
+
+    def order(self, s: int, clock: float) -> ReorgOrder:
+        return ReorgOrder(
+            self.epoch,
+            outgoing=tuple(m for m in self.moves if m.src == s),
+            incoming=tuple(m for m in self.moves if m.dst == s),
+            deactivate=s in self.deactivate,
+            clock=clock,
+            schedule=self.schedules.get(s),
+            adopt=self.adopt.get(s, ()),
+            checkpoint_pids=self.checkpoints.get(s, ()),
+        )
 
 
 class MasterNode:
@@ -128,16 +219,12 @@ class MasterNode:
         self._round_ops: list[tuple[str, float, float]] = []
         #: Pair chunks banked this round, for the same sync.
         self._round_pairs: list[tuple[int, int, int, np.ndarray]] = []
-        self.active = self.all_slaves[: cfg.n_active_initial]
-        self.inactive = self.all_slaves[cfg.n_active_initial :]
-        self.schedules = build_schedules(
-            self.active, cfg.num_subgroups, cfg.dist_epoch
-        )
+        #: Slaves declared dead (fenced); never contacted again.
+        self.dead: set[int] = set()
+        self._set_active(self.all_slaves[: cfg.n_active_initial])
         self._next_gen_time = 0.0
         #: Latest load report per slave (refreshed every sync).
         self.latest_reports: dict[int, t.Any] = {}
-        #: Slaves declared dead (fenced); never contacted again.
-        self.dead: set[int] = set()
         #: Failure records awaiting a recovery round (shared objects
         #: with :attr:`MasterMetrics.failures`).
         self._unrecovered: list[dict[str, t.Any]] = []
@@ -175,12 +262,12 @@ class MasterNode:
             self._covered = set(self._backup_of)
 
     # ------------------------------------------------------------------
-    @property
-    def _reorg_every(self) -> int:
-        return max(1, round(self.cfg.reorg_epoch / self.cfg.dist_epoch))
-
-    def _is_reorg_epoch(self, k: int) -> bool:
-        return (k + 1) % self._reorg_every == 0
+    def _set_active(self, active: list[int]) -> None:
+        """Install *active* as the active set, with its slot schedules."""
+        self.active = active
+        self.inactive = sorted(set(self.all_slaves) - set(active) - self.dead)
+        cfg = self.cfg
+        self.schedules = build_schedules(active, cfg.num_subgroups, cfg.dist_epoch)
 
     def run(self) -> t.Generator:
         """The master's main loop (a node generator)."""
@@ -209,7 +296,7 @@ class MasterNode:
             )
         k = k0
         while (k + 2) * cfg.dist_epoch <= cfg.run_seconds + 1e-9:
-            reorg = self._is_reorg_epoch(k)
+            reorg = is_reorg_epoch(cfg, k)
             if tracer.enabled:
                 tracer.emit(
                     EpochEvent(
@@ -307,101 +394,58 @@ class MasterNode:
                 )
             )
 
-    def _plan_adoption(
-        self,
-        live: t.Sequence[int],
-        records: t.Sequence[dict[str, t.Any]],
-    ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-        """Reassign every partition-group currently owned by a dead
-        slave, remapping the master buffer so pending tuples follow.
+    def _finish_recovery(self, plan: _Round) -> None:
+        """Stamp recovery latency on the failure records *plan* covered.
 
-        With replication on, each lost partition is routed to its live
-        backup (``restore_map``: a checkpoint + log-replay rebuild);
-        only partitions without a usable replica fall back to empty
-        adoption.  Each failure record in *records* is annotated with
-        the split (``restored_pids`` / ``lost_pids``) so the run's
-        degraded verdict reflects actual data loss, not mere crashes.
+        Slaves detected dead later in the same round stay queued for
+        the next recovery round.  With no survivor nothing was
+        recovered, and the records are given up instead.
         """
-        lost = [
-            pid for pid, owner in self.buffer.mapping.items() if owner in self.dead
-        ]
-        restore_map: dict[int, tuple[int, ...]] = {}
-        leftovers: t.Sequence[int] = lost
-        if self.replication:
-            restore_map, leftovers = plan_restores(
-                lost, self._backup_of, set(live)
-            )
-        occupancy = {
-            s: (
-                self.latest_reports[s].avg_occupancy
-                if s in self.latest_reports
-                else 0.0
-            )
-            for s in live
-        }
-        adopt = self.controller.plan_recovery(list(leftovers), occupancy)
-        restored = {pid for pids in restore_map.values() for pid in pids}
-        dropped = {int(pid) for pid in leftovers}
-        for record in records:
-            owned = set(record["pids"])
-            record["restored_pids"] = tuple(sorted(owned & restored))
-            record["lost_pids"] = tuple(sorted(owned & dropped))
-        for plan in (adopt, restore_map):
-            for s, pids in plan.items():
-                for pid in pids:
-                    self.buffer.remap(pid, s)
-                    self._log_op("remap", pid, s)
-        if self.replication:
-            # Adopted and restored partitions both need a fresh base
-            # image at their new owner before the log can stay short.
-            for pids in (*adopt.values(), *restore_map.values()):
-                self._covered.difference_update(pids)
-        return adopt, restore_map
-
-    def _finish_recovery(
-        self,
-        k: int,
-        adopt: t.Mapping[int, tuple[int, ...]],
-        records: t.Sequence[dict[str, t.Any]],
-        restore: t.Mapping[int, tuple[int, ...]] | None = None,
-    ) -> None:
-        """Stamp recovery latency on the *covered* failure records.
-
-        *records* is the snapshot taken at adoption-planning time — a
-        prefix of ``_unrecovered``; slaves detected dead later in the
-        same round stay queued for the next recovery round.
-        """
+        records = plan.recovering
+        if not records:
+            return
+        if not plan.new_active:
+            self._give_up(records)
+            return
         now = self.rt.now()
         self._unrecovered = self._unrecovered[len(records):]
         for record in records:
             record["recovered_at"] = now
             record["recovery_latency"] = now - record["detected_at"]
-        if self.tracer.enabled and records:
+        if self.tracer.enabled:
             oldest = min(r["detected_at"] for r in records)
             self.tracer.emit(
                 RecoveryEvent(
                     t=now,
                     node=self.comm.node_id,
-                    epoch=k,
+                    epoch=plan.epoch,
                     dead=tuple(sorted(r["slave"] for r in records)),
                     pids=tuple(
-                        sorted(pid for pids in adopt.values() for pid in pids)
+                        sorted(p for pids in plan.adopt.values() for p in pids)
                     ),
-                    adopters=tuple(sorted(adopt)),
+                    adopters=tuple(sorted(plan.adopt)),
                     latency=now - oldest,
                 )
             )
-            for s, pids in sorted((restore or {}).items()):
+            for s, pids in sorted(plan.restore.items()):
                 self.tracer.emit(
                     RestoreEvent(
                         t=now,
                         node=self.comm.node_id,
-                        epoch=k,
+                        epoch=plan.epoch,
                         restorer=s,
                         pids=pids,
                         latency=now - oldest,
                     )
                 )
+
+    def _give_up(self, records: t.Sequence[dict[str, t.Any]]) -> None:
+        """Mark failure records no round will recover — the run halts,
+        or no slave survives to adopt anything — so reports tell "never
+        recovered" from "recovery still in flight"."""
+        for record in records:
+            record["unrecovered_at_halt"] = True
+        self._unrecovered = self._unrecovered[len(records):]
 
     # -- replication (state backup plane) ----------------------------------
     @property
@@ -432,19 +476,6 @@ class MasterNode:
         if self.standby_id is not None:
             self._round_ops.append((kind, a, b))
 
-    @staticmethod
-    def _plan_remaps(
-        adopt: t.Mapping[int, tuple[int, ...]],
-        restore_map: t.Mapping[int, tuple[int, ...]],
-    ) -> tuple[tuple[int, int], ...]:
-        """Adoption/restore remaps as ``(pid, dst)`` for a StandbyPlan."""
-        return tuple(sorted(
-            (pid, s)
-            for plan in (adopt, restore_map)
-            for s, pids in plan.items()
-            for pid in pids
-        ))
-
     def _send_standby_sync(self, k: int) -> t.Generator:
         """End-of-round sync: replicate this round's durable delta.
 
@@ -453,20 +484,6 @@ class MasterNode:
         later master death is always pinned to round ``k + 1``.
         """
         assert self.standby_id is not None
-        pending = tuple(
-            (
-                s,
-                Replicate(
-                    k,
-                    entries=tuple(p.entries),
-                    drops=tuple(sorted(p.drops)),
-                    checkpoints=tuple(
-                        p.checkpoints[pid] for pid in sorted(p.checkpoints)
-                    ),
-                ),
-            )
-            for s, p in sorted(self._pending.items())
-        )
         sync = StandbySync(
             k,
             ops=tuple(self._round_ops),
@@ -475,7 +492,9 @@ class MasterNode:
             next_gen_time=self._next_gen_time,
             backup_of=tuple(sorted(self._backup_of.items())),
             covered=tuple(sorted(self._covered)),
-            pending=pending,
+            pending=tuple(
+                (s, p.message(k)) for s, p in sorted(self._pending.items())
+            ),
             failures_json=json.dumps(self.metrics.failures),
             pairs=tuple(self._round_pairs),
         )
@@ -506,59 +525,10 @@ class MasterNode:
         replication is on, so the backup's store is current before any
         restore it might be ordered to perform this round.
         """
-        pending = self._pending.pop(s, None)
-        if pending is None:
-            msg = Replicate(k)
-        else:
-            msg = Replicate(
-                k,
-                entries=tuple(pending.entries),
-                drops=tuple(sorted(pending.drops)),
-                checkpoints=tuple(
-                    pending.checkpoints[pid]
-                    for pid in sorted(pending.checkpoints)
-                ),
-            )
-        yield self.comm.send(s, msg)
+        pending = self._pending.pop(s, None) or _PendingReplication()
+        yield self.comm.send(s, pending.message(k))
 
-    def _refresh_backups(
-        self,
-        owners: t.Mapping[int, int],
-        live: t.Collection[int],
-        restoring: t.Collection[int] = (),
-    ) -> None:
-        """Recompute backup placement after an ownership change.
-
-        A partition whose backup moved gets its replica dropped at the
-        old backup (when still live) and its coverage reset, so
-        :meth:`_checkpoint_requests` bootstraps the new backup with a
-        fresh base image at this same boundary.  Partitions in
-        *restoring* are exempt from the drop/purge: their old backup is
-        the restorer itself, which consumes (and thereby removes) the
-        replica when it executes this round's Restore — a drop would
-        race ahead of it and destroy the very state being recovered.
-        """
-        new = plan_backups(owners, live)
-        restoring = set(restoring)
-        for pid, old in self._backup_of.items():
-            if new.get(pid) == old:
-                continue
-            if pid in restoring:
-                self._covered.discard(pid)
-                continue
-            if old in self._pending:
-                self._pending[old].purge(pid)
-            if old in live:
-                self._pending_for(old).drops.add(pid)
-            self._covered.discard(pid)
-        for s in list(self._pending):
-            if s not in live:
-                del self._pending[s]
-        self._backup_of = new
-
-    def _checkpoint_requests(
-        self, owners: t.Mapping[int, int], reorg: bool
-    ) -> dict[int, tuple[int, ...]]:
+    def _checkpoint_requests(self, reorg: bool) -> dict[int, tuple[int, ...]]:
         """Which owner must checkpoint which partitions this round.
 
         Stateless — derived from placement and coverage every round, so
@@ -569,7 +539,7 @@ class MasterNode:
             return {}
         wanted: dict[int, list[int]] = {}
         for pid in sorted(self._backup_of):
-            owner = owners.get(pid)
+            owner = self.buffer.mapping.get(pid)
             if owner is None or owner in self.dead:
                 continue
             if (self._checkpoint_every and reorg) or pid not in self._covered:
@@ -600,18 +570,6 @@ class MasterNode:
                 )
             )
 
-    def _collect_checkpoints(self, s: int, k: int, n: int) -> t.Generator:
-        """Receive *n* checkpoints from slave *s*; False if it died."""
-        for _ in range(n):
-            cp = yield from self.comm.recv_expect(
-                s, Checkpoint, timeout=self._detect_timeout
-            )
-            if peer_silent(cp):
-                yield from self._on_slave_silent(s, k, "checkpoint")
-                return False
-            self._accept_checkpoint(s, k, cp)
-        return True
-
     # -- workload ingestion ------------------------------------------------
     def _generate_upto(self, now: float) -> None:
         """Ingest arrivals up to *now* — always a scheduled slot time.
@@ -632,23 +590,26 @@ class MasterNode:
         self.metrics.sample_buffer(now, self.buffer.total_bytes)
 
     # -- normal epoch -----------------------------------------------------------
-    def _distribution_round(self, k: int) -> t.Generator:
-        rt, comm, cfg = self.rt, self.comm, self.cfg
-        t_dist = (k + 1) * cfg.dist_epoch
-        groups = groups_in_order(self.active, cfg.num_subgroups)
-        slot_len = cfg.dist_epoch / len(groups)
-        for g, members in enumerate(groups):
-            yield rt.sleep_until(t_dist + g * slot_len)
-            self._generate_upto(t_dist + g * slot_len)
+    def _distribution_round(self, k: int, plan: _Round | None = None) -> t.Generator:
+        """Walk the slots, answering each sync with a shipment — or, in
+        a recovery round, with the slave's order, then its shipment."""
+        for t_slot, members in round_slots(self.cfg, k, self.active):
+            yield self.rt.sleep_until(t_slot)
+            self._generate_upto(t_slot)
             for s in members:
                 if s in self.dead:
                     continue
                 sync = yield from self._sync_or_detect(s, k)
                 if sync is None:
                     continue
-                if self.replication:
-                    yield from self._send_replicate(k, s)
-                yield from self._ship_to(k, s)
+                if plan is None:
+                    if self.replication:
+                        yield from self._send_replicate(k, s)
+                    yield from self._ship_to(k, s)
+                    continue
+                yield from self._send_order(plan, s)
+                if (yield from self._collect_acks(plan, s)):
+                    yield from self._checkpoint_and_ship(plan, s)
 
     def _ship_to(self, k: int, slave: int) -> t.Generator:
         now = self.rt.now()
@@ -658,42 +619,71 @@ class MasterNode:
             self._tee_parts(k, parts)
         yield self.comm.send(slave, Shipment(k, epoch_start, now, batch))
 
-    # -- reorganization epoch --------------------------------------------------------
-    def _reorg_round(self, k: int) -> t.Generator:
-        rt, comm, cfg = self.rt, self.comm, self.cfg
-        yield rt.sleep_until((k + 1) * cfg.dist_epoch)
-        self._generate_upto((k + 1) * cfg.dist_epoch)
+    # -- control rounds: plan, apply, serve, close -----------------------------
+    def _plan_round(self, k: int, live: list[int], reorg: bool) -> _Round:
+        """Decide round *k* from the reports of the *live* slaves.
 
-        actives = list(self.active)
-        for s in actives:
-            if s in self.dead:
-                continue
-            yield from self._sync_or_detect(s, k)
-
-        live = [s for s in actives if s not in self.dead]
+        Failures awaiting recovery are the round's one control action:
+        each lost partition goes to its live backup (``restore``: a
+        checkpoint + log-replay rebuild), and only those without a
+        usable replica fall back to empty adoption.  Each failure
+        record is annotated with the split (``restored_pids`` /
+        ``lost_pids``) so the run's degraded verdict reflects actual
+        data loss, not mere crashes.  Load balancing and DoD adaptation
+        run at a reorganization epoch with nothing to recover.
+        """
+        reports = self.latest_reports
+        occupancy = {
+            s: reports[s].avg_occupancy if s in reports else 0.0 for s in live
+        }
         recovering = list(self._unrecovered)
         adopt: dict[int, tuple[int, ...]] = {}
-        restore_map: dict[int, tuple[int, ...]] = {}
-        occupancy = {s: self.latest_reports[s].avg_occupancy for s in live}
+        restore: dict[int, tuple[int, ...]] = {}
         if recovering:
-            # A recovery epoch performs exactly one control action:
-            # adoption of the dead slaves' partition-groups.  Load
-            # balancing and DoD adaptation resume at the next epoch.
-            adopt, restore_map = self._plan_adoption(live, recovering)
-            plan = ReorgPlan((), (), (), self.controller.classify(occupancy))
-        else:
-            ownership = {s: self.buffer.pids_of(s) for s in live}
-            plan = self.controller.plan(
-                occupancy, self.inactive, ownership, now=rt.now(), epoch=k
+            lost = [
+                p for p, owner in self.buffer.mapping.items() if owner in self.dead
+            ]
+            # Without replication no partition has a backup: all adopt.
+            restore, leftovers = plan_restores(lost, self._backup_of, set(live))
+            adopt = self.controller.plan_recovery(list(leftovers), occupancy)
+            restored = {p for pids in restore.values() for p in pids}
+            dropped = set(leftovers)
+            for record in recovering:
+                owned = set(record["pids"])
+                record["restored_pids"] = tuple(sorted(owned & restored))
+                record["lost_pids"] = tuple(sorted(owned & dropped))
+        if reorg and not recovering:
+            decision = self.controller.plan(
+                occupancy,
+                self.inactive,
+                {s: self.buffer.pids_of(s) for s in live},
+                now=self.rt.now(),
+                epoch=k,
             )
-        cls = plan.classification
+        else:
+            decision = ReorgPlan((), (), (), self.controller.classify(occupancy))
+        if reorg:
+            self._record_classification(k, decision)
+        new_active = sorted(
+            (set(live) | set(decision.activate)) - set(decision.deactivate)
+        )
+        schedules = build_schedules(
+            new_active, self.cfg.num_subgroups, self.cfg.dist_epoch
+        )
+        return _Round(
+            k, reorg, decision.moves, decision.activate, decision.deactivate,
+            adopt, restore, new_active, schedules, recovering,
+        )
+
+    def _record_classification(self, k: int, plan: ReorgPlan) -> None:
+        now, cls = self.rt.now(), plan.classification
         self.metrics.supplier_counts.append(
-            (rt.now(), len(cls.suppliers), len(cls.consumers), len(cls.neutrals))
+            (now, len(cls.suppliers), len(cls.consumers), len(cls.neutrals))
         )
         if self.tracer.enabled:
             self.tracer.emit(
                 ReorgEvent(
-                    t=rt.now(),
+                    t=now,
                     node=self.comm.node_id,
                     epoch=k,
                     suppliers=cls.suppliers,
@@ -705,143 +695,151 @@ class MasterNode:
                 )
             )
 
-        new_active = sorted(
-            (set(live) | set(plan.activate)) - set(plan.deactivate)
-        )
-        schedules = build_schedules(new_active, cfg.num_subgroups, cfg.dist_epoch)
+    def _apply_plan(self, plan: StandbyPlan) -> None:
+        """Apply a round's plan to the coordinator's own state.
 
+        Remaps the buffer (adoptions and restores, then moves) so the
+        tuples buffered for a partition ship to its new owner, and
+        recomputes backup placement for the ownership the slaves hold
+        after the round.  A partition that changes owner, or whose
+        backup moved, needs a fresh base image at its new owner or
+        backup, so its coverage resets and :meth:`_checkpoint_requests`
+        bootstraps it at this same boundary; the old backup, when still
+        live, drops its replica.  Partitions being restored are exempt
+        from that drop: their old backup is the restorer itself, which
+        consumes (and thereby removes) the replica when it executes
+        this round's Restore — a drop would race ahead of it and
+        destroy the very state being recovered.
+
+        The standby replays a fatal round's plan through this method.
+        """
+        for pid, dst in (*plan.remaps, *((m.pid, m.dst) for m in plan.moves)):
+            self.buffer.remap(pid, dst)
+            self._log_op("remap", pid, dst)
+            self._covered.discard(pid)
+        if not self.replication:
+            return
+        live = set(plan.new_active)
+        new = plan_backups(self.buffer.mapping, live)
+        for pid, old in self._backup_of.items():
+            if new.get(pid) == old:
+                continue
+            self._covered.discard(pid)
+            if pid in plan.restores:
+                continue
+            if old in self._pending:
+                self._pending[old].purge(pid)
+            if old in live:
+                self._pending_for(old).drops.add(pid)
+        for s in list(self._pending):
+            if s not in live:
+                del self._pending[s]
+        self._backup_of = new
+
+    def _open_round(self, k: int, live: list[int], reorg: bool) -> t.Generator:
+        """Plan round *k*, apply the plan, and hand it to the standby."""
+        plan = self._plan_round(k, live, reorg)
+        standby_plan = plan.standby
+        self._apply_plan(standby_plan)
+        plan.checkpoints = self._checkpoint_requests(reorg)
         if self.standby_id is not None:
             # The plan reaches the standby before any slave sees an
             # order: if the standby never receives it, no slave acted
             # on it either, so a takeover can presume the fatal round
             # plan-free.
-            yield comm.send(
-                self.standby_id,
-                StandbyPlan(
-                    k,
-                    moves=plan.moves,
-                    new_active=tuple(new_active),
-                    deactivate=plan.deactivate,
-                    remaps=self._plan_remaps(adopt, restore_map),
-                    restores=tuple(
-                        sorted(p for pids in restore_map.values() for p in pids)
-                    ),
-                ),
-            )
+            yield self.comm.send(self.standby_id, standby_plan)
+        return plan
 
-        for s in plan.activate:
-            yield comm.send(s, Activate(k, clock=rt.now(), schedule=schedules[s]))
-
-        cp_requests: dict[int, tuple[int, ...]] = {}
+    def _send_order(self, plan: _Round, s: int) -> t.Generator:
+        """Replicate, then slave *s*'s ReorgOrder, then its Restore."""
         if self.replication:
-            # Placement follows the ownership the slaves will hold
-            # *after* this round's moves, adoptions, and restores.
-            owners_after = dict(self.buffer.mapping)
-            for m in plan.moves:
-                owners_after[m.pid] = m.dst
-                # A moved partition needs a fresh base at its new
-                # owner even if its backup slave happens to survive
-                # the placement change (the pair accounting resets at
-                # the extract).
-                self._covered.discard(m.pid)
-            self._refresh_backups(
-                owners_after,
-                set(new_active),
-                restoring=[p for pids in restore_map.values() for p in pids],
+            yield from self._send_replicate(plan.epoch, s)
+        yield self.comm.send(s, plan.order(s, clock=self.rt.now()))
+        if self.replication:
+            yield self.comm.send(s, Restore(plan.epoch, plan.restore.get(s, ())))
+
+    def _collect_acks(self, plan: _Round, s: int) -> t.Generator:
+        """Receive the acks *s* owes; False after fencing it on silence."""
+        for _ in range(plan.acks(s)):
+            ack = yield from self.comm.recv_expect(
+                s, MoveAck, timeout=self._detect_timeout
             )
-            cp_requests = self._checkpoint_requests(owners_after, reorg=True)
+            if peer_silent(ack):
+                yield from self._on_slave_silent(s, plan.epoch, "ack")
+                return False
+            if ack.pairs is not None and len(ack.pairs):
+                self._bank_pairs(s, ack.pid, plan.epoch, ack.pairs)
+        return True
 
-        order_targets = sorted(set(live) | set(plan.activate))
-        acks_expected: dict[int, int] = {}
-        for s in order_targets:
-            outgoing = tuple(m for m in plan.moves if m.src == s)
-            incoming = tuple(m for m in plan.moves if m.dst == s)
-            adopted = adopt.get(s, ())
-            restored = restore_map.get(s, ())
-            if self.replication:
-                yield from self._send_replicate(k, s)
-            yield comm.send(
-                s,
-                ReorgOrder(
-                    k,
-                    outgoing=outgoing,
-                    incoming=incoming,
-                    deactivate=s in plan.deactivate,
-                    clock=rt.now(),
-                    schedule=schedules.get(s),
-                    adopt=adopted,
-                    checkpoint_pids=cp_requests.get(s, ()),
-                ),
+    def _checkpoint_and_ship(self, plan: _Round, s: int) -> t.Generator:
+        """Bank the checkpoints *s* was asked for, then ship to it."""
+        for _ in plan.checkpoints.get(s, ()):
+            cp = yield from self.comm.recv_expect(
+                s, Checkpoint, timeout=self._detect_timeout
             )
-            if self.replication:
-                yield comm.send(s, Restore(k, restored))
-            if outgoing or incoming or adopted or restored:
-                acks_expected[s] = (
-                    len(outgoing) + len(incoming) + len(adopted) + len(restored)
-                )
+            if peer_silent(cp):
+                yield from self._on_slave_silent(s, plan.epoch, "checkpoint")
+                return
+            self._accept_checkpoint(s, plan.epoch, cp)
+        yield from self._ship_to(plan.epoch, s)
 
-        # The mapping changes take effect now: tuples buffered for a
-        # moved partition will be shipped to the new owner below
-        # (adoptions and restores were remapped by ``_plan_adoption``).
-        for m in plan.moves:
-            self.buffer.remap(m.pid, m.dst)
-            self._log_op("remap", m.pid, m.dst)
-        self.metrics.moves_ordered += len(plan.moves)
-
-        participants = set(acks_expected)
-        deactivated = set(plan.deactivate)
-        for s in order_targets:
-            if s not in participants and s not in deactivated:
-                if cp_requests.get(s):
-                    alive = yield from self._collect_checkpoints(
-                        s, k, len(cp_requests[s])
-                    )
-                    if not alive:
-                        continue
-                yield from self._ship_to(k, s)
-        for s in sorted(acks_expected):
-            for _ in range(acks_expected[s]):
-                ack = yield from comm.recv_expect(
-                    s, MoveAck, timeout=self._detect_timeout
-                )
-                if peer_silent(ack):
-                    yield from self._on_slave_silent(s, k, "ack")
-                    break
-                if ack.pairs is not None and len(ack.pairs):
-                    self._bank_pairs(s, ack.pid, k, ack.pairs)
-        for s in sorted(participants):
-            if s not in deactivated and s not in self.dead:
-                if cp_requests.get(s):
-                    alive = yield from self._collect_checkpoints(
-                        s, k, len(cp_requests[s])
-                    )
-                    if not alive:
-                        continue
-                yield from self._ship_to(k, s)
-
-        if recovering:
-            self._finish_recovery(k, adopt, recovering, restore_map)
-        if len(new_active) != len(actives):
-            self.metrics.dod_changes.append((rt.now(), len(new_active)))
+    def _close_round(self, plan: _Round) -> None:
+        """Install the round's outcome: recovery stamps, the DoD record,
+        the new active set and schedules."""
+        if plan.reorg:
+            self._finish_recovery(plan)
+            deactivated = plan.deactivate
+        else:
+            # A recovery round's DoD change is its dead slaves leaving.
+            deactivated = tuple(s for s in self.active if s in self.dead)
+        if len(plan.new_active) != len(self.active):
+            now = self.rt.now()
+            self.metrics.dod_changes.append((now, len(plan.new_active)))
             if self.tracer.enabled:
                 self.tracer.emit(
                     DodEvent(
-                        t=rt.now(),
+                        t=now,
                         node=self.comm.node_id,
-                        epoch=k,
-                        n_active=len(new_active),
+                        epoch=plan.epoch,
+                        n_active=len(plan.new_active),
                         activated=plan.activate,
-                        deactivated=plan.deactivate,
+                        deactivated=deactivated,
                     )
                 )
-        self.active = new_active
-        self.inactive = sorted(
-            set(self.all_slaves) - set(new_active) - self.dead
-        )
-        self.schedules = schedules
+        self._set_active(plan.new_active)
+        self.metrics.moves_ordered += len(plan.moves)
+        if not plan.reorg:
+            self._finish_recovery(plan)
+
+    def _reorg_round(self, k: int) -> t.Generator:
+        rt = self.rt
+        ((t_round, actives),) = round_slots(self.cfg, k, self.active)
+        yield rt.sleep_until(t_round)
+        self._generate_upto(t_round)
+        for s in actives:
+            if s not in self.dead:
+                yield from self._sync_or_detect(s, k)
+        live = [s for s in actives if s not in self.dead]
+        plan = yield from self._open_round(k, live, reorg=True)
+        for s in plan.activate:
+            yield self.comm.send(
+                s, Activate(k, clock=rt.now(), schedule=plan.schedules[s])
+            )
+        targets = sorted(set(live) | set(plan.activate))
+        for s in targets:
+            yield from self._send_order(plan, s)
+        participants = [s for s in targets if plan.acks(s)]
+        for s in targets:
+            if s not in participants and s not in plan.deactivate:
+                yield from self._checkpoint_and_ship(plan, s)
+        for s in participants:
+            yield from self._collect_acks(plan, s)
+        for s in participants:
+            if s not in plan.deactivate and s not in self.dead:
+                yield from self._checkpoint_and_ship(plan, s)
+        self._close_round(plan)
         self.metrics.reorgs += 1
 
-    # -- recovery epoch (fault plane) -------------------------------------
     def _recovery_round(self, k: int) -> t.Generator:
         """A distribution round that folds in failure recovery.
 
@@ -852,125 +850,18 @@ class MasterNode:
         :class:`ReorgOrder` carrying the partition-groups to adopt and
         the new slot schedule, then ships after the adoption acks.
         """
-        rt, comm, cfg = self.rt, self.comm, self.cfg
-        t_dist = (k + 1) * cfg.dist_epoch
         live = [s for s in self.active if s not in self.dead]
-        if not live:
-            # Nobody left to adopt anything: the failure records stay
-            # unrecovered for good — mark them so reports distinguish
-            # "never recovered" from "recovery still in flight".
-            for record in self._unrecovered:
-                record["unrecovered_at_halt"] = True
-            self._unrecovered = []
-            yield rt.sleep_until(t_dist)
-            self._generate_upto(t_dist)
-            return
-        recovering = list(self._unrecovered)
-        adopt, restore_map = self._plan_adoption(live, recovering)
-        cp_requests: dict[int, tuple[int, ...]] = {}
-        if self.replication:
-            self._refresh_backups(
-                dict(self.buffer.mapping),
-                set(live),
-                restoring=[p for pids in restore_map.values() for p in pids],
-            )
-            cp_requests = self._checkpoint_requests(
-                self.buffer.mapping, reorg=False
-            )
-        new_schedules = build_schedules(live, cfg.num_subgroups, cfg.dist_epoch)
-        if self.standby_id is not None:
-            # Happens-before every ReorgOrder of the round, so the
-            # standby always knows the adoption remaps a fatal recovery
-            # round was executing.
-            yield comm.send(
-                self.standby_id,
-                StandbyPlan(
-                    k,
-                    new_active=tuple(live),
-                    remaps=self._plan_remaps(adopt, restore_map),
-                    restores=tuple(
-                        sorted(p for pids in restore_map.values() for p in pids)
-                    ),
-                ),
-            )
-        groups = groups_in_order(self.active, cfg.num_subgroups)
-        slot_len = cfg.dist_epoch / len(groups)
-        for g, members in enumerate(groups):
-            yield rt.sleep_until(t_dist + g * slot_len)
-            self._generate_upto(t_dist + g * slot_len)
-            for s in members:
-                if s in self.dead:
-                    continue
-                sync = yield from self._sync_or_detect(s, k)
-                if sync is None:
-                    continue
-                adopted = adopt.get(s, ())
-                restored = restore_map.get(s, ())
-                if self.replication:
-                    yield from self._send_replicate(k, s)
-                yield comm.send(
-                    s,
-                    ReorgOrder(
-                        k,
-                        clock=rt.now(),
-                        schedule=new_schedules.get(s),
-                        adopt=adopted,
-                        checkpoint_pids=cp_requests.get(s, ()),
-                    ),
-                )
-                if self.replication:
-                    yield comm.send(s, Restore(k, restored))
-                alive = True
-                for _ in range(len(adopted) + len(restored)):
-                    ack = yield from comm.recv_expect(
-                        s, MoveAck, timeout=self._detect_timeout
-                    )
-                    if peer_silent(ack):
-                        yield from self._on_slave_silent(s, k, "ack")
-                        alive = False
-                        break
-                    if ack.pairs is not None and len(ack.pairs):
-                        self._bank_pairs(s, ack.pid, k, ack.pairs)
-                if alive and cp_requests.get(s):
-                    alive = yield from self._collect_checkpoints(
-                        s, k, len(cp_requests[s])
-                    )
-                if alive:
-                    yield from self._ship_to(k, s)
-        if len(live) != len(self.active):
-            self.metrics.dod_changes.append((rt.now(), len(live)))
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    DodEvent(
-                        t=rt.now(),
-                        node=self.comm.node_id,
-                        epoch=k,
-                        n_active=len(live),
-                        activated=(),
-                        deactivated=tuple(
-                            s for s in self.active if s in self.dead
-                        ),
-                    )
-                )
-        self.active = live
-        self.inactive = sorted(
-            set(self.all_slaves) - set(live) - self.dead
-        )
-        self.schedules = new_schedules
-        self._finish_recovery(k, adopt, recovering, restore_map)
+        plan = yield from self._open_round(k, live, reorg=False)
+        yield from self._distribution_round(k, plan)
+        self._close_round(plan)
 
     # -- shutdown ----------------------------------------------------------------
     def _halt_round(self, k: int) -> t.Generator:
         """One final exchange: answer each slave's sync with Halt."""
-        rt, comm, cfg = self.rt, self.comm, self.cfg
-        t_dist = (k + 1) * cfg.dist_epoch
-        if self._is_reorg_epoch(k):
-            yield rt.sleep_until(t_dist)
-            order = list(self.active)
-        else:
-            order = [s for g in groups_in_order(self.active, cfg.num_subgroups) for s in g]
-            yield rt.sleep_until(t_dist)
-        for s in order:
+        comm = self.comm
+        slots = round_slots(self.cfg, k, self.active)
+        yield self.rt.sleep_until(slots[0][0])
+        for s in (s for _, members in slots for s in members):
             if s in self.dead:
                 continue
             sync = yield from self._sync_or_detect(s, k)
@@ -982,8 +873,5 @@ class MasterNode:
         if self.standby_id is not None:
             yield comm.send(self.standby_id, Halt(k))
         # The run halts with these failures still awaiting a recovery
-        # round: mark them so downstream reporting distinguishes
-        # "unrecovered at halt" from a latency not yet measured.
-        for record in self._unrecovered:
-            record["unrecovered_at_halt"] = True
-        self._unrecovered = []
+        # round.
+        self._give_up(self._unrecovered)

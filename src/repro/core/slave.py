@@ -57,7 +57,7 @@ from repro.core.protocol import (
     StateTransfer,
     TakeOver,
 )
-from repro.core.subgroups import SlotSchedule
+from repro.core.subgroups import SlotSchedule, is_reorg_epoch
 from repro.mp.comm import Communicator
 from repro.obs.events import DrainEvent, StateMoveEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -145,18 +145,16 @@ class SlaveNode:
     def processes(self) -> list[t.Generator]:
         return [self.comm_loop(), self.join_loop()]
 
-    @property
-    def _reorg_every(self) -> int:
-        return max(1, round(self.cfg.reorg_epoch / self.cfg.dist_epoch))
-
-    def _is_reorg_epoch(self, k: int) -> bool:
-        return (k + 1) % self._reorg_every == 0
-
-    def _cpu_cost(self, cost: float) -> float:
-        """Modeled CPU seconds with planned slowdowns applied."""
-        if self.faults is None:
-            return cost
-        return self.faults.scaled_cpu(self.node_id, self.rt.now(), cost)
+    def _charge_state_move(self, nbytes: int) -> t.Generator:
+        """Charge the modeled CPU cost of moving *nbytes* of state, with
+        planned slowdowns applied."""
+        rt = self.rt
+        cost = self.cost_model.state_move_cost(nbytes)
+        if self.faults is not None:
+            cost = self.faults.scaled_cpu(self.node_id, rt.now(), cost)
+        t0 = rt.now()
+        yield rt.cpu(cost)
+        self.metrics.charge_cpu("state_move", t0, rt.now())
 
     # -- join loop ------------------------------------------------------
     def join_loop(self) -> t.Generator:
@@ -217,7 +215,9 @@ class SlaveNode:
                     # Anything backed up before a deactivation is stale
                     # by now; the master re-bootstraps what it needs.
                     self.backup_store.clear()
-                halted = yield from self._reorg_exchange(self.epoch, send_sync=False)
+                halted = yield from self._exchange(
+                    self.epoch, reorg=True, send_sync=False
+                )
                 if halted:
                     yield from self._shutdown()
                     return
@@ -226,14 +226,11 @@ class SlaveNode:
                 continue
 
             k = self.epoch
-            reorg = self._is_reorg_epoch(k)
+            reorg = is_reorg_epoch(self.cfg, k)
             offset = 0.0 if reorg else self.schedule.slot_offset
             yield rt.sleep_until((k + 1) * td + offset)
             self._sample_occupancy()
-            if reorg:
-                halted = yield from self._reorg_exchange(k, send_sync=True)
-            else:
-                halted = yield from self._plain_exchange(k)
+            halted = yield from self._exchange(k, reorg)
             if halted:
                 yield from self._shutdown()
                 return
@@ -248,25 +245,35 @@ class SlaveNode:
             self.epoch = k + 1
 
     # -- epoch exchanges --------------------------------------------------------
-    def _plain_exchange(self, k: int) -> t.Generator:
+    def _exchange(
+        self, k: int, reorg: bool, send_sync: bool = True
+    ) -> t.Generator:
+        """Round *k*'s exchange with the master; True when it halted."""
         comm = self.comm
-        yield comm.send(self.master_id, SlaveSync(k, self._make_report(k)))
+        if send_sync:
+            yield comm.send(self.master_id, SlaveSync(k, self._make_report(k)))
+        if reorg:
+            self._reset_occupancy_window()
         halted = yield from self._apply_replication(k)
         if halted or self._took_over:
             return halted
         # A ReorgOrder at a plain epoch is a recovery round: the master
-        # is reassigning a dead slave's partition-groups.
-        msg = yield from comm.recv_expect(
-            self.master_id, Shipment, ReorgOrder, Halt
-        )
-        if peer_silent(msg):
-            return (yield from self._master_silent())
-        if isinstance(msg, Halt):
-            return True
-        if isinstance(msg, ReorgOrder):
-            return (yield from self._handle_order(msg))
-        yield from self._accept_shipment(msg)
-        return False
+        # is reassigning a dead slave's partition-groups.  Either way an
+        # executed order is followed by the round's shipment.
+        expected = (ReorgOrder, Halt) if reorg else (Shipment, ReorgOrder, Halt)
+        while True:
+            msg = yield from comm.recv_expect(self.master_id, *expected)
+            if peer_silent(msg):
+                return (yield from self._master_silent())
+            if isinstance(msg, Halt):
+                return True
+            if isinstance(msg, Shipment):
+                yield from self._accept_shipment(msg)
+                return False
+            halted = yield from self._handle_order(msg)
+            if halted or self._took_over or not self.active:
+                return halted
+            expected = (Shipment, Halt)
 
     def _apply_replication(self, k: int) -> t.Generator:
         """Receive and apply the round's replication maintenance.
@@ -297,27 +304,12 @@ class SlaveNode:
         self.module.enqueue(shipment)
         yield self.work_queue.put(WAKE_TOKEN)
 
-    def _reorg_exchange(self, k: int, send_sync: bool) -> t.Generator:
-        comm = self.comm
-        if send_sync:
-            yield comm.send(self.master_id, SlaveSync(k, self._make_report(k)))
-        self._reset_occupancy_window()
-        halted = yield from self._apply_replication(k)
-        if halted or self._took_over:
-            return halted
-        msg = yield from comm.recv_expect(self.master_id, ReorgOrder, Halt)
-        if peer_silent(msg):
-            return (yield from self._master_silent())
-        if isinstance(msg, Halt):
-            return True
-        return (yield from self._handle_order(msg))
-
     def _handle_order(self, order: ReorgOrder) -> t.Generator:
         """Execute one :class:`ReorgOrder` (reorganization or recovery).
 
         Returns True when the exchange ended in a Halt.
         """
-        rt, comm, metrics = self.rt, self.comm, self.metrics
+        rt, comm = self.rt, self.comm
         tuple_bytes = self.cfg.tuple_bytes
         self._last_order_epoch = max(self._last_order_epoch, order.epoch)
         self._prune_limbo(order.epoch)
@@ -342,20 +334,11 @@ class SlaveNode:
                 # Retire the pairs this partition produced here; the
                 # master banks them so a later crash of the new owner
                 # cannot lose them (replay regenerates only the rest).
-                pairs = metrics.pop_pairs(mv.pid)
-                popped_pairs[mv.pid] = pairs
-                if self.standby_id is not None and pairs is not None and len(pairs):
-                    # Limbo copy from the moment of retirement: if the
-                    # master dies before banking the MoveAck, the chunk
-                    # rides our Rejoin instead.  Pruned once a later
-                    # master message proves the round was banked.
-                    self._limbo_pairs[(mv.pid, order.epoch)] = pairs
+                popped_pairs[mv.pid] = self._retire_pairs(mv.pid, order.epoch)
             self.lock.release()
             nbytes = (state.n_tuples + len(buffered)) * tuple_bytes
-            t0 = rt.now()
-            self._trace_move("begin", "supplier", mv.pid, mv.dst, nbytes, t0)
-            yield rt.cpu(self._cpu_cost(self.cost_model.state_move_cost(nbytes)))
-            metrics.charge_cpu("state_move", t0, rt.now())
+            self._trace_move("begin", "supplier", mv.pid, mv.dst, nbytes, rt.now())
+            yield from self._charge_state_move(nbytes)
             if self._peer_timeout is not None:
                 # A consumer only posts a *timed* receive for this
                 # transfer once the master is dead, and may have given
@@ -443,9 +426,7 @@ class SlaveNode:
                 + (0 if buffered is None else len(buffered))
                 + sum(len(b) for b in log)
             ) * tuple_bytes
-            t0 = rt.now()
-            yield rt.cpu(self._cpu_cost(self.cost_model.state_move_cost(nbytes)))
-            metrics.charge_cpu("state_move", t0, rt.now())
+            yield from self._charge_state_move(nbytes)
             yield self.lock.acquire()
             self.module.restore_partition(pid, state, buffered, log)
             self.lock.release()
@@ -472,43 +453,41 @@ class SlaveNode:
         for pid in order.checkpoint_pids:
             yield self.lock.acquire()
             state, buffered = self.module.snapshot_partition(pid)
-            pairs = metrics.pop_pairs(pid)
+            pairs = self._retire_pairs(pid, order.epoch)
             self.lock.release()
             nbytes = (state.n_tuples + len(buffered)) * tuple_bytes
-            t0 = rt.now()
-            yield rt.cpu(self._cpu_cost(self.cost_model.state_move_cost(nbytes)))
-            metrics.charge_cpu("state_move", t0, rt.now())
-            if self.standby_id is not None and pairs is not None and len(pairs):
-                self._limbo_pairs[(pid, order.epoch)] = pairs
+            yield from self._charge_state_move(nbytes)
             yield comm.send(
                 self.master_id,
                 Checkpoint(pid, order.epoch, state, buffered, pairs),
             )
-
-        msg = yield from comm.recv_expect(self.master_id, Shipment, Halt)
-        if peer_silent(msg):
-            return (yield from self._master_silent())
-        if isinstance(msg, Halt):
-            return True
-        yield from self._accept_shipment(msg)
         return False
 
     def _install_transfer(self, src: int, transfer: StateTransfer) -> t.Generator:
         """Charge, install and wake for one received state transfer."""
-        rt, metrics = self.rt, self.metrics
+        rt = self.rt
         nbytes = (
             transfer.state.n_tuples + len(transfer.buffered)
         ) * self.cfg.tuple_bytes
-        t0 = rt.now()
-        self._trace_move("begin", "consumer", transfer.pid, src, nbytes, t0)
-        yield rt.cpu(self._cpu_cost(self.cost_model.state_move_cost(nbytes)))
-        metrics.charge_cpu("state_move", t0, rt.now())
+        self._trace_move("begin", "consumer", transfer.pid, src, nbytes, rt.now())
+        yield from self._charge_state_move(nbytes)
         yield self.lock.acquire()
         self.module.install_partition(transfer.pid, transfer.state, transfer.buffered)
         self.lock.release()
         self._trace_move("end", "consumer", transfer.pid, src, nbytes, rt.now())
         # The moved buffer may contain work; wake the join loop.
         yield self.work_queue.put(WAKE_TOKEN)
+
+    def _retire_pairs(self, pid: int, epoch: int) -> t.Any:
+        """Pop the pairs *pid* produced here, for the master to bank."""
+        pairs = self.metrics.pop_pairs(pid)
+        if self.standby_id is not None and pairs is not None and len(pairs):
+            # Limbo copy from the moment of retirement: if the master
+            # dies before banking the chunk, it rides our Rejoin
+            # instead.  Pruned once a later master message proves the
+            # round was banked.
+            self._limbo_pairs[(pid, epoch)] = pairs
+        return pairs
 
     def _prune_limbo(self, epoch: int) -> None:
         """Drop limbo pair chunks the (live) master has provably banked.

@@ -50,7 +50,7 @@ from repro.core.protocol import (
     StandbySync,
     TakeOver,
 )
-from repro.core.subgroups import build_schedules, groups_in_order
+from repro.core.subgroups import build_schedules, is_reorg_epoch, round_slots
 from repro.errors import ProtocolError
 from repro.faults.markers import peer_silent
 from repro.mp.comm import Communicator
@@ -165,21 +165,13 @@ class StandbyNode:
             )
         # The small coordinator structures travel whole — authoritative
         # snapshots, not deltas, so one lost field can never compound.
-        m.active = list(sync.active)
         m.dead = set(sync.dead)
-        m.inactive = sorted(set(m.all_slaves) - set(m.active) - m.dead)
-        m.schedules = build_schedules(
-            m.active, self.cfg.num_subgroups, self.cfg.dist_epoch
-        )
+        m._set_active(list(sync.active))
         m._backup_of = dict(sync.backup_of)
         m._covered = set(sync.covered)
-        m._pending = {}
-        for backup, rep in sync.pending:
-            pending = _PendingReplication()
-            pending.entries = list(rep.entries)
-            pending.drops = set(rep.drops)
-            pending.checkpoints = {cp.pid: cp for cp in rep.checkpoints}
-            m._pending[backup] = pending
+        m._pending = {
+            backup: _PendingReplication.of(rep) for backup, rep in sync.pending
+        }
         m.metrics.failures[:] = json.loads(sync.failures_json)
         for slave, pid, epoch, rows in sync.pairs:
             m._pair_store.setdefault((slave, pid, epoch), rows)
@@ -212,14 +204,8 @@ class StandbyNode:
         # keeping everyone active is always safe — the next reorg can
         # shrink the degree of declustering again).  Slaves that were
         # already inactive before the fatal round stay inactive.
-        active_order = list(m.active)
-        synced_active = set(active_order)
-        if plan is not None:
-            active_after = sorted(
-                (synced_active | set(plan.new_active)) - m.dead
-            )
-        else:
-            active_after = sorted(synced_active - m.dead)
+        planned = plan.new_active if plan is not None else ()
+        active_after = sorted((set(m.active) | set(planned)) - m.dead)
         schedules = build_schedules(
             active_after, cfg.num_subgroups, cfg.dist_epoch
         )
@@ -264,55 +250,29 @@ class StandbyNode:
         # received the fatal shipment.
         pre_plan_owner = dict(m.buffer.mapping)
         if plan is not None:
-            for pid, dst in plan.remaps:
-                m.buffer.remap(pid, dst)
-                m._covered.discard(pid)
-            for mv in moves:
-                m.buffer.remap(mv.pid, mv.dst)
-                m._covered.discard(mv.pid)
-            if m.replication:
-                m._refresh_backups(
-                    dict(m.buffer.mapping),
-                    set(plan.new_active),
-                    restoring=plan.restores,
-                )
-
-        def replay_drain(s: int, when: float) -> None:
-            rj = rejoined.get(s)
-            if rj is None or rj.last_shipment_epoch != k_fatal:
-                return  # never shipped: the tuples stay buffered
-            _batch, _start, parts = m.buffer.drain_for(s, when)
-            if m.replication:
-                m._tee_parts(k_fatal, parts)
-
-        t_dist = (k_fatal + 1) * cfg.dist_epoch
-        if m._is_reorg_epoch(k_fatal):
-            # The reorg round generates once, up front; every shipped
-            # slave drains after the remaps.  Partitions are disjoint
-            # across slaves, so the drain order is immaterial.
-            m._generate_upto(t_dist)
-            for s in sorted(rejoined):
-                replay_drain(s, t_dist)
-        else:
-            # Distribution and recovery rounds interleave generation
-            # with the slot schedule: each group's drains see exactly
-            # the tuples generated up to its slot start.
-            groups = groups_in_order(active_order, cfg.num_subgroups)
-            slot_len = cfg.dist_epoch / len(groups) if groups else cfg.dist_epoch
-            for g, members in enumerate(groups):
-                m._generate_upto(t_dist + g * slot_len)
-                for s in members:
-                    replay_drain(s, t_dist + g * slot_len)
+            m._apply_plan(plan)
+        # Generation interleaves with the slot schedule: each slot's
+        # drains see exactly the tuples generated up to its start.  A
+        # reorganization round is one slot, and ships after its orders
+        # — possibly to slaves the plan just activated, so all of them
+        # are walked (partitions are disjoint across slaves).
+        members = m.all_slaves if is_reorg_epoch(cfg, k_fatal) else m.active
+        for t_slot, group in round_slots(cfg, k_fatal, members):
+            m._generate_upto(t_slot)
+            for s in group:
+                rj = rejoined.get(s)
+                if rj is None or rj.last_shipment_epoch != k_fatal:
+                    continue  # never shipped: the tuples stay buffered
+                _batch, _start, parts = m.buffer.drain_for(s, t_slot)
+                if m.replication:
+                    m._tee_parts(k_fatal, parts)
 
         # Reconcile the mapping against the slaves' sworn claims: a
         # claimed partition belongs to its claimant; an unclaimed one
         # whose planned move/adoption/restore evidently never executed
         # falls back to its pre-plan owner, so the ordinary recovery
         # machinery re-adopts it from the (dead) owner next round.
-        claims: dict[int, int] = {}
-        for s, rj in rejoined.items():
-            for pid in rj.owned_pids:
-                claims[pid] = s
+        claims = {pid: s for s, rj in rejoined.items() for pid in rj.owned_pids}
         restore_dst = dict(plan.remaps) if plan is not None else {}
         for pid, owner in sorted(m.buffer.mapping.items()):
             claimant = claims.get(pid)
@@ -354,9 +314,7 @@ class StandbyNode:
             if r.get("recovered_at") is None
             and not r.get("unrecovered_at_halt")
         ]
-        m.active = active_after
-        m.inactive = sorted(set(m.all_slaves) - set(active_after) - m.dead)
-        m.schedules = schedules
+        m._set_active(active_after)
         if self.tracer.enabled:
             self.tracer.emit(
                 TakeoverEvent(

@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import typing as t
 
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import SystemConfig
+
 
 class SlotSchedule(t.NamedTuple):
     """One slave's communication slot within the distribution epoch."""
@@ -61,6 +64,28 @@ def groups_in_order(
     for i, node in enumerate(active_sorted):
         groups[group_of(i, len(active_sorted), ng)].append(node)
     return groups
+
+
+def is_reorg_epoch(cfg: SystemConfig, k: int) -> bool:
+    """Whether round *k* is a reorganization round."""
+    return (k + 1) % max(1, round(cfg.reorg_epoch / cfg.dist_epoch)) == 0
+
+
+def round_slots(
+    cfg: SystemConfig, k: int, members: t.Sequence[int]
+) -> list[tuple[float, list[int]]]:
+    """Start time and slaves of each communication slot of round *k*.
+
+    A distribution round walks *members*' groups in slot order; a
+    reorganization round is one slot, at the epoch boundary, holding
+    every slave in *members*.
+    """
+    t_round = (k + 1) * cfg.dist_epoch
+    if is_reorg_epoch(cfg, k):
+        return [(t_round, list(members))]
+    groups = groups_in_order(members, cfg.num_subgroups)
+    slot_len = cfg.dist_epoch / len(groups)
+    return [(t_round + g * slot_len, group) for g, group in enumerate(groups)]
 
 
 def max_master_buffer_bytes(

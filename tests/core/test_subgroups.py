@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.config import SystemConfig
 from repro.core.subgroups import (
     SlotSchedule,
     build_schedules,
     effective_groups,
     group_of,
     groups_in_order,
+    is_reorg_epoch,
     max_master_buffer_bytes,
+    round_slots,
 )
 
 
@@ -55,6 +58,30 @@ class TestSchedules:
     def test_single_member(self):
         schedules = build_schedules([5], 4, 2.0)
         assert schedules[5] == SlotSchedule(0, 1, 2.0)
+
+
+class TestRoundSlots:
+    @pytest.fixture
+    def cfg(self):
+        # dist_epoch 2 s, a reorganization every second round.
+        return SystemConfig.paper_defaults().scaled(0.01).with_(
+            reorg_epoch=4.0, num_subgroups=2
+        )
+
+    def test_reorg_rounds_recur_every_reorg_epoch(self, cfg):
+        assert [is_reorg_epoch(cfg, k) for k in range(6)] == [
+            False, True, False, True, False, True,
+        ]
+
+    def test_distribution_round_walks_groups_in_slot_order(self, cfg):
+        slots = round_slots(cfg, 2, [10, 11, 12, 13, 14])
+        assert slots == [(6.0, [10, 11, 12]), (7.0, [13, 14])]
+
+    def test_reorganization_round_is_one_slot_of_everyone(self, cfg):
+        assert round_slots(cfg, 3, [10, 11, 12]) == [(8.0, [10, 11, 12])]
+
+    def test_empty_active_set_still_has_a_slot(self, cfg):
+        assert round_slots(cfg, 0, []) == [(2.0, [])]
 
 
 class TestBufferBound:

@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from repro.config import SystemConfig
+from repro.config import ObservabilityConfig, SystemConfig
 from repro.core.system import JoinSystem, slave_node_id
 from repro.faults.plan import FaultPlan
 
@@ -141,3 +141,31 @@ def test_crash_near_run_end_stays_unrecovered_but_completes():
     assert result.degraded
     assert result.faults[0]["recovery_latency"] is None
     assert result.recovery_latencies == []
+
+
+@pytest.mark.parametrize(
+    "reorg_epoch, when",
+    [(4.0, 3.0), (8.0, 2.5)],
+    ids=["detected-at-reorg", "recovery-round"],
+)
+def test_no_survivor_leaves_every_failure_unrecovered(reorg_epoch, when):
+    """Every active slave dies in one round.  Whether the deaths are
+    handled by a reorganization round or by a recovery round, nothing
+    is recovered: each record names its partitions as lost, no
+    recovery latency is measured and no recovery event is traced."""
+    cfg = chaos_cfg(
+        SEEDS[0],
+        reorg_epoch=reorg_epoch,
+        replication="checkpoint+log",
+        faults=FaultPlan.parse([f"crash:{i}@{when}s" for i in range(3)]),
+        obs=ObservabilityConfig(trace_memory=True),
+    )
+    result = JoinSystem(cfg).run()
+    assert len(result.faults) == 3 and result.degraded
+    for fault in result.faults:
+        assert fault["recovered_at"] is None
+        assert fault["unrecovered_at_halt"]
+        assert fault["lost_pids"] == fault["pids"]
+    assert result.recovery_latencies == []
+    assert result.trace is not None
+    assert not [r for r in result.trace if r["kind"] in ("recovery", "restore")]

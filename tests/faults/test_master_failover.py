@@ -11,7 +11,7 @@ multisets differ and the test fails.
 
 The matrix crosses backends (sim / thread / process) with adversarial
 kill times: before the first reorg, inside the reorg exchange, and
-mid-epoch.  The sim rows additionally assert byte-identical same-seed
+mid-epoch; one more sim row kills the master inside a recovery round.  The sim rows additionally assert byte-identical same-seed
 replays — the takeover path itself must be deterministic.
 """
 
@@ -116,6 +116,30 @@ def test_sim_master_kill_replay_is_byte_identical():
         sorted_pairs(first.pairs), sorted_pairs(second.pairs)
     )
     assert first.faults == second.faults
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sim_master_kill_in_recovery_round_is_lossless(seed):
+    """The fatal round may be a recovery round: a slave dies at a plain
+    epoch, and the master dies after telling the standby its adoption
+    plan but before the round completes.  The standby replays that
+    plan; the run stays lossless and replays byte-identically."""
+    cfg = failover_cfg(
+        seed,
+        reorg_epoch=8.0,
+        faults=FaultPlan.parse(["crash:1@2.5s", "crash:master@4.5s"]),
+    )
+    trace = closed_trace(cfg, seed)
+    result = run_with_trace(cfg, trace)
+    assert_survived_master_kill(result, trace, cfg)
+    (slave,) = [f for f in result.faults if f["slave"] != MASTER_ID]
+    (master,) = [f for f in result.faults if f["slave"] == MASTER_ID]
+    reorg_every = round(cfg.reorg_epoch / cfg.dist_epoch)
+    assert master["epoch"] == slave["epoch"] + 1
+    assert (master["epoch"] + 1) % reorg_every != 0
+    again = run_with_trace(cfg, trace)
+    assert np.array_equal(sorted_pairs(result.pairs), sorted_pairs(again.pairs))
+    assert result.faults == again.faults
 
 
 def test_sim_master_kill_with_slave_backup_restore():
