@@ -7,8 +7,6 @@ Examples::
     swjoin lint --select SIM001        # one rule only
     swjoin lint --list-rules
     swjoin lint --write-baseline       # accept current findings (triage them!)
-    swjoin lint --cache .swjoin-lint-cache.json   # content-hash result cache
-    swjoin lint --explain SIM004 src/repro/foo.py:42  # print the taint chain
 
 Exit status: 0 when nothing fresh was found and no baseline entry is
 stale, 1 otherwise, 2 for usage errors (e.g. a malformed baseline).
@@ -23,7 +21,6 @@ import typing as t
 
 from repro.errors import LintError
 from repro.lint.baseline import Baseline
-from repro.lint.cache import ResultCache
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.registry import RULES
 
@@ -41,11 +38,10 @@ def add_lint_parser(sub: t.Any) -> None:
         help="run the codebase-specific static-analysis pass",
         description=(
             "Static analysis for simulation purity and protocol "
-            "exhaustiveness (rules SIM*/OBS*/PERF*/PROTO*/CFG*).  The "
-            "SIM004/SIM005/PERF001 rules are interprocedural: they build "
-            "a project call graph and report the witness call chain that "
-            "reaches the wall clock, unseeded randomness, or blocking "
-            "I/O; use --explain to print a finding's full chain."
+            "exhaustiveness (rules SIM*/OBS*/PERF*/PROTO*/CFG*).  "
+            "SIM001/SIM002/PERF001 flag every load or import of the wall "
+            "clock, unseeded randomness, or blocking I/O outside the "
+            "files entitled to it (see --list-rules)."
         ),
     )
     p.add_argument(
@@ -91,26 +87,6 @@ def add_lint_parser(sub: t.Any) -> None:
     p.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
-    p.add_argument(
-        "--cache",
-        metavar="PATH",
-        help=(
-            "content-hash result cache file: identical sources + rule "
-            "selection load the previous run's findings instead of "
-            "re-running the analysis (safe: pragmas are content-keyed, "
-            "the baseline is applied after load)"
-        ),
-    )
-    p.add_argument(
-        "--explain",
-        nargs=2,
-        metavar=("RULE", "FILE:LINE"),
-        help=(
-            "explain one finding: re-run the given rule without a "
-            "baseline and print the finding at FILE:LINE together with "
-            "its recorded call chain (exit 0 if found, 1 otherwise)"
-        ),
-    )
 
 
 def _load_baseline(args: argparse.Namespace) -> tuple[Baseline | None, str]:
@@ -148,47 +124,12 @@ def _print_json(result: LintResult, stream: t.TextIO) -> None:
     stream.write("\n")
 
 
-def _cmd_explain(args: argparse.Namespace) -> int:
-    """Locate one finding and print it with its witness call chain."""
-    rule_id, anchor = args.explain
-    if rule_id not in RULES:
-        print(f"error: unknown rule {rule_id!r}", file=sys.stderr)
-        return 2
-    path, sep, line_text = anchor.rpartition(":")
-    if not sep or not line_text.isdigit():
-        print(
-            f"error: --explain anchor must be FILE:LINE, got {anchor!r}",
-            file=sys.stderr,
-        )
-        return 2
-    line = int(line_text)
-    norm = path.replace("\\", "/")
-    result = lint_paths(args.paths, baseline=None, only={rule_id})
-    for finding in result.findings:
-        if finding.rule != rule_id or finding.line != line:
-            continue
-        if finding.path != norm and not finding.path.endswith("/" + norm):
-            continue
-        print(finding.render())
-        print(finding.render_chain())
-        return 0
-    print(
-        f"no {rule_id} finding at {anchor} "
-        f"(searched {result.n_files} file(s))",
-        file=sys.stderr,
-    )
-    return 1
-
-
 def cmd_lint(args: argparse.Namespace) -> int:
     if args.list_rules:
         width = max(len(rule_id) for rule_id in RULES)
         for rule_id in sorted(RULES):
             print(f"{rule_id.ljust(width)}  {RULES[rule_id].summary}")
         return 0
-    if args.explain:
-        return _cmd_explain(args)
-    cache = ResultCache(args.cache) if args.cache else None
     if args.write_baseline:
         # Writing replaces whatever baseline exists, so don't require one.
         baseline_path = args.baseline or DEFAULT_BASELINE
@@ -205,7 +146,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
     except (LintError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    result = lint_paths(args.paths, baseline=baseline, only=args.select, cache=cache)
+    result = lint_paths(args.paths, baseline=baseline, only=args.select)
     if args.format == "json":
         _print_json(result, sys.stdout)
     else:

@@ -7,11 +7,12 @@ Entry points:
 * :func:`lint_sources` — lint an in-memory ``{path: source}`` mapping
   (what the rule fixture tests call).
 
-Findings flow through two filters: line-scoped ``# lint: disable=``
-pragmas (dropped, counted), then the baseline (split into *fresh* and
-*baselined*).  A run is :attr:`LintResult.ok` when nothing fresh was
-found **and** no baseline entry went stale — the baseline may only
-shrink.
+Every file is parsed once; file rules see one module at a time, project
+rules (PROTO001, CFG001) the whole set.  Findings flow through two
+filters: line-scoped ``# lint: disable=`` pragmas (dropped, counted),
+then the baseline (split into *fresh* and *baselined*).  A run is
+:attr:`LintResult.ok` when nothing fresh was found **and** no baseline
+entry went stale — the baseline may only shrink.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from dataclasses import dataclass, field
 
 import repro.lint.rules  # noqa: F401  — registers the built-in rules
 from repro.lint.baseline import Baseline, BaselineEntry
-from repro.lint.cache import ResultCache
 from repro.lint.finding import Finding
 from repro.lint.registry import RULES, FileRule, ProjectRule
 from repro.lint.source import Project, SourceFile
@@ -94,9 +94,9 @@ def _compute_findings(
     """Run every selected rule; returns post-pragma findings + suppressed.
 
     Pragma suppression is applied here, uniformly: a finding from a
-    *project* rule (PROTO001, the taint rules, CFG001) honors a
-    line-scoped ``# lint: disable=`` exactly like a file-rule finding —
-    the filter keys on the finding's anchor, not on the rule flavor.
+    *project* rule (PROTO001, CFG001) honors a line-scoped
+    ``# lint: disable=`` exactly like a file-rule finding — the filter
+    keys on the finding's anchor, not on the rule flavor.
     """
     files: dict[str, SourceFile] = {}
     raw: list[Finding] = []
@@ -140,28 +140,10 @@ def lint_sources(
     sources: t.Mapping[str, str],
     baseline: Baseline | None = None,
     only: t.Collection[str] | None = None,
-    cache: ResultCache | None = None,
 ) -> LintResult:
-    """Lint an in-memory ``{path: source text}`` mapping.
-
-    With a *cache*, a run over byte-identical sources (same rule
-    selection, same linter revision) loads its post-pragma findings
-    instead of recomputing; the baseline split always runs fresh.
-    """
+    """Lint an in-memory ``{path: source text}`` mapping."""
     result = LintResult(n_files=len(sources))
-    key = ""
-    cached: tuple[list[Finding], int, int] | None = None
-    if cache is not None:
-        key = ResultCache.key_for(sources, RULES, only)
-        cached = cache.lookup(key)
-
-    if cached is not None:
-        findings, result.suppressed, result.n_files = cached
-    else:
-        findings, result.suppressed = _compute_findings(sources, only)
-        if cache is not None:
-            cache.store(key, findings, result.suppressed, result.n_files)
-
+    findings, result.suppressed = _compute_findings(sources, only)
     for finding in findings:
         result.findings.append(finding)
         if baseline is not None and baseline.covers(finding):
@@ -178,11 +160,10 @@ def lint_paths(
     paths: t.Sequence[str],
     baseline: Baseline | None = None,
     only: t.Collection[str] | None = None,
-    cache: ResultCache | None = None,
 ) -> LintResult:
     """Lint files/directories on disk."""
     sources: dict[str, str] = {}
     for file_path in collect_files(paths):
         with open(file_path, "r", encoding="utf-8") as fh:
             sources[file_path] = fh.read()
-    return lint_sources(sources, baseline=baseline, only=only, cache=cache)
+    return lint_sources(sources, baseline=baseline, only=only)

@@ -4,18 +4,11 @@ A finding pins one rule violation to a ``path:line`` anchor.  Its
 :attr:`Finding.key` — ``"<rule> <path>:<line>"`` — is the stable
 identity used by the baseline file, so a finding stays recognized until
 either the offending line moves or the violation is fixed.
-
-Interprocedural findings (SIM004/SIM005/PERF001) additionally carry a
-*witness chain*: the call path from the flagged site down to the
-external sink, one rendered hop per element, ending with the sink name.
-The chain travels in the JSON output and is what
-``swjoin lint --explain RULE file:line`` prints; it is **not** part of
-the finding's identity (the anchor line is).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True, order=True)
@@ -26,9 +19,6 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: Witness call chain (interprocedural rules only): rendered hops
-    #: ``"qualname (path:line)"`` ending with the external sink name.
-    chain: tuple[str, ...] = field(default=())
 
     @property
     def key(self) -> str:
@@ -39,16 +29,6 @@ class Finding:
         """Human-readable one-liner (``path:line: RULE message``)."""
         return f"{self.path}:{self.line}: {self.rule} {self.message}"
 
-    def render_chain(self) -> str:
-        """Multi-line witness chain (``--explain`` output body)."""
-        if not self.chain:
-            return "(no recorded call chain for this finding)"
-        lines = []
-        for depth, hop in enumerate(self.chain):
-            arrow = "   " * depth + ("-> " if depth else "")
-            lines.append(f"  {arrow}{hop}")
-        return "\n".join(lines)
-
     def to_record(self) -> dict[str, object]:
         """Flat JSON-serializable record (``--format json``)."""
         return {
@@ -56,20 +36,4 @@ class Finding:
             "path": self.path,
             "line": self.line,
             "message": self.message,
-            "chain": list(self.chain),
         }
-
-    @classmethod
-    def from_record(cls, record: dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_record` (result-cache reload path)."""
-        chain = record.get("chain") or ()
-        if not isinstance(chain, (list, tuple)):
-            chain = ()
-        line = record["line"]
-        return cls(
-            path=str(record["path"]),
-            line=line if isinstance(line, int) else int(str(line)),
-            rule=str(record["rule"]),
-            message=str(record["message"]),
-            chain=tuple(str(hop) for hop in chain),
-        )

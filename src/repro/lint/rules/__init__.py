@@ -5,35 +5,33 @@ Importing this package registers every rule with
 simulation-purity and protocol invariants:
 
 =========  ==========================================================
-SIM001     no wall-clock reads outside the thread runtime / CLI
+SIM001     no host-clock read or import outside the wall-clock
+           runtimes/transports, the admin server and the CLI
 SIM002     all randomness flows through simul/rng.py substreams
 SIM003     no float equality on simulated timestamps
-SIM004     no *call chain* to the wall clock off the allowlist
-           (interprocedural SIM001 over the project call graph)
-SIM005     no *call chain* to stdlib random / numpy.random module
-           state outside simul/rng.py (interprocedural SIM002)
 OBS001     trace-event construction guarded by the null-tracer check
-PERF001    no blocking call (socket/select/sleep/file I/O) reachable
-           from the master epoch loop, probe path, or window store
+PERF001    no blocking I/O (socket/select/sleep/file I/O) outside the
+           runtime, transport, observability, analysis, lint and CLI
+           layers
 PROTO001   protocol message set == dispatched set (no dead surface)
 CFG001     every SystemConfig/ObservabilityConfig field is read
 =========  ==========================================================
+
+SIM001, SIM002 and PERF001 are rows of one per-file banned-sink rule
+(:mod:`repro.lint.rules.sinks`); ``swjoin lint --list-rules`` prints
+each row's allowlist from the row itself.
 """
 
 from repro.lint.rules.configuse import ConfigFieldsRead
 from repro.lint.rules.protocol import ProtocolExhaustiveness
-from repro.lint.rules.randomness import NoDirectRandom
-from repro.lint.rules.simtime import NoFloatTimestampEquality, NoWallClock
-from repro.lint.rules.taint import BlockingReachability, RngTaint, WallClockTaint
+from repro.lint.rules.simtime import NoFloatTimestampEquality
+from repro.lint.rules.sinks import BANNED_SINKS, BannedSink
 from repro.lint.rules.tracing import GuardedTraceEmit
 
 __all__ = [
-    "NoWallClock",
-    "NoDirectRandom",
+    "BANNED_SINKS",
+    "BannedSink",
     "NoFloatTimestampEquality",
-    "WallClockTaint",
-    "RngTaint",
-    "BlockingReachability",
     "GuardedTraceEmit",
     "ProtocolExhaustiveness",
     "ConfigFieldsRead",

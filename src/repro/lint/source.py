@@ -25,7 +25,6 @@ from __future__ import annotations
 import ast
 import io
 import tokenize
-import typing as t
 from dataclasses import dataclass
 
 __all__ = ["SourceFile", "Project", "parse_pragmas"]
@@ -82,21 +81,6 @@ class Project:
     """The file set of one lint run, keyed by normalized posix path."""
 
     files: dict[str, SourceFile]
-
-    def callgraph(self) -> "t.Any":
-        """The project call graph, built once and memoized.
-
-        Several interprocedural rules (SIM004/SIM005/PERF001) share the
-        same symbol table and call graph; building it lazily keeps
-        ``--select SIM001``-style runs as cheap as before.
-        """
-        graph = self.__dict__.get("_callgraph")
-        if graph is None:
-            from repro.lint.callgraph import CallGraph
-
-            graph = CallGraph.build(self)
-            self.__dict__["_callgraph"] = graph
-        return graph
 
     def find(self, suffix: str) -> SourceFile | None:
         """The first file (by sorted path) whose path ends with *suffix*."""

@@ -6,6 +6,7 @@ import pytest
 
 from repro.cli import main as swjoin_main
 from repro.lint.cli import main as lint_main
+from repro.lint.rules import BANNED_SINKS
 
 BAD = "import time\nnow = time.time()\n"
 CLEAN = "def f(rt):\n    return rt.now()\n"
@@ -93,38 +94,36 @@ class TestOutput:
     def test_list_rules(self, capsys):
         assert swjoin_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in (
-            "SIM001",
-            "SIM002",
-            "SIM003",
-            "SIM004",
-            "SIM005",
+        listed = [line.split()[0] for line in out.splitlines()]
+        assert listed == [
+            "CFG001",
             "OBS001",
             "PERF001",
             "PROTO001",
-            "CFG001",
-        ):
-            assert rule_id in out
+            "SIM001",
+            "SIM002",
+            "SIM003",
+        ]
 
-    def test_json_findings_carry_the_chain_field(self, tmp_path, capsys):
-        root = tmp_path / "src" / "repro"
-        (root / "util").mkdir(parents=True)
-        (root / "core").mkdir()
-        (root / "util" / "helper.py").write_text(
-            "import time\ndef now():\n    return time.time()\n"
-        )
-        (root / "core" / "thing.py").write_text(
-            "from repro.util.helper import now\ndef tick():\n    return now()\n"
-        )
-        code = swjoin_main(
-            ["lint", str(root), "--select", "SIM004", "--format", "json"]
-        )
-        assert code == 1
-        payload = json.loads(capsys.readouterr().out)
-        (finding,) = payload["fresh"]
-        assert finding["rule"] == "SIM004"
-        assert finding["chain"][-1] == "time.time"
-        assert len(finding["chain"]) == 3
+    def test_list_rules_prints_every_allowlisted_path(self, capsys):
+        assert swjoin_main(["lint", "--list-rules"]) == 0
+        lines = {
+            line.split()[0]: line for line in capsys.readouterr().out.splitlines()
+        }
+        for row in BANNED_SINKS:
+            for entry in row.allowed:
+                assert entry in lines[row.id], (row.id, entry)
+
+    @pytest.mark.parametrize(
+        "flag",
+        [["--explain", "SIM001", "x.py:1"], ["--cache", "c.json"]],
+        ids=["explain", "cache"],
+    )
+    def test_removed_flags_are_rejected(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            swjoin_main(["lint", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_select_restricts_rules(self, tmp_path, capsys):
         path = tmp_path / "core_x.py"
@@ -133,89 +132,6 @@ class TestOutput:
         out = capsys.readouterr().out
         assert "SIM002" in out
         assert "SIM001" not in out
-
-
-@pytest.fixture
-def taint_tree(tmp_path):
-    """A tiny project with one SIM004 chain, rooted at tmp_path."""
-    root = tmp_path / "src" / "repro"
-    (root / "util").mkdir(parents=True)
-    (root / "core").mkdir()
-    (root / "util" / "helper.py").write_text(
-        "import time\n\n\ndef now():\n    return time.time()\n"
-    )
-    (root / "core" / "thing.py").write_text(
-        "from repro.util.helper import now\n\n\ndef tick():\n    return now()\n"
-    )
-    return root
-
-
-class TestExplain:
-    def test_prints_the_finding_and_its_chain(self, taint_tree, capsys):
-        anchor = f"{taint_tree}/core/thing.py:5"
-        code = swjoin_main(
-            ["lint", "--explain", "SIM004", anchor, str(taint_tree)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "SIM004" in out
-        assert "repro.core.thing.tick" in out
-        assert "-> repro.util.helper.now" in out
-        assert "-> time.time" in out
-
-    def test_repo_relative_anchor_matches(self, taint_tree, capsys, monkeypatch):
-        monkeypatch.chdir(taint_tree.parents[1])
-        code = swjoin_main(
-            [
-                "lint",
-                "--explain",
-                "SIM004",
-                "src/repro/core/thing.py:5",
-                "src/repro",
-            ]
-        )
-        assert code == 0
-        assert "time.time" in capsys.readouterr().out
-
-    def test_no_match_exits_1(self, taint_tree, capsys):
-        anchor = f"{taint_tree}/core/thing.py:99"
-        code = swjoin_main(
-            ["lint", "--explain", "SIM004", anchor, str(taint_tree)]
-        )
-        assert code == 1
-        assert "no SIM004 finding" in capsys.readouterr().err
-
-    def test_unknown_rule_exits_2(self, taint_tree, capsys):
-        code = swjoin_main(
-            ["lint", "--explain", "NOPE", "x.py:1", str(taint_tree)]
-        )
-        assert code == 2
-        assert "unknown rule" in capsys.readouterr().err
-
-    def test_malformed_anchor_exits_2(self, taint_tree, capsys):
-        code = swjoin_main(
-            ["lint", "--explain", "SIM004", "thing.py", str(taint_tree)]
-        )
-        assert code == 2
-        assert "FILE:LINE" in capsys.readouterr().err
-
-
-class TestCacheFlag:
-    def test_cache_file_is_created_and_reused(self, bad_file, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        args = ["lint", str(bad_file), "--cache", str(cache), "--no-baseline"]
-        assert swjoin_main(args) == 1
-        assert cache.exists()
-        first = capsys.readouterr().out
-        assert swjoin_main(args) == 1
-        assert capsys.readouterr().out == first
-
-    def test_corrupt_cache_is_ignored(self, bad_file, tmp_path, capsys):
-        cache = tmp_path / "cache.json"
-        cache.write_text("garbage")
-        args = ["lint", str(bad_file), "--cache", str(cache), "--no-baseline"]
-        assert swjoin_main(args) == 1
-        assert "SIM001" in capsys.readouterr().out
 
 
 class TestStandaloneEntry:

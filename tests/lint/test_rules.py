@@ -5,12 +5,183 @@ Each rule gets at least one known-bad snippet with asserted rule ids
 both missed violations and false positives.
 """
 
-from repro.lint import lint_sources
+import pytest
+
+from repro.lint import RULES, lint_sources
 
 
 def fresh_keys(sources, only):
     """``["RULE path:line", ...]`` of fresh findings, sorted."""
     return sorted(f.key for f in lint_sources(sources, only=only).fresh)
+
+
+# ---------------------------------------------------------------------------
+# Mutant corpus: a sink smuggled anywhere is flagged where it enters
+# ---------------------------------------------------------------------------
+
+_CLOCK_REEXPORT = {
+    "src/repro/util/clock.py": "from time import monotonic\n",
+    "src/repro/core/x.py": (
+        "from repro.util.clock import monotonic\n"
+        "\n"
+        "def stamp():\n"
+        "    return monotonic()\n"
+    ),
+}
+_OPEN_HELPER = "def dump(path):\n    with open(path, 'w') as fh:\n        fh.write('x')\n"
+
+#: (planted violation, sources, rule, file the finding must be anchored in)
+MUTANTS = [
+    (
+        "clock-helper-called-from-master",
+        {
+            "src/repro/util/helper.py": (
+                "import time\n\ndef now():\n    return time.time()\n"
+            ),
+            "src/repro/core/master.py": (
+                "from repro.util.helper import now\n\n"
+                "def epoch():\n    return now()\n"
+            ),
+        },
+        "SIM001",
+        "src/repro/util/helper.py",
+    ),
+    (
+        "clock-reexport-called-from-master",
+        {
+            **_CLOCK_REEXPORT,
+            "src/repro/core/master.py": (
+                "from repro.core.x import stamp\n\n"
+                "def epoch():\n    return stamp()\n"
+            ),
+        },
+        "SIM001",
+        "src/repro/util/clock.py",
+    ),
+    (
+        "clock-reexport-without-caller",
+        _CLOCK_REEXPORT,
+        "SIM001",
+        "src/repro/util/clock.py",
+    ),
+    (
+        "rng-reexport-called-from-master",
+        {
+            "src/repro/util/r.py": "from numpy.random import default_rng\n",
+            "src/repro/workload/w.py": (
+                "from repro.util.r import default_rng\n\n"
+                "def draw(seed):\n    return default_rng(seed).random()\n"
+            ),
+            "src/repro/core/master.py": (
+                "from repro.workload.w import draw\n\n"
+                "def epoch():\n    return draw(7)\n"
+            ),
+        },
+        "SIM002",
+        "src/repro/util/r.py",
+    ),
+    (
+        "open-behind-self-attribute-call",
+        {
+            "src/repro/core/buffer.py": (
+                "class MasterBuffer:\n"
+                "    def dump(self, path):\n"
+                "        with open(path, 'w') as fh:\n"
+                "            fh.write('x')\n"
+            ),
+            "src/repro/core/master.py": (
+                "from repro.core.buffer import MasterBuffer\n\n"
+                "class MasterNode:\n"
+                "    def __init__(self):\n"
+                "        self.buffer = MasterBuffer()\n\n"
+                "    def epoch(self, path):\n"
+                "        self.buffer.dump(path)\n"
+            ),
+        },
+        "PERF001",
+        "src/repro/core/buffer.py",
+    ),
+    (
+        "socket-in-slave",
+        {
+            "src/repro/core/slave.py": (
+                "import socket\n\ndef dial():\n    return socket.socket()\n"
+            ),
+        },
+        "PERF001",
+        "src/repro/core/slave.py",
+    ),
+    (
+        "open-helper-called-from-master",
+        {
+            "src/repro/core/buffer.py": _OPEN_HELPER,
+            "src/repro/core/master.py": (
+                "from repro.core.buffer import dump\n\n"
+                "def epoch(path):\n    dump(path)\n"
+            ),
+        },
+        "PERF001",
+        "src/repro/core/buffer.py",
+    ),
+    (
+        "aliased-clock-import",
+        {
+            "src/repro/core/master.py": (
+                "from time import monotonic as mono\n\n"
+                "def epoch():\n    return mono()\n"
+            ),
+        },
+        "SIM001",
+        "src/repro/core/master.py",
+    ),
+    (
+        "clock-passed-as-callback",
+        {
+            "src/repro/core/master.py": (
+                "import time\n\ndef setup(reg):\n    reg(time.perf_counter)\n"
+            ),
+        },
+        "SIM001",
+        "src/repro/core/master.py",
+    ),
+    (
+        "direct-default-rng",
+        {
+            "src/repro/workload/w.py": (
+                "import numpy as np\n\n"
+                "def draw():\n    return np.random.default_rng(7).random()\n"
+            ),
+        },
+        "SIM002",
+        "src/repro/workload/w.py",
+    ),
+    (
+        "open-in-partition-group",
+        {"src/repro/core/partition_group.py": _OPEN_HELPER},
+        "PERF001",
+        "src/repro/core/partition_group.py",
+    ),
+    (
+        "sleep-in-join-module",
+        {
+            "src/repro/core/join_module.py": (
+                "import time\n\ndef pause():\n    time.sleep(1)\n"
+            ),
+        },
+        "PERF001",
+        "src/repro/core/join_module.py",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "sources, rule, path",
+    [row[1:] for row in MUTANTS],
+    ids=[row[0] for row in MUTANTS],
+)
+def test_mutant_is_flagged_at_its_sink(sources, rule, path):
+    found = [(f.rule, f.path) for f in lint_sources(sources).fresh]
+    assert (rule, path) in found, found
 
 
 # ---------------------------------------------------------------------------
@@ -37,6 +208,7 @@ class TestSIM001:
             {"src/repro/core/x.py": WALL_CLOCK_BAD}, only={"SIM001"}
         )
         assert keys == [
+            "SIM001 src/repro/core/x.py:2",  # the import binds a sink
             "SIM001 src/repro/core/x.py:6",
             "SIM001 src/repro/core/x.py:7",
             "SIM001 src/repro/core/x.py:8",
@@ -44,12 +216,27 @@ class TestSIM001:
         ]
 
     def test_allowlisted_files_may_touch_the_clock(self):
-        for path in (
-            "src/repro/runtime/thread.py",
-            "src/repro/net/thread_transport.py",
-            "src/repro/cli.py",
-        ):
+        for entry in RULES["SIM001"].allowed:
+            path = f"src/{entry}"
             assert fresh_keys({path: WALL_CLOCK_BAD}, only={"SIM001"}) == []
+
+    def test_callers_of_an_allowlisted_clock_are_clean(self):
+        sources = {
+            "src/repro/runtime/thread.py": (
+                "import time\ndef now():\n    return time.time()\n"
+            ),
+            "src/repro/core/thing.py": (
+                "from repro.runtime.thread import now\n"
+                "def tick():\n    return now()\n"
+            ),
+        }
+        assert fresh_keys(sources, only={"SIM001"}) == []
+
+    def test_star_import_of_the_clock_module(self):
+        bad = "from time import *\n"
+        assert fresh_keys({"src/repro/core/x.py": bad}, only={"SIM001"}) == [
+            "SIM001 src/repro/core/x.py:1"
+        ]
 
     def test_faults_package_is_in_scope(self):
         """The fault plane runs on simulated time like everything else:
@@ -58,6 +245,7 @@ class TestSIM001:
             {"src/repro/faults/x.py": WALL_CLOCK_BAD}, only={"SIM001"}
         )
         assert keys == [
+            "SIM001 src/repro/faults/x.py:2",
             "SIM001 src/repro/faults/x.py:6",
             "SIM001 src/repro/faults/x.py:7",
             "SIM001 src/repro/faults/x.py:8",
@@ -104,10 +292,26 @@ class TestSIM002:
     def test_generator_annotations_are_fine(self):
         clean = (
             "import numpy as np\n"
+            "from numpy.random import Generator\n"
             "def draw(rng: np.random.Generator) -> float:\n"
+            "    assert isinstance(rng, Generator)\n"
             "    return float(rng.normal())\n"
         )
         assert fresh_keys({"src/repro/core/x.py": clean}, only={"SIM002"}) == []
+
+    def test_callers_of_the_rng_registry_are_clean(self):
+        sources = {
+            "src/repro/simul/rng.py": (
+                "import numpy as np\n"
+                "def substream(seed):\n"
+                "    return np.random.default_rng(seed)\n"
+            ),
+            "src/repro/core/alg.py": (
+                "from repro.simul.rng import substream\n"
+                "def run():\n    return substream(7)\n"
+            ),
+        }
+        assert fresh_keys(sources, only={"SIM002"}) == []
 
     def test_from_random_import(self):
         bad = "from random import gauss\nx = gauss(0, 1)\n"
@@ -115,6 +319,74 @@ class TestSIM002:
             "SIM002 src/repro/core/x.py:1",
             "SIM002 src/repro/core/x.py:2",
         ]
+
+
+# ---------------------------------------------------------------------------
+# PERF001 — no blocking I/O outside the layers that exist to block
+# ---------------------------------------------------------------------------
+
+
+class TestPERF001:
+    def test_imports_and_builtins_are_flagged(self):
+        bad = (
+            "import subprocess\n"
+            "from socket import *\n"
+            "import os\n"
+            "def f(fd):\n"
+            "    os.read(fd, 1)\n"
+            "    return input()\n"
+        )
+        assert fresh_keys({"src/repro/core/x.py": bad}, only={"PERF001"}) == [
+            "PERF001 src/repro/core/x.py:1",
+            "PERF001 src/repro/core/x.py:2",
+            "PERF001 src/repro/core/x.py:5",
+            "PERF001 src/repro/core/x.py:6",
+        ]
+
+    def test_transport_layers_may_block(self):
+        sources = {
+            "src/repro/net/sockets.py": (
+                "import socket\n"
+                "def dial(host):\n"
+                "    return socket.create_connection((host, 1))\n"
+            ),
+            "src/repro/core/master.py": (
+                "from repro.net.sockets import dial\n"
+                "def epoch(host):\n    return dial(host)\n"
+            ),
+        }
+        assert fresh_keys(sources, only={"PERF001"}) == []
+
+    def test_attribute_calls_and_a_rebound_open_are_clean(self):
+        sources = {
+            # `Gate.open` in simul/resources.py: defining and calling a
+            # method named `open` is not the builtin.
+            "src/repro/simul/resources.py": (
+                "class Gate:\n"
+                "    def open(self):\n"
+                "        return 0\n"
+            ),
+            "src/repro/core/x.py": (
+                "def release(gate):\n    return gate.open()\n"
+            ),
+            "src/repro/core/y.py": (
+                "def open(door):\n    return door\n"
+                "def f():\n    return open(1)\n"
+            ),
+        }
+        assert fresh_keys(sources, only={"PERF001"}) == []
+
+    def test_finding_is_pragma_suppressible(self):
+        sources = {
+            "src/repro/core/partition_group.py": (
+                "def dump(path, rows):\n"
+                "    with open(path, 'w') as fh:  # lint: disable=PERF001\n"
+                "        fh.write(str(rows))\n"
+            )
+        }
+        result = lint_sources(sources, only={"PERF001"})
+        assert result.fresh == []
+        assert result.suppressed == 1
 
 
 # ---------------------------------------------------------------------------

@@ -39,19 +39,19 @@ def test_lint_baseline_stays_empty():
 
 
 def test_tcp_modules_are_allowlisted_and_carry_zero_findings():
-    """Regression for the PR 9 allowlist widening: the TCP connect path
-    is a wall-clock/socket module (SIM001/SIM004 allowlist, PERF001
-    barrier via ``repro/net/``+``repro/runtime/``) and must land with
-    zero fresh findings of its own.  The TCP *backend* module only
+    """Regression for the TCP allowlist widening: the TCP connect path
+    is a wall-clock/socket module (on SIM001's allowlist, and inside
+    PERF001's ``repro/net/`` + ``repro/runtime/`` layers) and must land
+    with zero fresh findings of its own.  The TCP *backend* module only
     wires sockets — the shared launcher owns everything that reads the
-    clock — so it must stay clean with no allowlist entry at all."""
-    from repro.lint.rules.simtime import WALL_CLOCK_ALLOWED_SUFFIXES
-    from repro.lint.rules.taint import BLOCKING_ALLOWED_FRAGMENTS
+    clock — so it must stay clean with no SIM001 entry at all."""
+    from repro.lint.rules import BANNED_SINKS
 
-    assert "repro/net/tcp_transport.py" in WALL_CLOCK_ALLOWED_SUFFIXES
-    assert "repro/runtime/tcp.py" not in WALL_CLOCK_ALLOWED_SUFFIXES
-    assert any("repro/net/" in f for f in BLOCKING_ALLOWED_FRAGMENTS)
-    assert any("repro/runtime/" in f for f in BLOCKING_ALLOWED_FRAGMENTS)
+    rows = {row.id: row for row in BANNED_SINKS}
+    assert rows["SIM001"].allows("src/repro/net/tcp_transport.py")
+    assert not rows["SIM001"].allows("src/repro/runtime/tcp.py")
+    assert rows["PERF001"].allows("src/repro/net/tcp_transport.py")
+    assert rows["PERF001"].allows("src/repro/runtime/tcp.py")
 
     result = lint_paths([str(SRC_REPRO)])
     tcp_findings = [
@@ -64,10 +64,10 @@ def test_tcp_modules_are_allowlisted_and_carry_zero_findings():
 
 
 def test_full_pass_fits_the_precommit_budget():
-    """The whole-project pass (symbol table + call graph + three taint
-    fixpoints + codec cross-check) must stay fast enough to run
-    uncached on every commit: < 30 s wall, with the CI lint job
-    asserting the same bound end-to-end."""
+    """The whole-project pass (one parse per file, the per-file rules,
+    and the PROTO001/CFG001 cross-module checks) must stay fast enough
+    to run on every commit: < 30 s wall, with the CI lint job asserting
+    the same bound end-to-end."""
     import time
 
     start = time.perf_counter()  # lint: disable=SIM001
