@@ -14,7 +14,7 @@ from collections import deque
 
 import numpy as np
 
-from repro.core.hashing import partition_of
+from repro.core.hashing import partition_of, split_by
 from repro.data.tuples import TupleBatch
 from repro.errors import ProtocolError
 
@@ -56,13 +56,11 @@ class MasterBuffer:
     # -- data ----------------------------------------------------------------
     def ingest(self, batch: TupleBatch) -> None:
         """File a freshly generated batch into the mini-buffers."""
-        if not len(batch):
-            return
         pids = partition_of(batch.key, self.npart)
-        for pid in np.unique(pids):
-            sub = batch.take(np.flatnonzero(pids == pid))
-            self._minibuffers[int(pid)].append(sub)
-            self._bytes_per_pid[int(pid)] += sub.payload_bytes(self.tuple_bytes)
+        for pid, rows in split_by(pids, self.npart):
+            sub = batch.take(rows)
+            self._minibuffers[pid].append(sub)
+            self._bytes_per_pid[pid] += sub.payload_bytes(self.tuple_bytes)
 
     def drain_for(
         self, slave: int, now: float

@@ -39,9 +39,16 @@ _MUL2 = 0x94D049BB133111EB
 _INV1 = _U64(pow(_MUL1, -1, 1 << 64))
 _INV2 = _U64(pow(_MUL2, -1, 1 << 64))
 
-#: Bit ``i`` of byte ``b`` moved to bit ``7 - i``.
-_REVERSED_BYTE: t.Final = np.array(
-    [int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8
+#: ``(shift, mask)``: swapping the masked fields with their neighbours
+#: ``shift`` bits up, for shifts 1, 2 and 4, reverses the bits of every
+#: byte.
+_SWAPS: t.Final = tuple(
+    (_U64(shift), _U64(mask))
+    for shift, mask in (
+        (1, 0x5555_5555_5555_5555),
+        (2, 0x3333_3333_3333_3333),
+        (4, 0x0F0F_0F0F_0F0F_0F0F),
+    )
 )
 
 
@@ -86,11 +93,17 @@ def key_of(gvals: HashArray) -> npt.NDArray[np.int64]:
         )
 
 
-def bit_reverse(x: HashArray) -> HashArray:
-    """Each uint64 with its 64 bits in reverse order (an involution)."""
-    swapped = np.ascontiguousarray(x, dtype=_U64).byteswap()
-    reversed_: HashArray = _REVERSED_BYTE[swapped.view(np.uint8)].view(_U64)
-    return reversed_
+def bit_reverse(x: npt.NDArray[t.Any]) -> HashArray:
+    """Each uint64 with its 64 bits in reverse order (an involution):
+    the bits of every byte reversed in place, then the bytes."""
+    out: HashArray = np.array(x, dtype=_U64)
+    for shift, mask in _SWAPS:
+        low = out & mask
+        low <<= shift
+        out >>= shift
+        out &= mask
+        out |= low
+    return out.byteswap(inplace=True)
 
 
 def run_key(keys: npt.NDArray[t.Any]) -> HashArray:
@@ -105,3 +118,33 @@ def directory_index(gvals: HashArray, global_depth: int) -> npt.NDArray[np.int64
         return np.zeros(len(gvals), dtype=np.int64)
     mask = _U64((1 << global_depth) - 1)
     return (gvals & mask).astype(np.int64)
+
+
+def small_int_order(
+    labels: npt.NDArray[np.integer[t.Any]], bound: int
+) -> npt.NDArray[np.intp]:
+    """A stable argsort of *labels*, each in ``[0, bound)``: partition
+    ids (``bound = npart``) or mini-group indexes (at most
+    ``2**MAX_GLOBAL_DEPTH`` of them).  They are sorted as the narrowest
+    unsigned type that holds them, because at 8 and 16 bits numpy's
+    stable sort is a radix sort, several times faster than its merge
+    sort of 64-bit integers."""
+    for dtype in (np.uint8, np.uint16):
+        if bound <= np.iinfo(dtype).max + 1:
+            return np.argsort(labels.astype(dtype), kind="stable")
+    return np.argsort(labels, kind="stable")
+
+
+def split_by(
+    labels: npt.NDArray[np.integer[t.Any]], bound: int
+) -> t.Iterator[tuple[int, npt.NDArray[np.intp]]]:
+    """Each label in *labels* (all in ``[0, bound)``), ascending, with
+    the indexes of its rows in their order: one stable sort, not one
+    scan per label."""
+    if not len(labels):
+        return
+    order = small_int_order(labels, bound)
+    ordered = labels[order]
+    cuts = (np.flatnonzero(ordered[1:] != ordered[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
+        yield int(ordered[lo]), order[lo:hi]

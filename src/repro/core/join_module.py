@@ -47,7 +47,13 @@ import numpy.typing as npt
 
 from repro.core.costmodel import CostModel
 from repro.core.exthash import Bucket
-from repro.core.hashing import HashArray, bit_reverse, partition_of
+from repro.core.hashing import (
+    HashArray,
+    bit_reverse,
+    partition_of,
+    small_int_order,
+    split_by,
+)
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
     Columns,
@@ -253,21 +259,13 @@ class JoinModule:
         Called by the comm thread *without* the slave's state lock, so a
         join pass may be draining the same queues concurrently."""
         batch = shipment.batch
-        if len(batch):
-            # One stable sort groups the tuples by partition, each
-            # partition's in arrival order.
-            pids = partition_of(batch.key, self.npart)
-            order = np.argsort(pids, kind="stable")
-            cuts = (np.flatnonzero(np.diff(pids[order])) + 1).tolist()
-            for lo, hi in zip([0, *cuts], [*cuts, len(order)]):
-                rows = order[lo:hi]
-                pid = int(pids[rows[0]])
-                if pid not in self.groups:
-                    raise ProtocolError(
-                        f"node {self.node_id} received tuples for partition "
-                        f"{pid} it does not own"
-                    )
-                self._file(pid, batch.take(rows))
+        for pid, rows in split_by(partition_of(batch.key, self.npart), self.npart):
+            if pid not in self.groups:
+                raise ProtocolError(
+                    f"node {self.node_id} received tuples for partition "
+                    f"{pid} it does not own"
+                )
+            self._file(pid, batch.take(rows))
         with self._buf_lock:
             self._oldest_pending_ts = min(
                 self._oldest_pending_ts, shipment.epoch_start
@@ -441,7 +439,7 @@ class JoinModule:
         if len(taken[0]):
             line = tuple(np.concatenate(cols) for cols in zip(taken, line))
         if len(slots) > 1:
-            order = np.argsort(line[0], kind="stable")
+            order = small_int_order(line[0], len(heads.fill))
             line = tuple(col[order] for col in line)
         _bucket, rkey, ts, seq = line
         sizes = held + arrived
@@ -600,7 +598,13 @@ class JoinModule:
     ) -> ProbeResult:
         """Probe the opposite stream's run with *blocks* — any number of
         head blocks of stream *sid* in the order of their units — then
-        add them to their own stream's run.
+        add them to their own stream's run; the rows come back in unit
+        order.
+
+        The blocks are sorted by run key once, and that one order
+        serves both: the probe searches the run with ascending keys
+        (:mod:`repro.core.probe` says why that is cheaper) and the run
+        takes the sorted blocks without sorting them again.
 
         That runs the group's run *ahead* of the windows an observer
         sees (the counts ``admit_through`` and the partial step keep): a
@@ -612,8 +616,9 @@ class JoinModule:
         unit to its last.
         """
         rkey, ts, seq = blocks
-        matches = group.probe(1 - sid, ts, rkey, seq, self.collect_pairs)
-        group.commit(sid, rkey, ts, seq)
+        order = np.argsort(rkey, kind="stable")
+        matches = group.probe(1 - sid, ts, rkey, seq, self.collect_pairs, order)
+        group.commit(sid, rkey[order], ts[order], seq[order])
         return matches
 
     def _in_unit_order(
@@ -763,7 +768,7 @@ class _Heads:
         for cols in group.take_held():
             at = group.bucket_of(cols[0])
             if len(at):
-                order = np.argsort(at, kind="stable")
+                order = small_int_order(at, len(self.fill))
                 at, cols = at[order], t.cast(Columns, tuple(col[order] for col in cols))
             self.bucket.append(at)
             self.cols.append(cols)
@@ -788,7 +793,7 @@ class _Heads:
         none of them holding heads of stream *sid* now)."""
         if len(self.bucket[sid]):
             at = np.concatenate((self.bucket[sid], bucket))
-            order = np.argsort(at, kind="stable")
+            order = small_int_order(at, len(self.fill))
             self.bucket[sid] = at[order]
             self.cols[sid] = t.cast(
                 Columns,

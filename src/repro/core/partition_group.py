@@ -26,6 +26,13 @@ range.  So a mini-group's size is the distance between two
 ``searchsorted`` bounds, a split costs one more bound and a merge none,
 and nothing is ever copied to move a tuple between mini-groups.
 
+**Sorted commits.**  The join module sorts each step's blocks by run
+key once and uses that order twice: to probe the opposite run, and as
+the block it commits (:meth:`PartitionGroup.commit`).  The run takes
+such a block with one merge and no sort of its own; only the rarer
+commits in another order (installed state, n-way flushes) are sorted,
+once, when they are committed.
+
 Mini-groups bound what a probe is *charged* for scanning (the block
 nested-loop scan of its mini-group's committed blocks); the join module
 computes the charge from the bounds (:meth:`PartitionGroup.counts`).
@@ -171,8 +178,9 @@ class PartitionGroup:
         self.total_bytes = 0
         #: Per stream, the committed tuples in run-key order.
         self._runs: list[Columns] = []
-        #: Per stream, commits not yet spliced into its run.
-        self._pending: list[list[Columns]] = []
+        #: Per stream, the commits not yet spliced into its run, merged
+        #: into one run-key-ordered block (equal keys in commit order).
+        self._pending: list[Columns] = []
         #: Per stream, the oldest timestamp of its run and pending
         #: commits (``inf`` when empty): expiry that drops nothing
         #: reads nothing.
@@ -190,7 +198,7 @@ class PartitionGroup:
         self._layout_cache = None
         self.total_bytes = 0
         self._runs = [_NO_COLUMNS for _ in range(n)]
-        self._pending = [[] for _ in range(n)]
+        self._pending = [_NO_COLUMNS for _ in range(n)]
         self._oldest = [float("inf")] * n
         self.held = [_NO_COLUMNS for _ in range(n)]
 
@@ -314,13 +322,22 @@ class PartitionGroup:
         """Add tuples to stream *sid*'s run; the caller accounts for
         their bytes (:meth:`admit` is the call that does both).
 
-        Buffered here and spliced in by the next :meth:`sorted_run`.
-        The arrays are kept: they must not be views of storage that
-        changes.
+        The join module commits each step's blocks already in run-key
+        order (it sorted them once, to probe with), and they are kept
+        as they are.  Tuples in any other order — an installed state,
+        an n-way flush — are stable-sorted here, once.  Either way they
+        wait, merged after the earlier commits of their keys, for the
+        next :meth:`sorted_run` to splice them in.  The arrays are
+        kept: they must not be views of storage that changes.
         """
-        if len(ts):
-            self._pending[sid].append((rkey, ts, seq))
-            self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
+        if not len(ts):
+            return
+        new: Columns = (rkey, ts, seq)
+        if (rkey[1:] < rkey[:-1]).any():
+            order = np.argsort(rkey, kind="stable")
+            new = (rkey[order], ts[order], seq[order])
+        self._pending[sid] = _merged(self._pending[sid], new)
+        self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
 
     def admit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
         """Commit tuples to stream *sid* and grow :attr:`total_bytes` by
@@ -337,26 +354,14 @@ class PartitionGroup:
         mutation.
 
         The order is exactly a stable argsort of the tuples in commit
-        order, but the run is never re-sorted: tuples committed since
-        the last call are sorted on their own and merged in after their
-        equal keys.
+        order, but nothing is sorted here: :meth:`commit` holds the
+        tuples committed since the last call as one block already in
+        run-key order, and it is merged in after the run's equal keys.
         """
         pending = self._pending[sid]
-        if pending:
-            new = tuple(np.concatenate(cols) for cols in zip(*pending))
-            pending.clear()
-            order = np.argsort(new[0], kind="stable")
-            new = tuple(col[order] for col in new)
-            run = self._runs[sid]
-            if len(run[0]):
-                # side="right": a new tuple lands after the old tuples
-                # of its key, where the stable sort would put it.
-                slots = np.searchsorted(run[0], new[0], side="right")
-                slots += np.arange(len(order))
-                is_old = np.ones(len(run[0]) + len(order), dtype=np.bool_)
-                is_old[slots] = False
-                new = tuple(_spliced(o, n, is_old, slots) for o, n in zip(run, new))
-            self._runs[sid] = t.cast(Columns, new)
+        if len(pending[0]):
+            self._runs[sid] = _merged(self._runs[sid], pending)
+            self._pending[sid] = _NO_COLUMNS
         return self._runs[sid]
 
     # perf/spans.py wraps this method as its ``kernel.probe`` span, found
@@ -369,10 +374,17 @@ class PartitionGroup:
         probe_rkey: HashArray,
         probe_seq: SeqArray,
         collect_pairs: bool = False,
+        key_order: npt.NDArray[np.intp] | None = None,
     ) -> ProbeResult:
         """Match *probe* tuples, given by their run keys
         (:func:`~repro.core.hashing.run_key`), against stream *sid*'s
-        committed tuples.
+        committed tuples.  Every two-stream match comes out of here.
+
+        The probe tuples may come in any order.  The join module also
+        passes *key_order*, the stable argsort of their run keys it
+        sorts the block by to commit it, so that the run is searched
+        with ascending keys (:func:`~repro.core.probe.key_ranges`); the
+        rows are the same, in the same order.
 
         A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
         p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
@@ -390,6 +402,7 @@ class PartitionGroup:
             seq,
             self.geometry.window_seconds,
             collect_pairs=collect_pairs,
+            key_order=key_order,
         )
 
     def flush_composites(
@@ -583,6 +596,20 @@ class PartitionGroup:
         # probe after a migration or crash restore only merges, as on a
         # node that saw every commit live.
         self.total_bytes = self.bytes_used
+
+
+def _merged(old: Columns, new: Columns) -> Columns:
+    """Two blocks in run-key order as one, each tuple of *new* after the
+    tuples of *old* with its key: where a stable sort of *old* followed
+    by *new* would put it."""
+    if not len(old[0]):
+        return new
+    slots = np.searchsorted(old[0], new[0], side="right")
+    slots += np.arange(len(slots))
+    is_old = np.ones(len(old[0]) + len(slots), dtype=np.bool_)
+    is_old[slots] = False
+    rkey, ts, seq = (_spliced(o, n, is_old, slots) for o, n in zip(old, new))
+    return rkey, ts, seq
 
 
 def _spliced(

@@ -11,6 +11,16 @@ the block-NLJ cost model (:mod:`repro.core.costmodel`).
 The window predicate is symmetric: tuples ``a`` and ``b`` join iff
 ``a.key == b.key`` and ``|a.ts - b.ts| <= W`` — i.e. each tuple was in
 the other's window when the later of the two arrived (Section II).
+
+The probe keys may come in any order: a probe tuple's rows do not
+depend on the others.  The join path nevertheless searches them in
+sorted order (``key_order``): numpy's ``searchsorted`` starts each
+binary search from where the one before it ended when the needles
+ascend, which makes a block of a few thousand keys against a run ten
+times its size about three times cheaper to search.  The join module
+sorts each block anyway, to commit it, and one scatter of the searches'
+answers (:func:`key_ranges`) keeps every row where an unsorted probe
+would put it.
 """
 
 from __future__ import annotations
@@ -59,11 +69,23 @@ def _no_pairs(n_probe: int, collect_pairs: bool) -> ProbeResult:
 
 
 def key_ranges(
-    sorted_key: SortKeys, probe_key: SortKeys
+    sorted_key: SortKeys,
+    probe_key: SortKeys,
+    key_order: npt.NDArray[np.intp] | None = None,
 ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-    """Per probe key, the ``[lo, hi)`` slice of *sorted_key* equal to it."""
-    lo = np.searchsorted(sorted_key, probe_key, side="left")
-    hi = np.searchsorted(sorted_key, probe_key, side="right")
+    """Per probe key, the ``[lo, hi)`` slice of *sorted_key* equal to it.
+
+    *key_order*, a permutation that sorts *probe_key*, makes the
+    searches run over ascending keys; their answers are scattered back
+    to the keys' own places."""
+    if key_order is None:
+        lo = np.searchsorted(sorted_key, probe_key, side="left")
+        hi = np.searchsorted(sorted_key, probe_key, side="right")
+        return lo, hi
+    ascending = probe_key[key_order]
+    lo, hi = np.empty((2, len(ascending)), dtype=np.intp)
+    lo[key_order] = np.searchsorted(sorted_key, ascending, side="left")
+    hi[key_order] = np.searchsorted(sorted_key, ascending, side="right")
     return lo, hi
 
 
@@ -76,17 +98,20 @@ def probe_sorted(
     sorted_seq: SeqArray | None,
     window: float,
     collect_pairs: bool = False,
+    key_order: npt.NDArray[np.intp] | None = None,
 ) -> ProbeResult:
     """Join *probe* tuples against a committed window sorted by key.
 
     ``sorted_key``/``sorted_ts`` (and ``sorted_seq`` when pairs are
     collected) are the committed window contents ordered by key.
+    *key_order*, when given, sorts *probe_key* and the searches run in
+    that order (:func:`key_ranges`); the result is the same.
     """
     n_probe = len(probe_key)
     if n_probe == 0 or len(sorted_key) == 0:
         return _no_pairs(n_probe, collect_pairs)
 
-    lo, hi = key_ranges(sorted_key, probe_key)
+    lo, hi = key_ranges(sorted_key, probe_key, key_order)
     counts = hi - lo
     # Candidate j of probe i is slot first_slot[i] + j and sits at
     # sorted position lo[i] + j; slot_ends[i] closes probe i's slots.

@@ -89,3 +89,34 @@ class TestIngestDrain:
     def test_empty_ingest(self, buffer):
         buffer.ingest(TupleBatch.empty())
         assert buffer.total_bytes == 0
+
+    @pytest.mark.parametrize("npart", [1, 8, 60, 300])
+    def test_ingest_files_what_a_filter_per_pid_would(self, npart):
+        """One sort splits a batch: every pid's mini-buffer gets the
+        batch a ``pids == pid`` filter would give it (so arrival order
+        inside a pid is kept), and the same bytes."""
+        buffer = MasterBuffer(npart=npart, tuple_bytes=64)
+        rng = np.random.default_rng(npart)
+        expected = [[] for _ in range(npart)]
+        for i, n in enumerate((700, 1, 0, 2500)):
+            batch = TupleBatch.build(
+                ts=np.sort(rng.random(n)) + i,
+                key=rng.integers(-(10**7), 10**7, n),
+                seq=rng.permutation(10**6)[:n],
+                stream=rng.integers(0, 2, n),
+            )
+            buffer.ingest(batch)
+            pids = partition_of(batch.key, npart)
+            for pid in np.unique(pids):
+                expected[pid].append(batch.take(np.flatnonzero(pids == pid)))
+        for pid in range(npart):
+            got = list(buffer._minibuffers[pid])
+            assert len(got) == len(expected[pid])
+            for mine, theirs in zip(got, expected[pid]):
+                for column in ("ts", "key", "seq", "stream"):
+                    np.testing.assert_array_equal(
+                        getattr(mine, column), getattr(theirs, column)
+                    )
+        assert buffer._bytes_per_pid.tolist() == [
+            sum(len(b) * 64 for b in batches) for batches in expected
+        ]

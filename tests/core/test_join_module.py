@@ -6,6 +6,7 @@ import pytest
 from repro.core.costmodel import CostModel
 from repro.core.join_module import JoinModule
 from repro.core.metrics import MeasurementWindow, SlaveMetrics
+from repro.core.partition_group import JoinGeometry, PartitionGroup
 from repro.core.protocol import Shipment
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
@@ -348,6 +349,65 @@ class TestCosts:
         kinds = {kind for kind, _cost in run_pass(module, 10.0)}
         assert "expire" in kinds
         assert "probe" in kinds
+
+
+class TestSorting:
+    def test_a_pass_sorts_each_block_once_and_labels_narrow(self, monkeypatch):
+        """Over large windows, one two-stream pass — the shipment filed,
+        then every step run: ``sorted_run`` sorts nothing, no 64-bit
+        argsort sees more than one join step's blocks, and every sort of
+        mini-group indexes or partition ids runs at 16 bits or fewer."""
+        geometry = JoinGeometry(
+            tuples_per_block=16,
+            block_bytes=1024,
+            theta_bytes=32 * 1024,
+            window_seconds=1000.0,
+            fine_tuning=True,
+            tuple_bytes=64,
+        )
+        module, _ = make_module(geometry, npart=4)
+        module.enqueue(Shipment(0, 0.0, 10.0, workload_batch(0.0, 10.0, 1500.0)))
+        process_all(module)
+        assert all(g.n_mini_groups > 1 for g in module.groups.values())
+
+        sorts, blocks, in_run = [], [], []
+        real_argsort = np.argsort
+        real_sorted_run = PartitionGroup.sorted_run
+        real_join_step = JoinModule._join_step
+
+        def argsort(a, *args, **kwargs):
+            sorts.append((a.dtype, len(a), bool(in_run)))
+            return real_argsort(a, *args, **kwargs)
+
+        def sorted_run(group, sid):
+            in_run.append(sid)
+            try:
+                return real_sorted_run(group, sid)
+            finally:
+                in_run.pop()
+
+        def join_step(module, group, sid, block):
+            blocks.append(len(block[0]))
+            return real_join_step(module, group, sid, block)
+
+        batch = workload_batch(10.0, 10.5, 1500.0, seed=1)
+        monkeypatch.setattr(np, "argsort", argsort)
+        monkeypatch.setattr(PartitionGroup, "sorted_run", sorted_run)
+        monkeypatch.setattr(JoinModule, "_join_step", join_step)
+        module.enqueue(Shipment(1, 10.0, 10.5, batch))
+        run_pass(module, 20.0)
+        monkeypatch.undo()
+
+        assert not module.has_work and blocks
+        window = min(len(g.sorted_run(s)[0]) for g in module.groups.values() for s in (0, 1))
+        assert window > 10 * max(blocks)  # a sort of a window would show
+        assert not [s for s in sorts if s[2]], "sorted_run sorted"
+        wide = [n for dtype, n, _ in sorts if dtype.itemsize > 2]
+        assert wide and max(wide) <= max(blocks)
+        assert {dtype for dtype, _n, _ in sorts if dtype.itemsize > 2} == {
+            np.dtype(np.uint64)  # run keys; labels never sort at 64 bits
+        }
+        assert [dtype for dtype, _n, _ in sorts if dtype.itemsize <= 2]
 
 
 class TestConcurrentFiling:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.hashing import run_key
 from repro.core.probe import probe_sorted
 from tests.conftest import brute_force_pairs
 
@@ -110,3 +111,37 @@ def test_probe_matches_brute_force(probe, window_rows, window):
     got = set(map(tuple, result.pairs.tolist())) if result.pairs is not None else set()
     assert got == expected
     assert result.n_pairs == len(expected)
+
+
+_rows = st.lists(st.tuples(st.floats(0, 100), st.integers(0, 5)), max_size=50)
+
+
+@given(block=_rows, committed=_rows, window=st.floats(0.1, 150))
+@settings(max_examples=300, deadline=None)
+def test_searching_in_key_order_gives_the_same_rows_in_the_same_order(
+    block, committed, window
+):
+    """The join path searches a block's run keys in sorted order and
+    scatters the answers back: every row, offset and pair comes out
+    where probing the block as it is puts it.  Six keys over up to 50
+    rows a side: duplicates inside the block and across both sides."""
+    p_ts = np.array([r[0] for r in block], dtype=float)
+    p_rkey = run_key(np.array([r[1] for r in block], dtype=np.int64))
+    p_seq = np.arange(len(block), dtype=np.int64)
+    w_rkey = run_key(np.array([r[1] for r in committed], dtype=np.int64))
+    order = np.argsort(w_rkey, kind="stable")
+    w_ts = np.array([r[0] for r in committed], dtype=float)[order]
+    w_seq = 1000 + order.astype(np.int64)
+    w_rkey = w_rkey[order]
+
+    def probe(key_order):
+        return probe_sorted(
+            p_ts, p_rkey, p_seq, w_rkey, w_ts, w_seq, window, True, key_order
+        )
+
+    plain = probe(None)
+    searched = probe(np.argsort(p_rkey, kind="stable"))
+    assert searched.n_pairs == plain.n_pairs
+    np.testing.assert_array_equal(searched.offsets, plain.offsets)
+    np.testing.assert_array_equal(searched.newer_ts, plain.newer_ts)
+    np.testing.assert_array_equal(searched.pairs, plain.pairs)

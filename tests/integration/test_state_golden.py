@@ -1,4 +1,4 @@
-"""Golden results of seven small seeded sim runs.
+"""Golden results of eight small seeded sim runs.
 
 The simulated backend is deterministic per seed, so a change to how a
 slave stores its window state — not to what the join computes or
@@ -29,6 +29,11 @@ The last three pin the coordinator's control rounds, in the geometry of
   recovery round that follows, after telling the standby its plan;
 * ``recovery_round`` — replication off, one slave crash recovered at a
   plain epoch: its partition-groups are adopted empty and lost.
+
+And one is the paper's own geometry at 2 % scale: ``paper_geometry`` —
+Table I's ``npart=60``, cost model and fine tuning, 4 slaves at
+3 000 tuples/s per stream, with a 12 s window that expires inside the
+24 s run.
 
 Regenerate only for a change that is *meant* to move a number, and say
 so where the change is recorded::
@@ -162,6 +167,10 @@ def scenarios() -> dict[str, tuple[SystemConfig, TraceReplayer | None]]:
             ),
             None,
         ),
+        "paper_geometry": (
+            SystemConfig.paper_defaults().scaled(0.02).with_(rate=3000.0),
+            None,
+        ),
     }
 
 
@@ -240,6 +249,11 @@ def test_scenarios_reach_what_they_are_for(golden: dict[str, t.Any]) -> None:
     assert all(f["restored_pids"] for f in faults["master"]["failures"])
     assert faults["master"]["failures"] and not faults["degraded"]
     assert all(golden[name]["pairs"]["count"] > 0 for name in golden)
+    paper = scenarios()["paper_geometry"][0]
+    assert paper.npart == 60 and paper.fine_tuning and paper.num_slaves == 4
+    assert paper.cost == SystemConfig.paper_defaults().scaled(0.02).cost
+    assert total("paper_geometry", "splits") > 0
+    assert all(s["cpu_expire"] > 0 for s in golden["paper_geometry"]["slaves"])
 
     def is_reorg(name: str, k: int) -> bool:
         cfg = scenarios()[name][0]
