@@ -1,2 +1,2 @@
 """Benchmark package (pytest-benchmark harness reproducing the paper's
-tables and figures; see conftest.py)."""
+tables and figures; see bench_figures.py)."""

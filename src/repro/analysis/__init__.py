@@ -2,7 +2,7 @@
 
 ``repro.analysis.experiments`` contains one entry per table/figure of
 the paper's evaluation section (and the extra ablations listed in
-DESIGN.md).  Each returns an :class:`~repro.analysis.series.Experiment`
+DESIGN.md).  Each runs into an :class:`~repro.analysis.series.Experiment`
 whose rows print as the same series the paper plots.
 """
 

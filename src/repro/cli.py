@@ -241,8 +241,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def _cmd_list(_args: argparse.Namespace) -> int:
     width = max(len(n) for n in EXPERIMENTS)
     for name in sorted(EXPERIMENTS):
-        doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()
-        print(f"{name.ljust(width)}  {doc[0] if doc else ''}")
+        print(f"{name.ljust(width)}  {EXPERIMENTS[name].title}")
     return 0
 
 

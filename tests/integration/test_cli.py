@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.experiments import EXPERIMENTS
 from repro.cli import _parse_peers, build_parser, main
 from repro.errors import ConfigError
 
@@ -66,6 +67,12 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "fig05" in out
         assert "baselines_skew" in out
+        # Every experiment is listed with a description, not a bare name.
+        lines = out.splitlines()
+        assert len(lines) == len(EXPERIMENTS)
+        for line in lines:
+            name, _, description = line.partition(" ")
+            assert name in EXPERIMENTS and description.strip(), line
 
     def test_run_tiny(self, capsys):
         code = main(
