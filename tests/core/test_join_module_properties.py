@@ -6,7 +6,8 @@ window state — shipments, bounded passes, partition moves, replication
 checkpoints with crash + log replay, and hand-built states whose head
 blocks are non-empty — over two :class:`JoinModule` objects with a
 4-tuple block and a theta of three blocks, so splits and merges fire
-within a few dozen tuples.  Three properties are asserted:
+within a few dozen tuples.  A run has two or five partitions, so a
+module routinely owns several partition-groups at once.  Three properties are asserted:
 
 (a) the pair multiset collected over the run equals
     ``brute_force_pairs`` on everything ever shipped;
@@ -232,15 +233,16 @@ class RecordingMetrics(SlaveMetrics):
 class Harness:
     """Two join modules, the reference beside them, and the trace."""
 
-    def __init__(self, window: float) -> None:
+    def __init__(self, window: float, npart: int = NPART) -> None:
+        self.npart = npart
         self.geometry = geometry_for(window)
         self.ref = Reference(self.geometry)
         self.metrics = [RecordingMetrics(0), RecordingMetrics(1)]
         self.modules = [
-            JoinModule(i, self.geometry, COST_MODEL, NPART, m, collect_pairs=True)
+            JoinModule(i, self.geometry, COST_MODEL, npart, m, collect_pairs=True)
             for i, m in enumerate(self.metrics)
         ]
-        for pid in range(NPART):
+        for pid in range(npart):
             self.modules[0].add_partition(pid)
         self.clock = 0.0
         #: Every unit of the run is retired at an emit time of its own.
@@ -266,7 +268,7 @@ class Harness:
             stamped.sort(key=lambda r: -r[3])
         batch = TupleBatch.build(*(list(col) for col in zip(*stamped)))
         self.trace.append(batch)
-        pids = partition_of(batch.key, NPART)
+        pids = partition_of(batch.key, self.npart)
         start = float(batch.ts.min())
         for module in self.modules:
             mine = batch.select(np.isin(pids, list(module.groups)))
@@ -511,6 +513,7 @@ class Harness:
 @st.composite
 def scenarios(draw):
     n_keys = draw(st.sampled_from([1, 3, 16, 64]))  # 1 => all keys equal
+    npart = draw(st.sampled_from([2, 5]))
     # Mostly simultaneous arrivals, now and then a jump that expires
     # every window (what makes mini-groups undersized, so merges fire).
     row = st.tuples(
@@ -518,7 +521,7 @@ def scenarios(draw):
         st.sampled_from([0, 0, 0, 0, 1, 1, 2, 40]),
         st.integers(0, n_keys - 1),
     )
-    pid = st.integers(0, NPART - 1)
+    pid = st.integers(0, npart - 1)
     # How a pass retires its steps: unit by unit, whole, or in pieces.
     cuts = st.one_of(
         st.just([1]),
@@ -543,14 +546,15 @@ def scenarios(draw):
     )
     window = float(draw(st.sampled_from([2, 8, 30, 10_000])))
     n_ops = draw(st.integers(0, 40))
-    return window, draw(st.lists(op, min_size=n_ops, max_size=n_ops)), draw(cuts)
+    ops = draw(st.lists(op, min_size=n_ops, max_size=n_ops))
+    return window, npart, ops, draw(cuts)
 
 
 @given(scenario=scenarios())
 @settings(max_examples=150, deadline=None)
 def test_module_equals_per_unit_reference_and_oracle(scenario):
-    window, ops, last_cuts = scenario
-    harness = Harness(window)
+    window, npart, ops, last_cuts = scenario
+    harness = Harness(window, npart)
     for op, *args in ops:
         harness.check_totals()
         if op == "enqueue":

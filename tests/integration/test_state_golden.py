@@ -1,4 +1,4 @@
-"""Golden results of eight small seeded sim runs.
+"""Golden results of ten small seeded sim runs.
 
 The simulated backend is deterministic per seed, so a change to how a
 slave stores its window state — not to what the join computes or
@@ -34,6 +34,14 @@ And one is the paper's own geometry at 2 % scale: ``paper_geometry`` —
 Table I's ``npart=60``, cost model and fine tuning, 4 slaves at
 3 000 tuples/s per stream, with a 12 s window that expires inside the
 24 s run.
+
+And two reach paths none of the others do:
+
+* ``moves_spill`` — one slave ten times slower than the other, on the
+  paper's cost model and with a memory limit: fault-free partition
+  moves, and probes costed one unit at a time while state spills;
+* ``three_streams`` — a three-way join, whose composite flushes probe
+  and commit one head block at a time.
 
 Regenerate only for a change that is *meant* to move a number, and say
 so where the change is recorded::
@@ -171,6 +179,15 @@ def scenarios() -> dict[str, tuple[SystemConfig, TraceReplayer | None]]:
             SystemConfig.paper_defaults().scaled(0.02).with_(rate=3000.0),
             None,
         ),
+        "moves_spill": (
+            _config(
+                slave_speeds=(1.0, 0.1),
+                cost=CostModelConfig(),
+                slave_memory_bytes=200_000,
+            ),
+            None,
+        ),
+        "three_streams": (_config(n_streams=3, rate=400.0), None),
     }
 
 
@@ -254,6 +271,11 @@ def test_scenarios_reach_what_they_are_for(golden: dict[str, t.Any]) -> None:
     assert paper.cost == SystemConfig.paper_defaults().scaled(0.02).cost
     assert total("paper_geometry", "splits") > 0
     assert all(s["cpu_expire"] > 0 for s in golden["paper_geometry"]["slaves"])
+    spill = golden["moves_spill"]
+    assert spill["master"]["moves_ordered"] > 0 and not spill["master"]["failures"]
+    assert all(s["disk_bytes_read"] > 0 for s in spill["slaves"])
+    assert total("moves_spill", "splits") > 0
+    assert scenarios()["three_streams"][0].n_streams == 3
 
     def is_reorg(name: str, k: int) -> bool:
         cfg = scenarios()[name][0]
