@@ -1,9 +1,11 @@
 """The slave-side join module (Section IV-D).
 
-The join module owns a set of partition-groups, a partitioned stream
-buffer (one mini-buffer per partition, as at the master), and turns
-buffered tuples into a sequence of **work units**, each carrying the
-simulated CPU cost of one step of the paper's algorithm:
+The join module owns a set of partition-groups, whose committed tuples
+share one :class:`~repro.core.partition_group.WindowStore`, a
+partitioned stream buffer (one mini-buffer per partition, as at the
+master), and turns buffered tuples into a sequence of **work units**,
+each carrying the simulated CPU cost of one step of the paper's
+algorithm:
 
 * ``expire``  — dropping expired blocks from the front of every window;
 * ``probe``   — flushing a fresh head block: joining the fresh tuples
@@ -34,6 +36,12 @@ partition-group, its partial ones, one round of splits; wherever a cost
 depends on an earlier unit having *executed* (expiry, each merge, every
 probe on a memory-limited node, whose spill fraction moves with each
 admission) the step is that one unit.
+
+What a unit *computes* is another matter.  Partition-groups are
+disjoint in key space, so a pass plans the units of all of them at once
+(:class:`_Pass`): each stream's arrivals are routed and sorted once, and
+the two-stream matches of every unit come out of at most four probes of
+the store, handed out group by group in unit order.
 """
 
 from __future__ import annotations
@@ -47,29 +55,29 @@ import numpy.typing as npt
 
 from repro.core.costmodel import CostModel
 from repro.core.exthash import Bucket
-from repro.core.hashing import (
-    HashArray,
-    bit_reverse,
-    partition_of,
-    small_int_order,
-    split_by,
-)
+from repro.core.hashing import HashArray, partition_of, run_key, small_int_order, split_by
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
-    Columns,
     CountTable,
     JoinGeometry,
     PartitionGroup,
     PartitionGroupState,
     SizedBucket,
+    WindowStore,
+    gather_tables,
+    labeller,
 )
 from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
-from repro.core.steps import FloatArray, IntArray, Step
+from repro.core.steps import FloatArray, IntArray, Retire, Step
 from repro.data.tuples import SeqArray, TsArray, TupleBatch
 from repro.errors import ProtocolError
 from repro.obs.events import DirectoryEvent, MergeEvent, SplitEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
+
+
+#: Head blocks' tuples: ``(run key, ts, seq, pid)`` columns.
+_Blocks = tuple[HashArray, TsArray, SeqArray, IntArray]
 
 
 class _Rows(t.NamedTuple):
@@ -112,9 +120,14 @@ class JoinModule:
         #: doubling under it is stamped with (the runtime's ``now`` may
         #: already be at a later unit of the same retired prefix).
         self._tuning_time = 0.0
-        #: ``(pid, heads)`` of the partition-group a pass is working on.
-        self._live: tuple[int, _Heads] | None = None
-        self.groups: dict[int, PartitionGroup] = {}
+        #: The committed tuples of every owned partition-group ...
+        self.store = WindowStore(geometry, npart)
+        #: ... and the groups, by pid (the store's own table of them).
+        self.groups = self.store.groups
+        #: The pass under way, and the bytes its admissions have added
+        #: that its groups' ``total_bytes`` do not hold yet.
+        self.live: _Pass | None = None
+        self.admitted_bytes = 0
         #: Guards the mini-buffers (the dict and its deques) and the two
         #: scalars derived from them.  On the wall-clock backends the
         #: comm thread files shipments (:meth:`enqueue`) while the join
@@ -136,7 +149,9 @@ class JoinModule:
         if pid in self.groups:
             raise ProtocolError(f"node {self.node_id} already owns partition {pid}")
         on_double = self._directory_doubled if self.tracer.enabled else None
-        self.groups[pid] = PartitionGroup(pid, self.geometry, on_double=on_double)
+        self.groups[pid] = PartitionGroup(
+            pid, self.geometry, on_double=on_double, store=self.store
+        )
         with self._buf_lock:
             self._minibuffers.setdefault(pid, deque())
 
@@ -285,7 +300,7 @@ class JoinModule:
     @property
     def window_bytes(self) -> int:
         """Block-granular bytes held by all owned windows."""
-        return sum(g.total_bytes for g in self.groups.values())
+        return sum(g.total_bytes for g in self.groups.values()) + self.admitted_bytes
 
     @property
     def has_work(self) -> bool:
@@ -305,9 +320,8 @@ class JoinModule:
         """``(committed, head)`` tuples per mini-group of *pid* (in
         directory order) and stream, as an observer between two units
         would find them in the paper's windows."""
-        live = self._live
-        if live is not None and live[0] == pid:
-            return live[1].committed.copy(), live[1].fill.copy()
+        if self.live is not None:
+            self.live.sync()
         return self.groups[pid].counts()
 
     # -- work generation ------------------------------------------------------
@@ -326,24 +340,11 @@ class JoinModule:
         if not drained:
             return
         yield self._expire_step(oldest - self.geometry.window_seconds)
-        for pid in sorted(drained):
-            group = self.groups.get(pid)
-            if group is None:  # moved away mid-backlog; cannot happen
-                raise ProtocolError(f"lost partition {pid} with pending data")
-            batch = drained[pid]
-            heads = _Heads(group)
-            self._live = (pid, heads)
-            # Section IV-D's order: stream by stream, every block that
-            # fills while the buffer is appended; then, the buffer
-            # drained, each mini-group's partial blocks.
-            for sid in range(self.geometry.n_streams):
-                sub = batch.by_stream(sid)
-                if len(sub):
-                    yield from self._full_block_steps(group, heads, sid, sub)
-            yield from self._partial_block_steps(group, heads)
-            self._live = None
-            if self.geometry.fine_tuning:
-                yield from self._tuning_steps(group)
+        pids = sorted(drained)
+        lost = [pid for pid in pids if pid not in self.groups]
+        if lost:  # moved away mid-backlog; cannot happen
+            raise ProtocolError(f"lost partition {lost[0]} with pending data")
+        yield from _Pass(self, pids, [drained[pid] for pid in pids]).steps()
 
     def _drain(self) -> tuple[float, dict[int, TupleBatch]]:
         """Pop the head batch of every mini-buffer.
@@ -367,31 +368,16 @@ class JoinModule:
 
     # -- step builders ----------------------------------------------------------
     def _expire_step(self, cutoff: float) -> Step:
-        expired = sum(group.count_before(cutoff) for group in self.groups.values())
+        expired = self.store.count_before(cutoff)
         cost = self.cost_model.expire_cost(expired * self.geometry.tuple_bytes)
 
         def retire(_lo: int, _hi: int, _emit_times: FloatArray) -> None:
-            for group in self.groups.values():
-                group.expire_before(cutoff)
+            self.store.expire_before(cutoff)
 
         return Step("expire", np.array([cost]), retire)
 
-    def _cost_runs(self, n_units: int) -> t.Iterator[tuple[int, int, float]]:
-        """Cut *n_units* probe units into the runs ``(first, stop, spill
-        fraction)`` whose costs can be fixed together: all of them — or,
-        on a memory-limited node, one at a time, because each unit's
-        spill fraction depends on the admissions that follow the unit
-        before it.  The consumer must retire a run before asking for the
-        next."""
-        if self.memory_bytes is None:
-            if n_units:
-                yield 0, n_units, 0.0
-        else:
-            for first in range(n_units):
-                yield first, first + 1, self.spill_fraction()
-
     def _probe_costs(
-        self, n_fresh: int | IntArray, scanned: IntArray, spill_fraction: float
+        self, n_fresh: IntArray, scanned: IntArray, spill_fraction: float
     ) -> FloatArray:
         """Modeled costs of head-block flushes, one per element:
         *n_fresh* tuples against *scanned* committed bytes,
@@ -400,287 +386,6 @@ class JoinModule:
         if spill_fraction:
             self.metrics.disk_bytes_read += int(spilled.sum())
         return self.cost_model.probe_cost(n_fresh, scanned, spilled)
-
-    def _full_block_steps(
-        self, group: PartitionGroup, heads: _Heads, sid: int, sub: TupleBatch
-    ) -> t.Iterator[Step]:
-        """Admit stream *sid*'s arrivals *sub* into *group*; one
-        ``probe`` unit per head block they fill, mini-group by
-        mini-group, each mini-group's in arrival order.
-
-        Units are the granularity of what is *charged* and of when
-        outputs are emitted.  The matches of the two-stream join are
-        computed for the whole step at once (:meth:`_join_step`):
-        mini-groups are disjoint in key space, so probing the group's
-        run with all the full blocks of a stream finds for each block
-        exactly the rows a probe of its own mini-group would, and a
-        retired range of units is one slice of them.
-
-        A unit's block is full — its tuples admitted to the head block,
-        off the pending count — from the moment the unit before it is
-        retired, as if the blocks were still filled one by one between
-        units; ``admit_through`` keeps the counts, the group's bytes and
-        the counters in that state after every retire, whatever the
-        range.
-        """
-        geometry = self.geometry
-        tb, tpb = geometry.tuple_bytes, geometry.tuples_per_block
-        arrival_bucket, gvals = group.route(sub.key)
-        # The mini-groups the arrivals reach, each with what its head
-        # already holds and how many arrive.
-        per_bucket = np.bincount(arrival_bucket, minlength=len(heads.fill))
-        slots = np.flatnonzero(per_bucket)
-        arrived = per_bucket[slots]
-        held = heads.fill[slots, sid]
-        # Lined up mini-group by mini-group: its head's tuples first,
-        # then its arrivals in arrival order (one stable sort).
-        line = (arrival_bucket, bit_reverse(gvals), sub.ts, sub.seq)
-        taken = heads.take(sid, slots)
-        if len(taken[0]):
-            line = tuple(np.concatenate(cols) for cols in zip(taken, line))
-        if len(slots) > 1:
-            order = small_int_order(line[0], len(heads.fill))
-            line = tuple(col[order] for col in line)
-        _bucket, rkey, ts, seq = line
-        sizes = held + arrived
-        blocks = sizes // tpb
-        rem = sizes - blocks * tpb
-        #: first[s] is mini-group s's first unit, first[-1] the count.
-        first = np.concatenate(([0], np.cumsum(blocks)))
-        n_units = int(first[-1])
-        unit_slot = np.repeat(np.arange(len(slots)), blocks)
-        # admitted[j]: arrivals in the windows once unit j's block is
-        # full; admitted[n_units]: all of them.
-        cuts = np.concatenate(([0], np.cumsum(arrived)))
-        admitted = np.append(
-            (cuts[:-1] - held - tpb * first[:-1])[unit_slot]
-            + tpb * np.arange(1, n_units + 1),
-            len(sub),
-        )
-        # Whole blocks fill the start of each mini-group's line; the
-        # rest of it (under a block) is its head after the step.
-        at_rest = np.arange(int(rem.sum())) + np.repeat(tpb * first[1:], rem)
-        heads.put(sid, np.repeat(slots, rem), (rkey[at_rest], ts[at_rest], seq[at_rest]))
-        in_full = np.ones(len(rkey), dtype=np.bool_)
-        in_full[at_rest] = False
-        full = (rkey[in_full], ts[in_full], seq[in_full])
-
-        rows: _Rows | None = None
-        if geometry.n_streams == 2 and n_units:
-            matches = self._join_step(group, sid, full)
-            rows = _Rows(
-                matches.newer_ts, _oriented(matches, sid), matches.offsets[::tpb]
-            )
-
-        base_committed = heads.committed[slots, sid]
-        in_slot = base_committed + held
-        first_unit, first_arrival = first[:-1], cuts[:-1]
-        window = in_slot
-        in_windows = 0
-
-        def admit_through(unit: int) -> None:
-            """Units below *unit* retired, the next one's block full."""
-            nonlocal window, in_windows
-            upto = int(admitted[unit])
-            done = np.minimum(np.maximum(unit - first_unit, 0), blocks)
-            now = in_slot + np.minimum(np.maximum(upto - first_arrival, 0), arrived)
-            committed = base_committed + tpb * done
-            heads.committed[slots, sid] = committed
-            heads.fill[slots, sid] = now - committed
-            moved = upto - in_windows
-            if moved:
-                group.total_bytes += geometry.block_bytes * int(
-                    (-(-now // tpb) - -(-window // tpb)).sum()
-                )
-                window, in_windows = now, upto
-                with self._buf_lock:
-                    self._pending_bytes -= moved * tb
-                self.metrics.tuples_processed += moved
-
-        base = 0
-
-        def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
-            lo, hi = base + lo, base + hi
-            if rows is not None:
-                admit_through(hi)
-                self._record(group.pid, rows, lo, hi, emit_times)
-                return
-            for unit, emit in zip(range(lo, hi), emit_times.tolist()):
-                block = t.cast(
-                    Columns, tuple(col[unit * tpb : (unit + 1) * tpb] for col in full)
-                )
-                self._flush_composites(group, sid, block, emit)
-                admit_through(unit + 1)
-
-        admit_through(0)
-        # The block nested-loop scan reads every committed block of the
-        # opposite windows, whatever the fresh keys are; this stream's
-        # own commits do not change them.
-        blocks_held = -(-heads.committed[slots] // tpb)
-        scanned = (blocks_held.sum(axis=1) - blocks_held[:, sid]) * geometry.block_bytes
-        per_unit = scanned[unit_slot]
-        for base, stop, spill in self._cost_runs(n_units):
-            yield Step(
-                "probe", self._probe_costs(tpb, per_unit[base:stop], spill), retire
-            )
-
-    def _partial_block_steps(
-        self, group: PartitionGroup, heads: _Heads
-    ) -> t.Iterator[Step]:
-        """The partition's buffer is drained and every head block is as
-        full as this pass makes it: flush the partial ones, one ``probe``
-        unit each, mini-group by mini-group, stream 0 before stream 1
-        (the order that finds a fresh/fresh pair exactly once).
-
-        The two-stream matches are again computed a stream at a time —
-        all partial blocks of stream 0, then, against a run that holds
-        them, all of stream 1 — and interleaved back into unit order.
-        """
-        geometry = self.geometry
-        tpb, n_streams = geometry.tuples_per_block, geometry.n_streams
-        # One row per mini-group, one column per stream.
-        fresh, committed = heads.fill, heads.committed
-        at = np.flatnonzero(fresh)  # mini-group by mini-group, stream 0 first
-        if not len(at):
-            return
-        # A unit scans the committed blocks of its mini-group's other
-        # windows; by the time it runs, those of the lower streams
-        # include their head blocks.
-        before, after = -(-committed // tpb), -(-(committed + fresh) // tpb)
-        lower = np.cumsum(after, axis=1) - after
-        higher = np.cumsum(before[:, ::-1], axis=1)[:, ::-1] - before
-        scanned = (lower + higher).ravel()[at] * geometry.block_bytes
-        unit_fresh = fresh.ravel()[at]
-        unit_sid = at % n_streams
-        # Each stream's heads lie mini-group by mini-group, so unit
-        # (b, s) is rows [offset[s][b], offset[s][b + 1]) of stream s's.
-        offset = np.vstack(
-            (np.zeros(n_streams, np.int64), np.cumsum(fresh, axis=0))
-        ).T.copy()
-
-        rows: _Rows | None = None
-        if n_streams == 2:
-            by_stream = [
-                self._join_step(group, sid, heads.cols[sid])
-                if len(heads.cols[sid][0])
-                else None
-                for sid in (0, 1)
-            ]
-            rows = self._in_unit_order(unit_sid, unit_fresh, by_stream)
-
-        base = 0
-        flat_committed, flat_fresh = committed.reshape(-1), fresh.reshape(-1)
-
-        def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
-            lo, hi = base + lo, base + hi
-            if rows is not None:
-                done = at[lo:hi]
-                flat_committed[done] += flat_fresh[done]
-                flat_fresh[done] = 0
-                self._record(group.pid, rows, lo, hi, emit_times)
-                return
-            for unit, emit in zip(at[lo:hi].tolist(), emit_times.tolist()):
-                b, sid = divmod(unit, n_streams)
-                start, stop = offset[sid, b], offset[sid, b + 1]
-                block = t.cast(
-                    Columns, tuple(col[start:stop] for col in heads.cols[sid])
-                )
-                self._flush_composites(group, sid, block, emit)
-                flat_committed[unit] += flat_fresh[unit]
-                flat_fresh[unit] = 0
-
-        for base, stop, spill in self._cost_runs(len(at)):
-            costs = self._probe_costs(unit_fresh[base:stop], scanned[base:stop], spill)
-            yield Step("probe", costs, retire)
-
-    def _join_step(
-        self, group: PartitionGroup, sid: int, blocks: Columns
-    ) -> ProbeResult:
-        """Probe the opposite stream's run with *blocks* — any number of
-        head blocks of stream *sid* in the order of their units — then
-        add them to their own stream's run; the rows come back in unit
-        order.
-
-        The blocks are sorted by run key once, and that one order
-        serves both: the probe searches the run with ascending keys
-        (:mod:`repro.core.probe` says why that is cheaper) and the run
-        takes the sorted blocks without sorting them again.
-
-        That runs the group's run *ahead* of the windows an observer
-        sees (the counts ``admit_through`` and the partial step keep): a
-        block is in the run from here, committed only once its unit is
-        retired.  A later step of the same pass needs exactly that (the
-        partial blocks of stream 1 must see the partial blocks of stream
-        0, whose units are interleaved with their own), and nothing else
-        can look: a pass holds the slave's state lock from its first
-        unit to its last.
-        """
-        rkey, ts, seq = blocks
-        order = np.argsort(rkey, kind="stable")
-        matches = group.probe(1 - sid, ts, rkey, seq, self.collect_pairs, order)
-        group.commit(sid, rkey[order], ts[order], seq[order])
-        return matches
-
-    def _in_unit_order(
-        self,
-        unit_sid: npt.NDArray[np.intp],
-        unit_fresh: npt.NDArray[np.int64],
-        by_stream: list[ProbeResult | None],
-    ) -> _Rows:
-        """The rows of the per-stream probes — ``by_stream[sid]`` probed
-        the blocks of the units with that *unit_sid*, in order, of
-        *unit_fresh* tuples each (None: there are none) — as one table
-        in unit order."""
-        placed = []
-        per_unit = np.zeros(len(unit_sid), dtype=np.intp)
-        for sid, result in enumerate(by_stream):
-            if result is None:
-                continue
-            mine = np.flatnonzero(unit_sid == sid)
-            ends = np.zeros(len(mine) + 1, dtype=np.intp)
-            np.cumsum(unit_fresh[mine], out=ends[1:])
-            bounds = result.offsets[ends]
-            per_unit[mine] = np.diff(bounds)
-            placed.append((sid, mine, bounds, result))
-        offsets = np.zeros(len(unit_sid) + 1, dtype=np.intp)
-        np.cumsum(per_unit, out=offsets[1:])
-        newer = np.empty(offsets[-1], dtype=np.float64)
-        pairs = np.empty((offsets[-1], 2), np.int64) if self.collect_pairs else None
-        for sid, mine, bounds, result in placed:
-            # Row r of this stream's block b goes to its unit's rows.
-            shift = offsets[mine] - bounds[:-1]
-            to = np.repeat(shift, per_unit[mine]) + np.arange(bounds[-1])
-            newer[to] = result.newer_ts
-            oriented = _oriented(result, sid)
-            if pairs is not None and oriented is not None:
-                pairs[to] = oriented
-        return _Rows(newer, pairs, offsets)
-
-    def _record(
-        self, pid: int, rows: _Rows, lo: int, hi: int, emit_times: FloatArray
-    ) -> None:
-        """Emit the output rows of units ``[lo, hi)`` of a step, each
-        unit's at its own emit time."""
-        first, last = rows.offsets[lo], rows.offsets[hi]
-        if first == last:
-            return
-        per_unit = np.diff(rows.offsets[lo : hi + 1])
-        self.metrics.record_outputs(
-            np.repeat(emit_times, per_unit), rows.newer_ts[first:last]
-        )
-        if rows.pairs is not None:
-            self.metrics.record_pairs(pid, rows.pairs[first:last])
-
-    def _flush_composites(
-        self, group: PartitionGroup, sid: int, block: Columns, emit_time: float
-    ) -> None:
-        """n-way join: one unit probes when it is retired, against runs
-        that hold every unit retired before it."""
-        composites = group.flush_composites(sid, block, self.collect_pairs)
-        self.metrics.record_outputs(emit_time, composites.newest_ts)
-        members = composites.members
-        if members is not None and len(members):
-            self.metrics.record_pairs(group.pid, members)
 
     def _tuning_steps(self, group: PartitionGroup) -> t.Iterator[Step]:
         # Split every oversized mini-group; children may still overflow
@@ -748,62 +453,351 @@ class JoinModule:
         return Step("tune", np.array([self.cost_model.tuning_cost(combined)]), retire)
 
 
-class _Heads:
-    """One partition-group's head blocks for the length of a pass.
+class _Pass:
+    """The probe units of one pass over every partition-group it visits.
 
-    A head block is never a buffer: its tuples are rows of the step
-    that admitted them (or installed head tuples taken from the group),
-    kept per stream mini-group by mini-group until the partial-block
-    step flushes them.  ``committed`` and ``fill`` count, per mini-group
-    (directory order) and stream, what the paper's windows hold between
-    two retired units — the group's run is ahead of them inside a step.
+    Units come in the paper's order (Section IV-D), group by group by
+    pid.  In a group: stream by stream, one unit per head block that
+    fills while the buffer is appended, mini-group by mini-group, each
+    mini-group's in arrival order; then, the buffer drained, one per
+    partial head block, mini-group by mini-group, stream 0 before
+    stream 1 (the order that finds a fresh/fresh pair exactly once).
+    They are handed out as one step up to the end of the next group
+    with tuning work (told from the counts alone), and that group's
+    tuning steps follow.
+
+    Units are the granularity of what is *charged* and of when outputs
+    are emitted.  The two-stream matches are computed for the whole
+    pass at once, after its expiry: each of the four kinds of block —
+    full blocks of stream 0, of stream 1, partial blocks of stream 0, of
+    stream 1, of every group — is sorted by run key once, probes the
+    opposite run of the store and is committed to its own, and the rows
+    are scattered back into unit order.  Groups and mini-groups are
+    disjoint in key space, so a block finds exactly the rows a probe of
+    its own mini-group would, against the windows its unit finds.  The
+    n-way join instead flushes each unit as it is retired, against runs
+    that hold every unit retired before it.
+
+    That runs the store *ahead* of the windows an observer sees, which
+    are the groups' counts: a unit's block is full — its tuples
+    admitted to the head block, off the pending count — from the moment
+    the unit before it is retired, as if the blocks were still filled
+    one by one between units, and committed once it is retired.  Nothing
+    reads the store in between: the pass holds the slave's state lock,
+    and a group's tuning comes after its units.  The byte and tuple
+    counters move with every retire; the tables catch up (:meth:`sync`)
+    when they are read, before a group tunes and at the end of the pass.
     """
 
-    __slots__ = ("cols", "bucket", "committed", "fill")
-
-    def __init__(self, group: PartitionGroup) -> None:
-        self.committed, self.fill = group.counts()
-        self.cols: list[Columns] = []
-        self.bucket: list[npt.NDArray[np.intp]] = []
-        for cols in group.take_held():
-            at = group.bucket_of(cols[0])
-            if len(at):
-                order = small_int_order(at, len(self.fill))
-                at, cols = at[order], t.cast(Columns, tuple(col[order] for col in cols))
-            self.bucket.append(at)
-            self.cols.append(cols)
-
-    def take(
-        self, sid: int, slots: npt.NDArray[np.intp]
-    ) -> tuple[npt.NDArray[np.intp], HashArray, TsArray, SeqArray]:
-        """Remove stream *sid*'s head rows of the mini-groups *slots*:
-        ``(bucket, *columns)``, mini-group by mini-group."""
-        bucket = self.bucket[sid]
-        rkey, ts, seq = self.cols[sid]
-        if not len(bucket):
-            return bucket, rkey, ts, seq
-        mine = np.isin(bucket, slots)
-        keep = ~mine
-        self.bucket[sid] = bucket[keep]
-        self.cols[sid] = (rkey[keep], ts[keep], seq[keep])
-        return bucket[mine], rkey[mine], ts[mine], seq[mine]
-
-    def put(self, sid: int, bucket: npt.NDArray[np.intp], cols: Columns) -> None:
-        """Add head rows *cols* of mini-groups *bucket* (in order, and
-        none of them holding heads of stream *sid* now)."""
-        if len(self.bucket[sid]):
-            at = np.concatenate((self.bucket[sid], bucket))
-            order = small_int_order(at, len(self.fill))
-            self.bucket[sid] = at[order]
-            self.cols[sid] = t.cast(
-                Columns,
-                tuple(
-                    np.concatenate((old, new))[order]
-                    for old, new in zip(self.cols[sid], cols)
-                ),
+    def __init__(
+        self, module: JoinModule, pids: list[int], batches: list[TupleBatch]
+    ) -> None:
+        self.module = module
+        geometry = module.geometry
+        n_streams, tpb = geometry.n_streams, geometry.tuples_per_block
+        self.groups = groups = [module.groups[pid] for pid in pids]
+        self.first, depths, label = labeller(groups)
+        n_buckets = int(self.first[-1])
+        self.committed, self.head = gather_tables(groups)
+        self.base = self.committed.copy()
+        #: What the windows held when the pass began.
+        self.start = self.committed + self.head
+        batch = TupleBatch.concat(batches)
+        row_group = np.repeat(np.arange(len(groups)), [len(b) for b in batches])
+        bucket_pid = np.repeat(np.array(pids, np.int32), np.diff(self.first))
+        held = [group.take_held() for group in groups]
+        self.arrived = np.zeros((n_buckets, n_streams), np.int64)
+        blocks, fill, holding = (np.zeros_like(self.arrived) for _ in range(3))
+        #: Per stream the rows of its full blocks, then per stream the
+        #: rows of its partial blocks, each mini-group by mini-group.
+        self.blocks: list[_Blocks] = []
+        partial: list[_Blocks] = []
+        for sid in range(n_streams):
+            mine = batch.stream == sid
+            rkey = run_key(batch.key[mine])
+            line = [label(row_group[mine], rkey), rkey, batch.ts[mine], batch.seq[mine]]
+            arrived = self.arrived[:, sid] = np.bincount(line[0], minlength=n_buckets)
+            kept: list[npt.NDArray[t.Any]] = []
+            if any(len(h[sid][0]) for h in held):
+                # A mini-group's line: its head's tuples first, then its
+                # arrivals in arrival order.
+                cols = [np.concatenate(col) for col in zip(*(h[sid] for h in held))]
+                gi = np.repeat(np.arange(len(groups)), [len(h[sid][0]) for h in held])
+                cols.insert(0, label(gi, cols[0]))
+                taken = arrived[cols[0]] > 0
+                line = [np.concatenate((h[taken], a)) for h, a in zip(cols, line)]
+                kept = [col[~taken] for col in cols]
+            if n_buckets > 1:  # one stable sort
+                order = small_int_order(line[0], n_buckets)
+                line = [col[order] for col in line]
+            holding[:, sid] = np.where(arrived > 0, self.head[:, sid], 0)
+            sizes = holding[:, sid] + arrived
+            blocks[:, sid] = sizes // tpb
+            rem = sizes - blocks[:, sid] * tpb
+            fill[:, sid] = np.where(arrived > 0, rem, self.head[:, sid])
+            # Whole blocks fill the start of each mini-group's line; the
+            # rest of it (under a block) is its partial block.
+            at_rest = np.arange(int(rem.sum())) + np.repeat(
+                tpb * np.cumsum(blocks[:, sid]), rem
             )
-        else:
-            self.bucket[sid], self.cols[sid] = bucket, cols
+            in_full = np.ones(len(line[0]), dtype=np.bool_)
+            in_full[at_rest] = False
+            full = line[0][in_full]
+            self.blocks.append(
+                (line[1][in_full], line[2][in_full], line[3][in_full], bucket_pid[full])
+            )
+            rest = [col[at_rest] for col in line]
+            if kept:  # and the held heads no arrival reached
+                rest = [np.concatenate(cols) for cols in zip(kept, rest)]
+                order = small_int_order(rest[0], n_buckets)
+                rest = [col[order] for col in rest]
+            partial.append((rest[1], rest[2], rest[3], bucket_pid[rest[0]]))
+        self.blocks += partial
+        self._plan(depths, blocks, fill, holding)
+        #: The two-stream matches, in unit order (None: n-way).
+        self.rows = self._join() if n_streams == 2 else None
+
+    def _plan(
+        self, depths: IntArray, blocks: CountTable, fill: CountTable, holding: CountTable
+    ) -> None:
+        """Lay every unit out as a row in unit order — its window cell,
+        fresh tuples, block rows and scanned bytes — and work out where
+        each arrival enters the windows and which groups tune."""
+        geometry = self.module.geometry
+        n_streams, tpb = geometry.n_streams, geometry.tuples_per_block
+        n_buckets, n_groups, phases = len(blocks), len(self.groups), n_streams + 1
+        bucket_group = np.repeat(np.arange(n_groups), np.diff(self.first))
+        cells = np.flatnonzero(fill)
+        full = [np.repeat(np.arange(n_buckets), blocks[:, s]) for s in range(n_streams)]
+        n_full = [len(units) for units in full]
+        bucket = np.concatenate((*full, cells // n_streams))
+        sid = np.concatenate((np.repeat(np.arange(n_streams), n_full), cells % n_streams))
+        phase = np.repeat(np.arange(phases), [*n_full, len(cells)])
+        # The committed blocks a unit's scan reads: the full blocks of
+        # the lower streams are committed before a stream's full blocks
+        # fill; a partial block sees every full block and the partial
+        # blocks of the lower streams.
+        scans = []
+        for s, units in enumerate(full):
+            seen = -(-(self.base + tpb * blocks * (np.arange(n_streams) < s)) // tpb)
+            scans.append((seen.sum(axis=1) - seen[:, s])[units])
+        committed = self.base + tpb * blocks
+        before, after = -(-committed // tpb), -(-(committed + fill) // tpb)
+        lower = np.cumsum(after, axis=1) - after
+        higher = np.cumsum(before[:, ::-1], axis=1)[:, ::-1] - before
+        scans.append((lower + higher).ravel()[cells])
+        rows = [np.arange(n) * tpb for n in n_full]
+        rows.append((np.cumsum(fill, axis=0) - fill).ravel()[cells])
+        key = bucket_group[bucket] * phases + phase
+        order = small_int_order(key, n_groups * phases)
+        self.key = key[order]
+        self.cell = (bucket * n_streams + sid)[order]
+        self.fresh = np.concatenate((np.full(sum(n_full), tpb), fill.ravel()[cells]))[order]
+        self.src = (sid + n_streams * (phase == n_streams))[order]
+        self.row = np.concatenate(rows)[order]
+        self.scanned = np.concatenate(scans)[order] * geometry.block_bytes
+        self.unit_group = bucket_group[bucket[order]]
+        # A group tunes only if one of its mini-groups ends the pass
+        # above two thetas, or below one theta and split before.
+        ends = np.searchsorted(self.key, np.arange(1, n_groups + 1) * phases)
+        end = self._block_bytes(self.start + self.arrived, axis=1)
+        theta = geometry.theta_bytes
+        tunes = (end > 2 * theta) | ((end < theta) & (depths > 0))
+        tuners = np.unique(bucket_group[tunes]) if geometry.fine_tuning else []
+        #: ``(stop, group)``: a step ends at unit *stop*; *group* then
+        #: tunes (-1: none).
+        self.stops = [(int(ends[g]), int(g)) for g in tuners]
+        if not self.stops or self.stops[-1][0] < len(self.key):
+            self.stops.append((len(self.key), -1))
+        # Stream s's arrivals enter the windows in line order, as many
+        # as admitted[s][p + 1] by position p (admitted[s][0] = 0, none
+        # yet): position 2u is unit u about to run, 2u + 1 unit u
+        # retired.  A full unit's block is in as
+        # it is about to run, and so is what waits under a block for it;
+        # the rest of a group's arrivals are in as its phase's last unit
+        # is retired — or, in a phase with no units, as the group's next
+        # unit is about to run.  windows[s] is what they have grown.
+        at = np.empty(len(order), np.intp)
+        at[order] = np.arange(len(order))
+        self.cuts = np.cumsum(self.arrived, axis=0) - self.arrived
+        total = self.arrived.sum(axis=0)
+        self.admitted: list[IntArray] = []
+        self.windows: list[IntArray] = []
+        positions = 2 * len(order) + 2
+        for s, units in enumerate(full):
+            before_s = sum(n_full[:s])
+            cuts = np.append(self.cuts[:, s], total[s])
+            first_unit = np.append(0, np.cumsum(blocks[:, s]))
+            admitted = np.zeros(positions, dtype=np.int64)
+            block = np.arange(len(units)) - first_unit[units]
+            admitted[2 * at[before_s : before_s + len(units)] + 1] = (
+                cuts[units] + tpb * (block + 1) - holding[units, s]
+            )
+            lo, hi = first_unit[self.first[:-1]], first_unit[self.first[1:]]
+            ended = np.where(
+                hi > lo,
+                2 * np.append(at[before_s : before_s + len(units)], 0)[hi - 1] + 1,
+                2 * np.searchsorted(self.key, np.arange(n_groups) * phases + s, "right"),
+            )
+            # (A unit's count is never below a group's before it.)
+            np.maximum.at(admitted, ended + 1, cuts[self.first[1:]])
+            self.admitted.append(np.maximum.accumulate(admitted))
+            # The windows' blocks with the first n arrivals in: those of
+            # the mini-groups wholly in, those of the one partly in.
+            start = np.append(self.start[:, s], 0)
+            blocks_in = np.append(0, np.cumsum(-(-(start[:-1] + self.arrived[:, s]) // tpb) - -(-start[:-1] // tpb)))
+            whole = np.searchsorted(cuts[1:], self.admitted[s], "right")
+            part = -(-(start[whole] + self.admitted[s] - cuts[whole]) // tpb) - -(-start[whole] // tpb)
+            self.windows.append((blocks_in[whole] + part) * geometry.block_bytes)
+        self.upto = -1
+        self.retired = 0
+        self.totals = self._group_bytes(self.start)
+
+    def _block_bytes(self, n: CountTable, axis: int | None = None) -> IntArray:
+        tpb, bb = self.module.geometry.tuples_per_block, self.module.geometry.block_bytes
+        nbytes: IntArray = (-(-n // tpb)).sum(axis=axis) * bb
+        return nbytes
+
+    def _group_bytes(self, window: CountTable) -> IntArray:
+        """Per group, block-granular bytes of windows of *window* tuples."""
+        totals: IntArray = np.add.reduceat(
+            self._block_bytes(window, axis=1), self.first[:-1]
+        )
+        return totals
+
+    def _join(self) -> _Rows:
+        """The two-stream matches of every unit, four probes in all."""
+        module, store = self.module, self.module.store
+        results: list[ProbeResult | None] = []
+        for k, (rkey, ts, seq, pid) in enumerate(self.blocks):
+            if not len(rkey):
+                results.append(None)
+                continue
+            # One sort serves both: the probe searches the run with
+            # ascending keys and the run takes the blocks as they are.
+            order = np.argsort(rkey, kind="stable")
+            sid = k % 2
+            results.append(store.probe(1 - sid, ts, rkey, seq, module.collect_pairs, order))
+            store.commit(sid, rkey[order], ts[order], seq[order], pid[order])
+        per_unit = np.zeros(len(self.src), dtype=np.intp)
+        placed = []
+        for k, result in enumerate(results):
+            if result is None:
+                continue
+            mine = np.flatnonzero(self.src == k)
+            bounds = result.offsets[self.row[mine]]
+            per_unit[mine] = result.offsets[self.row[mine] + self.fresh[mine]] - bounds
+            placed.append((k % 2, mine, bounds, result))
+        offsets = np.zeros(len(self.src) + 1, dtype=np.intp)
+        np.cumsum(per_unit, out=offsets[1:])
+        newer = np.empty(offsets[-1], dtype=np.float64)
+        pairs = np.empty((offsets[-1], 2), np.int64) if module.collect_pairs else None
+        for sid, mine, bounds, result in placed:
+            # Row r of this kind's blocks goes to its unit's rows.
+            shift = offsets[mine] - bounds
+            to = np.repeat(shift, per_unit[mine]) + np.arange(len(result.newer_ts))
+            newer[to] = result.newer_ts
+            oriented = _oriented(result, sid)
+            if pairs is not None and oriented is not None:
+                pairs[to] = oriented
+        return _Rows(newer, pairs, offsets)
+
+    def steps(self) -> t.Iterator[Step]:
+        module, lo = self.module, 0
+        limited = module.memory_bytes is not None
+        module.live = self
+        for stop, tuner in self.stops:
+            # On a memory-limited node each unit's spill fraction moves
+            # with the admissions before it: a step per unit.
+            for first in range(lo, stop) if limited else [lo]:
+                last = first + 1 if limited else stop
+                self._admit(2 * first)
+                costs = module._probe_costs(
+                    self.fresh[first:last],
+                    self.scanned[first:last],
+                    module.spill_fraction(),
+                )
+                yield Step("probe", costs, self._retire(first, stop))
+            if tuner >= 0:
+                self.sync()
+                yield from module._tuning_steps(self.groups[tuner])
+            lo = stop
+        self.sync()
+        module.live = None
+
+    def _retire(self, first: int, stop: int) -> Retire:
+        def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
+            lo, hi = first + lo, first + hi
+            if self.rows is None:
+                for unit, emit in zip(range(lo, hi), emit_times.tolist()):
+                    self._flush_composites(unit, emit)
+            else:
+                self._record(lo, hi, emit_times)
+            self.retired = hi
+            # Past a step's last unit, nothing of the next one is full.
+            self._admit(2 * hi - (hi == stop))
+
+        return retire
+
+    def _admit(self, upto: int) -> None:
+        """Bring the windows to position *upto*."""
+        was, self.upto = self.upto + 1, upto
+        moved = sum(int(a[upto + 1] - a[was]) for a in self.admitted)
+        if not moved:
+            return
+        module = self.module
+        module.admitted_bytes += sum(int(w[upto + 1] - w[was]) for w in self.windows)
+        with module._buf_lock:
+            module._pending_bytes -= moved * module.geometry.tuple_bytes
+        module.metrics.tuples_processed += moved
+
+    def sync(self) -> None:
+        """Bring the groups' tables and bytes to what the windows hold
+        now: the retired units committed, the rest of what is admitted
+        in head blocks."""
+        n = self.retired
+        done = np.bincount(self.cell[:n], self.fresh[:n], minlength=self.committed.size)
+        self.committed[...] = self.base + done.astype(np.int64).reshape(self.base.shape)
+        admitted = np.array([a[self.upto + 1] for a in self.admitted])
+        window = self.start + np.clip(admitted - self.cuts, 0, self.arrived)
+        np.subtract(window, self.committed, out=self.head)
+        totals = self._group_bytes(window)
+        for at in np.flatnonzero(totals != self.totals).tolist():
+            self.groups[at].total_bytes += int(totals[at] - self.totals[at])
+        self.totals = totals
+        self.module.admitted_bytes = 0
+
+    def _record(self, lo: int, hi: int, emit_times: FloatArray) -> None:
+        """Emit the output rows of units ``[lo, hi)``, each unit's at
+        its own emit time, the pairs filed under their groups' pids."""
+        rows, metrics = self.rows, self.module.metrics
+        assert rows is not None
+        first, last = rows.offsets[lo], rows.offsets[hi]
+        if first == last:
+            return
+        per_unit = np.diff(rows.offsets[lo : hi + 1])
+        metrics.record_outputs(np.repeat(emit_times, per_unit), rows.newer_ts[first:last])
+        if rows.pairs is None:
+            return
+        group = self.unit_group[lo:hi]
+        cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), hi - lo]
+        for a, b in zip(cuts, cuts[1:]):
+            start, stop = rows.offsets[lo + a], rows.offsets[lo + b]
+            if start < stop:
+                metrics.record_pairs(self.groups[group[a]].pid, rows.pairs[start:stop])
+
+    def _flush_composites(self, unit: int, emit_time: float) -> None:
+        """n-way join: one unit probes when it is retired, against runs
+        that hold every unit retired before it."""
+        module = self.module
+        k, start = int(self.src[unit]), int(self.row[unit])
+        rkey, ts, seq, _pid = (col[start : start + self.fresh[unit]] for col in self.blocks[k])
+        sid, pid = k % module.geometry.n_streams, self.groups[self.unit_group[unit]].pid
+        composites = module.store.flush_composites(sid, (rkey, ts, seq), pid, module.collect_pairs)
+        module.metrics.record_outputs(emit_time, composites.newest_ts)
+        members = composites.members
+        if members is not None and len(members):
+            module.metrics.record_pairs(pid, members)
 
 
 def _oriented(matches: ProbeResult, sid: int) -> npt.NDArray[np.int64] | None:

@@ -1,4 +1,5 @@
-"""Partition-groups and mini-partition-groups (Section IV-C/IV-D).
+"""Partition-groups, mini-partition-groups and a slave's window store
+(Section IV-C/IV-D).
 
 A **partition-group** is the unit of load movement between slaves: one
 of the ``npart`` hash partitions of the stream pair, holding both
@@ -13,46 +14,49 @@ With fine tuning disabled the partition-group degenerates to a single
 mini-group of unbounded size — the configuration the paper uses as its
 "no fine-tuning" comparison (Figures 7–10).
 
-**A mini-group is a slice.**  The committed tuples of a stream are kept
-in one **run** per stream, ``(run key, ts, seq)`` sorted by the run key
-``rev(g(key))`` — the directory hash with its bits reversed — and equal
-keys in commit order (:meth:`PartitionGroup.sorted_run`).  ``g`` is a
-bijection, so equal run keys are equal join keys and a probe of the run
-(:meth:`PartitionGroup.probe`) returns the rows, in the order, of a
-probe of a key-sorted run.  A bucket with pattern ``p`` and local depth
-``d`` holds the keys whose ``d`` low bits of ``g`` equal ``p``: exactly
-the run keys whose ``d`` top bits are ``p`` reversed, one contiguous
-range.  So a mini-group's size is the distance between two
-``searchsorted`` bounds, a split costs one more bound and a merge none,
-and nothing is ever copied to move a tuple between mini-groups.
+**One store per slave.**  The committed tuples of every partition-group
+a slave owns live in one :class:`WindowStore`: per stream one **run** of
+rows ``(run key, ts, seq, pid)`` sorted by the run key ``rev(g(key))``
+— the directory hash with its bits reversed — equal keys in commit
+order.  ``g`` is a bijection, so equal run keys are equal join keys, and
+a key lives in exactly one partition: a probe of the store
+(:meth:`WindowStore.probe`) returns for each probe tuple exactly the
+rows, in the order, that a run of its own partition-group alone would.
+A row's seq and pid share one word, ``seq << b | pid``: every commit
+and expiry copies the run, and a fourth column would add a third to
+it.  A standalone :class:`PartitionGroup` (a baseline's, a test's) is a
+store of one group.
+
+**A mini-group is a range.**  A bucket with pattern ``p`` and local
+depth ``d`` holds the keys whose ``d`` low bits of ``g`` equal ``p``:
+exactly the run keys whose ``d`` top bits are ``p`` reversed, one
+contiguous range, which its group's rows share with the other groups'.
+Nothing is ever copied to move a tuple between mini-groups: a split
+counts its group's rows in half of the range, a merge adds two counts.
+
+**Counts are kept.**  A group keeps, per mini-group (directory order)
+and stream, its committed and head-block tuple counts
+(:meth:`PartitionGroup.counts`); admission, expiry, splits, merges and
+moves move them with a ``bincount``, so sizes, costs and the tuning
+policy read tables, not the runs.
 
 **Sorted commits.**  The join module sorts each step's blocks by run
 key once and uses that order twice: to probe the opposite run, and as
-the block it commits (:meth:`PartitionGroup.commit`).  The run takes
-such a block with one merge and no sort of its own; only the rarer
-commits in another order (installed state, n-way flushes) are sorted,
-once, when they are committed.
-
-Mini-groups bound what a probe is *charged* for scanning (the block
-nested-loop scan of its mini-group's committed blocks); the join module
-computes the charge from the bounds (:meth:`PartitionGroup.counts`).
+the block it commits (:meth:`WindowStore.commit`).  The run takes such
+a block with one merge and no sort of its own; only the rarer commits
+in another order (installed state, n-way flushes) are sorted, once.
 """
 
 from __future__ import annotations
 
+import functools
 import typing as t
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.core.exthash import Bucket, ExtendibleDirectory
-from repro.core.hashing import (
-    HashArray,
-    bit_reverse,
-    directory_hash,
-    key_of,
-    run_key,
-)
+from repro.core.hashing import HashArray, bit_reverse, directory_hash, key_of, run_key
 from repro.core.nway import CompositeResult, probe_composites
 from repro.core.probe import ProbeResult, probe_sorted
 from repro.data.tuples import (
@@ -64,12 +68,16 @@ from repro.data.tuples import (
     TupleBatch,
 )
 
-#: One stream's tuples as ``(run key, ts, seq)`` columns.
+#: One stream's tuples as ``(run key, ts, seq)`` columns (in a store's
+#: runs, ``seq`` holds the packed seq and pid).
 Columns = tuple[HashArray, TsArray, SeqArray]
 #: Per mini-group (directory bucket order) and stream, a tuple count.
 CountTable = npt.NDArray[np.int64]
+#: ``label(gi, rkey)``: see :func:`labeller`.
+Labeller = t.Callable[[npt.NDArray[np.intp], HashArray], npt.NDArray[np.intp]]
 
 _END: t.Final = 1 << 64
+_ONE = np.uint64(1)
 
 
 class JoinGeometry(t.NamedTuple):
@@ -127,12 +135,13 @@ class _Layout(t.NamedTuple):
 
     #: The buckets in directory order (ascending pattern).
     buckets: list[Bucket]
-    #: Directory slot -> index of its bucket in ``buckets``.
-    slot_index: npt.NDArray[np.intp]
-    #: The smallest run key of each bucket's range, ascending ...
-    edges: HashArray
-    #: ... and the directory-order index of the bucket it starts.
-    order: npt.NDArray[np.intp]
+    #: The directory's global depth ...
+    depth: int
+    #: ... and, for each value of that many top bits of a run key, the
+    #: index in ``buckets`` of the bucket it lies in.
+    by_top: npt.NDArray[np.intp]
+    #: Each bucket's local depth.
+    depths: npt.NDArray[np.int64]
 
 
 #: No tuples (arrays are never written in place, so one is shared).
@@ -151,6 +160,22 @@ def _span(pattern: int, depth: int, parts: int = 1) -> list[int]:
     return [first + i * width for i in range(parts + 1)]
 
 
+@functools.lru_cache(maxsize=None)
+def _slots_by_top(depth: int) -> npt.NDArray[np.intp]:
+    """For each value of the *depth* top bits of a run key, the slot of
+    a depth-*depth* directory it lies in: the same bits, reversed."""
+    tops = np.arange(1 << depth, dtype=np.uint64)
+    slots = (bit_reverse(tops) >> np.uint64(64 - depth)) if depth else tops
+    return slots.astype(np.intp)
+
+
+def _top(rkey: HashArray, depth: npt.NDArray[np.uint64] | int) -> npt.NDArray[np.intp]:
+    """The *depth* top bits of each run key (``depth`` may be 0)."""
+    shift = np.asarray(63 - np.asarray(depth), dtype=np.uint64)
+    top: npt.NDArray[np.intp] = ((rkey >> _ONE) >> shift).astype(np.intp)
+    return top
+
+
 def _batch(sid: int, cols: Columns) -> TupleBatch:
     rkey, ts, seq = cols
     return TupleBatch(
@@ -158,204 +183,97 @@ def _batch(sid: int, cols: Columns) -> TupleBatch:
     )
 
 
-class PartitionGroup:
-    """One hash partition's window data, fine-tuned into mini-groups."""
+def labeller(
+    groups: t.Sequence[PartitionGroup],
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.int64], Labeller]:
+    """``(first, depths, label)`` over the mini-groups of all *groups*,
+    group by group and each group's in directory order: group ``i``'s
+    are ``first[i]`` to ``first[i + 1]``, ``depths`` are their local
+    depths, and ``label(gi, rkey)`` is where the mini-group of a tuple
+    of group ``gi`` with run key ``rkey`` is."""
+    layouts = [group._layout() for group in groups]
+    first = np.cumsum([0] + [len(lay.buckets) for lay in layouts])
+    starts = np.cumsum([0] + [len(lay.by_top) for lay in layouts])
+    table = np.concatenate([lay.by_top + at for lay, at in zip(layouts, first)])
+    depth = np.array([lay.depth for lay in layouts], dtype=np.uint64)
 
-    def __init__(
-        self,
-        pid: int,
-        geometry: JoinGeometry,
-        on_double: t.Callable[[int, int], None] | None = None,
-    ) -> None:
-        self.pid = int(pid)
+    def label(gi: npt.NDArray[np.intp], rkey: HashArray) -> npt.NDArray[np.intp]:
+        at: npt.NDArray[np.intp] = table[starts[gi] + _top(rkey, depth[gi])]
+        return at
+
+    return first, np.concatenate([lay.depths for lay in layouts]), label
+
+
+def gather_tables(groups: t.Sequence[PartitionGroup]) -> tuple[CountTable, CountTable]:
+    """The committed and head tables of *groups*, stacked group by
+    group; from here on each group's own are views of them."""
+    committed = np.concatenate([group.committed for group in groups])
+    head = np.concatenate([group.head for group in groups])
+    at = 0
+    for group in groups:
+        n = len(group.committed)
+        group.committed, group.head = committed[at : at + n], head[at : at + n]
+        at += n
+    return committed, head
+
+
+class WindowStore:
+    """The committed tuples of every partition-group of one slave."""
+
+    def __init__(self, geometry: JoinGeometry, npart: int) -> None:
         self.geometry = geometry
-        #: Observability hook: ``on_double(pid, new_global_depth)``.
-        self._on_double = on_double
-        self.directory = ExtendibleDirectory()
-        #: Block-granular bytes of every mini-group's windows, kept up
-        #: to date: the join module moves it as it admits arrivals, the
-        #: operations here as they drop, relabel or install tuples.
-        self.total_bytes = 0
+        #: The low bits of a packed seq that hold a pid below *npart*.
+        self.pid_bits = max(npart - 1, 0).bit_length()
+        self._pid_mask = (1 << self.pid_bits) - 1
+        #: The groups whose tuples the store holds, by pid.
+        self.groups: dict[int, PartitionGroup] = {}
+        n = geometry.n_streams
         #: Per stream, the committed tuples in run-key order.
-        self._runs: list[Columns] = []
+        self._runs: list[Columns] = [_NO_COLUMNS] * n
         #: Per stream, the commits not yet spliced into its run, merged
         #: into one run-key-ordered block (equal keys in commit order).
-        self._pending: list[Columns] = []
+        self._pending: list[Columns] = [_NO_COLUMNS] * n
         #: Per stream, the oldest timestamp of its run and pending
         #: commits (``inf`` when empty): expiry that drops nothing
         #: reads nothing.
-        self._oldest: list[float] = []
-        #: Per stream, installed head-block tuples (``fresh`` in a
-        #: :class:`GroupState`) that no pass has taken yet, in arrival
-        #: order.  A live group never holds any between passes.
-        self.held: list[Columns] = []
-        self._layout_cache: _Layout | None = None
-        self._reset()
-
-    def _reset(self) -> None:
-        n = self.geometry.n_streams
-        self.directory = ExtendibleDirectory(on_double=self._double_hook())
-        self._layout_cache = None
-        self.total_bytes = 0
-        self._runs = [_NO_COLUMNS for _ in range(n)]
-        self._pending = [_NO_COLUMNS for _ in range(n)]
         self._oldest = [float("inf")] * n
-        self.held = [_NO_COLUMNS for _ in range(n)]
 
-    def _double_hook(self) -> t.Callable[[int], None] | None:
-        on_double = self._on_double
-        if on_double is None:
-            return None
-        return lambda depth: on_double(self.pid, depth)
-
-    # -- the directory in run-key order ---------------------------------------
-    def _layout(self) -> _Layout:
-        if self._layout_cache is None:
-            buckets = self.directory.buckets()
-            patterns = np.array([b.pattern for b in buckets], dtype=np.int64)
-            firsts = np.array(
-                [_span(b.pattern, b.local_depth)[0] for b in buckets], dtype=np.uint64
-            )
-            order = np.argsort(firsts)
-            slot_index = np.searchsorted(patterns, self.directory.pattern_table())
-            self._layout_cache = _Layout(buckets, slot_index, firsts[order], order)
-        return self._layout_cache
-
-    def bucket_of(self, rkey: HashArray) -> npt.NDArray[np.intp]:
-        """Directory-order index of the bucket each run key lies in."""
-        layout = self._layout()
-        at: npt.NDArray[np.intp] = layout.order[
-            np.searchsorted(layout.edges, rkey, side="right") - 1
-        ]
-        return at
-
-    def bounds(self) -> tuple[CountTable, CountTable]:
-        """``(lo, hi)``: bucket ``b``'s committed tuples of stream ``s``
-        are rows ``[lo[b, s], hi[b, s])`` of that stream's run."""
-        layout = self._layout()
-        shape = (len(layout.buckets), self.geometry.n_streams)
-        lo, hi = np.empty(shape, np.int64), np.empty(shape, np.int64)
-        for sid in range(shape[1]):
-            rkey = self.sorted_run(sid)[0]
-            starts = np.searchsorted(rkey, layout.edges)
-            lo[layout.order, sid] = starts
-            hi[layout.order, sid] = np.append(starts[1:], len(rkey))
-        return lo, hi
-
-    def _held_counts(self) -> CountTable:
-        nb = len(self._layout().buckets)
-        if not any(len(h[1]) for h in self.held):
-            return np.zeros((nb, self.geometry.n_streams), np.int64)
-        return np.stack(
-            [np.bincount(self.bucket_of(h[0]), minlength=nb) for h in self.held],
-            axis=1,
-        ).astype(np.int64)
-
-    def _tally(self, keys: t.Sequence[int]) -> tuple[CountTable, CountTable]:
-        """Per stream (rows), the committed and held tuples whose run
-        key lies between consecutive *keys* (columns)."""
-
-        def between(sorted_keys: HashArray) -> CountTable:
-            inner = [k for k in keys if k < _END]
-            at = np.searchsorted(sorted_keys, np.array(inner, dtype=np.uint64))
-            if len(inner) < len(keys):
-                at = np.append(at, len(sorted_keys))
-            return np.diff(at)
-
-        committed = np.stack([between(self.sorted_run(s)[0]) for s in self._sids()])
-        held = np.stack([between(np.sort(h[0])) for h in self.held])
-        return committed, held
-
-    def _sids(self) -> range:
-        return range(self.geometry.n_streams)
-
-    def _block_bytes(self, n: npt.NDArray[np.int64]) -> int:
-        """Block-granular bytes of windows of *n* tuples each."""
-        tpb = self.geometry.tuples_per_block
-        return self.geometry.block_bytes * int((-(-n // tpb)).sum())
-
-    # -- sizes --------------------------------------------------------------
-    def counts(self) -> tuple[CountTable, CountTable]:
-        """``(committed, head)`` tuples per mini-group and stream, the
-        mini-groups in directory order (``directory.buckets()``)."""
-        lo, hi = self.bounds()
-        return hi - lo, self._held_counts()
-
-    @property
-    def n_tuples(self) -> int:
-        return sum(len(self.sorted_run(s)[0]) + len(self.held[s][0]) for s in self._sids())
-
-    @property
-    def bytes_used(self) -> int:
-        """Block-granular bytes of every window, counted from the runs
-        (:attr:`total_bytes` is the same number, kept)."""
-        committed, head = self.counts()
-        return self._block_bytes(committed + head)
-
-    def bytes_of(self, bucket: Bucket) -> int:
-        """Block-granular bytes of one mini-group's windows."""
-        committed, held = self._tally(_span(bucket.pattern, bucket.local_depth))
-        return self._block_bytes(committed + held)
-
-    def committed_bytes(self, bucket: Bucket, sid: int) -> int:
-        """Block-granular committed bytes of stream *sid* in one
-        mini-group: what a probe of the opposite stream is charged for."""
-        committed, _held = self._tally(_span(bucket.pattern, bucket.local_depth))
-        return self._block_bytes(committed[sid])
-
-    @property
-    def n_mini_groups(self) -> int:
-        return self.directory.n_buckets
-
-    # -- routing --------------------------------------------------------------
-    def route(self, keys: KeyArray) -> tuple[npt.NDArray[np.intp], HashArray]:
-        """``(buckets, g)``: the index in ``directory.buckets()`` of
-        each key's mini-group, and its directory hash (which the caller
-        keeps: nothing is hashed twice).  Several directory slots can
-        point to one bucket, so grouping is by bucket, not by slot."""
-        gvals = directory_hash(keys)
-        mask = np.uint64((1 << self.directory.global_depth) - 1)
-        return self._layout().slot_index[(gvals & mask).astype(np.intp)], gvals
-
-    # -- the runs ---------------------------------------------------------------
-    def commit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
-        """Add tuples to stream *sid*'s run; the caller accounts for
-        their bytes (:meth:`admit` is the call that does both).
+    def commit(
+        self,
+        sid: int,
+        rkey: HashArray,
+        ts: TsArray,
+        seq: SeqArray,
+        pid: int | npt.NDArray[np.integer[t.Any]],
+    ) -> None:
+        """Add tuples of groups *pid* to stream *sid*'s run; whoever
+        commits them moves their groups' tables.
 
         The join module commits each step's blocks already in run-key
         order (it sorted them once, to probe with), and they are kept
-        as they are.  Tuples in any other order — an installed state,
-        an n-way flush — are stable-sorted here, once.  Either way they
+        as they are.  Tuples in any other order — an installed state, an
+        n-way flush — are stable-sorted here, once.  Either way they
         wait, merged after the earlier commits of their keys, for the
         next :meth:`sorted_run` to splice them in.  The arrays are
         kept: they must not be views of storage that changes.
         """
         if not len(ts):
             return
-        new: Columns = (rkey, ts, seq)
+        new: Columns = (rkey, ts, (seq << self.pid_bits) | pid)
         if (rkey[1:] < rkey[:-1]).any():
             order = np.argsort(rkey, kind="stable")
-            new = (rkey[order], ts[order], seq[order])
+            new = (rkey[order], ts[order], new[2][order])
         self._pending[sid] = _merged(self._pending[sid], new)
         self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
 
-    def admit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
-        """Commit tuples to stream *sid* and grow :attr:`total_bytes` by
-        the blocks they take in their mini-groups."""
-        committed, head = self.counts()
-        before = committed[:, sid] + head[:, sid]
-        added = np.bincount(self.bucket_of(rkey), minlength=len(before))
-        self.total_bytes += self._block_bytes(before + added) - self._block_bytes(before)
-        self.commit(sid, rkey, ts, seq)
-
     def sorted_run(self, sid: int) -> Columns:
-        """Stream *sid*'s committed tuples in run-key order, equal keys
-        in commit order: ``(run key, ts, seq)``, valid until the next
-        mutation.
+        """Stream *sid*'s committed rows in run-key order, equal keys in
+        commit order, valid until the next mutation: ``(run key, ts,
+        packed seq)``.
 
-        The order is exactly a stable argsort of the tuples in commit
+        The order is exactly a stable argsort of the rows in commit
         order, but nothing is sorted here: :meth:`commit` holds the
-        tuples committed since the last call as one block already in
+        rows committed since the last call as one block already in
         run-key order, and it is merged in after the run's equal keys.
         """
         pending = self._pending[sid]
@@ -364,9 +282,6 @@ class PartitionGroup:
             self._pending[sid] = _NO_COLUMNS
         return self._runs[sid]
 
-    # perf/spans.py wraps this method as its ``kernel.probe`` span, found
-    # by the name ``probe`` through :mod:`repro.core.kernels`: keep the
-    # name and the call boundary until a ``benchmark`` PR re-points it.
     def probe(
         self,
         sid: int,
@@ -380,11 +295,12 @@ class PartitionGroup:
         (:func:`~repro.core.hashing.run_key`), against stream *sid*'s
         committed tuples.  Every two-stream match comes out of here.
 
-        The probe tuples may come in any order.  The join module also
-        passes *key_order*, the stable argsort of their run keys it
-        sorts the block by to commit it, so that the run is searched
-        with ascending keys (:func:`~repro.core.probe.key_ranges`); the
-        rows are the same, in the same order.
+        The probe tuples may come in any order and from any of the
+        store's groups.  The join module also passes *key_order*, the
+        stable argsort of their run keys it sorts the blocks by to
+        commit them, so that the run is searched with ascending keys
+        (:func:`~repro.core.probe.key_ranges`); the rows are the same,
+        in the same order.
 
         A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
         p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
@@ -392,24 +308,28 @@ class PartitionGroup:
         *charged* for it is the caller's business (the block nested-loop
         scan of one mini-group's committed bytes).
         """
-        rkey, ts, seq = self.sorted_run(sid)
-        return probe_sorted(
+        rkey, ts, packed = self.sorted_run(sid)
+        result = probe_sorted(
             probe_ts,
             probe_rkey,
             probe_seq,
             rkey,
             ts,
-            seq,
+            packed,
             self.geometry.window_seconds,
             collect_pairs=collect_pairs,
             key_order=key_order,
         )
+        if result.pairs is not None:
+            result.pairs[:, 1] >>= self.pid_bits
+        return result
 
     def flush_composites(
-        self, sid: int, block: Columns, collect_pairs: bool = False
+        self, sid: int, block: Columns, pid: int, collect_pairs: bool = False
     ) -> CompositeResult:
-        """n-way join: match one head *block* of stream *sid* against the
-        other streams' runs, and commit it to its own.
+        """n-way join: match one head *block* of stream *sid* (of group
+        *pid*) against the other streams' runs, and commit it to its
+        own.
 
         Only committed tuples of the other streams take part (the
         duplicate-elimination rule: a result is emitted by the last of
@@ -417,7 +337,8 @@ class PartitionGroup:
         the join module probes a whole pass at once through
         :meth:`probe`.
         """
-        others = [(k, *self.sorted_run(k)) for k in self._sids() if k != sid]
+        sids = range(self.geometry.n_streams)
+        others = [(k, *self.sorted_run(k)) for k in sids if k != sid]
         rkey, ts, seq = block
         result = probe_composites(
             sid,
@@ -425,38 +346,250 @@ class PartitionGroup:
             rkey,
             seq,
             others,
-            dict.fromkeys(self._sids(), self.geometry.window_seconds),
+            dict.fromkeys(sids, self.geometry.window_seconds),
             collect_members=collect_pairs,
         )
-        self.commit(sid, rkey, ts, seq)
+        if result.members is not None:
+            result.members[:, [k for k in sids if k != sid]] >>= self.pid_bits
+        self.commit(sid, rkey, ts, seq, pid)
         return result
+
+    def rows_of(self, pid: int, sid: int) -> Columns:
+        """Group *pid*'s tuples of stream *sid*, in run-key order."""
+        rkey, ts, packed = self.sorted_run(sid)
+        mine = (packed & self._pid_mask) == pid
+        return rkey[mine], ts[mine], packed[mine] >> self.pid_bits
+
+    def keys_in(
+        self, pid: int, sid: int, lo: int, hi: int
+    ) -> tuple[HashArray, npt.NDArray[np.bool_]]:
+        """Stream *sid*'s run keys in ``[lo, hi)``, in order, and which
+        of them are group *pid*'s."""
+        run = self.sorted_run(sid)
+        a, b = (
+            len(run[0]) if key >= _END else int(np.searchsorted(run[0], np.uint64(key)))
+            for key in (lo, hi)
+        )
+        return run[0][a:b], (run[2][a:b] & self._pid_mask) == pid
+
+    def drop(self, pid: int) -> None:
+        """Remove group *pid*'s rows (its tables are its own business)."""
+        for sid in range(self.geometry.n_streams):
+            self._keep(sid, (self.sorted_run(sid)[2] & self._pid_mask) != pid)
+
+    def _keep(self, sid: int, live: npt.NDArray[np.bool_]) -> None:
+        kept = t.cast(Columns, tuple(col[live] for col in self._runs[sid]))
+        self._runs[sid] = kept
+        self._oldest[sid] = float(kept[1].min()) if len(kept[1]) else float("inf")
 
     # -- expiry -------------------------------------------------------------------
     def count_before(self, cutoff_ts: float) -> int:
         """How many committed tuples :meth:`expire_before` would drop."""
         return sum(
             int(np.count_nonzero(self.sorted_run(sid)[1] < cutoff_ts))
-            for sid in self._sids()
-            if self._oldest[sid] < cutoff_ts
+            for sid, oldest in enumerate(self._oldest)
+            if oldest < cutoff_ts
         )
 
     def expire_before(self, cutoff_ts: float) -> int:
-        """Drop committed tuples older than *cutoff_ts*; returns the
-        count dropped.  Head-block tuples never expire: they arrived
-        within the current epoch, far less than a window ago."""
-        dropped = 0
-        for sid in self._sids():
-            if self._oldest[sid] >= cutoff_ts:
-                continue
-            run = self.sorted_run(sid)
-            live = run[1] >= cutoff_ts
-            kept = t.cast(Columns, tuple(col[live] for col in run))
-            dropped += len(live) - len(kept[1])
-            self._runs[sid] = kept
-            self._oldest[sid] = float(kept[1].min()) if len(kept[1]) else float("inf")
+        """Drop committed tuples older than *cutoff_ts* and take them
+        off their groups' tables; returns the count dropped.  Head-block
+        tuples never expire: they arrived within the current epoch, far
+        less than a window ago."""
+        gone: list[tuple[int, SeqArray, HashArray]] = []
+        for sid, oldest in enumerate(self._oldest):
+            if oldest < cutoff_ts:
+                rkey, ts, packed = self.sorted_run(sid)
+                dead = ts < cutoff_ts
+                at = np.flatnonzero(dead)
+                gone.append((sid, packed[at] & self._pid_mask, rkey[at]))
+                self._keep(sid, ~dead)
+        dropped = sum(len(pid) for _sid, pid, _rkey in gone)
         if dropped:
-            self.total_bytes = self.bytes_used
+            pids = sorted(self.groups)
+            groups = [self.groups[pid] for pid in pids]
+            first, _depths, label = labeller(groups)
+            index = np.zeros(pids[-1] + 1, dtype=np.intp)
+            index[pids] = np.arange(len(pids))
+            committed, head = gather_tables(groups)
+            for sid, pid, rkey in gone:
+                at = label(index[pid], rkey)
+                committed[:, sid] -= np.bincount(at, minlength=len(committed))
+            geometry = self.geometry
+            blocks = (-(-(committed + head) // geometry.tuples_per_block)).sum(axis=1)
+            per_group = np.add.reduceat(blocks, first[:-1]) * geometry.block_bytes
+            for group, nbytes in zip(groups, per_group.tolist()):
+                group.total_bytes = nbytes
         return dropped
+
+
+class PartitionGroup:
+    """One hash partition's window data, fine-tuned into mini-groups."""
+
+    def __init__(
+        self,
+        pid: int,
+        geometry: JoinGeometry,
+        on_double: t.Callable[[int, int], None] | None = None,
+        store: WindowStore | None = None,
+    ) -> None:
+        self.pid = int(pid)
+        self.geometry = geometry
+        #: Observability hook: ``on_double(pid, new_global_depth)``.
+        self._on_double = on_double
+        #: Where the group's committed tuples are: its own store, or
+        #: the one its join module shares between all of its groups.
+        self.store = WindowStore(geometry, self.pid + 1) if store is None else store
+        self.store.groups[self.pid] = self
+        self.directory = ExtendibleDirectory()
+        #: Block-granular bytes of every mini-group's windows, kept up
+        #: to date: the join module moves it as it admits arrivals, the
+        #: operations here as they drop, relabel or install tuples.
+        self.total_bytes = 0
+        #: Committed tuples per mini-group and stream.
+        self.committed: CountTable = np.zeros((1, geometry.n_streams), np.int64)
+        #: Head-block tuples per mini-group and stream: the installed
+        #: ones (:attr:`held`), and, while a pass runs, its head blocks.
+        self.head: CountTable = np.zeros((1, geometry.n_streams), np.int64)
+        #: Per stream, installed head-block tuples (``fresh`` in a
+        #: :class:`GroupState`) that no pass has taken yet, in arrival
+        #: order.  A live group never holds any between passes.
+        self.held: list[Columns] = []
+        self._layout_cache: _Layout | None = None
+        self._reset()
+
+    def _reset(self) -> None:
+        n = self.geometry.n_streams
+        self.directory = ExtendibleDirectory(on_double=self._double_hook())
+        self._layout_cache = None
+        self.total_bytes = 0
+        self.committed = np.zeros((1, n), np.int64)
+        self.head = np.zeros((1, n), np.int64)
+        self.held = [_NO_COLUMNS for _ in range(n)]
+
+    def _double_hook(self) -> t.Callable[[int], None] | None:
+        on_double = self._on_double
+        if on_double is None:
+            return None
+        return lambda depth: on_double(self.pid, depth)
+
+    # -- the directory in run-key order ---------------------------------------
+    def _layout(self) -> _Layout:
+        if self._layout_cache is None:
+            directory = self.directory
+            buckets = directory.buckets()
+            depth = directory.global_depth
+            patterns = np.array([b.pattern for b in buckets], dtype=np.int64)
+            by_top = np.searchsorted(
+                patterns, directory.pattern_table()[_slots_by_top(depth)]
+            )
+            depths = np.array([b.local_depth for b in buckets], dtype=np.int64)
+            self._layout_cache = _Layout(buckets, depth, by_top, depths)
+        return self._layout_cache
+
+    def bucket_of(self, rkey: HashArray) -> npt.NDArray[np.intp]:
+        """Directory-order index of the bucket each run key lies in."""
+        layout = self._layout()
+        at: npt.NDArray[np.intp] = layout.by_top[_top(rkey, layout.depth)]
+        return at
+
+    def _index(self, bucket: Bucket) -> int:
+        return self._layout().buckets.index(bucket)
+
+    def _held_counts(self) -> CountTable:
+        nb = len(self._layout().buckets)
+        if not any(len(h[0]) for h in self.held):
+            return np.zeros((nb, self.geometry.n_streams), np.int64)
+        return np.stack(
+            [np.bincount(self.bucket_of(h[0]), minlength=nb) for h in self.held],
+            axis=1,
+        ).astype(np.int64)
+
+    def _sids(self) -> range:
+        return range(self.geometry.n_streams)
+
+    def _block_bytes(self, n: npt.NDArray[np.int64]) -> int:
+        """Block-granular bytes of windows of *n* tuples each."""
+        tpb = self.geometry.tuples_per_block
+        return self.geometry.block_bytes * int((-(-n // tpb)).sum())
+
+    # -- sizes --------------------------------------------------------------
+    def counts(self) -> tuple[CountTable, CountTable]:
+        """``(committed, head)`` tuples per mini-group and stream, the
+        mini-groups in directory order (``directory.buckets()``), as an
+        observer between two units would find them in the paper's
+        windows."""
+        return self.committed.copy(), self.head.copy()
+
+    @property
+    def n_tuples(self) -> int:
+        return int(self.committed.sum() + self.head.sum())
+
+    @property
+    def bytes_used(self) -> int:
+        """Block-granular bytes of every window, counted from the tables
+        (:attr:`total_bytes` is the same number, kept)."""
+        return self._block_bytes(self.committed + self.head)
+
+    def bytes_of(self, bucket: Bucket) -> int:
+        """Block-granular bytes of one mini-group's windows."""
+        i = self._index(bucket)
+        return self._block_bytes(self.committed[i] + self.head[i])
+
+    def committed_bytes(self, bucket: Bucket, sid: int) -> int:
+        """Block-granular committed bytes of stream *sid* in one
+        mini-group: what a probe of the opposite stream is charged for."""
+        return self._block_bytes(self.committed[self._index(bucket), sid])
+
+    @property
+    def n_mini_groups(self) -> int:
+        return self.directory.n_buckets
+
+    # -- routing --------------------------------------------------------------
+    def route(self, keys: KeyArray) -> tuple[npt.NDArray[np.intp], HashArray]:
+        """``(buckets, g)``: the index in ``directory.buckets()`` of
+        each key's mini-group, and its directory hash.  Several
+        directory slots can point to one bucket, so grouping is by
+        bucket, not by slot."""
+        gvals = directory_hash(keys)
+        return self.bucket_of(bit_reverse(gvals)), gvals
+
+    # -- the group's rows -------------------------------------------------------
+    def admit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
+        """Commit tuples to stream *sid*, count them in their
+        mini-groups and grow :attr:`total_bytes` by the blocks they
+        take."""
+        added = np.bincount(self.bucket_of(rkey), minlength=len(self.committed))
+        before = self.committed[:, sid] + self.head[:, sid]
+        self.total_bytes += self._block_bytes(before + added) - self._block_bytes(before)
+        self.committed[:, sid] += added
+        self.store.commit(sid, rkey, ts, seq, self.pid)
+
+    def sorted_run(self, sid: int) -> Columns:
+        """Stream *sid*'s committed tuples of this group in run-key
+        order, equal keys in commit order: ``(run key, ts, seq)``."""
+        return self.store.rows_of(self.pid, sid)
+
+    def probe(
+        self,
+        sid: int,
+        probe_ts: TsArray,
+        probe_rkey: HashArray,
+        probe_seq: SeqArray,
+        collect_pairs: bool = False,
+    ) -> ProbeResult:
+        """Match probe tuples of this group against stream *sid*'s
+        committed ones (:meth:`WindowStore.probe`: its keys are this
+        group's alone)."""
+        return self.store.probe(sid, probe_ts, probe_rkey, probe_seq, collect_pairs)
+
+    def count_before(self, cutoff_ts: float) -> int:
+        """How many committed tuples of the store expiry would drop."""
+        return self.store.count_before(cutoff_ts)
+
+    def expire_before(self, cutoff_ts: float) -> int:
+        """Expire the store (:meth:`WindowStore.expire_before`)."""
+        return self.store.expire_before(cutoff_ts)
 
     # -- maintenance --------------------------------------------------------------
     def tuning_candidates(self) -> tuple[list[SizedBucket], list[SizedBucket]]:
@@ -466,13 +599,12 @@ class PartitionGroup:
         merge with."""
         theta = self.geometry.theta_bytes
         tpb, block = self.geometry.tuples_per_block, self.geometry.block_bytes
-        lo, hi = self.bounds()
-        nbytes = block * (-(-(hi - lo + self._held_counts()) // tpb)).sum(axis=1)
+        nbytes = block * (-(-(self.committed + self.head) // tpb)).sum(axis=1)
         buckets = self._layout().buckets
         oversized = [
             (buckets[i], int(nbytes[i]))
             for i in np.flatnonzero(nbytes > 2 * theta).tolist()
-            if self.directory.can_split(buckets[i]) and self._separable(lo[i], hi[i])
+            if self.directory.can_split(buckets[i]) and self._separable(buckets[i])
         ]
         undersized = [
             (buckets[i], int(nbytes[i]))
@@ -481,39 +613,55 @@ class PartitionGroup:
         ]
         return oversized, undersized
 
-    def _separable(self, lo: CountTable, hi: CountTable) -> bool:
-        """True when a mini-group whose committed tuples are rows
-        ``[lo[s], hi[s])`` of each run holds more than one key.
+    def _separable(self, bucket: Bucket) -> bool:
+        """True when a mini-group's committed tuples hold more than one
+        key.
 
         A group dominated by one hot join key has identical directory
         hashes throughout; splitting it only doubles the directory
-        without reducing scan sizes, so the tuning policy skips it.  A
-        slice is in run-key order: its first and last rows bound it.
+        without reducing scan sizes, so the tuning policy skips it.  Its
+        rows are in run-key order: the first and last bound them.
         """
-        ends = [
-            (rkey[a], rkey[b - 1])
-            for rkey, a, b in zip(
-                (self.sorted_run(s)[0] for s in self._sids()), lo.tolist(), hi.tolist()
-            )
-            if b > a
-        ]
-        return bool(ends) and bool(min(e[0] for e in ends) != max(e[1] for e in ends))
+        lo, hi = _span(bucket.pattern, bucket.local_depth)
+        ends = []
+        for sid in self._sids():
+            rkey, mine = self.store.keys_in(self.pid, sid, lo, hi)
+            at = np.flatnonzero(mine)
+            if len(at):
+                ends += [rkey[at[0]], rkey[at[-1]]]
+        return bool(ends) and bool(min(ends) != max(ends))
 
     def oversized_buckets(self) -> list[Bucket]:
         return [b for b, _nbytes in self.tuning_candidates()[0]]
 
+    def _relabel(self, counts: dict[Bucket, CountTable]) -> None:
+        """After a split or merge: the committed table in the new
+        directory order, the new buckets' rows from *counts*."""
+        old = {bucket: i for i, bucket in enumerate(self._layout().buckets)}
+        self._layout_cache = None
+        buckets = self._layout().buckets
+        self.committed = self.committed[[old.get(bucket, 0) for bucket in buckets]]
+        for bucket, row in counts.items():
+            self.committed[buckets.index(bucket)] = row
+        self.head = self._held_counts()
+
     def split_bucket(self, bucket: Bucket) -> int:
         """Split one oversized bucket; returns bytes redistributed.
 
-        A relabelling: the children are the two halves of the bucket's
-        run-key range, sized with one more bound."""
-        committed, held = self._tally(_span(bucket.pattern, bucket.local_depth, 2))
-        per_half = committed + held
-        moved = self._block_bytes(per_half.sum(axis=1))
-        self.directory.split(bucket)
-        self._layout_cache = None
+        A relabelling: the low child holds the group's rows in the
+        lower half of the bucket's run-key range, counted."""
+        lo, mid, _hi = _span(bucket.pattern, bucket.local_depth, 2)
+        i = self._index(bucket)
+        moved = self._block_bytes(self.committed[i] + self.head[i])
+        low = np.array(
+            [np.count_nonzero(self.store.keys_in(self.pid, s, lo, mid)[1]) for s in self._sids()],
+            dtype=np.int64,
+        )
+        children = self.directory.split(bucket)
+        self._relabel(dict(zip(children, (low, self.committed[i] - low))))
         # Each half rounds up to whole blocks on its own.
-        self.total_bytes += self._block_bytes(per_half) - moved
+        at = [self._index(child) for child in children]
+        self.total_bytes += self._block_bytes(self.committed[at] + self.head[at]) - moved
         return moved
 
     def try_merge_bucket(self, bucket: Bucket) -> int:
@@ -523,22 +671,21 @@ class PartitionGroup:
         buddy = self.directory.buddy_of(bucket)
         if buddy is None:
             return 0
-        depth = bucket.local_depth - 1
-        pattern = bucket.pattern & ((1 << depth) - 1)
-        # The two halves of the merged range are the bucket and its buddy.
-        committed, held = self._tally(_span(pattern, depth, 2))
-        combined = self._block_bytes(committed + held)
-        if combined >= 2 * self.geometry.theta_bytes or held.any():
+        at = [self._index(bucket), self._index(buddy)]
+        combined = self._block_bytes(self.committed[at] + self.head[at])
+        if combined >= 2 * self.geometry.theta_bytes or self.head[at].any():
             return 0
-        self.directory.merge(bucket)
-        self._layout_cache = None
-        self.total_bytes += self._block_bytes(committed.sum(axis=1)) - combined
+        merged = self.directory.merge(bucket)
+        assert merged is not None
+        self._relabel({merged: self.committed[at].sum(axis=0)})
+        self.total_bytes += self.bytes_of(merged) - combined
         return combined
 
     # -- state movement ---------------------------------------------------------------
     def take_held(self) -> list[Columns]:
         """Hand the installed head-block tuples to a pass (they stay in
-        :attr:`total_bytes`: the pass keeps them in head blocks)."""
+        :attr:`head` and :attr:`total_bytes`: the pass keeps them in
+        head blocks)."""
         held = self.held
         self.held = [_NO_COLUMNS for _ in self._sids()]
         return held
@@ -546,27 +693,39 @@ class PartitionGroup:
     def extract_state(self) -> PartitionGroupState:
         """Drain this group's entire window state for migration."""
         state = self.snapshot_state()
+        self.store.drop(self.pid)
         self._reset()
         return state
 
     def snapshot_state(self) -> PartitionGroupState:
         """Copy this group's window state without draining it — the
-        owner side of a replication checkpoint.  Each mini-group's slice
-        is cut out of the run and put in timestamp order."""
-        lo, hi = self.bounds()
-        runs = [self.sorted_run(s) for s in self._sids()]
-        held_at = [self.bucket_of(h[0]) for h in self.held]
-        groups = []
-        for i, bucket in enumerate(self._layout().buckets):
+        owner side of a replication checkpoint.  Each mini-group's rows
+        are one slice of the group's, sized by its count, and are put
+        in timestamp order."""
+        buckets = self._layout().buckets
+        in_key_order = sorted(
+            range(len(buckets)),
+            key=lambda i: _span(buckets[i].pattern, buckets[i].local_depth)[0],
+        )
+        per_stream = []
+        for sid in self._sids():
+            rows = self.sorted_run(sid)
+            ends = np.cumsum(self.committed[in_key_order, sid]).tolist()
+            cuts = dict(zip(in_key_order, zip([0, *ends], ends)))
+            held_at = self.bucket_of(self.held[sid][0])
             streams = []
-            for sid, run in enumerate(runs):
-                cols = tuple(col[lo[i, sid] : hi[i, sid]] for col in run)
+            for i in range(len(buckets)):
+                cols = tuple(col[cuts[i][0] : cuts[i][1]] for col in rows)
                 order = np.argsort(cols[1], kind="stable")
                 committed = t.cast(Columns, tuple(col[order] for col in cols))
-                fresh = t.cast(Columns, tuple(col[held_at[sid] == i] for col in self.held[sid]))
+                fresh = t.cast(Columns, tuple(col[held_at == i] for col in self.held[sid]))
                 streams.append((_batch(sid, committed), _batch(sid, fresh)))
-            groups.append(GroupState(bucket.pattern, bucket.local_depth, tuple(streams)))
-        return PartitionGroupState(self.pid, self.directory.global_depth, tuple(groups))
+            per_stream.append(streams)
+        groups = tuple(
+            GroupState(b.pattern, b.local_depth, tuple(s[i] for s in per_stream))
+            for i, b in enumerate(buckets)
+        )
+        return PartitionGroupState(self.pid, self.directory.global_depth, groups)
 
     def install_state(self, state: PartitionGroupState) -> None:
         """Rebuild the fine-tuned directory from a shipped state blob."""
@@ -587,20 +746,23 @@ class PartitionGroup:
         directory.on_double = self._double_hook()
         self.directory = directory
         self._layout_cache = None
+        nb = len(self._layout().buckets)
+        committed = []
         for sid in self._sids():
-            committed = TupleBatch.concat([g.streams[sid][0] for g in state.groups])
-            self.commit(sid, run_key(committed.key), committed.ts, committed.seq)
+            batch = TupleBatch.concat([g.streams[sid][0] for g in state.groups])
+            rkey = run_key(batch.key)
+            self.store.commit(sid, rkey, batch.ts, batch.seq, self.pid)
+            committed.append(np.bincount(self.bucket_of(rkey), minlength=nb))
             fresh = TupleBatch.concat([g.streams[sid][1] for g in state.groups])
             self.held[sid] = (run_key(fresh.key), fresh.ts, fresh.seq)
-        # The runs are built here (one sort per stream), so the first
-        # probe after a migration or crash restore only merges, as on a
-        # node that saw every commit live.
+        self.committed = np.stack(committed, axis=1).astype(np.int64)
+        self.head = self._held_counts()
         self.total_bytes = self.bytes_used
 
 
 def _merged(old: Columns, new: Columns) -> Columns:
-    """Two blocks in run-key order as one, each tuple of *new* after the
-    tuples of *old* with its key: where a stable sort of *old* followed
+    """Two blocks in run-key order as one, each row of *new* after the
+    rows of *old* with its key: where a stable sort of *old* followed
     by *new* would put it."""
     if not len(old[0]):
         return new

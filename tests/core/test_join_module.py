@@ -6,7 +6,7 @@ import pytest
 from repro.core.costmodel import CostModel
 from repro.core.join_module import JoinModule
 from repro.core.metrics import MeasurementWindow, SlaveMetrics
-from repro.core.partition_group import JoinGeometry, PartitionGroup
+from repro.core.partition_group import JoinGeometry, WindowStore
 from repro.core.protocol import Shipment
 from repro.config import SystemConfig
 from repro.errors import ProtocolError
@@ -355,7 +355,7 @@ class TestSorting:
     def test_a_pass_sorts_each_block_once_and_labels_narrow(self, monkeypatch):
         """Over large windows, one two-stream pass — the shipment filed,
         then every step run: ``sorted_run`` sorts nothing, no 64-bit
-        argsort sees more than one join step's blocks, and every sort of
+        argsort sees more than one probe's blocks, and every sort of
         mini-group indexes or partition ids runs at 16 bits or fewer."""
         geometry = JoinGeometry(
             tuples_per_block=16,
@@ -372,34 +372,34 @@ class TestSorting:
 
         sorts, blocks, in_run = [], [], []
         real_argsort = np.argsort
-        real_sorted_run = PartitionGroup.sorted_run
-        real_join_step = JoinModule._join_step
+        real_sorted_run = WindowStore.sorted_run
+        real_probe = WindowStore.probe
 
         def argsort(a, *args, **kwargs):
             sorts.append((a.dtype, len(a), bool(in_run)))
             return real_argsort(a, *args, **kwargs)
 
-        def sorted_run(group, sid):
+        def sorted_run(store, sid):
             in_run.append(sid)
             try:
-                return real_sorted_run(group, sid)
+                return real_sorted_run(store, sid)
             finally:
                 in_run.pop()
 
-        def join_step(module, group, sid, block):
-            blocks.append(len(block[0]))
-            return real_join_step(module, group, sid, block)
+        def probe(store, sid, probe_ts, *args, **kwargs):
+            blocks.append(len(probe_ts))
+            return real_probe(store, sid, probe_ts, *args, **kwargs)
 
         batch = workload_batch(10.0, 10.5, 1500.0, seed=1)
         monkeypatch.setattr(np, "argsort", argsort)
-        monkeypatch.setattr(PartitionGroup, "sorted_run", sorted_run)
-        monkeypatch.setattr(JoinModule, "_join_step", join_step)
+        monkeypatch.setattr(WindowStore, "sorted_run", sorted_run)
+        monkeypatch.setattr(WindowStore, "probe", probe)
         module.enqueue(Shipment(1, 10.0, 10.5, batch))
         run_pass(module, 20.0)
         monkeypatch.undo()
 
         assert not module.has_work and blocks
-        window = min(len(g.sorted_run(s)[0]) for g in module.groups.values() for s in (0, 1))
+        window = min(len(module.store.sorted_run(s)[0]) for s in (0, 1))
         assert window > 10 * max(blocks)  # a sort of a window would show
         assert not [s for s in sorts if s[2]], "sorted_run sorted"
         wide = [n for dtype, n, _ in sorts if dtype.itemsize > 2]

@@ -212,9 +212,9 @@ class TestTotalBytes:
         assert other.total_bytes == other.bytes_used == held
 
     def test_absorb_is_a_pass_of_append_and_commit_per_block(self, geometry):
-        """A full-block step retired whole admits and commits what
-        filling and committing its blocks one unit at a time does —
-        with the head already holding 0, 1 or a whole block of
+        """A step's full-block units retired at once admit and commit
+        what filling and committing their blocks one unit at a time
+        does — with the head already holding 0, 1 or a whole block of
         installed tuples when the arrivals come."""
         tpb = geometry.tuples_per_block
         cost_model = CostModel(SystemConfig.paper_defaults().cost)
@@ -233,8 +233,8 @@ class TestTotalBytes:
                 )
                 module.enqueue(Shipment(0, 0.0, 11.0, batch))
                 steps = module.steps()
-                for step in (next(steps), next(steps)):  # expire, full blocks
-                    n = len(step.costs)
+                # The expiry, then the probe step's full-block units.
+                for step, n in ((next(steps), 1), (next(steps), (n_held + 11) // tpb)):
                     for lo in range(0, n, prefix):
                         hi = min(n, lo + prefix)
                         step.retire(lo, hi, np.full(hi - lo, 20.0))
@@ -302,12 +302,17 @@ def test_every_bucket_is_the_slice_of_its_hash_pattern(keys, ops):
             group.try_merge_bucket(bucket)
     rkey, _ts, seq = group.sorted_run(0)
     g = bit_reverse(rkey)
-    lo, hi = group.bounds()
-    spans = sorted(zip(lo[:, 0].tolist(), hi[:, 0].tolist()))
-    assert spans[0][0] == 0
-    assert all(a[1] == b[0] for a, b in zip(spans, spans[1:]))
-    assert spans[-1][1] == len(rkey)
-    for bucket, (a, b) in zip(directory.buckets(), zip(lo[:, 0], hi[:, 0])):
+    # In run-key order (by their first run keys) the buckets' kept
+    # counts cut the run into consecutive slices that tile it.
+    buckets = directory.buckets()
+    in_key_order = sorted(
+        range(len(buckets)),
+        key=lambda i: int(f"{buckets[i].pattern:064b}"[::-1], 2),
+    )
+    ends = np.cumsum(group.counts()[0][in_key_order, 0]).tolist()
+    assert ends[-1] == len(rkey)
+    for i, a, b in zip(in_key_order, [0, *ends], ends):
+        bucket = buckets[i]
         mask = (g & np.uint64((1 << bucket.local_depth) - 1)) == bucket.pattern
         assert np.flatnonzero(mask).tolist() == list(range(a, b))
     assert group.total_bytes == group.bytes_used
