@@ -31,17 +31,14 @@ Laziness is essential: a step's costs are computed from the state *at
 generation time*, and the generator only resumes after every unit of the
 previous step has been retired, so cost and effect always agree.  A
 step therefore holds only units whose costs follow arithmetically from
-what is known when it starts — a stream's full head blocks of one
-partition-group, its partial ones, one round of splits; wherever a cost
-depends on an earlier unit having *executed* (expiry, each merge, every
-probe on a memory-limited node, whose spill fraction moves with each
-admission) the step is that one unit.
-
-What a unit *computes* is another matter.  Partition-groups are
-disjoint in key space, so a pass plans the units of all of them at once
-(:class:`_Pass`): each stream's arrivals are routed and sorted once, and
-the two-stream matches of every unit come out of at most four probes of
-the store, handed out group by group in unit order.
+what is known when it starts — the head blocks of a run of
+partition-groups, one round of splits; wherever a cost depends on an
+earlier unit having *executed* (expiry, each merge, every probe on a
+memory-limited node, whose spill fraction moves with each admission)
+the step is that one unit.  What the units *compute* is planned for
+the whole pass at once (:class:`_Pass`): each stream's arrivals are
+routed and sorted once, and the two-stream matches of every unit come
+out of at most four probes of the store.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ import numpy.typing as npt
 
 from repro.core.costmodel import CostModel
 from repro.core.exthash import Bucket
-from repro.core.hashing import HashArray, partition_of, run_key, small_int_order, split_by
+from repro.core.hashing import partition_of, run_key, small_int_order, split_by
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
     CountTable,
@@ -77,7 +74,7 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 
 
 #: Head blocks' tuples: ``(run key, ts, seq, pid)`` columns.
-_Blocks = tuple[HashArray, TsArray, SeqArray, IntArray]
+_Blocks = tuple[npt.NDArray[np.uint64], TsArray, SeqArray, IntArray]
 
 
 class _Rows(t.NamedTuple):
@@ -161,11 +158,8 @@ class JoinModule:
         # event against a disabled tracer.
         if not self.tracer.enabled:
             return
-        self.tracer.emit(
-            DirectoryEvent(
-                t=self._tuning_time, node=self.node_id, pid=pid, depth=depth
-            )
-        )
+        event = DirectoryEvent(t=self._tuning_time, node=self.node_id, pid=pid, depth=depth)
+        self.tracer.emit(event)
 
     def extract_partition(self, pid: int) -> tuple[PartitionGroupState, TupleBatch]:
         """Drain window state + unprocessed buffered tuples of *pid*
@@ -175,12 +169,9 @@ class JoinModule:
             raise ProtocolError(f"node {self.node_id} does not own partition {pid}")
         state = group.extract_state()
         with self._buf_lock:
-            buffered = TupleBatch.concat(
-                [batch for _oldest, batch in self._minibuffers.pop(pid, ())]
-            )
-            self._pending_bytes -= buffered.payload_bytes(
-                self.geometry.tuple_bytes
-            )
+            queued = [batch for _oldest, batch in self._minibuffers.pop(pid, ())]
+            buffered = TupleBatch.concat(queued)
+            self._pending_bytes -= buffered.payload_bytes(self.geometry.tuple_bytes)
         # The popped mini-buffer may have been the one pinning the expiry
         # watermark; re-derive it from the surviving queues.
         self._rearm_watermark()
@@ -200,14 +191,8 @@ class JoinModule:
         shipment can trail tuples predating an earlier one — and a
         cutoff derived from the head alone would expire window tuples
         those batches still need to join against."""
-        return min(
-            (
-                oldest
-                for queue in self._minibuffers.values()
-                for oldest, _batch in queue
-            ),
-            default=float("inf"),
-        )
+        queues = self._minibuffers.values()
+        return min((at for queue in queues for at, _batch in queue), default=float("inf"))
 
     def snapshot_partition(self, pid: int) -> tuple[PartitionGroupState, TupleBatch]:
         """Non-destructive copy of *pid*'s window state + unprocessed
@@ -227,14 +212,11 @@ class JoinModule:
         buffered: TupleBatch | None,
         log: t.Sequence[TupleBatch] = (),
     ) -> None:
-        """Rebuild *pid* from a replication checkpoint plus log replay.
-
-        ``state``/``buffered`` are the checkpointed window state and
-        unprocessed mini-buffer (``None`` = the implicit empty genesis
-        checkpoint); ``log`` carries the teed per-epoch shipments since
-        the checkpoint, replayed through the normal buffering path so
-        the regular work units regenerate the lost join output.
-        """
+        """Rebuild *pid* from a replication checkpoint plus log replay:
+        the checkpointed window *state* and unprocessed mini-buffer
+        (``None``: the empty genesis checkpoint), then the teed per-epoch
+        shipments since, *log*, through the normal buffering path, so
+        the regular work units regenerate the lost join output."""
         self.add_partition(pid)
         if state is not None:
             self.groups[pid].install_state(state)
@@ -282,9 +264,7 @@ class JoinModule:
                 )
             self._file(pid, batch.take(rows))
         with self._buf_lock:
-            self._oldest_pending_ts = min(
-                self._oldest_pending_ts, shipment.epoch_start
-            )
+            self._oldest_pending_ts = min(self._oldest_pending_ts, shipment.epoch_start)
 
     @property
     def pending_bytes(self) -> int:
@@ -326,16 +306,13 @@ class JoinModule:
 
     # -- work generation ------------------------------------------------------
     def steps(self) -> t.Iterator[Step]:
-        """Generate costed work for ONE bounded pass over the buffers.
-
-        A pass covers at most one buffered batch per partition (roughly
-        one epoch's shipment); a backlogged slave needs several passes
-        to drain (the driver re-arms itself while :attr:`has_work`).
-        Bounding the pass keeps the slave's state lock from being
-        starved under overload: state moves and reorganization orders
-        grab the lock between passes, so the paper's rebalancing can
-        still reach an overloaded node.
-        """
+        """Generate costed work for ONE bounded pass over the buffers:
+        at most one buffered batch per partition (roughly one epoch's
+        shipment); a backlogged slave needs several passes (the driver
+        re-arms itself while :attr:`has_work`).  State moves and
+        reorganization orders take the slave's state lock between
+        passes, so the paper's rebalancing still reaches an overloaded
+        node."""
         oldest, drained = self._drain()
         if not drained:
             return
@@ -347,21 +324,15 @@ class JoinModule:
         yield from _Pass(self, pids, [drained[pid] for pid in pids]).steps()
 
     def _drain(self) -> tuple[float, dict[int, TupleBatch]]:
-        """Pop the head batch of every mini-buffer.
-
-        Returns the pre-drain watermark (what this pass's expiry cutoff
-        must respect) with the popped batches, and re-arms the watermark
-        from the batches left behind — all in one critical section, so
-        a shipment filed concurrently is either part of this pass and
-        its cutoff, or wholly deferred to the next one.
-        """
+        """Pop the head batch of every mini-buffer: the pre-drain
+        watermark (what this pass's expiry cutoff must respect) and the
+        batches, the watermark re-armed from those left — in one
+        critical section, so a shipment filed concurrently is either in
+        this pass and its cutoff, or wholly deferred to the next one."""
         with self._buf_lock:
             oldest = self._oldest_pending_ts
-            out = {
-                pid: queue.popleft()[1]
-                for pid, queue in self._minibuffers.items()
-                if queue
-            }
+            queues = self._minibuffers.items()
+            out = {pid: queue.popleft()[1] for pid, queue in queues if queue}
             if out:
                 self._oldest_pending_ts = self._oldest_queued_ts()
         return oldest, out
@@ -418,17 +389,7 @@ class JoinModule:
                 self._tuning_time = emit
                 moved = group.split_bucket(bucket)
                 self.metrics.splits += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        SplitEvent(
-                            t=emit,
-                            node=self.node_id,
-                            pid=group.pid,
-                            n_buckets=group.n_mini_groups,
-                            depth=group.directory.global_depth,
-                            bytes=moved,
-                        )
-                    )
+                self._traced(SplitEvent, emit, group, moved)
 
         costs = [self.cost_model.tuning_cost(nbytes) for _b, nbytes in oversized]
         return Step("tune", np.array(costs), retire)
@@ -438,19 +399,19 @@ class JoinModule:
             touched = group.try_merge_bucket(bucket)
             if touched:
                 self.metrics.merges += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        MergeEvent(
-                            t=float(emit_times[0]),
-                            node=self.node_id,
-                            pid=group.pid,
-                            n_buckets=group.n_mini_groups,
-                            depth=group.directory.global_depth,
-                            bytes=touched,
-                        )
-                    )
+                self._traced(MergeEvent, float(emit_times[0]), group, touched)
 
         return Step("tune", np.array([self.cost_model.tuning_cost(combined)]), retire)
+
+    def _traced(
+        self, event: type[SplitEvent | MergeEvent], at: float, group: PartitionGroup, n: int
+    ) -> None:
+        if self.tracer.enabled:
+            directory = group.directory
+            self.tracer.emit(event(
+                t=at, node=self.node_id, pid=group.pid, n_buckets=directory.n_buckets,
+                depth=directory.global_depth, bytes=n,
+            ))
 
 
 class _Pass:
@@ -462,31 +423,23 @@ class _Pass:
     mini-group's in arrival order; then, the buffer drained, one per
     partial head block, mini-group by mini-group, stream 0 before
     stream 1 (the order that finds a fresh/fresh pair exactly once).
-    They are handed out as one step up to the end of the next group
-    with tuning work (told from the counts alone), and that group's
-    tuning steps follow.
+    They go out as one step up to the end of the next group with tuning
+    work (told from the counts), whose tuning steps follow.
 
-    Units are the granularity of what is *charged* and of when outputs
-    are emitted.  The two-stream matches are computed for the whole
-    pass at once, after its expiry: each of the four kinds of block —
-    full blocks of stream 0, of stream 1, partial blocks of stream 0, of
-    stream 1, of every group — is sorted by run key once, probes the
-    opposite run of the store and is committed to its own, and the rows
-    are scattered back into unit order.  Groups and mini-groups are
-    disjoint in key space, so a block finds exactly the rows a probe of
-    its own mini-group would, against the windows its unit finds.  The
-    n-way join instead flushes each unit as it is retired, against runs
-    that hold every unit retired before it.
+    The two-stream matches are computed at once, after the expiry: each
+    kind of block — full ones of stream 0, of stream 1, partial ones of
+    stream 0, of stream 1, of every group — is sorted by run key, probes
+    the opposite run of the store and is committed to its own, and the
+    rows are scattered into unit order.  Groups and mini-groups are
+    disjoint in key space, so a block finds what a probe of its own
+    mini-group would.  The n-way join flushes a unit as it is retired.
 
-    That runs the store *ahead* of the windows an observer sees, which
-    are the groups' counts: a unit's block is full — its tuples
-    admitted to the head block, off the pending count — from the moment
-    the unit before it is retired, as if the blocks were still filled
-    one by one between units, and committed once it is retired.  Nothing
-    reads the store in between: the pass holds the slave's state lock,
-    and a group's tuning comes after its units.  The byte and tuple
-    counters move with every retire; the tables catch up (:meth:`sync`)
-    when they are read, before a group tunes and at the end of the pass.
+    The store is thus *ahead* of the windows an observer sees, the
+    groups' tables: a unit's block is full — admitted, off the pending
+    count — once the unit before it is retired, and committed once it
+    is.  Nothing reads the store in between (the pass holds the slave's
+    state lock; a group tunes after its units).  The counters move at
+    every retire, the tables when read (:meth:`sync`).
     """
 
     def __init__(
@@ -504,12 +457,12 @@ class _Pass:
         self.start = self.committed + self.head
         batch = TupleBatch.concat(batches)
         row_group = np.repeat(np.arange(len(groups)), [len(b) for b in batches])
-        bucket_pid = np.repeat(np.array(pids, np.int32), np.diff(self.first))
+        bucket_pid = np.repeat(np.array(pids), np.diff(self.first))
         held = [group.take_held() for group in groups]
         self.arrived = np.zeros((n_buckets, n_streams), np.int64)
         blocks, fill, holding = (np.zeros_like(self.arrived) for _ in range(3))
-        #: Per stream the rows of its full blocks, then per stream the
-        #: rows of its partial blocks, each mini-group by mini-group.
+        #: Per stream the tuples of its full blocks, then per stream
+        #: those of its partial blocks, mini-group by mini-group.
         self.blocks: list[_Blocks] = []
         partial: list[_Blocks] = []
         for sid in range(n_streams):
@@ -519,7 +472,7 @@ class _Pass:
             arrived = self.arrived[:, sid] = np.bincount(line[0], minlength=n_buckets)
             kept: list[npt.NDArray[t.Any]] = []
             if any(len(h[sid][0]) for h in held):
-                # A mini-group's line: its head's tuples first, then its
+                # A mini-group's line: its head's tuples, then its
                 # arrivals in arrival order.
                 cols = [np.concatenate(col) for col in zip(*(h[sid] for h in held))]
                 gi = np.repeat(np.arange(len(groups)), [len(h[sid][0]) for h in held])
@@ -527,27 +480,21 @@ class _Pass:
                 taken = arrived[cols[0]] > 0
                 line = [np.concatenate((h[taken], a)) for h, a in zip(cols, line)]
                 kept = [col[~taken] for col in cols]
-            if n_buckets > 1:  # one stable sort
+            if n_buckets > 1:
                 order = small_int_order(line[0], n_buckets)
                 line = [col[order] for col in line]
             holding[:, sid] = np.where(arrived > 0, self.head[:, sid], 0)
-            sizes = holding[:, sid] + arrived
-            blocks[:, sid] = sizes // tpb
-            rem = sizes - blocks[:, sid] * tpb
+            blocks[:, sid], rem = np.divmod(holding[:, sid] + arrived, tpb)
             fill[:, sid] = np.where(arrived > 0, rem, self.head[:, sid])
-            # Whole blocks fill the start of each mini-group's line; the
-            # rest of it (under a block) is its partial block.
-            at_rest = np.arange(int(rem.sum())) + np.repeat(
-                tpb * np.cumsum(blocks[:, sid]), rem
-            )
+            # Whole blocks fill the start of each line, the rest of it
+            # is a partial block (and so are held heads no arrival met).
+            at_rest = np.arange(rem.sum()) + np.repeat(tpb * blocks[:, sid].cumsum(), rem)
             in_full = np.ones(len(line[0]), dtype=np.bool_)
             in_full[at_rest] = False
-            full = line[0][in_full]
-            self.blocks.append(
-                (line[1][in_full], line[2][in_full], line[3][in_full], bucket_pid[full])
-            )
+            rkey, ts, seq, pid = (col[in_full] for col in (*line[1:], bucket_pid[line[0]]))
+            self.blocks.append((rkey, ts, seq, pid))
             rest = [col[at_rest] for col in line]
-            if kept:  # and the held heads no arrival reached
+            if kept:
                 rest = [np.concatenate(cols) for cols in zip(kept, rest)]
                 order = small_int_order(rest[0], n_buckets)
                 rest = [col[order] for col in rest]
@@ -561,7 +508,7 @@ class _Pass:
         self, depths: IntArray, blocks: CountTable, fill: CountTable, holding: CountTable
     ) -> None:
         """Lay every unit out as a row in unit order — its window cell,
-        fresh tuples, block rows and scanned bytes — and work out where
+        fresh tuples, block rows and scanned bytes — and work out when
         each arrival enters the windows and which groups tune."""
         geometry = self.module.geometry
         n_streams, tpb = geometry.n_streams, geometry.tuples_per_block
@@ -573,9 +520,9 @@ class _Pass:
         bucket = np.concatenate((*full, cells // n_streams))
         sid = np.concatenate((np.repeat(np.arange(n_streams), n_full), cells % n_streams))
         phase = np.repeat(np.arange(phases), [*n_full, len(cells)])
-        # The committed blocks a unit's scan reads: the full blocks of
-        # the lower streams are committed before a stream's full blocks
-        # fill; a partial block sees every full block and the partial
+        # A unit's scan reads the committed blocks of its mini-group's
+        # other windows: a full block, those of the full blocks of the
+        # lower streams; a partial one, every full block and the partial
         # blocks of the lower streams.
         scans = []
         for s, units in enumerate(full):
@@ -587,83 +534,71 @@ class _Pass:
         higher = np.cumsum(before[:, ::-1], axis=1)[:, ::-1] - before
         scans.append((lower + higher).ravel()[cells])
         rows = [np.arange(n) * tpb for n in n_full]
-        rows.append((np.cumsum(fill, axis=0) - fill).ravel()[cells])
         key = bucket_group[bucket] * phases + phase
         order = small_int_order(key, n_groups * phases)
         self.key = key[order]
         self.cell = (bucket * n_streams + sid)[order]
         self.fresh = np.concatenate((np.full(sum(n_full), tpb), fill.ravel()[cells]))[order]
         self.src = (sid + n_streams * (phase == n_streams))[order]
+        rows.append((np.cumsum(fill, axis=0) - fill).ravel()[cells])
         self.row = np.concatenate(rows)[order]
         self.scanned = np.concatenate(scans)[order] * geometry.block_bytes
         self.unit_group = bucket_group[bucket[order]]
-        # A group tunes only if one of its mini-groups ends the pass
-        # above two thetas, or below one theta and split before.
-        ends = np.searchsorted(self.key, np.arange(1, n_groups + 1) * phases)
-        end = self._block_bytes(self.start + self.arrived, axis=1)
-        theta = geometry.theta_bytes
+        # A group tunes only if a mini-group of its ends the pass above
+        # two thetas, or below one theta after a split.
+        theta, end = geometry.theta_bytes, self._block_bytes(self.start + self.arrived)
         tunes = (end > 2 * theta) | ((end < theta) & (depths > 0))
-        tuners = np.unique(bucket_group[tunes]) if geometry.fine_tuning else []
-        #: ``(stop, group)``: a step ends at unit *stop*; *group* then
+        ends = np.searchsorted(self.key, np.arange(1, n_groups + 1) * phases)
+        tuners = np.unique(bucket_group[tunes]).tolist() if geometry.fine_tuning else []
+        #: ``(stop, group)``: a step ends at unit *stop*, then *group*
         #: tunes (-1: none).
-        self.stops = [(int(ends[g]), int(g)) for g in tuners]
+        self.stops: list[tuple[int, int]] = [(int(ends[g]), g) for g in tuners]
         if not self.stops or self.stops[-1][0] < len(self.key):
             self.stops.append((len(self.key), -1))
-        # Stream s's arrivals enter the windows in line order, as many
-        # as admitted[s][p + 1] by position p (admitted[s][0] = 0, none
-        # yet): position 2u is unit u about to run, 2u + 1 unit u
-        # retired.  A full unit's block is in as
-        # it is about to run, and so is what waits under a block for it;
-        # the rest of a group's arrivals are in as its phase's last unit
-        # is retired — or, in a phase with no units, as the group's next
-        # unit is about to run.  windows[s] is what they have grown.
+        # At position 2u unit u is about to run, at 2u + 1 it is retired.
+        # admitted[s][p + 1] of stream s's arrivals, in line order, are
+        # in the windows at p: a full unit's block as it is about to run,
+        # and what waits under a block for it; the rest of a group's as
+        # its phase's last unit is retired, or, in a phase with no
+        # units, as the group's next unit is about to run.
         at = np.empty(len(order), np.intp)
         at[order] = np.arange(len(order))
         self.cuts = np.cumsum(self.arrived, axis=0) - self.arrived
         total = self.arrived.sum(axis=0)
         self.admitted: list[IntArray] = []
-        self.windows: list[IntArray] = []
-        positions = 2 * len(order) + 2
+        offset = 0
         for s, units in enumerate(full):
-            before_s = sum(n_full[:s])
             cuts = np.append(self.cuts[:, s], total[s])
             first_unit = np.append(0, np.cumsum(blocks[:, s]))
-            admitted = np.zeros(positions, dtype=np.int64)
+            starts = 2 * np.append(at[offset : offset + len(units)], 0)
+            offset += len(units)
+            admitted = np.zeros(2 * len(order) + 2, dtype=np.int64)
             block = np.arange(len(units)) - first_unit[units]
-            admitted[2 * at[before_s : before_s + len(units)] + 1] = (
-                cuts[units] + tpb * (block + 1) - holding[units, s]
-            )
+            admitted[starts[:-1] + 1] = cuts[units] + tpb * (block + 1) - holding[units, s]
             lo, hi = first_unit[self.first[:-1]], first_unit[self.first[1:]]
-            ended = np.where(
-                hi > lo,
-                2 * np.append(at[before_s : before_s + len(units)], 0)[hi - 1] + 1,
-                2 * np.searchsorted(self.key, np.arange(n_groups) * phases + s, "right"),
-            )
-            # (A unit's count is never below a group's before it.)
+            after = np.searchsorted(self.key, np.arange(n_groups) * phases + s, "right")
+            ended = np.where(hi > lo, starts[hi - 1] + 1, 2 * after)
+            # (A group's count is never above a unit's after it.)
             np.maximum.at(admitted, ended + 1, cuts[self.first[1:]])
             self.admitted.append(np.maximum.accumulate(admitted))
-            # The windows' blocks with the first n arrivals in: those of
-            # the mini-groups wholly in, those of the one partly in.
-            start = np.append(self.start[:, s], 0)
-            blocks_in = np.append(0, np.cumsum(-(-(start[:-1] + self.arrived[:, s]) // tpb) - -(-start[:-1] // tpb)))
-            whole = np.searchsorted(cuts[1:], self.admitted[s], "right")
-            part = -(-(start[whole] + self.admitted[s] - cuts[whole]) // tpb) - -(-start[whole] // tpb)
-            self.windows.append((blocks_in[whole] + part) * geometry.block_bytes)
-        self.upto = -1
-        self.retired = 0
+        self.upto, self.retired = -1, 0
         self.totals = self._group_bytes(self.start)
 
-    def _block_bytes(self, n: CountTable, axis: int | None = None) -> IntArray:
-        tpb, bb = self.module.geometry.tuples_per_block, self.module.geometry.block_bytes
-        nbytes: IntArray = (-(-n // tpb)).sum(axis=axis) * bb
-        return nbytes
+    def _block_bytes(self, window: CountTable) -> IntArray:
+        """Per mini-group, block-granular bytes of *window* tuples."""
+        geometry = self.module.geometry
+        blocks: IntArray = (-(-window // geometry.tuples_per_block)).sum(axis=1)
+        return blocks * geometry.block_bytes
 
     def _group_bytes(self, window: CountTable) -> IntArray:
-        """Per group, block-granular bytes of windows of *window* tuples."""
-        totals: IntArray = np.add.reduceat(
-            self._block_bytes(window, axis=1), self.first[:-1]
-        )
+        totals: IntArray = np.add.reduceat(self._block_bytes(window), self.first[:-1])
         return totals
+
+    def _window(self) -> CountTable:
+        """What the windows hold now, per mini-group and stream."""
+        admitted = np.array([a[self.upto + 1] for a in self.admitted])
+        window: CountTable = self.start + np.clip(admitted - self.cuts, 0, self.arrived)
+        return window
 
     def _join(self) -> _Rows:
         """The two-stream matches of every unit, four probes in all."""
@@ -682,12 +617,11 @@ class _Pass:
         per_unit = np.zeros(len(self.src), dtype=np.intp)
         placed = []
         for k, result in enumerate(results):
-            if result is None:
-                continue
-            mine = np.flatnonzero(self.src == k)
-            bounds = result.offsets[self.row[mine]]
-            per_unit[mine] = result.offsets[self.row[mine] + self.fresh[mine]] - bounds
-            placed.append((k % 2, mine, bounds, result))
+            if result is not None:
+                mine = np.flatnonzero(self.src == k)
+                bounds = result.offsets[self.row[mine]]
+                per_unit[mine] = result.offsets[self.row[mine] + self.fresh[mine]] - bounds
+                placed.append((k % 2, mine, bounds, result))
         offsets = np.zeros(len(self.src) + 1, dtype=np.intp)
         np.cumsum(per_unit, out=offsets[1:])
         newer = np.empty(offsets[-1], dtype=np.float64)
@@ -712,11 +646,8 @@ class _Pass:
             for first in range(lo, stop) if limited else [lo]:
                 last = first + 1 if limited else stop
                 self._admit(2 * first)
-                costs = module._probe_costs(
-                    self.fresh[first:last],
-                    self.scanned[first:last],
-                    module.spill_fraction(),
-                )
+                fresh, scanned = self.fresh[first:last], self.scanned[first:last]
+                costs = module._probe_costs(fresh, scanned, module.spill_fraction())
                 yield Step("probe", costs, self._retire(first, stop))
             if tuner >= 0:
                 self.sync()
@@ -741,25 +672,24 @@ class _Pass:
 
     def _admit(self, upto: int) -> None:
         """Bring the windows to position *upto*."""
-        was, self.upto = self.upto + 1, upto
-        moved = sum(int(a[upto + 1] - a[was]) for a in self.admitted)
-        if not moved:
-            return
-        module = self.module
-        module.admitted_bytes += sum(int(w[upto + 1] - w[was]) for w in self.windows)
-        with module._buf_lock:
-            module._pending_bytes -= moved * module.geometry.tuple_bytes
-        module.metrics.tuples_processed += moved
+        was, self.upto = self.upto, upto
+        moved = sum(int(a[upto + 1] - a[was + 1]) for a in self.admitted)
+        if moved:
+            module = self.module
+            grown = self._block_bytes(self._window()).sum() - self.totals.sum()
+            module.admitted_bytes = int(grown)
+            with module._buf_lock:
+                module._pending_bytes -= moved * module.geometry.tuple_bytes
+            module.metrics.tuples_processed += moved
 
     def sync(self) -> None:
-        """Bring the groups' tables and bytes to what the windows hold
-        now: the retired units committed, the rest of what is admitted
-        in head blocks."""
+        """Bring the groups' tables and bytes to what the windows hold:
+        the retired units committed, the rest of what is admitted in
+        head blocks."""
         n = self.retired
         done = np.bincount(self.cell[:n], self.fresh[:n], minlength=self.committed.size)
         self.committed[...] = self.base + done.astype(np.int64).reshape(self.base.shape)
-        admitted = np.array([a[self.upto + 1] for a in self.admitted])
-        window = self.start + np.clip(admitted - self.cuts, 0, self.arrived)
+        window = self._window()
         np.subtract(window, self.committed, out=self.head)
         totals = self._group_bytes(window)
         for at in np.flatnonzero(totals != self.totals).tolist():
@@ -770,8 +700,7 @@ class _Pass:
     def _record(self, lo: int, hi: int, emit_times: FloatArray) -> None:
         """Emit the output rows of units ``[lo, hi)``, each unit's at
         its own emit time, the pairs filed under their groups' pids."""
-        rows, metrics = self.rows, self.module.metrics
-        assert rows is not None
+        rows, metrics = t.cast(_Rows, self.rows), self.module.metrics
         first, last = rows.offsets[lo], rows.offsets[hi]
         if first == last:
             return
@@ -789,15 +718,14 @@ class _Pass:
     def _flush_composites(self, unit: int, emit_time: float) -> None:
         """n-way join: one unit probes when it is retired, against runs
         that hold every unit retired before it."""
-        module = self.module
-        k, start = int(self.src[unit]), int(self.row[unit])
-        rkey, ts, seq, _pid = (col[start : start + self.fresh[unit]] for col in self.blocks[k])
+        module, k = self.module, int(self.src[unit])
+        start, stop = self.row[unit], self.row[unit] + self.fresh[unit]
+        rkey, ts, seq, _pid = (col[start:stop] for col in self.blocks[k])
         sid, pid = k % module.geometry.n_streams, self.groups[self.unit_group[unit]].pid
-        composites = module.store.flush_composites(sid, (rkey, ts, seq), pid, module.collect_pairs)
-        module.metrics.record_outputs(emit_time, composites.newest_ts)
-        members = composites.members
-        if members is not None and len(members):
-            module.metrics.record_pairs(pid, members)
+        got = module.store.flush_composites(sid, (rkey, ts, seq), pid, module.collect_pairs)
+        module.metrics.record_outputs(emit_time, got.newest_ts)
+        if got.members is not None and len(got.members):
+            module.metrics.record_pairs(pid, got.members)
 
 
 def _oriented(matches: ProbeResult, sid: int) -> npt.NDArray[np.int64] | None:

@@ -8,43 +8,31 @@ streams' window data for that partition.  Inside a partition-group,
 via an extendible-hash directory so that each probe scans a bounded
 amount of window data: a mini-group larger than ``2*theta`` bytes is
 split, and one smaller than ``theta`` is merged with its buddy when the
-combined size stays below ``2*theta``.
-
-With fine tuning disabled the partition-group degenerates to a single
-mini-group of unbounded size — the configuration the paper uses as its
+combined size stays below ``2*theta``.  With fine tuning disabled the
+partition-group is a single mini-group of unbounded size — the paper's
 "no fine-tuning" comparison (Figures 7–10).
 
 **One store per slave.**  The committed tuples of every partition-group
 a slave owns live in one :class:`WindowStore`: per stream one **run** of
 rows ``(run key, ts, seq, pid)`` sorted by the run key ``rev(g(key))``
-— the directory hash with its bits reversed — equal keys in commit
-order.  ``g`` is a bijection, so equal run keys are equal join keys, and
-a key lives in exactly one partition: a probe of the store
-(:meth:`WindowStore.probe`) returns for each probe tuple exactly the
-rows, in the order, that a run of its own partition-group alone would.
-A row's seq and pid share one word, ``seq << b | pid``: every commit
-and expiry copies the run, and a fourth column would add a third to
-it.  A standalone :class:`PartitionGroup` (a baseline's, a test's) is a
-store of one group.
+— the directory hash, bits reversed — equal keys in commit order.  ``g``
+is a bijection and a key lives in one partition, so a probe of the store
+returns for each probe tuple exactly the rows, in the order, that a run
+of its own partition-group alone would.  A row's seq and pid share one
+word, ``seq << b | pid``: commits and expiries copy the runs, and a
+fourth column would add a third to that.  A standalone
+:class:`PartitionGroup` (a baseline's, a test's) is a store of one group.
 
 **A mini-group is a range.**  A bucket with pattern ``p`` and local
 depth ``d`` holds the keys whose ``d`` low bits of ``g`` equal ``p``:
-exactly the run keys whose ``d`` top bits are ``p`` reversed, one
-contiguous range, which its group's rows share with the other groups'.
-Nothing is ever copied to move a tuple between mini-groups: a split
-counts its group's rows in half of the range, a merge adds two counts.
-
-**Counts are kept.**  A group keeps, per mini-group (directory order)
-and stream, its committed and head-block tuple counts
-(:meth:`PartitionGroup.counts`); admission, expiry, splits, merges and
-moves move them with a ``bincount``, so sizes, costs and the tuning
-policy read tables, not the runs.
-
-**Sorted commits.**  The join module sorts each step's blocks by run
-key once and uses that order twice: to probe the opposite run, and as
-the block it commits (:meth:`WindowStore.commit`).  The run takes such
-a block with one merge and no sort of its own; only the rarer commits
-in another order (installed state, n-way flushes) are sorted, once.
+the run keys whose ``d`` top bits are ``p`` reversed, one range, shared
+with the other groups' rows.  A split counts its group's rows in half
+the range, a merge adds two counts; no tuple is copied.  A group keeps
+its committed and head-block counts per mini-group and stream
+(:meth:`PartitionGroup.counts`), moved by ``bincount`` at admission,
+expiry, split, merge and move, so sizes, costs and tuning read tables.
+Mini-groups bound what a probe is *charged* for scanning (the block
+nested-loop scan of its mini-group's committed blocks).
 """
 
 from __future__ import annotations
@@ -69,15 +57,15 @@ from repro.data.tuples import (
 )
 
 #: One stream's tuples as ``(run key, ts, seq)`` columns (in a store's
-#: runs, ``seq`` holds the packed seq and pid).
+#: runs, ``seq`` is the packed seq and pid).
 Columns = tuple[HashArray, TsArray, SeqArray]
 #: Per mini-group (directory bucket order) and stream, a tuple count.
 CountTable = npt.NDArray[np.int64]
+Indexes = npt.NDArray[np.intp]
 #: ``label(gi, rkey)``: see :func:`labeller`.
-Labeller = t.Callable[[npt.NDArray[np.intp], HashArray], npt.NDArray[np.intp]]
+Labeller = t.Callable[[Indexes, HashArray], Indexes]
 
 _END: t.Final = 1 << 64
-_ONE = np.uint64(1)
 
 
 class JoinGeometry(t.NamedTuple):
@@ -133,15 +121,13 @@ SizedBucket = tuple[Bucket, int]
 class _Layout(t.NamedTuple):
     """Where the directory's buckets lie in run-key order."""
 
-    #: The buckets in directory order (ascending pattern).
+    #: The buckets in directory order (ascending pattern), their local
+    #: depths, the global depth and, for each value of that many top
+    #: bits of a run key, the index in ``buckets`` of its bucket.
     buckets: list[Bucket]
-    #: The directory's global depth ...
+    depths: CountTable
     depth: int
-    #: ... and, for each value of that many top bits of a run key, the
-    #: index in ``buckets`` of the bucket it lies in.
-    by_top: npt.NDArray[np.intp]
-    #: Each bucket's local depth.
-    depths: npt.NDArray[np.int64]
+    by_top: Indexes
 
 
 #: No tuples (arrays are never written in place, so one is shared).
@@ -161,18 +147,17 @@ def _span(pattern: int, depth: int, parts: int = 1) -> list[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _slots_by_top(depth: int) -> npt.NDArray[np.intp]:
-    """For each value of the *depth* top bits of a run key, the slot of
-    a depth-*depth* directory it lies in: the same bits, reversed."""
+def _slots_by_top(depth: int) -> Indexes:
+    """For each value of the *depth* top bits of a run key, its slot in
+    a directory of that depth: the same bits, reversed."""
     tops = np.arange(1 << depth, dtype=np.uint64)
     slots = (bit_reverse(tops) >> np.uint64(64 - depth)) if depth else tops
     return slots.astype(np.intp)
 
 
-def _top(rkey: HashArray, depth: npt.NDArray[np.uint64] | int) -> npt.NDArray[np.intp]:
-    """The *depth* top bits of each run key (``depth`` may be 0)."""
-    shift = np.asarray(63 - np.asarray(depth), dtype=np.uint64)
-    top: npt.NDArray[np.intp] = ((rkey >> _ONE) >> shift).astype(np.intp)
+def _top(rkey: HashArray, shift: np.uint64 | npt.NDArray[np.uint64]) -> Indexes:
+    """Each run key's top ``63 - shift`` bits (``shift`` may be 63)."""
+    top: Indexes = ((rkey >> np.uint64(1)) >> shift).astype(np.intp)
     return top
 
 
@@ -183,22 +168,20 @@ def _batch(sid: int, cols: Columns) -> TupleBatch:
     )
 
 
-def labeller(
-    groups: t.Sequence[PartitionGroup],
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.int64], Labeller]:
+def labeller(groups: t.Sequence[PartitionGroup]) -> tuple[Indexes, CountTable, Labeller]:
     """``(first, depths, label)`` over the mini-groups of all *groups*,
-    group by group and each group's in directory order: group ``i``'s
-    are ``first[i]`` to ``first[i + 1]``, ``depths`` are their local
-    depths, and ``label(gi, rkey)`` is where the mini-group of a tuple
-    of group ``gi`` with run key ``rkey`` is."""
+    group by group, each group's in directory order: group ``i``'s are
+    ``first[i]`` to ``first[i + 1]``, ``depths`` are their local depths,
+    and ``label(gi, rkey)`` is where the mini-group of a tuple of group
+    ``gi`` with run key ``rkey`` is."""
     layouts = [group._layout() for group in groups]
     first = np.cumsum([0] + [len(lay.buckets) for lay in layouts])
     starts = np.cumsum([0] + [len(lay.by_top) for lay in layouts])
     table = np.concatenate([lay.by_top + at for lay, at in zip(layouts, first)])
-    depth = np.array([lay.depth for lay in layouts], dtype=np.uint64)
+    shift = 63 - np.array([lay.depth for lay in layouts], dtype=np.uint64)
 
-    def label(gi: npt.NDArray[np.intp], rkey: HashArray) -> npt.NDArray[np.intp]:
-        at: npt.NDArray[np.intp] = table[starts[gi] + _top(rkey, depth[gi])]
+    def label(gi: Indexes, rkey: HashArray) -> Indexes:
+        at: Indexes = table[starts[gi] + _top(rkey, shift[gi])]
         return at
 
     return first, np.concatenate([lay.depths for lay in layouts]), label
@@ -222,20 +205,18 @@ class WindowStore:
 
     def __init__(self, geometry: JoinGeometry, npart: int) -> None:
         self.geometry = geometry
-        #: The low bits of a packed seq that hold a pid below *npart*.
+        #: The low bits of a packed seq, which hold a pid below *npart*.
         self.pid_bits = max(npart - 1, 0).bit_length()
         self._pid_mask = (1 << self.pid_bits) - 1
         #: The groups whose tuples the store holds, by pid.
         self.groups: dict[int, PartitionGroup] = {}
         n = geometry.n_streams
-        #: Per stream, the committed tuples in run-key order.
+        #: Per stream, the committed rows in run-key order ...
         self._runs: list[Columns] = [_NO_COLUMNS] * n
-        #: Per stream, the commits not yet spliced into its run, merged
-        #: into one run-key-ordered block (equal keys in commit order).
+        #: ... those not spliced in yet, as one run-key-ordered block ...
         self._pending: list[Columns] = [_NO_COLUMNS] * n
-        #: Per stream, the oldest timestamp of its run and pending
-        #: commits (``inf`` when empty): expiry that drops nothing
-        #: reads nothing.
+        #: ... and the oldest timestamp of either (``inf``: none), so
+        #: that an expiry that drops nothing reads nothing.
         self._oldest = [float("inf")] * n
 
     def commit(
@@ -246,16 +227,12 @@ class WindowStore:
         seq: SeqArray,
         pid: int | npt.NDArray[np.integer[t.Any]],
     ) -> None:
-        """Add tuples of groups *pid* to stream *sid*'s run; whoever
-        commits them moves their groups' tables.
-
-        The join module commits each step's blocks already in run-key
-        order (it sorted them once, to probe with), and they are kept
-        as they are.  Tuples in any other order — an installed state, an
-        n-way flush — are stable-sorted here, once.  Either way they
-        wait, merged after the earlier commits of their keys, for the
-        next :meth:`sorted_run` to splice them in.  The arrays are
-        kept: they must not be views of storage that changes.
+        """Add tuples of groups *pid* to stream *sid*'s run (whoever
+        commits them moves their groups' tables).  Blocks the join module
+        sorted to probe with come in run-key order; others (installed
+        state, n-way flushes) are stable-sorted here.  They wait, merged
+        after earlier commits of their keys, for :meth:`sorted_run`.
+        The arrays are kept: they must not be views of changing storage.
         """
         if not len(ts):
             return
@@ -267,15 +244,9 @@ class WindowStore:
         self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
 
     def sorted_run(self, sid: int) -> Columns:
-        """Stream *sid*'s committed rows in run-key order, equal keys in
-        commit order, valid until the next mutation: ``(run key, ts,
-        packed seq)``.
-
-        The order is exactly a stable argsort of the rows in commit
-        order, but nothing is sorted here: :meth:`commit` holds the
-        rows committed since the last call as one block already in
-        run-key order, and it is merged in after the run's equal keys.
-        """
+        """Stream *sid*'s rows ``(run key, ts, packed seq)`` in run-key
+        order, equal keys in commit order, valid until the next
+        mutation; the pending block is merged in, nothing sorted."""
         pending = self._pending[sid]
         if len(pending[0]):
             self._runs[sid] = _merged(self._runs[sid], pending)
@@ -289,36 +260,18 @@ class WindowStore:
         probe_rkey: HashArray,
         probe_seq: SeqArray,
         collect_pairs: bool = False,
-        key_order: npt.NDArray[np.intp] | None = None,
+        key_order: Indexes | None = None,
     ) -> ProbeResult:
-        """Match *probe* tuples, given by their run keys
-        (:func:`~repro.core.hashing.run_key`), against stream *sid*'s
-        committed tuples.  Every two-stream match comes out of here.
-
-        The probe tuples may come in any order and from any of the
-        store's groups.  The join module also passes *key_order*, the
-        stable argsort of their run keys it sorts the blocks by to
-        commit them, so that the run is searched with ascending keys
-        (:func:`~repro.core.probe.key_ranges`); the rows are the same,
-        in the same order.
-
-        A committed tuple ``c`` matches probe tuple ``p`` iff ``c.key ==
-        p.key`` and ``|c.ts - p.ts| <= window_seconds`` — the boundary
-        is *inclusive* on both sides.  The match set is exact; the CPU
-        *charged* for it is the caller's business (the block nested-loop
-        scan of one mini-group's committed bytes).
-        """
+        """Match probe tuples of any group, given by their run keys,
+        against stream *sid*'s committed ones: ``c`` matches ``p`` iff
+        ``c.key == p.key`` and ``|c.ts - p.ts| <= window_seconds``.
+        Every two-stream match comes out of here.  *key_order* sorts the
+        probe keys, so the run is searched in ascending order
+        (:func:`~repro.core.probe.key_ranges`); the rows are the same."""
         rkey, ts, packed = self.sorted_run(sid)
         result = probe_sorted(
-            probe_ts,
-            probe_rkey,
-            probe_seq,
-            rkey,
-            ts,
-            packed,
-            self.geometry.window_seconds,
-            collect_pairs=collect_pairs,
-            key_order=key_order,
+            probe_ts, probe_rkey, probe_seq, rkey, ts, packed,
+            self.geometry.window_seconds, collect_pairs, key_order,
         )
         if result.pairs is not None:
             result.pairs[:, 1] >>= self.pid_bits
@@ -327,28 +280,15 @@ class WindowStore:
     def flush_composites(
         self, sid: int, block: Columns, pid: int, collect_pairs: bool = False
     ) -> CompositeResult:
-        """n-way join: match one head *block* of stream *sid* (of group
-        *pid*) against the other streams' runs, and commit it to its
-        own.
-
-        Only committed tuples of the other streams take part (the
-        duplicate-elimination rule: a result is emitted by the last of
-        its members to flush).  The two-stream join never comes here:
-        the join module probes a whole pass at once through
-        :meth:`probe`.
-        """
+        """n-way join: match one head *block* of stream *sid*, of group
+        *pid*, against the other streams' runs, and commit it to its own.
+        Only committed tuples of the other streams take part (a result
+        is emitted by the last of its members to flush)."""
         sids = range(self.geometry.n_streams)
         others = [(k, *self.sorted_run(k)) for k in sids if k != sid]
         rkey, ts, seq = block
-        result = probe_composites(
-            sid,
-            ts,
-            rkey,
-            seq,
-            others,
-            dict.fromkeys(sids, self.geometry.window_seconds),
-            collect_members=collect_pairs,
-        )
+        windows = dict.fromkeys(sids, self.geometry.window_seconds)
+        result = probe_composites(sid, ts, rkey, seq, others, windows, collect_pairs)
         if result.members is not None:
             result.members[:, [k for k in sids if k != sid]] >>= self.pid_bits
         self.commit(sid, rkey, ts, seq, pid)
@@ -360,17 +300,15 @@ class WindowStore:
         mine = (packed & self._pid_mask) == pid
         return rkey[mine], ts[mine], packed[mine] >> self.pid_bits
 
-    def keys_in(
-        self, pid: int, sid: int, lo: int, hi: int
-    ) -> tuple[HashArray, npt.NDArray[np.bool_]]:
-        """Stream *sid*'s run keys in ``[lo, hi)``, in order, and which
-        of them are group *pid*'s."""
-        run = self.sorted_run(sid)
+    def keys_of(self, pid: int, sid: int, lo: int, hi: int) -> HashArray:
+        """Group *pid*'s run keys of stream *sid* in ``[lo, hi)``."""
+        rkey, _ts, packed = self.sorted_run(sid)
         a, b = (
-            len(run[0]) if key >= _END else int(np.searchsorted(run[0], np.uint64(key)))
+            len(rkey) if key >= _END else int(np.searchsorted(rkey, np.uint64(key)))
             for key in (lo, hi)
         )
-        return run[0][a:b], (run[2][a:b] & self._pid_mask) == pid
+        mine: HashArray = rkey[a:b][(packed[a:b] & self._pid_mask) == pid]
+        return mine
 
     def drop(self, pid: int) -> None:
         """Remove group *pid*'s rows (its tables are its own business)."""
@@ -382,7 +320,6 @@ class WindowStore:
         self._runs[sid] = kept
         self._oldest[sid] = float(kept[1].min()) if len(kept[1]) else float("inf")
 
-    # -- expiry -------------------------------------------------------------------
     def count_before(self, cutoff_ts: float) -> int:
         """How many committed tuples :meth:`expire_before` would drop."""
         return sum(
@@ -392,11 +329,10 @@ class WindowStore:
         )
 
     def expire_before(self, cutoff_ts: float) -> int:
-        """Drop committed tuples older than *cutoff_ts* and take them
-        off their groups' tables; returns the count dropped.  Head-block
-        tuples never expire: they arrived within the current epoch, far
-        less than a window ago."""
-        gone: list[tuple[int, SeqArray, HashArray]] = []
+        """Drop committed tuples older than *cutoff_ts*, off their
+        groups' tables too; returns the count dropped.  Head-block
+        tuples never expire: they arrived within the current epoch."""
+        gone = []
         for sid, oldest in enumerate(self._oldest):
             if oldest < cutoff_ts:
                 rkey, ts, packed = self.sorted_run(sid)
@@ -415,11 +351,10 @@ class WindowStore:
             for sid, pid, rkey in gone:
                 at = label(index[pid], rkey)
                 committed[:, sid] -= np.bincount(at, minlength=len(committed))
-            geometry = self.geometry
-            blocks = (-(-(committed + head) // geometry.tuples_per_block)).sum(axis=1)
-            per_group = np.add.reduceat(blocks, first[:-1]) * geometry.block_bytes
-            for group, nbytes in zip(groups, per_group.tolist()):
-                group.total_bytes = nbytes
+            tpb, bb = self.geometry.tuples_per_block, self.geometry.block_bytes
+            blocks = (-(-(committed + head) // tpb)).sum(axis=1)
+            for group, n in zip(groups, np.add.reduceat(blocks, first[:-1]).tolist()):
+                group.total_bytes = n * bb
         return dropped
 
 
@@ -441,21 +376,21 @@ class PartitionGroup:
         #: the one its join module shares between all of its groups.
         self.store = WindowStore(geometry, self.pid + 1) if store is None else store
         self.store.groups[self.pid] = self
-        self.directory = ExtendibleDirectory()
+        self.directory: ExtendibleDirectory
         #: Block-granular bytes of every mini-group's windows, kept up
         #: to date: the join module moves it as it admits arrivals, the
         #: operations here as they drop, relabel or install tuples.
-        self.total_bytes = 0
+        self.total_bytes: int
         #: Committed tuples per mini-group and stream.
-        self.committed: CountTable = np.zeros((1, geometry.n_streams), np.int64)
+        self.committed: CountTable
         #: Head-block tuples per mini-group and stream: the installed
         #: ones (:attr:`held`), and, while a pass runs, its head blocks.
-        self.head: CountTable = np.zeros((1, geometry.n_streams), np.int64)
+        self.head: CountTable
         #: Per stream, installed head-block tuples (``fresh`` in a
         #: :class:`GroupState`) that no pass has taken yet, in arrival
         #: order.  A live group never holds any between passes.
-        self.held: list[Columns] = []
-        self._layout_cache: _Layout | None = None
+        self.held: list[Columns]
+        self._layout_cache: _Layout | None
         self._reset()
 
     def _reset(self) -> None:
@@ -480,30 +415,27 @@ class PartitionGroup:
             buckets = directory.buckets()
             depth = directory.global_depth
             patterns = np.array([b.pattern for b in buckets], dtype=np.int64)
-            by_top = np.searchsorted(
-                patterns, directory.pattern_table()[_slots_by_top(depth)]
-            )
+            slots = directory.pattern_table()[_slots_by_top(depth)]
             depths = np.array([b.local_depth for b in buckets], dtype=np.int64)
-            self._layout_cache = _Layout(buckets, depth, by_top, depths)
+            by_top = np.searchsorted(patterns, slots)
+            self._layout_cache = _Layout(buckets, depths, depth, by_top)
         return self._layout_cache
 
-    def bucket_of(self, rkey: HashArray) -> npt.NDArray[np.intp]:
+    def bucket_of(self, rkey: HashArray) -> Indexes:
         """Directory-order index of the bucket each run key lies in."""
         layout = self._layout()
-        at: npt.NDArray[np.intp] = layout.by_top[_top(rkey, layout.depth)]
+        at: Indexes = layout.by_top[_top(rkey, np.uint64(63 - layout.depth))]
         return at
 
     def _index(self, bucket: Bucket) -> int:
         return self._layout().buckets.index(bucket)
 
     def _held_counts(self) -> CountTable:
-        nb = len(self._layout().buckets)
-        if not any(len(h[0]) for h in self.held):
-            return np.zeros((nb, self.geometry.n_streams), np.int64)
-        return np.stack(
-            [np.bincount(self.bucket_of(h[0]), minlength=nb) for h in self.held],
-            axis=1,
-        ).astype(np.int64)
+        nb, held = len(self._layout().buckets), [h[0] for h in self.held]
+        if not any(len(rkey) for rkey in held):
+            return np.zeros((nb, len(held)), np.int64)
+        counts = [np.bincount(self.bucket_of(rkey), minlength=nb) for rkey in held]
+        return np.stack(counts, axis=1).astype(np.int64)
 
     def _sids(self) -> range:
         return range(self.geometry.n_streams)
@@ -515,10 +447,8 @@ class PartitionGroup:
 
     # -- sizes --------------------------------------------------------------
     def counts(self) -> tuple[CountTable, CountTable]:
-        """``(committed, head)`` tuples per mini-group and stream, the
-        mini-groups in directory order (``directory.buckets()``), as an
-        observer between two units would find them in the paper's
-        windows."""
+        """``(committed, head)`` tuples per mini-group (in directory
+        order, ``directory.buckets()``) and stream."""
         return self.committed.copy(), self.head.copy()
 
     @property
@@ -545,20 +475,16 @@ class PartitionGroup:
     def n_mini_groups(self) -> int:
         return self.directory.n_buckets
 
-    # -- routing --------------------------------------------------------------
-    def route(self, keys: KeyArray) -> tuple[npt.NDArray[np.intp], HashArray]:
+    # -- the group's tuples ---------------------------------------------------
+    def route(self, keys: KeyArray) -> tuple[Indexes, HashArray]:
         """``(buckets, g)``: the index in ``directory.buckets()`` of
-        each key's mini-group, and its directory hash.  Several
-        directory slots can point to one bucket, so grouping is by
-        bucket, not by slot."""
+        each key's mini-group, and its directory hash."""
         gvals = directory_hash(keys)
         return self.bucket_of(bit_reverse(gvals)), gvals
 
-    # -- the group's rows -------------------------------------------------------
     def admit(self, sid: int, rkey: HashArray, ts: TsArray, seq: SeqArray) -> None:
-        """Commit tuples to stream *sid*, count them in their
-        mini-groups and grow :attr:`total_bytes` by the blocks they
-        take."""
+        """Commit tuples to stream *sid*, counted in their mini-groups
+        and in :attr:`total_bytes`."""
         added = np.bincount(self.bucket_of(rkey), minlength=len(self.committed))
         before = self.committed[:, sid] + self.head[:, sid]
         self.total_bytes += self._block_bytes(before + added) - self._block_bytes(before)
@@ -578,17 +504,13 @@ class PartitionGroup:
         probe_seq: SeqArray,
         collect_pairs: bool = False,
     ) -> ProbeResult:
-        """Match probe tuples of this group against stream *sid*'s
-        committed ones (:meth:`WindowStore.probe`: its keys are this
-        group's alone)."""
+        """:meth:`WindowStore.probe` with this group's tuples."""
         return self.store.probe(sid, probe_ts, probe_rkey, probe_seq, collect_pairs)
 
     def count_before(self, cutoff_ts: float) -> int:
-        """How many committed tuples of the store expiry would drop."""
         return self.store.count_before(cutoff_ts)
 
     def expire_before(self, cutoff_ts: float) -> int:
-        """Expire the store (:meth:`WindowStore.expire_before`)."""
         return self.store.expire_before(cutoff_ts)
 
     # -- maintenance --------------------------------------------------------------
@@ -615,20 +537,14 @@ class PartitionGroup:
 
     def _separable(self, bucket: Bucket) -> bool:
         """True when a mini-group's committed tuples hold more than one
-        key.
-
-        A group dominated by one hot join key has identical directory
-        hashes throughout; splitting it only doubles the directory
-        without reducing scan sizes, so the tuning policy skips it.  Its
-        rows are in run-key order: the first and last bound them.
-        """
+        key.  A group dominated by one hot join key has identical
+        directory hashes throughout; splitting it only doubles the
+        directory without reducing scan sizes, so the tuning policy
+        skips it.  Its run keys are in order: the first and last bound
+        them."""
         lo, hi = _span(bucket.pattern, bucket.local_depth)
-        ends = []
-        for sid in self._sids():
-            rkey, mine = self.store.keys_in(self.pid, sid, lo, hi)
-            at = np.flatnonzero(mine)
-            if len(at):
-                ends += [rkey[at[0]], rkey[at[-1]]]
+        keys = [self.store.keys_of(self.pid, sid, lo, hi) for sid in self._sids()]
+        ends = [k[i] for k in keys if len(k) for i in (0, -1)]
         return bool(ends) and bool(min(ends) != max(ends))
 
     def oversized_buckets(self) -> list[Bucket]:
@@ -646,16 +562,14 @@ class PartitionGroup:
         self.head = self._held_counts()
 
     def split_bucket(self, bucket: Bucket) -> int:
-        """Split one oversized bucket; returns bytes redistributed.
-
-        A relabelling: the low child holds the group's rows in the
-        lower half of the bucket's run-key range, counted."""
+        """Split one oversized bucket; returns bytes redistributed.  A
+        relabelling: the low child holds the group's tuples in the lower
+        half of the bucket's run-key range, counted."""
         lo, mid, _hi = _span(bucket.pattern, bucket.local_depth, 2)
         i = self._index(bucket)
         moved = self._block_bytes(self.committed[i] + self.head[i])
         low = np.array(
-            [np.count_nonzero(self.store.keys_in(self.pid, s, lo, mid)[1]) for s in self._sids()],
-            dtype=np.int64,
+            [len(self.store.keys_of(self.pid, sid, lo, mid)) for sid in self._sids()]
         )
         children = self.directory.split(bucket)
         self._relabel(dict(zip(children, (low, self.committed[i] - low))))
@@ -675,8 +589,7 @@ class PartitionGroup:
         combined = self._block_bytes(self.committed[at] + self.head[at])
         if combined >= 2 * self.geometry.theta_bytes or self.head[at].any():
             return 0
-        merged = self.directory.merge(bucket)
-        assert merged is not None
+        merged = t.cast(Bucket, self.directory.merge(bucket))
         self._relabel({merged: self.committed[at].sum(axis=0)})
         self.total_bytes += self.bytes_of(merged) - combined
         return combined
@@ -699,19 +612,19 @@ class PartitionGroup:
 
     def snapshot_state(self) -> PartitionGroupState:
         """Copy this group's window state without draining it — the
-        owner side of a replication checkpoint.  Each mini-group's rows
-        are one slice of the group's, sized by its count, and are put
-        in timestamp order."""
+        owner side of a replication checkpoint.  In run-key order each
+        mini-group's tuples are one slice of the group's, as long as its
+        count; each goes out in timestamp order."""
         buckets = self._layout().buckets
-        in_key_order = sorted(
+        by_key = sorted(
             range(len(buckets)),
             key=lambda i: _span(buckets[i].pattern, buckets[i].local_depth)[0],
         )
         per_stream = []
         for sid in self._sids():
             rows = self.sorted_run(sid)
-            ends = np.cumsum(self.committed[in_key_order, sid]).tolist()
-            cuts = dict(zip(in_key_order, zip([0, *ends], ends)))
+            ends = np.cumsum(self.committed[by_key, sid]).tolist()
+            cuts = dict(zip(by_key, zip([0, *ends], ends)))
             held_at = self.bucket_of(self.held[sid][0])
             streams = []
             for i in range(len(buckets)):
@@ -778,7 +691,7 @@ def _spliced(
     old: npt.NDArray[t.Any],
     new: npt.NDArray[t.Any],
     is_old: npt.NDArray[np.bool_],
-    slots: npt.NDArray[np.intp],
+    slots: Indexes,
 ) -> npt.NDArray[t.Any]:
     """*old* and *new* interleaved: *new* at *slots*, *old* elsewhere."""
     out = np.empty(len(is_old), old.dtype)

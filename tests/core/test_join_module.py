@@ -410,6 +410,55 @@ class TestSorting:
         assert [dtype for dtype, _n, _ in sorts if dtype.itemsize <= 2]
 
 
+class TestOneStore:
+    def test_a_pass_hashes_sorts_and_probes_each_stream_once(self, geometry, monkeypatch):
+        """A slave owning 30 partition-groups (``npart=60``, two slaves)
+        keeps them in one store: a pass hashes each stream's arrivals
+        once, sorts them by mini-group once, and probes the store at
+        most four times — not per partition-group."""
+        import repro.core.hashing as hashing
+        import repro.core.join_module as join_module
+        import repro.core.partition_group as partition_group
+        from repro.core.hashing import partition_of
+        from repro.data.tuples import TupleBatch
+
+        module, metrics = make_module(geometry, npart=60, collect_pairs=True)
+        for pid in range(1, 60, 2):
+            module.extract_partition(pid)
+        hashed, sorted_, probes = [], [], []
+
+        def spy(log, real):
+            def counted(first, *args, **kwargs):
+                log.append(len(first))
+                return real(first, *args, **kwargs)
+
+            return counted
+
+        for where in (hashing, partition_group):
+            monkeypatch.setattr(where, "directory_hash", spy(hashed, where.directory_hash))
+        real_sort, real_probe = join_module.small_int_order, partition_group.probe_sorted
+        monkeypatch.setattr(join_module, "small_int_order", spy(sorted_, real_sort))
+        monkeypatch.setattr(partition_group, "probe_sorted", spy(probes, real_probe))
+        trace = []
+        for epoch in range(3):
+            t0, t1 = 2.0 * epoch, 2.0 * (epoch + 1)
+            batch = workload_batch(t0, t1, rate=3000.0, seed=epoch)
+            batch = batch.select(partition_of(batch.key, 60) % 2 == 0)
+            trace.append(batch)
+            module.enqueue(Shipment(epoch, t0, t1, batch))
+            for log in (hashed, sorted_, probes):
+                log.clear()
+            run_pass(module, t1)
+            arrivals = sorted(len(batch.by_stream(sid)) for sid in (0, 1))
+            assert sorted(hashed) == arrivals
+            assert sorted(sorted_)[-2:] == arrivals and len(sorted_) <= 3
+            assert 0 < len(probes) <= 4
+        monkeypatch.undo()
+        got = np.concatenate(metrics.pair_chunks())
+        expected = naive_window_join(TupleBatch.concat(trace), geometry.window_seconds)
+        assert np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], expected)
+
+
 class TestConcurrentFiling:
     """The comm thread files shipments while the join thread drains
     (thread/process/tcp backends): the mini-buffers must tolerate it."""
