@@ -62,6 +62,7 @@ from repro.core.partition_group import (
     SizedBucket,
     WindowStore,
     gather_tables,
+    group_bytes,
     labeller,
 )
 from repro.core.probe import ProbeResult
@@ -121,10 +122,6 @@ class JoinModule:
         self.store = WindowStore(geometry, npart)
         #: ... and the groups, by pid (the store's own table of them).
         self.groups = self.store.groups
-        #: The pass under way, and the bytes its admissions have added
-        #: that its groups' ``total_bytes`` do not hold yet.
-        self.live: _Pass | None = None
-        self.admitted_bytes = 0
         #: Guards the mini-buffers (the dict and its deques) and the two
         #: scalars derived from them.  On the wall-clock backends the
         #: comm thread files shipments (:meth:`enqueue`) while the join
@@ -158,8 +155,11 @@ class JoinModule:
         # event against a disabled tracer.
         if not self.tracer.enabled:
             return
-        event = DirectoryEvent(t=self._tuning_time, node=self.node_id, pid=pid, depth=depth)
-        self.tracer.emit(event)
+        self.tracer.emit(
+            DirectoryEvent(
+                t=self._tuning_time, node=self.node_id, pid=pid, depth=depth
+            )
+        )
 
     def extract_partition(self, pid: int) -> tuple[PartitionGroupState, TupleBatch]:
         """Drain window state + unprocessed buffered tuples of *pid*
@@ -169,9 +169,12 @@ class JoinModule:
             raise ProtocolError(f"node {self.node_id} does not own partition {pid}")
         state = group.extract_state()
         with self._buf_lock:
-            queued = [batch for _oldest, batch in self._minibuffers.pop(pid, ())]
-            buffered = TupleBatch.concat(queued)
-            self._pending_bytes -= buffered.payload_bytes(self.geometry.tuple_bytes)
+            buffered = TupleBatch.concat(
+                [batch for _oldest, batch in self._minibuffers.pop(pid, ())]
+            )
+            self._pending_bytes -= buffered.payload_bytes(
+                self.geometry.tuple_bytes
+            )
         # The popped mini-buffer may have been the one pinning the expiry
         # watermark; re-derive it from the surviving queues.
         self._rearm_watermark()
@@ -191,8 +194,14 @@ class JoinModule:
         shipment can trail tuples predating an earlier one — and a
         cutoff derived from the head alone would expire window tuples
         those batches still need to join against."""
-        queues = self._minibuffers.values()
-        return min((at for queue in queues for at, _batch in queue), default=float("inf"))
+        return min(
+            (
+                oldest
+                for queue in self._minibuffers.values()
+                for oldest, _batch in queue
+            ),
+            default=float("inf"),
+        )
 
     def snapshot_partition(self, pid: int) -> tuple[PartitionGroupState, TupleBatch]:
         """Non-destructive copy of *pid*'s window state + unprocessed
@@ -212,11 +221,14 @@ class JoinModule:
         buffered: TupleBatch | None,
         log: t.Sequence[TupleBatch] = (),
     ) -> None:
-        """Rebuild *pid* from a replication checkpoint plus log replay:
-        the checkpointed window *state* and unprocessed mini-buffer
-        (``None``: the empty genesis checkpoint), then the teed per-epoch
-        shipments since, *log*, through the normal buffering path, so
-        the regular work units regenerate the lost join output."""
+        """Rebuild *pid* from a replication checkpoint plus log replay.
+
+        ``state``/``buffered`` are the checkpointed window state and
+        unprocessed mini-buffer (``None`` = the implicit empty genesis
+        checkpoint); ``log`` carries the teed per-epoch shipments since
+        the checkpoint, replayed through the normal buffering path so
+        the regular work units regenerate the lost join output.
+        """
         self.add_partition(pid)
         if state is not None:
             self.groups[pid].install_state(state)
@@ -264,7 +276,9 @@ class JoinModule:
                 )
             self._file(pid, batch.take(rows))
         with self._buf_lock:
-            self._oldest_pending_ts = min(self._oldest_pending_ts, shipment.epoch_start)
+            self._oldest_pending_ts = min(
+                self._oldest_pending_ts, shipment.epoch_start
+            )
 
     @property
     def pending_bytes(self) -> int:
@@ -280,7 +294,7 @@ class JoinModule:
     @property
     def window_bytes(self) -> int:
         """Block-granular bytes held by all owned windows."""
-        return sum(g.total_bytes for g in self.groups.values()) + self.admitted_bytes
+        return sum(g.total_bytes for g in self.groups.values())
 
     @property
     def has_work(self) -> bool:
@@ -300,19 +314,20 @@ class JoinModule:
         """``(committed, head)`` tuples per mini-group of *pid* (in
         directory order) and stream, as an observer between two units
         would find them in the paper's windows."""
-        if self.live is not None:
-            self.live.sync()
         return self.groups[pid].counts()
 
     # -- work generation ------------------------------------------------------
     def steps(self) -> t.Iterator[Step]:
-        """Generate costed work for ONE bounded pass over the buffers:
-        at most one buffered batch per partition (roughly one epoch's
-        shipment); a backlogged slave needs several passes (the driver
-        re-arms itself while :attr:`has_work`).  State moves and
-        reorganization orders take the slave's state lock between
-        passes, so the paper's rebalancing still reaches an overloaded
-        node."""
+        """Generate costed work for ONE bounded pass over the buffers.
+
+        A pass covers at most one buffered batch per partition (roughly
+        one epoch's shipment); a backlogged slave needs several passes
+        to drain (the driver re-arms itself while :attr:`has_work`).
+        Bounding the pass keeps the slave's state lock from being
+        starved under overload: state moves and reorganization orders
+        grab the lock between passes, so the paper's rebalancing can
+        still reach an overloaded node.
+        """
         oldest, drained = self._drain()
         if not drained:
             return
@@ -324,15 +339,21 @@ class JoinModule:
         yield from _Pass(self, pids, [drained[pid] for pid in pids]).steps()
 
     def _drain(self) -> tuple[float, dict[int, TupleBatch]]:
-        """Pop the head batch of every mini-buffer: the pre-drain
-        watermark (what this pass's expiry cutoff must respect) and the
-        batches, the watermark re-armed from those left — in one
-        critical section, so a shipment filed concurrently is either in
-        this pass and its cutoff, or wholly deferred to the next one."""
+        """Pop the head batch of every mini-buffer.
+
+        Returns the pre-drain watermark (what this pass's expiry cutoff
+        must respect) with the popped batches, and re-arms the watermark
+        from the batches left behind — all in one critical section, so
+        a shipment filed concurrently is either part of this pass and
+        its cutoff, or wholly deferred to the next one.
+        """
         with self._buf_lock:
             oldest = self._oldest_pending_ts
-            queues = self._minibuffers.items()
-            out = {pid: queue.popleft()[1] for pid, queue in queues if queue}
+            out = {
+                pid: queue.popleft()[1]
+                for pid, queue in self._minibuffers.items()
+                if queue
+            }
             if out:
                 self._oldest_pending_ts = self._oldest_queued_ts()
         return oldest, out
@@ -389,7 +410,17 @@ class JoinModule:
                 self._tuning_time = emit
                 moved = group.split_bucket(bucket)
                 self.metrics.splits += 1
-                self._traced(SplitEvent, emit, group, moved)
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        SplitEvent(
+                            t=emit,
+                            node=self.node_id,
+                            pid=group.pid,
+                            n_buckets=group.n_mini_groups,
+                            depth=group.directory.global_depth,
+                            bytes=moved,
+                        )
+                    )
 
         costs = [self.cost_model.tuning_cost(nbytes) for _b, nbytes in oversized]
         return Step("tune", np.array(costs), retire)
@@ -399,19 +430,19 @@ class JoinModule:
             touched = group.try_merge_bucket(bucket)
             if touched:
                 self.metrics.merges += 1
-                self._traced(MergeEvent, float(emit_times[0]), group, touched)
+                if self.tracer.enabled:
+                    self.tracer.emit(
+                        MergeEvent(
+                            t=float(emit_times[0]),
+                            node=self.node_id,
+                            pid=group.pid,
+                            n_buckets=group.n_mini_groups,
+                            depth=group.directory.global_depth,
+                            bytes=touched,
+                        )
+                    )
 
         return Step("tune", np.array([self.cost_model.tuning_cost(combined)]), retire)
-
-    def _traced(
-        self, event: type[SplitEvent | MergeEvent], at: float, group: PartitionGroup, n: int
-    ) -> None:
-        if self.tracer.enabled:
-            directory = group.directory
-            self.tracer.emit(event(
-                t=at, node=self.node_id, pid=group.pid, n_buckets=directory.n_buckets,
-                depth=directory.global_depth, bytes=n,
-            ))
 
 
 class _Pass:
@@ -435,11 +466,11 @@ class _Pass:
     mini-group would.  The n-way join flushes a unit as it is retired.
 
     The store is thus *ahead* of the windows an observer sees, the
-    groups' tables: a unit's block is full — admitted, off the pending
-    count — once the unit before it is retired, and committed once it
-    is.  Nothing reads the store in between (the pass holds the slave's
-    state lock; a group tunes after its units).  The counters move at
-    every retire, the tables when read (:meth:`sync`).
+    groups' tables, which every retire moves: a unit's block is full —
+    admitted, off the pending count — once the unit before it is
+    retired, and committed once it is.  Nothing reads the store in
+    between (the pass holds the slave's state lock; a group tunes after
+    its units).
     """
 
     def __init__(
@@ -452,7 +483,6 @@ class _Pass:
         self.first, depths, label = labeller(groups)
         n_buckets = int(self.first[-1])
         self.committed, self.head = gather_tables(groups)
-        self.base = self.committed.copy()
         #: What the windows held when the pass began.
         self.start = self.committed + self.head
         batch = TupleBatch.concat(batches)
@@ -526,9 +556,9 @@ class _Pass:
         # blocks of the lower streams.
         scans = []
         for s, units in enumerate(full):
-            seen = -(-(self.base + tpb * blocks * (np.arange(n_streams) < s)) // tpb)
+            seen = -(-(self.committed + tpb * blocks * (np.arange(n_streams) < s)) // tpb)
             scans.append((seen.sum(axis=1) - seen[:, s])[units])
-        committed = self.base + tpb * blocks
+        committed = self.committed + tpb * blocks
         before, after = -(-committed // tpb), -(-(committed + fill) // tpb)
         lower = np.cumsum(after, axis=1) - after
         higher = np.cumsum(before[:, ::-1], axis=1)[:, ::-1] - before
@@ -546,7 +576,8 @@ class _Pass:
         self.unit_group = bucket_group[bucket[order]]
         # A group tunes only if a mini-group of its ends the pass above
         # two thetas, or below one theta after a split.
-        theta, end = geometry.theta_bytes, self._block_bytes(self.start + self.arrived)
+        end = geometry.block_bytes * (-(-(self.start + self.arrived) // tpb)).sum(axis=1)
+        theta = geometry.theta_bytes
         tunes = (end > 2 * theta) | ((end < theta) & (depths > 0))
         ends = np.searchsorted(self.key, np.arange(1, n_groups + 1) * phases)
         tuners = np.unique(bucket_group[tunes]).tolist() if geometry.fine_tuning else []
@@ -581,24 +612,8 @@ class _Pass:
             # (A group's count is never above a unit's after it.)
             np.maximum.at(admitted, ended + 1, cuts[self.first[1:]])
             self.admitted.append(np.maximum.accumulate(admitted))
-        self.upto, self.retired = -1, 0
-        self.totals = self._group_bytes(self.start)
-
-    def _block_bytes(self, window: CountTable) -> IntArray:
-        """Per mini-group, block-granular bytes of *window* tuples."""
-        geometry = self.module.geometry
-        blocks: IntArray = (-(-window // geometry.tuples_per_block)).sum(axis=1)
-        return blocks * geometry.block_bytes
-
-    def _group_bytes(self, window: CountTable) -> IntArray:
-        totals: IntArray = np.add.reduceat(self._block_bytes(window), self.first[:-1])
-        return totals
-
-    def _window(self) -> CountTable:
-        """What the windows hold now, per mini-group and stream."""
-        admitted = np.array([a[self.upto + 1] for a in self.admitted])
-        window: CountTable = self.start + np.clip(admitted - self.cuts, 0, self.arrived)
-        return window
+        self.in_windows = 0
+        self.totals = group_bytes(geometry, self.first, self.start)
 
     def _join(self) -> _Rows:
         """The two-stream matches of every unit, four probes in all."""
@@ -639,7 +654,6 @@ class _Pass:
     def steps(self) -> t.Iterator[Step]:
         module, lo = self.module, 0
         limited = module.memory_bytes is not None
-        module.live = self
         for stop, tuner in self.stops:
             # On a memory-limited node each unit's spill fraction moves
             # with the admissions before it: a step per unit.
@@ -650,11 +664,8 @@ class _Pass:
                 costs = module._probe_costs(fresh, scanned, module.spill_fraction())
                 yield Step("probe", costs, self._retire(first, stop))
             if tuner >= 0:
-                self.sync()
                 yield from module._tuning_steps(self.groups[tuner])
             lo = stop
-        self.sync()
-        module.live = None
 
     def _retire(self, first: int, stop: int) -> Retire:
         def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
@@ -664,38 +675,30 @@ class _Pass:
                     self._flush_composites(unit, emit)
             else:
                 self._record(lo, hi, emit_times)
-            self.retired = hi
+            np.add.at(self.committed.reshape(-1), self.cell[lo:hi], self.fresh[lo:hi])
             # Past a step's last unit, nothing of the next one is full.
             self._admit(2 * hi - (hi == stop))
 
         return retire
 
     def _admit(self, upto: int) -> None:
-        """Bring the windows to position *upto*."""
-        was, self.upto = self.upto, upto
-        moved = sum(int(a[upto + 1] - a[was + 1]) for a in self.admitted)
-        if moved:
-            module = self.module
-            grown = self._block_bytes(self._window()).sum() - self.totals.sum()
-            module.admitted_bytes = int(grown)
-            with module._buf_lock:
-                module._pending_bytes -= moved * module.geometry.tuple_bytes
-            module.metrics.tuples_processed += moved
-
-    def sync(self) -> None:
-        """Bring the groups' tables and bytes to what the windows hold:
-        the retired units committed, the rest of what is admitted in
-        head blocks."""
-        n = self.retired
-        done = np.bincount(self.cell[:n], self.fresh[:n], minlength=self.committed.size)
-        self.committed[...] = self.base + done.astype(np.int64).reshape(self.base.shape)
-        window = self._window()
+        """Bring the windows to position *upto*: what is admitted and
+        not committed is in head blocks."""
+        admitted = np.array([a[upto + 1] for a in self.admitted])
+        window = self.start + np.clip(admitted - self.cuts, 0, self.arrived)
         np.subtract(window, self.committed, out=self.head)
-        totals = self._group_bytes(window)
+        moved = int(admitted.sum()) - self.in_windows
+        if not moved:
+            return
+        self.in_windows += moved
+        totals = group_bytes(self.module.geometry, self.first, window)
         for at in np.flatnonzero(totals != self.totals).tolist():
             self.groups[at].total_bytes += int(totals[at] - self.totals[at])
         self.totals = totals
-        self.module.admitted_bytes = 0
+        module = self.module
+        with module._buf_lock:
+            module._pending_bytes -= moved * module.geometry.tuple_bytes
+        module.metrics.tuples_processed += moved
 
     def _record(self, lo: int, hi: int, emit_times: FloatArray) -> None:
         """Emit the output rows of units ``[lo, hi)``, each unit's at
@@ -708,12 +711,10 @@ class _Pass:
         metrics.record_outputs(np.repeat(emit_times, per_unit), rows.newer_ts[first:last])
         if rows.pairs is None:
             return
-        group = self.unit_group[lo:hi]
-        cuts = [0, *(np.flatnonzero(group[1:] != group[:-1]) + 1).tolist(), hi - lo]
-        for a, b in zip(cuts, cuts[1:]):
-            start, stop = rows.offsets[lo + a], rows.offsets[lo + b]
+        for at, units in split_by(self.unit_group[lo:hi], len(self.groups)):
+            start, stop = rows.offsets[lo + units[0]], rows.offsets[lo + units[-1] + 1]
             if start < stop:
-                metrics.record_pairs(self.groups[group[a]].pid, rows.pairs[start:stop])
+                metrics.record_pairs(self.groups[at].pid, rows.pairs[start:stop])
 
     def _flush_composites(self, unit: int, emit_time: float) -> None:
         """n-way join: one unit probes when it is retired, against runs

@@ -187,6 +187,14 @@ def labeller(groups: t.Sequence[PartitionGroup]) -> tuple[Indexes, CountTable, L
     return first, np.concatenate([lay.depths for lay in layouts]), label
 
 
+def group_bytes(geometry: JoinGeometry, first: Indexes, n: CountTable) -> CountTable:
+    """Per group — its mini-groups ``first[i]`` to ``first[i + 1]`` —
+    block-granular bytes of windows of *n* tuples."""
+    blocks = (-(-n // geometry.tuples_per_block)).sum(axis=1)
+    nbytes: CountTable = np.add.reduceat(blocks, first[:-1]) * geometry.block_bytes
+    return nbytes
+
+
 def gather_tables(groups: t.Sequence[PartitionGroup]) -> tuple[CountTable, CountTable]:
     """The committed and head tables of *groups*, stacked group by
     group; from here on each group's own are views of them."""
@@ -351,10 +359,9 @@ class WindowStore:
             for sid, pid, rkey in gone:
                 at = label(index[pid], rkey)
                 committed[:, sid] -= np.bincount(at, minlength=len(committed))
-            tpb, bb = self.geometry.tuples_per_block, self.geometry.block_bytes
-            blocks = (-(-(committed + head) // tpb)).sum(axis=1)
-            for group, n in zip(groups, np.add.reduceat(blocks, first[:-1]).tolist()):
-                group.total_bytes = n * bb
+            nbytes = group_bytes(self.geometry, first, committed + head)
+            for group, total in zip(groups, nbytes.tolist()):
+                group.total_bytes = total
         return dropped
 
 
@@ -376,31 +383,25 @@ class PartitionGroup:
         #: the one its join module shares between all of its groups.
         self.store = WindowStore(geometry, self.pid + 1) if store is None else store
         self.store.groups[self.pid] = self
-        self.directory: ExtendibleDirectory
-        #: Block-granular bytes of every mini-group's windows, kept up
-        #: to date: the join module moves it as it admits arrivals, the
-        #: operations here as they drop, relabel or install tuples.
-        self.total_bytes: int
-        #: Committed tuples per mini-group and stream.
-        self.committed: CountTable
-        #: Head-block tuples per mini-group and stream: the installed
-        #: ones (:attr:`held`), and, while a pass runs, its head blocks.
-        self.head: CountTable
-        #: Per stream, installed head-block tuples (``fresh`` in a
-        #: :class:`GroupState`) that no pass has taken yet, in arrival
-        #: order.  A live group never holds any between passes.
-        self.held: list[Columns]
-        self._layout_cache: _Layout | None
         self._reset()
 
     def _reset(self) -> None:
         n = self.geometry.n_streams
         self.directory = ExtendibleDirectory(on_double=self._double_hook())
-        self._layout_cache = None
+        self._layout_cache: _Layout | None = None
+        #: Block-granular bytes of every mini-group's windows, kept up
+        #: to date: the join module moves it as it admits arrivals, the
+        #: operations here as they drop, relabel or install tuples.
         self.total_bytes = 0
-        self.committed = np.zeros((1, n), np.int64)
-        self.head = np.zeros((1, n), np.int64)
-        self.held = [_NO_COLUMNS for _ in range(n)]
+        #: Committed tuples per mini-group and stream ...
+        self.committed: CountTable = np.zeros((1, n), np.int64)
+        #: ... and head-block ones: the installed (:attr:`held`), and,
+        #: while a pass runs, its head blocks.
+        self.head: CountTable = np.zeros((1, n), np.int64)
+        #: Per stream, installed head-block tuples (``fresh`` in a
+        #: :class:`GroupState`) that no pass has taken yet, in arrival
+        #: order.  A live group never holds any between passes.
+        self.held: list[Columns] = [_NO_COLUMNS for _ in range(n)]
 
     def _double_hook(self) -> t.Callable[[int], None] | None:
         on_double = self._on_double
