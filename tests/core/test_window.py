@@ -431,8 +431,8 @@ def test_perf_kernel_probe_span_still_sees_every_probe(
     """perf/ is outside tier-1, so pin here the lookup perf/spans.py uses
     for its ``kernel.probe`` span (``_resolve``): it must name the
     function every match of the two-stream join comes out of — once per
-    step of a pass, four steps.  Fails if the probe is inlined past that
-    function or the lookup stops resolving."""
+    kind of block of a pass, four kinds.  Fails if the probe is inlined
+    past that function or the lookup stops resolving."""
     from repro.core.kernels import get_kernel
 
     cls = get_kernel(SystemConfig.paper_defaults().kernel)
