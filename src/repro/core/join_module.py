@@ -609,7 +609,8 @@ class _Pass:
             lo, hi = first_unit[self.first[:-1]], first_unit[self.first[1:]]
             after = np.searchsorted(self.key, np.arange(n_groups) * phases + s, "right")
             ended = np.where(hi > lo, starts[hi - 1] + 1, 2 * after)
-            # (A group's count is never above a unit's after it.)
+            # Counts only grow along the line: where two events share a
+            # position the larger holds, and a running maximum fills in.
             np.maximum.at(admitted, ended + 1, cuts[self.first[1:]])
             self.admitted.append(np.maximum.accumulate(admitted))
         self.in_windows = 0
