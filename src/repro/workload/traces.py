@@ -35,8 +35,11 @@ class TraceReplayer:
     """Replays a recorded trace epoch by epoch (drop-in for a workload)."""
 
     def __init__(self, batch: TupleBatch) -> None:
-        order = np.argsort(batch.ts, kind="stable")
-        self.batch = batch.take(order)
+        # A trace already in time order (any generated or saved one) is
+        # kept as it is: a stable argsort of it would be the identity.
+        if not np.all(batch.ts[1:] >= batch.ts[:-1]):
+            batch = batch.take(np.argsort(batch.ts, kind="stable"))
+        self.batch = batch
         self._cursor = 0
 
     @classmethod
@@ -47,7 +50,8 @@ class TraceReplayer:
         """An independent replayer over the same trace (fresh cursor).
 
         Used by the standby's shadow master, which replays the exact
-        tuple sequence the real master generates.
+        tuple sequence the real master generates.  The batch is shared,
+        not copied.
         """
         return TraceReplayer(self.batch)
 

@@ -1,10 +1,13 @@
-"""The b-model key generator: bounds, skew, analytic properties."""
+"""The b-model key generator: bounds, skew, analytic properties, and
+the chunked draw's bytes and memory."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigError
-from repro.workload.bmodel import BModelKeys
+from repro.workload.bmodel import CHUNK_ROWS, BModelKeys
 
 
 def gen(b=0.7, domain=10_000_001, seed=0, levels=None):
@@ -78,3 +81,63 @@ class TestAnalytics:
     def test_uniform_levels_default_covers_domain(self):
         model = gen(domain=1 << 20)
         assert model.levels == 20
+
+
+def unchunked(model, n, seed):
+    """The draw as one ``(n, levels)`` block, frozen as it was written
+    before the draw was chunked."""
+    rng = np.random.default_rng(seed)
+    bits = rng.random((n, model.levels)) >= model.b
+    weights = np.ldexp(1.0, -np.arange(1, model.levels + 1))
+    keys = np.floor((bits @ weights) * model.domain).astype(np.int64)
+    return np.clip(keys, 0, model.domain - 1)
+
+
+class TestChunkedDraw:
+    SIZES = (0, 1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 3 * CHUNK_ROWS + 7)
+
+    @pytest.mark.parametrize(
+        "b, domain, levels",
+        [
+            (0.7, 10_000_001, None),
+            (0.8, 1 << 20, None),
+            (0.5, 7, None),
+            (0.9, 4096, 1),
+            (0.7, 10_000_001, 53),
+            (0.6, (1 << 53) + 1, 53),
+            (0.0, 1000, 12),
+            (1.0, 1000, 12),
+        ],
+    )
+    def test_keys_equal_the_unchunked_formula(self, b, domain, levels):
+        for seed, n in enumerate(self.SIZES):
+            model = gen(b=b, domain=domain, seed=seed, levels=levels)
+            got = model.draw(n)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, unchunked(model, n, seed)), n
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(1, CHUNK_ROWS), (CHUNK_ROWS - 1, 2), (CHUNK_ROWS, CHUNK_ROWS + 3), (0, 5)],
+    )
+    def test_consecutive_draws_equal_one_draw(self, a, b):
+        split = gen(seed=3)
+        whole = gen(seed=3)
+        joined = np.concatenate([split.draw(a), split.draw(b)])
+        assert np.array_equal(joined, whole.draw(a + b))
+        # ... and leave the generator where one draw would.
+        assert np.array_equal(split.draw(10), whole.draw(10))
+
+    def test_scratch_is_a_few_chunks_not_the_horizon(self):
+        model = gen()
+        n = 300_000
+        chunk_bytes = CHUNK_ROWS * model.levels * 8
+        tracemalloc.start()
+        try:
+            keys = model.draw(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(keys) == n
+        # One (n, levels) block would need ~115 MiB here.
+        assert peak < keys.nbytes + 2 * chunk_bytes

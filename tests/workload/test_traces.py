@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.tuples import TupleBatch
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer, load_trace, save_trace
@@ -52,3 +53,24 @@ class TestReplayer:
         replayer.generate(0.0, 10.0)
         with pytest.raises(ValueError):
             replayer.generate(0.0, 5.0)
+
+    def test_sorted_trace_is_kept_not_copied(self, trace):
+        replayer = TraceReplayer(trace)
+        assert replayer.batch is trace
+        assert replayer.replica().batch is trace
+
+    def test_unsorted_trace_is_stably_sorted(self):
+        # Ties at ts 1.0 and 2.0 keep their input order.
+        batch = TupleBatch.build(
+            ts=[2.0, 1.0, 3.0, 1.0, 2.0, 0.5],
+            key=[10, 11, 12, 13, 14, 15],
+            seq=[0, 0, 1, 1, 2, 3],
+            stream=[0, 1, 0, 1, 1, 0],
+        )
+        replayer = TraceReplayer(batch)
+        assert replayer.batch.ts.tolist() == [0.5, 1.0, 1.0, 2.0, 2.0, 3.0]
+        assert replayer.batch.key.tolist() == [15, 11, 13, 10, 14, 12]
+        assert replayer.batch.seq.tolist() == [3, 0, 1, 0, 2, 1]
+        assert replayer.batch.stream.tolist() == [0, 1, 1, 0, 1, 0]
+        assert batch.key.tolist() == [10, 11, 12, 13, 14, 15]
+        assert replayer.replica().batch is replayer.batch
