@@ -100,10 +100,6 @@ def hot_trace():
     return workload.generate(0.0, 20.0)
 
 
-def lexsorted(pairs):
-    return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-
-
 class TestBlocks:
     def test_hot_trace_is_several_blocks_long(self):
         assert candidates(hot_trace()) > 4 * naive_join.CANDIDATES
@@ -155,5 +151,6 @@ def test_join_is_the_union_over_any_split_of_stream_0(parts, seed):
         )
         for part in range(parts)
     ]
-    union = lexsorted(np.concatenate(pieces))
+    union = np.concatenate(pieces)
+    union = union[np.lexsort((union[:, 1], union[:, 0]))]
     assert np.array_equal(union, naive_window_join(trace, HOT_WINDOW))
