@@ -3,10 +3,10 @@
 
 Everything else in this repository runs the master/slave/collector
 generators on the deterministic discrete-event kernel.  This example
-wires the *identical* node implementations to the wall-clock backend —
-one OS thread per process, queue-based rendezvous channels — and runs a
-small join for a few (compressed) seconds.  It demonstrates that the
-node logic is genuinely runtime-agnostic: the fixed communication
+runs the *identical* node implementations on the wall-clock thread
+backend — one OS thread per process, queue-based rendezvous channels —
+for a small join of a few (compressed) seconds.  It demonstrates that
+the node logic is genuinely runtime-agnostic: the fixed communication
 schedule, the reorganization protocol and the join modules never know
 which backend drives them.
 
@@ -15,10 +15,7 @@ Run:  python examples/live_cluster.py
 
 import time
 
-from repro.config import SystemConfig
-from repro.core.cluster import build_cluster
-from repro.net.thread_transport import ThreadTransport
-from repro.runtime.thread import ThreadRuntime
+from repro import JoinSystem, SystemConfig
 
 #: One simulated second passes in 50 wall milliseconds.
 TIME_SCALE = 0.05
@@ -38,35 +35,29 @@ def main() -> None:
             reorg_epoch=4.0,
         )
     )
-    runtime = ThreadRuntime(time_scale=TIME_SCALE)
-    transport = ThreadTransport(cfg.tuple_bytes, time_scale=TIME_SCALE)
-    cluster = build_cluster(cfg, runtime, transport)
-
     print(
         f"live cluster: 1 master + {cfg.num_slaves} slaves + 1 collector, "
         f"{cfg.run_seconds:g} virtual s at {TIME_SCALE * 1000:.0f} ms per "
         "virtual s..."
     )
     started = time.perf_counter()
-    for name, gen in cluster.processes():
-        runtime.spawn(gen, name=name)
-    runtime.join_all(timeout=180.0)
+    result = JoinSystem(cfg.with_(backend="thread", time_scale=TIME_SCALE)).run()
     wall = time.perf_counter() - started
 
-    outputs = cluster.collector.delays.count
+    outputs = result.collector_delays.count
     print(f"done in {wall:.1f}s wall.")
     print(f"join outputs collected : {outputs}")
-    print(f"avg production delay   : {cluster.collector.delays.mean:.2f} virtual s")
-    for metrics in cluster.slave_metrics:
+    print(f"avg production delay   : {result.collector_delays.mean:.2f} virtual s")
+    for slave in result.slaves:
         print(
-            f"slave {metrics.node_id}: processed "
-            f"{metrics.tuples_processed} tuples, "
-            f"{metrics.outputs_emitted} outputs, "
-            f"waited {metrics.idle_time:.1f}s for its comm slots"
+            f"slave {slave['node']}: processed "
+            f"{slave['tuples_processed']} tuples, "
+            f"{slave['outputs']} outputs, "
+            f"waited {slave['idle_time']:.1f}s for its comm slots"
         )
     # The collector's merged statistics equal the slaves' local ones —
     # the same invariant the simulated backend upholds.
-    assert outputs == sum(m.delays.count for m in cluster.slave_metrics)
+    assert outputs == result.delays.count
 
 
 if __name__ == "__main__":

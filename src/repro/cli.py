@@ -23,7 +23,7 @@ import typing as t
 
 from repro._version import __version__
 from repro.analysis.experiments import DEFAULT_SCALE, EXPERIMENTS, run_experiment
-from repro.config import ObservabilityConfig, SystemConfig
+from repro.config import BACKENDS, ObservabilityConfig, SystemConfig
 from repro.core.system import JoinSystem
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
@@ -39,7 +39,7 @@ def _add_run_parser(sub: t.Any) -> None:
     p.add_argument("--dist-epoch", type=float, default=2.0)
     p.add_argument("--subgroups", type=int, default=1)
     p.add_argument("--seed", type=int, default=20130724)
-    p.add_argument("--backend", choices=("sim", "thread", "process", "tcp"),
+    p.add_argument("--backend", choices=BACKENDS,
                    default="sim",
                    help="runtime backend: deterministic DES (sim, default), "
                         "one thread per node generator (thread), one OS "

@@ -42,6 +42,11 @@ from repro.faults.plan import FaultPlan
 KIB = 1024
 MIB = 1024 * 1024
 
+#: Every runtime backend, by ``SystemConfig.backend`` name: the DES
+#: kernel, one thread per node generator, one OS process per node, one
+#: TCP worker per node.  The only list of them.
+BACKENDS = ("sim", "thread", "process", "tcp")
+
 
 @dataclass(frozen=True)
 class CostModelConfig:
@@ -266,9 +271,9 @@ class SystemConfig:
     #: Runtime backend executing the cluster: ``"sim"`` (deterministic
     #: DES kernel), ``"thread"`` (one OS thread per node generator),
     #: ``"process"`` (one OS process per cluster node, real sockets) or
-    #: ``"tcp"`` (one worker per node over TCP, optionally multi-host).
-    #: Registered in :mod:`repro.core.system`; unknown names raise
-    #: :class:`ConfigError` at run time with the available set.
+    #: ``"tcp"`` (one worker per node over TCP, optionally multi-host);
+    #: see :data:`BACKENDS`.  The wall-clock backends inject ``crash:``
+    #: faults only.
     backend: str = "sim"
     #: Static peer map for the tcp backend: ``((node_id, "host:port"),
     #: ...)``.  Listed nodes are expected to be running ``swjoin worker
@@ -412,8 +417,11 @@ class SystemConfig:
             )
         if not 0 < self.beta < 1:
             raise ConfigError("beta must lie in (0, 1)")
-        if not self.backend or not isinstance(self.backend, str):
-            raise ConfigError("backend must be a non-empty string")
+        if self.backend not in BACKENDS:
+            raise ConfigError(
+                f"unknown backend {self.backend!r}; available: "
+                f"{', '.join(BACKENDS)}"
+            )
         if self.tcp_peers:
             if self.backend != "tcp":
                 raise ConfigError(
@@ -462,6 +470,17 @@ class SystemConfig:
         self.cost.validated()
         self.obs.validated()
         self.faults.validated(num_slaves=self.num_slaves)
+        # Message and slowdown faults hang off the simulated transport;
+        # a wall-clock backend can only kill the victim node.
+        unsupported = [
+            f.spec() for f in (*self.faults.messages, *self.faults.slowdowns)
+        ]
+        if unsupported and self.backend != "sim":
+            raise ConfigError(
+                f"the {self.backend} backend supports only crash: fault "
+                f"specs; unsupported: {', '.join(unsupported)} — use "
+                "backend='sim'"
+            )
         if not self.standby and any(
             c.targets_master for c in self.faults.crashes
         ):

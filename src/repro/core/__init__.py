@@ -26,7 +26,8 @@ Layering (bottom up):
 * :mod:`~repro.core.declustering` — degree-of-declustering controller
   (Section V-A); :mod:`~repro.core.subgroups` — sub-group communication
   (Section V-B).
-* :mod:`~repro.core.system` — wiring + run loop + results.
+* :mod:`~repro.core.host` — the node host every backend runs its
+  nodes in; :mod:`~repro.core.system` — backends, run loop, results.
 """
 
 from repro.core.system import JoinSystem, RunResult

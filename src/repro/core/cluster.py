@@ -1,9 +1,8 @@
 """Backend-agnostic cluster wiring.
 
 :func:`build_cluster` assembles master, slaves and collector around any
-runtime/transport pair — the DES backend (used by
-:class:`~repro.core.system.JoinSystem`), or the thread backend (used by
-the live examples and the cross-backend tests).
+runtime/transport pair; every backend calls it through
+:class:`~repro.core.host.NodeHost`.
 """
 
 from __future__ import annotations
@@ -58,15 +57,9 @@ class Cluster(t.NamedTuple):
     master: MasterNode
     slaves: list[SlaveNode]
     collector: CollectorNode
-    master_metrics: MasterMetrics
     slave_metrics: list[SlaveMetrics]
-    collector_metrics: CommAccount
-    workload: t.Any
-    gate: MeasurementWindow
     tracer: Tracer
     sampler: TimeSeriesSampler | None
-    #: Shared fault injector (None on fault-free runs).
-    faults: "FaultInjector | None" = None
     #: The transport the nodes were wired on.
     transport: t.Any = None
     #: When set, this cluster object lives in a process that *runs*
@@ -235,8 +228,8 @@ def build_cluster(
     ``make_lock``/``make_queue``.  ``tracer`` overrides the one built
     from ``cfg.obs`` (the system layer shares it with the transport).
     ``faults`` is the run's shared fault injector (slaves consult it
-    for CPU slowdowns; the system layer wires the same object into the
-    transport and spawns its crash processes).  ``local_node`` marks a
+    for CPU slowdowns; the sim transport shares it, and the node host
+    spawns its crash processes).  ``local_node`` marks a
     process-backend child: only that node's gauges are sampled here.
     """
     cfg = cfg.validated()
@@ -360,14 +353,9 @@ def build_cluster(
         master,
         slaves,
         collector,
-        master_metrics,
         slave_metrics,
-        collector_metrics,
-        workload,
-        gate,
         tracer,
         sampler,
-        faults,
         transport,
         local_node,
         standby,

@@ -1,28 +1,28 @@
 """System wiring and the run loop.
 
-:class:`JoinSystem` assembles a cluster — master, slaves, collector,
-transport — from a :class:`~repro.config.SystemConfig`, runs it to
-completion on the configured backend, and returns a :class:`RunResult`
-with every metric the paper's evaluation section reports.
+:class:`JoinSystem` runs the cluster a :class:`~repro.config.SystemConfig`
+describes to completion on the configured backend and returns a
+:class:`RunResult` with every metric the paper's evaluation section
+reports.
 
-Backends live in a registry keyed by ``SystemConfig.backend``:
+Every backend is a *connector* — its runtime, its transport and how it
+waits — around one node host (:class:`~repro.core.host.NodeHost`), and
+:func:`assemble_result` builds every backend's result:
 
 ``sim``
-    The deterministic DES kernel (:class:`SimBackend`, the default).
+    The deterministic DES kernel (the default), all nodes in-process.
 ``thread``
-    One OS thread per node generator, wall-clock time
-    (:class:`~repro.runtime.thread.ThreadBackend`).
+    One OS thread per node generator on the wall clock, all nodes
+    in-process.
 ``process``
     One OS process per cluster node, socket-pair channels and the
-    :mod:`repro.net.wire` codec
-    (:class:`~repro.runtime.process.ProcessBackend`).
+    :mod:`repro.net.wire` codec (:mod:`repro.runtime.process`).
 ``tcp``
-    The process backend with handshaken TCP connections for sockets,
-    optionally spanning multiple hosts via ``swjoin worker``
-    (:class:`~repro.runtime.tcp.TcpBackend`).
+    The process backend over handshaken TCP connections, optionally
+    spanning hosts via ``swjoin worker`` (:mod:`repro.runtime.tcp`).
 
-The non-default backends are registered through lazy factories so that
-importing this module never pulls in the wall-clock runtime stack.
+The socket backends import on first use: importing this module never
+pulls in the multi-process runtime stack.
 """
 
 from __future__ import annotations
@@ -32,33 +32,28 @@ import typing as t
 
 import numpy as np
 
-from repro.config import SystemConfig
+from repro.config import BACKENDS, SystemConfig
 from repro.core.cluster import (
     COLLECTOR_ID,
     MASTER_ID,
-    Cluster,
-    build_cluster,
     slave_node_id,
+    standby_node_id,
     trace_meta,
 )
-from repro.core.metrics import DelayStats
-from repro.errors import ConfigError, DeadlockError
+from repro.core.host import NodeHost
+from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
+from repro.faults.injector import FaultInjector
 from repro.net.sim_transport import SimTransport
-from repro.obs.tracer import NULL_TRACER, build_tracer
+from repro.net.thread_transport import ThreadTransport
+from repro.obs.tracer import NULL_TRACER, Tracer, build_tracer
 from repro.runtime.sim import SimRuntime
+from repro.runtime.thread import ThreadRuntime
 from repro.simul.kernel import Simulator
 
 __all__ = [
     "JoinSystem",
     "RunResult",
-    "Backend",
-    "SimBackend",
-    "register_backend",
-    "available_backends",
-    "get_backend",
-    "collect_result",
-    "master_snapshot",
-    "start_admin_server",
+    "assemble_result",
     "MASTER_ID",
     "COLLECTOR_ID",
     "slave_node_id",
@@ -233,48 +228,97 @@ class RunResult:
         return "\n".join(lines)
 
 
-class Backend(t.Protocol):
-    """A runtime backend: executes one configured cluster to completion."""
+def assemble_result(
+    cfg: SystemConfig,
+    payloads: dict[int, dict[str, t.Any]],
+    collect_pairs: bool,
+    injected: list[dict[str, t.Any]],
+    trace: list[dict[str, t.Any]] | None,
+) -> RunResult:
+    """Build the :class:`RunResult` of a finished run from its node
+    payloads (:meth:`NodeHost.run <repro.core.host.NodeHost.run>`),
+    the fault injections that fired and the merged trace.
 
-    name: str
-
-    def run(
-        self,
-        cfg: SystemConfig,
-        collect_pairs: bool = False,
-        workload: t.Any = None,
-    ) -> "RunResult": ...  # pragma: no cover - protocol
-
-
-#: name -> zero-arg factory.  Factories, not instances, so the thread
-#: and process backends import lazily (registration is cheap, the
-#: runtime stack loads only when actually selected).
-_BACKEND_FACTORIES: dict[str, t.Callable[[], Backend]] = {}
-
-
-def register_backend(name: str, factory: t.Callable[[], Backend]) -> None:
-    """Register (or replace) a runtime backend under *name*."""
-    _BACKEND_FACTORIES[name] = factory
-
-
-def available_backends() -> list[str]:
-    """Registered backend names, sorted."""
-    return sorted(_BACKEND_FACTORIES)
-
-
-def get_backend(name: str) -> Backend:
-    """Instantiate the backend registered under *name*.
-
-    Raises :class:`~repro.errors.ConfigError` for unknown names, listing
-    what is available.
-    """
-    factory = _BACKEND_FACTORIES.get(name)
-    if factory is None:
-        raise ConfigError(
-            f"unknown backend {name!r}; available: "
-            f"{', '.join(available_backends())}"
+    The same for every backend; a node missing from *payloads* was
+    killed with its process, and its metrics died with it."""
+    master = payloads.get(MASTER_ID)
+    if cfg.standby:
+        standby_payload = payloads.get(standby_node_id(cfg))
+        if standby_payload is not None and standby_payload.get("took_over"):
+            # The master was killed mid-run; the acting master's
+            # payload carries the authoritative coordinator state.
+            master = standby_payload
+    if master is None:
+        raise RuntimeError(
+            "master process produced no result payload and no standby "
+            "took over"
         )
-    return factory()
+    collector = payloads[COLLECTOR_ID]
+    gate = MeasurementWindow(cfg.warmup_seconds, cfg.run_seconds)
+
+    merged = DelayStats()
+    snapshots: list[dict[str, t.Any]] = []
+    replicated = cfg.replication != "off"
+    # With replication on, the master's banked pairs come first and a
+    # slave the master fenced contributes none: its output either was
+    # banked or re-emerges from the backup's log replay — keeping its
+    # residual chunks would double-count.
+    pair_chunks: list[np.ndarray] = (
+        list(master["pairs"]) if replicated and collect_pairs else []
+    )
+    fenced = set(master["master"].get("dead_slaves", ()))
+    for i in range(cfg.num_slaves):
+        nid = slave_node_id(i)
+        payload = payloads.get(nid)
+        if payload is None:
+            # Killed mid-run: without replication, a degraded run.
+            snapshots.append(SlaveMetrics(nid, gate).snapshot())
+            continue
+        merged.merge(payload["delays"])
+        snapshots.append(payload["snapshot"])
+        if not (replicated and nid in fenced):
+            pair_chunks.extend(payload["pairs"])
+
+    pairs: np.ndarray | None = None
+    if collect_pairs:
+        pairs = (
+            np.concatenate(pair_chunks)
+            if pair_chunks
+            else np.empty((0, 2), dtype=np.int64)
+        )
+
+    # Gauge series carry disjoint "n<node>.<gauge>" keys, so the
+    # cluster view is a plain dict union.
+    series: dict[str, list[tuple[float, float]]] | None = None
+    if cfg.obs.sample_period is not None:
+        series = {}
+        for nid in sorted(payloads):
+            node_series = payloads[nid].get("series")
+            if node_series:
+                series.update(node_series)
+    node_metrics = {
+        nid: payloads[nid]["metrics"]
+        for nid in sorted(payloads)
+        if payloads[nid].get("metrics") is not None
+    }
+
+    return RunResult(
+        cfg=cfg,
+        duration=cfg.run_seconds - cfg.warmup_seconds,
+        delays=merged,
+        collector_delays=collector["delays"],
+        slaves=snapshots,
+        master=master["master"],
+        dod_trace=master["dod_trace"],
+        delay_timeline=collector["timeline"],
+        tuples_generated=master["tuples_generated"],
+        pairs=pairs,
+        trace=trace,
+        series=series,
+        node_metrics=node_metrics,
+        faults=master["faults"],
+        injected_faults=injected,
+    )
 
 
 class JoinSystem:
@@ -291,243 +335,108 @@ class JoinSystem:
         self._workload_override = workload
 
     def run(self) -> RunResult:
-        backend = get_backend(self.cfg.backend)
-        if self.cfg.obs.enabled and not getattr(
-            backend, "supports_observability", False
-        ):
-            raise ConfigError(
-                f"backend {self.cfg.backend!r} does not support the "
-                "observability plane (tracing/sampling/admin); it must "
-                "declare supports_observability=True and ship traces to "
-                "the caller"
-            )
-        return backend.run(
-            self.cfg, self.collect_pairs, self._workload_override
-        )
+        connector = _CONNECTORS[self.cfg.backend]
+        return connector(self.cfg, self.collect_pairs, self._workload_override)
 
 
-class SimBackend:
-    """The deterministic DES backend (``backend="sim"``)."""
-
-    name = "sim"
-    supports_observability = True
-
-    def run(
-        self,
-        cfg: SystemConfig,
-        collect_pairs: bool = False,
-        workload: t.Any = None,
-    ) -> RunResult:
-        sim = Simulator()
-        runtime = SimRuntime(sim)
-        tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
-        injector = None
-        if cfg.faults.enabled:
-            # Local import: repro.config -> repro.faults.plan must stay
-            # a one-way street (the injector pulls in the obs layer).
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(
-                cfg.faults,
-                [slave_node_id(i) for i in range(cfg.num_slaves)],
-                cfg.dist_epoch,
-                tracer=tracer,
-            )
-        transport = SimTransport(
-            sim,
-            cfg.network,
-            cfg.tuple_bytes,
-            # Transport spans are high-volume; opt in separately.
-            tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
-            faults=injector,
-        )
-        cluster = build_cluster(
-            cfg,
-            runtime,
-            transport,
-            workload=workload,
-            collect_pairs=collect_pairs,
-            tracer=tracer,
-            faults=injector,
-        )
-
-        processes = [
-            sim.process(gen, name=name) for name, gen in cluster.processes()
-        ]
-        if injector is not None:
-            # Crash processes need the victims' Process handles: kill
-            # every process whose name is "slave<node_id>.<kind>".
-            by_node: dict[int, list[t.Any]] = {}
-            for proc in processes:
-                name = proc.name
-                if name.startswith("slave"):
-                    nid = int(name[len("slave"): name.index(".")])
-                    by_node.setdefault(nid, []).append(proc)
-                elif name == "master":
-                    by_node.setdefault(MASTER_ID, []).append(proc)
-            for nid, crash in injector.crash_targets():
-                sim.process(
-                    injector.crash_process(
-                        nid, crash, runtime, transport, by_node.get(nid, ())
-                    ),
-                    name=f"fault.crash{nid}",
-                )
-        admin = start_admin_server(cfg, cluster, runtime.now, self.name)
-        try:
-            sim.run(None)
-        finally:
-            if admin is not None:
-                admin.close()
-        stuck = [p.name for p in processes if p.is_alive]
-        if stuck:
-            pending = transport.pending_summary()
-            detail = (
-                f"; pending channel ops: {'; '.join(pending)}" if pending else ""
-            )
-            raise DeadlockError(f"processes never finished: {stuck}{detail}")
-
-        return collect_result(cfg, cluster, collect_pairs)
-
-
-def start_admin_server(
+def _run_in_process(
     cfg: SystemConfig,
-    cluster: "Cluster",
-    now_fn: t.Callable[[], float],
-    backend: str,
-) -> t.Any:
-    """Start the opt-in admin/health endpoint for a running cluster.
+    runtime: t.Any,
+    transport: t.Any,
+    tracer: Tracer,
+    injector: FaultInjector | None,
+    wait: t.Callable[[], None],
+    collect_pairs: bool,
+    workload: t.Any,
+) -> RunResult:
+    """Host every node in this OS process and assemble the result."""
+    host = NodeHost(
+        cfg, runtime, transport, tracer, injector,
+        workload=workload, collect_pairs=collect_pairs,
+    )
+    payloads = host.run(wait)
+    return assemble_result(
+        cfg,
+        payloads,
+        collect_pairs,
+        injector.injected_records() if injector is not None else [],
+        tracer.memory_records(),
+    )
 
-    Returns the :class:`~repro.obs.admin.AdminServer` (caller must
-    ``close()`` it) or ``None`` when ``cfg.obs.admin_port`` is unset.
-    Shared by every backend: the server is hosted by whichever OS
-    process runs the master node.
-    """
-    if cfg.obs.admin_port is None:
+
+def _injector(cfg: SystemConfig, tracer: Tracer) -> FaultInjector | None:
+    """The run's fault injector (``None`` without a fault plan)."""
+    if not cfg.faults.enabled:
         return None
-    from repro.obs.admin import AdminServer, cluster_status
-    from repro.obs.metrics import render_prometheus
-
-    def status() -> dict[str, t.Any]:
-        return cluster_status(cfg, cluster, now_fn, backend)
-
-    def metrics() -> str:
-        return render_prometheus(cluster.node_metrics())
-
-    return AdminServer(status, metrics, port=cfg.obs.admin_port, announce=True)
+    return FaultInjector(
+        cfg.faults,
+        [slave_node_id(i) for i in range(cfg.num_slaves)],
+        cfg.dist_epoch,
+        tracer=tracer,
+    )
 
 
-def _thread_backend() -> Backend:
-    from repro.runtime.thread import ThreadBackend
+def _run_sim(
+    cfg: SystemConfig, collect_pairs: bool, workload: t.Any
+) -> RunResult:
+    """The deterministic DES backend (``backend="sim"``)."""
+    sim = Simulator()
+    tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
+    injector = _injector(cfg, tracer)
+    transport = SimTransport(
+        sim,
+        cfg.network,
+        cfg.tuple_bytes,
+        # Transport spans are high-volume; opt in separately.
+        tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
+        faults=injector,
+    )
+    return _run_in_process(
+        cfg, SimRuntime(sim), transport, tracer, injector,
+        lambda: sim.run(None), collect_pairs, workload,
+    )
 
-    return ThreadBackend()
+
+def _run_thread(
+    cfg: SystemConfig, collect_pairs: bool, workload: t.Any
+) -> RunResult:
+    """One OS thread per node generator (``backend="thread"``), time
+    compressed by ``cfg.time_scale``."""
+    runtime = ThreadRuntime(time_scale=cfg.time_scale)
+    tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
+    transport = ThreadTransport(
+        cfg.tuple_bytes,
+        time_scale=cfg.time_scale,
+        tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
+        now_fn=runtime.now,
+    )
+    # The modeled horizon plus slack for real compute overruns: the
+    # generators' numpy work takes however long it takes, regardless
+    # of the compressed clock.
+    budget = cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
+    return _run_in_process(
+        cfg, runtime, transport, tracer, _injector(cfg, tracer),
+        lambda: runtime.join_all(timeout=budget), collect_pairs, workload,
+    )
 
 
-def _process_backend() -> Backend:
+def _run_process(
+    cfg: SystemConfig, collect_pairs: bool, workload: t.Any
+) -> RunResult:
     from repro.runtime.process import ProcessBackend
 
-    return ProcessBackend()
+    return ProcessBackend().run(cfg, collect_pairs, workload)
 
 
-def _tcp_backend() -> Backend:
+def _run_tcp(
+    cfg: SystemConfig, collect_pairs: bool, workload: t.Any
+) -> RunResult:
     from repro.runtime.tcp import TcpBackend
 
-    return TcpBackend()
+    return TcpBackend().run(cfg, collect_pairs, workload)
 
 
-register_backend("sim", SimBackend)
-register_backend("thread", _thread_backend)
-register_backend("process", _process_backend)
-register_backend("tcp", _tcp_backend)
-
-
-def master_snapshot(cluster: "Cluster") -> dict[str, t.Any]:
-    """Master-side metric snapshot (shared by every backend; the
-    multi-process backends pickle this dict over the control channel).
-
-    Reads through :attr:`Cluster.acting_master`: after a standby
-    takeover the authoritative coordinator state — partition mapping,
-    dead set, failure records — lives in the standby's shadow master.
-    """
-    acting = cluster.acting_master
-    master_metrics = acting.metrics
-    return {
-        "comm_time": master_metrics.comm_time,
-        "idle_time": master_metrics.idle_time,
-        "bytes_sent": master_metrics.bytes_sent,
-        "bytes_received": master_metrics.bytes_received,
-        "messages": master_metrics.messages,
-        "max_buffer_bytes": master_metrics.max_buffer_bytes,
-        "tuples_ingested": master_metrics.tuples_ingested,
-        "epochs": master_metrics.epochs,
-        "reorgs": master_metrics.reorgs,
-        "moves_ordered": master_metrics.moves_ordered,
-        "supplier_counts": master_metrics.supplier_counts,
-        "failures": acting.state.failures,
-        "dead_slaves": sorted(acting.state.dead),
-        "partition_owners": dict(sorted(acting.state.mapping.items())),
-        "replication_bytes": master_metrics.replication_bytes,
-    }
-
-
-def collect_result(
-    cfg: SystemConfig, cluster: "Cluster", collect_pairs: bool
-) -> RunResult:
-    """Assemble a :class:`RunResult` from a finished cluster's metrics
-    (shared by the sim and thread backends)."""
-    merged = DelayStats()
-    for metrics in cluster.slave_metrics:
-        merged.merge(metrics.delays)
-
-    acting = cluster.acting_master
-
-    pairs: np.ndarray | None = None
-    if collect_pairs:
-        replicated = cfg.replication != "off"
-        # With replication on, a dead slave's residual chunks are
-        # *dropped*: its pre-checkpoint pairs are already banked at the
-        # master and the rest re-emerge from the backup's log replay —
-        # keeping them would double-count.  (The process backend cannot
-        # read a killed slave's memory at all, so this also makes the
-        # sim/thread result match it exactly.)
-        chunks = list(acting.pair_rows) if replicated else []
-        dead = acting.state.dead if replicated else set()
-        for i, m in enumerate(cluster.slave_metrics):
-            if slave_node_id(i) in dead:
-                continue
-            chunks.extend(m.pair_chunks())
-        pairs = (
-            np.concatenate(chunks)
-            if chunks
-            else np.empty((0, 2), dtype=np.int64)
-        )
-
-    master_metrics = acting.metrics
-
-    trace = cluster.tracer.memory_records()
-    series = (
-        cluster.sampler.series_dict() if cluster.sampler is not None else None
-    )
-    cluster.tracer.close()
-
-    workload = acting.workload
-    return RunResult(
-        cfg=cfg,
-        duration=cfg.run_seconds - cfg.warmup_seconds,
-        delays=merged,
-        collector_delays=cluster.collector.delays,
-        slaves=[m.snapshot() for m in cluster.slave_metrics],
-        master=master_snapshot(cluster),
-        dod_trace=list(master_metrics.dod_changes),
-        delay_timeline=cluster.collector.timeline_rows(),
-        tuples_generated=workload.tuples_generated
-        if hasattr(workload, "tuples_generated")
-        else master_metrics.tuples_ingested,
-        pairs=pairs,
-        trace=trace,
-        series=series,
-        node_metrics=cluster.node_metrics(),
-        faults=list(acting.state.failures),
-        injected_faults=(
-            cluster.faults.injected_records() if cluster.faults else []
-        ),
-    )
+#: Backend name -> its connector, in :data:`~repro.config.BACKENDS` order.
+_CONNECTORS = dict(
+    zip(BACKENDS, (_run_sim, _run_thread, _run_process, _run_tcp), strict=True)
+)

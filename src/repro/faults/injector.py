@@ -80,17 +80,19 @@ class FaultInjector:
     ) -> t.Generator[t.Any, t.Any, None]:
         """Killer process: fail-stop *node_id* at the planned time.
 
-        The transport is told first — pending channel entries of the
-        victim are purged and its peers' receives resolve to
-        ``NodeDown`` — and only then are the victim's processes killed,
-        so no stale rendezvous entry can ever match a live peer.
+        The crash is recorded first, so no peer on a wall clock can
+        trace its detection ahead of it.  Then the transport is told —
+        pending channel entries of the victim are purged and its peers'
+        receives resolve to ``NodeDown`` — and only then are the
+        victim's processes killed, so no stale rendezvous entry can
+        ever match a live peer.
         """
         yield runtime.sleep_until(crash.at)
         now = float(runtime.now())
+        self._record("crash", node_id, now, info=crash.at)
         transport.kill_node(node_id)
         for proc in victims:
             proc.kill(f"fault injection: crash of node {node_id} at t={now:g}")
-        self._record("crash", node_id, now, info=crash.at)
 
     # -- message faults -------------------------------------------------
     def send_action(

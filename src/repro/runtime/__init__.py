@@ -7,8 +7,7 @@ and by transport endpoints.  Two interchangeable backends exist:
 * :class:`~repro.runtime.sim.SimRuntime` — virtual time on the
   discrete-event kernel; deterministic, used by all experiments.
 * :class:`~repro.runtime.thread.ThreadRuntime` — wall-clock time on
-  real threads with queue-based rendezvous channels; used by the "live
-  cluster" examples.
+  real threads; used by the thread, process and tcp backends.
 """
 
 from repro.runtime.base import Runtime

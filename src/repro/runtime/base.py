@@ -60,5 +60,8 @@ class Runtime(t.Protocol):
         ...  # pragma: no cover
 
     def spawn(self, generator: t.Generator, name: str = "") -> t.Any:
-        """Start another node-style generator concurrently."""
+        """Start another node-style generator concurrently.
+
+        Returns a handle with ``is_alive`` and ``kill(reason)``
+        (fail-stop: the generator is never resumed again)."""
         ...  # pragma: no cover

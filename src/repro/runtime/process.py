@@ -4,19 +4,21 @@
 real OS processes (``fork``), connected by one full-duplex stream
 socket per node pair carrying :mod:`repro.net.wire` frames.  Each node
 rebuilds the *full* cluster deterministically from the config (same
-seed, same round-robin partition map) but spawns only its own node's
+seed, same round-robin partition map) in the shared
+:class:`~repro.core.host.NodeHost`, which spawns only its own node's
 generators, driven by a per-process
-:class:`~repro.runtime.thread.ThreadRuntime` — the identical generator
-code that runs on the DES kernel and the thread backend.
+:class:`~repro.runtime.thread.ThreadRuntime` — the identical host and
+generator code that runs on the DES kernel and the thread backend.  The
+launcher builds the result with
+:func:`~repro.core.system.assemble_result`, as every backend does.
 
 Everything here is shared with ``backend="tcp"``
 (:mod:`repro.runtime.tcp`): one node body (:func:`run_node`), one
 control channel (:class:`ControlConn`), one launcher
-(:meth:`ProcessBackend.run`).  The two backends differ only in the
-*connector* — how a node comes by its job and its peer sockets, and how
-the launcher comes by its control connections
-(:meth:`ProcessBackend._launch`): here, socketpairs created before the
-fork and inherited across it.
+(:meth:`ProcessBackend.run`).  The two backends differ only in how a
+node comes by its job and its peer sockets, and how the launcher comes
+by its control connections (:meth:`ProcessBackend._launch`): here,
+socketpairs created before the fork and inherited across it.
 
 Control protocol (per node, pickled tuples over its control channel):
 
@@ -34,10 +36,14 @@ Control protocol (per node, pickled tuples over its control channel):
    truly gone.
 
 Crash faults (``crash:<slave>@<t>``) are injected by the launcher:
-a timer SIGKILLs the victim's process at the scaled wall time.  Peer
-EOF then drives the same ``NodeDown`` detection/recovery machinery the
-DES fault plane exercises.  Message and slowdown faults hang off the
-simulated transport and are rejected up front.
+a timer SIGKILLs the victim's process at the scaled wall time and
+records the kill as the fault injector would, in
+``RunResult.injected_faults`` and as a ``fault``/``crash`` row of the
+merged trace.  Peer EOF then drives the same ``NodeDown``
+detection/recovery machinery the DES fault plane exercises.  Message
+and slowdown faults hang off the simulated transport;
+:meth:`SystemConfig.validated <repro.config.SystemConfig.validated>`
+rejects them on the wall-clock backends.
 
 Distributed tracing: each node owns a node-local
 :class:`~repro.obs.tracer.Tracer` writing to a :class:`PipeExporter`,
@@ -68,20 +74,10 @@ import typing as t
 from dataclasses import dataclass
 from queue import Empty, Queue
 
-import numpy as np
-
 from repro.config import SystemConfig
-from repro.core.cluster import (
-    COLLECTOR_ID,
-    MASTER_ID,
-    Cluster,
-    build_cluster,
-    slave_node_id,
-    standby_node_id,
-    trace_meta,
-)
-from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
-from repro.core.system import RunResult, master_snapshot, start_admin_server
+from repro.core.cluster import MASTER_ID, slave_node_id, trace_meta
+from repro.core.host import NodeHost, cluster_node_ids
+from repro.core.system import RunResult, assemble_result
 from repro.errors import ConfigError, DeadlockError
 from repro.net.proc_transport import (
     _EOF,
@@ -90,6 +86,7 @@ from repro.net.proc_transport import (
     ProcTransport,
     write_frame,
 )
+from repro.obs.events import FaultEvent
 from repro.obs.exporters import (
     ConsoleSummaryExporter,
     Exporter,
@@ -98,7 +95,7 @@ from repro.obs.exporters import (
     replay_records,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.thread import ThreadRuntime, reject_unsupported
+from repro.runtime.thread import ThreadRuntime
 
 #: Wall seconds between "all nodes ready" and modeled t=0: covers
 #: control-message latency, the rebase and thread spawning in every node.
@@ -208,87 +205,6 @@ class PipeExporter(Exporter):
                 pass  # launcher gone: nothing left to ship the tail to
 
 
-def cluster_node_ids(cfg: SystemConfig) -> list[int]:
-    """Every node id of the cluster *cfg* describes, ascending."""
-    node_ids = [MASTER_ID, COLLECTOR_ID] + [
-        slave_node_id(i) for i in range(cfg.num_slaves)
-    ]
-    if cfg.standby:
-        node_ids.append(standby_node_id(cfg))
-    return node_ids
-
-
-def _owner_of(name: str, standby_id: int | None = None) -> int:
-    """Cluster node id owning a generator from ``Cluster.processes()``."""
-    if name == "master":
-        return MASTER_ID
-    if name == "standby":
-        if standby_id is None:
-            raise RuntimeError("standby generator without a standby node")
-        return standby_id
-    if name.startswith("collector"):
-        return COLLECTOR_ID
-    if name.startswith("slave"):
-        return int(name[len("slave"): name.index(".")])
-    raise RuntimeError(f"generator {name!r} has no owning cluster node")
-
-
-def _node_payload(
-    node_id: int, cluster: Cluster, collect_pairs: bool
-) -> dict[str, t.Any]:
-    """This node's contribution to the RunResult, pickled to the parent."""
-    if node_id == MASTER_ID or (
-        cluster.standby is not None and node_id == cluster.standby.node_id
-    ):
-        if node_id != MASTER_ID and not cluster.standby.took_over:
-            # Dormant standby: the master survived, so this node has no
-            # coordinator state worth shipping.
-            return {"took_over": False}
-        # In the standby's own process ``acting_master`` resolves to
-        # the shadow master after a takeover, so a killed master's
-        # payload is reconstructed here, not lost with the process.
-        acting = cluster.acting_master
-        mm = acting.metrics
-        workload = acting.workload
-        return {
-            "took_over": node_id != MASTER_ID,
-            "master": master_snapshot(cluster),
-            "dod_trace": list(mm.dod_changes),
-            "faults": list(acting.state.failures),
-            "pairs": acting.pair_rows if collect_pairs else [],
-            "tuples_generated": (
-                workload.tuples_generated
-                if hasattr(workload, "tuples_generated")
-                else mm.tuples_ingested
-            ),
-        }
-    if node_id == COLLECTOR_ID:
-        return {
-            "delays": cluster.collector.delays,
-            "timeline": cluster.collector.timeline_rows(),
-        }
-    metrics = cluster.slave_metrics[node_id - 2]
-    return {
-        "snapshot": metrics.snapshot(),
-        "delays": metrics.delays,
-        "pairs": metrics.pair_chunks() if collect_pairs else [],
-    }
-
-
-def _obs_payload(node_id: int, cluster: Cluster) -> dict[str, t.Any]:
-    """Observability extras every node ships: its local gauge series
-    (keys are ``n<node>.<gauge>``, disjoint across children) and the
-    typed view of its own counters (``None`` for the collector)."""
-    return {
-        "series": (
-            cluster.sampler.series_dict()
-            if cluster.sampler is not None
-            else None
-        ),
-        "metrics": cluster.node_metrics().get(node_id),
-    }
-
-
 def run_node(
     control: ControlConn,
     connect: t.Callable[[], tuple[NodeJob, dict[int, socket.socket]]],
@@ -321,23 +237,14 @@ def run_node(
             tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
             now_fn=runtime.now,
         )
-        cluster = build_cluster(
-            cfg,
-            runtime,
-            transport,
+        # The sampler is node-local: every node runs one, restricted
+        # to its own gauges.
+        host = NodeHost(
+            cfg, runtime, transport, tracer,
+            local_node=node_id,
             workload=job.workload,
             collect_pairs=job.collect_pairs,
-            tracer=tracer,
-            local_node=node_id,
         )
-        # The sampler generator is node-local: every node runs one,
-        # and ``local_node`` restricts it to this node's gauges.
-        sid = standby_node_id(cfg) if cfg.standby else None
-        mine = [
-            (name, gen)
-            for name, gen in cluster.processes()
-            if name == "sampler" or _owner_of(name, sid) == node_id
-        ]
 
         control.send(("ready",))
         msg = control.recv(timeout=SETUP_TIMEOUT)
@@ -352,28 +259,10 @@ def run_node(
             origin = time.monotonic() + STARTUP_GRACE
         runtime.rebase(origin)
         transport.rebase(origin)
-
-        # The admin endpoint lives wherever the master runs.
-        admin = (
-            start_admin_server(cfg, cluster, runtime.now, cfg.backend)
-            if node_id == MASTER_ID
-            else None
-        )
-        try:
-            for name, gen in mine:
-                runtime.spawn(gen, name=name)
-            # No local timeout: the launcher owns the deadline and
-            # SIGKILLs stragglers, which peers then observe as EOF.
-            runtime.join_all()
-        finally:
-            if admin is not None:
-                admin.close()
-        # Flush the trace tail before the result: the launcher treats
-        # the result message as this node's end-of-stream.
-        tracer.close()
-        payload = _node_payload(node_id, cluster, job.collect_pairs)
-        payload.update(_obs_payload(node_id, cluster))
-        control.send(("result", payload))
+        # No local timeout: the launcher owns the deadline and SIGKILLs
+        # stragglers, which peers then observe as EOF.
+        payloads = host.run(runtime.join_all)
+        control.send(("result", payloads[node_id]))
     except BaseException as error:  # noqa: BLE001 - shipped to the launcher
         detail = traceback.format_exc()
         try:
@@ -421,21 +310,17 @@ class ProcessBackend:
     work on separate cores — the GIL bounds the thread backend to one.
     """
 
-    name = "process"
-    supports_observability = True
-
     def run(
         self,
         cfg: SystemConfig,
         collect_pairs: bool = False,
         workload: t.Any = None,
     ) -> RunResult:
-        reject_unsupported(cfg, self.name, crash_ok=True)
         try:
             ctx = mp.get_context("fork")
         except ValueError as error:  # pragma: no cover - non-POSIX hosts
             raise ConfigError(
-                f"the {self.name} backend requires the 'fork' start "
+                f"the {cfg.backend} backend requires the 'fork' start "
                 "method (POSIX only)"
             ) from error
 
@@ -449,7 +334,6 @@ class ProcessBackend:
         controls: dict[int, ControlConn] = {}
         inbox: _Inbox = Queue()
         timers: list[threading.Timer] = []
-        killed: set[int] = set()
         injected: list[dict[str, t.Any]] = []
         traces: dict[int, list[dict[str, t.Any]]] = {}
         try:
@@ -458,9 +342,9 @@ class ProcessBackend:
                 self._start_pump(nid, control, inbox)
             origin = self._start_barrier(controls, inbox, set(procs))
             deadline = origin + cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
-            timers = self._arm_crashes(cfg, origin, procs, killed, injected)
+            timers = self._arm_crashes(cfg, origin, procs, injected)
             payloads = self._collect(
-                inbox, set(jobs), procs, killed, deadline, traces
+                inbox, set(jobs), injected, deadline, traces
             )
         finally:
             for timer in timers:
@@ -472,7 +356,13 @@ class ProcessBackend:
             for control in controls.values():
                 control.close()
 
-        return self._assemble(cfg, payloads, injected, collect_pairs, traces)
+        return assemble_result(
+            cfg,
+            payloads,
+            collect_pairs,
+            injected,
+            self._finish_trace(cfg, traces, injected),
+        )
 
     # -- connector -----------------------------------------------------------
     def _launch(
@@ -556,16 +446,11 @@ class ProcessBackend:
         waiting = set(controls)
         deadline = time.monotonic() + SETUP_TIMEOUT
         while waiting:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise DeadlockError(
-                    f"nodes never became ready (setup wedged): "
-                    f"{sorted(waiting)}"
-                )
-            try:
-                nid, msg = inbox.get(timeout=min(remaining, 1.0))
-            except Empty:
-                continue
+            nid, msg = self._receive(
+                inbox,
+                deadline,
+                f"nodes never became ready (setup wedged): {sorted(waiting)}",
+            )
             if msg is None:
                 raise RuntimeError(f"node {nid} died during setup")
             if msg[0] == "error":
@@ -585,7 +470,6 @@ class ProcessBackend:
         cfg: SystemConfig,
         origin: float,
         procs: dict[int, t.Any],
-        killed: set[int],
         injected: list[dict[str, t.Any]],
     ) -> list[threading.Timer]:
         """One timer per planned crash: SIGKILL the victim at the
@@ -603,7 +487,6 @@ class ProcessBackend:
                      at: float = crash.at) -> None:
                 if not victim.is_alive():
                     return  # finished before the crash time: nothing fired
-                killed.add(nid)
                 injected.append(
                     {"action": "crash", "node": nid, "t": at, "info": at}
                 )
@@ -620,8 +503,7 @@ class ProcessBackend:
         self,
         inbox: _Inbox,
         node_ids: set[int],
-        procs: dict[int, t.Any],
-        killed: set[int],
+        injected: list[dict[str, t.Any]],
         deadline: float,
         traces: dict[int, list[dict[str, t.Any]]],
     ) -> dict[int, dict[str, t.Any]]:
@@ -633,25 +515,16 @@ class ProcessBackend:
         payloads: dict[int, dict[str, t.Any]] = {}
         pending = set(node_ids)
         while pending:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                for proc in procs.values():
-                    if proc.is_alive():
-                        proc.kill()
-                raise DeadlockError(
-                    f"nodes never finished: {sorted(pending)}"
-                )
-            try:
-                nid, msg = inbox.get(timeout=min(remaining, 1.0))
-            except Empty:
-                continue
+            nid, msg = self._receive(
+                inbox, deadline, f"nodes never finished: {sorted(pending)}"
+            )
             if nid not in pending:
                 continue  # the EOF that follows a node's result
             if msg is None:
                 # Node gone without a payload: expected if and only if
                 # the fault plane killed it.
                 pending.discard(nid)
-                if nid not in killed:
+                if all(kill["node"] != nid for kill in injected):
                     raise RuntimeError(
                         f"node {nid} died without reporting a result "
                         "or an error"
@@ -666,6 +539,18 @@ class ProcessBackend:
         return payloads
 
     @staticmethod
+    def _receive(
+        inbox: _Inbox, deadline: float, stuck: str
+    ) -> tuple[int, t.Any]:
+        """The next ``(nid, msg)`` from the nodes, or — past *deadline*
+        — a :class:`DeadlockError` saying what was *stuck*.  (The
+        caller's teardown kills whatever still runs.)"""
+        try:
+            return inbox.get(timeout=max(0.0, deadline - time.monotonic()))
+        except Empty:
+            raise DeadlockError(stuck) from None
+
+    @staticmethod
     def _raise_node_error(nid: int, msg: tuple[t.Any, ...]) -> t.NoReturn:
         _, error, detail = msg
         raise RuntimeError(f"node {nid} failed:\n{detail}") from (
@@ -674,13 +559,22 @@ class ProcessBackend:
 
     @staticmethod
     def _finish_trace(
-        cfg: SystemConfig, traces: dict[int, list[dict[str, t.Any]]]
+        cfg: SystemConfig,
+        traces: dict[int, list[dict[str, t.Any]]],
+        injected: list[dict[str, t.Any]],
     ) -> list[dict[str, t.Any]] | None:
-        """Merge the per-node trace buffers and drive the configured
+        """Merge the per-node trace buffers, plus a ``fault`` row for
+        each crash the launcher injected, and drive the configured
         sinks; returns the merged records when ``trace_memory`` asked
         for them on the RunResult."""
         if not cfg.obs.tracing:
             return None
+        # The victim cannot trace its own SIGKILL, so the launcher does,
+        # with the row the fault injector emits.  It has no ``seq``:
+        # every node's seq run stays contiguous.
+        for kill in injected:
+            row = FaultEvent(target=kill["node"], **kill).to_record()
+            traces.setdefault(kill["node"], []).append(row)
         merged = merge_records(traces)
         sinks: list[Exporter] = []
         if cfg.obs.trace_path:
@@ -689,91 +583,3 @@ class ProcessBackend:
             sinks.append(ConsoleSummaryExporter())
         replay_records(merged, sinks)
         return merged if cfg.obs.trace_memory else None
-
-    def _assemble(
-        self,
-        cfg: SystemConfig,
-        payloads: dict[int, dict[str, t.Any]],
-        injected: list[dict[str, t.Any]],
-        collect_pairs: bool,
-        traces: dict[int, list[dict[str, t.Any]]],
-    ) -> RunResult:
-        master = payloads.get(MASTER_ID)
-        if cfg.standby:
-            standby_payload = payloads.get(standby_node_id(cfg))
-            if standby_payload is not None and standby_payload.get("took_over"):
-                # The master was killed mid-run; the acting master's
-                # payload carries the authoritative coordinator state.
-                master = standby_payload
-        if master is None:
-            raise RuntimeError(
-                "master process produced no result payload and no standby "
-                "took over"
-            )
-        collector = payloads[COLLECTOR_ID]
-        gate = MeasurementWindow(cfg.warmup_seconds, cfg.run_seconds)
-
-        merged = DelayStats()
-        snapshots: list[dict[str, t.Any]] = []
-        replicated = cfg.replication != "off"
-        # Mirrors collect_result: the master's banked pairs come first,
-        # and a slave the master fenced contributes none — its output
-        # either was banked or re-emerges from the backup's replay.
-        pair_chunks: list[np.ndarray] = (
-            list(master["pairs"]) if replicated and collect_pairs else []
-        )
-        fenced = set(master["master"].get("dead_slaves", ()))
-        for i in range(cfg.num_slaves):
-            nid = slave_node_id(i)
-            payload = payloads.get(nid)
-            if payload is None:
-                # Killed mid-run: its window state (and metrics) died
-                # with it — without replication, a degraded run, same
-                # as the DES fault plane.
-                snapshots.append(SlaveMetrics(nid, gate).snapshot())
-                continue
-            merged.merge(payload["delays"])
-            snapshots.append(payload["snapshot"])
-            if not (replicated and nid in fenced):
-                pair_chunks.extend(payload["pairs"])
-
-        pairs: np.ndarray | None = None
-        if collect_pairs:
-            pairs = (
-                np.concatenate(pair_chunks)
-                if pair_chunks
-                else np.empty((0, 2), dtype=np.int64)
-            )
-
-        # Per-node gauge series carry disjoint "n<node>.<gauge>" keys,
-        # so the cluster view is a plain dict union.
-        series: dict[str, list[tuple[float, float]]] | None = None
-        if cfg.obs.sample_period is not None:
-            series = {}
-            for nid in sorted(payloads):
-                node_series = payloads[nid].get("series")
-                if node_series:
-                    series.update(node_series)
-        node_metrics = {
-            nid: payloads[nid]["metrics"]
-            for nid in sorted(payloads)
-            if payloads[nid].get("metrics") is not None
-        }
-
-        return RunResult(
-            cfg=cfg,
-            duration=cfg.run_seconds - cfg.warmup_seconds,
-            delays=merged,
-            collector_delays=collector["delays"],
-            slaves=snapshots,
-            master=master["master"],
-            dod_trace=master["dod_trace"],
-            delay_timeline=collector["timeline"],
-            tuples_generated=master["tuples_generated"],
-            pairs=pairs,
-            trace=self._finish_trace(cfg, traces),
-            series=series,
-            node_metrics=node_metrics,
-            faults=master["faults"],
-            injected_faults=injected,
-        )

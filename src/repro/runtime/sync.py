@@ -72,7 +72,8 @@ class ThreadQueue:
         return Thunk(lambda: self._queue.put(item))
 
     def get(self) -> Thunk:
-        return Thunk(self._queue.get)
+        # A killed getter is woken by a dummy item it never returns.
+        return Thunk(self._queue.get, wake=lambda: self._queue.put(None))
 
     def __len__(self) -> int:
         return self._queue.qsize()

@@ -2,8 +2,9 @@
 connected over real sockets.
 
 ``backend="tcp"`` is the process backend (:mod:`repro.runtime.process`
-— same node body, control protocol, launcher, crash timers and result
-assembly) with a different *connector*: the peer mesh and the control
+— same node body around the shared :class:`~repro.core.host.NodeHost`,
+control protocol, launcher and crash timers, and the result assembly
+every backend shares) with other sockets: the peer mesh and the control
 connections are TCP sockets established with the
 :mod:`repro.net.tcp_transport` handshake instead of socketpairs
 inherited across a fork — so nodes can live on *different hosts*.
@@ -29,7 +30,8 @@ Topology:
   control-message latency, and correctness never depends on clock
   agreement — the protocol is message-driven).
 
-A crash fault SIGKILLs the (local) victim worker, its peers observe
+A crash fault SIGKILLs the (local) victim worker — the launcher
+records the kill in the result and the merged trace — its peers observe
 EOF → ``NodeDown``, and the master's timeout/fencing/backup-replay
 path restores the run losslessly under ``--replication
 checkpoint+log``.  Crash faults that name a *remote* node are rejected
@@ -264,8 +266,6 @@ class TcpBackend(ProcessBackend):
     """One worker per cluster node over TCP (``backend="tcp"``): the
     process backend with handshaken TCP connections in place of
     fork-inherited socketpairs, so workers may live on other hosts."""
-
-    name = "tcp"
 
     def _launch(
         self,

@@ -1,9 +1,10 @@
 """Wall-clock runtime backend: node generators driven by real threads.
 
-Used by the "live cluster" examples: the very same master/slave/collector
-generators that run on the DES kernel are executed here on one thread
-per node, with :class:`~repro.net.thread_transport.ThreadTransport`
-providing real queue-based rendezvous channels.
+The runtime of the thread backend and of every process/tcp node: the
+very same master/slave/collector generators that run on the DES kernel
+are executed here on one thread each, with
+:class:`~repro.net.thread_transport.ThreadTransport` (or a socket
+transport) providing real rendezvous channels.
 
 ``time_scale`` compresses time: with ``time_scale=0.1`` a simulated
 second lasts 100 wall milliseconds, so a 60-second scenario demos in 6.
@@ -28,12 +29,20 @@ class KilledNode(BaseException):
 
 
 class Thunk:
-    """An awaitable for the thread backend: a blocking callable."""
+    """An awaitable for the thread backend: a blocking callable.
 
-    __slots__ = ("fn",)
+    *wake*, when given, unblocks a thread waiting in :meth:`run` (see
+    :meth:`ThreadHandle.kill`)."""
 
-    def __init__(self, fn: t.Callable[[], t.Any]) -> None:
+    __slots__ = ("fn", "wake")
+
+    def __init__(
+        self,
+        fn: t.Callable[[], t.Any],
+        wake: t.Callable[[], None] | None = None,
+    ) -> None:
         self.fn = fn
+        self.wake = wake
 
     def run(self) -> t.Any:
         return self.fn()
@@ -45,11 +54,26 @@ class ThreadHandle:
     def __init__(self, thread: threading.Thread) -> None:
         self.thread = thread
         self.error: BaseException | None = None
+        self.killed = False
+        #: The awaitable the thread runs (or last ran).
+        self.waiting: Thunk | None = None
 
     def join(self, timeout: float | None = None) -> None:
         self.thread.join(timeout)
         if self.error is not None:
             raise self.error
+
+    def kill(self, reason: str = "") -> None:
+        """Fail-stop the node thread, as a crash injection does to a
+        simulated process: its generator is never resumed again.
+
+        A thread blocked on a runtime queue is woken here; one blocked
+        on a channel is woken by the transport's ``kill_node``.
+        """
+        self.killed = True
+        waiting = self.waiting
+        if waiting is not None and waiting.wake is not None:
+            waiting.wake()
 
     @property
     def is_alive(self) -> bool:
@@ -140,7 +164,15 @@ class ThreadRuntime:
                         f"node generator yielded {op!r}; thread backend "
                         "requires awaitables with a run() method"
                     )
+                # Publish the op before reading the flag, as kill()
+                # sets the flag before reading the op: whichever runs
+                # second sees the other, so no kill is ever missed.
+                handle.waiting = op
+                if handle.killed:
+                    return
                 value = op.run()
+                if handle.killed:
+                    return
         except StopIteration:
             pass
         except KilledNode:
@@ -162,144 +194,3 @@ class ThreadRuntime:
         from repro.runtime.sync import ThreadQueue
 
         return ThreadQueue(name=name)
-
-
-def reject_unsupported(
-    cfg: t.Any, backend: str, crash_ok: bool = False
-) -> None:
-    """Fail fast on config features a wall-clock backend cannot honor.
-
-    The fault plane's message/slowdown injection hangs off the DES
-    transport; the wall-clock backends support only ``crash:`` specs
-    (*crash_ok*) — the thread backend reaps the victim's threads, the
-    process backend SIGKILLs the victim's OS process.  (Observability
-    is supported everywhere since the tracer went thread-safe: records
-    are stamped with a per-node ``seq`` under a lock.)
-    """
-    from repro.errors import ConfigError
-
-    if not cfg.faults.enabled:
-        return
-    if not crash_ok:
-        raise ConfigError(
-            f"the {backend} backend does not support fault injection; "
-            "use backend='sim' or backend='process' (crash faults only)"
-        )
-    unsupported = [
-        f.spec() for f in (*cfg.faults.messages, *cfg.faults.slowdowns)
-    ]
-    if unsupported:
-        raise ConfigError(
-            f"the {backend} backend supports only crash: fault specs "
-            f"(the victim's OS process is killed); unsupported: "
-            f"{', '.join(unsupported)} — use backend='sim'"
-        )
-
-
-class _JoinLoopVictim:
-    """Kill handle for a crash-injected slave's join-loop thread.
-
-    The transport's ``kill_node`` wakes the victim's *comm* thread (it
-    is blocked in a channel op), but the join loop blocks on the
-    slave-local work queue, which the fault plane cannot reach — so the
-    kill pushes the loop's own halt token instead.
-    """
-
-    def __init__(self, slave: t.Any) -> None:
-        self.slave = slave
-
-    def kill(self, reason: str) -> None:
-        from repro.core.slave import HALT_TOKEN
-
-        self.slave.work_queue.put(HALT_TOKEN).run()
-
-
-class ThreadBackend:
-    """Wall-clock backend: one OS thread per node generator
-    (``backend="thread"``).
-
-    Runs the very same generators as the DES kernel, with
-    :class:`~repro.net.thread_transport.ThreadTransport` rendezvous
-    channels.  Time runs compressed by ``cfg.time_scale``.
-    """
-
-    name = "thread"
-    supports_observability = True
-
-    def run(
-        self,
-        cfg: t.Any,
-        collect_pairs: bool = False,
-        workload: t.Any = None,
-    ) -> t.Any:
-        # Local imports: repro.runtime.thread must stay importable
-        # without the core layer (proc_transport pulls in Thunk).
-        from repro.core.cluster import build_cluster, trace_meta
-        from repro.core.system import (
-            collect_result,
-            slave_node_id,
-            start_admin_server,
-        )
-        from repro.errors import DeadlockError
-        from repro.net.thread_transport import ThreadTransport
-        from repro.obs.tracer import NULL_TRACER, build_tracer
-
-        reject_unsupported(cfg, self.name, crash_ok=True)
-        runtime = ThreadRuntime(time_scale=cfg.time_scale)
-        tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
-        transport = ThreadTransport(
-            cfg.tuple_bytes,
-            time_scale=cfg.time_scale,
-            tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
-            now_fn=runtime.now,
-        )
-        injector = None
-        if cfg.faults.enabled:
-            from repro.faults.injector import FaultInjector
-
-            injector = FaultInjector(
-                cfg.faults,
-                [slave_node_id(i) for i in range(cfg.num_slaves)],
-                cfg.dist_epoch,
-            )
-        cluster = build_cluster(
-            cfg,
-            runtime,
-            transport,
-            workload=workload,
-            collect_pairs=collect_pairs,
-            tracer=tracer,
-            faults=injector,
-        )
-        admin = start_admin_server(cfg, cluster, runtime.now, self.name)
-        for name, gen in cluster.processes():
-            runtime.spawn(gen, name=name)
-        if injector is not None:
-            victims_by_node = {
-                slave.node_id: [_JoinLoopVictim(slave)]
-                for slave in cluster.slaves
-            }
-            for nid, crash in injector.crash_targets():
-                runtime.spawn(
-                    injector.crash_process(
-                        nid,
-                        crash,
-                        runtime,
-                        transport,
-                        victims_by_node.get(nid, ()),
-                    ),
-                    name=f"fault.crash{nid}",
-                )
-        # The modeled horizon plus slack for real compute overruns: the
-        # generators' numpy work takes however long it takes, regardless
-        # of the compressed clock.
-        budget = cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
-        try:
-            runtime.join_all(timeout=budget)
-        finally:
-            if admin is not None:
-                admin.close()
-        stuck = [h.thread.name for h in runtime.handles if h.is_alive]
-        if stuck:
-            raise DeadlockError(f"node threads never finished: {stuck}")
-        return collect_result(cfg, cluster, collect_pairs)

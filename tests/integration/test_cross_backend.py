@@ -190,72 +190,38 @@ class TestFourWayConformance:
 
 class TestBackendSelection:
     def test_unknown_backend_lists_available(self):
-        cfg = SystemConfig.paper_defaults().with_(backend="quantum")
         with pytest.raises(ConfigError, match="sim.*thread"):
+            cfg = SystemConfig.paper_defaults().with_(backend="quantum")
             JoinSystem(cfg).run()
-
-    def test_every_registered_backend_supports_observability(self):
-        """All shipped backends declare the observability capability
-        (wall backends trace since the distributed-trace plane)."""
-        from repro.core.system import available_backends, get_backend
-
-        for name in available_backends():
-            assert getattr(get_backend(name), "supports_observability", False), (
-                f"backend {name!r} does not declare supports_observability"
-            )
-
-    def test_backend_without_trace_shipping_is_rejected(self):
-        """A backend that cannot ship traces must fail loudly, not
-        silently swallow the requested observability plane."""
-        from repro.config import ObservabilityConfig
-        from repro.core.system import register_backend
-
-        class _BlindBackend:
-            name = "blind"
-
-            def run(self, cfg, collect_pairs=False, workload=None):
-                raise AssertionError("must be rejected before run()")
-
-        register_backend("blind", _BlindBackend)
-        try:
-            cfg = SystemConfig.paper_defaults().with_(
-                backend="blind", obs=ObservabilityConfig(trace_memory=True)
-            )
-            with pytest.raises(ConfigError, match="observability"):
-                JoinSystem(cfg).run()
-        finally:
-            from repro.core.system import _BACKEND_FACTORIES
-
-            _BACKEND_FACTORIES.pop("blind", None)
 
     def test_thread_backend_rejects_non_crash_faults(self):
         from repro.faults.plan import FaultPlan, parse_fault
 
-        cfg = SystemConfig.paper_defaults().with_(
-            backend="thread",
-            faults=FaultPlan(messages=(parse_fault("drop:2->0@3"),)),
-        )
         with pytest.raises(ConfigError, match="crash"):
+            cfg = SystemConfig.paper_defaults().with_(
+                backend="thread",
+                faults=FaultPlan(messages=(parse_fault("drop:2->0@3"),)),
+            )
             JoinSystem(cfg).run()
 
     def test_process_backend_rejects_non_crash_faults(self):
         from repro.faults.plan import FaultPlan, parse_fault
 
-        cfg = SystemConfig.paper_defaults().with_(
-            backend="process",
-            faults=FaultPlan(messages=(parse_fault("drop:2->0@3"),)),
-        )
         with pytest.raises(ConfigError, match="crash"):
+            cfg = SystemConfig.paper_defaults().with_(
+                backend="process",
+                faults=FaultPlan(messages=(parse_fault("drop:2->0@3"),)),
+            )
             JoinSystem(cfg).run()
 
     def test_tcp_backend_rejects_non_crash_faults(self):
         from repro.faults.plan import FaultPlan, parse_fault
 
-        cfg = SystemConfig.paper_defaults().with_(
-            backend="tcp",
-            faults=FaultPlan(messages=(parse_fault("drop:2->0@3"),)),
-        )
         with pytest.raises(ConfigError, match="crash"):
+            cfg = SystemConfig.paper_defaults().with_(
+                backend="tcp",
+                faults=FaultPlan(messages=(parse_fault("drop:2->0@3"),)),
+            )
             JoinSystem(cfg).run()
 
     def test_tcp_backend_rejects_crash_on_remote_node(self):
@@ -289,6 +255,7 @@ class TestLosslessRecoveryConformance:
 
     @pytest.mark.parametrize("backend", ["sim", "thread", "process", "tcp"])
     def test_crash_with_replication_matches_oracle(self, backend):
+        from repro.config import ObservabilityConfig
         from repro.core.cluster import slave_node_id
         from repro.faults.plan import FaultPlan
 
@@ -307,6 +274,7 @@ class TestLosslessRecoveryConformance:
                 time_scale=0.05,
                 replication="checkpoint+log",
                 faults=FaultPlan.parse(["crash:1@5s"]),
+                obs=ObservabilityConfig(trace_memory=True),
             )
         )
         wl = TwoStreamWorkload.poisson_bmodel(
@@ -324,6 +292,18 @@ class TestLosslessRecoveryConformance:
         assert result.faults[0]["lost_pids"] == ()
         assert not result.degraded
         assert np.array_equal(sorted_pairs([result.pairs]), oracle)
+
+        # Every backend traces the injection itself, ahead of the
+        # master's detection of it.
+        victim_faults = [
+            (r["action"], i)
+            for i, r in enumerate(result.trace)
+            if r["kind"] == "fault" and r["target"] == victim
+        ]
+        crashes = [i for action, i in victim_faults if action == "crash"]
+        detects = [i for action, i in victim_faults if action == "detect"]
+        assert len(crashes) == 1
+        assert detects and crashes[0] < detects[0]
 
 
 class TestProcessFaults:

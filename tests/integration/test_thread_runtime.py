@@ -74,6 +74,41 @@ class TestThreadRuntime:
         rt.join_all(timeout=10.0)
         assert order == [0, 1, 2]
 
+    def test_kill_wakes_a_thread_blocked_on_a_queue(self):
+        """A crash-killed node thread waiting on its (now producer-less)
+        work queue ends, and its generator is never resumed."""
+        rt = ThreadRuntime(time_scale=0.01)
+        queue = rt.make_queue()
+        resumed = []
+
+        def waiter():
+            resumed.append((yield queue.get()))
+
+        handle = rt.spawn(waiter())
+        time.sleep(0.05)  # let it block in get()
+        handle.kill("crash")
+        handle.join(timeout=5.0)
+        assert not handle.is_alive
+        assert resumed == []
+
+    def test_killed_thread_stops_at_its_next_step(self):
+        rt = ThreadRuntime(time_scale=0.01)
+        steps = []
+
+        def ticker():
+            while True:
+                steps.append(rt.now())
+                yield rt.sleep(1.0)
+
+        handle = rt.spawn(ticker())
+        time.sleep(0.05)
+        handle.kill("crash")
+        handle.join(timeout=5.0)
+        assert not handle.is_alive
+        ticks = len(steps)
+        time.sleep(0.05)
+        assert len(steps) == ticks
+
 
 class TestThreadTransport:
     def test_rendezvous_send_recv(self):

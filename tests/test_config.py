@@ -11,6 +11,7 @@ from repro.config import (
     SystemConfig,
 )
 from repro.errors import ConfigError
+from repro.faults.plan import FaultPlan
 
 
 class TestPaperDefaults:
@@ -146,6 +147,9 @@ class TestValidation:
             {"beta": 1.0},
             {"warmup_seconds": 2000.0},  # >= run_seconds
             {"slave_buffer_bytes": 16},
+            {"backend": "quantum"},
+            # The wall-clock backends inject crash faults only.
+            {"backend": "tcp", "faults": FaultPlan.parse(["slow:0x2@1-2s"])},
         ],
     )
     def test_rejects(self, changes):
