@@ -82,19 +82,23 @@ class Cluster(t.NamedTuple):
             return self.standby.master
         return self.master
 
-    def processes(self) -> list[tuple[str, t.Generator]]:
-        """All node generators, named, ready to spawn on a runtime."""
-        out = [("master", self.master.run())]
+    def processes(self) -> list[tuple[str, int | None, t.Generator]]:
+        """All node generators as ``(name, owning node id, generator)``,
+        ready to spawn on a runtime.  The owner is ``None`` for the
+        sampler, which every host runs for its own nodes."""
+        out: list[tuple[str, int | None, t.Generator]] = [
+            ("master", MASTER_ID, self.master.run())
+        ]
         if self.standby is not None:
-            out.append(("standby", self.standby.run()))
+            out.append(("standby", self.standby.node_id, self.standby.run()))
         for slave in self.slaves:
             for i, gen in enumerate(slave.processes()):
                 kind = ("comm", "join")[i]
-                out.append((f"slave{slave.node_id}.{kind}", gen))
+                out.append((f"slave{slave.node_id}.{kind}", slave.node_id, gen))
         for i, gen in enumerate(self.collector.processes()):
-            out.append((f"collector.recv{i}", gen))
+            out.append((f"collector.recv{i}", COLLECTOR_ID, gen))
         if self.sampler is not None:
-            out.append(("sampler", self._sampler_loop()))
+            out.append(("sampler", None, self._sampler_loop()))
         return out
 
     def _samples_node(self, node_id: int) -> bool:

@@ -41,20 +41,6 @@ def cluster_node_ids(cfg: SystemConfig) -> list[int]:
     return node_ids
 
 
-def _owner_of(name: str, standby_id: int | None) -> int | None:
-    """Cluster node id owning a generator from ``Cluster.processes()``;
-    ``None`` for the sampler, which every host runs for its own nodes."""
-    if name == "sampler":
-        return None
-    if name == "master":
-        return MASTER_ID
-    if name == "standby":
-        return standby_id
-    if name.startswith("collector"):
-        return COLLECTOR_ID
-    return int(name[len("slave"): name.index(".")])
-
-
 class NodeHost:
     """One cluster, built here, of which this OS process runs some nodes.
 
@@ -92,14 +78,12 @@ class NodeHost:
             faults=injector,
             local_node=local_node,
         )
-        sid = standby_node_id(cfg) if cfg.standby else None
         #: ``(name, owning node, generator)`` for every generator this
         #: host spawns; the owner is ``None`` for the sampler.
         self._mine = [
             (name, owner, gen)
-            for name, gen in self.cluster.processes()
-            if (owner := _owner_of(name, sid)) is None
-            or owner in self.node_ids
+            for name, owner, gen in self.cluster.processes()
+            if owner is None or owner in self.node_ids
         ]
 
     def run(

@@ -420,23 +420,18 @@ def _run_thread(
     )
 
 
-def _run_process(
+def _run_sockets(
     cfg: SystemConfig, collect_pairs: bool, workload: t.Any
 ) -> RunResult:
+    """One OS process per node (``backend="process"`` or ``"tcp"``)."""
     from repro.runtime.process import ProcessBackend
-
-    return ProcessBackend().run(cfg, collect_pairs, workload)
-
-
-def _run_tcp(
-    cfg: SystemConfig, collect_pairs: bool, workload: t.Any
-) -> RunResult:
     from repro.runtime.tcp import TcpBackend
 
-    return TcpBackend().run(cfg, collect_pairs, workload)
+    launcher = TcpBackend() if cfg.backend == "tcp" else ProcessBackend()
+    return launcher.run(cfg, collect_pairs, workload)
 
 
 #: Backend name -> its connector, in :data:`~repro.config.BACKENDS` order.
 _CONNECTORS = dict(
-    zip(BACKENDS, (_run_sim, _run_thread, _run_process, _run_tcp), strict=True)
+    zip(BACKENDS, (_run_sim, _run_thread, _run_sockets, _run_sockets), strict=True)
 )

@@ -487,8 +487,12 @@ class ProcessBackend:
                      at: float = crash.at) -> None:
                 if not victim.is_alive():
                     return  # finished before the crash time: nothing fired
+                # Stamped with the modeled time the timer really fired,
+                # as the fault injector does: no row the victim traced
+                # before dying sorts after its crash row.
+                now = (time.monotonic() - origin) / cfg.time_scale
                 injected.append(
-                    {"action": "crash", "node": nid, "t": at, "info": at}
+                    {"action": "crash", "node": nid, "t": now, "info": at}
                 )
                 victim.kill()
 

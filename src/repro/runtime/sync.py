@@ -50,16 +50,34 @@ class SimQueue:
 
 
 class ThreadLock:
-    """Mutex for the thread backend."""
+    """Mutex for the thread backend.
+
+    A lock belongs to one node, so a crash kill may break it: every
+    waiter, present and future, then returns without the lock.  The
+    holder may have been killed mid-section and will never release."""
 
     def __init__(self, name: str = "") -> None:
-        self._lock = threading.Lock()
+        self._cond = threading.Condition()
+        self._held = False
+        self._broken = False
+
+    def _acquire(self) -> None:
+        with self._cond:
+            self._cond.wait_for(lambda: not self._held or self._broken)
+            self._held = True
+
+    def _break(self) -> None:
+        with self._cond:
+            self._broken = True
+            self._cond.notify_all()
 
     def acquire(self) -> Thunk:
-        return Thunk(self._lock.acquire)
+        return Thunk(self._acquire, wake=self._break)
 
     def release(self) -> None:
-        self._lock.release()
+        with self._cond:
+            self._held = False
+            self._cond.notify()
 
 
 class ThreadQueue:

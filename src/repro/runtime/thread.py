@@ -67,8 +67,8 @@ class ThreadHandle:
         """Fail-stop the node thread, as a crash injection does to a
         simulated process: its generator is never resumed again.
 
-        A thread blocked on a runtime queue is woken here; one blocked
-        on a channel is woken by the transport's ``kill_node``.
+        A thread blocked on a runtime queue or lock is woken here; one
+        blocked on a channel is woken by the transport's ``kill_node``.
         """
         self.killed = True
         waiting = self.waiting

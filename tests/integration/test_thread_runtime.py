@@ -91,6 +91,33 @@ class TestThreadRuntime:
         assert not handle.is_alive
         assert resumed == []
 
+    def test_kill_wakes_a_thread_blocked_on_a_lock_a_killed_holder_kept(self):
+        """A node killed while one thread holds its state lock (mid
+        join pass) and another waits for it: both threads end."""
+        rt = ThreadRuntime(time_scale=0.01)
+        lock = rt.make_lock()
+        entered = []
+
+        def holder():
+            yield lock.acquire()
+            yield rt.sleep(10.0)  # killed here; never releases
+            lock.release()
+
+        def waiter():
+            yield lock.acquire()
+            entered.append(True)
+
+        held = rt.spawn(holder())
+        time.sleep(0.02)  # let it take the lock
+        blocked = rt.spawn(waiter())
+        time.sleep(0.02)  # let it block in acquire()
+        held.kill("crash")
+        blocked.kill("crash")
+        held.join(timeout=5.0)
+        blocked.join(timeout=5.0)
+        assert not held.is_alive and not blocked.is_alive
+        assert entered == []
+
     def test_killed_thread_stops_at_its_next_step(self):
         rt = ThreadRuntime(time_scale=0.01)
         steps = []
