@@ -79,10 +79,11 @@ class StandbyNode:
     def _detect_deadline(self) -> float | None:
         """Timeout for the next mirror message, anchored to the sync
         cadence rather than to when this recv was posted: sync ``k+1``
-        is due around ``(k + 2) * dist_epoch``.  Wall-clock children
-        spawn *before* modeled t=0 (the start barrier's grace period),
-        so a fixed relative timeout would expire before the master's
-        first sync was ever due."""
+        is due around ``(k + 2) * dist_epoch``.  A wall-clock node may
+        start slightly *after* modeled t=0 (the start message's latency,
+        thread spawning), never before it; anchored to the cadence, the
+        deadline tracks when the master's next sync is due on the shared
+        clock, however late this recv was posted."""
         if self._margin is None:
             return None
         due = (self.synced_epoch + 2) * self.cfg.dist_epoch

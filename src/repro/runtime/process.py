@@ -24,10 +24,11 @@ Control protocol (per node, pickled tuples over its control channel):
 
 1. the node connects, builds the cluster and reports ``("ready",)``;
 2. the launcher answers ``("start", origin)`` once every node is ready:
-   the shared clock *origin* is a ``time.monotonic()`` value —
-   system-wide on Linux — placed slightly in the future so every node
-   starts modeled t=0 simultaneously, after all setup work.  A node on
-   another host gets ``None`` and anchors to its own clock;
+   the shared clock *origin* is the ``time.monotonic()`` value —
+   system-wide on Linux — at which the last ``ready`` arrived, so
+   modeled t=0 follows all setup work with no wait in between.  A node
+   on another host gets ``None`` and anchors t=0 at its own receipt of
+   the start;
 3. the node rebases runtime and transport and spawns its generators,
    streaming ``("trace", batch)`` messages while it runs;
 4. on completion it ships ``("result", payload)`` — or, from any stage,
@@ -97,9 +98,6 @@ from repro.obs.exporters import (
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.runtime.thread import ThreadRuntime
 
-#: Wall seconds between "all nodes ready" and modeled t=0: covers
-#: control-message latency, the rebase and thread spawning in every node.
-STARTUP_GRACE = 0.5
 #: Wall seconds the launcher waits for the nodes' "ready", and a node
 #: for its job and the start barrier.
 SETUP_TIMEOUT = 120.0
@@ -247,16 +245,7 @@ def run_node(
         )
 
         control.send(("ready",))
-        msg = control.recv(timeout=SETUP_TIMEOUT)
-        if msg[0] != "start":
-            raise RuntimeError(f"expected the start barrier, got {msg[0]!r}")
-        origin = msg[1]
-        if origin is None:
-            # Another host than the launcher's: no shared monotonic
-            # clock.  Anchor t=0 to our own; the protocol is
-            # message-driven, so only wall-time *reporting* shifts by
-            # the (bounded) skew.
-            origin = time.monotonic() + STARTUP_GRACE
+        origin = await_start(control)
         runtime.rebase(origin)
         transport.rebase(origin)
         # No local timeout: the launcher owns the deadline and SIGKILLs
@@ -277,6 +266,26 @@ def run_node(
         if transport is not None:
             transport.close()
         control.close()
+
+
+def await_start(control: ControlConn) -> float:
+    """Block on the launcher's start barrier; returns the node's modeled
+    t=0 as a ``time.monotonic()`` value.
+
+    The origin may already lie a little in the past: a node that starts
+    late looks exactly like one stalled by the scheduler for as long,
+    which the message-driven protocol and every detection timeout
+    already tolerate."""
+    msg = control.recv(timeout=SETUP_TIMEOUT)
+    if msg[0] != "start":
+        raise RuntimeError(f"expected the start barrier, got {msg[0]!r}")
+    if msg[1] is None:
+        # Another host than the launcher's: no shared monotonic clock.
+        # t=0 is our own receipt of the start; the protocol is
+        # message-driven, so only wall-time *reporting* shifts by the
+        # (bounded) skew.
+        return time.monotonic()
+    return float(msg[1])
 
 
 def _forked_node(job: NodeJob, mesh: _SocketPairs, ctl: _SocketPairs) -> None:
@@ -439,10 +448,11 @@ class ProcessBackend:
     ) -> float:
         """Wait for every node's "ready", then broadcast the start.
 
+        The origin — modeled t=0 — is the moment the last "ready"
+        arrived: every node is built, so nothing is left to wait for.
         Nodes forked on this host share the launcher's monotonic clock
-        and get the real origin (slightly in the future, so nobody
-        starts late); the others get ``None`` and anchor to their own
-        clock (see :func:`run_node`)."""
+        and get it; the others get ``None`` and anchor t=0 at their own
+        receipt of the start (see :func:`await_start`)."""
         waiting = set(controls)
         deadline = time.monotonic() + SETUP_TIMEOUT
         while waiting:
@@ -460,7 +470,7 @@ class ProcessBackend:
                     f"node {nid} sent {msg[0]!r} before the start barrier"
                 )
             waiting.discard(nid)
-        origin = time.monotonic() + STARTUP_GRACE
+        origin = time.monotonic()
         for nid, control in controls.items():
             control.send(("start", origin if nid in local_ids else None))
         return origin

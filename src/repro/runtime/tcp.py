@@ -25,8 +25,9 @@ Topology:
   connection arriving before the worker knows its own node id is
   stashed and answered once the job assigns it.
 * From there on it is :func:`~repro.runtime.process.run_node`.  Locally
-  forked workers share the launcher's ``time.monotonic()`` origin; a
-  remote worker anchors ``t=0`` to its own clock (skew is bounded by
+  forked workers share the launcher's ``time.monotonic()`` origin (the
+  moment the last node reported ready); a remote worker anchors
+  ``t=0`` at its own receipt of the start barrier (skew is bounded by
   control-message latency, and correctness never depends on clock
   agreement — the protocol is message-driven).
 

@@ -83,19 +83,21 @@ class ThreadHandle:
 class ThreadRuntime:
     """Runtime backend executing node generators on real threads.
 
-    *origin* is the ``time.monotonic()`` value corresponding to modeled
-    t=0 (defaults to "now").  The process backend passes a shared origin
+    Modeled t=0 is the first :meth:`spawn` — the moment the run starts,
+    however long building the cluster took before it (until then the
+    clock reads from construction).  A process/tcp node instead passes
+    the launcher's shared ``time.monotonic()`` origin to :meth:`rebase`,
     so every node process agrees on the modeled clock —
     ``CLOCK_MONOTONIC`` is system-wide on Linux.
     """
 
-    def __init__(
-        self, time_scale: float = 1.0, origin: float | None = None
-    ) -> None:
+    def __init__(self, time_scale: float = 1.0) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.time_scale = time_scale
-        self._origin = time.monotonic() if origin is None else origin
+        self._origin = time.monotonic()
+        #: Whether t=0 is fixed; if not, the first spawn fixes it.
+        self._anchored = False
         self.handles: list[ThreadHandle] = []
 
     def rebase(self, origin: float) -> None:
@@ -106,6 +108,7 @@ class ThreadRuntime:
         if self.handles:
             raise RuntimeError("cannot rebase a runtime with live threads")
         self._origin = origin
+        self._anchored = True
 
     # -- Runtime protocol ---------------------------------------------------
     def now(self) -> float:
@@ -140,6 +143,8 @@ class ThreadRuntime:
         return Thunk(fn)
 
     def spawn(self, generator: t.Generator, name: str = "") -> ThreadHandle:
+        if not self._anchored:
+            self.rebase(time.monotonic())
         handle = ThreadHandle(
             threading.Thread(
                 target=self._drive, args=(generator,), name=name, daemon=True

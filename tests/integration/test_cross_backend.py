@@ -6,6 +6,8 @@ Timing-dependent metrics (delays, comm times) differ across backends by
 construction; the *results* must not.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -186,6 +188,82 @@ class TestFourWayConformance:
         assert np.array_equal(produced["sim"], produced["process"])
         assert np.array_equal(produced["sim"], produced["thread"])
         assert np.array_equal(produced["sim"], produced["tcp"])
+
+
+class TestLateStart:
+    """Nothing waits between the last node's "ready" and modeled t=0,
+    so a node may start late.  That is harmless: the protocol is
+    message-driven, and a late start looks like a scheduler stall."""
+
+    @pytest.mark.parametrize("backend", ["process", "tcp"])
+    def test_slave_starting_two_epochs_late_matches_oracle(
+        self, backend, monkeypatch
+    ):
+        from repro.core.cluster import slave_node_id
+        from repro.core.host import cluster_node_ids
+        from repro.runtime.process import ProcessBackend
+
+        # No fault plan: no detection timeout is armed.
+        cfg = (
+            SystemConfig.paper_defaults()
+            .scaled(0.01)
+            .with_(
+                num_slaves=2,
+                npart=8,
+                rate=150.0,
+                run_seconds=10.0,
+                warmup_seconds=2.0,
+                window_seconds=3.0,
+                reorg_epoch=4.0,
+                time_scale=0.02,
+                backend=backend,
+            )
+        )
+        delay = 2 * cfg.dist_epoch * cfg.time_scale
+        timers: list[threading.Timer] = []
+        barrier = ProcessBackend._start_barrier
+
+        def late_barrier(self, controls, inbox, local_ids):
+            victim = controls[slave_node_id(0)]
+            send = victim.send
+
+            def late_send(obj):
+                if obj[0] != "start":
+                    return send(obj)
+                # Off the broadcast loop: only this one node is late.
+                timer = threading.Timer(delay, send, (obj,))
+                timers.append(timer)
+                timer.start()
+
+            monkeypatch.setattr(victim, "send", late_send)
+            return barrier(self, controls, inbox, local_ids)
+
+        monkeypatch.setattr(ProcessBackend, "_start_barrier", late_barrier)
+        reported: list[int] = []
+        collect = ProcessBackend._collect
+
+        def spy_collect(self, *args):
+            payloads = collect(self, *args)
+            reported.extend(payloads)
+            return payloads
+
+        monkeypatch.setattr(ProcessBackend, "_collect", spy_collect)
+        wl = TwoStreamWorkload.poisson_bmodel(
+            RngRegistry(5), cfg.rate, cfg.b_skew, 10_000
+        )
+        trace = wl.generate(0.0, cfg.run_seconds - 3 * cfg.dist_epoch)
+        oracle = naive_window_join(trace, cfg.window_seconds)
+        assert len(oracle), "degenerate workload: oracle joined nothing"
+
+        result = JoinSystem(
+            cfg, collect_pairs=True, workload=TraceReplayer(trace)
+        ).run()
+        for timer in timers:
+            timer.join()
+        assert len(timers) == 1, "the slave's start was never delayed"
+        assert np.array_equal(sorted_pairs([result.pairs]), oracle)
+        assert sorted(reported) == sorted(cluster_node_ids(cfg))
+        assert not result.faults and not result.degraded
 
 
 class TestBackendSelection:

@@ -1,0 +1,116 @@
+"""The wall backends' start barrier and the modeled t=0 it fixes.
+
+No fork here: the launcher's barrier runs against fake control
+connections, a node's side against a scripted one.
+"""
+
+import threading
+import time
+from queue import Queue
+
+import pytest
+
+from repro.runtime.process import ProcessBackend, await_start
+from repro.runtime.thread import ThreadRuntime
+
+
+class FakeControl:
+    """Records what the barrier sends, and how many messages were still
+    waiting in the launcher's inbox when it did."""
+
+    def __init__(self, inbox: Queue) -> None:
+        self.inbox = inbox
+        self.sent: list[tuple[object, int]] = []
+
+    def send(self, obj) -> None:
+        self.sent.append((obj, self.inbox.qsize()))
+
+
+class ScriptedControl:
+    """A node's control connection that answers with one message."""
+
+    def __init__(self, msg) -> None:
+        self.msg = msg
+
+    def recv(self, timeout=None):
+        return self.msg
+
+
+class TestLauncherBarrier:
+    def test_origin_is_the_last_ready_and_shared_by_local_nodes(self):
+        inbox: Queue = Queue()
+        controls = {nid: FakeControl(inbox) for nid in range(4)}
+        local = {0, 1, 2}
+        for nid in (0, 1, 2):
+            inbox.put((nid, ("ready",)))
+        arrived = []
+
+        def last_ready() -> None:
+            time.sleep(0.05)
+            arrived.append(time.monotonic())
+            inbox.put((3, ("ready",)))
+
+        late = threading.Thread(target=last_ready)
+        late.start()
+        origin = ProcessBackend()._start_barrier(controls, inbox, local)
+        returned = time.monotonic()
+        late.join()
+
+        # t=0 is the moment the last "ready" arrived: not before it,
+        # and not in the future either (no grace to wait out).
+        assert arrived[0] <= origin <= returned
+        for nid, control in controls.items():
+            [(msg, backlog)] = control.sent
+            # Sent only once every "ready" was taken from the inbox.
+            assert backlog == 0
+            # Every local node gets the one origin; a node elsewhere
+            # gets None.
+            assert msg == ("start", origin if nid in local else None)
+
+    def test_a_node_error_before_ready_aborts_the_barrier(self):
+        inbox: Queue = Queue()
+        controls = {nid: FakeControl(inbox) for nid in range(2)}
+        inbox.put((0, ("ready",)))
+        inbox.put((1, ("error", None, "boom")))
+        with pytest.raises(RuntimeError, match="node 1 failed"):
+            ProcessBackend()._start_barrier(controls, inbox, {0, 1})
+        assert all(not control.sent for control in controls.values())
+
+
+class TestNodeSide:
+    def test_local_node_takes_the_shared_origin(self):
+        assert await_start(ScriptedControl(("start", 123.25))) == 123.25
+
+    def test_remote_node_anchors_at_its_receipt_of_start(self):
+        before = time.monotonic()
+        origin = await_start(ScriptedControl(("start", None)))
+        assert before <= origin <= time.monotonic()
+
+    def test_anything_but_start_is_a_protocol_error(self):
+        with pytest.raises(RuntimeError, match="expected the start barrier"):
+            await_start(ScriptedControl(("result", {})))
+
+
+class TestThreadRuntimeOrigin:
+    @staticmethod
+    def _first_reading(rt: ThreadRuntime) -> float:
+        seen = []
+
+        def node():
+            seen.append(rt.now())
+            yield rt.sleep(0.0)
+
+        rt.spawn(node()).join(timeout=5.0)
+        return seen[0]
+
+    def test_unset_origin_is_fixed_at_the_first_spawn(self):
+        rt = ThreadRuntime(time_scale=0.01)
+        time.sleep(0.1)  # "building the cluster": 10 modeled seconds
+        assert rt.now() >= 9.0
+        # ...none of which the run spends: it starts at t=0.
+        assert self._first_reading(rt) < 5.0
+
+    def test_rebased_origin_is_kept_by_the_first_spawn(self):
+        rt = ThreadRuntime(time_scale=0.01)
+        rt.rebase(time.monotonic() - 0.1)
+        assert self._first_reading(rt) >= 9.0
