@@ -4,7 +4,8 @@
 Everything else in this repository runs the master/slave/collector
 generators on the deterministic discrete-event kernel.  This example
 runs the *identical* node implementations on the wall-clock thread
-backend — one OS thread per process, queue-based rendezvous channels —
+backend — one OS thread per process, the nodes exchanging encoded
+frames over socket pairs exactly as the multi-process backend's do —
 for a small join of a few (compressed) seconds.  It demonstrates that
 the node logic is genuinely runtime-agnostic: the fixed communication
 schedule, the reorganization protocol and the join modules never know

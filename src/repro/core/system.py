@@ -13,7 +13,8 @@ waits — around one node host (:class:`~repro.core.host.NodeHost`), and
     The deterministic DES kernel (the default), all nodes in-process.
 ``thread``
     One OS thread per node generator on the wall clock, all nodes
-    in-process.
+    in-process, joined by the process backend's framed socket-pair
+    channels (:class:`~repro.net.proc_transport.LocalMesh`).
 ``process``
     One OS process per cluster node, socket-pair channels and the
     :mod:`repro.net.wire` codec (:mod:`repro.runtime.process`).
@@ -21,8 +22,9 @@ waits — around one node host (:class:`~repro.core.host.NodeHost`), and
     The process backend over handshaken TCP connections, optionally
     spanning hosts via ``swjoin worker`` (:mod:`repro.runtime.tcp`).
 
-The socket backends import on first use: importing this module never
-pulls in the multi-process runtime stack.
+The socket transport and backends import on first use: importing this
+module never pulls in the wire codec or the multi-process runtime
+stack.
 """
 
 from __future__ import annotations
@@ -40,11 +42,10 @@ from repro.core.cluster import (
     standby_node_id,
     trace_meta,
 )
-from repro.core.host import NodeHost
+from repro.core.host import NodeHost, cluster_node_ids
 from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
 from repro.faults.injector import FaultInjector
 from repro.net.sim_transport import SimTransport
-from repro.net.thread_transport import ThreadTransport
 from repro.obs.tracer import NULL_TRACER, Tracer, build_tracer
 from repro.runtime.sim import SimRuntime
 from repro.runtime.thread import ThreadRuntime
@@ -402,22 +403,28 @@ def _run_thread(
 ) -> RunResult:
     """One OS thread per node generator (``backend="thread"``), time
     compressed by ``cfg.time_scale``."""
+    from repro.net.proc_transport import LocalMesh
+
     runtime = ThreadRuntime(time_scale=cfg.time_scale)
     tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
-    transport = ThreadTransport(
+    mesh = LocalMesh(
+        cluster_node_ids(cfg),
         cfg.tuple_bytes,
+        runtime.now,
         time_scale=cfg.time_scale,
         tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
-        now_fn=runtime.now,
     )
     # The modeled horizon plus slack for real compute overruns: the
     # generators' numpy work takes however long it takes, regardless
     # of the compressed clock.
     budget = cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
-    return _run_in_process(
-        cfg, runtime, transport, tracer, _injector(cfg, tracer),
-        lambda: runtime.join_all(timeout=budget), collect_pairs, workload,
-    )
+    try:
+        return _run_in_process(
+            cfg, runtime, mesh, tracer, _injector(cfg, tracer),
+            lambda: runtime.join_all(timeout=budget), collect_pairs, workload,
+        )
+    finally:
+        mesh.close()
 
 
 def _run_sockets(

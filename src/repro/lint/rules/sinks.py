@@ -168,7 +168,6 @@ BANNED_SINKS: tuple[BannedSink, ...] = (
         allowed=(
             "repro/runtime/thread.py",
             "repro/runtime/process.py",
-            "repro/net/thread_transport.py",
             "repro/net/proc_transport.py",
             "repro/net/tcp_transport.py",
             "repro/obs/admin.py",

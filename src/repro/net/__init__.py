@@ -8,8 +8,11 @@
   endpoints' communication-time and idle-time statistics — these are
   exactly the "communication overhead" and wait times the paper's
   Figures 9–14 report.
-* :mod:`~repro.net.thread_transport` — real queue-based rendezvous
-  channels for the wall-clock backend.
+* :mod:`~repro.net.proc_transport` — framed stream-socket channels
+  over the :mod:`~repro.net.wire` codec: the one data plane of the
+  wall-clock backends (``thread``, ``process``, ``tcp``), whose sends
+  are buffered rather than rendezvous; :mod:`~repro.net.tcp_transport`
+  adds the TCP connect handshake.
 * :mod:`~repro.net.comm` — the communicator every node talks through:
   blocking point-to-point send/recv and typed-expect receives, all the
   fixed schedule needs.
@@ -21,6 +24,5 @@ schedule.
 """
 
 from repro.net.sim_transport import SimEndpoint, SimTransport
-from repro.net.thread_transport import ThreadEndpoint, ThreadTransport
 
-__all__ = ["SimTransport", "SimEndpoint", "ThreadTransport", "ThreadEndpoint"]
+__all__ = ["SimTransport", "SimEndpoint"]

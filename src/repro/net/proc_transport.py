@@ -1,12 +1,15 @@
 """Framed stream-socket channels: the one wall-clock data plane the
-``process`` and ``tcp`` backends share.
+``thread``, ``process`` and ``tcp`` backends share.
 
 Each unordered node pair of the cluster shares one full-duplex stream
 socket.  Where it comes from is the caller's business — a
-``socket.socketpair()`` inherited across ``fork`` (the parent closes
-both ends afterwards, so peer death is observable as EOF) or a
-handshaken TCP connection (:mod:`repro.net.tcp_transport`); everything
-from the first frame on is this module.  Messages travel as
+``socket.socketpair()`` (:func:`socketpair_mesh`) held by one process
+(:class:`LocalMesh`, the thread backend) or inherited across ``fork``
+(the parent closes both ends afterwards, so peer death is observable as
+EOF), or a handshaken TCP connection (:mod:`repro.net.tcp_transport`);
+everything from the first frame on is this module.  Nodes in one
+process share nothing either: every message is encoded on send and
+decoded into a fresh object on receive.  Messages travel as
 length-prefixed frames::
 
     length  4 bytes  big-endian payload size
@@ -17,11 +20,12 @@ so node code behind :mod:`repro.net.comm` behaves identically:
 
 * **FIFO per pair** — kernel stream sockets preserve order; the fixed
   communication schedule needs nothing stronger.
-* **peer EOF → NodeDown** — when the remote process exits (cleanly or
-  killed), buffered frames are still delivered, then ``recv`` resolves
+* **peer EOF → NodeDown** — when the remote node ends (its process
+  exits, cleanly or killed, or :meth:`LocalMesh.kill_node` shuts its
+  sockets), buffered frames are still delivered, then ``recv`` resolves
   to :class:`~repro.faults.markers.NodeDown`, the same marker the DES
-  transport synthesizes for a reaped node.  The PR 3 failure-detection
-  path in the master therefore works unchanged.
+  transport synthesizes for a reaped node.  The master's
+  failure-detection path therefore works unchanged.
 * **sends to a dead peer still complete** — a write hitting a closed
   socket (``EPIPE``/``ECONNRESET``) is the TCP-buffered-write model of
   a fail-stop peer: the message is discarded and nothing raises
@@ -37,7 +41,7 @@ so node code behind :mod:`repro.net.comm` behaves identically:
   from the fenced peer resolve to ``NodeDown`` (the master never
   legitimately receives from a slave it fenced).
 
-Unlike the rendezvous transports, sends are *buffered*: ``send``
+Unlike the simulated rendezvous, sends are *buffered*: ``send``
 completes once the frame is written to the socket, which blocks only
 when the kernel buffer fills (natural backpressure).  Statistics
 therefore measure real wall time spent writing/reading, not modeled
@@ -67,7 +71,7 @@ from repro.net.wire import decode_message, encode_message
 from repro.obs.events import TransportEvent
 from repro.obs.metrics import counter
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.thread import Thunk
+from repro.runtime.thread import KilledNode, Thunk
 
 #: Frame header: big-endian payload length.
 FRAME_HEADER = struct.Struct("!I")
@@ -212,12 +216,26 @@ class _ForeignEndpoint:
     drain = _refuse
 
 
-class ProcTransport:
-    """One process's view of the cluster interconnect.
+def socketpair_mesh(
+    node_ids: t.Sequence[int],
+) -> dict[int, dict[int, socket.socket]]:
+    """A full mesh of ``socket.socketpair()``s, one per unordered node
+    pair, as each node's ``{peer: socket}`` ends."""
+    ends: dict[int, dict[int, socket.socket]] = {nid: {} for nid in node_ids}
+    for i, a in enumerate(node_ids):
+        for b in node_ids[i + 1:]:
+            ends[a][b], ends[b][a] = socket.socketpair()
+    return ends
 
-    ``peers`` maps peer node id -> this process's end of the shared
-    stream socket.  ``endpoint`` hands out the real endpoint for the
-    local node and refusing stubs for every other node.
+
+class ProcTransport:
+    """One node's view of the cluster interconnect.
+
+    ``peers`` maps peer node id -> this node's end of the shared stream
+    socket.  ``endpoint`` hands out the real endpoint for the local node
+    and refusing stubs for every other node.  *now_fn* is the node
+    runtime's modeled clock; *time_scale* converts receive timeouts
+    from modeled to wall seconds.
     """
 
     #: First component of the pair-tally metric series names.
@@ -228,34 +246,23 @@ class ProcTransport:
         node_id: int,
         peers: t.Mapping[int, socket.socket],
         tuple_bytes: int,
+        now_fn: t.Callable[[], float],
         time_scale: float = 1.0,
-        origin: float | None = None,
         tracer: Tracer = NULL_TRACER,
-        now_fn: t.Callable[[], float] | None = None,
     ) -> None:
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
         self.node_id = node_id
         self.tuple_bytes = tuple_bytes
         self.time_scale = time_scale
-        self._origin = time.monotonic() if origin is None else origin
         self.tracer = tracer
-        self._now_fn = now_fn
+        self._now = now_fn
         self._channels = {
             peer: _Channel(peer, sock) for peer, sock in peers.items()
         }
         self._drain_threads: list[threading.Thread] = []
-
-    # -- clock ---------------------------------------------------------------
-    def _now(self) -> float:
-        if self._now_fn is not None:
-            return self._now_fn()
-        return (time.monotonic() - self._origin) / self.time_scale
-
-    def rebase(self, origin: float) -> None:
-        """Move modeled t=0 to the given ``time.monotonic()`` value (set
-        by the process backend's start barrier, shared by all nodes)."""
-        self._origin = origin
+        #: Set by :meth:`kill`: this node was fail-stopped in place.
+        self.killed = False
 
     # -- wiring --------------------------------------------------------------
     def endpoint(
@@ -273,14 +280,31 @@ class ProcTransport:
             )
         return chan
 
+    def kill(self) -> None:
+        """Fail-stop this node in place: shut down its socket ends.
+
+        Peers see buffered frames, then EOF → ``NodeDown``, and their
+        sends to it resolve to ``NodeDown``, as after a SIGKILL; this
+        node's own blocked sends and receives wake up and raise
+        :class:`~repro.runtime.thread.KilledNode`."""
+        self.killed = True
+        self._shutdown()
+
     def close(self) -> None:
-        """Close every socket (end of run; peers observe EOF)."""
+        """Close every socket (end of run; peers observe EOF) once the
+        drain threads, woken by the shutdown, have exited."""
+        self._shutdown()
+        for thread in self._drain_threads:
+            thread.join()
+        for chan in self._channels.values():
+            chan.sock.close()
+
+    def _shutdown(self) -> None:
         for chan in self._channels.values():
             try:
                 chan.sock.shutdown(socket.SHUT_RDWR)
             except OSError:
                 pass
-            chan.sock.close()
 
     # -- pair tallies --------------------------------------------------------
     def pair_stats(self) -> dict[int, dict[str, int]]:
@@ -300,7 +324,7 @@ class ProcTransport:
 
     def _message_bytes(self, message: t.Any) -> int:
         # Stats record the *modeled* 64 B/tuple wire size, like the sim
-        # and thread transports, so per-byte metrics stay comparable.
+        # transport, so per-byte metrics stay comparable.
         wire = getattr(message, "wire_bytes", None)
         return 64 if wire is None else int(wire(self.tuple_bytes))
 
@@ -364,6 +388,8 @@ class ProcEndpoint:
                 # completes, like a TCP write buffered towards a dead
                 # host, but the thunk value records the broken pipe.
                 dead = True
+            if transport.killed:
+                raise KilledNode(self.node_id)
             t1 = transport._now()
             nbytes = transport._message_bytes(message)
             if self.stats is not None:
@@ -401,6 +427,9 @@ class ProcEndpoint:
                 else max(0.0, timeout) * transport.time_scale
             )
             frame = chan.reader.read_frame(wall)
+            if transport.killed:
+                # Woken by our own kill: never resume with NodeDown.
+                raise KilledNode(self.node_id)
             t1 = transport._now()
             if frame is _TIMED_OUT:
                 if self.stats is not None:
@@ -440,3 +469,39 @@ class ProcEndpoint:
     def drain(self, src: int) -> None:
         """Fence the channel from *src* (see :meth:`ProcTransport.drain_peer`)."""
         self.transport.drain_peer(src)
+
+
+class LocalMesh:
+    """Every node's framed transport inside one OS process (the thread
+    backend): one :class:`ProcTransport` per node over a
+    :func:`socketpair_mesh`, so in-process nodes exchange encoded
+    frames exactly as forked ones do."""
+
+    def __init__(
+        self,
+        node_ids: t.Sequence[int],
+        tuple_bytes: int,
+        now_fn: t.Callable[[], float],
+        time_scale: float = 1.0,
+        tracer: Tracer = NULL_TRACER,
+    ) -> None:
+        self._transports = {
+            nid: ProcTransport(
+                nid, peers, tuple_bytes, now_fn, time_scale, tracer
+            )
+            for nid, peers in socketpair_mesh(node_ids).items()
+        }
+
+    def endpoint(
+        self, node_id: int, stats: CommStats | None = None
+    ) -> ProcEndpoint:
+        return ProcEndpoint(self._transports[node_id], stats)
+
+    def kill_node(self, node_id: int) -> None:
+        """Fail-stop *node_id* (see :meth:`ProcTransport.kill`)."""
+        self._transports[node_id].kill()
+
+    def close(self) -> None:
+        """End of run: close every node's sockets."""
+        for transport in self._transports.values():
+            transport.close()

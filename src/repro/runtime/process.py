@@ -29,7 +29,8 @@ Control protocol (per node, pickled tuples over its control channel):
    modeled t=0 follows all setup work with no wait in between.  A node
    on another host gets ``None`` and anchors t=0 at its own receipt of
    the start;
-3. the node rebases runtime and transport and spawns its generators,
+3. the node rebases its runtime — the one clock its transport reads —
+   and spawns its generators,
    streaming ``("trace", batch)`` messages while it runs;
 4. on completion it ships ``("result", payload)`` — or, from any stage,
    ``("error", exception, traceback)`` — and exits.  Process exit
@@ -85,6 +86,7 @@ from repro.net.proc_transport import (
     _TIMED_OUT,
     FrameReader,
     ProcTransport,
+    socketpair_mesh,
     write_frame,
 )
 from repro.obs.events import FaultEvent
@@ -110,8 +112,8 @@ TRACE_BATCH = 64
 #: victim can lose, regardless of event rate.
 TRACE_FLUSH_WALL_S = 0.05
 
-#: key -> the two ends of one ``socket.socketpair()``.
-_SocketPairs = dict[t.Any, tuple[socket.socket, socket.socket]]
+#: node id -> the launcher's and the node's end of its control socketpair.
+_Controls = dict[int, tuple[socket.socket, socket.socket]]
 _Inbox = Queue[tuple[int, t.Any]]
 
 
@@ -231,9 +233,9 @@ def run_node(
             node_id,
             peers,
             cfg.tuple_bytes,
+            runtime.now,
             time_scale=cfg.time_scale,
             tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
-            now_fn=runtime.now,
         )
         # The sampler is node-local: every node runs one, restricted
         # to its own gauges.
@@ -245,9 +247,7 @@ def run_node(
         )
 
         control.send(("ready",))
-        origin = await_start(control)
-        runtime.rebase(origin)
-        transport.rebase(origin)
+        runtime.rebase(await_start(control))
         # No local timeout: the launcher owns the deadline and SIGKILLs
         # stragglers, which peers then observe as EOF.
         payloads = host.run(runtime.join_all)
@@ -288,28 +288,23 @@ def await_start(control: ControlConn) -> float:
     return float(msg[1])
 
 
-def _forked_node(job: NodeJob, mesh: _SocketPairs, ctl: _SocketPairs) -> None:
+def _forked_node(
+    job: NodeJob, mesh: dict[int, dict[int, socket.socket]], ctl: _Controls
+) -> None:
     """Fork-child entry of the process backend (inherits every fd)."""
     node_id = job.node_id
     # Keep only this node's socket ends.  Critical: a leaked foreign fd
     # would keep a dead peer's channel open and suppress the EOF its
     # peers rely on for failure detection.
-    peers: dict[int, socket.socket] = {}
-    for (a, b), (sock_a, sock_b) in mesh.items():
-        if a == node_id:
-            peers[b] = sock_a
-            sock_b.close()
-        elif b == node_id:
-            peers[a] = sock_b
-            sock_a.close()
-        else:
-            sock_a.close()
-            sock_b.close()
+    for nid, ends in mesh.items():
+        if nid != node_id:
+            for sock in ends.values():
+                sock.close()
     for nid, (launcher_end, node_end) in ctl.items():
         launcher_end.close()
         if nid != node_id:
             node_end.close()
-    run_node(ControlConn(ctl[node_id][1]), lambda: (job, peers))
+    run_node(ControlConn(ctl[node_id][1]), lambda: (job, mesh[node_id]))
 
 
 class ProcessBackend:
@@ -393,13 +388,8 @@ class ProcessBackend:
         plus one control socketpair per node, all created before the
         first fork so every child can close exactly the foreign ends.
         """
-        node_ids = list(jobs)
-        mesh: _SocketPairs = {
-            (a, b): socket.socketpair()
-            for i, a in enumerate(node_ids)
-            for b in node_ids[i + 1:]
-        }
-        ctl: _SocketPairs = {nid: socket.socketpair() for nid in node_ids}
+        mesh = socketpair_mesh(list(jobs))
+        ctl: _Controls = {nid: socket.socketpair() for nid in jobs}
         try:
             for nid, job in jobs.items():
                 procs[nid] = ctx.Process(
@@ -413,9 +403,9 @@ class ProcessBackend:
             # The launcher is pure control plane: it must hold no data
             # sockets (a launcher-held fd would suppress peer EOF), and
             # no node ends of the controls (EOF there = the node died).
-            for sock_a, sock_b in mesh.values():
-                sock_a.close()
-                sock_b.close()
+            for ends in mesh.values():
+                for sock in ends.values():
+                    sock.close()
             for nid, (launcher_end, node_end) in ctl.items():
                 node_end.close()
                 controls[nid] = ControlConn(launcher_end)

@@ -2,9 +2,10 @@
 
 The runtime of the thread backend and of every process/tcp node: the
 very same master/slave/collector generators that run on the DES kernel
-are executed here on one thread each, with
-:class:`~repro.net.thread_transport.ThreadTransport` (or a socket
-transport) providing real rendezvous channels.
+are executed here on one thread each, exchanging messages over the
+framed socket channels of :mod:`repro.net.proc_transport` — socket
+pairs inside this process for the thread backend, across processes or
+hosts for the others.
 
 ``time_scale`` compresses time: with ``time_scale=0.1`` a simulated
 second lasts 100 wall milliseconds, so a 60-second scenario demos in 6.
@@ -68,7 +69,8 @@ class ThreadHandle:
         simulated process: its generator is never resumed again.
 
         A thread blocked on a runtime queue or lock is woken here; one
-        blocked on a channel is woken by the transport's ``kill_node``.
+        blocked on a channel is woken by the transport's ``kill_node``,
+        which shuts down the node's sockets.
         """
         self.killed = True
         waiting = self.waiting

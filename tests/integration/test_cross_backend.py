@@ -13,8 +13,9 @@ import pytest
 
 from repro import JoinSystem, SystemConfig
 from repro.core.cluster import build_cluster
+from repro.core.host import cluster_node_ids
 from repro.errors import ConfigError
-from repro.net.thread_transport import ThreadTransport
+from repro.net.proc_transport import LocalMesh
 from repro.reference import naive_window_join
 from repro.runtime.thread import ThreadRuntime
 from repro.simul.rng import RngRegistry
@@ -66,17 +67,20 @@ class TestCrossBackend:
 
         # Run fast: 1 virtual second = 10 ms wall (100x speedup).
         runtime = ThreadRuntime(time_scale=0.01)
-        transport = ThreadTransport(cfg.tuple_bytes, time_scale=0.01)
+        mesh = LocalMesh(
+            cluster_node_ids(cfg), cfg.tuple_bytes, runtime.now, time_scale=0.01
+        )
         cluster = build_cluster(
             cfg,
             runtime,
-            transport,
+            mesh,
             workload=TraceReplayer(trace),
             collect_pairs=True,
         )
         for name, _, gen in cluster.processes():
             runtime.spawn(gen, name=name)
         runtime.join_all(timeout=120.0)
+        mesh.close()
         thread_pairs = sorted_pairs(
             [c for m in cluster.slave_metrics for c in m.pair_chunks()]
         )
@@ -88,13 +92,16 @@ class TestCrossBackend:
     def test_thread_collector_consistency(self, shared_setup):
         cfg, trace = shared_setup
         runtime = ThreadRuntime(time_scale=0.01)
-        transport = ThreadTransport(cfg.tuple_bytes, time_scale=0.01)
+        mesh = LocalMesh(
+            cluster_node_ids(cfg), cfg.tuple_bytes, runtime.now, time_scale=0.01
+        )
         cluster = build_cluster(
-            cfg, runtime, transport, workload=TraceReplayer(trace)
+            cfg, runtime, mesh, workload=TraceReplayer(trace)
         )
         for name, _, gen in cluster.processes():
             runtime.spawn(gen, name=name)
         runtime.join_all(timeout=120.0)
+        mesh.close()
         local = sum(m.delays.count for m in cluster.slave_metrics)
         assert cluster.collector.delays.count == local
 

@@ -4,9 +4,6 @@ import time
 
 import pytest
 
-from repro.core.protocol import Halt, Shipment
-from repro.data.tuples import TupleBatch
-from repro.net.thread_transport import ThreadTransport
 from repro.runtime.thread import ThreadRuntime
 
 
@@ -136,48 +133,3 @@ class TestThreadRuntime:
         time.sleep(0.05)
         assert len(steps) == ticks
 
-
-class TestThreadTransport:
-    def test_rendezvous_send_recv(self):
-        rt = ThreadRuntime(time_scale=0.01)
-        transport = ThreadTransport(tuple_bytes=64, time_scale=0.01)
-        a = transport.endpoint(1)
-        b = transport.endpoint(2)
-        got = []
-
-        def sender():
-            yield a.send(2, Shipment(0, 0.0, 1.0, TupleBatch.empty()))
-            yield a.send(2, Halt(1))
-
-        def receiver():
-            while True:
-                msg = yield b.recv(1)
-                got.append(type(msg).__name__)
-                if isinstance(msg, Halt):
-                    return
-
-        rt.spawn(sender())
-        rt.spawn(receiver())
-        rt.join_all(timeout=10.0)
-        assert got == ["Shipment", "Halt"]
-
-    def test_send_blocks_until_received(self):
-        transport = ThreadTransport(tuple_bytes=64, time_scale=1.0)
-        a = transport.endpoint(1)
-        b = transport.endpoint(2)
-        rt = ThreadRuntime()
-        timeline = {}
-
-        def sender():
-            t0 = time.monotonic()
-            yield a.send(2, "x")
-            timeline["sent"] = time.monotonic() - t0
-
-        def receiver():
-            yield rt.sleep(0.2)
-            yield b.recv(1)
-
-        rt.spawn(sender())
-        rt.spawn(receiver())
-        rt.join_all(timeout=10.0)
-        assert timeline["sent"] >= 0.15  # waited for the receiver

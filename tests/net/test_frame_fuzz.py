@@ -11,6 +11,7 @@ up as an infinite busy loop — the iteration bounds below catch that.
 from __future__ import annotations
 
 import socket
+import time
 from collections import deque
 
 import pytest
@@ -147,7 +148,7 @@ class TestFrameReaderFuzz:
 class TestTcpReceivePathFuzz:
     def _pair(self):
         sa, sb = socket.socketpair()
-        transport = TcpTransport(2, {0: sb}, 64)
+        transport = TcpTransport(2, {0: sb}, 64, time.monotonic)
         return sa, transport
 
     @FUZZ

@@ -35,8 +35,8 @@ from repro.simul.rng import RngRegistry
 
 def make_pair(a=0, b=2, tuple_bytes=64):
     sa, sb = socket.socketpair()
-    ta = TcpTransport(a, {b: sa}, tuple_bytes)
-    tb = TcpTransport(b, {a: sb}, tuple_bytes)
+    ta = TcpTransport(a, {b: sa}, tuple_bytes, time.monotonic)
+    tb = TcpTransport(b, {a: sb}, tuple_bytes, time.monotonic)
     return ta, tb
 
 
