@@ -15,8 +15,8 @@ fault-free and with one slave crashed mid-run, then reports:
   and the faulted run.
 
 With ``--master-kill``, benchmarks master failover instead: runs with a
-standby coordinator, SIGKILLs (or simulates killing) the master
-mid-run, and reports the **election latency** — death detection to the
+standby coordinator, crashes the master mid-run (inside its own host,
+as every backend injects a crash), and reports the **election latency** — death detection to the
 last slave's Rejoin — per backend and kill time.  The run must complete
 undegraded (the standby replays the fatal round losslessly) or the
 benchmark fails.

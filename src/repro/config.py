@@ -470,6 +470,13 @@ class SystemConfig:
         self.cost.validated()
         self.obs.validated()
         self.faults.validated(num_slaves=self.num_slaves)
+        late = [c.spec() for c in self.faults.crashes if c.at >= self.run_seconds]
+        if late:
+            raise ConfigError(
+                f"crash fault specs at or after the end of the run "
+                f"(run_seconds={self.run_seconds:g}) would never fire: "
+                f"{', '.join(late)}"
+            )
         # Message and slowdown faults hang off the simulated transport;
         # a wall-clock backend can only kill the victim node.
         unsupported = [

@@ -108,23 +108,23 @@ class Cluster(t.NamedTuple):
         """Typed view of the run's counters, ``{node id: {name: sample}}``
         (:mod:`repro.obs.metrics`), built from the plain attributes on
         demand — ``/metrics``, ``--metrics`` and ``RunResult.node_metrics``
-        all read this.  The collector reports no series."""
+        all read this.  The collector reports no series.  On a socket
+        transport each node's series include the frames and bytes it
+        moved per peer."""
         coordinators = [self.master]
         if self.standby is not None:
             coordinators.append(self.standby.master)
         out: dict[int, dict[str, dict[str, t.Any]]] = {}
-        for node in coordinators:
+        for node in (*coordinators, *self.slaves):
             node_id = node.comm.node_id
-            if self._samples_node(node_id):
-                out[node_id] = node.metrics.series()
-                out[node_id]["dead_slaves"] = gauge(len(node.state.dead))
-        for slave in self.slaves:
-            if self._samples_node(slave.node_id):
-                out[slave.node_id] = slave.metrics.series()
-        if self.local_node in out:
-            # One node per process means a socket transport, which
-            # tallies the frames and bytes it moved per peer.
-            out[self.local_node].update(self.transport.series())
+            if not self._samples_node(node_id):
+                continue
+            series = out[node_id] = node.metrics.series()
+            if isinstance(node, MasterNode):
+                series["dead_slaves"] = gauge(len(node.state.dead))
+            tallies = getattr(node.comm.endpoint.transport, "series", None)
+            if tallies is not None:
+                series.update(tallies())
         return out
 
     # -- periodic gauge sampling ----------------------------------------------

@@ -5,9 +5,10 @@ runtime, a transport and a way to wait.  The sim and thread backends
 host every node in one OS process; the process and tcp backends host
 one node per process (:func:`~repro.runtime.process.run_node`).  Either
 way the host builds the cluster, spawns the generators of the nodes it
-runs in :meth:`~repro.core.cluster.Cluster.processes` order, points
-crash injection at their handles, serves the admin endpoint where the
-master lives and, once the wait is over, returns one payload per node —
+runs in :meth:`~repro.core.cluster.Cluster.processes` order, spawns
+the crash injection of each node it runs, serves the admin endpoint
+where the master lives and, once the wait is over, returns one payload
+per node — a crashed node's holds what it recorded before the crash —
 the input of :func:`~repro.core.system.assemble_result`.
 """
 
@@ -29,6 +30,7 @@ from repro.obs.tracer import Tracer
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
+    from repro.faults.plan import CrashFault
 
 
 def cluster_node_ids(cfg: SystemConfig) -> list[int]:
@@ -45,8 +47,9 @@ class NodeHost:
     """One cluster, built here, of which this OS process runs some nodes.
 
     *local_node* is the single node a socket-backend process runs;
-    ``None`` runs them all.  *injector* is the run's fault injector
-    when this process kills its crash victims itself (sim, thread).
+    ``None`` runs them all.  *injector* is this process's fault
+    injector (``None`` without a fault plan): the host fail-stops each
+    crash victim it runs through it.
     """
 
     def __init__(
@@ -86,6 +89,19 @@ class NodeHost:
             if owner is None or owner in self.node_ids
         ]
 
+    def _crash(
+        self, injector: "FaultInjector", nid: int, crash: "CrashFault",
+        victims: list[t.Any], admin: t.Any,
+    ) -> t.Generator[t.Any, t.Any, None]:
+        """Inject *crash* into hosted node *nid*.  A host whose only
+        node crashed stops serving its admin endpoint, as a dead
+        machine would; one running the whole cluster keeps serving."""
+        fired = yield from injector.crash_process(
+            nid, crash, self.runtime, self.cluster.transport, victims
+        )
+        if fired and admin is not None and self.node_ids == [nid]:
+            admin.close()
+
     def run(
         self, wait: t.Callable[[], None]
     ) -> dict[int, dict[str, t.Any]]:
@@ -98,20 +114,19 @@ class NodeHost:
             handle = runtime.spawn(gen, name=name)
             spawned.append((name, handle))
             by_node.setdefault(owner, []).append(handle)
-        if self.injector is not None:
-            for nid, crash in self.injector.crash_targets():
-                runtime.spawn(
-                    self.injector.crash_process(
-                        nid, crash, runtime, cluster.transport,
-                        by_node.get(nid, ()),
-                    ),
-                    name=f"fault.crash{nid}",
-                )
         admin = (
             _start_admin_server(self.cfg, cluster, runtime.now)
             if MASTER_ID in self.node_ids
             else None
         )
+        injector = self.injector
+        if injector is not None:
+            for nid, crash in injector.crash_targets():
+                if nid in self.node_ids:
+                    runtime.spawn(
+                        self._crash(injector, nid, crash, by_node[nid], admin),
+                        name=f"fault.crash{nid}",
+                    )
         try:
             wait()
         finally:

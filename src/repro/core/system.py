@@ -43,12 +43,12 @@ from repro.core.cluster import (
     trace_meta,
 )
 from repro.core.host import NodeHost, cluster_node_ids
-from repro.core.metrics import DelayStats, MeasurementWindow, SlaveMetrics
-from repro.faults.injector import FaultInjector
+from repro.core.metrics import DelayStats
+from repro.faults.injector import FaultInjector, build_injector
 from repro.net.sim_transport import SimTransport
 from repro.obs.tracer import NULL_TRACER, Tracer, build_tracer
 from repro.runtime.sim import SimRuntime
-from repro.runtime.thread import ThreadRuntime
+from repro.runtime.thread import ThreadRuntime, wall_budget
 from repro.simul.kernel import Simulator
 
 __all__ = [
@@ -240,22 +240,14 @@ def assemble_result(
     payloads (:meth:`NodeHost.run <repro.core.host.NodeHost.run>`),
     the fault injections that fired and the merged trace.
 
-    The same for every backend; a node missing from *payloads* was
-    killed with its process, and its metrics died with it."""
-    master = payloads.get(MASTER_ID)
-    if cfg.standby:
-        standby_payload = payloads.get(standby_node_id(cfg))
-        if standby_payload is not None and standby_payload.get("took_over"):
-            # The master was killed mid-run; the acting master's
-            # payload carries the authoritative coordinator state.
-            master = standby_payload
-    if master is None:
-        raise RuntimeError(
-            "master process produced no result payload and no standby "
-            "took over"
-        )
+    The same for every backend.  Every node reports; a crashed one
+    reports what it recorded before the crash."""
+    master = payloads[MASTER_ID]
+    if cfg.standby and payloads[standby_node_id(cfg)]["took_over"]:
+        # The master was killed mid-run; the acting master's payload
+        # carries the authoritative coordinator state.
+        master = payloads[standby_node_id(cfg)]
     collector = payloads[COLLECTOR_ID]
-    gate = MeasurementWindow(cfg.warmup_seconds, cfg.run_seconds)
 
     merged = DelayStats()
     snapshots: list[dict[str, t.Any]] = []
@@ -270,11 +262,7 @@ def assemble_result(
     fenced = set(master["master"].get("dead_slaves", ()))
     for i in range(cfg.num_slaves):
         nid = slave_node_id(i)
-        payload = payloads.get(nid)
-        if payload is None:
-            # Killed mid-run: without replication, a degraded run.
-            snapshots.append(SlaveMetrics(nid, gate).snapshot())
-            continue
+        payload = payloads[nid]
         merged.merge(payload["delays"])
         snapshots.append(payload["snapshot"])
         if not (replicated and nid in fenced):
@@ -365,25 +353,13 @@ def _run_in_process(
     )
 
 
-def _injector(cfg: SystemConfig, tracer: Tracer) -> FaultInjector | None:
-    """The run's fault injector (``None`` without a fault plan)."""
-    if not cfg.faults.enabled:
-        return None
-    return FaultInjector(
-        cfg.faults,
-        [slave_node_id(i) for i in range(cfg.num_slaves)],
-        cfg.dist_epoch,
-        tracer=tracer,
-    )
-
-
 def _run_sim(
     cfg: SystemConfig, collect_pairs: bool, workload: t.Any
 ) -> RunResult:
     """The deterministic DES backend (``backend="sim"``)."""
     sim = Simulator()
     tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
-    injector = _injector(cfg, tracer)
+    injector = build_injector(cfg, tracer)
     transport = SimTransport(
         sim,
         cfg.network,
@@ -414,14 +390,11 @@ def _run_thread(
         time_scale=cfg.time_scale,
         tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
     )
-    # The modeled horizon plus slack for real compute overruns: the
-    # generators' numpy work takes however long it takes, regardless
-    # of the compressed clock.
-    budget = cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
     try:
         return _run_in_process(
-            cfg, runtime, mesh, tracer, _injector(cfg, tracer),
-            lambda: runtime.join_all(timeout=budget), collect_pairs, workload,
+            cfg, runtime, mesh, tracer, build_injector(cfg, tracer),
+            lambda: runtime.join_all(timeout=wall_budget(cfg)),
+            collect_pairs, workload,
         )
     finally:
         mesh.close()

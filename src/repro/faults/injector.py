@@ -1,14 +1,16 @@
 """Run-time enforcement of a :class:`~repro.faults.plan.FaultPlan`.
 
-One :class:`FaultInjector` is shared by the transport (message faults,
-crash reaping), the slaves (CPU slowdowns) and the system layer (crash
-processes).  All of its decisions are pure functions of the plan and
-deterministic counters, so a seeded run with a given plan replays
-byte-identically.
+Every OS process that hosts nodes builds one :class:`FaultInjector`
+(:func:`build_injector`), shared there by the transport (message
+faults), the slaves (CPU slowdowns) and the node host, which spawns a
+:meth:`~FaultInjector.crash_process` for each crash victim it runs —
+on every backend, the one way a crash is injected.  All of its
+decisions are pure functions of the plan and deterministic counters,
+so a seeded run with a given plan replays byte-identically.
 
 The injector also keeps the authoritative log of *injections that
-actually fired* (:attr:`FaultInjector.injected`) — a crash scheduled
-past the end of the run, or a message ordinal never reached, is part of
+actually fired* (:attr:`FaultInjector.injected`) — a crash whose victim
+had already finished, or a message ordinal never reached, is part of
 the plan but not of the injection record.
 """
 
@@ -19,7 +21,8 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.cluster import MASTER_ID
+from repro.config import SystemConfig
+from repro.core.cluster import MASTER_ID, slave_node_id
 from repro.faults.plan import CrashFault, FaultPlan, MessageFault, SlowFault
 from repro.obs.events import FaultEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
@@ -27,32 +30,26 @@ from repro.obs.tracer import NULL_TRACER, Tracer
 _Cost = t.TypeVar("_Cost", float, npt.NDArray[np.float64])
 
 
+def crash_node(crash: CrashFault) -> int:
+    """Node id of *crash*'s victim."""
+    return MASTER_ID if crash.targets_master else slave_node_id(crash.slave)
+
+
+def build_injector(cfg: SystemConfig, tracer: Tracer) -> "FaultInjector | None":
+    """One node host's fault injector (``None`` without a fault plan)."""
+    return FaultInjector(cfg.faults, tracer) if cfg.faults.enabled else None
+
+
 class FaultInjector:
     """Deterministic fault-plan enforcement shared across layers."""
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        slave_ids: t.Sequence[int],
-        dist_epoch: float,
-        tracer: Tracer = NULL_TRACER,
-    ) -> None:
-        self.plan = plan.validated(num_slaves=len(slave_ids))
+    def __init__(self, plan: FaultPlan, tracer: Tracer = NULL_TRACER) -> None:
         self.tracer = tracer
-        #: Timeout armed on the master's scheduled receives; ``None``
-        #: with an empty plan (zero behavior change).
-        self.detect_timeout: float | None = (
-            plan.effective_timeout(dist_epoch) if plan.enabled else None
-        )
-        # MASTER_CRASH is a sentinel, not a slave index: naively
-        # indexing slave_ids[-1] would silently target the last slave.
-        self._crash_by_node: dict[int, CrashFault] = {
-            (MASTER_ID if c.targets_master else slave_ids[c.slave]): c
-            for c in plan.crashes
-        }
+        self._crash_by_node = {crash_node(c): c for c in plan.crashes}
         self._slow_by_node: dict[int, list[SlowFault]] = {}
         for slow in plan.slowdowns:
-            self._slow_by_node.setdefault(slave_ids[slow.slave], []).append(slow)
+            node = slave_node_id(slow.slave)
+            self._slow_by_node.setdefault(node, []).append(slow)
         self._message_faults: dict[tuple[int, int, int], MessageFault] = {
             (m.src, m.dst, m.k): m for m in plan.messages
         }
@@ -60,10 +57,6 @@ class FaultInjector:
         self._slow_fired: set[SlowFault] = set()
         #: Injections that actually fired, in firing order.
         self.injected: list[dict[str, t.Any]] = []
-
-    @property
-    def enabled(self) -> bool:
-        return self.plan.enabled
 
     # -- crash faults ---------------------------------------------------
     def crash_targets(self) -> list[tuple[int, CrashFault]]:
@@ -77,22 +70,27 @@ class FaultInjector:
         runtime: t.Any,
         transport: t.Any,
         victims: t.Sequence[t.Any],
-    ) -> t.Generator[t.Any, t.Any, None]:
-        """Killer process: fail-stop *node_id* at the planned time.
+    ) -> t.Generator[t.Any, t.Any, bool]:
+        """Killer process: fail-stop *node_id* at the planned time, in
+        the host that runs it; returns whether the crash fired.
 
-        The crash is recorded first, so no peer on a wall clock can
+        *victims* are the node's runtime handles; if none is alive any
+        more, the node already finished and nothing fires.  Otherwise
+        the crash is recorded first, so no peer on a wall clock can
         trace its detection ahead of it.  Then the transport is told —
-        pending channel entries of the victim are purged and its peers'
-        receives resolve to ``NodeDown`` — and only then are the
-        victim's processes killed, so no stale rendezvous entry can
-        ever match a live peer.
+        peers read what was already sent, then ``NodeDown`` — and only
+        then are the victim's processes killed, so no stale rendezvous
+        entry can ever match a live peer.
         """
         yield runtime.sleep_until(crash.at)
+        if not any(proc.is_alive for proc in victims):
+            return False
         now = float(runtime.now())
         self._record("crash", node_id, now, info=crash.at)
         transport.kill_node(node_id)
         for proc in victims:
             proc.kill(f"fault injection: crash of node {node_id} at t={now:g}")
+        return True
 
     # -- message faults -------------------------------------------------
     def send_action(

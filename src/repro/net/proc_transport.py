@@ -21,8 +21,9 @@ so node code behind :mod:`repro.net.comm` behaves identically:
 * **FIFO per pair** — kernel stream sockets preserve order; the fixed
   communication schedule needs nothing stronger.
 * **peer EOF → NodeDown** — when the remote node ends (its process
-  exits, cleanly or killed, or :meth:`LocalMesh.kill_node` shuts its
-  sockets), buffered frames are still delivered, then ``recv`` resolves
+  exits, or a crash injection shuts its sockets down through
+  :meth:`ProcTransport.kill_node` or :meth:`LocalMesh.kill_node`),
+  buffered frames are still delivered, then ``recv`` resolves
   to :class:`~repro.faults.markers.NodeDown`, the same marker the DES
   transport synthesizes for a reaped node.  The master's
   failure-detection path therefore works unchanged.
@@ -289,6 +290,13 @@ class ProcTransport:
         :class:`~repro.runtime.thread.KilledNode`."""
         self.killed = True
         self._shutdown()
+
+    def kill_node(self, node_id: int) -> None:
+        """Crash injection: fail-stop *node_id*, which must be this
+        node (see :meth:`kill`)."""
+        if node_id != self.node_id:
+            raise RuntimeError(f"node {node_id} lives in another process")
+        self.kill()
 
     def close(self) -> None:
         """Close every socket (end of run; peers observe EOF) once the

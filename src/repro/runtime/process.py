@@ -35,17 +35,20 @@ Control protocol (per node, pickled tuples over its control channel):
 4. on completion it ships ``("result", payload)`` — or, from any stage,
    ``("error", exception, traceback)`` — and exits.  Process exit
    closes the sockets, so peers observe EOF exactly when the node is
-   truly gone.
+   truly gone.  A node that closes its control channel with neither
+   fails the run.
 
-Crash faults (``crash:<slave>@<t>``) are injected by the launcher:
-a timer SIGKILLs the victim's process at the scaled wall time and
-records the kill as the fault injector would, in
-``RunResult.injected_faults`` and as a ``fault``/``crash`` row of the
-merged trace.  Peer EOF then drives the same ``NodeDown``
-detection/recovery machinery the DES fault plane exercises.  Message
-and slowdown faults hang off the simulated transport;
-:meth:`SystemConfig.validated <repro.config.SystemConfig.validated>`
-rejects them on the wall-clock backends.
+Crash faults (``crash:<slave>@<t>``) are injected inside the victim's
+process, as on sim and thread: its :class:`~repro.core.host.NodeHost`
+runs the fault injector's crash process, which traces the crash, then
+fail-stops the node in place (:meth:`ProcTransport.kill_node
+<repro.net.proc_transport.ProcTransport.kill_node>`).  Peers read what
+was already sent, then EOF → ``NodeDown``, and the DES fault plane's
+detection/recovery runs unchanged.  The victim then reports what it
+recorded before the crash, like any node.  Message and slowdown faults
+hang off the simulated transport; :meth:`SystemConfig.validated
+<repro.config.SystemConfig.validated>` rejects them on the wall-clock
+backends.
 
 Distributed tracing: each node owns a node-local
 :class:`~repro.obs.tracer.Tracer` writing to a :class:`PipeExporter`,
@@ -54,9 +57,9 @@ the shared modeled clock (every node rebased onto the broadcast
 origin), so the launcher just merges all buffers with
 :func:`~repro.obs.exporters.merge_records` — a stable ``(t, node,
 seq)`` order — and replays them into the configured sinks.  Batches
-flush every :data:`TRACE_BATCH` records *during* the run, so a
-SIGKILLed victim loses at most the tail of its trace, never the whole
-thing.
+flush every :data:`TRACE_BATCH` records *during* the run, so a node
+the launcher's teardown kills loses at most the tail of its trace,
+never the whole thing.
 
 Determinism caveat: the joined-output *multiset* is backend-invariant,
 but wall-clock scheduling makes per-epoch timing, metric values and —
@@ -77,10 +80,11 @@ from dataclasses import dataclass
 from queue import Empty, Queue
 
 from repro.config import SystemConfig
-from repro.core.cluster import MASTER_ID, slave_node_id, trace_meta
+from repro.core.cluster import trace_meta
 from repro.core.host import NodeHost, cluster_node_ids
 from repro.core.system import RunResult, assemble_result
 from repro.errors import ConfigError, DeadlockError
+from repro.faults.injector import build_injector
 from repro.net.proc_transport import (
     _EOF,
     _TIMED_OUT,
@@ -89,7 +93,6 @@ from repro.net.proc_transport import (
     socketpair_mesh,
     write_frame,
 )
-from repro.obs.events import FaultEvent
 from repro.obs.exporters import (
     ConsoleSummaryExporter,
     Exporter,
@@ -98,7 +101,7 @@ from repro.obs.exporters import (
     replay_records,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.thread import ThreadRuntime
+from repro.runtime.thread import ThreadRuntime, wall_budget
 
 #: Wall seconds the launcher waits for the nodes' "ready", and a node
 #: for its job and the start barrier.
@@ -108,8 +111,8 @@ SETUP_TIMEOUT = 120.0
 #: spans); the wall-time bound below covers low-volume tracers.
 TRACE_BATCH = 64
 #: Maximum wall seconds a buffered trace record may wait before it is
-#: flushed to the launcher.  Bounds how much of its trace a SIGKILLed
-#: victim can lose, regardless of event rate.
+#: flushed to the launcher.  Bounds how much of its trace a node killed
+#: from outside can lose, regardless of event rate.
 TRACE_FLUSH_WALL_S = 0.05
 
 #: node id -> the launcher's and the node's end of its control socketpair.
@@ -237,10 +240,11 @@ def run_node(
             time_scale=cfg.time_scale,
             tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
         )
+        injector = build_injector(cfg, tracer)
         # The sampler is node-local: every node runs one, restricted
         # to its own gauges.
         host = NodeHost(
-            cfg, runtime, transport, tracer,
+            cfg, runtime, transport, tracer, injector,
             local_node=node_id,
             workload=job.workload,
             collect_pairs=job.collect_pairs,
@@ -248,10 +252,11 @@ def run_node(
 
         control.send(("ready",))
         runtime.rebase(await_start(control))
-        # No local timeout: the launcher owns the deadline and SIGKILLs
+        # No local timeout: the launcher owns the deadline and kills
         # stragglers, which peers then observe as EOF.
         payloads = host.run(runtime.join_all)
-        control.send(("result", payloads[node_id]))
+        injected = injector.injected_records() if injector is not None else []
+        control.send(("result", {**payloads[node_id], "injected": injected}))
     except BaseException as error:  # noqa: BLE001 - shipped to the launcher
         detail = traceback.format_exc()
         try:
@@ -337,22 +342,16 @@ class ProcessBackend:
         procs: dict[int, t.Any] = {}
         controls: dict[int, ControlConn] = {}
         inbox: _Inbox = Queue()
-        timers: list[threading.Timer] = []
-        injected: list[dict[str, t.Any]] = []
         traces: dict[int, list[dict[str, t.Any]]] = {}
         try:
             self._launch(ctx, cfg, jobs, procs, controls)
             for nid, control in controls.items():
                 self._start_pump(nid, control, inbox)
             origin = self._start_barrier(controls, inbox, set(procs))
-            deadline = origin + cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
-            timers = self._arm_crashes(cfg, origin, procs, injected)
             payloads = self._collect(
-                inbox, set(jobs), injected, deadline, traces
+                inbox, set(jobs), origin + wall_budget(cfg), traces
             )
         finally:
-            for timer in timers:
-                timer.cancel()
             for proc in procs.values():
                 if proc.is_alive():
                     proc.kill()
@@ -360,12 +359,16 @@ class ProcessBackend:
             for control in controls.values():
                 control.close()
 
+        injected = sorted(
+            (r for p in payloads.values() for r in p["injected"]),
+            key=lambda r: r["t"],
+        )
         return assemble_result(
             cfg,
             payloads,
             collect_pairs,
             injected,
-            self._finish_trace(cfg, traces, injected),
+            self._finish_trace(cfg, traces),
         )
 
     # -- connector -----------------------------------------------------------
@@ -465,57 +468,18 @@ class ProcessBackend:
             control.send(("start", origin if nid in local_ids else None))
         return origin
 
-    def _arm_crashes(
-        self,
-        cfg: SystemConfig,
-        origin: float,
-        procs: dict[int, t.Any],
-        injected: list[dict[str, t.Any]],
-    ) -> list[threading.Timer]:
-        """One timer per planned crash: SIGKILL the victim at the
-        scaled wall time.  EOF on its sockets is the failure signal."""
-        timers = []
-        for crash in cfg.faults.crashes:
-            nid = (
-                MASTER_ID
-                if crash.targets_master
-                else slave_node_id(crash.slave)
-            )
-            victim = procs[nid]
-
-            def fire(nid: int = nid, victim: t.Any = victim,
-                     at: float = crash.at) -> None:
-                if not victim.is_alive():
-                    return  # finished before the crash time: nothing fired
-                # Stamped with the modeled time the timer really fired,
-                # as the fault injector does: no row the victim traced
-                # before dying sorts after its crash row.
-                now = (time.monotonic() - origin) / cfg.time_scale
-                injected.append(
-                    {"action": "crash", "node": nid, "t": now, "info": at}
-                )
-                victim.kill()
-
-            delay = (origin - time.monotonic()) + crash.at * cfg.time_scale
-            timer = threading.Timer(max(0.0, delay), fire)
-            timer.daemon = True
-            timers.append(timer)
-            timer.start()
-        return timers
-
     def _collect(
         self,
         inbox: _Inbox,
         node_ids: set[int],
-        injected: list[dict[str, t.Any]],
         deadline: float,
         traces: dict[int, list[dict[str, t.Any]]],
     ) -> dict[int, dict[str, t.Any]]:
-        """Gather result payloads until every node reported or died.
+        """Gather a result payload from every node; a node that dies
+        without one fails the run.
 
         ``("trace", batch)`` messages stream in throughout the run and
-        accumulate into *traces*; a node killed by the fault plane
-        keeps every batch it flushed before dying."""
+        accumulate into *traces*."""
         payloads: dict[int, dict[str, t.Any]] = {}
         pending = set(node_ids)
         while pending:
@@ -525,14 +489,9 @@ class ProcessBackend:
             if nid not in pending:
                 continue  # the EOF that follows a node's result
             if msg is None:
-                # Node gone without a payload: expected if and only if
-                # the fault plane killed it.
-                pending.discard(nid)
-                if all(kill["node"] != nid for kill in injected):
-                    raise RuntimeError(
-                        f"node {nid} died without reporting a result "
-                        "or an error"
-                    )
+                raise RuntimeError(
+                    f"node {nid} died without reporting a result or an error"
+                )
             elif msg[0] == "error":
                 self._raise_node_error(nid, msg)
             elif msg[0] == "trace":
@@ -565,20 +524,12 @@ class ProcessBackend:
     def _finish_trace(
         cfg: SystemConfig,
         traces: dict[int, list[dict[str, t.Any]]],
-        injected: list[dict[str, t.Any]],
     ) -> list[dict[str, t.Any]] | None:
-        """Merge the per-node trace buffers, plus a ``fault`` row for
-        each crash the launcher injected, and drive the configured
+        """Merge the per-node trace buffers and drive the configured
         sinks; returns the merged records when ``trace_memory`` asked
         for them on the RunResult."""
         if not cfg.obs.tracing:
             return None
-        # The victim cannot trace its own SIGKILL, so the launcher does,
-        # with the row the fault injector emits.  It has no ``seq``:
-        # every node's seq run stays contiguous.
-        for kill in injected:
-            row = FaultEvent(target=kill["node"], **kill).to_record()
-            traces.setdefault(kill["node"], []).append(row)
         merged = merge_records(traces)
         sinks: list[Exporter] = []
         if cfg.obs.trace_path:

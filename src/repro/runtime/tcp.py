@@ -3,8 +3,8 @@ connected over real sockets.
 
 ``backend="tcp"`` is the process backend (:mod:`repro.runtime.process`
 — same node body around the shared :class:`~repro.core.host.NodeHost`,
-control protocol, launcher and crash timers, and the result assembly
-every backend shares) with other sockets: the peer mesh and the control
+control protocol and launcher, and the result assembly every backend
+shares) with other sockets: the peer mesh and the control
 connections are TCP sockets established with the
 :mod:`repro.net.tcp_transport` handshake instead of socketpairs
 inherited across a fork — so nodes can live on *different hosts*.
@@ -31,12 +31,12 @@ Topology:
   control-message latency, and correctness never depends on clock
   agreement — the protocol is message-driven).
 
-A crash fault SIGKILLs the (local) victim worker — the launcher
-records the kill in the result and the merged trace — its peers observe
-EOF → ``NodeDown``, and the master's timeout/fencing/backup-replay
-path restores the run losslessly under ``--replication
-checkpoint+log``.  Crash faults that name a *remote* node are rejected
-up front — the launcher can only signal processes it owns.
+A crash fault fail-stops the victim worker in place, as on every
+backend: the worker's own fault injector records the crash and shuts
+its sockets down, its peers observe EOF → ``NodeDown``, and the
+master's timeout/fencing/backup-replay path restores the run
+losslessly under ``--replication checkpoint+log``.  Crash faults that
+name a node served by a *remote* worker are rejected up front.
 
 Each worker serves exactly one run and exits; ``swjoin worker`` is a
 one-shot process by design (restart it per run, e.g. under a loop or a
@@ -50,7 +50,6 @@ import threading
 import typing as t
 
 from repro.config import SystemConfig
-from repro.core.cluster import MASTER_ID, slave_node_id
 from repro.errors import ConfigError, ConnectError, WireError
 from repro.net.tcp_transport import (
     HANDSHAKE_TIMEOUT,
@@ -61,6 +60,7 @@ from repro.net.tcp_transport import (
     read_hello,
     send_hello,
 )
+from repro.faults.injector import crash_node
 from repro.runtime.process import (
     SETUP_TIMEOUT,
     ControlConn,
@@ -252,13 +252,11 @@ def _remote_addresses(cfg: SystemConfig, node_ids: list[int]) -> _Addresses:
             f"(valid node ids: {node_ids})"
         )
     for crash in cfg.faults.crashes:
-        victim = (
-            MASTER_ID if crash.targets_master else slave_node_id(crash.slave)
-        )
+        victim = crash_node(crash)
         if victim in remote:
             raise ConfigError(
-                f"crash fault targets remote node {victim}: the "
-                "launcher can only SIGKILL local workers"
+                f"crash fault targets remote node {victim}: crash "
+                "faults are supported only on workers the launcher forks"
             )
     return remote
 

@@ -20,6 +20,15 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.config import SystemConfig
+
+
+def wall_budget(cfg: "SystemConfig") -> float:
+    """Wall seconds a wall-clock run may take: the modeled horizon plus
+    slack for numpy work, which the compressed clock does not shrink."""
+    return cfg.run_seconds * cfg.time_scale * 4.0 + 60.0
+
 
 class KilledNode(BaseException):
     """Raised inside a node generator when its node was crash-injected.

@@ -30,8 +30,8 @@ def make_transport(sim, faults=None):
     return SimTransport(sim, NET, 64, faults=faults)
 
 
-def make_injector(specs, dist_epoch=2.0):
-    return FaultInjector(FaultPlan.parse(specs), [2, 3], dist_epoch)
+def make_injector(specs):
+    return FaultInjector(FaultPlan.parse(specs))
 
 
 class TestRecvTimeout:

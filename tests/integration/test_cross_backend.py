@@ -177,7 +177,9 @@ class TestFourWayConformance:
             ).run()
             produced[backend] = sorted_pairs([result.pairs])
             assert_slave_views_agree(result)
-            prefix = {"process": "proc", "tcp": "tcp"}.get(backend)
+            prefix = {"thread": "proc", "process": "proc", "tcp": "tcp"}.get(
+                backend
+            )
             if prefix is not None:
                 # A frame is counted when written, then when read.
                 views = result.node_metrics
@@ -390,10 +392,79 @@ class TestLosslessRecoveryConformance:
         assert len(crashes) == 1
         assert detects and crashes[0] < detects[0]
 
+        # Every backend reports a crash alike: the victim's own tracer
+        # numbered its crash row, its pre-crash counters came back, and
+        # the injection record holds exactly that crash.
+        assert isinstance(result.trace[crashes[0]]["seq"], int)
+        assert result.slaves[1]["tuples_processed"] > 0
+        [crash] = result.injected_faults
+        assert (crash["action"], crash["node"], crash["info"]) == (
+            "crash", victim, 5.0,
+        )
+
+    @pytest.mark.parametrize("backend", ["sim", "thread", "process", "tcp"])
+    def test_crash_at_run_end_is_rejected(self, backend):
+        from repro.faults.plan import FaultPlan
+
+        with pytest.raises(ConfigError, match="crash:1@16s"):
+            cfg = SystemConfig.paper_defaults().scaled(0.01).with_(
+                run_seconds=16.0,
+                warmup_seconds=6.0,
+                backend=backend,
+                faults=FaultPlan.parse(["crash:1@16s"]),
+            )
+            JoinSystem(cfg).run()
+
 
 class TestProcessFaults:
+    def test_node_closing_without_a_result_fails_the_run(self, monkeypatch):
+        # A node that drops its result and closes its control link
+        # fails the run — a planned crash victim too, since every
+        # victim reports what it recorded before its crash.
+        from repro.core.cluster import slave_node_id
+        from repro.faults.plan import FaultPlan
+        from repro.runtime import process
+
+        victim = slave_node_id(1)
+        real_run_node = process.run_node
+
+        def run_node(control, connect, transport_cls=process.ProcTransport):
+            def connect_muted():
+                job, peers = connect()
+                if job.node_id == victim:
+                    send = control.send
+                    control.send = (
+                        lambda msg: None if msg[0] == "result" else send(msg)
+                    )
+                return job, peers
+
+            real_run_node(control, connect_muted, transport_cls)
+
+        # Patched before the fork: the children inherit it.
+        monkeypatch.setattr(process, "run_node", run_node)
+        cfg = (
+            SystemConfig.paper_defaults()
+            .scaled(0.01)
+            .with_(
+                num_slaves=3,
+                npart=12,
+                rate=150.0,
+                run_seconds=12.0,
+                warmup_seconds=2.0,
+                window_seconds=3.0,
+                reorg_epoch=4.0,
+                backend="process",
+                time_scale=0.05,
+                faults=FaultPlan.parse(["crash:1@5s"]),
+            )
+        )
+        with pytest.raises(
+            RuntimeError, match=f"node {victim} died without reporting"
+        ):
+            JoinSystem(cfg).run()
+
     def test_crash_fault_kills_process_and_master_recovers(self):
-        # The victim's OS process is SIGKILLed at t=5; its peers see
+        # The victim's process fail-stops itself at t=5; its peers see
         # socket EOF -> NodeDown, and the PR 3 detection/recovery path
         # runs unchanged: the master fences the dead slave and the run
         # completes degraded instead of wedging.
@@ -423,9 +494,8 @@ class TestProcessFaults:
         assert (crash["action"], crash["node"], crash["info"]) == (
             "crash", victim, 5.0,
         )
-        # Stamped when the launcher's timer really fired, as the fault
-        # injector stamps it on sim and thread: at the planned time or
-        # a little after.
+        # Stamped when the victim's crash process really fired: at the
+        # planned time or a little after.
         assert 4.99 < crash["t"] < cfg.run_seconds
         assert [f["slave"] for f in result.faults] == [victim]
         assert victim in result.master["dead_slaves"]

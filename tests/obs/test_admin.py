@@ -291,3 +291,63 @@ class TestLiveRunEndpoint:
             f"probes saw only {seen}: expected samples both before the "
             "kill and after the takeover"
         )
+
+    def test_crashed_master_process_stops_serving(self):
+        """On the process backend the admin endpoint lives in the
+        master's process: /health answers until the master crashes,
+        then the port refuses connections while the standby carries
+        the run on — a dead master never serves a frozen /status."""
+        import socket
+
+        from repro.faults.plan import FaultPlan
+
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        cfg = (
+            SystemConfig.paper_defaults()
+            .scaled(0.01)
+            .with_(
+                backend="process",
+                time_scale=0.25,
+                npart=12,
+                rate=400.0,
+                num_slaves=3,
+                run_seconds=16.0,
+                warmup_seconds=6.0,
+                window_seconds=3.0,
+                reorg_epoch=4.0,
+                standby=True,
+                replication="checkpoint+log",
+                faults=FaultPlan.parse(["crash:master@5s"]),
+                obs=ObservabilityConfig(admin_port=port),
+            )
+        )
+        results = {}
+
+        def drive():
+            results["result"] = JoinSystem(cfg).run()
+
+        thread = threading.Thread(target=drive)
+        thread.start()
+        url = f"http://127.0.0.1:{port}/health"
+        answered = refused_while_running = False
+        try:
+            deadline = time.monotonic() + 60.0
+            while thread.is_alive() and time.monotonic() < deadline:
+                try:
+                    status, _, _ = _get(url, timeout=2.0)
+                    answered = answered or status == 200
+                except OSError:
+                    if answered:
+                        refused_while_running = thread.is_alive()
+                        break
+                time.sleep(0.01)
+        finally:
+            thread.join(timeout=120.0)
+        assert not thread.is_alive()
+        assert answered, "/health never answered before the crash"
+        assert refused_while_running, "/health kept answering after the crash"
+        [crash] = results["result"].injected_faults
+        assert (crash["action"], crash["node"]) == ("crash", 0)
+        assert not results["result"].degraded
