@@ -21,8 +21,8 @@ The package provides:
   hash-join with fine-grained partition tuning (extendible hashing),
   buffer-occupancy-driven load balancing, adaptive degree of
   declustering, and sub-group communication.
-* :mod:`repro.baselines` — single-node join, no-fine-tuning variant,
-  Aligned/Coordinated Tuple Routing, static round-robin.
+* :mod:`repro.baselines` — no-fine-tuning variant, static round-robin,
+  and Aligned/Coordinated Tuple Routing (``SystemConfig.routing``).
 * :mod:`repro.analysis` — experiment runner reproducing every figure of
   the paper's evaluation section.
 

@@ -24,8 +24,7 @@ from itertools import product
 import numpy as np
 
 from repro.analysis.series import Experiment
-from repro.baselines import AtrSystem, CtrSystem, no_fine_tuning
-from repro.baselines.framework import BaselineResult
+from repro.baselines import no_fine_tuning
 from repro.config import MIB, SystemConfig
 from repro.core.subgroups import max_master_buffer_bytes
 from repro.core.system import JoinSystem, RunResult
@@ -133,10 +132,8 @@ def _memory_cfg(cfg: SystemConfig, fraction: float | None) -> SystemConfig:
 
 
 def _baselines_row(exp: Experiment, p: t.Any, c: SystemConfig, r: RunResult) -> None:
-    runs: list[tuple[str, RunResult | BaselineResult]] = [
-        ("ours", r), ("atr", AtrSystem(c).run()), ("ctr", CtrSystem(c).run())
-    ]
-    for label, res in runs:
+    for label, routing in (("ours", "hash"), ("atr", "atr"), ("ctr", "ctr")):
+        res = _run(c.with_(routing=routing))
         received = sum(s["bytes_received"] for s in res.slaves)
         _add(exp, *p, label, res.avg_delay, res.max_window_bytes / 1e6, received / 1e6)
 

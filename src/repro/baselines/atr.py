@@ -26,55 +26,27 @@ import typing as t
 
 import numpy as np
 
-from repro.config import SystemConfig
-from repro.core.costmodel import CostModel
+from repro.baselines.framework import LightSlave, RoutingMaster
+from repro.core.cluster import geometry_of
 from repro.core.join_module import JoinModule
-from repro.core.metrics import SlaveMetrics
-from repro.core.partition_group import JoinGeometry
 from repro.core.protocol import Shipment
-from repro.core.steps import Step
-from repro.baselines.framework import (
-    BaselineResult,
-    EpochMasterBase,
-    LightSlaveMixin,
-    run_baseline,
-)
+from repro.core.steps import IntArray, Step
 from repro.data.tuples import TupleBatch
-from repro.errors import ConfigError
-from repro.net.comm import Communicator
 
 
-def _geometry(cfg: SystemConfig) -> JoinGeometry:
-    return JoinGeometry(
-        tuples_per_block=cfg.tuples_per_block,
-        block_bytes=cfg.block_bytes,
-        theta_bytes=cfg.theta_bytes,
-        window_seconds=cfg.window_seconds,
-        fine_tuning=cfg.fine_tuning,
-        tuple_bytes=cfg.tuple_bytes,
-    )
+class AtrMaster(RoutingMaster):
+    """Routes by time segment instead of by key hash.  A segment lasts
+    ``L = 2W``; the scheme needs only ``L >= W``."""
 
-
-class AtrMaster(EpochMasterBase):
-    """Routes by time segment instead of by key hash."""
-
-    def __init__(self, *args: t.Any, segment_seconds: float, **kw: t.Any) -> None:
-        super().__init__(*args, **kw)
-        if segment_seconds < self.cfg.window_seconds:
-            raise ConfigError(
-                "ATR needs segment_seconds >= window_seconds "
-                f"({segment_seconds} < {self.cfg.window_seconds})"
-            )
-        self.segment_seconds = float(segment_seconds)
-
-    def _node_of_segment(self, seg: np.ndarray) -> np.ndarray:
-        ids = np.asarray(self.slave_ids)
+    def _node_of_segment(self, seg: IntArray) -> IntArray:
+        ids = np.asarray(self.all_slaves, dtype=np.int64)
         return ids[seg % len(ids)]
 
     def route(self, batch: TupleBatch) -> dict[int, TupleBatch]:
         if not len(batch):
             return {}
-        L, W = self.segment_seconds, self.cfg.window_seconds
+        W = self.cfg.window_seconds
+        L = 2.0 * W
         seg = (batch.ts // L).astype(np.int64)
         dest = self._node_of_segment(seg)
         routed: dict[int, list[TupleBatch]] = {}
@@ -102,31 +74,20 @@ class AtrMaster(EpochMasterBase):
         return out
 
 
-class AtrSlave(LightSlaveMixin):
+class AtrSlave(LightSlave):
     """A light slave running the ordinary join module on one partition."""
 
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        runtime: t.Any,
-        comm: Communicator,
-        metrics: SlaveMetrics,
-        node_id: int,
-        collect_pairs: bool,
-    ) -> None:
-        self.comm = comm
-        self.metrics = metrics
-        self.master_id = 0
-        self._init_light(runtime, node_id)
+    def __init__(self, *args: t.Any) -> None:
+        super().__init__(*args)
         # npart=1: ATR does not hash-partition; each node joins all the
         # tuples it is routed.
         self.module = JoinModule(
-            node_id,
-            _geometry(cfg),
-            CostModel(cfg.cost),
+            self.node_id,
+            geometry_of(self.cfg),
+            self.cost_model,
             npart=1,
-            metrics=metrics,
-            collect_pairs=collect_pairs,
+            metrics=self.metrics,
+            collect_pairs=self.collect_pairs,
         )
         self.module.add_partition(0)
 
@@ -140,40 +101,3 @@ class AtrSlave(LightSlaveMixin):
     @property
     def window_bytes(self) -> int:
         return self.module.window_bytes
-
-
-class AtrSystem:
-    """Runner for the ATR baseline."""
-
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        segment_seconds: float | None = None,
-        workload: t.Any = None,
-        collect_pairs: bool = False,
-    ) -> None:
-        self.cfg = cfg.validated()
-        self.segment_seconds = (
-            segment_seconds
-            if segment_seconds is not None
-            else 2.0 * cfg.window_seconds
-        )
-        self.workload = workload
-        self.collect_pairs = collect_pairs
-
-    def run(self) -> BaselineResult:
-        seg = self.segment_seconds
-
-        def make_master(cfg, runtime, comm, workload, slave_ids):
-            return AtrMaster(
-                cfg, runtime, comm, workload, slave_ids, segment_seconds=seg
-            )
-
-        return run_baseline(
-            "atr",
-            self.cfg,
-            make_master,
-            AtrSlave,
-            workload=self.workload,
-            collect_pairs=self.collect_pairs,
-        )

@@ -28,21 +28,14 @@ import typing as t
 
 import numpy as np
 
-from repro.baselines.framework import (
-    BaselineResult,
-    EpochMasterBase,
-    LightSlaveMixin,
-    run_baseline,
-)
-from repro.config import SystemConfig
-from repro.core.costmodel import CostModel
-from repro.core.hashing import bit_reverse
-from repro.core.metrics import SlaveMetrics
-from repro.core.partition_group import JoinGeometry, PartitionGroup
+from repro.baselines.framework import LightSlave, RoutingMaster
+from repro.core.cluster import geometry_of, slave_node_id
+from repro.core.exthash import Bucket
+from repro.core.hashing import HashArray, bit_reverse
+from repro.core.partition_group import PartitionGroup
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, Step
-from repro.data.tuples import TupleBatch
-from repro.net.comm import Communicator
+from repro.data.tuples import MaskArray, TsArray, TupleBatch
 
 
 def _unit(kind: str, cost: float, run: t.Callable[[float], None]) -> Step:
@@ -55,52 +48,30 @@ def _unit(kind: str, cost: float, run: t.Callable[[float], None]) -> Step:
     return Step(kind, np.array([cost]), retire)
 
 
-class CtrMaster(EpochMasterBase):
+class CtrMaster(RoutingMaster):
     """Broadcasts every batch to every node."""
 
     def route(self, batch: TupleBatch) -> dict[int, TupleBatch]:
         if not len(batch):
             return {}
-        return {s: batch for s in self.slave_ids}
+        return {s: batch for s in self.all_slaves}
 
 
-class CtrSlave(LightSlaveMixin):
+class CtrSlave(LightSlave):
     """Stores its time-slice of both windows; probes everything."""
 
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        runtime: t.Any,
-        comm: Communicator,
-        metrics: SlaveMetrics,
-        node_id: int,
-        collect_pairs: bool,
-    ) -> None:
-        self.cfg = cfg
-        self.comm = comm
-        self.metrics = metrics
-        self.master_id = 0
-        self.node_id = node_id
-        self.collect_pairs = collect_pairs
-        self._init_light(runtime, node_id)
-        self.cost_model = CostModel(cfg.cost)
-        geometry = JoinGeometry(
-            tuples_per_block=cfg.tuples_per_block,
-            block_bytes=cfg.block_bytes,
-            theta_bytes=cfg.theta_bytes,
-            window_seconds=cfg.window_seconds,
-            fine_tuning=cfg.fine_tuning,
-            tuple_bytes=cfg.tuple_bytes,
-        )
-        self.group = PartitionGroup(0, geometry)
-        # Home time-slice of this node: node ids are 1..N in creation
-        # order, so the slot round-robin is (node_id - 1) of N.
-        self.slot_index = node_id - 1
-        self.n_slots = cfg.num_slaves
+    def __init__(self, *args: t.Any) -> None:
+        super().__init__(*args)
+        self.group = PartitionGroup(0, geometry_of(self.cfg))
+        # Home time-slice of this node: the slot round-robin runs over
+        # the slaves in index order.
+        self.slot_index = self.node_id - slave_node_id(0)
+        self.n_slots = self.cfg.num_slaves
 
-    def _home_mask(self, ts: np.ndarray) -> np.ndarray:
+    def _home_mask(self, ts: TsArray) -> MaskArray:
         slots = (ts // self.cfg.dist_epoch).astype(np.int64) % self.n_slots
-        return slots == self.slot_index
+        home: MaskArray = slots == self.slot_index
+        return home
 
     def handle_shipment(self, shipment: Shipment) -> t.Iterator[Step]:
         cfg, group = self.cfg, self.group
@@ -126,7 +97,12 @@ class CtrSlave(LightSlaveMixin):
                     len(part), group.committed_bytes(bucket, 1 - sid)
                 )
 
-                def run(emit: float, part=part, rkey=rkey, sid=sid) -> None:
+                def run(
+                    emit: float,
+                    part: TupleBatch = part,
+                    rkey: HashArray = rkey,
+                    sid: int = sid,
+                ) -> None:
                     # The group's run holds every mini-group's tuples;
                     # mini-groups are key-disjoint, so *part* matches
                     # only those of its own.
@@ -155,7 +131,7 @@ class CtrSlave(LightSlaveMixin):
         if group.geometry.fine_tuning:
             for bucket, nbytes in group.tuning_candidates()[0]:
 
-                def tune(_emit: float, b=bucket) -> None:
+                def tune(_emit: float, b: Bucket = bucket) -> None:
                     group.split_bucket(b)
                     self.metrics.splits += 1
 
@@ -164,27 +140,3 @@ class CtrSlave(LightSlaveMixin):
     @property
     def window_bytes(self) -> int:
         return self.group.total_bytes
-
-
-class CtrSystem:
-    """Runner for the simplified CTR baseline."""
-
-    def __init__(
-        self,
-        cfg: SystemConfig,
-        workload: t.Any = None,
-        collect_pairs: bool = False,
-    ) -> None:
-        self.cfg = cfg.validated()
-        self.workload = workload
-        self.collect_pairs = collect_pairs
-
-    def run(self) -> BaselineResult:
-        return run_baseline(
-            "ctr",
-            self.cfg,
-            CtrMaster,
-            CtrSlave,
-            workload=self.workload,
-            collect_pairs=self.collect_pairs,
-        )

@@ -47,6 +47,11 @@ MIB = 1024 * 1024
 #: TCP worker per node.  The only list of them.
 BACKENDS = ("sim", "thread", "process", "tcp")
 
+#: Every tuple-routing scheme, by ``SystemConfig.routing`` name: the
+#: paper's hash partitioning, then Aligned and Coordinated Tuple Routing
+#: (Gu et al., ICDE 2007; :mod:`repro.baselines`).
+ROUTINGS = ("hash", "atr", "ctr")
+
 
 @dataclass(frozen=True)
 class CostModelConfig:
@@ -258,6 +263,11 @@ class SystemConfig:
     #: compact state checkpoint every reorganization epoch so backups
     #: can truncate their logs).
     replication: str = "off"
+    #: How the master routes tuples to the slaves (see :data:`ROUTINGS`):
+    #: ``"hash"`` is the paper's system; ``"atr"`` and ``"ctr"`` are the
+    #: Section VII baselines, whose slaves only join what they are
+    #: shipped — no load reports, reorganization or failover.
+    routing: str = "hash"
 
     # -- degree of declustering (Section V-A) ------------------------------
     #: Adapt the number of active slaves at run time.
@@ -417,6 +427,28 @@ class SystemConfig:
             )
         if not 0 < self.beta < 1:
             raise ConfigError("beta must lie in (0, 1)")
+        if self.routing not in ROUTINGS:
+            raise ConfigError(
+                f"unknown routing {self.routing!r}; available: "
+                f"{', '.join(ROUTINGS)}"
+            )
+        if self.routing != "hash":
+            unsupported = [
+                name
+                for name, used in (
+                    ("a fault plan", self.faults.enabled),
+                    ("standby", self.standby),
+                    ("replication", self.replication != "off"),
+                    ("n_streams != 2", self.n_streams != 2),
+                    ("a gauge sampler", self.obs.sample_period is not None),
+                )
+                if used
+            ]
+            if unsupported:
+                raise ConfigError(
+                    f"routing={self.routing!r} runs light slaves, which "
+                    f"cannot honour {', '.join(unsupported)}"
+                )
         if self.backend not in BACKENDS:
             raise ConfigError(
                 f"unknown backend {self.backend!r}; available: "

@@ -2,7 +2,9 @@
 
 :func:`build_cluster` assembles master, slaves and collector around any
 runtime/transport pair; every backend calls it through
-:class:`~repro.core.host.NodeHost`.
+:class:`~repro.core.host.NodeHost`.  ``SystemConfig.routing`` picks the
+master and slave node types: the paper's, or a routing baseline's
+(:mod:`repro.baselines`).
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.baselines.framework import LightSlave
     from repro.faults.injector import FaultInjector
 
 MASTER_ID = 0
@@ -55,7 +58,7 @@ class Cluster(t.NamedTuple):
     """Everything :func:`build_cluster` wires together."""
 
     master: MasterNode
-    slaves: list[SlaveNode]
+    slaves: list[SlaveNode | LightSlave]
     collector: CollectorNode
     slave_metrics: list[SlaveMetrics]
     tracer: Tracer
@@ -257,8 +260,16 @@ def build_cluster(
     schedules = build_schedules(active_ids, cfg.num_subgroups, cfg.dist_epoch)
     standby_id = standby_node_id(cfg) if cfg.standby else None
 
+    master_type: type[MasterNode] = MasterNode
+    light_slave: type[LightSlave] | None = None
+    if cfg.routing != "hash":
+        # Imported here: the baselines' node types build on this module.
+        from repro.baselines import NODE_TYPES
+
+        master_type, light_slave = NODE_TYPES[cfg.routing]
+
     master_metrics = MasterMetrics(gate)
-    master = MasterNode(
+    master = master_type(
         cfg,
         runtime,
         Communicator(transport.endpoint(MASTER_ID, master_metrics)),
@@ -310,14 +321,25 @@ def build_cluster(
         )
         standby = StandbyNode(shadow_master, MASTER_ID)
 
-    slaves: list[SlaveNode] = []
+    slaves: list[SlaveNode | LightSlave] = []
     slave_metrics: list[SlaveMetrics] = []
     for index, node_id in enumerate(slave_ids):
         metrics = SlaveMetrics(node_id, gate)
+        slave_metrics.append(metrics)
+        comm = Communicator(transport.endpoint(node_id, metrics))
+        cost_model = CostModel(cfg.cost, speed=cfg.speed_of(index))
+        if light_slave is not None:
+            slaves.append(
+                light_slave(
+                    node_id, cfg, runtime, comm, metrics, cost_model,
+                    collect_pairs,
+                )
+            )
+            continue
         module = JoinModule(
             node_id,
             geometry,
-            CostModel(cfg.cost, speed=cfg.speed_of(index)),
+            cost_model,
             cfg.npart,
             metrics,
             collect_pairs=collect_pairs,
@@ -331,7 +353,7 @@ def build_cluster(
                 node_id,
                 cfg,
                 runtime,
-                Communicator(transport.endpoint(node_id, metrics)),
+                comm,
                 module,
                 metrics,
                 MASTER_ID,
@@ -343,7 +365,6 @@ def build_cluster(
                 standby_id=standby_id,
             )
         )
-        slave_metrics.append(metrics)
 
     collector_metrics = CommAccount(gate)
     collector = CollectorNode(

@@ -199,6 +199,53 @@ class TestFourWayConformance:
         assert np.array_equal(produced["sim"], produced["tcp"])
 
 
+class TestRoutingConformance:
+    """The routing baselines run on the one cluster, so on every
+    backend: sim, thread, process and tcp runs of one trace under ATR
+    or CTR each join exactly the oracle's pairs, and the collector's
+    merged view equals the slaves'."""
+
+    @pytest.mark.parametrize("routing", ["atr", "ctr"])
+    def test_routing_matches_oracle_on_every_backend(self, routing):
+        cfg = (
+            SystemConfig.paper_defaults()
+            .scaled(0.01)
+            .with_(
+                num_slaves=2,
+                npart=8,
+                rate=150.0,
+                run_seconds=10.0,
+                warmup_seconds=2.0,
+                window_seconds=3.0,
+                reorg_epoch=4.0,
+                time_scale=0.02,
+                routing=routing,
+            )
+        )
+        wl = TwoStreamWorkload.poisson_bmodel(
+            RngRegistry(11), cfg.rate, cfg.b_skew, 10_000
+        )
+        trace = wl.generate(0.0, cfg.run_seconds - 3 * cfg.dist_epoch)
+        oracle = naive_window_join(trace, cfg.window_seconds)
+        assert len(oracle), "degenerate workload: oracle joined nothing"
+
+        for backend in ("sim", "thread", "process", "tcp"):
+            result = JoinSystem(
+                cfg.with_(backend=backend),
+                collect_pairs=True,
+                workload=TraceReplayer(trace),
+            ).run()
+            assert np.array_equal(sorted_pairs([result.pairs]), oracle), (
+                f"{routing} on the {backend} backend diverged from the "
+                f"oracle ({len(result.pairs)} vs {len(oracle)} pairs)"
+            )
+            assert_slave_views_agree(result)
+            merged, collected = result.delays, result.collector_delays
+            assert collected.count == merged.count, backend
+            assert collected.histogram.tolist() == merged.histogram.tolist()
+            assert result.tuples_generated == len(trace), backend
+
+
 class TestLateStart:
     """Nothing waits between the last node's "ready" and modeled t=0,
     so a node may start late.  That is harmless: the protocol is

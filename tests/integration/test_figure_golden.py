@@ -8,7 +8,8 @@ that moves a figure, on purpose or not, fails here.  Counts, booleans and
 strings compare exactly, floats to 1e-9 relative, so a numpy version bump
 that reorders a floating-point sum is not a false alarm.
 
-Tier-1 checks the two cheapest experiments; ``benchmarks/bench_figures.py``
+Tier-1 checks the cheapest experiments, and ``baselines_skew``, whose
+rows rest on the routing baselines; ``benchmarks/bench_figures.py``
 checks all of them against the same file, from the same results its shape
 assertions read.
 
@@ -47,8 +48,9 @@ SCALES: dict[str, float] = {name: 0.02 for name in EXPERIMENTS} | {
     )
 }
 
-#: About two seconds each at σ = 0.02 on a 2-core host.
-CHEAPEST = ("fig09", "subgroup_buffer")
+#: About two seconds each at σ = 0.02 on a 2-core host, and six for
+#: ``baselines_skew`` at σ = 0.05.
+CHEAPEST = ("fig09", "subgroup_buffer", "baselines_skew")
 
 
 def observe(name: str, exp: Experiment) -> dict[str, t.Any]:

@@ -150,6 +150,7 @@ class TestValidation:
             {"backend": "quantum"},
             # The wall-clock backends inject crash faults only.
             {"backend": "tcp", "faults": FaultPlan.parse(["slow:0x2@1-2s"])},
+            {"routing": "random"},
         ],
     )
     def test_rejects(self, changes):
