@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.baselines.framework import LightSlave, RoutingMaster
 from repro.core.cluster import geometry_of
+from repro.core.hashing import split_by
 from repro.core.join_module import JoinModule
 from repro.core.protocol import Shipment
 from repro.core.steps import IntArray, Step
@@ -50,10 +51,9 @@ class AtrMaster(RoutingMaster):
         seg = (batch.ts // L).astype(np.int64)
         dest = self._node_of_segment(seg)
         routed: dict[int, list[TupleBatch]] = {}
-        for node in np.unique(dest):
-            routed.setdefault(int(node), []).append(
-                batch.take(np.flatnonzero(dest == node))
-            )
+        bound = self.all_slaves[-1] + 1
+        for node, rows in split_by(dest, bound):
+            routed.setdefault(node, []).append(batch.take(rows))
         # Duplicate stream-1 tuples of a segment's last W seconds to the
         # next segment's node (window pre-positioning).
         tail = (batch.stream == 1) & (batch.ts >= (seg + 1) * L - W)
@@ -62,10 +62,8 @@ class AtrMaster(RoutingMaster):
             next_dest = self._node_of_segment(seg[idx] + 1)
             fresh_copy = next_dest != dest[idx]  # single-node ring: no-op
             idx, next_dest = idx[fresh_copy], next_dest[fresh_copy]
-            for node in np.unique(next_dest):
-                routed.setdefault(int(node), []).append(
-                    batch.take(idx[next_dest == node])
-                )
+            for node, rows in split_by(next_dest, bound):
+                routed.setdefault(node, []).append(batch.take(idx[rows]))
         out: dict[int, TupleBatch] = {}
         for node, parts in routed.items():
             merged = TupleBatch.concat(parts)

@@ -31,7 +31,7 @@ import numpy as np
 from repro.baselines.framework import LightSlave, RoutingMaster
 from repro.core.cluster import geometry_of, slave_node_id
 from repro.core.exthash import Bucket
-from repro.core.hashing import HashArray, bit_reverse
+from repro.core.hashing import HashArray, bit_reverse, split_by
 from repro.core.partition_group import PartitionGroup
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, Step
@@ -89,8 +89,7 @@ class CtrSlave(LightSlave):
             if not len(sub):
                 continue
             at, gvals = group.route(sub.key)
-            for index in np.unique(at).tolist():
-                idx = np.flatnonzero(at == index)
+            for index, idx in split_by(at, len(group.directory.buckets())):
                 part, rkey = sub.take(idx), bit_reverse(gvals[idx])
                 bucket = group.directory.buckets()[index]
                 cost = self.cost_model.probe_cost(

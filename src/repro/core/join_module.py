@@ -580,7 +580,13 @@ class _Pass:
         theta = geometry.theta_bytes
         tunes = (end > 2 * theta) | ((end < theta) & (depths > 0))
         ends = np.searchsorted(self.key, np.arange(1, n_groups + 1) * phases)
-        tuners = np.unique(bucket_group[tunes]).tolist() if geometry.fine_tuning else []
+        # Not np.unique: numpy 2.x imports numpy.ma on its first call,
+        # inside every worker process's first pass.
+        tuners = (
+            np.flatnonzero(np.bincount(bucket_group[tunes], minlength=n_groups)).tolist()
+            if geometry.fine_tuning
+            else []
+        )
         #: ``(stop, group)``: a step ends at unit *stop*, then *group*
         #: tunes (-1: none).
         self.stops: list[tuple[int, int]] = [(int(ends[g]), g) for g in tuners]

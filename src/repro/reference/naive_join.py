@@ -11,14 +11,20 @@ master/slaves pipeline produces exactly the same multiset of join
 pairs under hash partitioning, head-block batching, fine-tuning
 splits/merges, repartitioning moves, and declustering changes.
 
+It is a sort-merge join: each stream is sorted by key, so the
+equal-key range of every stream-0 tuple is found by binary searches
+over ascending needles.  Each surviving pair is then coded as one
+int64, ``(a - min a) * m + (b - min b)`` with ``m`` stream 1's seq span
+plus one, and a single integer sort puts the codes in the
+lexicographic order of ``(a, b)``.  That order is total, so neither the
+key sorts' tie order nor the blocking below can reach the output bytes.
+
 Memory: every equal-key pair across the whole horizon is a candidate,
 and on a long trace they far outnumber the pairs inside a window.  The
 candidates are therefore found and filtered one block of stream-0
 tuples at a time, each block holding at most :data:`CANDIDATES` of them,
 so the scratch is a small multiple of the input and the output plus one
-block, never the candidates' count.  A block's pairs come out in the
-order the whole-horizon pass had them, and the one final lexsort sees
-the same rows, so the output bytes do not depend on the blocking.
+block, never the candidates' count.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.data.tuples import TupleBatch
+from repro.data.tuples import IndexArray, KeyArray, SeqArray, TsArray, TupleBatch
 
 #: Candidates (equal-key pairs, before the window test) filtered at
 #: once.  Each costs ~50 B of index and timestamp scratch, so a block is
@@ -44,32 +50,62 @@ def naive_window_join(batch: TupleBatch, window_seconds: float) -> Int64Array:
 
     Returns an ``(n, 2)`` int64 array of ``(stream-0 seq, stream-1 seq)``
     pairs, sorted lexicographically (deterministic for comparisons).
+    Raises :class:`ValueError` if the two streams' seq spans are too
+    wide to code a pair as one int64; seqs are dense per stream, so no
+    batch the program builds comes near that.
     """
-    a, b = _window_pairs(batch, window_seconds)
-    pairs = np.empty((len(a), 2), dtype=np.int64)
-    sort = np.lexsort((b, a))
-    np.take(a, sort, out=pairs[:, 0])
-    np.take(b, sort, out=pairs[:, 1])
+    ts0, key0, seq0 = _by_key(batch, 0)
+    ts1, key1, seq1 = _by_key(batch, 1)
+    if not len(seq0) or not len(seq1):
+        return np.empty((0, 2), dtype=np.int64)
+    base = np.array([seq0.min(), seq1.min()])
+    m = int(seq1.max()) - int(base[1]) + 1
+    if (int(seq0.max()) - int(base[0]) + 1) * m >= 1 << 63:
+        raise ValueError("seq spans too wide to code a pair as one int64")
+    # The codes' two terms, in the scratch _by_key made for them.
+    seq0 -= base[0]
+    seq0 *= m
+    seq1 -= base[1]
+    # Each stream-0 tuple's equal-key range of stream 1.  The keys are
+    # not needed past it: their scratch goes before the candidates come.
+    lo = np.searchsorted(key1, key0, side="left")
+    counts = np.searchsorted(key1, key0, side="right")
+    counts -= lo
+    del key0, key1
+    codes = _window_codes(ts0, seq0, ts1, seq1, lo, counts, window_seconds)
+    codes.sort()
+    pairs = np.empty((len(codes), 2), dtype=np.int64)
+    np.divmod(codes, m, out=(pairs[:, 0], pairs[:, 1]))
+    pairs += base
     return pairs
 
 
-def _window_pairs(
-    batch: TupleBatch, window_seconds: float
-) -> tuple[Int64Array, Int64Array]:
-    """The stream-0 and stream-1 seqs of every join pair, unsorted.
+def _by_key(
+    batch: TupleBatch, stream_id: int
+) -> tuple[TsArray, KeyArray, SeqArray]:
+    """The ts, key and seq of one stream's tuples, sorted by key (in no
+    particular order among equal keys)."""
+    rows = np.flatnonzero(batch.stream == stream_id)
+    rows = rows[np.argsort(batch.key[rows])]
+    return batch.ts[rows], batch.key[rows], batch.seq[rows]
 
-    Its input-sized scratch is freed on return, before the final sort.
-    """
-    s0 = batch.by_stream(0)
-    s1 = batch.by_stream(1)
-    s1 = s1.take(np.argsort(s1.key, kind="stable"))
-    lo = np.searchsorted(s1.key, s0.key, side="left")
-    counts = np.searchsorted(s1.key, s0.key, side="right") - lo
+
+def _window_codes(
+    ts0: TsArray,
+    code0: Int64Array,
+    ts1: TsArray,
+    code1: Int64Array,
+    lo: IndexArray,
+    counts: IndexArray,
+    window_seconds: float,
+) -> Int64Array:
+    """``code0[i] + code1[j]`` of every join pair ``(i, j)``, unsorted,
+    where stream-0 tuple *i*'s candidates are stream 1's rows
+    ``lo[i] : lo[i] + counts[i]``."""
     ends = np.cumsum(counts)
-    left: list[Int64Array] = [np.empty(0, dtype=np.int64)]
-    right: list[Int64Array] = [np.empty(0, dtype=np.int64)]
+    codes: list[Int64Array] = [np.empty(0, dtype=np.int64)]
     start = 0
-    while start < len(s0):
+    while start < len(lo):
         # The longest run of stream-0 tuples, one at least, whose
         # candidates fit in a block.
         limit = ends[start] - counts[start] + CANDIDATES
@@ -80,8 +116,7 @@ def _window_pairs(
         positions = np.arange(first[0], ends[stop - 1]) + np.repeat(
             lo[block] - first, counts[block]
         )
-        valid = np.abs(s1.ts[positions] - s0.ts[owner]) <= window_seconds
-        left.append(s0.seq[owner[valid]])
-        right.append(s1.seq[positions[valid]])
+        valid = np.abs(ts1[positions] - ts0[owner]) <= window_seconds
+        codes.append(code0[owner[valid]] + code1[positions[valid]])
         start = stop
-    return np.concatenate(left), np.concatenate(right)
+    return np.concatenate(codes)

@@ -12,6 +12,10 @@ import zlib
 
 import numpy as np
 
+# Imported by name, not reached as ``np.random``: numpy 2.x loads the
+# subpackage on first attribute access, inside a run's first draw.
+from numpy.random import SeedSequence, default_rng
+
 
 class RngRegistry:
     """Hands out independent :class:`numpy.random.Generator` substreams.
@@ -30,8 +34,8 @@ class RngRegistry:
         if gen is None:
             # crc32 is stable across processes/runs (unlike hash()).
             child = zlib.crc32(key.encode("utf-8"))
-            seq = np.random.SeedSequence(entropy=self.root_seed, spawn_key=(child,))
-            gen = np.random.default_rng(seq)
+            seq = SeedSequence(entropy=self.root_seed, spawn_key=(child,))
+            gen = default_rng(seq)
             self._cache[key] = gen
         return gen
 

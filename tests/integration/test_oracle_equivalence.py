@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import JoinSystem, SystemConfig
+from repro.analysis.experiments import base_config
 from repro.core.hashing import partition_of
 from repro.core.system import slave_node_id
 from repro.faults.plan import FaultPlan
@@ -105,6 +106,17 @@ class TestOracleEquivalence:
     def test_short_epochs(self, base_cfg):
         cfg = base_cfg.with_(dist_epoch=0.5, reorg_epoch=2.0, rate=600.0)
         got, expected, _ = run_and_compare(cfg, seed=9)
+        assert np.array_equal(got, expected)
+
+    def test_paper_geometry_is_oracle_exact(self):
+        """Table I's geometry: 60 partitions over 4 slaves (15
+        partition-groups per slave share one store), the paper's cost
+        model and fine tuning, on a 10 % horizon."""
+        cfg = base_config(0.1).with_(rate=3000.0, num_slaves=4)
+        assert cfg.npart == 60 and cfg.fine_tuning
+        got, expected, result = run_and_compare(cfg)
+        assert sum(s["splits"] for s in result.slaves) > 0
+        assert len(expected) > 100_000
         assert np.array_equal(got, expected)
 
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.data.tuples import TupleBatch
@@ -19,11 +19,12 @@ from tests.conftest import brute_force_pairs
 HOT_WINDOW = 1.0
 
 
-def build_batch(rows):
-    """rows: list of (ts, key, stream)."""
+def build_batch(rows, offsets=(0, 0)):
+    """rows: list of (ts, key, stream); stream s's seqs count up from
+    offsets[s]."""
     if not rows:
         return TupleBatch.empty()
-    per_stream_seq = {0: 0, 1: 0}
+    per_stream_seq = dict(enumerate(offsets))
     ts, key, seq, stream = [], [], [], []
     for t, k, s in rows:
         ts.append(t)
@@ -60,29 +61,55 @@ class TestNaiveJoin:
         assert len(naive_window_join(batch, 10.0)) == 0
 
 
+#: Seconds on a grid of halves: differences are exact, so pairs with
+#: ``|a.ts - b.ts| == W`` occur and must join.
+on_grid = st.integers(0, 20).map(lambda i: i / 2)
+seq_offsets = st.sampled_from([-(2**40), -7, 0, 3, 2**40 + 5])
+
+
 @given(
     rows=st.lists(
         st.tuples(
-            st.floats(0, 50),
+            st.floats(0, 50) | on_grid,
             st.integers(0, 5),
             st.integers(0, 1),
         ),
         max_size=40,
     ),
-    window=st.floats(0.1, 80),
+    window=st.floats(0.1, 80) | on_grid.filter(bool),
     block=st.integers(1, 16) | st.just(naive_join.CANDIDATES),
+    offsets=st.tuples(seq_offsets, seq_offsets),
 )
+@example(rows=[(1.0, 5, 0), (3.5, 5, 1), (6.0, 5, 0)], window=2.5, block=1, offsets=(0, 0))
 @settings(max_examples=200, deadline=None)
-def test_naive_join_matches_brute_force(rows, window, block):
-    batch = build_batch(rows)
+def test_naive_join_matches_brute_force(rows, window, block, offsets):
+    batch = build_batch(rows, offsets)
     with mock.patch.object(naive_join, "CANDIDATES", block):
         pairs = naive_window_join(batch, window)
     s0, s1 = batch.by_stream(0), batch.by_stream(1)
     expected = brute_force_pairs(
         s0.ts, s0.key, s0.seq, s1.ts, s1.key, s1.seq, window
     )
-    assert set(map(tuple, pairs.tolist())) == expected
-    assert len(pairs) == len(expected)
+    expected = np.array(sorted(expected), dtype=np.int64).reshape(-1, 2)
+    assert pairs.dtype == np.int64 and pairs.flags.c_contiguous
+    assert pairs.shape == expected.shape
+    assert pairs.tobytes() == expected.tobytes()
+
+
+def test_seq_spans_too_wide_for_one_int64_are_rejected():
+    """``(span a + 1) * (span b + 1)`` pair codes must stay below 2**63."""
+    batch = TupleBatch.build(
+        ts=[0.0, 0.0, 0.0, 0.0],
+        key=[1, 2, 1, 2],
+        seq=[0, 2**40, 0, 2**23],
+        stream=[0, 0, 1, 1],
+    )
+    with pytest.raises(ValueError, match="seq spans"):
+        naive_window_join(batch, 1.0)
+    narrower = TupleBatch.build(
+        ts=batch.ts, key=batch.key, seq=[0, 2**40, 0, 2**23 - 2], stream=batch.stream
+    )
+    assert naive_window_join(narrower, 1.0).tolist() == [[0, 0], [2**40, 2**23 - 2]]
 
 
 def candidates(batch):
@@ -137,6 +164,15 @@ class TestBlocks:
         assert candidates(batch) > 100 * len(pairs) > 0
         size = sum(c.nbytes for c in (batch.ts, batch.key, batch.seq, batch.stream))
         assert peak < 4 * (size + pairs.nbytes)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_row_order_does_not_change_the_bytes(seed):
+    trace = hot_trace()
+    shuffled = trace.take(np.random.default_rng(seed).permutation(len(trace)))
+    expected = naive_window_join(trace, HOT_WINDOW)
+    assert naive_window_join(shuffled, HOT_WINDOW).tobytes() == expected.tobytes()
 
 
 @given(parts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
