@@ -1,2 +1,2 @@
-"""Benchmark package (pytest-benchmark harness reproducing the paper's
-tables and figures; see bench_figures.py)."""
+"""Benchmark scripts: backend throughput, fault recovery and tracer
+overhead, each writing a ``BENCH_*.json`` report."""

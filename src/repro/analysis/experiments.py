@@ -10,8 +10,9 @@ split behaviour identical to the full-scale system, while absolute
 "seconds of overhead per run" shrink by ``sigma`` (multiply by
 ``1/sigma`` to compare against the paper's 20-minute numbers).
 
-``quick=True`` coarsens the sweep grids (used by the pytest-benchmark
-harness); the full grids match the figures' x-axes.
+``quick=True`` coarsens the sweep grids (used by the figure tests,
+``tests/integration/test_figures.py``); the full grids match the
+figures' x-axes.
 """
 
 from __future__ import annotations

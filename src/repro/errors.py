@@ -17,10 +17,6 @@ class DeadlockError(SimulationError):
     """Raised when the event queue empties while processes are blocked."""
 
 
-class ChannelClosedError(ReproError):
-    """Raised when sending to or receiving from a closed channel."""
-
-
 class ConfigError(ReproError):
     """Raised for invalid or inconsistent configuration values."""
 
@@ -32,12 +28,6 @@ class ProtocolError(ReproError):
     The message names the receiving node, the peer rank and the
     expected vs. actual message types, so a chaos-test failure can be
     triaged straight from the traceback."""
-
-
-class FaultInjectionError(ReproError):
-    """Raised for invalid fault-plane operations at run time (e.g.
-    crashing a node the transport does not know, or re-killing a node
-    that is already dead)."""
 
 
 class WireError(ReproError):
@@ -55,11 +45,3 @@ class ConnectError(ReproError):
     address so a mislaunched topology is triaged straight from the
     traceback.  (Version skew is a :class:`WireError` instead — it can
     never be resolved by retrying.)"""
-
-
-class CapacityError(ReproError):
-    """Raised when a bounded buffer would exceed its allotted capacity."""
-
-
-class LintError(ReproError):
-    """Raised for malformed lint inputs (e.g. a bad baseline file)."""

@@ -15,9 +15,8 @@ statically:
   wall clock, unseeded randomness or blocking I/O outside the files
   entitled to it, so a sink wrapped in a helper or re-exported is
   flagged where it enters the project;
-* line-scoped ``# lint: disable=<rule>`` **pragmas** (honored by file
-  and project rules alike) and a shrink-only **baseline** file for
-  triaged debt (:mod:`repro.lint.baseline`);
+* no way to silence a finding: a run passes only when it finds
+  nothing, so a violation is fixed where it is found;
 * the ``swjoin lint`` CLI (:mod:`repro.lint.cli`) and this importable
   API for tests::
 
@@ -25,14 +24,11 @@ statically:
       assert lint_paths(["src/repro"]).ok
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry
 from repro.lint.engine import LintResult, collect_files, lint_paths, lint_sources
 from repro.lint.finding import Finding
 from repro.lint.registry import RULES, FileRule, ProjectRule, Rule, register
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Finding",
     "LintResult",
     "Rule",

@@ -2,14 +2,13 @@
 
 Examples::
 
-    swjoin lint                        # lint src/repro with the default baseline
+    swjoin lint                        # lint src/repro
     swjoin lint src/repro tests        # explicit paths
     swjoin lint --select SIM001        # one rule only
     swjoin lint --list-rules
-    swjoin lint --write-baseline       # accept current findings (triage them!)
 
-Exit status: 0 when nothing fresh was found and no baseline entry is
-stale, 1 otherwise, 2 for usage errors (e.g. a malformed baseline).
+Exit status: 0 when nothing was found, 1 on any finding, 2 for usage
+errors (argparse).
 """
 
 from __future__ import annotations
@@ -19,15 +18,11 @@ import json
 import sys
 import typing as t
 
-from repro.errors import LintError
-from repro.lint.baseline import Baseline
 from repro.lint.engine import LintResult, lint_paths
 from repro.lint.registry import RULES
 
 __all__ = ["add_lint_parser", "cmd_lint", "main"]
 
-#: Baseline used when ``--baseline`` is not given and the file exists.
-DEFAULT_BASELINE = "lint-baseline.txt"
 #: Default lint target.
 DEFAULT_PATHS = ("src/repro",)
 
@@ -51,19 +46,6 @@ def add_lint_parser(sub: t.Any) -> None:
         help=f"files/directories to lint (default: {' '.join(DEFAULT_PATHS)})",
     )
     p.add_argument(
-        "--baseline",
-        metavar="PATH",
-        help=(
-            "baseline file of triaged findings "
-            f"(default: {DEFAULT_BASELINE} when present)"
-        ),
-    )
-    p.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore any baseline file (report everything as fresh)",
-    )
-    p.add_argument(
         "--select",
         action="append",
         metavar="RULE",
@@ -76,48 +58,20 @@ def add_lint_parser(sub: t.Any) -> None:
         help="output format",
     )
     p.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help=(
-            "write the current findings to the baseline file and exit; "
-            "generated entries carry a TODO comment to replace with a "
-            "tracking reference"
-        ),
-    )
-    p.add_argument(
         "--list-rules", action="store_true", help="list rule ids and exit"
     )
 
 
-def _load_baseline(args: argparse.Namespace) -> tuple[Baseline | None, str]:
-    import os
-
-    path = args.baseline or DEFAULT_BASELINE
-    if args.no_baseline:
-        return None, path
-    if args.baseline is None and not os.path.exists(path):
-        return None, path
-    return Baseline.load(path), path
-
-
 def _print_text(result: LintResult, stream: t.TextIO) -> None:
-    for finding in result.fresh:
+    for finding in result.findings:
         print(finding.render(), file=stream)
-    for entry in result.stale_baseline:
-        print(
-            f"stale baseline entry (fixed? delete it): {entry.render()}",
-            file=stream,
-        )
     print(f"swjoin lint: {result.summary()}", file=stream)
 
 
 def _print_json(result: LintResult, stream: t.TextIO) -> None:
     payload = {
         "ok": result.ok,
-        "fresh": [f.to_record() for f in result.fresh],
-        "baselined": [f.to_record() for f in result.baselined],
-        "stale_baseline": [e.key for e in result.stale_baseline],
-        "suppressed": result.suppressed,
+        "findings": [f.to_record() for f in result.findings],
         "n_files": result.n_files,
     }
     json.dump(payload, stream, indent=2)
@@ -130,23 +84,7 @@ def cmd_lint(args: argparse.Namespace) -> int:
         for rule_id in sorted(RULES):
             print(f"{rule_id.ljust(width)}  {RULES[rule_id].summary}")
         return 0
-    if args.write_baseline:
-        # Writing replaces whatever baseline exists, so don't require one.
-        baseline_path = args.baseline or DEFAULT_BASELINE
-        result = lint_paths(args.paths, baseline=None, only=args.select)
-        with open(baseline_path, "w", encoding="utf-8") as fh:
-            fh.write(Baseline.render(result.findings))
-        print(
-            f"wrote {len(result.findings)} entr(y/ies) to {baseline_path} — "
-            "replace every TODO with a tracking reference"
-        )
-        return 0
-    try:
-        baseline, _ = _load_baseline(args)
-    except (LintError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    result = lint_paths(args.paths, baseline=baseline, only=args.select)
+    result = lint_paths(args.paths, only=args.select)
     if args.format == "json":
         _print_json(result, sys.stdout)
     else:

@@ -1,9 +1,8 @@
 """The lint finding record.
 
 A finding pins one rule violation to a ``path:line`` anchor.  Its
-:attr:`Finding.key` — ``"<rule> <path>:<line>"`` — is the stable
-identity used by the baseline file, so a finding stays recognized until
-either the offending line moves or the violation is fixed.
+:attr:`Finding.key` — ``"<rule> <path>:<line>"`` — is the compact
+identity the rule fixtures compare.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ class Finding:
 
     @property
     def key(self) -> str:
-        """Stable identity used by the baseline file."""
+        """``"<rule> <path>:<line>"``: what the rule fixtures compare."""
         return f"{self.rule} {self.path}:{self.line}"
 
     def render(self) -> str:

@@ -13,8 +13,8 @@ This rule cross-checks three sets, all computed statically:
 
 * **message types** — subclasses of ``Message`` in ``core/protocol.py``;
 * **dispatch sites** — type names in ``recv_expect``/``isinstance``
-  calls in the node-loop modules (master, slave, collector, and the
-  baseline framework);
+  calls in the node-loop modules (master, slave, standby, collector,
+  and the ATR/CTR routing nodes);
 * **send/construction sites** — ``X.send(dst, Type(...))`` calls and
   plain ``Type(...)`` constructions anywhere in the project.
 
@@ -41,7 +41,8 @@ HANDLER_SUFFIXES: tuple[str, ...] = (
     "core/slave.py",
     "core/standby.py",
     "core/collector.py",
-    "baselines/framework.py",
+    # The ATR/CTR routing nodes (``RoutingMaster``, ``LightSlave``).
+    "/framework.py",
 )
 #: The fully qualified module dispatchers import message types from.
 PROTOCOL_MODULE = "repro.core.protocol"

@@ -45,10 +45,6 @@ class BackupEntry:
         if epoch >= self.base_epoch and all(e != epoch for e, _b in self.log):
             self.log.append((epoch, batch))
 
-    @property
-    def n_log_tuples(self) -> int:
-        return sum(len(b) for _e, b in self.log)
-
 
 class BackupStore:
     """All partitions a slave currently backs up.

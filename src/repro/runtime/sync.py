@@ -24,7 +24,7 @@ class SimLock:
     """Mutex on the simulation kernel."""
 
     def __init__(self, sim: Simulator, name: str = "") -> None:
-        self._resource = Resource(sim, capacity=1, name=name)
+        self._resource = Resource(sim, name=name)
 
     def acquire(self) -> t.Any:
         return self._resource.request()

@@ -9,31 +9,28 @@ A small, self-contained, SimPy-flavoured kernel:
 * :class:`~repro.simul.process.Process` — generator-based cooperative
   processes; a process ``yield``\\ s events and is resumed with the
   event's value when it fires.
-* :mod:`~repro.simul.resources` — FIFO :class:`Store`, counting
-  :class:`Resource` and a synchronous :class:`Gate` used by the network
-  layer to model rendezvous (blocking) message exchange.
+* :mod:`~repro.simul.resources` — an unbounded FIFO :class:`Store` and a
+  mutex :class:`Resource`, the simulated flavour of the node code's
+  queue and lock (:mod:`repro.runtime.sync`).
 * :mod:`~repro.simul.rng` — named, reproducible random substreams.
 
 The kernel is deliberately minimal: every feature here is exercised by
 the cluster model, and nothing else is included.
 """
 
-from repro.simul.events import AllOf, AnyOf, Event, Timeout
+from repro.simul.events import Event, Timeout
 from repro.simul.kernel import Simulator
 from repro.simul.process import Process, ProcessKilled
-from repro.simul.resources import Gate, Resource, Store
+from repro.simul.resources import Resource, Store
 from repro.simul.rng import RngRegistry
 
 __all__ = [
     "Simulator",
     "Event",
     "Timeout",
-    "AnyOf",
-    "AllOf",
     "Process",
     "ProcessKilled",
     "Store",
     "Resource",
-    "Gate",
     "RngRegistry",
 ]

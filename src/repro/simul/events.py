@@ -132,60 +132,3 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         sim._schedule(self, delay)
-
-
-class _Condition(Event):
-    """Shared machinery for :class:`AnyOf` / :class:`AllOf`."""
-
-    __slots__ = ("events", "_n_fired")
-
-    def __init__(self, sim: "Simulator", events: t.Sequence[Event]) -> None:
-        super().__init__(sim, name=type(self).__name__)
-        self.events = tuple(events)
-        if any(ev.sim is not sim for ev in self.events):
-            raise SimulationError("all condition events must share a simulator")
-        self._n_fired = 0
-        if not self.events:
-            self.succeed({})
-            return
-        for ev in self.events:
-            ev.add_callback(self._on_fire)
-
-    def _on_fire(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if not event.ok:
-            self.fail(event.value)
-            return
-        self._n_fired += 1
-        if self._satisfied():
-            self.succeed(self._collect())
-
-    def _satisfied(self) -> bool:  # pragma: no cover - abstract
-        raise NotImplementedError
-
-    def _collect(self) -> dict[Event, t.Any]:
-        # Only events whose callbacks have run count as "fired" here —
-        # a Timeout is *triggered* (scheduled, value set) from birth.
-        return {ev: ev.value for ev in self.events if ev.processed and ev.ok}
-
-
-class AnyOf(_Condition):
-    """Fires when *any* of the given events has fired.
-
-    The value is a dict mapping each already-fired event to its value.
-    """
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired >= 1
-
-
-class AllOf(_Condition):
-    """Fires when *all* of the given events have fired."""
-
-    __slots__ = ()
-
-    def _satisfied(self) -> bool:
-        return self._n_fired == len(self.events)

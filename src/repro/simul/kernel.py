@@ -13,7 +13,7 @@ import typing as t
 from itertools import count
 
 from repro.errors import DeadlockError, SimulationError
-from repro.simul.events import AllOf, AnyOf, Event, Timeout
+from repro.simul.events import Event, Timeout
 from repro.simul.process import Process
 
 #: Default event priority.  Lower values are processed first among
@@ -77,14 +77,6 @@ class Simulator:
     ) -> Process:
         """Spawn a cooperative process driving *generator*."""
         return Process(self, generator, name=name)
-
-    def any_of(self, events: t.Sequence[Event]) -> AnyOf:
-        """Event firing when any of *events* fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events: t.Sequence[Event]) -> AllOf:
-        """Event firing when all of *events* have fired."""
-        return AllOf(self, events)
 
     # -- scheduling (kernel internal) -------------------------------------
     def _schedule(

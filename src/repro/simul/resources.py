@@ -1,11 +1,10 @@
 """Shared resources for simulated processes.
 
-* :class:`Store` — an unbounded-or-bounded FIFO of items with blocking
-  ``get`` and ``put`` events.
-* :class:`Resource` — a counting semaphore (``request`` / ``release``).
-* :class:`Gate` — a reusable synchronization point: any number of
-  processes wait, one process opens it, everyone is released.  Used by
-  the epoch schedulers.
+* :class:`Store` — an unbounded FIFO of items with a blocking ``get``.
+* :class:`Resource` — a mutex with FIFO granting (``request`` /
+  ``release``).
+
+:mod:`repro.runtime.sync` wraps them as the node code's queue and lock.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 import typing as t
 from collections import deque
 
-from repro.errors import ChannelClosedError, SimulationError
+from repro.errors import SimulationError
 from repro.simul.events import Event
 
 if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -21,44 +20,27 @@ if t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class Store:
-    """FIFO store of items with blocking get/put.
+    """Unbounded FIFO store of items with a blocking ``get``."""
 
-    ``capacity`` bounds the number of items held; ``put`` blocks while
-    the store is full.  ``close()`` fails all pending and future getters
-    with :class:`~repro.errors.ChannelClosedError` once drained.
-    """
-
-    def __init__(
-        self, sim: "Simulator", capacity: float = float("inf"), name: str = ""
-    ) -> None:
-        if capacity <= 0:
-            raise SimulationError(f"store capacity must be positive: {capacity!r}")
+    def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
-        self.capacity = capacity
         self.name = name
         self.items: deque[t.Any] = deque()
         self._getters: deque[Event] = deque()
-        self._putters: deque[tuple[Event, t.Any]] = deque()
-        self._closed = False
 
     def __len__(self) -> int:
         return len(self.items)
 
-    @property
-    def closed(self) -> bool:
-        return self._closed
-
     def put(self, item: t.Any) -> Event:
-        """Event firing once *item* has been accepted by the store."""
-        if self._closed:
-            raise ChannelClosedError(f"put() on closed store {self.name!r}")
+        """Event firing once *item* has been accepted (at once: the
+        store is unbounded); hands it straight to the oldest getter."""
         event = self.sim.event(name=f"put:{self.name}")
-        if len(self.items) < self.capacity:
-            self.items.append(item)
-            event.succeed()
-            self._wake_getters()
+        event.succeed()
+        # A getter waits only while the store is empty.
+        if self._getters:
+            self._getters.popleft().succeed(item)
         else:
-            self._putters.append((event, item))
+            self.items.append(item)
         return event
 
     def get(self) -> Event:
@@ -66,102 +48,35 @@ class Store:
         event = self.sim.event(name=f"get:{self.name}")
         if self.items:
             event.succeed(self.items.popleft())
-            self._admit_putters()
-        elif self._closed:
-            event.fail(ChannelClosedError(f"get() on closed store {self.name!r}"))
         else:
             self._getters.append(event)
         return event
 
-    def close(self) -> None:
-        """Close the store: pending/future gets fail once items drain."""
-        self._closed = True
-        while self._getters:
-            self._getters.popleft().fail(
-                ChannelClosedError(f"store {self.name!r} closed")
-            )
-
-    # -- internal --------------------------------------------------------
-    def _wake_getters(self) -> None:
-        while self._getters and self.items:
-            self._getters.popleft().succeed(self.items.popleft())
-            self._admit_putters()
-
-    def _admit_putters(self) -> None:
-        while self._putters and len(self.items) < self.capacity:
-            event, item = self._putters.popleft()
-            self.items.append(item)
-            event.succeed()
-
 
 class Resource:
-    """A counting semaphore with FIFO granting."""
-
-    def __init__(self, sim: "Simulator", capacity: int = 1, name: str = "") -> None:
-        if capacity < 1:
-            raise SimulationError(f"resource capacity must be >= 1: {capacity!r}")
-        self.sim = sim
-        self.capacity = capacity
-        self.name = name
-        self._in_use = 0
-        self._waiters: deque[Event] = deque()
-
-    @property
-    def in_use(self) -> int:
-        return self._in_use
-
-    def request(self) -> Event:
-        """Event firing once a unit of the resource is granted."""
-        event = self.sim.event(name=f"request:{self.name}")
-        if self._in_use < self.capacity:
-            self._in_use += 1
-            event.succeed()
-        else:
-            self._waiters.append(event)
-        return event
-
-    def release(self) -> None:
-        """Return one unit; grants the oldest waiter if any."""
-        if self._in_use <= 0:
-            raise SimulationError(f"release() of idle resource {self.name!r}")
-        if self._waiters:
-            self._waiters.popleft().succeed()
-        else:
-            self._in_use -= 1
-
-
-class Gate:
-    """A reusable broadcast gate.
-
-    ``wait()`` returns an event that fires at the next ``open()``.  Each
-    ``open(value)`` releases every process currently waiting, passing
-    them *value*; the gate then resets for the next round.
-    """
+    """A mutex with FIFO granting."""
 
     def __init__(self, sim: "Simulator", name: str = "") -> None:
         self.sim = sim
         self.name = name
-        self._waiters: list[Event] = []
-        self._generation = 0
+        self._held = False
+        self._waiters: deque[Event] = deque()
 
-    @property
-    def n_waiting(self) -> int:
-        return len(self._waiters)
-
-    @property
-    def generation(self) -> int:
-        """Number of times the gate has been opened."""
-        return self._generation
-
-    def wait(self) -> Event:
-        event = self.sim.event(name=f"gate:{self.name}")
-        self._waiters.append(event)
+    def request(self) -> Event:
+        """Event firing once the mutex is granted."""
+        event = self.sim.event(name=f"request:{self.name}")
+        if self._held:
+            self._waiters.append(event)
+        else:
+            self._held = True
+            event.succeed()
         return event
 
-    def open(self, value: t.Any = None) -> int:
-        """Release all current waiters; returns how many were released."""
-        waiters, self._waiters = self._waiters, []
-        self._generation += 1
-        for event in waiters:
-            event.succeed(value)
-        return len(waiters)
+    def release(self) -> None:
+        """Free the mutex, or hand it to the oldest waiter."""
+        if not self._held:
+            raise SimulationError(f"release() of idle resource {self.name!r}")
+        if self._waiters:
+            self._waiters.popleft().succeed()
+        else:
+            self._held = False

@@ -42,10 +42,6 @@ class TraceReplayer:
         self.batch = batch
         self._cursor = 0
 
-    @classmethod
-    def from_file(cls, path: str | os.PathLike) -> "TraceReplayer":
-        return cls(load_trace(path))
-
     def replica(self) -> "TraceReplayer":
         """An independent replayer over the same trace (fresh cursor).
 

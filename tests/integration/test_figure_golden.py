@@ -9,9 +9,9 @@ strings compare exactly, floats to 1e-9 relative, so a numpy version bump
 that reorders a floating-point sum is not a false alarm.
 
 Tier-1 checks the cheapest experiments, and ``baselines_skew``, whose
-rows rest on the routing baselines; ``benchmarks/bench_figures.py``
-checks all of them against the same file, from the same results its shape
-assertions read.
+rows rest on the routing baselines; ``test_figures.py`` (the ``figures``
+marker) checks all of them against the same file, from the same results
+its shape assertions read.
 
 A change that is *meant* to move a row says so where it is recorded and
 regenerates the file::

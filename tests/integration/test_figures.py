@@ -1,17 +1,17 @@
-"""The paper's tables and figures: golden rows and paper-shape assertions.
+"""The paper's figures: every experiment's golden rows and its shape.
 
 Every experiment in :data:`repro.analysis.experiments.EXPERIMENTS` runs
 once per session, on its quick sweep grid at a reduced geometric scale
-(``SCALES`` in ``tests/integration/test_figure_golden.py``; see
-``scaled()`` in repro/config.py: saturation rates and crossovers are
-scale-invariant).  ``test_golden`` times the run through
-pytest-benchmark, prints the series and compares it with its committed
-rows; the ``test_<experiment>`` cases below assert the paper's
-qualitative shape on the same result.
+(``SCALES`` in ``test_figure_golden.py``; see ``scaled()`` in
+repro/config.py: saturation rates and crossovers are scale-invariant).
+``test_golden`` compares its rows with the committed golden file; the
+``test_<experiment>`` cases below assert the paper's qualitative shape
+on the same result.
 
-Run with::
+The whole module is a couple of minutes, so it carries the ``figures``
+marker: tier-1 deselects it, CI's ``figures`` job runs it::
 
-    pytest benchmarks/bench_figures.py --benchmark-disable
+    pytest -m figures
 """
 
 import functools
@@ -22,18 +22,16 @@ from repro.analysis.experiments import EXPERIMENTS, base_config
 from repro.core.system import JoinSystem
 from tests.integration.test_figure_golden import assert_golden, run
 
+pytestmark = pytest.mark.figures
+
 #: One run per experiment per session, shared by its golden comparison
 #: and its shape assertions.
 figure = functools.cache(run)
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_golden(benchmark, name):
-    exp = benchmark.pedantic(figure, args=(name,), iterations=1, rounds=1)
-    print()
-    print(exp.render())
-    benchmark.extra_info["rows"] = exp.rows
-    assert_golden(name, exp)
+def test_golden(name):
+    assert_golden(name, figure(name))
 
 
 def test_fig05():

@@ -1,98 +1,37 @@
-"""Engine mechanics: pragmas, baseline lifecycle, parse errors, selection."""
+"""Engine mechanics: no suppression, parse errors, selection, collection."""
 
-import pytest
-
-from repro.errors import LintError
-from repro.lint import Baseline, Finding, collect_files, lint_paths, lint_sources
+from repro.lint import Finding, collect_files, lint_paths, lint_sources
 from repro.lint.engine import PARSE_RULE
 
 BAD = "import time\nnow = time.time()\n"
 PATH = "src/repro/core/x.py"
 
 
-class TestPragmas:
-    def test_disable_suppresses_and_counts(self):
-        src = "import time\nnow = time.time()  # lint: disable=SIM001\n"
-        result = lint_sources({PATH: src}, only={"SIM001"})
-        assert result.fresh == []
-        assert result.suppressed == 1
-        assert result.ok
-
-    def test_disable_is_rule_scoped(self):
-        src = "import time\nnow = time.time()  # lint: disable=SIM002\n"
-        result = lint_sources({PATH: src}, only={"SIM001"})
-        assert [f.rule for f in result.fresh] == ["SIM001"]
-
-    def test_disable_accepts_a_rule_list(self):
-        src = (
-            "import time\n"
-            "def f(ts):\n"
-            "    return ts == time.time()  # lint: disable=SIM001,SIM003\n"
-        )
-        result = lint_sources({PATH: src}, only={"SIM001", "SIM003"})
-        assert result.fresh == []
-        assert result.suppressed == 2
-
-    def test_disable_is_line_scoped(self):
-        src = (
-            "import time\n"
-            "a = time.time()  # lint: disable=SIM001\n"
-            "b = time.time()\n"
-        )
-        result = lint_sources({PATH: src}, only={"SIM001"})
-        assert [f.line for f in result.fresh] == [3]
-
-
-class TestBaseline:
-    def test_covered_finding_is_not_fresh(self):
-        baseline = Baseline.parse(f"SIM001 {PATH}:2  # TODO(repro#1): legacy\n")
-        result = lint_sources({PATH: BAD}, baseline=baseline, only={"SIM001"})
-        assert result.fresh == []
-        assert [f.line for f in result.baselined] == [2]
-        assert result.ok
-
-    def test_stale_entry_fails_the_run(self):
-        baseline = Baseline.parse(f"SIM001 {PATH}:99  # TODO(repro#1): gone\n")
-        clean = "def f(rt):\n    return rt.now()\n"
-        result = lint_sources({PATH: clean}, baseline=baseline, only={"SIM001"})
-        assert result.fresh == []
-        assert [e.line for e in result.stale_baseline] == [99]
-        assert not result.ok
-
-    def test_comments_and_blank_lines_are_ignored(self):
-        baseline = Baseline.parse("# header\n\nSIM001 a.py:1  # tracked\n")
-        assert len(baseline) == 1
-
-    def test_malformed_entry_raises(self):
-        with pytest.raises(LintError, match="malformed"):
-            Baseline.parse("this is not an entry\n")
-
-    def test_commentless_entry_raises(self):
-        with pytest.raises(LintError, match="tracking"):
-            Baseline.parse("SIM001 a.py:1\n")
-
-    def test_render_roundtrips(self):
-        finding = Finding(path=PATH, line=2, rule="SIM001", message="m")
-        baseline = Baseline.parse(Baseline.render([finding]))
-        assert baseline.covers(finding)
+def test_pragma_comment_does_not_suppress():
+    """Nothing silences a finding: a ``# lint: disable=`` comment is an
+    ordinary comment, and the line it sits on is still flagged."""
+    src = "import time\nnow = time.time()  # lint: disable=SIM001\n"
+    result = lint_sources({PATH: src}, only={"SIM001"})
+    assert [f.key for f in result.findings] == [f"SIM001 {PATH}:2"]
+    assert not result.ok
 
 
 class TestEngine:
     def test_syntax_error_becomes_a_parse_finding(self):
         result = lint_sources({PATH: "def broken(:\n"})
-        assert [f.rule for f in result.fresh] == [PARSE_RULE]
+        assert [f.rule for f in result.findings] == [PARSE_RULE]
         assert not result.ok
 
     def test_only_restricts_the_rule_set(self):
         src = "import random\nimport time\nx = time.time()\n"
         result = lint_sources({PATH: src}, only={"SIM002"})
-        assert {f.rule for f in result.fresh} == {"SIM002"}
+        assert {f.rule for f in result.findings} == {"SIM002"}
 
     def test_findings_are_sorted_and_deduplicated(self):
         result = lint_sources({PATH: BAD, "src/repro/core/a.py": BAD})
-        paths = [f.path for f in result.fresh]
+        paths = [f.path for f in result.findings]
         assert paths == sorted(paths)
-        assert len(set(result.fresh)) == len(result.fresh)
+        assert len(set(result.findings)) == len(result.findings)
 
     def test_finding_render_format(self):
         finding = Finding(path="a.py", line=3, rule="SIM001", message="boom")
@@ -118,5 +57,5 @@ class TestCollectFiles:
         target = tmp_path / "core_x.py"
         target.write_text(BAD)
         result = lint_paths([str(target)], only={"SIM001"})
-        assert [f.line for f in result.fresh] == [2]
+        assert [f.line for f in result.findings] == [2]
         assert result.n_files == 1

@@ -10,9 +10,9 @@ import pytest
 from repro.lint import RULES, lint_sources
 
 
-def fresh_keys(sources, only):
-    """``["RULE path:line", ...]`` of fresh findings, sorted."""
-    return sorted(f.key for f in lint_sources(sources, only=only).fresh)
+def finding_keys(sources, only):
+    """``["RULE path:line", ...]`` of the findings, sorted."""
+    return sorted(f.key for f in lint_sources(sources, only=only).findings)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +180,7 @@ MUTANTS = [
     ids=[row[0] for row in MUTANTS],
 )
 def test_mutant_is_flagged_at_its_sink(sources, rule, path):
-    found = [(f.rule, f.path) for f in lint_sources(sources).fresh]
+    found = [(f.rule, f.path) for f in lint_sources(sources).findings]
     assert (rule, path) in found, found
 
 
@@ -204,7 +204,7 @@ def tick():
 
 class TestSIM001:
     def test_flags_every_read_with_line_numbers(self):
-        keys = fresh_keys(
+        keys = finding_keys(
             {"src/repro/core/x.py": WALL_CLOCK_BAD}, only={"SIM001"}
         )
         assert keys == [
@@ -218,7 +218,7 @@ class TestSIM001:
     def test_allowlisted_files_may_touch_the_clock(self):
         for entry in RULES["SIM001"].allowed:
             path = f"src/{entry}"
-            assert fresh_keys({path: WALL_CLOCK_BAD}, only={"SIM001"}) == []
+            assert finding_keys({path: WALL_CLOCK_BAD}, only={"SIM001"}) == []
 
     def test_callers_of_an_allowlisted_clock_are_clean(self):
         sources = {
@@ -230,18 +230,18 @@ class TestSIM001:
                 "def tick():\n    return now()\n"
             ),
         }
-        assert fresh_keys(sources, only={"SIM001"}) == []
+        assert finding_keys(sources, only={"SIM001"}) == []
 
     def test_star_import_of_the_clock_module(self):
         bad = "from time import *\n"
-        assert fresh_keys({"src/repro/core/x.py": bad}, only={"SIM001"}) == [
+        assert finding_keys({"src/repro/core/x.py": bad}, only={"SIM001"}) == [
             "SIM001 src/repro/core/x.py:1"
         ]
 
     def test_faults_package_is_in_scope(self):
         """The fault plane runs on simulated time like everything else:
         no wall-clock exemption for repro.faults."""
-        keys = fresh_keys(
+        keys = finding_keys(
             {"src/repro/faults/x.py": WALL_CLOCK_BAD}, only={"SIM001"}
         )
         assert keys == [
@@ -254,11 +254,11 @@ class TestSIM001:
 
     def test_simulated_now_is_fine(self):
         clean = "def step(rt):\n    return rt.now() + 1.0\n"
-        assert fresh_keys({"src/repro/core/x.py": clean}, only={"SIM001"}) == []
+        assert finding_keys({"src/repro/core/x.py": clean}, only={"SIM001"}) == []
 
     def test_import_alias_is_resolved(self):
         bad = "import time as walltime\nt0 = walltime.monotonic()\n"
-        assert fresh_keys({"src/repro/core/x.py": bad}, only={"SIM001"}) == [
+        assert finding_keys({"src/repro/core/x.py": bad}, only={"SIM001"}) == [
             "SIM001 src/repro/core/x.py:2"
         ]
 
@@ -279,7 +279,7 @@ def jitter():
 
 class TestSIM002:
     def test_flags_stdlib_and_numpy_module_state(self):
-        keys = fresh_keys({"src/repro/core/x.py": RANDOM_BAD}, only={"SIM002"})
+        keys = finding_keys({"src/repro/core/x.py": RANDOM_BAD}, only={"SIM002"})
         assert keys == [
             "SIM002 src/repro/core/x.py:1",
             "SIM002 src/repro/core/x.py:5",
@@ -287,7 +287,7 @@ class TestSIM002:
         ]
 
     def test_rng_module_is_exempt(self):
-        assert fresh_keys({"src/repro/simul/rng.py": RANDOM_BAD}, only={"SIM002"}) == []
+        assert finding_keys({"src/repro/simul/rng.py": RANDOM_BAD}, only={"SIM002"}) == []
 
     def test_generator_annotations_are_fine(self):
         clean = (
@@ -297,7 +297,7 @@ class TestSIM002:
             "    assert isinstance(rng, Generator)\n"
             "    return float(rng.normal())\n"
         )
-        assert fresh_keys({"src/repro/core/x.py": clean}, only={"SIM002"}) == []
+        assert finding_keys({"src/repro/core/x.py": clean}, only={"SIM002"}) == []
 
     def test_callers_of_the_rng_registry_are_clean(self):
         sources = {
@@ -311,11 +311,11 @@ class TestSIM002:
                 "def run():\n    return substream(7)\n"
             ),
         }
-        assert fresh_keys(sources, only={"SIM002"}) == []
+        assert finding_keys(sources, only={"SIM002"}) == []
 
     def test_from_random_import(self):
         bad = "from random import gauss\nx = gauss(0, 1)\n"
-        assert fresh_keys({"src/repro/core/x.py": bad}, only={"SIM002"}) == [
+        assert finding_keys({"src/repro/core/x.py": bad}, only={"SIM002"}) == [
             "SIM002 src/repro/core/x.py:1",
             "SIM002 src/repro/core/x.py:2",
         ]
@@ -336,7 +336,7 @@ class TestPERF001:
             "    os.read(fd, 1)\n"
             "    return input()\n"
         )
-        assert fresh_keys({"src/repro/core/x.py": bad}, only={"PERF001"}) == [
+        assert finding_keys({"src/repro/core/x.py": bad}, only={"PERF001"}) == [
             "PERF001 src/repro/core/x.py:1",
             "PERF001 src/repro/core/x.py:2",
             "PERF001 src/repro/core/x.py:5",
@@ -355,12 +355,12 @@ class TestPERF001:
                 "def epoch(host):\n    return dial(host)\n"
             ),
         }
-        assert fresh_keys(sources, only={"PERF001"}) == []
+        assert finding_keys(sources, only={"PERF001"}) == []
 
     def test_attribute_calls_and_a_rebound_open_are_clean(self):
         sources = {
-            # `Gate.open` in simul/resources.py: defining and calling a
-            # method named `open` is not the builtin.
+            # Defining and calling a method named `open` is not the
+            # builtin.
             "src/repro/simul/resources.py": (
                 "class Gate:\n"
                 "    def open(self):\n"
@@ -374,19 +374,7 @@ class TestPERF001:
                 "def f():\n    return open(1)\n"
             ),
         }
-        assert fresh_keys(sources, only={"PERF001"}) == []
-
-    def test_finding_is_pragma_suppressible(self):
-        sources = {
-            "src/repro/core/partition_group.py": (
-                "def dump(path, rows):\n"
-                "    with open(path, 'w') as fh:  # lint: disable=PERF001\n"
-                "        fh.write(str(rows))\n"
-            )
-        }
-        result = lint_sources(sources, only={"PERF001"})
-        assert result.fresh == []
-        assert result.suppressed == 1
+        assert finding_keys(sources, only={"PERF001"}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +393,7 @@ def check(ts, epoch_end, rt):
 
 class TestSIM003:
     def test_flags_eq_and_ne(self):
-        keys = fresh_keys({"src/repro/core/x.py": TS_EQ_BAD}, only={"SIM003"})
+        keys = finding_keys({"src/repro/core/x.py": TS_EQ_BAD}, only={"SIM003"})
         assert keys == [
             "SIM003 src/repro/core/x.py:2",
             "SIM003 src/repro/core/x.py:4",
@@ -418,11 +406,11 @@ class TestSIM003:
             "        return False\n"
             "    return ts < cutoff_ts\n"
         )
-        assert fresh_keys({"src/repro/core/x.py": clean}, only={"SIM003"}) == []
+        assert finding_keys({"src/repro/core/x.py": clean}, only={"SIM003"}) == []
 
     def test_non_timestamp_equality_is_fine(self):
         clean = "def pick(kind):\n    return kind == 'hash'\n"
-        assert fresh_keys({"src/repro/core/x.py": clean}, only={"SIM003"}) == []
+        assert finding_keys({"src/repro/core/x.py": clean}, only={"SIM003"}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +442,12 @@ class Node:
 
 class TestOBS001:
     def test_only_the_unguarded_emit_is_flagged(self):
-        keys = fresh_keys({"src/repro/core/x.py": TRACER_MIXED}, only={"OBS001"})
+        keys = finding_keys({"src/repro/core/x.py": TRACER_MIXED}, only={"OBS001"})
         assert keys == ["OBS001 src/repro/core/x.py:19"]
 
     def test_obs_package_is_exempt(self):
         assert (
-            fresh_keys({"src/repro/obs/tracer.py": TRACER_MIXED}, only={"OBS001"})
+            finding_keys({"src/repro/obs/tracer.py": TRACER_MIXED}, only={"OBS001"})
             == []
         )
 
@@ -471,7 +459,7 @@ class TestOBS001:
             "    else:\n"
             "        tracer.emit(ev())\n"
         )
-        assert fresh_keys({"src/repro/core/x.py": bad}, only={"OBS001"}) == [
+        assert finding_keys({"src/repro/core/x.py": bad}, only={"OBS001"}) == [
             "OBS001 src/repro/core/x.py:5"
         ]
 
@@ -516,7 +504,7 @@ PROTO_SOURCES = {
 
 class TestPROTO001:
     def test_unknown_dispatch_and_dead_message(self):
-        keys = fresh_keys(PROTO_SOURCES, only={"PROTO001"})
+        keys = finding_keys(PROTO_SOURCES, only={"PROTO001"})
         assert keys == [
             # `Gone` is dispatched but is not a protocol message.
             "PROTO001 src/repro/core/master.py:6",
@@ -536,7 +524,7 @@ class TestPROTO001:
             "    comm.send(peer, Ping(payload=1))\n"
             "    comm.send(peer, Orphan())\n"
         )
-        keys = fresh_keys(sources, only={"PROTO001"})
+        keys = finding_keys(sources, only={"PROTO001"})
         assert "PROTO001 src/repro/core/protocol.py:4" in keys  # Ping undispatched
         assert "PROTO001 src/repro/core/protocol.py:7" in keys  # Pong unconstructed
 
@@ -562,7 +550,7 @@ class TestPROTO001:
             "    comm.send(peer, Ping(payload=1))\n"
             "    return comm.recv_expect(peer, Pong)\n"
         )
-        assert fresh_keys(sources, only={"PROTO001"}) == []
+        assert finding_keys(sources, only={"PROTO001"}) == []
 
 
 # ---------------------------------------------------------------------------
@@ -587,7 +575,7 @@ CFG_SOURCES = {
 
 class TestCFG001:
     def test_unread_field_is_flagged_at_its_declaration(self):
-        keys = fresh_keys(CFG_SOURCES, only={"CFG001"})
+        keys = finding_keys(CFG_SOURCES, only={"CFG001"})
         assert keys == ["CFG001 src/repro/config.py:3"]
 
     def test_getattr_with_literal_counts_as_a_read(self):
@@ -597,7 +585,7 @@ class TestCFG001:
             "    knob = getattr(cfg, 'dead_knob')\n"
             "    return cfg.n_slaves + knob + int(obs.enabled)\n"
         )
-        assert fresh_keys(sources, only={"CFG001"}) == []
+        assert finding_keys(sources, only={"CFG001"}) == []
 
     def test_plumbing_reads_do_not_count(self):
         sources = dict(CFG_SOURCES)
@@ -608,6 +596,6 @@ class TestCFG001:
             "    return cfg\n"
         )
         # dead_knob is only read inside the plumbing: still dead.
-        assert fresh_keys(sources, only={"CFG001"}) == [
+        assert finding_keys(sources, only={"CFG001"}) == [
             "CFG001 src/repro/config.py:3"
         ]

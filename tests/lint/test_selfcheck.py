@@ -1,7 +1,7 @@
 """Self-check: the repo's own sources must satisfy their own linter.
 
-This is the ISSUE's acceptance gate: ``swjoin lint src/repro`` exits 0
-with no (or an annotated, shrinking) baseline.  Running it as a pytest
+``swjoin lint src/repro`` exits 0 with no findings; nothing can silence
+one, so a violation is fixed where it is found.  Running it as a pytest
 test keeps the invariant enforced even where CI is unavailable.
 """
 
@@ -20,29 +20,16 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 def test_src_repro_is_lint_clean():
     result = lint_paths([str(SRC_REPRO)])
-    detail = "\n".join(f.render() for f in result.fresh)
-    assert result.ok, f"fresh lint findings in src/repro:\n{detail}"
+    detail = "\n".join(f.render() for f in result.findings)
+    assert result.ok, f"lint findings in src/repro:\n{detail}"
     assert result.n_files > 50  # sanity: we actually walked the tree
-
-
-def test_lint_baseline_stays_empty():
-    """The SIM003 epoch-arithmetic entry (repro#7) was the baseline's
-    last accepted finding.  With it retired the file is header-only and
-    must stay that way: new findings get fixed, not baselined."""
-    from repro.lint.baseline import Baseline
-
-    path = REPO_ROOT / "lint-baseline.txt"
-    assert path.exists(), "lint-baseline.txt deleted: keep the header file"
-    baseline = Baseline.load(str(path))
-    rendered = "\n".join(e.render() for e in baseline.entries)
-    assert len(baseline) == 0, f"lint-baseline.txt grew entries:\n{rendered}"
 
 
 def test_tcp_modules_are_allowlisted_and_carry_zero_findings():
     """Regression for the TCP allowlist widening: the TCP connect path
     is a wall-clock/socket module (on SIM001's allowlist, and inside
     PERF001's ``repro/net/`` + ``repro/runtime/`` layers) and must land
-    with zero fresh findings of its own.  The TCP *backend* module only
+    with zero findings of its own.  The TCP *backend* module only
     wires sockets — the shared launcher owns everything that reads the
     clock — so it must stay clean with no SIM001 entry at all."""
     from repro.lint.rules import BANNED_SINKS
@@ -56,11 +43,11 @@ def test_tcp_modules_are_allowlisted_and_carry_zero_findings():
     result = lint_paths([str(SRC_REPRO)])
     tcp_findings = [
         f
-        for f in result.fresh
+        for f in result.findings
         if f.path.endswith(("net/tcp_transport.py", "runtime/tcp.py"))
     ]
     detail = "\n".join(f.render() for f in tcp_findings)
-    assert tcp_findings == [], f"fresh findings in the TCP modules:\n{detail}"
+    assert tcp_findings == [], f"findings in the TCP modules:\n{detail}"
 
 
 def test_full_pass_fits_the_precommit_budget():
@@ -70,9 +57,9 @@ def test_full_pass_fits_the_precommit_budget():
     the same bound end-to-end."""
     import time
 
-    start = time.perf_counter()  # lint: disable=SIM001
+    start = time.perf_counter()
     result = lint_paths([str(SRC_REPRO)])
-    elapsed = time.perf_counter() - start  # lint: disable=SIM001
+    elapsed = time.perf_counter() - start
     assert result.n_files > 50
     assert elapsed < 30.0, f"lint pass took {elapsed:.1f}s (budget 30s)"
 
@@ -81,7 +68,7 @@ def test_tests_trees_parse():
     # Rules target src/repro; for tests we only insist the engine can
     # parse everything (PARSE findings would hide real syntax errors).
     result = lint_paths([str(REPO_ROOT / "tests")], only={"__none__"})
-    parse_errors = [f for f in result.fresh if f.rule == "PARSE"]
+    parse_errors = [f for f in result.findings if f.rule == "PARSE"]
     assert parse_errors == []
 
 

@@ -1,9 +1,8 @@
-"""Event lifecycle, failure propagation and condition events."""
+"""Event lifecycle and failure propagation."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simul.events import AllOf, AnyOf
 
 
 class TestEventLifecycle:
@@ -51,47 +50,3 @@ class TestEventLifecycle:
     def test_negative_timeout_rejected(self, sim):
         with pytest.raises(SimulationError):
             sim.timeout(-1.0)
-
-
-class TestConditions:
-    def test_any_of_fires_on_first(self, sim):
-        fast, slow = sim.timeout(1.0, "fast"), sim.timeout(5.0, "slow")
-        any_ev = AnyOf(sim, [fast, slow])
-        fired_at = []
-        any_ev.add_callback(lambda ev: fired_at.append(sim.now))
-        sim.run(None)
-        assert fired_at == [1.0]
-
-    def test_any_of_value_maps_fired_events(self, sim):
-        fast, slow = sim.timeout(1.0, "fast"), sim.timeout(5.0, "slow")
-        any_ev = AnyOf(sim, [fast, slow])
-        sim.run(until=any_ev)
-        assert any_ev.value == {fast: "fast"}
-
-    def test_all_of_waits_for_all(self, sim):
-        events = [sim.timeout(d) for d in (1.0, 2.0, 3.0)]
-        all_ev = AllOf(sim, events)
-        fired_at = []
-        all_ev.add_callback(lambda ev: fired_at.append(sim.now))
-        sim.run(None)
-        assert fired_at == [3.0]
-
-    def test_empty_condition_fires_immediately(self, sim):
-        all_ev = AllOf(sim, [])
-        assert all_ev.triggered
-
-    def test_condition_propagates_failure(self, sim):
-        bad = sim.event()
-        cond = AllOf(sim, [bad, sim.timeout(1.0)])
-        bad.fail(ValueError("nope"))
-        sim.run(None)
-        assert cond.triggered
-        assert not cond.ok
-        assert isinstance(cond.value, ValueError)
-
-    def test_mixed_simulators_rejected(self, sim):
-        from repro.simul.kernel import Simulator
-
-        other = Simulator()
-        with pytest.raises(SimulationError):
-            AnyOf(sim, [sim.timeout(1.0), other.timeout(1.0)])

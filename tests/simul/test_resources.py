@@ -1,9 +1,9 @@
-"""Stores, resources and gates."""
+"""The FIFO store and the mutex resource."""
 
 import pytest
 
-from repro.errors import ChannelClosedError, SimulationError
-from repro.simul.resources import Gate, Resource, Store
+from repro.errors import SimulationError
+from repro.simul.resources import Resource, Store
 
 
 def drive(sim, gen):
@@ -43,51 +43,6 @@ class TestStore:
         assert got == ["late"]
         assert sim.now == 5.0
 
-    def test_capacity_blocks_put(self, sim):
-        store = Store(sim, capacity=1)
-        events = []
-
-        def producer(sim, store):
-            yield store.put("a")
-            events.append(("put-a", sim.now))
-            yield store.put("b")
-            events.append(("put-b", sim.now))
-
-        def consumer(sim, store):
-            yield sim.timeout(3.0)
-            yield store.get()
-
-        drive(sim, producer(sim, store))
-        drive(sim, consumer(sim, store))
-        sim.run(None)
-        assert events == [("put-a", 0.0), ("put-b", 3.0)]
-
-    def test_close_fails_pending_getters(self, sim):
-        store = Store(sim, name="s")
-        outcome = []
-
-        def consumer(sim, store):
-            try:
-                yield store.get()
-            except ChannelClosedError:
-                outcome.append("closed")
-
-        drive(sim, consumer(sim, store))
-        sim.run(until=0.0)
-        store.close()
-        sim.run(None)
-        assert outcome == ["closed"]
-
-    def test_put_after_close_raises(self, sim):
-        store = Store(sim)
-        store.close()
-        with pytest.raises(ChannelClosedError):
-            store.put(1)
-
-    def test_invalid_capacity(self, sim):
-        with pytest.raises(SimulationError):
-            Store(sim, capacity=0)
-
     def test_len(self, sim):
         store = Store(sim)
         store.put("x")
@@ -96,7 +51,7 @@ class TestStore:
 
 class TestResource:
     def test_mutual_exclusion(self, sim):
-        resource = Resource(sim, capacity=1)
+        resource = Resource(sim)
         timeline = []
 
         def worker(sim, name, hold):
@@ -116,70 +71,6 @@ class TestResource:
             ("b", "out", 3.0),
         ]
 
-    def test_capacity_two_admits_two(self, sim):
-        resource = Resource(sim, capacity=2)
-        entered = []
-
-        def worker(sim, name):
-            yield resource.request()
-            entered.append((name, sim.now))
-            yield sim.timeout(1.0)
-            resource.release()
-
-        for name in "abc":
-            drive(sim, worker(sim, name))
-        sim.run(None)
-        assert entered == [("a", 0.0), ("b", 0.0), ("c", 1.0)]
-
     def test_release_idle_raises(self, sim):
         with pytest.raises(SimulationError):
             Resource(sim).release()
-
-
-class TestGate:
-    def test_open_releases_all_waiters(self, sim):
-        gate = Gate(sim)
-        woken = []
-
-        def waiter(sim, gate, name):
-            value = yield gate.wait()
-            woken.append((name, value, sim.now))
-
-        drive(sim, waiter(sim, gate, "a"))
-        drive(sim, waiter(sim, gate, "b"))
-
-        def opener(sim, gate):
-            yield sim.timeout(4.0)
-            gate.open("go")
-
-        drive(sim, opener(sim, gate))
-        sim.run(None)
-        assert sorted(woken) == [("a", "go", 4.0), ("b", "go", 4.0)]
-
-    def test_gate_is_reusable(self, sim):
-        gate = Gate(sim)
-        count = []
-
-        def repeat_waiter(sim, gate):
-            for _ in range(3):
-                yield gate.wait()
-                count.append(sim.now)
-
-        def opener(sim, gate):
-            for _ in range(3):
-                yield sim.timeout(1.0)
-                gate.open()
-
-        drive(sim, repeat_waiter(sim, gate))
-        drive(sim, opener(sim, gate))
-        sim.run(None)
-        assert count == [1.0, 2.0, 3.0]
-        assert gate.generation == 3
-
-    def test_open_returns_waiter_count(self, sim):
-        gate = Gate(sim)
-        gate.wait()
-        gate.wait()
-        assert gate.n_waiting == 2
-        assert gate.open() == 2
-        assert gate.n_waiting == 0
