@@ -6,8 +6,9 @@ generation — pure Python, GIL-bound — is paid once, outside the
 measured runs) under a near-zero modeled cost model: wall time is then
 dominated by the real numpy join work, which is exactly what
 distinguishes the backends.  The DES backend executes it single
-threaded by construction, the thread backend is GIL-bound, and the
-process and tcp backends spread the per-slave probe work across cores
+threaded by construction, the thread backend runs every node on that
+same kernel paced by the wall clock (single threaded too, with real
+socket framing between its nodes), and the process and tcp backends spread the per-slave probe work across cores
 — tcp additionally paying real socket framing for every inter-node
 message (run loopback here, so the delta over ``process`` prices the
 TCP stack, not the network).
@@ -44,9 +45,9 @@ backend demonstrates multicore parallelism, which is only *possible*
 when ``cores_available > 1`` (the JSON records the host's allowed CPU
 count, and ``multicore_capable`` makes the precondition explicit).  On
 a single-core host the process backend can still beat the thread
-backend on wall time for the same verified work, because the
-GIL-sharing threads pay contention overhead that the per-node
-processes do not — visible as the thread run's higher ``cpu_seconds``
+backend on wall time for the same verified work, because the thread
+backend's one loop serializes what the per-node processes overlap —
+visible as the difference in ``cpu_seconds``
 (``thread_cpu_overhead_seconds``) — but no parallel speedup is
 measurable there.  Each backend runs ``--reps`` times and the fastest
 wall-clock run is published (noisy shared hosts routinely vary run
@@ -222,7 +223,7 @@ def main(argv: t.Sequence[str] | None = None) -> int:
             "tcp_cpu_utilization": by_backend["tcp"]["cpu_utilization"],
             "thread_cpu_utilization": by_backend["thread"]["cpu_utilization"],
             # CPU the thread backend burned beyond the process backend
-            # for the same verified work: the price of GIL contention.
+            # for the same verified work (negative: it burned less).
             "thread_cpu_overhead_seconds": round(
                 by_backend["thread"]["cpu_seconds"]
                 - by_backend["process"]["cpu_seconds"],
@@ -233,8 +234,8 @@ def main(argv: t.Sequence[str] | None = None) -> int:
                 if cores > 1
                 else "single-core host: cpu_utilization is capped at "
                 "1.0 and no parallel speedup is measurable; "
-                "process-vs-thread differences reflect GIL contention "
-                "and IPC overheads only"
+                "process-vs-thread differences reflect one loop "
+                "against several, and IPC overheads only"
             ),
         },
         "wall_seconds": round(time.perf_counter() - started, 2),

@@ -1,12 +1,13 @@
 #!/usr/bin/env python
-"""Live mini-cluster: the same node code on real threads.
+"""Live mini-cluster: the same node code on the wall clock.
 
 Everything else in this repository runs the master/slave/collector
-generators on the deterministic discrete-event kernel.  This example
-runs the *identical* node implementations on the wall-clock thread
-backend — one OS thread per process, the nodes exchanging encoded
-frames over socket pairs exactly as the multi-process backend's do —
-for a small join of a few (compressed) seconds.  It demonstrates that
+generators on the deterministic discrete-event kernel in virtual time.
+This example runs the *identical* node implementations on the thread
+backend — the same kernel paced by the wall clock, every node in this
+process, the nodes exchanging encoded frames over socket pairs exactly
+as the multi-process backend's do — for a small join of a few
+(compressed) seconds.  It demonstrates that
 the node logic is genuinely runtime-agnostic: the fixed communication
 schedule, the reorganization protocol and the join modules never know
 which backend drives them.

@@ -9,7 +9,8 @@ The package provides:
 * :mod:`repro.simul` — a discrete-event simulation kernel (processes,
   events, stores) built from scratch.
 * :mod:`repro.runtime` — a runtime abstraction so the same node code runs
-  on virtual (simulated) time or on real threads.
+  on the same kernel in virtual (simulated) time or paced by the wall
+  clock.
 * :mod:`repro.net` — a modeled cluster network (rendezvous links, star
   topology, per-node communication accounting) and, on top of it, an
   MPI-like communicator (blocking point-to-point send/recv,

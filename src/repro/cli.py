@@ -42,8 +42,8 @@ def _add_run_parser(sub: t.Any) -> None:
     p.add_argument("--backend", choices=BACKENDS,
                    default="sim",
                    help="runtime backend: deterministic DES (sim, default), "
-                        "one thread per node generator (thread), one OS "
-                        "process per cluster node (process), or one worker "
+                        "every node on the wall-clocked kernel (thread), one "
+                        "OS process per cluster node (process), or one worker "
                         "per node over real TCP connections, optionally "
                         "spanning hosts via `swjoin worker` (tcp)")
     p.add_argument("--peers", metavar="NODE=HOST:PORT", action="append",

@@ -43,8 +43,8 @@ KIB = 1024
 MIB = 1024 * 1024
 
 #: Every runtime backend, by ``SystemConfig.backend`` name: the DES
-#: kernel, one thread per node generator, one OS process per node, one
-#: TCP worker per node.  The only list of them.
+#: kernel, every node on that kernel paced by the wall clock, one OS
+#: process per node, one TCP worker per node.  The only list of them.
 BACKENDS = ("sim", "thread", "process", "tcp")
 
 #: Every tuple-routing scheme, by ``SystemConfig.routing`` name: the
@@ -279,7 +279,8 @@ class SystemConfig:
 
     # -- execution backend -------------------------------------------------
     #: Runtime backend executing the cluster: ``"sim"`` (deterministic
-    #: DES kernel), ``"thread"`` (one OS thread per node generator),
+    #: DES kernel), ``"thread"`` (every node in-process, on the DES
+    #: kernel paced by the wall clock),
     #: ``"process"`` (one OS process per cluster node, real sockets) or
     #: ``"tcp"`` (one worker per node over TCP, optionally multi-host);
     #: see :data:`BACKENDS`.  The wall-clock backends inject ``crash:``

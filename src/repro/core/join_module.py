@@ -43,7 +43,6 @@ out of at most four probes of the store.
 
 from __future__ import annotations
 
-import threading
 import typing as t
 from collections import deque
 
@@ -122,13 +121,6 @@ class JoinModule:
         self.store = WindowStore(geometry, npart)
         #: ... and the groups, by pid (the store's own table of them).
         self.groups = self.store.groups
-        #: Guards the mini-buffers (the dict and its deques) and the two
-        #: scalars derived from them.  On the wall-clock backends the
-        #: comm thread files shipments (:meth:`enqueue`) while the join
-        #: thread drains, so every access goes through this mutex; it
-        #: covers queue bookkeeping only and is never held across a
-        #: probe, an expiry or any other work unit.
-        self._buf_lock = threading.Lock()
         #: Per partition, the queued batches, each with its oldest
         #: timestamp (computed once, when it was filed).
         self._minibuffers: dict[int, deque[tuple[float, TupleBatch]]] = {}
@@ -146,8 +138,7 @@ class JoinModule:
         self.groups[pid] = PartitionGroup(
             pid, self.geometry, on_double=on_double, store=self.store
         )
-        with self._buf_lock:
-            self._minibuffers.setdefault(pid, deque())
+        self._minibuffers.setdefault(pid, deque())
 
     def _directory_doubled(self, pid: int, depth: int) -> None:
         # Callback wired only when tracing is on (add_partition), but the
@@ -168,13 +159,12 @@ class JoinModule:
         if group is None:
             raise ProtocolError(f"node {self.node_id} does not own partition {pid}")
         state = group.extract_state()
-        with self._buf_lock:
-            buffered = TupleBatch.concat(
-                [batch for _oldest, batch in self._minibuffers.pop(pid, ())]
-            )
-            self._pending_bytes -= buffered.payload_bytes(
-                self.geometry.tuple_bytes
-            )
+        buffered = TupleBatch.concat(
+            [batch for _oldest, batch in self._minibuffers.pop(pid, ())]
+        )
+        self._pending_bytes -= buffered.payload_bytes(
+            self.geometry.tuple_bytes
+        )
         # The popped mini-buffer may have been the one pinning the expiry
         # watermark; re-derive it from the surviving queues.
         self._rearm_watermark()
@@ -182,13 +172,12 @@ class JoinModule:
 
     def _rearm_watermark(self) -> None:
         """Recompute ``_oldest_pending_ts`` from the surviving queues."""
-        with self._buf_lock:
-            self._oldest_pending_ts = self._oldest_queued_ts()
+        self._oldest_pending_ts = self._oldest_queued_ts()
 
     def _oldest_queued_ts(self) -> float:
         """Oldest timestamp over the queued batches, ``inf`` when all
-        queues are empty (caller holds ``_buf_lock``).  Every queued
-        batch counts, not just the head: a later batch can hold *older*
+        queues are empty.  Every queued batch counts, not just the
+        head: a later batch can hold *older*
         tuples — a restore replays the checkpointed mini-buffer followed
         by logged shipments whose epochs overlap it, and a post-move
         shipment can trail tuples predating an earlier one — and a
@@ -210,8 +199,7 @@ class JoinModule:
         if group is None:
             raise ProtocolError(f"node {self.node_id} does not own partition {pid}")
         state = group.snapshot_state()
-        with self._buf_lock:
-            queued = [batch for _oldest, batch in self._minibuffers.get(pid, ())]
+        queued = [batch for _oldest, batch in self._minibuffers.get(pid, ())]
         return state, TupleBatch.concat(queued)
 
     def restore_partition(
@@ -257,16 +245,16 @@ class JoinModule:
         # be timestamp-sorted — so the expiry cutoff must respect the
         # true oldest timestamp, not the first.
         oldest = float(batch.ts.min())
-        with self._buf_lock:
-            self._minibuffers[pid].append((oldest, batch))
-            self._pending_bytes += nbytes
-            self._oldest_pending_ts = min(self._oldest_pending_ts, oldest)
+        self._minibuffers[pid].append((oldest, batch))
+        self._pending_bytes += nbytes
+        self._oldest_pending_ts = min(self._oldest_pending_ts, oldest)
 
     def enqueue(self, shipment: Shipment) -> None:
         """File an epoch's shipment into the per-partition mini-buffers.
 
-        Called by the comm thread *without* the slave's state lock, so a
-        join pass may be draining the same queues concurrently."""
+        Called by the comm process *without* the slave's state lock, so
+        it may land between two steps of a join pass draining the same
+        queues."""
         batch = shipment.batch
         for pid, rows in split_by(partition_of(batch.key, self.npart), self.npart):
             if pid not in self.groups:
@@ -275,10 +263,9 @@ class JoinModule:
                     f"{pid} it does not own"
                 )
             self._file(pid, batch.take(rows))
-        with self._buf_lock:
-            self._oldest_pending_ts = min(
-                self._oldest_pending_ts, shipment.epoch_start
-            )
+        self._oldest_pending_ts = min(
+            self._oldest_pending_ts, shipment.epoch_start
+        )
 
     @property
     def pending_bytes(self) -> int:
@@ -298,8 +285,7 @@ class JoinModule:
 
     @property
     def has_work(self) -> bool:
-        with self._buf_lock:
-            return any(self._minibuffers.values())
+        return any(self._minibuffers.values())
 
     def spill_fraction(self) -> float:
         """Fraction of window state currently residing on disk."""
@@ -343,19 +329,18 @@ class JoinModule:
 
         Returns the pre-drain watermark (what this pass's expiry cutoff
         must respect) with the popped batches, and re-arms the watermark
-        from the batches left behind — all in one critical section, so
-        a shipment filed concurrently is either part of this pass and
-        its cutoff, or wholly deferred to the next one.
+        from the batches left behind — all in one step, so a shipment
+        filed meanwhile is either part of this pass and its cutoff, or
+        wholly deferred to the next one.
         """
-        with self._buf_lock:
-            oldest = self._oldest_pending_ts
-            out = {
-                pid: queue.popleft()[1]
-                for pid, queue in self._minibuffers.items()
-                if queue
-            }
-            if out:
-                self._oldest_pending_ts = self._oldest_queued_ts()
+        oldest = self._oldest_pending_ts
+        out = {
+            pid: queue.popleft()[1]
+            for pid, queue in self._minibuffers.items()
+            if queue
+        }
+        if out:
+            self._oldest_pending_ts = self._oldest_queued_ts()
         return oldest, out
 
     # -- step builders ----------------------------------------------------------
@@ -703,8 +688,7 @@ class _Pass:
             self.groups[at].total_bytes += int(totals[at] - self.totals[at])
         self.totals = totals
         module = self.module
-        with module._buf_lock:
-            module._pending_bytes -= moved * module.geometry.tuple_bytes
+        module._pending_bytes -= moved * module.geometry.tuple_bytes
         module.metrics.tuples_processed += moved
 
     def _record(self, lo: int, hi: int, emit_times: FloatArray) -> None:

@@ -17,7 +17,6 @@ are full and the system is in steady state.
 
 from __future__ import annotations
 
-import threading
 import typing as t
 
 import numpy as np
@@ -84,6 +83,11 @@ class DelayStats:
         self.histogram += np.bincount(
             np.searchsorted(DELAY_BIN_EDGES, delays), minlength=len(self.histogram)
         )[: len(self.histogram)]
+
+    def copy(self) -> "DelayStats":
+        out = DelayStats()
+        out.merge(self)
+        return out
 
     def merge(self, other: "DelayStats") -> None:
         self.count += other.count
@@ -168,6 +172,19 @@ class CommAccount:
             self.idle_time += span
 
 
+#: Outputs recorded together: their emit time (one, or one per row)
+#: and the arrival times of their newer joining tuples.
+_Outputs = tuple[float | npt.NDArray[np.float64], npt.NDArray[np.float64]]
+
+
+def _binned(stash: list[_Outputs]) -> DelayStats:
+    """The production delays of the stashed outputs, binned in one go."""
+    batch = DelayStats()
+    if stash:
+        batch.record(np.concatenate([emit - newer for emit, newer in stash]))
+    return batch
+
+
 class SlaveMetrics(CommAccount):
     """Per-slave counters, gated on the measurement window.
 
@@ -180,20 +197,15 @@ class SlaveMetrics(CommAccount):
     def __init__(self, node_id: int, gate: MeasurementWindow) -> None:
         super().__init__(gate)
         self.node_id = node_id
-        self._delays = DelayStats()
-        #: Outputs not yet reported to the collector.
-        self._unreported = DelayStats()
-        #: ``(emit_time, newer_ts)`` of outputs recorded but not binned
-        #: yet — the emit time one instant or one per row:
-        #: :meth:`record_outputs` runs once per retired run of work
-        #: units, binning once per read.  The lock makes "take what is
-        #: stashed, bin it into both accumulators, maybe swap
-        #: ``_unreported``" one step against the join thread recording
-        #: meanwhile.
-        self._stash: list[
-            tuple[float | npt.NDArray[np.float64], npt.NDArray[np.float64]]
-        ] = []
-        self._stash_lock = threading.Lock()
+        #: ``(reported, stash)``: the delays of every output already
+        #: reported to the collector, binned, and the ``(emit_time,
+        #: newer_ts)`` of those recorded since — the emit time one
+        #: instant or one per row: :meth:`record_outputs` runs once per
+        #: retired run of work units, binning once per report.  The
+        #: pair is replaced whole and ``reported`` never changes once
+        #: published, so a reader on another thread (the admin
+        #: endpoint) takes a consistent view without a lock.
+        self._recorded: tuple[DelayStats, list[_Outputs]] = (DelayStats(), [])
         # CPU accounting (seconds of modeled work inside the gate).
         self.cpu_probe = 0.0
         self.cpu_expire = 0.0
@@ -272,35 +284,30 @@ class SlaveMetrics(CommAccount):
         elif not gate.active(emit_time):
             return
         self.outputs_emitted += len(newer_ts)
-        with self._stash_lock:
-            self._stash.append((emit_time, newer_ts))
-
-    def _bin_stash(self) -> None:
-        """Bin everything stashed, once, into both accumulators (caller
-        holds ``_stash_lock``)."""
-        if not self._stash:
-            return
-        batch = DelayStats()
-        batch.record(np.concatenate([emit - newer for emit, newer in self._stash]))
-        self._stash.clear()
-        self._delays.merge(batch)
-        self._unreported.merge(batch)
+        self._recorded[1].append((emit_time, newer_ts))
 
     @property
     def delays(self) -> DelayStats:
-        """Production delays of every output recorded so far."""
-        with self._stash_lock:
-            self._bin_stash()
-            return self._delays
+        """Production delays of every output recorded so far (binned
+        afresh from a copy of the stash: reading changes nothing)."""
+        reported, stash = self._recorded
+        if not stash:
+            return reported
+        delays = reported.copy()
+        delays.merge(_binned(list(stash)))
+        return delays
 
     def pop_unreported(self) -> DelayStats:
         """Drain the outputs accumulated since the last collector report
         (same gating as ``delays``, so collector totals match local
         totals exactly)."""
-        with self._stash_lock:
-            self._bin_stash()
-            stats, self._unreported = self._unreported, DelayStats()
-        return stats
+        reported, stash = self._recorded
+        batch = _binned(stash)
+        if stash:
+            reported = reported.copy()
+            reported.merge(batch)
+            self._recorded = (reported, [])
+        return batch
 
     def record_pairs(self, pid: int, rows: npt.NDArray[np.int64]) -> None:
         """File collected join pairs under their partition."""

@@ -12,9 +12,10 @@ waits — around one node host (:class:`~repro.core.host.NodeHost`), and
 ``sim``
     The deterministic DES kernel (the default), all nodes in-process.
 ``thread``
-    One OS thread per node generator on the wall clock, all nodes
-    in-process, joined by the process backend's framed socket-pair
-    channels (:class:`~repro.net.proc_transport.LocalMesh`).
+    Every node in-process on one DES kernel paced by the wall clock
+    (:class:`~repro.runtime.wall.WallRuntime`), joined by the process
+    backend's framed socket-pair channels
+    (:class:`~repro.net.proc_transport.LocalMesh`).
 ``process``
     One OS process per cluster node, socket-pair channels and the
     :mod:`repro.net.wire` codec (:mod:`repro.runtime.process`).
@@ -48,7 +49,7 @@ from repro.faults.injector import FaultInjector, build_injector
 from repro.net.sim_transport import SimTransport
 from repro.obs.tracer import NULL_TRACER, Tracer, build_tracer
 from repro.runtime.sim import SimRuntime
-from repro.runtime.thread import ThreadRuntime, wall_budget
+from repro.runtime.wall import WallRuntime, wall_budget
 from repro.simul.kernel import Simulator
 
 __all__ = [
@@ -377,23 +378,22 @@ def _run_sim(
 def _run_thread(
     cfg: SystemConfig, collect_pairs: bool, workload: t.Any
 ) -> RunResult:
-    """One OS thread per node generator (``backend="thread"``), time
-    compressed by ``cfg.time_scale``."""
+    """Every node on one wall-clocked kernel (``backend="thread"``),
+    time compressed by ``cfg.time_scale``."""
     from repro.net.proc_transport import LocalMesh
 
-    runtime = ThreadRuntime(time_scale=cfg.time_scale)
+    runtime = WallRuntime(time_scale=cfg.time_scale)
     tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
     mesh = LocalMesh(
         cluster_node_ids(cfg),
         cfg.tuple_bytes,
-        runtime.now,
-        time_scale=cfg.time_scale,
+        runtime,
         tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
     )
     try:
         return _run_in_process(
             cfg, runtime, mesh, tracer, build_injector(cfg, tracer),
-            lambda: runtime.join_all(timeout=wall_budget(cfg)),
+            lambda: runtime.run(wall_budget(cfg)),
             collect_pairs, workload,
         )
     finally:

@@ -161,12 +161,12 @@ BANNED_SINKS: tuple[BannedSink, ...] = (
         reaches="the wall clock",
         remedy="simulated components must take time from the runtime (rt.now())",
         names=WALL_CLOCK_NAMES,
-        # The wall-clock-backed thread/process runtimes and transports,
+        # The wall-clocked runtime, the process launcher and transports,
         # the real-socket connect path (handshake timeouts, retry
         # backoff), the admin server's real uptime, and the CLI's
         # elapsed-time reporting about a run, not inside it.
         allowed=(
-            "repro/runtime/thread.py",
+            "repro/runtime/wall.py",
             "repro/runtime/process.py",
             "repro/net/proc_transport.py",
             "repro/net/tcp_transport.py",

@@ -15,8 +15,12 @@ length-prefixed frames::
     length  4 bytes  big-endian payload size
     payload         one :mod:`repro.net.wire` encoded message
 
-Semantics, mirrored from :class:`~repro.net.sim_transport.SimTransport`
-so node code behind :mod:`repro.net.comm` behaves identically:
+Sends and receives are kernel events of the node's
+:class:`~repro.runtime.wall.WallRuntime`: the sockets are non-blocking
+and registered with the runtime's selector, whose loop moves the bytes
+between events.  Semantics, mirrored from
+:class:`~repro.net.sim_transport.SimTransport` so node code behind
+:mod:`repro.net.comm` behaves identically:
 
 * **FIFO per pair** — kernel stream sockets preserve order; the fixed
   communication schedule needs nothing stronger.
@@ -30,23 +34,26 @@ so node code behind :mod:`repro.net.comm` behaves identically:
 * **sends to a dead peer still complete** — a write hitting a closed
   socket (``EPIPE``/``ECONNRESET``) is the TCP-buffered-write model of
   a fail-stop peer: the message is discarded and nothing raises
-  (callers ignore send values), but the thunk resolves to ``NodeDown``
+  (callers ignore send values), but the event resolves to ``NodeDown``
   instead of ``None`` so tests and diagnostics can see the broken pipe.
-* **recv timeout → RecvTimeout** — an armed detection timeout that
-  elapses with no frame resolves to
-  :class:`~repro.faults.markers.RecvTimeout` (timeout is in *modeled*
-  seconds; the wall wait is scaled by ``time_scale``).
+* **recv timeout → RecvTimeout** — an armed detection timeout is a
+  kernel timer (in *modeled* seconds, so the wall wait is scaled by
+  ``time_scale``); whichever of frame and timer comes first resolves
+  the receive, which then resolves to
+  :class:`~repro.faults.markers.RecvTimeout`.
 * **drain fences a pair** — after ``drain(src)``, frames from *src*
-  are consumed and discarded by a background reader so a live-but-late
-  peer can never wedge on a full socket buffer, and local receives
-  from the fenced peer resolve to ``NodeDown`` (the master never
-  legitimately receives from a slave it fenced).
+  are read and discarded by the loop, so a live-but-late peer can
+  never wedge on a full socket buffer, and local receives from the
+  fenced peer resolve to ``NodeDown`` (the master never legitimately
+  receives from a slave it fenced).
 
 Unlike the simulated rendezvous, sends are *buffered*: ``send``
-completes once the frame is written to the socket, which blocks only
-when the kernel buffer fills (natural backpressure).  Statistics
-therefore measure real wall time spent writing/reading, not modeled
-rendezvous spans — see the backend matrix in the README.
+completes once the frame's last byte is written to the socket.  A frame
+larger than the socket buffer waits in user space and the loop writes
+the rest as the peer reads, so the sending process waits (natural
+backpressure) while the loop never does.  Statistics therefore measure
+real wall time spent writing/reading, not modeled rendezvous spans —
+see the backend matrix in the README.
 
 Every channel also tallies the frames and wire bytes (header +
 payload) it moved in each direction, as plain ints:
@@ -61,9 +68,11 @@ from __future__ import annotations
 import select
 import socket
 import struct
-import threading
 import time
 import typing as t
+from collections import deque
+from functools import partial
+from selectors import EVENT_READ, EVENT_WRITE
 
 from repro.errors import WireError
 from repro.faults.markers import NodeDown, RecvTimeout
@@ -72,7 +81,10 @@ from repro.net.wire import decode_message, encode_message
 from repro.obs.events import TransportEvent
 from repro.obs.metrics import counter
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.thread import KilledNode, Thunk
+from repro.simul.events import Event
+
+if t.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.runtime.wall import WallRuntime
 
 #: Frame header: big-endian payload length.
 FRAME_HEADER = struct.Struct("!I")
@@ -95,67 +107,77 @@ class FrameReader:
 
     Keeps a byte buffer so a frame split across arbitrarily many
     ``recv`` calls (partial reads) — or several frames arriving in one
-    ``recv`` — reassembles correctly.  Exactly one thread reads any
-    given channel, so the buffer needs no lock.
+    ``recv`` — reassembles correctly.  Exactly one reader reads any
+    given socket, so the buffer needs no lock.
     """
 
     def __init__(self, sock: socket.socket, chunk_bytes: int = 65536) -> None:
         self.sock = sock
         self.chunk_bytes = chunk_bytes
         self._buf = bytearray()
-        self._eof = False
+        #: Set once the stream has ended (EOF, reset or shutdown).
+        self.eof = False
 
-    def _fill(self, deadline: float | None) -> bool:
-        """Read one chunk into the buffer.
-
-        Returns False on timeout; sets ``_eof`` on connection end.
-        """
-        if deadline is not None:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return False
-            ready, _, _ = select.select([self.sock], [], [], remaining)
-            if not ready:
-                return False
+    def fill(self) -> None:
+        """Read one chunk into the buffer, or set :attr:`eof`.  On a
+        non-blocking socket with nothing to read, does nothing."""
         try:
             chunk = self.sock.recv(self.chunk_bytes)
-        except (ConnectionResetError, OSError):
+        except BlockingIOError:
+            return
+        except OSError:
             chunk = b""
-        if not chunk:
-            self._eof = True
-        else:
+        if chunk:
             self._buf += chunk
-        return True
+        else:
+            self.eof = True
+
+    def clear(self) -> None:
+        """Drop whatever is buffered (a fenced peer's frames)."""
+        self._buf.clear()
+
+    def pop_frame(self) -> bytes | None:
+        """The payload of the next complete buffered frame, if any."""
+        buf = self._buf
+        if len(buf) < FRAME_HEADER.size:
+            return None
+        (length,) = FRAME_HEADER.unpack_from(buf)
+        if length > MAX_FRAME_BYTES:
+            raise WireError(f"frame of {length} bytes exceeds sanity bound")
+        total = FRAME_HEADER.size + length
+        if len(buf) < total:
+            return None
+        payload = bytes(buf[FRAME_HEADER.size : total])
+        del buf[:total]
+        return payload
 
     def read_frame(self, timeout: float | None = None) -> t.Any:
-        """One frame's payload bytes, ``_EOF``, or ``_TIMED_OUT``.
+        """Block for one frame's payload bytes; ``_EOF`` or
+        ``_TIMED_OUT`` instead.
 
         *timeout* is in wall seconds and bounds the wait for the
         *first* byte of the frame; once a frame has started arriving it
-        is read to completion (the peer is evidently alive).
+        is read to completion (the peer is evidently alive).  A frame
+        torn by the peer's end is ``_EOF``: the partial payload never
+        reaches the codec.
         """
         deadline = (
             time.monotonic() + timeout if timeout is not None else None
         )
-        while len(self._buf) < FRAME_HEADER.size:
-            if self._eof:
+        while True:
+            frame = self.pop_frame()
+            if frame is not None:
+                return frame
+            if self.eof:
                 return _EOF
-            started = len(self._buf) > 0
-            if not self._fill(None if started else deadline):
-                return _TIMED_OUT
-        (length,) = FRAME_HEADER.unpack(bytes(self._buf[: FRAME_HEADER.size]))
-        if length > MAX_FRAME_BYTES:
-            raise WireError(f"frame of {length} bytes exceeds sanity bound")
-        total = FRAME_HEADER.size + length
-        while len(self._buf) < total:
-            if self._eof:
-                # A torn frame: the peer died mid-write.  Surface it as
-                # EOF — the partial payload must never reach the codec.
-                return _EOF
-            self._fill(None)
-        payload = bytes(self._buf[FRAME_HEADER.size : total])
-        del self._buf[:total]
-        return payload
+            if deadline is not None and not self._buf:
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    return _TIMED_OUT
+                ready, _, _ = select.select([self.sock], [], [], remaining)
+                if not ready:
+                    return _TIMED_OUT
+            self.fill()
 
 
 #: Per-channel tallies of wire frames and wire bytes (header + payload)
@@ -168,28 +190,66 @@ _TALLIES = (
 )
 
 
+class _Send:
+    """A frame on its way out, and the send waiting for it."""
+
+    __slots__ = ("event", "stats", "message", "nbytes", "t0", "seq", "rest")
+
+    def __init__(
+        self, event: Event, stats: CommStats | None, message: t.Any,
+        frame: bytes, t0: float, seq: int,
+    ) -> None:
+        self.event = event
+        self.stats = stats
+        self.message = message
+        self.nbytes = len(frame)
+        self.t0 = t0
+        self.seq = seq
+        #: The bytes the socket has not taken yet.
+        self.rest = memoryview(frame)
+
+
+class _Recv:
+    """A receive waiting for the next frame."""
+
+    __slots__ = ("event", "stats", "t0", "timeout")
+
+    def __init__(
+        self, event: Event, stats: CommStats | None, t0: float,
+        timeout: float | None,
+    ) -> None:
+        self.event = event
+        self.stats = stats
+        self.t0 = t0
+        self.timeout = timeout
+
+
 class _Channel:
     """This node's half of one peer socket."""
 
     __slots__ = (
-        "peer", "sock", "reader", "send_lock", "draining",
-        "send_seq", "recv_seq",
+        "peer", "sock", "reader", "draining", "closed", "mask",
+        "sends", "recvs", "send_seq", "recv_seq",
         "tx_frames", "tx_bytes", "rx_frames", "rx_bytes",
     )
 
     def __init__(self, peer: int, sock: socket.socket) -> None:
         self.peer = peer
         self.sock = sock
+        sock.setblocking(False)
         self.reader = FrameReader(sock)
-        self.send_lock = threading.Lock()
         self.draining = False
+        #: Set once this end is shut down: nothing moves any more.
+        self.closed = False
+        #: The selector events the channel is registered for.
+        self.mask = 0
+        self.sends: deque[_Send] = deque()
+        self.recvs: deque[_Recv] = deque()
         # Per-directed-stream message counters for transport tracing:
         # the socket is FIFO, so the n-th send pairs the n-th receive
-        # on the peer.  ``send_seq`` is guarded by ``send_lock``;
-        # exactly one thread reads a channel, so ``recv_seq`` is not.
+        # on the peer.
         self.send_seq = 0
         self.recv_seq = 0
-        # tx under ``send_lock``, rx by the one reader thread.
         self.tx_frames = self.tx_bytes = self.rx_frames = self.rx_bytes = 0
 
 
@@ -234,9 +294,10 @@ class ProcTransport:
 
     ``peers`` maps peer node id -> this node's end of the shared stream
     socket.  ``endpoint`` hands out the real endpoint for the local node
-    and refusing stubs for every other node.  *now_fn* is the node
-    runtime's modeled clock; *time_scale* converts receive timeouts
-    from modeled to wall seconds.
+    and refusing stubs for every other node.  *runtime* is the node's
+    wall-clocked kernel: its clock stamps the statistics, its events
+    are what sends and receives return, and its selector watches the
+    sockets.
     """
 
     #: First component of the pair-tally metric series names.
@@ -247,23 +308,16 @@ class ProcTransport:
         node_id: int,
         peers: t.Mapping[int, socket.socket],
         tuple_bytes: int,
-        now_fn: t.Callable[[], float],
-        time_scale: float = 1.0,
+        runtime: "WallRuntime",
         tracer: Tracer = NULL_TRACER,
     ) -> None:
-        if time_scale <= 0:
-            raise ValueError("time_scale must be positive")
         self.node_id = node_id
         self.tuple_bytes = tuple_bytes
-        self.time_scale = time_scale
+        self.runtime = runtime
         self.tracer = tracer
-        self._now = now_fn
         self._channels = {
             peer: _Channel(peer, sock) for peer, sock in peers.items()
         }
-        self._drain_threads: list[threading.Thread] = []
-        #: Set by :meth:`kill`: this node was fail-stopped in place.
-        self.killed = False
 
     # -- wiring --------------------------------------------------------------
     def endpoint(
@@ -285,11 +339,18 @@ class ProcTransport:
         """Fail-stop this node in place: shut down its socket ends.
 
         Peers see buffered frames, then EOF → ``NodeDown``, and their
-        sends to it resolve to ``NodeDown``, as after a SIGKILL; this
-        node's own blocked sends and receives wake up and raise
-        :class:`~repro.runtime.thread.KilledNode`."""
-        self.killed = True
-        self._shutdown()
+        sends to it resolve to ``NodeDown``, as after a SIGKILL.  This
+        node's own pending sends and receives are dropped unresolved:
+        the crash kills the processes waiting on them."""
+        for chan in self._channels.values():
+            chan.closed = True
+            chan.sends.clear()
+            chan.recvs.clear()
+            self._watch(chan)
+            try:
+                chan.sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
 
     def kill_node(self, node_id: int) -> None:
         """Crash injection: fail-stop *node_id*, which must be this
@@ -299,20 +360,10 @@ class ProcTransport:
         self.kill()
 
     def close(self) -> None:
-        """Close every socket (end of run; peers observe EOF) once the
-        drain threads, woken by the shutdown, have exited."""
-        self._shutdown()
-        for thread in self._drain_threads:
-            thread.join()
+        """Close every socket (end of run; peers observe EOF)."""
+        self.kill()
         for chan in self._channels.values():
             chan.sock.close()
-
-    def _shutdown(self) -> None:
-        for chan in self._channels.values():
-            try:
-                chan.sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
 
     # -- pair tallies --------------------------------------------------------
     def pair_stats(self) -> dict[int, dict[str, int]]:
@@ -336,32 +387,142 @@ class ProcTransport:
         wire = getattr(message, "wire_bytes", None)
         return 64 if wire is None else int(wire(self.tuple_bytes))
 
+    def _trace(
+        self, peer: int, message: t.Any, nbytes: int, t: float,
+        duration: float, phase: str, seq: int,
+    ) -> None:
+        if not self.tracer.enabled:
+            return
+        self.tracer.emit(
+            TransportEvent(
+                t=t,
+                node=self.node_id,
+                dst=peer,
+                msg=type(message).__name__,
+                nbytes=nbytes,
+                duration=duration,
+                phase=phase,
+                xfer_seq=seq,
+            )
+        )
+
     # -- fencing -------------------------------------------------------------
     def drain_peer(self, peer: int) -> None:
-        """Fence *peer*: discard its frames in the background forever.
+        """Fence *peer*: discard its frames in the loop from now on.
 
         Idempotent.  Keeps a live-but-fenced peer from blocking on a
         full socket buffer (the process analogue of
         :meth:`SimTransport.drain_pair`'s silently-completing sends).
         """
         chan = self.channel(peer)
-        if chan.draining:
-            return
         chan.draining = True
+        while chan.recvs:
+            self._received(chan.recvs.popleft(), NodeDown(peer))
+        self._watch(chan)
 
-        def discard() -> None:
-            while True:
-                frame = chan.reader.read_frame(None)
-                if frame is _EOF:
-                    return
+    # -- the loop's side -----------------------------------------------------
+    def _watch(self, chan: _Channel) -> None:
+        """Register *chan* for exactly the readiness it waits on: read
+        while a receive waits or the pair is fenced, write while a
+        frame is part-written."""
+        mask = 0
+        if not chan.closed:
+            if (chan.recvs or chan.draining) and not chan.reader.eof:
+                mask |= EVENT_READ
+            if chan.sends:
+                mask |= EVENT_WRITE
+        if mask == chan.mask:
+            return
+        selector, handler = self.runtime.selector, partial(self._ready, chan)
+        if not chan.mask:
+            selector.register(chan.sock, mask, handler)
+        elif not mask:
+            selector.unregister(chan.sock)
+        else:
+            selector.modify(chan.sock, mask, handler)
+        chan.mask = mask
 
-        thread = threading.Thread(
-            target=discard,
-            name=f"drain:{peer}->{self.node_id}",
-            daemon=True,
+    def _ready(self, chan: _Channel, ready: int) -> None:
+        if ready & EVENT_WRITE:
+            self._flush(chan)
+        if ready & EVENT_READ:
+            chan.reader.fill()
+            if chan.draining:
+                chan.reader.clear()
+            else:
+                self._deliver(chan)
+        self._watch(chan)
+
+    def _flush(self, chan: _Channel) -> None:
+        """Write queued frames until the socket is full."""
+        while chan.sends:
+            head = chan.sends[0]
+            try:
+                head.rest = head.rest[chan.sock.send(head.rest):]
+            except BlockingIOError:
+                return
+            except OSError:
+                # Fail-stop peer (EPIPE/ECONNRESET): every queued send
+                # still completes, like a TCP write buffered towards a
+                # dead host, but its value records the broken pipe.
+                while chan.sends:
+                    self._sent(chan, chan.sends.popleft(), NodeDown(chan.peer))
+                return
+            if head.rest:
+                return
+            chan.sends.popleft()
+            chan.tx_frames += 1
+            chan.tx_bytes += head.nbytes
+            self._sent(chan, head, None)
+
+    def _sent(self, chan: _Channel, send: _Send, value: NodeDown | None) -> None:
+        t1 = self.runtime.now()
+        nbytes = self._message_bytes(send.message)
+        if send.stats is not None:
+            send.stats.record_comm(send.t0, t1, nbytes, sent=True)
+        self._trace(
+            chan.peer, send.message, nbytes, send.t0, t1 - send.t0, "send",
+            send.seq,
         )
-        self._drain_threads.append(thread)
-        thread.start()
+        send.event.succeed(value)
+
+    def _deliver(self, chan: _Channel) -> None:
+        """Resolve waiting receives with buffered frames, in order;
+        once the stream has ended, the rest with ``NodeDown``."""
+        while chan.recvs:
+            frame = chan.reader.pop_frame()
+            if frame is None:
+                if not chan.reader.eof:
+                    return
+                self._received(chan.recvs.popleft(), NodeDown(chan.peer))
+                continue
+            chan.rx_frames += 1
+            chan.rx_bytes += FRAME_HEADER.size + len(frame)
+            message = decode_message(frame)
+            seq = chan.recv_seq
+            chan.recv_seq += 1
+            recv = chan.recvs.popleft()
+            t1 = self._received(recv, message)
+            nbytes = self._message_bytes(message)
+            if recv.stats is not None:
+                recv.stats.record_comm(t1, t1, nbytes, sent=False)
+            self._trace(chan.peer, message, nbytes, t1, t1 - recv.t0, "recv", seq)
+
+    def _received(self, recv: _Recv, value: t.Any) -> float:
+        t1 = self.runtime.now()
+        if recv.stats is not None:
+            recv.stats.record_idle(recv.t0, t1)
+        recv.event.succeed(value)
+        return t1
+
+    def _expire(self, chan: _Channel, recv: _Recv) -> None:
+        """A receive's timer fired: time it out unless a frame came
+        first."""
+        if recv not in chan.recvs:
+            return
+        chan.recvs.remove(recv)
+        self._received(recv, RecvTimeout(recv.timeout or 0.0))
+        self._watch(chan)
 
 
 class ProcEndpoint:
@@ -376,103 +537,49 @@ class ProcEndpoint:
         self.node_id = transport.node_id
         self.stats = stats
 
-    def send(self, dst: int, message: t.Any) -> Thunk:
+    def send(self, dst: int, message: t.Any) -> Event:
+        """Event completing once *message* is written to the socket."""
         transport = self.transport
         chan = transport.channel(dst)
+        event = transport.runtime.event(f"send:{self.node_id}->{dst}")
+        payload = encode_message(message)
+        send = _Send(
+            event, self.stats, message,
+            FRAME_HEADER.pack(len(payload)) + payload,
+            transport.runtime.now(), chan.send_seq,
+        )
+        chan.send_seq += 1
+        if chan.closed:
+            transport._sent(chan, send, NodeDown(dst))
+            return event
+        chan.sends.append(send)
+        transport._flush(chan)
+        transport._watch(chan)
+        return event
 
-        def fn() -> NodeDown | None:
-            payload = encode_message(message)
-            t0 = transport._now()
-            dead = False
-            try:
-                with chan.send_lock:
-                    seq = chan.send_seq
-                    chan.send_seq += 1
-                    write_frame(chan.sock, payload)
-                    chan.tx_frames += 1
-                    chan.tx_bytes += FRAME_HEADER.size + len(payload)
-            except OSError:
-                # Fail-stop peer (EPIPE/ECONNRESET): the send still
-                # completes, like a TCP write buffered towards a dead
-                # host, but the thunk value records the broken pipe.
-                dead = True
-            if transport.killed:
-                raise KilledNode(self.node_id)
-            t1 = transport._now()
-            nbytes = transport._message_bytes(message)
-            if self.stats is not None:
-                self.stats.record_comm(t0, t1, nbytes, sent=True)
-            tracer = transport.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TransportEvent(
-                        t=t0,
-                        node=self.node_id,
-                        dst=dst,
-                        msg=type(message).__name__,
-                        nbytes=nbytes,
-                        duration=t1 - t0,
-                        phase="send",
-                        xfer_seq=seq,
-                    )
-                )
-            return NodeDown(dst) if dead else None
+    def recv(self, src: int, timeout: float | None = None) -> Event:
+        """Event completing with the next message from *src*.
 
-        return Thunk(fn)
-
-    def recv(self, src: int, timeout: float | None = None) -> Thunk:
+        With a *timeout* (modeled seconds), resumes with
+        :class:`RecvTimeout` if no frame arrived within it."""
         transport = self.transport
         chan = transport.channel(src)
-
-        def fn() -> t.Any:
-            t0 = transport._now()
-            if chan.draining:
-                # The pair is fenced: this node gave up on the peer.
-                return NodeDown(src)
-            wall = (
-                None
-                if timeout is None
-                else max(0.0, timeout) * transport.time_scale
-            )
-            frame = chan.reader.read_frame(wall)
-            if transport.killed:
-                # Woken by our own kill: never resume with NodeDown.
-                raise KilledNode(self.node_id)
-            t1 = transport._now()
-            if frame is _TIMED_OUT:
-                if self.stats is not None:
-                    self.stats.record_idle(t0, t1)
-                return RecvTimeout(timeout or 0.0)
-            if frame is _EOF:
-                if self.stats is not None:
-                    self.stats.record_idle(t0, t1)
-                return NodeDown(src)
-            chan.rx_frames += 1
-            chan.rx_bytes += FRAME_HEADER.size + len(frame)
-            message = decode_message(frame)
-            seq = chan.recv_seq
-            chan.recv_seq += 1
-            nbytes = transport._message_bytes(message)
-            if self.stats is not None:
-                self.stats.record_idle(t0, t1)
-                self.stats.record_comm(t1, t1, nbytes, sent=False)
-            tracer = transport.tracer
-            if tracer.enabled:
-                tracer.emit(
-                    TransportEvent(
-                        t=t1,
-                        node=self.node_id,
-                        dst=src,
-                        msg=type(message).__name__,
-                        nbytes=nbytes,
-                        duration=t1 - t0,
-                        phase="recv",
-                        xfer_seq=seq,
-                    )
+        runtime = transport.runtime
+        event = runtime.event(f"recv:{src}->{self.node_id}")
+        recv = _Recv(event, self.stats, runtime.now(), timeout)
+        if chan.draining:
+            # The pair is fenced: this node gave up on the peer.
+            transport._received(recv, NodeDown(src))
+            return event
+        chan.recvs.append(recv)
+        transport._deliver(chan)
+        if not event.triggered:
+            if timeout is not None:
+                runtime.sleep(timeout).add_callback(
+                    lambda _timer: transport._expire(chan, recv)
                 )
-            return message
-
-        return Thunk(fn)
+            transport._watch(chan)
+        return event
 
     def drain(self, src: int) -> None:
         """Fence the channel from *src* (see :meth:`ProcTransport.drain_peer`)."""
@@ -482,21 +589,18 @@ class ProcEndpoint:
 class LocalMesh:
     """Every node's framed transport inside one OS process (the thread
     backend): one :class:`ProcTransport` per node over a
-    :func:`socketpair_mesh`, so in-process nodes exchange encoded
-    frames exactly as forked ones do."""
+    :func:`socketpair_mesh`, all on the one *runtime*, so in-process
+    nodes exchange encoded frames exactly as forked ones do."""
 
     def __init__(
         self,
         node_ids: t.Sequence[int],
         tuple_bytes: int,
-        now_fn: t.Callable[[], float],
-        time_scale: float = 1.0,
+        runtime: "WallRuntime",
         tracer: Tracer = NULL_TRACER,
     ) -> None:
         self._transports = {
-            nid: ProcTransport(
-                nid, peers, tuple_bytes, now_fn, time_scale, tracer
-            )
+            nid: ProcTransport(nid, peers, tuple_bytes, runtime, tracer)
             for nid, peers in socketpair_mesh(node_ids).items()
         }
 

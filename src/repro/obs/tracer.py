@@ -14,14 +14,12 @@ hook, nothing else.
 Each emitted record is stamped with a per-tracer sequence number
 (``seq``): on the distributed backends every node owns its tracer, so
 ``(t, node, seq)`` is a total order over the merged cluster trace even
-when wall-clock timestamps collide.  ``emit`` is serialized by an
-internal lock — the thread and process backends run node generators on
-real threads sharing one tracer per OS process.
+when wall-clock timestamps collide.  Every emitter runs on its OS
+process's one kernel loop, so ``emit`` needs no lock.
 """
 
 from __future__ import annotations
 
-import threading
 import typing as t
 
 from repro.obs.events import TraceEvent
@@ -38,23 +36,21 @@ __all__ = ["Tracer", "NULL_TRACER", "build_tracer"]
 class Tracer:
     """Fans events out to exporters; disabled when it has none."""
 
-    __slots__ = ("enabled", "exporters", "n_events", "_lock")
+    __slots__ = ("enabled", "exporters", "n_events")
 
     def __init__(self, exporters: t.Sequence[Exporter] = ()) -> None:
         self.exporters: tuple[Exporter, ...] = tuple(exporters)
         self.enabled = bool(self.exporters)
         self.n_events = 0
-        self._lock = threading.Lock()
 
     def emit(self, event: TraceEvent) -> None:
         if not self.enabled:
             return
         record = event.to_record()
-        with self._lock:
-            record["seq"] = self.n_events
-            self.n_events += 1
-            for exporter in self.exporters:
-                exporter.export(record)
+        record["seq"] = self.n_events
+        self.n_events += 1
+        for exporter in self.exporters:
+            exporter.export(record)
 
     def memory_records(self) -> list[dict[str, t.Any]] | None:
         """The in-memory trace, if a :class:`MemoryExporter` is wired."""

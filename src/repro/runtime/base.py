@@ -11,9 +11,10 @@ import numpy.typing as npt
 class Runtime(t.Protocol):
     """What a node loop may do besides communicating.
 
-    Every method returning an *awaitable* must be ``yield``\\ ed by the
-    node generator; the backend resumes the generator when the operation
-    completes.  ``now`` is synchronous.
+    Every method returning an *awaitable* — a kernel event, on every
+    backend — must be ``yield``\\ ed by the node generator; the kernel
+    resumes the generator when the operation completes.  ``now`` is
+    synchronous.
     """
 
     def now(self) -> float:
@@ -31,9 +32,8 @@ class Runtime(t.Protocol):
     def cpu(self, cost: float) -> t.Any:
         """Awaitable modeling *cost* seconds of CPU work.
 
-        On the simulated backend this advances virtual time exactly like
-        :meth:`sleep`; the distinction exists so the thread backend can
-        scale modeled work independently of protocol waits.
+        Both clocks wait it out exactly like :meth:`sleep`; the
+        distinction names modeled work apart from protocol waits.
         """
         ...  # pragma: no cover
 
@@ -53,8 +53,8 @@ class Runtime(t.Protocol):
         anything else is scheduled to happen, and before *until* (the
         instant the caller's costs stop being valid, e.g. a planned
         slowdown boundary); their emit times are the running sum of the
-        costs from :meth:`now`.  A wall-clock backend has no future to
-        consult: it sleeps the summed cost once and reports the whole
+        costs from :meth:`now`.  The wall clock has no future to
+        consult: it waits the summed cost once and reports the whole
         run at the ``now()`` it wakes at.
         """
         ...  # pragma: no cover

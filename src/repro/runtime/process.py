@@ -7,8 +7,9 @@ rebuilds the *full* cluster deterministically from the config (same
 seed, same round-robin partition map) in the shared
 :class:`~repro.core.host.NodeHost`, which spawns only its own node's
 generators, driven by a per-process
-:class:`~repro.runtime.thread.ThreadRuntime` — the identical host and
-generator code that runs on the DES kernel and the thread backend.  The
+:class:`~repro.runtime.wall.WallRuntime` — the DES kernel paced by the
+wall clock, on the process's one thread: the identical host, generator
+and kernel code that runs the sim and thread backends.  The
 launcher builds the result with
 :func:`~repro.core.system.assemble_result`, as every backend does.
 
@@ -30,8 +31,8 @@ Control protocol (per node, pickled tuples over its control channel):
    on another host gets ``None`` and anchors t=0 at its own receipt of
    the start;
 3. the node rebases its runtime — the one clock its transport reads —
-   and spawns its generators,
-   streaming ``("trace", batch)`` messages while it runs;
+   spawns its generators and runs their kernel loop, streaming
+   ``("trace", batch)`` messages while it runs;
 4. on completion it ships ``("result", payload)`` — or, from any stage,
    ``("error", exception, traceback)`` — and exits.  Process exit
    closes the sockets, so peers observe EOF exactly when the node is
@@ -42,7 +43,8 @@ Crash faults (``crash:<slave>@<t>``) are injected inside the victim's
 process, as on sim and thread: its :class:`~repro.core.host.NodeHost`
 runs the fault injector's crash process, which traces the crash, then
 fail-stops the node in place (:meth:`ProcTransport.kill_node
-<repro.net.proc_transport.ProcTransport.kill_node>`).  Peers read what
+<repro.net.proc_transport.ProcTransport.kill_node>`) and kills its
+kernel processes, exactly as on sim.  Peers read what
 was already sent, then EOF → ``NodeDown``, and the DES fault plane's
 detection/recovery runs unchanged.  The victim then reports what it
 recorded before the crash, like any node.  Message and slowdown faults
@@ -80,7 +82,7 @@ from dataclasses import dataclass
 from queue import Empty, Queue
 
 from repro.config import SystemConfig
-from repro.core.cluster import trace_meta
+from repro.core.cluster import MASTER_ID, standby_node_id, trace_meta
 from repro.core.host import NodeHost, cluster_node_ids
 from repro.core.system import RunResult, assemble_result
 from repro.errors import ConfigError, DeadlockError
@@ -101,7 +103,7 @@ from repro.obs.exporters import (
     replay_records,
 )
 from repro.obs.tracer import NULL_TRACER, Tracer
-from repro.runtime.thread import ThreadRuntime, wall_budget
+from repro.runtime.wall import WallRuntime, wall_budget
 
 #: Wall seconds the launcher waits for the nodes' "ready", and a node
 #: for its job and the start barrier.
@@ -127,6 +129,8 @@ class NodeJob:
     node_id: int
     cfg: SystemConfig
     collect_pairs: bool
+    #: The pinned workload, for the nodes that read it; ``None`` builds
+    #: the default one from the config.
     workload: t.Any
 
 
@@ -143,12 +147,9 @@ class ControlConn:
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
         self._reader = FrameReader(sock)
-        self._lock = threading.Lock()
 
     def send(self, obj: t.Any) -> None:
-        payload = pickle.dumps(obj)
-        with self._lock:
-            write_frame(self.sock, payload)
+        write_frame(self.sock, pickle.dumps(obj))
 
     def recv(self, timeout: float | None = None) -> t.Any:
         frame = self._reader.read_frame(timeout)
@@ -173,27 +174,23 @@ class PipeExporter(Exporter):
     Records accumulate in a local buffer and flush as ``("trace",
     batch)`` messages every :data:`TRACE_BATCH` records, when the
     oldest buffered record is :data:`TRACE_FLUSH_WALL_S` old, and on
-    :meth:`close`.  The tracer's emit lock already serializes
-    ``export`` calls; the exporter's own lock additionally guards the
-    buffer against a concurrent ``close``.
+    :meth:`close` — all on the node's one loop thread.
     """
 
     def __init__(self, conn: ControlConn) -> None:
         self._conn = conn
         self._buffer: list[dict[str, t.Any]] = []
-        self._lock = threading.Lock()
         self._last_flush = time.monotonic()
 
     def export(self, record: dict[str, t.Any]) -> None:
-        with self._lock:
-            self._buffer.append(record)
-            if (
-                len(self._buffer) >= TRACE_BATCH
-                or time.monotonic() - self._last_flush >= TRACE_FLUSH_WALL_S
-            ):
-                self._flush_locked()
+        self._buffer.append(record)
+        if (
+            len(self._buffer) >= TRACE_BATCH
+            or time.monotonic() - self._last_flush >= TRACE_FLUSH_WALL_S
+        ):
+            self._flush()
 
-    def _flush_locked(self) -> None:
+    def _flush(self) -> None:
         self._last_flush = time.monotonic()
         if not self._buffer:
             return
@@ -201,11 +198,10 @@ class PipeExporter(Exporter):
         self._buffer = []
 
     def close(self) -> None:
-        with self._lock:
-            try:
-                self._flush_locked()
-            except OSError:  # pragma: no cover
-                pass  # launcher gone: nothing left to ship the tail to
+        try:
+            self._flush()
+        except OSError:  # pragma: no cover
+            pass  # launcher gone: nothing left to ship the tail to
 
 
 def run_node(
@@ -224,7 +220,7 @@ def run_node(
     try:
         job, peers = connect()
         node_id, cfg = job.node_id, job.cfg
-        runtime = ThreadRuntime(time_scale=cfg.time_scale)
+        runtime = WallRuntime(time_scale=cfg.time_scale)
         # Node-local tracer: records ship to the launcher and merge
         # there — nodes never touch the JSONL/console sinks themselves.
         tracer = (
@@ -236,8 +232,7 @@ def run_node(
             node_id,
             peers,
             cfg.tuple_bytes,
-            runtime.now,
-            time_scale=cfg.time_scale,
+            runtime,
             tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
         )
         injector = build_injector(cfg, tracer)
@@ -252,9 +247,9 @@ def run_node(
 
         control.send(("ready",))
         runtime.rebase(await_start(control))
-        # No local timeout: the launcher owns the deadline and kills
-        # stragglers, which peers then observe as EOF.
-        payloads = host.run(runtime.join_all)
+        # The launcher's deadline, counted from the same origin, runs
+        # out first and kills stragglers, which peers observe as EOF.
+        payloads = host.run(lambda: runtime.run(wall_budget(cfg)))
         injected = injector.injected_records() if injector is not None else []
         control.send(("result", {**payloads[node_id], "injected": injected}))
     except BaseException as error:  # noqa: BLE001 - shipped to the launcher
@@ -316,7 +311,7 @@ class ProcessBackend:
     """One OS process per cluster node (``backend="process"``).
 
     The only single-host backend where slaves execute their numpy join
-    work on separate cores — the GIL bounds the thread backend to one.
+    work on separate cores — the thread backend's one loop runs on one.
     """
 
     def run(
@@ -333,8 +328,16 @@ class ProcessBackend:
                 "method (POSIX only)"
             ) from error
 
+        # Only the master reads the pinned workload, and the standby,
+        # whose shadow master replays a replica of it: nobody else is
+        # shipped a copy.
+        readers = {MASTER_ID}
+        if cfg.standby:
+            readers.add(standby_node_id(cfg))
         jobs = {
-            nid: NodeJob(nid, cfg, collect_pairs, workload)
+            nid: NodeJob(
+                nid, cfg, collect_pairs, workload if nid in readers else None
+            )
             for nid in cluster_node_ids(cfg)
         }
         #: Nodes forked on this host (the ones the launcher can signal,

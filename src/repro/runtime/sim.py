@@ -7,6 +7,7 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
+from repro.runtime.sync import SimLock, SimQueue
 from repro.simul.events import Event, Timeout
 from repro.simul.kernel import Simulator
 from repro.simul.process import Process
@@ -55,12 +56,8 @@ class SimRuntime:
     def event(self, name: str = "") -> Event:
         return self.sim.event(name)
 
-    def make_lock(self, name: str = ""):
-        from repro.runtime.sync import SimLock
-
+    def make_lock(self, name: str = "") -> SimLock:
         return SimLock(self.sim, name=name)
 
-    def make_queue(self, name: str = ""):
-        from repro.runtime.sync import SimQueue
-
+    def make_queue(self, name: str = "") -> SimQueue:
         return SimQueue(self.sim, name=name)

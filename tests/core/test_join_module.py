@@ -460,30 +460,36 @@ class TestOneStore:
 
 
 class TestConcurrentFiling:
-    """The comm thread files shipments while the join thread drains
-    (thread/process/tcp backends): the mini-buffers must tolerate it."""
+    """The comm process files shipments between the steps of the join
+    process's pass (every backend: both run on the node's one kernel):
+    the mini-buffers must tolerate it."""
 
     def test_enqueue_races_drain_without_losing_updates(self, geometry):
-        self.stress(geometry, lambda module: run_pass(module, 100.0))
+        def unit_by_unit(step, file):
+            emit = np.array([100.0])
+            for i in range(len(step.costs)):
+                step.retire(i, i + 1, emit)
+                file()
+
+        self.stress(geometry, unit_by_unit)
 
     def test_enqueue_races_a_retire_in_progress(self, geometry):
-        """The same race against whole-step retires, as the wall
+        """The same interleaving against whole-step retires, as the wall
         backends drive a pass: one ``retire`` moves many blocks' worth of
-        ``_pending_bytes`` while the comm thread keeps filing."""
+        ``_pending_bytes`` while the comm process keeps filing."""
 
-        def whole_steps(module):
-            for step in module.steps():
-                n = len(step.costs)
-                step.retire(0, n, np.full(n, 100.0))
+        def whole_steps(step, file):
+            n = len(step.costs)
+            step.retire(0, n, np.full(n, 100.0))
+            file()
 
         self.stress(geometry, whole_steps)
 
     @staticmethod
-    def stress(geometry, one_pass):
-        import sys
-        import threading
-        import time
-
+    def stress(geometry, retire):
+        """Drain passes until everything filed is processed, filing the
+        next shipment each time *retire* calls back — between two steps
+        or two units, wherever a pass may be."""
         module, metrics = make_module(geometry, npart=4)
         from repro.data.tuples import TupleBatch
 
@@ -492,62 +498,35 @@ class TestConcurrentFiling:
         assert len(batch)
         # Each shipment is the same batch shifted one epoch further on,
         # as a master would send it.
-        shipments = [
-            Shipment(
-                epoch,
-                epoch * 0.2,
-                (epoch + 1) * 0.2,
-                TupleBatch(
-                    batch.ts + epoch * 0.2,
-                    batch.key,
-                    batch.seq + epoch * len(batch),
-                    batch.stream,
-                ),
-            )
-            for epoch in range(n_shipments)
-        ]
-        errors: list[BaseException] = []
-        filed = threading.Event()
-        # Wall bound on the whole stress, checked by both loops.
-        give_up = time.monotonic() + 60.0
+        shipments = iter(
+            [
+                Shipment(
+                    epoch,
+                    epoch * 0.2,
+                    (epoch + 1) * 0.2,
+                    TupleBatch(
+                        batch.ts + epoch * 0.2,
+                        batch.key,
+                        batch.seq + epoch * len(batch),
+                        batch.stream,
+                    ),
+                )
+                for epoch in range(n_shipments)
+            ]
+        )
 
-        def file_shipments():
-            try:
-                for shipment in shipments:
-                    if time.monotonic() > give_up:
-                        raise TimeoutError("filing loop overran its bound")
-                    module.enqueue(shipment)
-            except BaseException as error:  # noqa: BLE001 - asserted below
-                errors.append(error)
-            finally:
-                filed.set()
+        def file() -> None:
+            shipment = next(shipments, None)
+            if shipment is not None:
+                module.enqueue(shipment)
 
-        def drain():
-            try:
-                while not filed.is_set() or module.has_work:
-                    if time.monotonic() > give_up:
-                        raise TimeoutError("drain loop overran its bound")
-                    one_pass(module)
-            except BaseException as error:  # noqa: BLE001 - asserted below
-                errors.append(error)
-
-        threads = [
-            threading.Thread(target=file_shipments, daemon=True),
-            threading.Thread(target=drain, daemon=True),
-        ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=90.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert errors == []
-        # A lost read-modify-write on the byte counter, or a batch
-        # dropped by a torn queue operation, would break these.
+        file()
+        while module.has_work:
+            for step in module.steps():
+                retire(step, file)
+        assert next(shipments, None) is None, "the filing outran the passes"
+        # A lost update of the byte counter, or a batch dropped by a
+        # pass that missed a filing, would break these.
         assert metrics.tuples_processed == n_shipments * len(batch)
         assert module.pending_bytes == 0
         assert not module.has_work

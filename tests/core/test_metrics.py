@@ -206,11 +206,11 @@ class TestSlaveMetricsGating:
         same(metrics.pop_unreported(), unreported)
 
     def test_reports_race_recording_without_losing_outputs(self):
-        """The join thread records outputs while the comm thread pops
-        the unreported stats for the collector (wall backends).  Every
-        output must land in exactly one report: an output merged into a
-        ``DelayStats`` already handed over, or binned twice, would break
-        the sums below."""
+        """The loop records outputs and pops the unreported stats for
+        the collector while the admin endpoint's thread reads the delay
+        view.  Every output must land in exactly one report, and every
+        view the reader takes must be a consistent one: no output
+        binned twice, none missed, none counted before it exists."""
         import sys
         import threading
         import time
@@ -223,29 +223,40 @@ class TestSlaveMetricsGating:
         reported: list[int] = []
         give_up = time.monotonic() + 60.0
 
-        def record():
+        def record_and_report():
             try:
                 for i in range(n_records):
                     if time.monotonic() > give_up:
                         raise TimeoutError("recording loop overran its bound")
                     metrics.record_outputs(1.0 + i, newer)
+                    if i % 97 == 0:
+                        reported.append(metrics.pop_unreported().count)
             except BaseException as error:  # noqa: BLE001 - asserted below
                 errors.append(error)
             finally:
                 recorded.set()
 
-        def report():
+        def read():
             try:
+                seen = 0
                 while not recorded.is_set():
                     if time.monotonic() > give_up:
-                        raise TimeoutError("report loop overran its bound")
-                    reported.append(metrics.pop_unreported().count)
+                        raise TimeoutError("read loop overran its bound")
+                    emitted = metrics.outputs_emitted
+                    view = metrics.delays
+                    # Whole outputs only, never more than exist by now,
+                    # never fewer than an earlier view saw.
+                    assert view.count % per_record == 0
+                    assert seen <= view.count <= metrics.outputs_emitted
+                    assert view.count >= emitted - per_record
+                    assert int(view.histogram.sum()) == view.count
+                    seen = view.count
             except BaseException as error:  # noqa: BLE001 - asserted below
                 errors.append(error)
 
         threads = [
-            threading.Thread(target=record, daemon=True),
-            threading.Thread(target=report, daemon=True),
+            threading.Thread(target=record_and_report, daemon=True),
+            threading.Thread(target=read, daemon=True),
         ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)

@@ -105,9 +105,11 @@ def test_checkpoint_log_crash_is_lossless(seed, when):
 )
 def test_tcp_backend_sigkill_is_lossless(when):
     """TCP row of the matrix: the victim is a real worker process
-    connected to its peers over TCP sockets.  SIGKILL closes them, the
-    master's timeout path detects the EOF-driven ``NodeDown``, and the
-    backup ring restores every partition — the joined multiset must be
+    connected to its peers over TCP sockets.  Its own host injects the
+    crash through ``FaultInjector.crash_process``, which shuts those
+    sockets down and kills the worker's kernel processes; the master's
+    timeout path detects the EOF-driven ``NodeDown``, and the backup
+    ring restores every partition — the joined multiset must be
     bit-identical to the crash-free oracle, undegraded."""
     cfg = lossless_cfg(
         SEEDS[0],

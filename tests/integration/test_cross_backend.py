@@ -1,6 +1,6 @@
-"""Cross-backend conformance: every runtime backend — DES kernel,
-threads, OS processes, TCP workers — joins the exact same pairs as the
-oracle for a shared trace.
+"""Cross-backend conformance: every runtime backend — the DES kernel on
+simulated time, the same kernel on the wall clock, OS processes, TCP
+workers — joins the exact same pairs as the oracle for a shared trace.
 
 Timing-dependent metrics (delays, comm times) differ across backends by
 construction; the *results* must not.
@@ -12,12 +12,8 @@ import numpy as np
 import pytest
 
 from repro import JoinSystem, SystemConfig
-from repro.core.cluster import build_cluster
-from repro.core.host import cluster_node_ids
 from repro.errors import ConfigError
-from repro.net.proc_transport import LocalMesh
 from repro.reference import naive_window_join
-from repro.runtime.thread import ThreadRuntime
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer
@@ -66,24 +62,12 @@ class TestCrossBackend:
         sim_pairs = sorted_pairs([sim_result.pairs])
 
         # Run fast: 1 virtual second = 10 ms wall (100x speedup).
-        runtime = ThreadRuntime(time_scale=0.01)
-        mesh = LocalMesh(
-            cluster_node_ids(cfg), cfg.tuple_bytes, runtime.now, time_scale=0.01
-        )
-        cluster = build_cluster(
-            cfg,
-            runtime,
-            mesh,
-            workload=TraceReplayer(trace),
+        thread_result = JoinSystem(
+            cfg.with_(backend="thread", time_scale=0.01),
             collect_pairs=True,
-        )
-        for name, _, gen in cluster.processes():
-            runtime.spawn(gen, name=name)
-        runtime.join_all(timeout=120.0)
-        mesh.close()
-        thread_pairs = sorted_pairs(
-            [c for m in cluster.slave_metrics for c in m.pair_chunks()]
-        )
+            workload=TraceReplayer(trace),
+        ).run()
+        thread_pairs = sorted_pairs([thread_result.pairs])
 
         oracle = naive_window_join(trace, cfg.window_seconds)
         assert np.array_equal(sim_pairs, oracle)
@@ -91,20 +75,11 @@ class TestCrossBackend:
 
     def test_thread_collector_consistency(self, shared_setup):
         cfg, trace = shared_setup
-        runtime = ThreadRuntime(time_scale=0.01)
-        mesh = LocalMesh(
-            cluster_node_ids(cfg), cfg.tuple_bytes, runtime.now, time_scale=0.01
-        )
-        cluster = build_cluster(
-            cfg, runtime, mesh, workload=TraceReplayer(trace)
-        )
-        for name, _, gen in cluster.processes():
-            runtime.spawn(gen, name=name)
-        runtime.join_all(timeout=120.0)
-        mesh.close()
-        local = sum(m.delays.count for m in cluster.slave_metrics)
-        assert cluster.collector.delays.count == local
-
+        result = JoinSystem(
+            cfg.with_(backend="thread", time_scale=0.01),
+            workload=TraceReplayer(trace),
+        ).run()
+        assert result.collector_delays.count == result.delays.count
 
     def test_overrun_thread_backend_still_matches_oracle(self):
         """Compress the clock until the slaves cannot keep up: shipments

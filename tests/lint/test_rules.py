@@ -222,11 +222,11 @@ class TestSIM001:
 
     def test_callers_of_an_allowlisted_clock_are_clean(self):
         sources = {
-            "src/repro/runtime/thread.py": (
+            "src/repro/runtime/wall.py": (
                 "import time\ndef now():\n    return time.time()\n"
             ),
             "src/repro/core/thing.py": (
-                "from repro.runtime.thread import now\n"
+                "from repro.runtime.wall import now\n"
                 "def tick():\n    return now()\n"
             ),
         }

@@ -11,7 +11,6 @@ up as an infinite busy loop — the iteration bounds below catch that.
 from __future__ import annotations
 
 import socket
-import time
 from collections import deque
 
 import pytest
@@ -29,6 +28,7 @@ from repro.net.proc_transport import (
     write_frame,
 )
 from repro.net.tcp_transport import TcpTransport
+from repro.runtime.wall import WallRuntime
 from repro.net.wire import MAGIC, WIRE_VERSION, decode_message, encode_message
 
 FUZZ = settings(max_examples=50, deadline=None)
@@ -148,8 +148,19 @@ class TestFrameReaderFuzz:
 class TestTcpReceivePathFuzz:
     def _pair(self):
         sa, sb = socket.socketpair()
-        transport = TcpTransport(2, {0: sb}, 64, time.monotonic)
+        transport = TcpTransport(2, {0: sb}, 64, WallRuntime())
         return sa, transport
+
+    @staticmethod
+    def _recv(transport):
+        """Drive one receive from node 0 to its value on the loop."""
+
+        def proc():
+            return (yield transport.endpoint(2).recv(0))
+
+        handle = transport.runtime.spawn(proc())
+        transport.runtime.run(30.0)
+        return handle.value
 
     @FUZZ
     @given(junk=st.binary(min_size=0, max_size=64))
@@ -158,7 +169,7 @@ class TestTcpReceivePathFuzz:
         try:
             write_frame(sa, b"XX" + junk)  # magic is never b"XX"
             with pytest.raises(WireError):
-                transport.endpoint(2).recv(0).run()
+                self._recv(transport)
         finally:
             sa.close()
             transport.close()
@@ -172,7 +183,7 @@ class TestTcpReceivePathFuzz:
             assert good[:2] == MAGIC
             write_frame(sa, good[:2] + bytes([version]) + good[3:])
             with pytest.raises(WireError, match="version"):
-                transport.endpoint(2).recv(0).run()
+                self._recv(transport)
         finally:
             sa.close()
             transport.close()
@@ -189,6 +200,6 @@ class TestTcpReceivePathFuzz:
             cut_at = 1 + int(cut_frac * (len(frame) - 2))
             sa.sendall(frame[:cut_at])
             sa.close()
-            assert transport.endpoint(2).recv(0).run() == NodeDown(0)
+            assert self._recv(transport) == NodeDown(0)
         finally:
             transport.close()

@@ -5,7 +5,9 @@ partial reads and large frames, peer EOF mapping to ``NodeDown``,
 recv timeouts, drain/fence semantics matching ``SimTransport``, and
 the dead-peer-send marker and pair tallies it shares with the tcp
 backend; and the thread backend's in-process mesh (share-nothing
-delivery, fail-stop kills).
+delivery, fail-stop kills, frames larger than a socket buffer between
+two nodes on one kernel).  Sends and receives are kernel events, driven
+here by a :class:`~repro.runtime.wall.WallRuntime` loop.
 """
 
 from __future__ import annotations
@@ -30,14 +32,34 @@ from repro.net.proc_transport import (
     write_frame,
 )
 from repro.net.wire import encode_message
-from repro.runtime.thread import ThreadRuntime
+from repro.runtime.wall import WallRuntime
 
 
-def make_pair(a=0, b=2, tuple_bytes=64):
+def make_pair(a=0, b=2, tuple_bytes=64, rt=None):
+    rt = rt or WallRuntime()
     sa, sb = socket.socketpair()
-    ta = ProcTransport(a, {b: sa}, tuple_bytes, time.monotonic)
-    tb = ProcTransport(b, {a: sb}, tuple_bytes, time.monotonic)
+    ta = ProcTransport(a, {b: sa}, tuple_bytes, rt)
+    tb = ProcTransport(b, {a: sb}, tuple_bytes, rt)
     return ta, tb
+
+
+def drive(rt, *generators, budget=30.0):
+    """Run *generators* as processes on *rt*'s loop until all have
+    finished; returns what each returned."""
+    procs = [rt.spawn(gen) for gen in generators]
+    rt.run(budget)
+    assert not any(proc.is_alive for proc in procs), "loop ran out of budget"
+    return [proc.value for proc in procs]
+
+
+def wait(transport, awaitable, budget=30.0):
+    """What *awaitable* resolves to, on the loop of *transport*'s runtime."""
+
+    def proc():
+        return (yield awaitable)
+
+    [value] = drive(transport.runtime, proc(), budget=budget)
+    return value
 
 
 class TestFraming:
@@ -83,17 +105,13 @@ class TestFraming:
         payload = encode_message(shipment)
         assert len(payload) > 64 * 1024
 
-        got = {}
-
         def receive():
-            got["msg"] = eb.recv(0).run()
+            return (yield eb.recv(0))
 
-        rx = threading.Thread(target=receive)
-        rx.start()
-        ea.send(2, shipment).run()
-        rx.join(timeout=30.0)
-        assert not rx.is_alive()
-        msg = got["msg"]
+        def send():
+            yield ea.send(2, shipment)
+
+        msg, _ = drive(ta.runtime, receive(), send())
         assert isinstance(msg, Shipment)
         assert np.array_equal(msg.batch.key, batch.key)
         ta.close(), tb.close()
@@ -102,11 +120,11 @@ class TestFraming:
         # Peer dies mid-frame: the partial payload must never reach the
         # codec; the receiver observes NodeDown.
         sa, sb = socket.socketpair()
-        tb = ProcTransport(2, {0: sb}, 64, time.monotonic)
+        tb = ProcTransport(2, {0: sb}, 64, WallRuntime())
         payload = encode_message(Halt(1))
         sa.sendall(FRAME_HEADER.pack(len(payload)) + payload[: len(payload) // 2])
         sa.close()
-        assert tb.endpoint(2).recv(0).run() == NodeDown(0)
+        assert wait(tb, tb.endpoint(2).recv(0)) == NodeDown(0)
         tb.close()
 
     def test_absurd_length_header_rejected(self):
@@ -122,10 +140,10 @@ class TestFailureSemantics:
     def test_peer_eof_maps_to_node_down(self):
         ta, tb = make_pair()
         ta.close()
-        assert tb.endpoint(2).recv(0).run() == NodeDown(0)
+        assert wait(tb, tb.endpoint(2).recv(0)) == NodeDown(0)
         # And again: the marker is sticky, like the sim transport's
         # dead-node fast path.
-        assert tb.endpoint(2).recv(0).run() == NodeDown(0)
+        assert wait(tb, tb.endpoint(2).recv(0)) == NodeDown(0)
         tb.close()
 
     def test_buffered_frames_delivered_before_eof(self):
@@ -133,10 +151,10 @@ class TestFailureSemantics:
         # then the stream ends in NodeDown.
         ta, tb = make_pair()
         ea, eb = ta.endpoint(0), tb.endpoint(2)
-        ea.send(2, MoveAck(3, "supplier")).run()
+        wait(ta, ea.send(2, MoveAck(3, "supplier")))
         ta.close()
-        assert eb.recv(0).run() == MoveAck(3, "supplier")
-        assert eb.recv(0).run() == NodeDown(0)
+        assert wait(tb, eb.recv(0)) == MoveAck(3, "supplier")
+        assert wait(tb, eb.recv(0)) == NodeDown(0)
         tb.close()
 
     def test_send_to_dead_peer_completes_silently(self):
@@ -146,17 +164,17 @@ class TestFailureSemantics:
         # Repeated sends: first may succeed into the kernel buffer,
         # later ones hit EPIPE — all must complete without raising.
         for k in range(4):
-            ea.send(2, Halt(k)).run()
+            wait(ta, ea.send(2, Halt(k)))
         ta.close()
 
     def test_send_to_dead_peer_resolves_to_node_down(self):
         # Shared with the tcp backend: the first send may still land in
         # the kernel buffer (None); once the broken pipe is visible the
-        # thunk says so instead of staying silent.
+        # event says so instead of staying silent.
         ta, tb = make_pair()
         tb.close()
         ea = ta.endpoint(0)
-        results = [ea.send(2, Halt(k)).run() for k in range(8)]
+        results = [wait(ta, ea.send(2, Halt(k))) for k in range(8)]
         assert NodeDown(2) in results
         assert set(results) <= {None, NodeDown(2)}
         ta.close()
@@ -164,7 +182,7 @@ class TestFailureSemantics:
     def test_recv_timeout_marker(self):
         ta, tb = make_pair()
         t0 = time.monotonic()
-        got = tb.endpoint(2).recv(0, timeout=0.05).run()
+        got = wait(tb, tb.endpoint(2).recv(0, timeout=0.05))
         assert got == RecvTimeout(0.05)
         assert time.monotonic() - t0 < 5.0
         ta.close(), tb.close()
@@ -172,13 +190,30 @@ class TestFailureSemantics:
     def test_timeout_is_scaled_to_wall_clock(self):
         sa, sb = socket.socketpair()
         # 20 modeled seconds at time_scale=0.005 -> 100 ms wall.
-        tb = ProcTransport(2, {0: sb}, 64, time.monotonic, time_scale=0.005)
+        tb = ProcTransport(2, {0: sb}, 64, WallRuntime(time_scale=0.005))
         t0 = time.monotonic()
-        got = tb.endpoint(2).recv(0, timeout=20.0).run()
+        got = wait(tb, tb.endpoint(2).recv(0, timeout=20.0))
         wall = time.monotonic() - t0
         assert got == RecvTimeout(20.0)
         assert 0.05 <= wall < 2.0
         sa.close(), tb.close()
+
+    def test_frame_before_the_timeout_wins_and_the_timer_is_ignored(self):
+        ta, tb = make_pair()
+        rt = ta.runtime
+
+        def late_send():
+            yield rt.sleep(0.05)
+            yield ta.endpoint(0).send(2, Halt(1))
+
+        def receive():
+            got = yield tb.endpoint(2).recv(0, timeout=0.5)
+            yield rt.sleep(1.0)  # past the timer: it must not fire again
+            return got
+
+        got, _ = drive(rt, receive(), late_send())
+        assert got == Halt(1)
+        ta.close(), tb.close()
 
 
 class TestDrain:
@@ -186,27 +221,25 @@ class TestDrain:
         ta, tb = make_pair()
         ea, eb = ta.endpoint(0), tb.endpoint(2)
         eb.drain(0)
-        # Push well past a socket buffer: without the discard reader
-        # the sender would wedge exactly like an unmatched rendezvous.
+        # Push well past a socket buffer: without the loop discarding
+        # the fenced peer's frames, the sender would wedge exactly like
+        # an unmatched rendezvous.
         n = 2000
         batch = TupleBatch.build(np.linspace(0, 20, n), np.arange(n))
-        done = threading.Event()
 
         def flood():
             for k in range(64):
-                ea.send(2, Shipment(k, 0.0, 2.0, batch)).run()
-            done.set()
+                yield ea.send(2, Shipment(k, 0.0, 2.0, batch))
+            return "done"
 
-        tx = threading.Thread(target=flood, daemon=True)
-        tx.start()
-        assert done.wait(timeout=30.0), "fenced sender blocked"
+        assert drive(ta.runtime, flood()) == ["done"], "fenced sender blocked"
         ta.close(), tb.close()
 
     def test_recv_after_drain_is_node_down(self):
         ta, tb = make_pair()
         eb = tb.endpoint(2)
         eb.drain(0)
-        assert eb.recv(0).run() == NodeDown(0)
+        assert wait(tb, eb.recv(0)) == NodeDown(0)
         ta.close(), tb.close()
 
     def test_drain_is_idempotent(self):
@@ -214,7 +247,9 @@ class TestDrain:
         eb = tb.endpoint(2)
         eb.drain(0)
         eb.drain(0)
-        assert len(tb._drain_threads) == 1
+        # Fenced once: the channel stays registered, reading to discard.
+        assert tb.runtime.selector.get_key(tb.channel(0).sock)
+        assert wait(tb, eb.recv(0)) == NodeDown(0)
         ta.close(), tb.close()
 
 
@@ -235,8 +270,8 @@ class TestStats:
         tx_stats, rx_stats = self.Stats(), self.Stats()
         ea, eb = ta.endpoint(0, tx_stats), tb.endpoint(2, rx_stats)
         batch = TupleBatch.build([1.0, 2.0], [5, 6])
-        ea.send(2, Shipment(0, 0.0, 2.0, batch)).run()
-        msg = eb.recv(0).run()
+        wait(ta, ea.send(2, Shipment(0, 0.0, 2.0, batch)))
+        msg = wait(tb, eb.recv(0))
         assert isinstance(msg, Shipment)
         # Modeled size (64 B control + 2 * 64 B tuples), not the
         # serialized byte count: metrics stay comparable across backends.
@@ -251,8 +286,8 @@ class TestStats:
         ea, eb = ta.endpoint(0), tb.endpoint(2)
         payloads = [encode_message(Halt(k)) for k in range(3)]
         for k in range(3):
-            ea.send(2, Halt(k)).run()
-            eb.recv(0).run()
+            wait(ta, ea.send(2, Halt(k)))
+            wait(tb, eb.recv(0))
         expected = sum(FRAME_HEADER.size + len(p) for p in payloads)
         assert ta.pair_stats()[2] == {
             "tx_frames": 3, "tx_bytes": expected,
@@ -264,8 +299,8 @@ class TestStats:
         }
         # The typed view reads the same tallies, whenever it is asked
         # for, under this transport's series prefix.
-        ea.send(2, Halt(3)).run()
-        eb.recv(0).run()
+        wait(ta, ea.send(2, Halt(3)))
+        wait(tb, eb.recv(0))
         snapshot = tb.series()
         assert snapshot["proc.rx_frames.from_n0"]["value"] == 4
         assert (
@@ -285,14 +320,21 @@ class TestStats:
 
 class TestLocalMesh:
     """The thread backend's channels: every node's transport over
-    socket pairs inside one process."""
+    socket pairs inside one process, on one kernel."""
 
     def test_shipment_arrives_as_a_decoded_copy(self):
-        mesh = LocalMesh([0, 2], 64, time.monotonic)
+        rt = WallRuntime()
+        mesh = LocalMesh([0, 2], 64, rt)
         batch = TupleBatch.build([1.0, 2.0, 3.0], [5, 6, 7], stream=[0, 1, 0])
         sent = Shipment(4, 0.0, 2.0, batch)
-        mesh.endpoint(0).send(2, sent).run()
-        got = mesh.endpoint(2).recv(0).run()
+
+        def send():
+            yield mesh.endpoint(0).send(2, sent)
+
+        def receive():
+            return (yield mesh.endpoint(2).recv(0))
+
+        _, got = drive(rt, send(), receive())
         mesh.close()
         assert isinstance(got, Shipment) and got is not sent
         assert got.batch is not batch
@@ -301,50 +343,84 @@ class TestLocalMesh:
             assert np.array_equal(mine, theirs), name
             assert not np.shares_memory(mine, theirs), name
 
-    def test_peer_recv_gets_buffered_frames_then_node_down(self):
-        mesh = LocalMesh([0, 2, 3], 64, time.monotonic)
-        got = []
+    def test_a_frame_larger_than_the_socket_buffer_crosses_one_kernel(self):
+        """Sender and receiver share the loop: a blocking write of a
+        1 MiB frame would never return, as nobody could read it."""
+        rt = WallRuntime()
+        mesh = LocalMesh([0, 2], 64, rt)
+        n = 1 << 17  # 8 B/tuple of keys alone: 1 MiB
+        batch = TupleBatch.build(np.linspace(0.0, 30.0, n), np.arange(n))
+        sent = Shipment(4, 0.0, 2.0, batch)
+        assert len(encode_message(sent)) > 1 << 20
+
+        def send():
+            return (yield mesh.endpoint(0).send(2, sent))
 
         def receive():
+            return (yield mesh.endpoint(2).recv(0))
+
+        sent_value, got = drive(rt, send(), receive())
+        mesh.close()
+        assert sent_value is None
+        assert isinstance(got, Shipment)
+        assert np.array_equal(got.batch.key, batch.key)
+
+    def test_peer_recv_gets_buffered_frames_then_node_down(self):
+        rt = WallRuntime(time_scale=0.01)
+        mesh = LocalMesh([0, 2, 3], 64, rt)
+
+        def receive():
+            got = []
             while True:
-                msg = mesh.endpoint(2).recv(3).run()
+                msg = yield mesh.endpoint(2).recv(3)
                 got.append(msg)
                 if isinstance(msg, NodeDown):
-                    return
+                    return got
 
-        rx = threading.Thread(target=receive)
-        rx.start()
-        time.sleep(0.05)  # the receiver is blocked on the victim
-        victim = mesh.endpoint(3)
-        victim.send(2, Halt(1)).run()
-        victim.send(2, Halt(2)).run()
-        mesh.kill_node(3)
-        rx.join(timeout=10.0)
-        assert not rx.is_alive()
+        def victim():
+            yield rt.sleep(5.0)  # the receiver is blocked on the victim
+            yield mesh.endpoint(3).send(2, Halt(1))
+            yield mesh.endpoint(3).send(2, Halt(2))
+            mesh.kill_node(3)
+
+        got, _ = drive(rt, receive(), victim())
         assert got == [Halt(1), Halt(2), NodeDown(3)]
         mesh.close()
 
     def test_send_to_killed_node_resolves_to_node_down(self):
-        mesh = LocalMesh([0, 2], 64, time.monotonic)
+        rt = WallRuntime()
+        mesh = LocalMesh([0, 2], 64, rt)
         mesh.kill_node(2)
-        for k in range(3):
-            assert mesh.endpoint(0).send(2, Halt(k)).run() == NodeDown(2)
+
+        def sends():
+            results = []
+            for k in range(3):
+                results.append((yield mesh.endpoint(0).send(2, Halt(k))))
+            return results
+
+        assert drive(rt, sends()) == [[NodeDown(2)] * 3]
         mesh.close()
 
     def test_victims_blocked_recv_unwinds_without_node_down(self):
-        rt = ThreadRuntime(time_scale=0.01)
-        mesh = LocalMesh([0, 2], 64, rt.now)
+        rt = WallRuntime(time_scale=0.01)
+        mesh = LocalMesh([0, 2], 64, rt)
         seen = []
 
         def victim():
             seen.append((yield mesh.endpoint(2).recv(0)))
 
+        def crash(handle):
+            yield rt.sleep(5.0)  # blocked in recv from a silent peer
+            # Transport first, as the fault injector does: the victim's
+            # own receive is dropped, never resolved with NodeDown ...
+            mesh.kill_node(2)
+            yield rt.sleep(5.0)
+            assert handle.is_alive and seen == []
+            # ... and the kill ends it.
+            handle.kill("crash")
+
         handle = rt.spawn(victim())
-        time.sleep(0.05)  # blocked in recv from a silent peer
-        # Transport first, as the fault injector does: the handle is
-        # not killed, so only the endpoint can stop the generator.
-        mesh.kill_node(2)
-        handle.join(timeout=10.0)
+        drive(rt, crash(handle))
         assert not handle.is_alive
         assert seen == []
         mesh.close()

@@ -30,14 +30,28 @@ from repro.net.tcp_transport import (
     send_hello,
 )
 from repro.net.wire import MAGIC, WIRE_VERSION, encode_message
+from repro.runtime.wall import WallRuntime
 from repro.simul.rng import RngRegistry
 
 
 def make_pair(a=0, b=2, tuple_bytes=64):
+    rt = WallRuntime()
     sa, sb = socket.socketpair()
-    ta = TcpTransport(a, {b: sa}, tuple_bytes, time.monotonic)
-    tb = TcpTransport(b, {a: sb}, tuple_bytes, time.monotonic)
+    ta = TcpTransport(a, {b: sa}, tuple_bytes, rt)
+    tb = TcpTransport(b, {a: sb}, tuple_bytes, rt)
     return ta, tb
+
+
+def wait(transport, awaitable):
+    """What *awaitable* resolves to, on the loop of *transport*'s runtime."""
+
+    def proc():
+        return (yield awaitable)
+
+    handle = transport.runtime.spawn(proc())
+    transport.runtime.run(30.0)
+    assert not handle.is_alive, "loop ran out of budget"
+    return handle.value
 
 
 def free_port() -> int:
@@ -195,7 +209,7 @@ class TestFailureSemantics:
         # The first send may land in the kernel buffer (None); once the
         # broken pipe is visible every send resolves to NodeDown — and
         # none of them raises (silent-completion model preserved).
-        results = [ea.send(2, Halt(k)).run() for k in range(8)]
+        results = [wait(ta, ea.send(2, Halt(k))) for k in range(8)]
         assert NodeDown(2) in results
         assert set(results) <= {None, NodeDown(2)}
         ta.close()
@@ -203,16 +217,16 @@ class TestFailureSemantics:
     def test_peer_eof_maps_to_node_down(self):
         ta, tb = make_pair()
         ta.close()
-        assert tb.endpoint(2).recv(0).run() == NodeDown(0)
+        assert wait(tb, tb.endpoint(2).recv(0)) == NodeDown(0)
         tb.close()
 
     def test_buffered_frames_delivered_before_eof(self):
         ta, tb = make_pair()
-        ta.endpoint(0).send(2, MoveAck(3, "supplier")).run()
+        wait(ta, ta.endpoint(0).send(2, MoveAck(3, "supplier")))
         ta.close()
         eb = tb.endpoint(2)
-        assert eb.recv(0).run() == MoveAck(3, "supplier")
-        assert eb.recv(0).run() == NodeDown(0)
+        assert wait(tb, eb.recv(0)) == MoveAck(3, "supplier")
+        assert wait(tb, eb.recv(0)) == NodeDown(0)
         tb.close()
 
 
@@ -222,9 +236,9 @@ class TestPairCounters:
         ea, eb = ta.endpoint(0), tb.endpoint(2)
         payloads = [encode_message(Halt(k)) for k in range(3)]
         for k in range(3):
-            ea.send(2, Halt(k)).run()
+            wait(ta, ea.send(2, Halt(k)))
         for _ in range(3):
-            eb.recv(0).run()
+            wait(tb, eb.recv(0))
         expected = sum(FRAME_HEADER.size + len(p) for p in payloads)
         assert ta.pair_stats()[2] == {
             "tx_frames": 3, "tx_bytes": expected,
@@ -240,11 +254,11 @@ class TestPairCounters:
         ta, tb = make_pair()
         # The view is built from the tallies when asked for, so it
         # covers all traffic so far however late it is first read.
-        ta.endpoint(0).send(2, Halt(0)).run()
-        tb.endpoint(2).recv(0).run()
+        wait(ta, ta.endpoint(0).send(2, Halt(0)))
+        wait(tb, tb.endpoint(2).recv(0))
         assert tb.series()["tcp.rx_frames.from_n0"]["value"] == 1
-        ta.endpoint(0).send(2, Halt(1)).run()
-        tb.endpoint(2).recv(0).run()
+        wait(ta, ta.endpoint(0).send(2, Halt(1)))
+        wait(tb, tb.endpoint(2).recv(0))
         snapshot = tb.series()
         assert snapshot["tcp.rx_frames.from_n0"]["value"] == 2
         assert (

@@ -11,7 +11,7 @@ from queue import Queue
 import pytest
 
 from repro.runtime.process import ProcessBackend, await_start
-from repro.runtime.thread import ThreadRuntime
+from repro.runtime.wall import WallRuntime
 
 
 class FakeControl:
@@ -91,26 +91,27 @@ class TestNodeSide:
             await_start(ScriptedControl(("result", {})))
 
 
-class TestThreadRuntimeOrigin:
+class TestWallRuntimeOrigin:
     @staticmethod
-    def _first_reading(rt: ThreadRuntime) -> float:
+    def _first_reading(rt: WallRuntime) -> float:
         seen = []
 
         def node():
             seen.append(rt.now())
             yield rt.sleep(0.0)
 
-        rt.spawn(node()).join(timeout=5.0)
+        rt.spawn(node())
+        rt.run(5.0)
         return seen[0]
 
     def test_unset_origin_is_fixed_at_the_first_spawn(self):
-        rt = ThreadRuntime(time_scale=0.01)
+        rt = WallRuntime(time_scale=0.01)
         time.sleep(0.1)  # "building the cluster": 10 modeled seconds
         assert rt.now() >= 9.0
         # ...none of which the run spends: it starts at t=0.
         assert self._first_reading(rt) < 5.0
 
     def test_rebased_origin_is_kept_by_the_first_spawn(self):
-        rt = ThreadRuntime(time_scale=0.01)
+        rt = WallRuntime(time_scale=0.01)
         rt.rebase(time.monotonic() - 0.1)
         assert self._first_reading(rt) >= 9.0
