@@ -23,7 +23,12 @@ import typing as t
 
 from repro._version import __version__
 from repro.analysis.experiments import DEFAULT_SCALE, EXPERIMENTS, run_experiment
-from repro.config import BACKENDS, ObservabilityConfig, SystemConfig
+from repro.config import (
+    BACKENDS,
+    ObservabilityConfig,
+    SystemConfig,
+    parse_hostport,
+)
 from repro.core.system import JoinSystem
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
@@ -189,7 +194,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_worker(args: argparse.Namespace) -> int:
     # Lazy import: only the tcp backend pulls in the socket runtime.
-    from repro.runtime.tcp import parse_hostport, serve_worker
+    from repro.runtime.tcp import serve_worker
 
     host, port = parse_hostport(args.listen)
     return serve_worker(host, port)

@@ -137,6 +137,16 @@ class NetworkConfig:
         return self.per_message_overhead + nbytes * self.per_byte_overhead
 
 
+def parse_hostport(addr: str) -> tuple[str, int]:
+    """Parse ``HOST:PORT``, the ``--listen`` and ``--peers`` address
+    syntax.  Port 0 (an ephemeral port) parses: only a listener can
+    use it."""
+    host, sep, port = str(addr).rpartition(":")
+    if not sep or not host or not port.isdigit() or not 0 <= int(port) < 65536:
+        raise ConfigError(f"address must be HOST:PORT, got {addr!r}")
+    return host, int(port)
+
+
 @dataclass(frozen=True)
 class ObservabilityConfig:
     """Tracing and time-series sampling (``repro.obs``).
@@ -159,8 +169,6 @@ class ObservabilityConfig:
     #: sampler).  Samples land in bounded decimating reservoirs and in
     #: the trace (kind ``sample``) when tracing is on.
     sample_period: float | None = None
-    #: Capacity of each ``(node, gauge)`` reservoir.
-    reservoir_capacity: int = 512
     #: Serve the admin/health HTTP endpoint (:mod:`repro.obs.admin`) on
     #: this port for the duration of the run (0 = ephemeral; None = no
     #: server).
@@ -182,8 +190,6 @@ class ObservabilityConfig:
     def validated(self) -> "ObservabilityConfig":
         if self.sample_period is not None and self.sample_period <= 0:
             raise ConfigError("sample_period must be positive (or None)")
-        if self.reservoir_capacity < 2:
-            raise ConfigError("reservoir_capacity must be >= 2")
         if self.trace_transport and not self.tracing:
             raise ConfigError("trace_transport requires a trace exporter")
         if self.admin_port is not None and not 0 <= self.admin_port <= 65535:
@@ -476,15 +482,9 @@ class SystemConfig:
                 if nid in seen:
                     raise ConfigError(f"duplicate tcp peer for node {nid}")
                 seen.add(nid)
-                host, sep, port = str(addr).rpartition(":")
-                if (
-                    not sep
-                    or not host
-                    or not port.isdigit()
-                    or not 0 < int(port) < 65536
-                ):
+                if parse_hostport(addr)[1] == 0:
                     raise ConfigError(
-                        f"tcp peer address must be HOST:PORT, got {addr!r}"
+                        f"tcp peer {nid} needs a fixed port, got {addr!r}"
                     )
         if not self.tcp_host:
             raise ConfigError("tcp_host must be a non-empty host name")

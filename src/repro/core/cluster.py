@@ -2,9 +2,12 @@
 
 :func:`build_cluster` assembles master, slaves and collector around any
 runtime/transport pair; every backend calls it through
-:class:`~repro.core.host.NodeHost`.  ``SystemConfig.routing`` picks the
-master and slave node types: the paper's, or a routing baseline's
-(:mod:`repro.baselines`).
+:class:`~repro.core.host.NodeHost`.  It builds only the nodes it is
+asked for: every node on the sim and thread backends, and on the
+process and tcp backends the one node its OS process runs, which then
+holds none of the others' state — the paper's shared-nothing split.
+``SystemConfig.routing`` picks the master and slave node types: the
+paper's, or a routing baseline's (:mod:`repro.baselines`).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import typing as t
 
 from repro.config import SystemConfig
 from repro.core.collector import CollectorNode
+from repro.core.coordinator import CoordinatorState
 from repro.core.costmodel import CostModel
 from repro.core.declustering import DeclusteringController
 from repro.core.join_module import JoinModule
@@ -55,26 +59,25 @@ def standby_node_id(cfg: SystemConfig) -> int:
 
 
 class Cluster(t.NamedTuple):
-    """Everything :func:`build_cluster` wires together."""
+    """The nodes :func:`build_cluster` built, and what they share.
 
-    master: MasterNode
-    slaves: list[SlaveNode | LightSlave]
-    collector: CollectorNode
-    slave_metrics: list[SlaveMetrics]
+    A node that was not built is ``None`` (or absent from
+    :attr:`slaves`); everything here iterates over what exists."""
+
+    cfg: SystemConfig
+    runtime: t.Any
+    #: The transport the nodes were wired on.
+    transport: t.Any
     tracer: Tracer
     sampler: TimeSeriesSampler | None
-    #: The transport the nodes were wired on.
-    transport: t.Any = None
-    #: When set, this cluster object lives in a process that *runs*
-    #: only this node (the socket backends): the sampler and
-    #: :meth:`node_metrics` read only the local node's state — foreign
-    #: node objects exist but never run.
-    local_node: int | None = None
+    master: MasterNode | None
     #: Hot-standby coordinator (None unless ``cfg.standby``).
-    standby: StandbyNode | None = None
+    standby: StandbyNode | None
+    slaves: list[SlaveNode | LightSlave]
+    collector: CollectorNode | None
 
     @property
-    def acting_master(self) -> MasterNode:
+    def acting_master(self) -> MasterNode | None:
         """The coordinator currently driving the run.
 
         The real master until a takeover; the standby's shadow master
@@ -89,23 +92,21 @@ class Cluster(t.NamedTuple):
         """All node generators as ``(name, owning node id, generator)``,
         ready to spawn on a runtime.  The owner is ``None`` for the
         sampler, which every host runs for its own nodes."""
-        out: list[tuple[str, int | None, t.Generator]] = [
-            ("master", MASTER_ID, self.master.run())
-        ]
+        out: list[tuple[str, int | None, t.Generator]] = []
+        if self.master is not None:
+            out.append(("master", MASTER_ID, self.master.run()))
         if self.standby is not None:
             out.append(("standby", self.standby.node_id, self.standby.run()))
         for slave in self.slaves:
             for i, gen in enumerate(slave.processes()):
                 kind = ("comm", "join")[i]
                 out.append((f"slave{slave.node_id}.{kind}", slave.node_id, gen))
-        for i, gen in enumerate(self.collector.processes()):
-            out.append((f"collector.recv{i}", COLLECTOR_ID, gen))
+        if self.collector is not None:
+            for i, gen in enumerate(self.collector.processes()):
+                out.append((f"collector.recv{i}", COLLECTOR_ID, gen))
         if self.sampler is not None:
             out.append(("sampler", None, self._sampler_loop()))
         return out
-
-    def _samples_node(self, node_id: int) -> bool:
-        return self.local_node is None or self.local_node == node_id
 
     def node_metrics(self) -> dict[int, dict[str, dict[str, t.Any]]]:
         """Typed view of the run's counters, ``{node id: {name: sample}}``
@@ -114,14 +115,12 @@ class Cluster(t.NamedTuple):
         all read this.  The collector reports no series.  On a socket
         transport each node's series include the frames and bytes it
         moved per peer."""
-        coordinators = [self.master]
+        coordinators = [] if self.master is None else [self.master]
         if self.standby is not None:
             coordinators.append(self.standby.master)
         out: dict[int, dict[str, dict[str, t.Any]]] = {}
         for node in (*coordinators, *self.slaves):
             node_id = node.comm.node_id
-            if not self._samples_node(node_id):
-                continue
             series = out[node_id] = node.metrics.series()
             if isinstance(node, MasterNode):
                 series["dead_slaves"] = gauge(len(node.state.dead))
@@ -133,12 +132,9 @@ class Cluster(t.NamedTuple):
     # -- periodic gauge sampling ----------------------------------------------
     def _sample_all(self, now: float) -> None:
         """Record one gauge sample per node (and trace it when on)."""
-        sampler, tracer = self.sampler, self.tracer
+        sampler, tracer, cfg = self.sampler, self.tracer, self.cfg
         assert sampler is not None
-        cfg = self.master.cfg
         for slave in self.slaves:
-            if not self._samples_node(slave.node_id):
-                continue
             module, metrics = slave.module, slave.metrics
             gauges = {
                 "occupancy": module.occupancy(cfg.slave_buffer_bytes),
@@ -154,7 +150,7 @@ class Cluster(t.NamedTuple):
                 tracer.emit(
                     SampleEvent(t=now, node=slave.node_id, gauges=gauges)
                 )
-        if self._samples_node(MASTER_ID):
+        if self.master is not None:
             nbytes = self.master.buffer.total_bytes
             master_gauges = {"buffer_bytes": float(nbytes)}
             sampler.observe(now, MASTER_ID, "buffer_bytes", nbytes)
@@ -162,7 +158,7 @@ class Cluster(t.NamedTuple):
                 tracer.emit(
                     SampleEvent(t=now, node=MASTER_ID, gauges=master_gauges)
                 )
-        if self._samples_node(COLLECTOR_ID):
+        if self.collector is not None:
             # One gauge from the collector too, so a merged distributed
             # trace provably contains every node pid.
             collector_gauges = {"outputs": float(self.collector.delays.count)}
@@ -183,7 +179,7 @@ class Cluster(t.NamedTuple):
         """
         sampler = self.sampler
         assert sampler is not None
-        rt, cfg = self.master.rt, self.master.cfg
+        rt, cfg = self.runtime, self.cfg
         tick = sampler.period / 2.0
         while tick <= cfg.run_seconds + 1e-9:
             yield rt.sleep_until(tick)
@@ -226,9 +222,9 @@ def build_cluster(
     collect_pairs: bool = False,
     tracer: Tracer | None = None,
     faults: "FaultInjector | None" = None,
-    local_node: int | None = None,
+    node_ids: t.Collection[int] | None = None,
 ) -> Cluster:
-    """Wire a full cluster on the given runtime/transport backends.
+    """Wire the cluster's nodes on the given runtime/transport backends.
 
     ``transport`` must provide ``endpoint(node_id, stats)``;
     ``runtime`` must satisfy :class:`~repro.runtime.base.Runtime` plus
@@ -236,22 +232,22 @@ def build_cluster(
     from ``cfg.obs`` (the system layer shares it with the transport).
     ``faults`` is the run's shared fault injector (slaves consult it
     for CPU slowdowns; the sim transport shares it, and the node host
-    spawns its crash processes).  ``local_node`` marks a
-    process-backend child: only that node's gauges are sampled here.
+    spawns its crash processes).  ``node_ids`` names the nodes to
+    build — the ones the calling OS process runs; ``None`` builds all
+    of them.  Only the master and the standby read *workload*.
     """
     cfg = cfg.validated()
+
+    def builds(node_id: int) -> bool:
+        return node_ids is None or node_id in node_ids
+
     gate = MeasurementWindow(cfg.warmup_seconds, cfg.run_seconds)
-    rng = RngRegistry(cfg.seed)
     if tracer is None:
         tracer = build_tracer(cfg.obs, meta=trace_meta(cfg))
     sampler = (
-        TimeSeriesSampler(cfg.obs.sample_period, cfg.obs.reservoir_capacity)
+        TimeSeriesSampler(cfg.obs.sample_period)
         if cfg.obs.sample_period is not None
         else None
-    )
-    supplied_workload = workload
-    workload = workload or TwoStreamWorkload.poisson_bmodel(
-        rng, cfg.rate, cfg.b_skew, cfg.key_domain, n_streams=cfg.n_streams
     )
     geometry = geometry_of(cfg)
 
@@ -268,37 +264,36 @@ def build_cluster(
 
         master_type, light_slave = NODE_TYPES[cfg.routing]
 
-    master_metrics = MasterMetrics(gate)
-    master = master_type(
-        cfg,
-        runtime,
-        Communicator(transport.endpoint(MASTER_ID, master_metrics)),
-        workload,
-        DeclusteringController(cfg, rng.get("controller"), tracer=tracer),
-        master_metrics,
-        slave_ids,
-        tracer=tracer,
-        standby_id=standby_id,
-    )
+    master: MasterNode | None = None
+    if builds(MASTER_ID):
+        rng = RngRegistry(cfg.seed)
+        master_metrics = MasterMetrics(gate)
+        master = master_type(
+            cfg,
+            runtime,
+            Communicator(transport.endpoint(MASTER_ID, master_metrics)),
+            workload or _default_workload(cfg, rng),
+            DeclusteringController(cfg, rng.get("controller"), tracer=tracer),
+            master_metrics,
+            slave_ids,
+            tracer=tracer,
+            standby_id=standby_id,
+        )
 
     standby: StandbyNode | None = None
-    if standby_id is not None:
+    if standby_id is not None and builds(standby_id):
         # The standby hosts a *dormant* shadow master over its own
         # buffer, workload replica and controller substream — all built
         # exactly like the real master's, so the mirrored state starts
         # identical and the round replay keeps it so.  The shadow
         # shares the standby's communicator: after a takeover its
         # messages originate from the standby's node id.
-        if supplied_workload is None:
-            shadow_workload: t.Any = TwoStreamWorkload.poisson_bmodel(
-                RngRegistry(cfg.seed),
-                cfg.rate,
-                cfg.b_skew,
-                cfg.key_domain,
-                n_streams=cfg.n_streams,
+        if workload is None:
+            shadow_workload: t.Any = _default_workload(
+                cfg, RngRegistry(cfg.seed)
             )
-        elif hasattr(supplied_workload, "replica"):
-            shadow_workload = supplied_workload.replica()
+        elif hasattr(workload, "replica"):
+            shadow_workload = workload.replica()
         else:
             raise ConfigError(
                 "standby=True needs a replicable workload: pass one with "
@@ -321,11 +316,13 @@ def build_cluster(
         )
         standby = StandbyNode(shadow_master, MASTER_ID)
 
+    # The partitions each slave starts with: the master's initial state.
+    initial = CoordinatorState.initial(cfg.replication, cfg.npart, active_ids)
     slaves: list[SlaveNode | LightSlave] = []
-    slave_metrics: list[SlaveMetrics] = []
     for index, node_id in enumerate(slave_ids):
+        if not builds(node_id):
+            continue
         metrics = SlaveMetrics(node_id, gate)
-        slave_metrics.append(metrics)
         comm = Communicator(transport.endpoint(node_id, metrics))
         cost_model = CostModel(cfg.cost, speed=cfg.speed_of(index))
         if light_slave is not None:
@@ -346,7 +343,7 @@ def build_cluster(
             memory_bytes=cfg.slave_memory_bytes,
             tracer=tracer,
         )
-        for pid in master.state.pids_of(node_id):
+        for pid in initial.pids_of(node_id):
             module.add_partition(pid)
         slaves.append(
             SlaveNode(
@@ -366,22 +363,24 @@ def build_cluster(
             )
         )
 
-    collector_metrics = CommAccount(gate)
-    collector = CollectorNode(
-        COLLECTOR_ID,
-        Communicator(transport.endpoint(COLLECTOR_ID, collector_metrics)),
-        collector_metrics,
-        slave_ids,
-    )
+    collector: CollectorNode | None = None
+    if builds(COLLECTOR_ID):
+        collector_metrics = CommAccount(gate)
+        collector = CollectorNode(
+            COLLECTOR_ID,
+            Communicator(transport.endpoint(COLLECTOR_ID, collector_metrics)),
+            collector_metrics,
+            slave_ids,
+        )
 
     return Cluster(
-        master,
-        slaves,
+        cfg, runtime, transport, tracer, sampler, master, standby, slaves,
         collector,
-        slave_metrics,
-        tracer,
-        sampler,
-        transport,
-        local_node,
-        standby,
+    )
+
+
+def _default_workload(cfg: SystemConfig, rng: RngRegistry) -> TwoStreamWorkload:
+    """The run's own workload, when the caller pins none."""
+    return TwoStreamWorkload.poisson_bmodel(
+        rng, cfg.rate, cfg.b_skew, cfg.key_domain, n_streams=cfg.n_streams
     )

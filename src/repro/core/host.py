@@ -4,12 +4,13 @@ A backend is a *connector* around :class:`NodeHost`: it supplies a
 runtime, a transport and a way to wait.  The sim and thread backends
 host every node in one OS process; the process and tcp backends host
 one node per process (:func:`~repro.runtime.process.run_node`).  Either
-way the host builds the cluster, spawns the generators of the nodes it
-runs in :meth:`~repro.core.cluster.Cluster.processes` order, spawns
-the crash injection of each node it runs, serves the admin endpoint
-where the master lives and, once the wait is over, returns one payload
-per node — a crashed node's holds what it recorded before the crash —
-the input of :func:`~repro.core.system.assemble_result`.
+way the host builds the nodes it runs (and only those:
+:func:`~repro.core.cluster.build_cluster`), spawns their generators in
+:meth:`~repro.core.cluster.Cluster.processes` order, spawns the crash
+injection of each, serves the admin endpoint where the master lives
+and, once the wait is over, returns one payload per node — a crashed
+node's holds what it recorded before the crash — the input of
+:func:`~repro.core.system.assemble_result`.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ def cluster_node_ids(cfg: SystemConfig) -> list[int]:
 
 
 class NodeHost:
-    """One cluster, built here, of which this OS process runs some nodes.
+    """The nodes of one cluster that this OS process builds and runs.
 
-    *local_node* is the single node a socket-backend process runs;
+    *node_ids* are those nodes — a socket-backend process runs one;
     ``None`` runs them all.  *injector* is this process's fault
     injector (``None`` without a fault plan): the host fail-stops each
     crash victim it runs through it.
@@ -59,7 +60,7 @@ class NodeHost:
         transport: t.Any,
         tracer: Tracer,
         injector: "FaultInjector | None" = None,
-        local_node: int | None = None,
+        node_ids: list[int] | None = None,
         workload: t.Any = None,
         collect_pairs: bool = False,
     ) -> None:
@@ -68,9 +69,7 @@ class NodeHost:
         self.tracer = tracer
         self.injector = injector
         self.collect_pairs = collect_pairs
-        self.node_ids = (
-            cluster_node_ids(cfg) if local_node is None else [local_node]
-        )
+        self.node_ids = cluster_node_ids(cfg) if node_ids is None else node_ids
         self.cluster = build_cluster(
             cfg,
             runtime,
@@ -79,15 +78,8 @@ class NodeHost:
             collect_pairs=collect_pairs,
             tracer=tracer,
             faults=injector,
-            local_node=local_node,
+            node_ids=node_ids,
         )
-        #: ``(name, owning node, generator)`` for every generator this
-        #: host spawns; the owner is ``None`` for the sampler.
-        self._mine = [
-            (name, owner, gen)
-            for name, owner, gen in self.cluster.processes()
-            if owner is None or owner in self.node_ids
-        ]
 
     def _crash(
         self, injector: "FaultInjector", nid: int, crash: "CrashFault",
@@ -110,7 +102,7 @@ class NodeHost:
         runtime, cluster = self.runtime, self.cluster
         spawned: list[tuple[str, t.Any]] = []
         by_node: dict[int | None, list[t.Any]] = {}
-        for name, owner, gen in self._mine:
+        for name, owner, gen in cluster.processes():
             handle = runtime.spawn(gen, name=name)
             spawned.append((name, handle))
             by_node.setdefault(owner, []).append(handle)
@@ -178,7 +170,7 @@ def _node_payload(
             "timeline": cluster.collector.timeline_rows(),
         }
     elif node_id != MASTER_ID:
-        metrics = cluster.slave_metrics[node_id - 2]
+        (metrics,) = [s.metrics for s in cluster.slaves if s.node_id == node_id]
         return {
             "snapshot": metrics.snapshot(),
             "delays": metrics.delays,
@@ -189,6 +181,7 @@ def _node_payload(
     # a takeover, so a killed master's payload is reconstructed here,
     # not lost with the process.
     acting = cluster.acting_master
+    assert acting is not None
     mm = acting.metrics
     workload = acting.workload
     return {
@@ -213,6 +206,7 @@ def master_snapshot(cluster: Cluster) -> dict[str, t.Any]:
     dead set, failure records — lives in the standby's shadow master.
     """
     acting = cluster.acting_master
+    assert acting is not None
     master_metrics = acting.metrics
     return {
         "comm_time": master_metrics.comm_time,

@@ -298,9 +298,10 @@ class SlaveNode:
         self._last_shipment_epoch = max(self._last_shipment_epoch, shipment.epoch)
         self._prune_limbo(shipment.epoch)
         # Filed without the state lock, so a backlogged join pass never
-        # delays the comm schedule: the module's own buffer mutex orders
-        # this against the pass's drain, which picks the tuples up next
-        # time round.  Only state moves need the state lock.
+        # delays the comm schedule: the comm and join processes take
+        # turns on one kernel, so this runs between the pass's steps and
+        # its next drain picks the tuples up.  Only state moves need the
+        # state lock.
         self.module.enqueue(shipment)
         yield self.work_queue.put(WAKE_TOKEN)
 

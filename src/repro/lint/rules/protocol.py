@@ -14,7 +14,10 @@ This rule cross-checks three sets, all computed statically:
 * **message types** — subclasses of ``Message`` in ``core/protocol.py``;
 * **dispatch sites** — type names in ``recv_expect``/``isinstance``
   calls in the node-loop modules (master, slave, standby, collector,
-  and the ATR/CTR routing nodes);
+  and the ATR/CTR routing nodes).  A name is protocol vocabulary when
+  it resolves to a class ``core/protocol.py`` binds — defines or
+  imports — whichever module the handler imports it from; other
+  foreign types (failure markers such as ``NodeDown``) are left alone;
 * **send/construction sites** — ``X.send(dst, Type(...))`` calls and
   plain ``Type(...)`` constructions anywhere in the project.
 
@@ -78,6 +81,16 @@ def _message_classes(proto: SourceFile) -> dict[str, int]:
     }
 
 
+def _bound_names(proto: SourceFile) -> set[str]:
+    """Fully qualified names *proto* binds by ``from X import Y``."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(proto.tree)
+        if isinstance(node, ast.ImportFrom) and node.module and not node.level
+        for alias in node.names
+    }
+
+
 def _type_arg_names(node: ast.expr) -> list[tuple[str, int]]:
     """Names in a dispatch-type argument (a name or a tuple of names)."""
     if isinstance(node, ast.Tuple):
@@ -106,6 +119,7 @@ class ProtocolExhaustiveness(ProjectRule):
         messages = _message_classes(proto)
         if not messages:
             return
+        imported = _bound_names(proto)
 
         dispatched: set[str] = set()
         sent: set[str] = set()
@@ -138,7 +152,7 @@ class ProtocolExhaustiveness(ProjectRule):
                     )
                     # For protocol imports validate the *original* name
                     # (aliases included); otherwise fall back to the local
-                    # spelling and leave foreign types alone.
+                    # spelling.
                     original = (
                         resolved.rsplit(".", 1)[1]
                         if from_protocol and resolved is not None
@@ -146,7 +160,7 @@ class ProtocolExhaustiveness(ProjectRule):
                     )
                     if original in messages:
                         dispatched.add(original)
-                    elif from_protocol:
+                    elif from_protocol or resolved in imported:
                         unknown.append(
                             Finding(
                                 path=src.path,

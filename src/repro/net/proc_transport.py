@@ -253,30 +253,6 @@ class _Channel:
         self.tx_frames = self.tx_bytes = self.rx_frames = self.rx_bytes = 0
 
 
-class _ForeignEndpoint:
-    """Endpoint stub for a node that lives in another OS process.
-
-    ``build_cluster`` wires every node of the cluster, but a process
-    backend child only *runs* its own node's generators — the other
-    nodes' endpoints must never be exercised here.
-    """
-
-    __slots__ = ("node_id",)
-
-    def __init__(self, node_id: int) -> None:
-        self.node_id = node_id
-
-    def _refuse(self, *_a: t.Any, **_k: t.Any) -> t.NoReturn:
-        raise RuntimeError(
-            f"node {self.node_id} lives in another process; its endpoint "
-            "cannot be used here"
-        )
-
-    send = _refuse
-    recv = _refuse
-    drain = _refuse
-
-
 def socketpair_mesh(
     node_ids: t.Sequence[int],
 ) -> dict[int, dict[int, socket.socket]]:
@@ -293,8 +269,8 @@ class ProcTransport:
     """One node's view of the cluster interconnect.
 
     ``peers`` maps peer node id -> this node's end of the shared stream
-    socket.  ``endpoint`` hands out the real endpoint for the local node
-    and refusing stubs for every other node.  *runtime* is the node's
+    socket.  ``endpoint`` hands out the local node's endpoint; no other
+    node lives in this process.  *runtime* is the node's
     wall-clocked kernel: its clock stamps the statistics, its events
     are what sends and receives return, and its selector watches the
     sockets.
@@ -322,9 +298,9 @@ class ProcTransport:
     # -- wiring --------------------------------------------------------------
     def endpoint(
         self, node_id: int, stats: CommStats | None = None
-    ) -> "ProcEndpoint | _ForeignEndpoint":
+    ) -> "ProcEndpoint":
         if node_id != self.node_id:
-            return _ForeignEndpoint(node_id)
+            raise RuntimeError(f"node {node_id} lives in another process")
         return ProcEndpoint(self, stats)
 
     def channel(self, peer: int) -> _Channel:

@@ -32,6 +32,8 @@ import time
 import typing as t
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.core.cluster import COLLECTOR_ID, MASTER_ID, standby_node_id
+
 __all__ = [
     "AdminServer",
     "ACTIVE_SERVERS",
@@ -172,9 +174,10 @@ def cluster_status(
 ) -> dict[str, t.Any]:
     """The ``/status`` document for a live (or finished) cluster.
 
-    Reads master-owned state only — partition ownership, load reports,
-    the dead set, failure records — all of which live in the same OS
-    process as the admin server on every backend.
+    Reads master-owned state only — the slave ids, partition ownership,
+    load reports, the dead set, failure records — all of which live in
+    the same OS process as the admin server on every backend; the other
+    node rows follow from the node ids the config fixes.
 
     All coordinator state is read through :attr:`Cluster.acting_master`
     so a probe racing a standby election stays coherent: until the
@@ -182,8 +185,8 @@ def cluster_status(
     after it, the standby's live mirror does.  ``acting_master`` (the
     node id) says who answered.
     """
-    master = getattr(cluster, "acting_master", None) or cluster.master
-    standby = getattr(cluster, "standby", None)
+    master = cluster.acting_master
+    standby = cluster.standby
     took_over = standby is not None and standby.took_over
     mm = master.metrics
     owners: dict[int, int] = dict(master.state.mapping)
@@ -192,23 +195,18 @@ def cluster_status(
         owned_count[owner] = owned_count.get(owner, 0) + 1
 
     nodes: list[dict[str, t.Any]] = [
-        {
-            "node": cluster.master.comm.node_id,
-            "role": "master",
-            "alive": not took_over,
-        },
-        {"node": cluster.collector.node_id, "role": "collector", "alive": True},
+        {"node": MASTER_ID, "role": "master", "alive": not took_over},
+        {"node": COLLECTOR_ID, "role": "collector", "alive": True},
     ]
-    if standby is not None:
+    if cfg.standby:
         nodes.append(
             {
-                "node": standby.node_id,
+                "node": standby_node_id(cfg),
                 "role": "acting-master" if took_over else "standby",
                 "alive": True,
             }
         )
-    for slave in cluster.slaves:
-        nid = slave.node_id
+    for nid in master.all_slaves:
         report = master.latest_reports.get(nid)
         occupancy = (
             float(report.avg_occupancy) if report is not None else None

@@ -19,13 +19,16 @@ import typing as t
 
 __all__ = ["Reservoir", "TimeSeriesSampler"]
 
+#: Samples each ``(node, gauge)`` reservoir retains.
+RESERVOIR_CAPACITY = 512
+
 
 class Reservoir:
     """Bounded decimating reservoir of ``(time, value)`` samples."""
 
     __slots__ = ("capacity", "total", "_stride", "_data")
 
-    def __init__(self, capacity: int = 512) -> None:
+    def __init__(self, capacity: int = RESERVOIR_CAPACITY) -> None:
         if capacity < 2:
             raise ValueError(f"reservoir capacity must be >= 2: {capacity!r}")
         self.capacity = capacity
@@ -72,7 +75,9 @@ class Reservoir:
 class TimeSeriesSampler:
     """Per-``(node, gauge)`` reservoirs filled at a fixed cadence."""
 
-    def __init__(self, period: float, capacity: int = 512) -> None:
+    def __init__(
+        self, period: float, capacity: int = RESERVOIR_CAPACITY
+    ) -> None:
         if period <= 0:
             raise ValueError(f"sample period must be positive: {period!r}")
         self.period = float(period)

@@ -3,14 +3,14 @@
 ``backend="process"`` runs the master, each slave and the collector as
 real OS processes (``fork``), connected by one full-duplex stream
 socket per node pair carrying :mod:`repro.net.wire` frames.  Each node
-rebuilds the *full* cluster deterministically from the config (same
-seed, same round-robin partition map) in the shared
-:class:`~repro.core.host.NodeHost`, which spawns only its own node's
-generators, driven by a per-process
+process builds only its own node, from the config (same seed, same
+round-robin partition map as every other process), in the shared
+:class:`~repro.core.host.NodeHost`, driven by a per-process
 :class:`~repro.runtime.wall.WallRuntime` — the DES kernel paced by the
 wall clock, on the process's one thread: the identical host, generator
-and kernel code that runs the sim and thread backends.  The
-launcher builds the result with
+and kernel code that runs the sim and thread backends.  The launcher
+waits on one selector over the nodes' control connections — it runs no
+threads — and builds the result with
 :func:`~repro.core.system.assemble_result`, as every backend does.
 
 Everything here is shared with ``backend="tcp"``
@@ -23,7 +23,7 @@ socketpairs created before the fork and inherited across it.
 
 Control protocol (per node, pickled tuples over its control channel):
 
-1. the node connects, builds the cluster and reports ``("ready",)``;
+1. the node connects, builds its node and reports ``("ready",)``;
 2. the launcher answers ``("start", origin)`` once every node is ready:
    the shared clock *origin* is the ``time.monotonic()`` value —
    system-wide on Linux — at which the last ``ready`` arrived, so
@@ -58,10 +58,13 @@ which batches records back to the launcher.  Timestamps are already on
 the shared modeled clock (every node rebased onto the broadcast
 origin), so the launcher just merges all buffers with
 :func:`~repro.obs.exporters.merge_records` — a stable ``(t, node,
-seq)`` order — and replays them into the configured sinks.  Batches
-flush every :data:`TRACE_BATCH` records *during* the run, so a node
-the launcher's teardown kills loses at most the tail of its trace,
-never the whole thing.
+seq)`` order — and replays them into the sinks
+:func:`~repro.obs.tracer.build_tracer` builds from the config.  Batches
+flush every :data:`TRACE_BATCH` records *during* the run, and a failing
+node flushes its tracer before it ships its error, so a node the
+launcher's teardown kills loses at most the tail of its trace, never
+the whole thing — and a failed run still writes the trace that reached
+the launcher before it raises.
 
 Determinism caveat: the joined-output *multiset* is backend-invariant,
 but wall-clock scheduling makes per-epoch timing, metric values and —
@@ -73,13 +76,12 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import pickle
+import selectors
 import socket
-import threading
 import time
 import traceback
 import typing as t
 from dataclasses import dataclass
-from queue import Empty, Queue
 
 from repro.config import SystemConfig
 from repro.core.cluster import MASTER_ID, standby_node_id, trace_meta
@@ -95,14 +97,8 @@ from repro.net.proc_transport import (
     socketpair_mesh,
     write_frame,
 )
-from repro.obs.exporters import (
-    ConsoleSummaryExporter,
-    Exporter,
-    JsonlExporter,
-    merge_records,
-    replay_records,
-)
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.exporters import Exporter, merge_records, replay_records
+from repro.obs.tracer import NULL_TRACER, Tracer, build_tracer
 from repro.runtime.wall import WallRuntime, wall_budget
 
 #: Wall seconds the launcher waits for the nodes' "ready", and a node
@@ -119,7 +115,6 @@ TRACE_FLUSH_WALL_S = 0.05
 
 #: node id -> the launcher's and the node's end of its control socketpair.
 _Controls = dict[int, tuple[socket.socket, socket.socket]]
-_Inbox = Queue[tuple[int, t.Any]]
 
 
 @dataclass(frozen=True)
@@ -129,8 +124,8 @@ class NodeJob:
     node_id: int
     cfg: SystemConfig
     collect_pairs: bool
-    #: The pinned workload, for the nodes that read it; ``None`` builds
-    #: the default one from the config.
+    #: The pinned workload, for the master and the standby, which read
+    #: it; ``None`` for every other node, and for the default workload.
     workload: t.Any
 
 
@@ -146,13 +141,13 @@ class ControlConn:
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        self._reader = FrameReader(sock)
+        self.reader = FrameReader(sock)
 
     def send(self, obj: t.Any) -> None:
         write_frame(self.sock, pickle.dumps(obj))
 
     def recv(self, timeout: float | None = None) -> t.Any:
-        frame = self._reader.read_frame(timeout)
+        frame = self.reader.read_frame(timeout)
         if frame is _EOF:
             raise EOFError("control connection closed")
         if frame is _TIMED_OUT:
@@ -217,6 +212,7 @@ def run_node(
     ``("error", exception, traceback)``.
     """
     transport = None
+    tracer = NULL_TRACER
     try:
         job, peers = connect()
         node_id, cfg = job.node_id, job.cfg
@@ -236,11 +232,11 @@ def run_node(
             tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
         )
         injector = build_injector(cfg, tracer)
-        # The sampler is node-local: every node runs one, restricted
-        # to its own gauges.
+        # This process builds its own node only, so its sampler reads
+        # that node's gauges and nothing else.
         host = NodeHost(
             cfg, runtime, transport, tracer, injector,
-            local_node=node_id,
+            node_ids=[node_id],
             workload=job.workload,
             collect_pairs=job.collect_pairs,
         )
@@ -254,6 +250,8 @@ def run_node(
         control.send(("result", {**payloads[node_id], "injected": injected}))
     except BaseException as error:  # noqa: BLE001 - shipped to the launcher
         detail = traceback.format_exc()
+        # The trace so far goes first: a failed run is when it matters.
+        tracer.close()
         try:
             control.send(("error", error, detail))
         except Exception:
@@ -344,35 +342,32 @@ class ProcessBackend:
         #: and that share its monotonic clock); every node has a control.
         procs: dict[int, t.Any] = {}
         controls: dict[int, ControlConn] = {}
-        inbox: _Inbox = Queue()
         traces: dict[int, list[dict[str, t.Any]]] = {}
+        sel = selectors.DefaultSelector()
         try:
             self._launch(ctx, cfg, jobs, procs, controls)
             for nid, control in controls.items():
-                self._start_pump(nid, control, inbox)
-            origin = self._start_barrier(controls, inbox, set(procs))
+                sel.register(control.sock, selectors.EVENT_READ, (nid, control))
+            origin = self._start_barrier(controls, sel, set(procs))
             payloads = self._collect(
-                inbox, set(jobs), origin + wall_budget(cfg), traces
+                sel, set(jobs), origin + wall_budget(cfg), traces
             )
         finally:
+            sel.close()
             for proc in procs.values():
                 if proc.is_alive():
                     proc.kill()
                 proc.join(timeout=10.0)
             for control in controls.values():
                 control.close()
+            # Failed or not, the run keeps the trace that reached us.
+            trace = self._finish_trace(cfg, traces)
 
         injected = sorted(
             (r for p in payloads.values() for r in p["injected"]),
             key=lambda r: r["t"],
         )
-        return assemble_result(
-            cfg,
-            payloads,
-            collect_pairs,
-            injected,
-            self._finish_trace(cfg, traces),
-        )
+        return assemble_result(cfg, payloads, collect_pairs, injected, trace)
 
     # -- connector -----------------------------------------------------------
     def _launch(
@@ -417,29 +412,10 @@ class ProcessBackend:
                 controls[nid] = ControlConn(launcher_end)
 
     # -- run phases ----------------------------------------------------------
-    @staticmethod
-    def _start_pump(nid: int, control: ControlConn, inbox: _Inbox) -> None:
-        """One reader thread per control connection, funneling messages
-        into the shared inbox as ``(nid, msg)``.  EOF (node exit, clean
-        or killed) is delivered as ``(nid, None)``."""
-
-        def pump() -> None:
-            while True:
-                try:
-                    msg = control.recv(None)
-                except Exception:  # noqa: BLE001 - EOF/reset/unpickle all mean "node gone"
-                    inbox.put((nid, None))
-                    return
-                inbox.put((nid, msg))
-
-        threading.Thread(
-            target=pump, name=f"control:n{nid}", daemon=True
-        ).start()
-
     def _start_barrier(
         self,
         controls: dict[int, ControlConn],
-        inbox: _Inbox,
+        sel: selectors.BaseSelector,
         local_ids: set[int],
     ) -> float:
         """Wait for every node's "ready", then broadcast the start.
@@ -452,20 +428,20 @@ class ProcessBackend:
         waiting = set(controls)
         deadline = time.monotonic() + SETUP_TIMEOUT
         while waiting:
-            nid, msg = self._receive(
-                inbox,
+            for nid, msg in _messages(
+                sel,
                 deadline,
                 f"nodes never became ready (setup wedged): {sorted(waiting)}",
-            )
-            if msg is None:
-                raise RuntimeError(f"node {nid} died during setup")
-            if msg[0] == "error":
-                self._raise_node_error(nid, msg)
-            if msg[0] != "ready":
-                raise RuntimeError(
-                    f"node {nid} sent {msg[0]!r} before the start barrier"
-                )
-            waiting.discard(nid)
+            ):
+                if msg is None:
+                    raise RuntimeError(f"node {nid} died during setup")
+                if msg[0] == "error":
+                    self._raise_node_error(nid, msg)
+                if msg[0] != "ready":
+                    raise RuntimeError(
+                        f"node {nid} sent {msg[0]!r} before the start barrier"
+                    )
+                waiting.discard(nid)
         origin = time.monotonic()
         for nid, control in controls.items():
             control.send(("start", origin if nid in local_ids else None))
@@ -473,7 +449,7 @@ class ProcessBackend:
 
     def _collect(
         self,
-        inbox: _Inbox,
+        sel: selectors.BaseSelector,
         node_ids: set[int],
         deadline: float,
         traces: dict[int, list[dict[str, t.Any]]],
@@ -486,35 +462,23 @@ class ProcessBackend:
         payloads: dict[int, dict[str, t.Any]] = {}
         pending = set(node_ids)
         while pending:
-            nid, msg = self._receive(
-                inbox, deadline, f"nodes never finished: {sorted(pending)}"
-            )
-            if nid not in pending:
-                continue  # the EOF that follows a node's result
-            if msg is None:
-                raise RuntimeError(
-                    f"node {nid} died without reporting a result or an error"
-                )
-            elif msg[0] == "error":
-                self._raise_node_error(nid, msg)
-            elif msg[0] == "trace":
-                traces.setdefault(nid, []).extend(msg[1])
-            elif msg[0] == "result":
-                payloads[nid] = msg[1]
-                pending.discard(nid)
+            for nid, msg in _messages(
+                sel, deadline, f"nodes never finished: {sorted(pending)}"
+            ):
+                if nid not in pending:
+                    continue  # the EOF that follows a node's result
+                if msg is None:
+                    raise RuntimeError(
+                        f"node {nid} died without reporting a result or an error"
+                    )
+                elif msg[0] == "error":
+                    self._raise_node_error(nid, msg)
+                elif msg[0] == "trace":
+                    traces.setdefault(nid, []).extend(msg[1])
+                elif msg[0] == "result":
+                    payloads[nid] = msg[1]
+                    pending.discard(nid)
         return payloads
-
-    @staticmethod
-    def _receive(
-        inbox: _Inbox, deadline: float, stuck: str
-    ) -> tuple[int, t.Any]:
-        """The next ``(nid, msg)`` from the nodes, or — past *deadline*
-        — a :class:`DeadlockError` saying what was *stuck*.  (The
-        caller's teardown kills whatever still runs.)"""
-        try:
-            return inbox.get(timeout=max(0.0, deadline - time.monotonic()))
-        except Empty:
-            raise DeadlockError(stuck) from None
 
     @staticmethod
     def _raise_node_error(nid: int, msg: tuple[t.Any, ...]) -> t.NoReturn:
@@ -528,16 +492,41 @@ class ProcessBackend:
         cfg: SystemConfig,
         traces: dict[int, list[dict[str, t.Any]]],
     ) -> list[dict[str, t.Any]] | None:
-        """Merge the per-node trace buffers and drive the configured
-        sinks; returns the merged records when ``trace_memory`` asked
-        for them on the RunResult."""
-        if not cfg.obs.tracing:
-            return None
-        merged = merge_records(traces)
-        sinks: list[Exporter] = []
-        if cfg.obs.trace_path:
-            sinks.append(JsonlExporter(cfg.obs.trace_path, meta=trace_meta(cfg)))
-        if cfg.obs.console_summary:
-            sinks.append(ConsoleSummaryExporter())
-        replay_records(merged, sinks)
-        return merged if cfg.obs.trace_memory else None
+        """Merge the per-node trace buffers and drive the sinks the
+        config asks for; returns the merged records when
+        ``trace_memory`` asked for them on the RunResult."""
+        sinks = build_tracer(cfg.obs, meta=trace_meta(cfg))
+        replay_records(merge_records(traces), sinks.exporters)
+        return sinks.memory_records()
+
+
+def _messages(
+    sel: selectors.BaseSelector, deadline: float, stuck: str
+) -> t.Iterator[tuple[int, t.Any]]:
+    """One wait on every node's control connection at once: each
+    message that completed, as ``(nid, msg)``, and ``(nid, None)`` for a
+    control that ended — EOF, a reset or an unreadable message all mean
+    the node is gone, and its socket leaves *sel*.  Past *deadline*: a
+    :class:`DeadlockError` saying what was *stuck* (the caller's
+    teardown kills whatever still runs)."""
+    ready: list[tuple[selectors.SelectorKey, int]] = []
+    while not ready:
+        remaining = deadline - time.monotonic()
+        if remaining <= 0:
+            raise DeadlockError(stuck)
+        ready = sel.select(remaining)
+    for key, _ in ready:
+        nid, control = key.data
+        reader = control.reader
+        msgs = []
+        try:
+            reader.fill()
+            while (frame := reader.pop_frame()) is not None:
+                msgs.append(pickle.loads(frame))
+        except Exception:  # noqa: BLE001 - a garbled control = node gone
+            reader.eof = True
+        for msg in msgs:
+            yield nid, msg
+        if reader.eof:
+            sel.unregister(key.fileobj)
+            yield nid, None

@@ -7,10 +7,10 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.runtime.sync import SimLock, SimQueue
 from repro.simul.events import Event, Timeout
 from repro.simul.kernel import Simulator
 from repro.simul.process import Process
+from repro.simul.resources import Resource, Store
 
 
 class SimRuntime:
@@ -56,8 +56,8 @@ class SimRuntime:
     def event(self, name: str = "") -> Event:
         return self.sim.event(name)
 
-    def make_lock(self, name: str = "") -> SimLock:
-        return SimLock(self.sim, name=name)
+    def make_lock(self, name: str = "") -> Resource:
+        return Resource(self.sim, name=name)
 
-    def make_queue(self, name: str = "") -> SimQueue:
-        return SimQueue(self.sim, name=name)
+    def make_queue(self, name: str = "") -> Store:
+        return Store(self.sim, name=name)

@@ -49,7 +49,7 @@ import socket
 import threading
 import typing as t
 
-from repro.config import SystemConfig
+from repro.config import SystemConfig, parse_hostport
 from repro.errors import ConfigError, ConnectError, WireError
 from repro.net.tcp_transport import (
     HANDSHAKE_TIMEOUT,
@@ -74,14 +74,6 @@ from repro.simul.rng import RngRegistry
 _BACKLOG = 16
 
 _Addresses = dict[int, tuple[str, int]]
-
-
-def parse_hostport(addr: str) -> tuple[str, int]:
-    """Parse ``HOST:PORT`` (the CLI/--peers address syntax)."""
-    host, sep, port = addr.rpartition(":")
-    if not sep or not host or not port.isdigit() or not 0 <= int(port) < 65536:
-        raise ConfigError(f"address must be HOST:PORT, got {addr!r}")
-    return host, int(port)
 
 
 # -- worker side -------------------------------------------------------------

@@ -10,8 +10,8 @@ A small, self-contained, SimPy-flavoured kernel:
   processes; a process ``yield``\\ s events and is resumed with the
   event's value when it fires.
 * :mod:`~repro.simul.resources` — an unbounded FIFO :class:`Store` and a
-  mutex :class:`Resource`, the simulated flavour of the node code's
-  queue and lock (:mod:`repro.runtime.sync`).
+  mutex :class:`Resource`, the node code's queue and lock on every
+  backend.
 * :mod:`~repro.simul.rng` — named, reproducible random substreams.
 
 The kernel is deliberately minimal: every feature here is exercised by

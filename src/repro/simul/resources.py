@@ -1,10 +1,15 @@
 """Shared resources for simulated processes.
 
 * :class:`Store` — an unbounded FIFO of items with a blocking ``get``.
-* :class:`Resource` — a mutex with FIFO granting (``request`` /
+* :class:`Resource` — a mutex with FIFO granting (``acquire`` /
   ``release``).
 
-:mod:`repro.runtime.sync` wraps them as the node code's queue and lock.
+They are the node code's queue and lock on every backend
+(``SimRuntime.make_queue``/``make_lock``): a node generator uses a
+lock to serialize join-state access between its comm and join
+processes, and a queue to hand work tokens from comm to join —
+``yield lock.acquire()`` / ``lock.release()``, ``yield q.put(item)`` /
+``item = yield q.get()``.
 """
 
 from __future__ import annotations
@@ -62,9 +67,9 @@ class Resource:
         self._held = False
         self._waiters: deque[Event] = deque()
 
-    def request(self) -> Event:
+    def acquire(self) -> Event:
         """Event firing once the mutex is granted."""
-        event = self.sim.event(name=f"request:{self.name}")
+        event = self.sim.event(name=f"acquire:{self.name}")
         if self._held:
             self._waiters.append(event)
         else:

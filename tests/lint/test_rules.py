@@ -528,6 +528,37 @@ class TestPROTO001:
         assert "PROTO001 src/repro/core/protocol.py:4" in keys  # Ping undispatched
         assert "PROTO001 src/repro/core/protocol.py:7" in keys  # Pong unconstructed
 
+    def test_a_class_the_protocol_imports_is_flagged_from_any_module(self):
+        # `TupleBatch` is protocol vocabulary (core/protocol.py imports
+        # it) but no message, whichever module the handler takes it
+        # from; `NodeDown`, which the protocol never binds, stays exempt.
+        sources = {
+            "src/repro/core/protocol.py": (
+                "from repro.data.tuples import TupleBatch\n"
+                "\n"
+                "class Message:\n"
+                "    pass\n"
+                "\n"
+                "class Ping(Message):\n"
+                "    batch: TupleBatch\n"
+            ),
+            "src/repro/core/master.py": (
+                "from repro.core.protocol import Ping\n"
+                "from repro.data.tuples import TupleBatch\n"
+                "from repro.faults.markers import NodeDown\n"
+                "\n"
+                "def loop(comm, peer):\n"
+                "    comm.send(peer, Ping())\n"
+                "    sync = comm.recv_expect(peer, Ping, NodeDown)\n"
+                "    if isinstance(sync, TupleBatch):\n"
+                "        return None\n"
+                "    return sync\n"
+            ),
+        }
+        assert finding_keys(sources, only={"PROTO001"}) == [
+            "PROTO001 src/repro/core/master.py:8"
+        ]
+
     def test_clean_protocol(self):
         sources = {
             path: text

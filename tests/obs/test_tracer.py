@@ -139,8 +139,6 @@ class TestBuildTracer:
         with pytest.raises(ConfigError):
             ObservabilityConfig(sample_period=-1.0).validated()
         with pytest.raises(ConfigError):
-            ObservabilityConfig(reservoir_capacity=1).validated()
-        with pytest.raises(ConfigError):
             # Transport spans need a tracer to land in.
             ObservabilityConfig(trace_transport=True).validated()
         ObservabilityConfig(

@@ -1,29 +1,48 @@
 """The wall backends' start barrier and the modeled t=0 it fixes.
 
-No fork here: the launcher's barrier runs against fake control
-connections, a node's side against a scripted one.
+No fork here: the launcher's barrier runs against control connections
+over socketpairs whose node ends the test writes, a node's side
+against a scripted one.
 """
 
+import select
+import selectors
+import socket
 import threading
 import time
-from queue import Queue
 
 import pytest
 
-from repro.runtime.process import ProcessBackend, await_start
+from repro.runtime.process import ControlConn, ProcessBackend, await_start
 from repro.runtime.wall import WallRuntime
 
 
-class FakeControl:
-    """Records what the barrier sends, and how many messages were still
-    waiting in the launcher's inbox when it did."""
+class RecordingControl(ControlConn):
+    """The launcher's end of a node's control: records what the barrier
+    sends, and whether any node's messages were still unread when it
+    did."""
 
-    def __init__(self, inbox: Queue) -> None:
-        self.inbox = inbox
-        self.sent: list[tuple[object, int]] = []
+    def __init__(self, sock, launcher_ends) -> None:
+        super().__init__(sock)
+        self.launcher_ends = launcher_ends
+        self.sent: list[tuple[object, bool]] = []
 
     def send(self, obj) -> None:
-        self.sent.append((obj, self.inbox.qsize()))
+        unread, _, _ = select.select(self.launcher_ends, [], [], 0)
+        self.sent.append((obj, bool(unread)))
+
+
+def launcher_and_nodes(n):
+    """``n`` control socketpairs: the launcher's recording controls,
+    registered on one selector, and the nodes' ends."""
+    pairs = [socket.socketpair() for _ in range(n)]
+    ends = [launcher for launcher, _ in pairs]
+    controls = {nid: RecordingControl(ends[nid], ends) for nid in range(n)}
+    sel = selectors.DefaultSelector()
+    for nid, control in controls.items():
+        sel.register(control.sock, selectors.EVENT_READ, (nid, control))
+    nodes = {nid: ControlConn(node) for nid, (_, node) in enumerate(pairs)}
+    return controls, sel, nodes
 
 
 class ScriptedControl:
@@ -38,21 +57,20 @@ class ScriptedControl:
 
 class TestLauncherBarrier:
     def test_origin_is_the_last_ready_and_shared_by_local_nodes(self):
-        inbox: Queue = Queue()
-        controls = {nid: FakeControl(inbox) for nid in range(4)}
+        controls, sel, nodes = launcher_and_nodes(4)
         local = {0, 1, 2}
         for nid in (0, 1, 2):
-            inbox.put((nid, ("ready",)))
+            nodes[nid].send(("ready",))
         arrived = []
 
         def last_ready() -> None:
             time.sleep(0.05)
             arrived.append(time.monotonic())
-            inbox.put((3, ("ready",)))
+            nodes[3].send(("ready",))
 
         late = threading.Thread(target=last_ready)
         late.start()
-        origin = ProcessBackend()._start_barrier(controls, inbox, local)
+        origin = ProcessBackend()._start_barrier(controls, sel, local)
         returned = time.monotonic()
         late.join()
 
@@ -60,20 +78,19 @@ class TestLauncherBarrier:
         # and not in the future either (no grace to wait out).
         assert arrived[0] <= origin <= returned
         for nid, control in controls.items():
-            [(msg, backlog)] = control.sent
-            # Sent only once every "ready" was taken from the inbox.
-            assert backlog == 0
+            [(msg, unread)] = control.sent
+            # Sent only once every "ready" was read.
+            assert not unread
             # Every local node gets the one origin; a node elsewhere
             # gets None.
             assert msg == ("start", origin if nid in local else None)
 
     def test_a_node_error_before_ready_aborts_the_barrier(self):
-        inbox: Queue = Queue()
-        controls = {nid: FakeControl(inbox) for nid in range(2)}
-        inbox.put((0, ("ready",)))
-        inbox.put((1, ("error", None, "boom")))
+        controls, sel, nodes = launcher_and_nodes(2)
+        nodes[0].send(("ready",))
+        nodes[1].send(("error", None, "boom"))
         with pytest.raises(RuntimeError, match="node 1 failed"):
-            ProcessBackend()._start_barrier(controls, inbox, {0, 1})
+            ProcessBackend()._start_barrier(controls, sel, {0, 1})
         assert all(not control.sent for control in controls.values())
 
 

@@ -55,7 +55,7 @@ class TestResource:
         timeline = []
 
         def worker(sim, name, hold):
-            yield resource.request()
+            yield resource.acquire()
             timeline.append((name, "in", sim.now))
             yield sim.timeout(hold)
             timeline.append((name, "out", sim.now))

@@ -9,6 +9,7 @@ from repro.config import (
     MIB,
     NetworkConfig,
     SystemConfig,
+    parse_hostport,
 )
 from repro.errors import ConfigError
 from repro.faults.plan import FaultPlan
@@ -156,6 +157,19 @@ class TestValidation:
     def test_rejects(self, changes):
         with pytest.raises(ConfigError):
             SystemConfig.paper_defaults().with_(**changes)
+
+    @pytest.mark.parametrize("addr", ["h:0", "h", ":70", "h:x", "h:65536"])
+    def test_rejects_a_peer_address(self, addr):
+        cfg = dataclasses.replace(
+            SystemConfig.paper_defaults(), backend="tcp", tcp_peers=((2, addr),)
+        )
+        with pytest.raises(ConfigError):
+            cfg.validated()
+
+    def test_a_listen_address_may_take_an_ephemeral_port(self):
+        # `swjoin worker --listen` parses with the same function.
+        assert parse_hostport("127.0.0.1:0") == ("127.0.0.1", 0)
+        assert parse_hostport("::1:7000") == ("::1", 7000)
 
     def test_network_validation(self):
         with pytest.raises(ConfigError):
