@@ -22,7 +22,7 @@ from repro.core.metrics import SlaveMetrics
 from repro.core.protocol import Halt, ResultReport, Shipment
 from repro.core.steps import Step, run_steps
 from repro.data.tuples import TupleBatch
-from repro.net.comm import Communicator
+from repro.net.comm import Endpoint
 from repro.obs.events import EpochEvent
 
 #: A node-loop step: yields awaitables and is sent their results.
@@ -91,7 +91,7 @@ class LightSlave:
         node_id: int,
         cfg: SystemConfig,
         runtime: t.Any,
-        comm: Communicator,
+        comm: Endpoint,
         metrics: SlaveMetrics,
         cost_model: CostModel,
         collect_pairs: bool,

@@ -32,7 +32,6 @@ from repro.core.slave import SlaveNode
 from repro.core.standby import StandbyNode
 from repro.core.subgroups import build_schedules
 from repro.errors import ConfigError
-from repro.net.comm import Communicator
 from repro.obs.events import SampleEvent
 from repro.obs.metrics import gauge
 from repro.obs.sampler import TimeSeriesSampler
@@ -124,7 +123,7 @@ class Cluster(t.NamedTuple):
             series = out[node_id] = node.metrics.series()
             if isinstance(node, MasterNode):
                 series["dead_slaves"] = gauge(len(node.state.dead))
-            tallies = getattr(node.comm.endpoint.transport, "series", None)
+            tallies = getattr(node.comm.transport, "series", None)
             if tallies is not None:
                 series.update(tallies())
         return out
@@ -264,21 +263,31 @@ def build_cluster(
 
         master_type, light_slave = NODE_TYPES[cfg.routing]
 
-    master: MasterNode | None = None
-    if builds(MASTER_ID):
+    def coordinator(
+        node_type: type[MasterNode],
+        node_id: int,
+        workload: t.Any,
+        backup_id: int | None,
+    ) -> MasterNode:
+        # Substreams are keyed by name, so every coordinator's registry
+        # draws the same workload and controller numbers.
         rng = RngRegistry(cfg.seed)
-        master_metrics = MasterMetrics(gate)
-        master = master_type(
+        metrics = MasterMetrics(gate)
+        return node_type(
             cfg,
             runtime,
-            Communicator(transport.endpoint(MASTER_ID, master_metrics)),
+            transport.endpoint(node_id, metrics),
             workload or _default_workload(cfg, rng),
             DeclusteringController(cfg, rng.get("controller"), tracer=tracer),
-            master_metrics,
+            metrics,
             slave_ids,
             tracer=tracer,
-            standby_id=standby_id,
+            standby_id=backup_id,
         )
+
+    master: MasterNode | None = None
+    if builds(MASTER_ID):
+        master = coordinator(master_type, MASTER_ID, workload, standby_id)
 
     standby: StandbyNode | None = None
     if standby_id is not None and builds(standby_id):
@@ -286,34 +295,16 @@ def build_cluster(
         # buffer, workload replica and controller substream — all built
         # exactly like the real master's, so the mirrored state starts
         # identical and the round replay keeps it so.  The shadow
-        # shares the standby's communicator: after a takeover its
-        # messages originate from the standby's node id.
-        if workload is None:
-            shadow_workload: t.Any = _default_workload(
-                cfg, RngRegistry(cfg.seed)
-            )
-        elif hasattr(workload, "replica"):
-            shadow_workload = workload.replica()
-        else:
+        # shares the standby's endpoint: after a takeover its messages
+        # originate from the standby's node id.
+        if workload is not None and not hasattr(workload, "replica"):
             raise ConfigError(
                 "standby=True needs a replicable workload: pass one with "
                 "a .replica() method (e.g. TraceReplayer) or let "
                 "build_cluster construct the default workload"
             )
-        standby_metrics = MasterMetrics(gate)
-        shadow_master = MasterNode(
-            cfg,
-            runtime,
-            Communicator(transport.endpoint(standby_id, standby_metrics)),
-            shadow_workload,
-            DeclusteringController(
-                cfg, RngRegistry(cfg.seed).get("controller"), tracer=tracer
-            ),
-            standby_metrics,
-            slave_ids,
-            tracer=tracer,
-            standby_id=None,
-        )
+        shadow_workload = None if workload is None else workload.replica()
+        shadow_master = coordinator(MasterNode, standby_id, shadow_workload, None)
         standby = StandbyNode(shadow_master, MASTER_ID)
 
     # The partitions each slave starts with: the master's initial state.
@@ -323,7 +314,7 @@ def build_cluster(
         if not builds(node_id):
             continue
         metrics = SlaveMetrics(node_id, gate)
-        comm = Communicator(transport.endpoint(node_id, metrics))
+        comm = transport.endpoint(node_id, metrics)
         cost_model = CostModel(cfg.cost, speed=cfg.speed_of(index))
         if light_slave is not None:
             slaves.append(
@@ -368,7 +359,7 @@ def build_cluster(
         collector_metrics = CommAccount(gate)
         collector = CollectorNode(
             COLLECTOR_ID,
-            Communicator(transport.endpoint(COLLECTOR_ID, collector_metrics)),
+            transport.endpoint(COLLECTOR_ID, collector_metrics),
             collector_metrics,
             slave_ids,
         )

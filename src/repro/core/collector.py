@@ -18,7 +18,7 @@ from repro.core.metrics import CommAccount, DelayStats
 from repro.core.protocol import Halt, ResultReport
 from repro.errors import ProtocolError
 from repro.faults.markers import NodeDown
-from repro.net.comm import Communicator
+from repro.net.comm import Endpoint
 
 
 class CollectorNode:
@@ -27,7 +27,7 @@ class CollectorNode:
     def __init__(
         self,
         node_id: int,
-        comm: Communicator,
+        comm: Endpoint,
         metrics: CommAccount,
         slave_ids: t.Sequence[int],
     ) -> None:

@@ -37,8 +37,8 @@ earlier unit having *executed* (expiry, each merge, every probe on a
 memory-limited node, whose spill fraction moves with each admission)
 the step is that one unit.  What the units *compute* is planned for
 the whole pass at once (:class:`_Pass`): each stream's arrivals are
-routed and sorted once, and the two-stream matches of every unit come
-out of at most four probes of the store.
+routed and sorted once, and the matches of every unit come out of at
+most ``2n`` probes of the store for ``n`` streams.
 """
 
 from __future__ import annotations
@@ -67,6 +67,7 @@ from repro.core.partition_group import (
 from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, IntArray, Retire, Step
+from repro.data.blocks import n_blocks
 from repro.data.tuples import SeqArray, TsArray, TupleBatch
 from repro.errors import ProtocolError
 from repro.obs.events import DirectoryEvent, MergeEvent, SplitEvent
@@ -78,14 +79,15 @@ _Blocks = tuple[npt.NDArray[np.uint64], TsArray, SeqArray, IntArray]
 
 
 class _Rows(t.NamedTuple):
-    """A step's output rows, grouped by unit in unit order."""
+    """Output rows, grouped by unit in unit order (a pass's) or by probe
+    tuple in probe order (one kind of block's)."""
 
     #: Per output row, the timestamp of the newer joining tuple.
     newer_ts: TsArray
-    #: Per output row ``(stream-0 seq, stream-1 seq)``; None unless
-    #: pairs are collected.
+    #: Per output row its members' seqs, ordered by stream id; None
+    #: unless pairs are collected.
     pairs: npt.NDArray[np.int64] | None
-    #: Unit ``j`` produced rows ``[offsets[j], offsets[j + 1])``.
+    #: Unit (probe tuple) ``j`` produced rows ``[offsets[j], offsets[j + 1])``.
     offsets: npt.NDArray[np.intp]
 
 
@@ -442,13 +444,15 @@ class _Pass:
     They go out as one step up to the end of the next group with tuning
     work (told from the counts), whose tuning steps follow.
 
-    The two-stream matches are computed at once, after the expiry: each
-    kind of block — full ones of stream 0, of stream 1, partial ones of
-    stream 0, of stream 1, of every group — is sorted by run key, probes
-    the opposite run of the store and is committed to its own, and the
+    The matches are computed at once, after the expiry: each kind of
+    block — full ones of stream 0, 1, ..., then partial ones of stream
+    0, 1, ..., of every group — is sorted by run key, probes the other
+    streams' runs of the store and is committed to its own, and the
     rows are scattered into unit order.  Groups and mini-groups are
     disjoint in key space, so a block finds what a probe of its own
-    mini-group would.  The n-way join flushes a unit as it is retired.
+    mini-group would; inside a mini-group units run in kind order, so
+    each unit finds what it would probing at its own retire.  Two
+    streams probe pairwise, more probe for composites.
 
     The store is thus *ahead* of the windows an observer sees, the
     groups' tables, which every retire moves: a unit's block is full —
@@ -516,8 +520,8 @@ class _Pass:
             partial.append((rest[1], rest[2], rest[3], bucket_pid[rest[0]]))
         self.blocks += partial
         self._plan(depths, blocks, fill, holding)
-        #: The two-stream matches, in unit order (None: n-way).
-        self.rows = self._join() if n_streams == 2 else None
+        #: The matches, in unit order.
+        self.rows = self._join()
 
     def _plan(
         self, depths: IntArray, blocks: CountTable, fill: CountTable, holding: CountTable
@@ -541,10 +545,10 @@ class _Pass:
         # blocks of the lower streams.
         scans = []
         for s, units in enumerate(full):
-            seen = -(-(self.committed + tpb * blocks * (np.arange(n_streams) < s)) // tpb)
+            seen = n_blocks(self.committed + tpb * blocks * (np.arange(n_streams) < s), tpb)
             scans.append((seen.sum(axis=1) - seen[:, s])[units])
         committed = self.committed + tpb * blocks
-        before, after = -(-committed // tpb), -(-(committed + fill) // tpb)
+        before, after = n_blocks(committed, tpb), n_blocks(committed + fill, tpb)
         lower = np.cumsum(after, axis=1) - after
         higher = np.cumsum(before[:, ::-1], axis=1)[:, ::-1] - before
         scans.append((lower + higher).ravel()[cells])
@@ -561,7 +565,7 @@ class _Pass:
         self.unit_group = bucket_group[bucket[order]]
         # A group tunes only if a mini-group of its ends the pass above
         # two thetas, or below one theta after a split.
-        end = geometry.block_bytes * (-(-(self.start + self.arrived) // tpb)).sum(axis=1)
+        end = geometry.block_bytes * n_blocks(self.start + self.arrived, tpb).sum(axis=1)
         theta = geometry.theta_bytes
         tunes = (end > 2 * theta) | ((end < theta) & (depths > 0))
         ends = np.searchsorted(self.key, np.arange(1, n_groups + 1) * phases)
@@ -608,9 +612,10 @@ class _Pass:
         self.totals = group_bytes(geometry, self.first, self.start)
 
     def _join(self) -> _Rows:
-        """The two-stream matches of every unit, four probes in all."""
+        """The matches of every unit, one probe per kind of block."""
         module, store = self.module, self.module.store
-        results: list[ProbeResult | None] = []
+        n_streams = module.geometry.n_streams
+        results: list[_Rows | None] = []
         for k, (rkey, ts, seq, pid) in enumerate(self.blocks):
             if not len(rkey):
                 results.append(None)
@@ -618,8 +623,13 @@ class _Pass:
             # One sort serves both: the probe searches the run with
             # ascending keys and the run takes the blocks as they are.
             order = np.argsort(rkey, kind="stable")
-            sid = k % 2
-            results.append(store.probe(1 - sid, ts, rkey, seq, module.collect_pairs, order))
+            sid = k % n_streams
+            if n_streams == 2:
+                got = store.probe(1 - sid, ts, rkey, seq, module.collect_pairs, order)
+                results.append(_Rows(got.newer_ts, _oriented(got, sid), got.offsets))
+            else:
+                found = store.probe_composites(sid, ts, rkey, seq, module.collect_pairs)
+                results.append(_Rows(found.newest_ts, found.members, found.offsets))
             store.commit(sid, rkey[order], ts[order], seq[order], pid[order])
         per_unit = np.zeros(len(self.src), dtype=np.intp)
         placed = []
@@ -628,19 +638,18 @@ class _Pass:
                 mine = np.flatnonzero(self.src == k)
                 bounds = result.offsets[self.row[mine]]
                 per_unit[mine] = result.offsets[self.row[mine] + self.fresh[mine]] - bounds
-                placed.append((k % 2, mine, bounds, result))
+                placed.append((mine, bounds, result))
         offsets = np.zeros(len(self.src) + 1, dtype=np.intp)
         np.cumsum(per_unit, out=offsets[1:])
         newer = np.empty(offsets[-1], dtype=np.float64)
-        pairs = np.empty((offsets[-1], 2), np.int64) if module.collect_pairs else None
-        for sid, mine, bounds, result in placed:
+        pairs = np.empty((offsets[-1], n_streams), np.int64) if module.collect_pairs else None
+        for mine, bounds, result in placed:
             # Row r of this kind's blocks goes to its unit's rows.
             shift = offsets[mine] - bounds
             to = np.repeat(shift, per_unit[mine]) + np.arange(len(result.newer_ts))
             newer[to] = result.newer_ts
-            oriented = _oriented(result, sid)
-            if pairs is not None and oriented is not None:
-                pairs[to] = oriented
+            if pairs is not None and result.pairs is not None:
+                pairs[to] = result.pairs
         return _Rows(newer, pairs, offsets)
 
     def steps(self) -> t.Iterator[Step]:
@@ -662,11 +671,7 @@ class _Pass:
     def _retire(self, first: int, stop: int) -> Retire:
         def retire(lo: int, hi: int, emit_times: FloatArray) -> None:
             lo, hi = first + lo, first + hi
-            if self.rows is None:
-                for unit, emit in zip(range(lo, hi), emit_times.tolist()):
-                    self._flush_composites(unit, emit)
-            else:
-                self._record(lo, hi, emit_times)
+            self._record(lo, hi, emit_times)
             np.add.at(self.committed.reshape(-1), self.cell[lo:hi], self.fresh[lo:hi])
             # Past a step's last unit, nothing of the next one is full.
             self._admit(2 * hi - (hi == stop))
@@ -694,7 +699,7 @@ class _Pass:
     def _record(self, lo: int, hi: int, emit_times: FloatArray) -> None:
         """Emit the output rows of units ``[lo, hi)``, each unit's at
         its own emit time, the pairs filed under their groups' pids."""
-        rows, metrics = t.cast(_Rows, self.rows), self.module.metrics
+        rows, metrics = self.rows, self.module.metrics
         first, last = rows.offsets[lo], rows.offsets[hi]
         if first == last:
             return
@@ -706,18 +711,6 @@ class _Pass:
             start, stop = rows.offsets[lo + units[0]], rows.offsets[lo + units[-1] + 1]
             if start < stop:
                 metrics.record_pairs(self.groups[at].pid, rows.pairs[start:stop])
-
-    def _flush_composites(self, unit: int, emit_time: float) -> None:
-        """n-way join: one unit probes when it is retired, against runs
-        that hold every unit retired before it."""
-        module, k = self.module, int(self.src[unit])
-        start, stop = self.row[unit], self.row[unit] + self.fresh[unit]
-        rkey, ts, seq, _pid = (col[start:stop] for col in self.blocks[k])
-        sid, pid = k % module.geometry.n_streams, self.groups[self.unit_group[unit]].pid
-        got = module.store.flush_composites(sid, (rkey, ts, seq), pid, module.collect_pairs)
-        module.metrics.record_outputs(emit_time, got.newest_ts)
-        if got.members is not None and len(got.members):
-            module.metrics.record_pairs(pid, got.members)
 
 
 def _oriented(matches: ProbeResult, sid: int) -> npt.NDArray[np.int64] | None:

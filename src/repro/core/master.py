@@ -71,7 +71,7 @@ from repro.core.subgroups import (
 )
 from repro.data.tuples import TupleBatch
 from repro.faults.markers import peer_silent
-from repro.net.comm import Communicator
+from repro.net.comm import Endpoint
 from repro.obs.events import (
     CheckpointEvent,
     DodEvent,
@@ -168,7 +168,7 @@ class MasterNode:
         self,
         cfg: SystemConfig,
         runtime: t.Any,
-        comm: Communicator,
+        comm: Endpoint,
         workload: t.Any,
         controller: DeclusteringController,
         metrics: MasterMetrics,

@@ -141,7 +141,7 @@ class DelayStats:
 
 class CommAccount:
     """Gated communication account of one node: what the transports
-    record against (:class:`~repro.net.sim_transport.CommStats`).
+    record against (:class:`~repro.net.comm.CommStats`).
 
     The collector's metrics are exactly this; :class:`SlaveMetrics` and
     :class:`MasterMetrics` add their own counters on top.

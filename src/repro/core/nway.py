@@ -52,6 +52,9 @@ class CompositeResult(t.NamedTuple):
     #: Per composite: member seqs ordered by stream id; None unless
     #: collected (testing).
     members: npt.NDArray[np.int64] | None
+    #: Composites are grouped by probe tuple, in probe order: tuple
+    #: ``i`` completed rows ``[offsets[i], offsets[i + 1])``.
+    offsets: npt.NDArray[np.intp]
 
 
 _EMPTY: TsArray = np.empty(0, dtype=np.float64)
@@ -75,10 +78,12 @@ def probe_composites(
     which *probe_key* gives for the probe tuples.  ``windows_by_stream[k]``
     is ``Wk``.
     """
+    offsets = np.zeros(len(probe_ts) + 1, dtype=np.intp)
     if len(probe_ts) == 0 or any(len(o[1]) == 0 for o in others):
         return CompositeResult(
             0, _EMPTY, np.empty((0, 1 + len(others)), np.int64)
             if collect_members else None,
+            offsets,
         )
 
     ranges = [
@@ -119,6 +124,7 @@ def probe_composites(
         if n_valid == 0:
             continue
         total += n_valid
+        offsets[i + 1] = n_valid
         newest_parts.append(t_star[valid])
         if collect_members:
             seq_grids = np.meshgrid(
@@ -152,7 +158,8 @@ def probe_composites(
             if member_rows
             else np.empty((0, n_members), dtype=np.int64)
         )
-    return CompositeResult(total, newest, members)
+    np.cumsum(offsets, out=offsets)
+    return CompositeResult(total, newest, members, offsets)
 
 
 def naive_multiway_join(

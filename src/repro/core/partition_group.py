@@ -43,10 +43,12 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
+from repro.core import nway
 from repro.core.exthash import Bucket, ExtendibleDirectory
 from repro.core.hashing import HashArray, bit_reverse, directory_hash, key_of, run_key
-from repro.core.nway import CompositeResult, probe_composites
+from repro.core.nway import CompositeResult
 from repro.core.probe import ProbeResult, probe_sorted
+from repro.data.blocks import n_blocks
 from repro.data.tuples import (
     SEQ_DTYPE,
     TS_DTYPE,
@@ -190,7 +192,7 @@ def labeller(groups: t.Sequence[PartitionGroup]) -> tuple[Indexes, CountTable, L
 def group_bytes(geometry: JoinGeometry, first: Indexes, n: CountTable) -> CountTable:
     """Per group — its mini-groups ``first[i]`` to ``first[i + 1]`` —
     block-granular bytes of windows of *n* tuples."""
-    blocks = (-(-n // geometry.tuples_per_block)).sum(axis=1)
+    blocks = n_blocks(n, geometry.tuples_per_block).sum(axis=1)
     nbytes: CountTable = np.add.reduceat(blocks, first[:-1]) * geometry.block_bytes
     return nbytes
 
@@ -238,8 +240,8 @@ class WindowStore:
         """Add tuples of groups *pid* to stream *sid*'s run (whoever
         commits them moves their groups' tables).  Blocks the join module
         sorted to probe with come in run-key order; others (installed
-        state, n-way flushes) are stable-sorted here.  They wait, merged
-        after earlier commits of their keys, for :meth:`sorted_run`.
+        state) are stable-sorted here.  They wait, merged after earlier
+        commits of their keys, for :meth:`sorted_run`.
         The arrays are kept: they must not be views of changing storage.
         """
         if not len(ts):
@@ -285,21 +287,26 @@ class WindowStore:
             result.pairs[:, 1] >>= self.pid_bits
         return result
 
-    def flush_composites(
-        self, sid: int, block: Columns, pid: int, collect_pairs: bool = False
+    def probe_composites(
+        self,
+        sid: int,
+        probe_ts: TsArray,
+        probe_rkey: HashArray,
+        probe_seq: SeqArray,
+        collect_pairs: bool = False,
     ) -> CompositeResult:
-        """n-way join: match one head *block* of stream *sid*, of group
-        *pid*, against the other streams' runs, and commit it to its own.
-        Only committed tuples of the other streams take part (a result
-        is emitted by the last of its members to flush)."""
+        """n-way join: match probe tuples of stream *sid*, of any group,
+        against the other streams' committed ones.  Only committed
+        tuples take part, so a composite is found by the last of its
+        members to probe; its member seqs come out unpacked."""
         sids = range(self.geometry.n_streams)
         others = [(k, *self.sorted_run(k)) for k in sids if k != sid]
-        rkey, ts, seq = block
         windows = dict.fromkeys(sids, self.geometry.window_seconds)
-        result = probe_composites(sid, ts, rkey, seq, others, windows, collect_pairs)
+        result = nway.probe_composites(
+            sid, probe_ts, probe_rkey, probe_seq, others, windows, collect_pairs
+        )
         if result.members is not None:
             result.members[:, [k for k in sids if k != sid]] >>= self.pid_bits
-        self.commit(sid, rkey, ts, seq, pid)
         return result
 
     def rows_of(self, pid: int, sid: int) -> Columns:
@@ -444,7 +451,7 @@ class PartitionGroup:
     def _block_bytes(self, n: npt.NDArray[np.int64]) -> int:
         """Block-granular bytes of windows of *n* tuples each."""
         tpb = self.geometry.tuples_per_block
-        return self.geometry.block_bytes * int((-(-n // tpb)).sum())
+        return self.geometry.block_bytes * int(n_blocks(n, tpb).sum())
 
     # -- sizes --------------------------------------------------------------
     def counts(self) -> tuple[CountTable, CountTable]:
@@ -522,7 +529,7 @@ class PartitionGroup:
         merge with."""
         theta = self.geometry.theta_bytes
         tpb, block = self.geometry.tuples_per_block, self.geometry.block_bytes
-        nbytes = block * (-(-(self.committed + self.head) // tpb)).sum(axis=1)
+        nbytes = block * n_blocks(self.committed + self.head, tpb).sum(axis=1)
         buckets = self._layout().buckets
         oversized = [
             (buckets[i], int(nbytes[i]))

@@ -58,7 +58,7 @@ from repro.core.protocol import (
     TakeOver,
 )
 from repro.core.subgroups import SlotSchedule, is_reorg_epoch
-from repro.net.comm import Communicator
+from repro.net.comm import Endpoint
 from repro.obs.events import DrainEvent, StateMoveEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.replication import BackupStore
@@ -80,7 +80,7 @@ class SlaveNode:
         node_id: int,
         cfg: SystemConfig,
         runtime: t.Any,
-        comm: Communicator,
+        comm: Endpoint,
         module: JoinModule,
         metrics: SlaveMetrics,
         master_id: int,

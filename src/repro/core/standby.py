@@ -48,7 +48,7 @@ class StandbyNode:
     """Hot-standby coordinator: mirror, detect, take over.
 
     *master* is a dormant :class:`MasterNode` built over this node's
-    own communicator and a shadow buffer/workload/controller — it holds
+    own endpoint and a shadow buffer/workload/controller — it holds
     the mirrored state while the real master lives, and literally
     becomes the acting master (``run``) after a takeover.
     """

@@ -7,7 +7,7 @@ arrays (structure-of-arrays), and account for the logical payload size
 separately.
 """
 
-from repro.data.blocks import BlockView, iter_blocks, n_blocks
+from repro.data.blocks import n_blocks
 from repro.data.tuples import TupleBatch
 
-__all__ = ["TupleBatch", "BlockView", "iter_blocks", "n_blocks"]
+__all__ = ["TupleBatch", "n_blocks"]

@@ -2,23 +2,35 @@
 
 The paper stores window partitions as chains of fixed-size blocks
 (4 KB blocks of 64-byte tuples, i.e. 64 tuples per block) and processes
-the join at block granularity.  These helpers slice tuple batches into
-block-sized views and convert tuple counts to occupied-block sizes.
+the join at block granularity.  These helpers convert tuple counts to
+occupied-block counts and sizes.
 """
 
 from __future__ import annotations
 
 import typing as t
 
-from repro.data.tuples import TupleBatch
+import numpy as np
+import numpy.typing as npt
+
+__all__ = ["n_blocks", "block_bytes_used"]
+
+#: Tuple counts, elementwise.
+Counts = npt.NDArray[np.integer[t.Any]]
 
 
-__all__ = ["n_blocks", "block_bytes_used", "BlockView", "iter_blocks"]
+@t.overload
+def n_blocks(n_tuples: int, tuples_per_block: int) -> int: ...
 
 
-def n_blocks(n_tuples: int, tuples_per_block: int) -> int:
-    """Blocks occupied by ``n_tuples`` (a partial head block counts)."""
-    if n_tuples < 0:
+@t.overload
+def n_blocks(n_tuples: Counts, tuples_per_block: int) -> Counts: ...
+
+
+def n_blocks(n_tuples: t.Any, tuples_per_block: int) -> t.Any:
+    """Blocks occupied by ``n_tuples`` (a partial head block counts),
+    elementwise on an array."""
+    if np.min(n_tuples, initial=0) < 0:
         raise ValueError(f"negative tuple count: {n_tuples}")
     return -(-n_tuples // tuples_per_block)
 
@@ -26,28 +38,3 @@ def n_blocks(n_tuples: int, tuples_per_block: int) -> int:
 def block_bytes_used(n_tuples: int, tuples_per_block: int, block_bytes: int) -> int:
     """Block-granular storage footprint of ``n_tuples``."""
     return n_blocks(n_tuples, tuples_per_block) * block_bytes
-
-
-class BlockView(t.NamedTuple):
-    """A block-sized window onto a batch (zero-copy)."""
-
-    index: int
-    batch: TupleBatch
-    #: True when the block is full (``len(batch) == tuples_per_block``).
-    full: bool
-
-
-def iter_blocks(
-    batch: TupleBatch, tuples_per_block: int
-) -> t.Iterator[BlockView]:
-    """Yield consecutive block-sized views of *batch*.
-
-    The final view may be partial (``full=False``) — it corresponds to
-    the paper's not-yet-full head block.
-    """
-    if tuples_per_block < 1:
-        raise ValueError(f"tuples_per_block must be >= 1: {tuples_per_block}")
-    n = len(batch)
-    for i, start in enumerate(range(0, n, tuples_per_block)):
-        stop = min(start + tuples_per_block, n)
-        yield BlockView(i, batch.slice(start, stop), stop - start == tuples_per_block)

@@ -10,7 +10,7 @@ usual ``yield`` point instead of blocking forever:
   matching send (the peer may be dead, wedged, or its message was
   lost).
 
-``Communicator.recv_expect`` returns markers unchecked (they can arrive
+``Endpoint.recv_expect`` returns markers unchecked (they can arrive
 wherever a message was scheduled); callers on fault-aware paths test
 with :func:`peer_silent`.
 """

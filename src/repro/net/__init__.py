@@ -13,9 +13,9 @@
   wall-clock backends (``thread``, ``process``, ``tcp``), whose sends
   are buffered rather than rendezvous; :mod:`~repro.net.tcp_transport`
   adds the TCP connect handshake.
-* :mod:`~repro.net.comm` — the communicator every node talks through:
-  blocking point-to-point send/recv and typed-expect receives, all the
-  fixed schedule needs.
+* :mod:`~repro.net.comm` — the :class:`~repro.net.comm.Endpoint` both
+  transports hand every node: blocking point-to-point send/recv and
+  typed-expect receives, all the fixed schedule needs.
 
 Rendezvous semantics are the heart of the paper's Section III argument:
 a receive blocks until the sender is scheduled to send (and vice
@@ -23,6 +23,7 @@ versa), which is why the algorithm must follow a fixed communication
 schedule.
 """
 
-from repro.net.sim_transport import SimEndpoint, SimTransport
+from repro.net.comm import Endpoint
+from repro.net.sim_transport import SimTransport
 
-__all__ = ["SimTransport", "SimEndpoint"]
+__all__ = ["SimTransport", "Endpoint"]

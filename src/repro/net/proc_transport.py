@@ -18,9 +18,11 @@ length-prefixed frames::
 Sends and receives are kernel events of the node's
 :class:`~repro.runtime.wall.WallRuntime`: the sockets are non-blocking
 and registered with the runtime's selector, whose loop moves the bytes
-between events.  Semantics, mirrored from
-:class:`~repro.net.sim_transport.SimTransport` so node code behind
-:mod:`repro.net.comm` behaves identically:
+between events.  A node holds the same
+:class:`~repro.net.comm.Endpoint` as on the simulated transport, and
+the semantics are mirrored from
+:class:`~repro.net.sim_transport.SimTransport`, so node code behaves
+identically:
 
 * **FIFO per pair** — kernel stream sockets preserve order; the fixed
   communication schedule needs nothing stronger.
@@ -76,7 +78,7 @@ from selectors import EVENT_READ, EVENT_WRITE
 
 from repro.errors import WireError
 from repro.faults.markers import NodeDown, RecvTimeout
-from repro.net.sim_transport import CommStats
+from repro.net.comm import CommStats, Endpoint, message_bytes
 from repro.net.wire import decode_message, encode_message
 from repro.obs.events import TransportEvent
 from repro.obs.metrics import counter
@@ -273,11 +275,10 @@ class ProcTransport:
     node lives in this process.  *runtime* is the node's
     wall-clocked kernel: its clock stamps the statistics, its events
     are what sends and receives return, and its selector watches the
-    sockets.
+    sockets.  *series_prefix* names the transport in the pair tallies'
+    series: ``proc`` over inherited socketpairs, ``tcp`` over
+    handshaken connections.
     """
-
-    #: First component of the pair-tally metric series names.
-    series_prefix = "proc"
 
     def __init__(
         self,
@@ -286,22 +287,23 @@ class ProcTransport:
         tuple_bytes: int,
         runtime: "WallRuntime",
         tracer: Tracer = NULL_TRACER,
+        series_prefix: str = "proc",
     ) -> None:
         self.node_id = node_id
         self.tuple_bytes = tuple_bytes
         self.runtime = runtime
         self.tracer = tracer
+        #: First component of the pair-tally metric series names.
+        self.series_prefix = series_prefix
         self._channels = {
             peer: _Channel(peer, sock) for peer, sock in peers.items()
         }
 
     # -- wiring --------------------------------------------------------------
-    def endpoint(
-        self, node_id: int, stats: CommStats | None = None
-    ) -> "ProcEndpoint":
+    def endpoint(self, node_id: int, stats: CommStats | None = None) -> Endpoint:
         if node_id != self.node_id:
             raise RuntimeError(f"node {node_id} lives in another process")
-        return ProcEndpoint(self, stats)
+        return Endpoint(self, node_id, stats)
 
     def channel(self, peer: int) -> _Channel:
         chan = self._channels.get(peer)
@@ -357,12 +359,6 @@ class ProcTransport:
             for attr, direction in _TALLIES
         }
 
-    def _message_bytes(self, message: t.Any) -> int:
-        # Stats record the *modeled* 64 B/tuple wire size, like the sim
-        # transport, so per-byte metrics stay comparable.
-        wire = getattr(message, "wire_bytes", None)
-        return 64 if wire is None else int(wire(self.tuple_bytes))
-
     def _trace(
         self, peer: int, message: t.Any, nbytes: int, t: float,
         duration: float, phase: str, seq: int,
@@ -382,18 +378,65 @@ class ProcTransport:
             )
         )
 
-    # -- fencing -------------------------------------------------------------
-    def drain_peer(self, peer: int) -> None:
-        """Fence *peer*: discard its frames in the loop from now on.
+    # -- what an endpoint calls ----------------------------------------------
+    def send(
+        self, src: int, dst: int, message: t.Any, stats: CommStats | None
+    ) -> Event:
+        """Event completing once *message* is written to the socket."""
+        chan = self.channel(dst)
+        event = self.runtime.event(f"send:{src}->{dst}")
+        payload = encode_message(message)
+        send = _Send(
+            event, stats, message,
+            FRAME_HEADER.pack(len(payload)) + payload,
+            self.runtime.now(), chan.send_seq,
+        )
+        chan.send_seq += 1
+        if chan.closed:
+            self._sent(chan, send, NodeDown(dst))
+            return event
+        chan.sends.append(send)
+        self._flush(chan)
+        self._watch(chan)
+        return event
+
+    def recv(
+        self, src: int, dst: int, stats: CommStats | None,
+        timeout: float | None = None,
+    ) -> Event:
+        """Event completing with the next message from *src*.
+
+        With a *timeout* (modeled seconds), resumes with
+        :class:`RecvTimeout` if no frame arrived within it."""
+        chan = self.channel(src)
+        runtime = self.runtime
+        event = runtime.event(f"recv:{src}->{dst}")
+        recv = _Recv(event, stats, runtime.now(), timeout)
+        if chan.draining:
+            # The pair is fenced: this node gave up on the peer.
+            self._received(recv, NodeDown(src))
+            return event
+        chan.recvs.append(recv)
+        self._deliver(chan)
+        if not event.triggered:
+            if timeout is not None:
+                runtime.sleep(timeout).add_callback(
+                    lambda _timer: self._expire(chan, recv)
+                )
+            self._watch(chan)
+        return event
+
+    def drain(self, src: int, dst: int) -> None:
+        """Fence *src*: discard its frames in the loop from now on.
 
         Idempotent.  Keeps a live-but-fenced peer from blocking on a
         full socket buffer (the process analogue of
-        :meth:`SimTransport.drain_pair`'s silently-completing sends).
+        :meth:`SimTransport.drain`'s silently-completing sends).
         """
-        chan = self.channel(peer)
+        chan = self.channel(src)
         chan.draining = True
         while chan.recvs:
-            self._received(chan.recvs.popleft(), NodeDown(peer))
+            self._received(chan.recvs.popleft(), NodeDown(src))
         self._watch(chan)
 
     # -- the loop's side -----------------------------------------------------
@@ -453,7 +496,7 @@ class ProcTransport:
 
     def _sent(self, chan: _Channel, send: _Send, value: NodeDown | None) -> None:
         t1 = self.runtime.now()
-        nbytes = self._message_bytes(send.message)
+        nbytes = message_bytes(send.message, self.tuple_bytes)
         if send.stats is not None:
             send.stats.record_comm(send.t0, t1, nbytes, sent=True)
         self._trace(
@@ -479,7 +522,7 @@ class ProcTransport:
             chan.recv_seq += 1
             recv = chan.recvs.popleft()
             t1 = self._received(recv, message)
-            nbytes = self._message_bytes(message)
+            nbytes = message_bytes(message, self.tuple_bytes)
             if recv.stats is not None:
                 recv.stats.record_comm(t1, t1, nbytes, sent=False)
             self._trace(chan.peer, message, nbytes, t1, t1 - recv.t0, "recv", seq)
@@ -501,67 +544,6 @@ class ProcTransport:
         self._watch(chan)
 
 
-class ProcEndpoint:
-    """The local node's handle on the process transport."""
-
-    __slots__ = ("transport", "node_id", "stats")
-
-    def __init__(
-        self, transport: ProcTransport, stats: CommStats | None
-    ) -> None:
-        self.transport = transport
-        self.node_id = transport.node_id
-        self.stats = stats
-
-    def send(self, dst: int, message: t.Any) -> Event:
-        """Event completing once *message* is written to the socket."""
-        transport = self.transport
-        chan = transport.channel(dst)
-        event = transport.runtime.event(f"send:{self.node_id}->{dst}")
-        payload = encode_message(message)
-        send = _Send(
-            event, self.stats, message,
-            FRAME_HEADER.pack(len(payload)) + payload,
-            transport.runtime.now(), chan.send_seq,
-        )
-        chan.send_seq += 1
-        if chan.closed:
-            transport._sent(chan, send, NodeDown(dst))
-            return event
-        chan.sends.append(send)
-        transport._flush(chan)
-        transport._watch(chan)
-        return event
-
-    def recv(self, src: int, timeout: float | None = None) -> Event:
-        """Event completing with the next message from *src*.
-
-        With a *timeout* (modeled seconds), resumes with
-        :class:`RecvTimeout` if no frame arrived within it."""
-        transport = self.transport
-        chan = transport.channel(src)
-        runtime = transport.runtime
-        event = runtime.event(f"recv:{src}->{self.node_id}")
-        recv = _Recv(event, self.stats, runtime.now(), timeout)
-        if chan.draining:
-            # The pair is fenced: this node gave up on the peer.
-            transport._received(recv, NodeDown(src))
-            return event
-        chan.recvs.append(recv)
-        transport._deliver(chan)
-        if not event.triggered:
-            if timeout is not None:
-                runtime.sleep(timeout).add_callback(
-                    lambda _timer: transport._expire(chan, recv)
-                )
-            transport._watch(chan)
-        return event
-
-    def drain(self, src: int) -> None:
-        """Fence the channel from *src* (see :meth:`ProcTransport.drain_peer`)."""
-        self.transport.drain_peer(src)
-
-
 class LocalMesh:
     """Every node's framed transport inside one OS process (the thread
     backend): one :class:`ProcTransport` per node over a
@@ -580,10 +562,8 @@ class LocalMesh:
             for nid, peers in socketpair_mesh(node_ids).items()
         }
 
-    def endpoint(
-        self, node_id: int, stats: CommStats | None = None
-    ) -> ProcEndpoint:
-        return ProcEndpoint(self._transports[node_id], stats)
+    def endpoint(self, node_id: int, stats: CommStats | None = None) -> Endpoint:
+        return self._transports[node_id].endpoint(node_id, stats)
 
     def kill_node(self, node_id: int) -> None:
         """Fail-stop *node_id* (see :meth:`ProcTransport.kill`)."""

@@ -25,7 +25,7 @@ wired in, the transport additionally models failures:
   transfer by a fixed delay.
 * ``recv`` accepts an optional timeout: if no send matches in time the
   receiver resumes with :class:`~repro.faults.markers.RecvTimeout`.
-* :meth:`SimTransport.drain_pair` fences a suspected-dead sender:
+* :meth:`SimTransport.drain` fences a suspected-dead sender:
   its pending and future sends on the pair complete silently, so a
   *live* slave the master gave up on can never wedge the run with a
   stale rendezvous entry.
@@ -42,6 +42,7 @@ from collections import deque
 
 from repro.config import NetworkConfig
 from repro.faults.markers import NodeDown, RecvTimeout
+from repro.net.comm import CommStats, Endpoint, message_bytes
 from repro.obs.events import TransportEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.simul.events import Event
@@ -49,17 +50,6 @@ from repro.simul.kernel import Simulator
 
 if t.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.faults.injector import FaultInjector
-
-
-class CommStats(t.Protocol):
-    """What the transport records against (duck-typed; implemented by
-    :class:`~repro.core.metrics.CommAccount` and its subclasses)."""
-
-    def record_comm(
-        self, t0: float, t1: float, nbytes: int, sent: bool
-    ) -> None: ...  # pragma: no cover
-
-    def record_idle(self, t0: float, t1: float) -> None: ...  # pragma: no cover
 
 
 class _Pending:
@@ -118,7 +108,7 @@ class SimTransport:
         self._pairs: dict[tuple[int, int], _Pair] = {}
         #: Nodes reaped by :meth:`kill_node`.
         self.dead: set[int] = set()
-        #: Directed pairs fenced by :meth:`drain_pair`.
+        #: Directed pairs fenced by :meth:`drain`.
         self._draining: set[tuple[int, int]] = set()
         #: Total transfers completed (diagnostics).
         self.n_transfers = 0
@@ -126,30 +116,23 @@ class SimTransport:
         #: Messages discarded (drops, dead destinations, drained pairs).
         self.messages_lost = 0
 
-    def endpoint(self, node_id: int, stats: CommStats | None = None) -> "SimEndpoint":
-        return SimEndpoint(self, node_id, stats)
+    def endpoint(self, node_id: int, stats: CommStats | None = None) -> Endpoint:
+        return Endpoint(self, node_id, stats)
 
-    # -- internals -----------------------------------------------------------
-    def _pair(self, src: int, dst: int) -> _Pair:
-        key = (src, dst)
-        pair = self._pairs.get(key)
-        if pair is None:
-            pair = self._pairs[key] = _Pair()
-        return pair
-
-    def _post_send(
+    # -- what an endpoint calls ----------------------------------------------
+    def send(
         self, src: int, dst: int, message: t.Any, stats: CommStats | None
     ) -> Event:
-        extra = 0.0
+        """Awaitable completing when *dst* has received *message*."""
+        dropped, extra = False, 0.0
         if self.faults is not None:
             action = self.faults.send_action(src, dst, self.sim.now)
             if action is not None:
-                kind, seconds = action
-                if kind == "drop":
-                    return self._complete_lost(src, dst, message, stats)
-                extra = seconds
-        if dst in self.dead or (src, dst) in self._draining:
-            return self._complete_lost(src, dst, message, stats)
+                kind, extra = action
+                dropped = kind == "drop"
+        if dropped or dst in self.dead or (src, dst) in self._draining:
+            event = self.sim.event(name=f"send:{src}->{dst}:lost")
+            return self._lose(event, message, stats)
         event = self.sim.event(name=f"send:{src}->{dst}")
         pair = self._pair(src, dst)
         pair.senders.append(
@@ -158,13 +141,18 @@ class SimTransport:
         self._try_match(pair)
         return event
 
-    def _post_recv(
+    def recv(
         self,
         src: int,
         dst: int,
         stats: CommStats | None,
         timeout: float | None = None,
     ) -> Event:
+        """Awaitable completing with the next message from *src*.
+
+        With a *timeout*, resumes with :class:`RecvTimeout` if no send
+        matched within that many simulated seconds.
+        """
         event = self.sim.event(name=f"recv:{src}->{dst}")
         if src in self.dead:
             # The peer is gone and can never send again: resume
@@ -183,6 +171,14 @@ class SimTransport:
             )
         return event
 
+    # -- internals -----------------------------------------------------------
+    def _pair(self, src: int, dst: int) -> _Pair:
+        key = (src, dst)
+        pair = self._pairs.get(key)
+        if pair is None:
+            pair = self._pairs[key] = _Pair()
+        return pair
+
     def _expire_recv(self, pair: _Pair, entry: _Pending, timeout: float) -> None:
         if entry.event.triggered:
             return  # matched (or resolved by kill_node) before the timer
@@ -194,24 +190,30 @@ class SimTransport:
             entry.stats.record_idle(entry.posted_at, self.sim.now)
         entry.event.succeed(RecvTimeout(timeout))
 
-    def _complete_lost(
-        self, src: int, dst: int, message: t.Any, stats: CommStats | None
+    def _lose(
+        self,
+        event: Event,
+        message: t.Any,
+        stats: CommStats | None,
+        idle_since: float | None = None,
     ) -> Event:
         """Complete a send whose message will never be delivered.
 
         The sender still pays the normal transfer time — it cannot know
-        the remote end is gone — but the message is discarded.
+        the remote end is gone — but the message is discarded.  A
+        sender blocked since *idle_since* is charged that wait as idle.
         """
-        event = self.sim.event(name=f"send:{src}->{dst}:lost")
-        nbytes = self._message_bytes(message)
+        now = self.sim.now
+        nbytes = message_bytes(message, self.tuple_bytes)
         duration = self.network.endpoint_overhead(
             nbytes
         ) + self.network.transfer_time(nbytes)
         if stats is not None:
-            stats.record_comm(self.sim.now, self.sim.now + duration, nbytes, sent=True)
+            if idle_since is not None:
+                stats.record_idle(idle_since, now)
+            stats.record_comm(now, now + duration, nbytes, sent=True)
         self.messages_lost += 1
-        event.succeed(None, delay=duration)
-        return event
+        return event.succeed(None, delay=duration)
 
     def _try_match(self, pair: _Pair) -> None:
         while pair.senders and pair.receivers:
@@ -221,7 +223,7 @@ class SimTransport:
 
     def _transfer(self, send: _Pending, recv: _Pending) -> None:
         now = self.sim.now
-        nbytes = self._message_bytes(send.message)
+        nbytes = message_bytes(send.message, self.tuple_bytes)
         duration = (
             self.network.endpoint_overhead(nbytes)
             + self.network.transfer_time(nbytes)
@@ -250,12 +252,6 @@ class SimTransport:
         send.event.succeed(None, delay=duration)
         recv.event.succeed(send.message, delay=duration)
 
-    def _message_bytes(self, message: t.Any) -> int:
-        wire = getattr(message, "wire_bytes", None)
-        if wire is None:
-            return 64
-        return int(wire(self.tuple_bytes))
-
     # -- fault plane ---------------------------------------------------------
     def kill_node(self, node_id: int) -> None:
         """Reap a fail-stop crashed node.
@@ -282,24 +278,12 @@ class SimTransport:
                 # Senders here are live nodes sending to the dead one.
                 for entry in pair.senders:
                     if not entry.event.triggered:
-                        nbytes = self._message_bytes(entry.message)
-                        duration = self.network.endpoint_overhead(
-                            nbytes
-                        ) + self.network.transfer_time(nbytes)
-                        if entry.stats is not None:
-                            entry.stats.record_comm(
-                                self.sim.now,
-                                self.sim.now + duration,
-                                nbytes,
-                                sent=True,
-                            )
-                        self.messages_lost += 1
-                        entry.event.succeed(None, delay=duration)
+                        self._lose(entry.event, entry.message, entry.stats)
                 pair.senders.clear()
                 # Receivers here were posted by the dead node: discard.
                 pair.receivers.clear()
 
-    def drain_pair(self, src: int, dst: int) -> None:
+    def drain(self, src: int, dst: int) -> None:
         """Fence *src*'s channel towards *dst*.
 
         Used by the master after declaring a slave dead on timeout: if
@@ -313,17 +297,7 @@ class SimTransport:
             return
         for entry in pair.senders:
             if not entry.event.triggered:
-                nbytes = self._message_bytes(entry.message)
-                duration = self.network.endpoint_overhead(
-                    nbytes
-                ) + self.network.transfer_time(nbytes)
-                if entry.stats is not None:
-                    entry.stats.record_idle(entry.posted_at, self.sim.now)
-                    entry.stats.record_comm(
-                        self.sim.now, self.sim.now + duration, nbytes, sent=True
-                    )
-                self.messages_lost += 1
-                entry.event.succeed(None, delay=duration)
+                self._lose(entry.event, entry.message, entry.stats, entry.posted_at)
         pair.senders.clear()
 
     def pending_summary(self) -> list[str]:
@@ -350,31 +324,3 @@ class SimTransport:
                 out.append(f"{src}->{dst}: {recvs} pending recv")
         return out
 
-
-class SimEndpoint:
-    """One node's handle on the transport."""
-
-    __slots__ = ("transport", "node_id", "stats")
-
-    def __init__(
-        self, transport: SimTransport, node_id: int, stats: CommStats | None
-    ) -> None:
-        self.transport = transport
-        self.node_id = node_id
-        self.stats = stats
-
-    def send(self, dst: int, message: t.Any) -> Event:
-        """Awaitable completing when *dst* has received *message*."""
-        return self.transport._post_send(self.node_id, dst, message, self.stats)
-
-    def recv(self, src: int, timeout: float | None = None) -> Event:
-        """Awaitable completing with the next message from *src*.
-
-        With a *timeout*, resumes with :class:`RecvTimeout` if no send
-        matched within that many simulated seconds.
-        """
-        return self.transport._post_recv(src, self.node_id, self.stats, timeout)
-
-    def drain(self, src: int) -> None:
-        """Fence the channel from *src* to this node (see transport)."""
-        self.transport.drain_pair(src, self.node_id)

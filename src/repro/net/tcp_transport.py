@@ -2,9 +2,10 @@
 
 Once connected, a TCP pair is driven by exactly the code that drives an
 inherited socketpair — :class:`~repro.net.proc_transport.ProcTransport`
-and its endpoint (framing, FIFO, EOF → ``NodeDown``, dead-peer send →
-``NodeDown``, drain fencing, per-pair tallies).  This module only covers
-the part a ``fork`` gives the process backend for free:
+(framing, FIFO, EOF → ``NodeDown``, dead-peer send → ``NodeDown``,
+drain fencing, per-pair tallies), whose tallies a tcp node names with
+the ``tcp`` series prefix.  This module only covers the part a ``fork``
+gives the process backend for free:
 
 * **an explicit connect handshake** — every connection opens with a
   fixed :data:`HELLO` struct carrying the wire ``MAGIC``, the
@@ -30,7 +31,6 @@ import time
 import numpy as np
 
 from repro.errors import ConnectError, WireError
-from repro.net.proc_transport import ProcTransport
 from repro.net.wire import MAGIC, WIRE_VERSION
 
 #: Connect handshake: magic, wire version, connection kind, node id.
@@ -186,11 +186,3 @@ def connect_with_retry(
         f"{attempts} attempts: {last_error}"
     )
 
-
-# -- transport ---------------------------------------------------------------
-class TcpTransport(ProcTransport):
-    """The framed transport under its TCP name: the pair tallies appear
-    as ``tcp.*`` series.  Sockets in ``peers`` are already handshaken;
-    from there a TCP connection is just another stream socket."""
-
-    series_prefix = "tcp"

@@ -202,14 +202,16 @@ class PipeExporter(Exporter):
 def run_node(
     control: ControlConn,
     connect: t.Callable[[], tuple[NodeJob, dict[int, socket.socket]]],
-    transport_cls: type[ProcTransport] = ProcTransport,
+    series_prefix: str,
 ) -> None:
     """Run one cluster node to completion, reporting over *control*.
 
     *connect* is the backend's connector: it yields the node's job and
     its established peer sockets (peer node id -> stream socket).
-    Whatever fails — the connector included — ships to the launcher as
-    ``("error", exception, traceback)``.
+    *series_prefix* names the transport in the node's pair-tally series
+    (:class:`~repro.net.proc_transport.ProcTransport`).  Whatever fails
+    — the connector included — ships to the launcher as ``("error",
+    exception, traceback)``.
     """
     transport = None
     tracer = NULL_TRACER
@@ -224,12 +226,13 @@ def run_node(
             if cfg.obs.tracing
             else NULL_TRACER
         )
-        transport = transport_cls(
+        transport = ProcTransport(
             node_id,
             peers,
             cfg.tuple_bytes,
             runtime,
             tracer=tracer if cfg.obs.trace_transport else NULL_TRACER,
+            series_prefix=series_prefix,
         )
         injector = build_injector(cfg, tracer)
         # This process builds its own node only, so its sampler reads
@@ -302,7 +305,7 @@ def _forked_node(
         launcher_end.close()
         if nid != node_id:
             node_end.close()
-    run_node(ControlConn(ctl[node_id][1]), lambda: (job, mesh[node_id]))
+    run_node(ControlConn(ctl[node_id][1]), lambda: (job, mesh[node_id]), "proc")
 
 
 class ProcessBackend:

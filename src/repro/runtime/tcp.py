@@ -24,7 +24,9 @@ Topology:
   accepts from every lesser id, validating each handshake.  A peer
   connection arriving before the worker knows its own node id is
   stashed and answered once the job assigns it.
-* From there on it is :func:`~repro.runtime.process.run_node`.  Locally
+* From there on it is :func:`~repro.runtime.process.run_node`, whose
+  :class:`~repro.net.proc_transport.ProcTransport` names its pair
+  tallies ``tcp.*`` instead of ``proc.*``.  Locally
   forked workers share the launcher's ``time.monotonic()`` origin (the
   moment the last node reported ready); a remote worker anchors
   ``t=0`` at its own receipt of the start barrier (skew is bounded by
@@ -55,7 +57,6 @@ from repro.net.tcp_transport import (
     HANDSHAKE_TIMEOUT,
     KIND_CONTROL,
     KIND_PEER,
-    TcpTransport,
     connect_with_retry,
     read_hello,
     send_hello,
@@ -194,7 +195,7 @@ def _serve_node(listen_sock: socket.socket) -> None:
             job.node_id, job.cfg, addresses, listen_sock, stash
         )
 
-    run_node(control, connect, TcpTransport)
+    run_node(control, connect, "tcp")
 
 
 def serve_worker(host: str, port: int) -> int:

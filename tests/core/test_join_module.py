@@ -459,6 +459,47 @@ class TestOneStore:
         assert np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], expected)
 
 
+
+class TestNWayPlan:
+    def test_no_n_way_retire_reads_the_store(self, monkeypatch):
+        """A three-stream pass finds its composites as it is planned, as
+        a two-stream one finds its pairs: retiring a probe unit reads no
+        run of the store."""
+        geometry = JoinGeometry(
+            tuples_per_block=4,
+            block_bytes=256,
+            theta_bytes=768,
+            window_seconds=3.0,
+            fine_tuning=True,
+            tuple_bytes=64,
+            n_streams=3,
+        )
+        module, metrics = make_module(geometry, npart=2, collect_pairs=True)
+        wl = TwoStreamWorkload.poisson_bmodel(
+            RngRegistry(11), 30.0, 0.7, 40, n_streams=3
+        )
+        reads, probing = [], [False]
+        real_sorted_run = WindowStore.sorted_run
+
+        def sorted_run(store, sid):
+            if probing[0]:
+                reads.append(sid)
+            return real_sorted_run(store, sid)
+
+        monkeypatch.setattr(WindowStore, "sorted_run", sorted_run)
+        for epoch in range(6):
+            t0, t1 = float(epoch), float(epoch + 1)
+            module.enqueue(Shipment(epoch, t0, t1, wl.generate(t0, t1)))
+            while module.has_work:
+                for step in module.steps():
+                    for i in range(len(step.costs)):
+                        probing[0] = step.kind == "probe"
+                        step.retire(i, i + 1, np.array([t1]))
+                        probing[0] = False
+        assert metrics.outputs_emitted > 0
+        assert reads == []
+
+
 class TestConcurrentFiling:
     """The comm process files shipments between the steps of the join
     process's pass (every backend: both run on the node's one kernel):

@@ -1,10 +1,8 @@
-"""Block arithmetic and block-view iteration."""
+"""Block arithmetic."""
 
-import numpy as np
 import pytest
 
-from repro.data.blocks import block_bytes_used, iter_blocks, n_blocks
-from repro.data.tuples import TupleBatch
+from repro.data.blocks import block_bytes_used, n_blocks
 
 
 class TestBlockMath:
@@ -23,28 +21,3 @@ class TestBlockMath:
         # 65 tuples of 64 B in 4 KB blocks -> 2 blocks -> 8 KB.
         assert block_bytes_used(65, 64, 4096) == 8192
 
-
-class TestIterBlocks:
-    def test_partial_tail_block(self):
-        batch = TupleBatch.build(ts=np.arange(10.0), key=np.arange(10))
-        views = list(iter_blocks(batch, 4))
-        assert [len(v.batch) for v in views] == [4, 4, 2]
-        assert [v.full for v in views] == [True, True, False]
-        assert [v.index for v in views] == [0, 1, 2]
-
-    def test_exact_blocks_all_full(self):
-        batch = TupleBatch.build(ts=np.arange(8.0), key=np.arange(8))
-        views = list(iter_blocks(batch, 4))
-        assert [v.full for v in views] == [True, True]
-
-    def test_empty_batch(self):
-        assert list(iter_blocks(TupleBatch.empty(), 4)) == []
-
-    def test_invalid_block_size(self):
-        with pytest.raises(ValueError):
-            list(iter_blocks(TupleBatch.empty(), 0))
-
-    def test_views_are_zero_copy(self):
-        batch = TupleBatch.build(ts=np.arange(8.0), key=np.arange(8))
-        first = next(iter_blocks(batch, 4))
-        assert first.batch.ts.base is batch.ts

@@ -17,7 +17,6 @@ from repro.errors import DeadlockError, ProtocolError
 from repro.faults.injector import FaultInjector
 from repro.faults.markers import NodeDown, RecvTimeout, peer_silent
 from repro.faults.plan import FaultPlan
-from repro.net.comm import Communicator
 from repro.net.sim_transport import SimTransport
 from repro.simul.kernel import Simulator
 
@@ -37,7 +36,7 @@ def make_injector(specs):
 class TestRecvTimeout:
     def test_silent_peer_resumes_with_marker(self):
         sim = Simulator()
-        comm = Communicator(make_transport(sim).endpoint(1))
+        comm = make_transport(sim).endpoint(1)
         got = []
 
         def waiter():
@@ -52,8 +51,8 @@ class TestRecvTimeout:
     def test_matched_message_beats_the_timer(self):
         sim = Simulator()
         transport = make_transport(sim)
-        master = Communicator(transport.endpoint(0))
-        slave = Communicator(transport.endpoint(1))
+        master = transport.endpoint(0)
+        slave = transport.endpoint(1)
         got = []
 
         def sender():
@@ -74,8 +73,8 @@ class TestRecvTimeout:
         sim = Simulator()
         injector = make_injector(["delay:0->1@1+2s"])
         transport = make_transport(sim, faults=injector)
-        master = Communicator(transport.endpoint(0))
-        slave = Communicator(transport.endpoint(1))
+        master = transport.endpoint(0)
+        slave = transport.endpoint(1)
         got = []
 
         def sender():
@@ -97,7 +96,7 @@ class TestCrashReaping:
     def test_recv_from_dead_node_is_immediate(self):
         sim = Simulator()
         transport = make_transport(sim)
-        comm = Communicator(transport.endpoint(1))
+        comm = transport.endpoint(1)
         transport.kill_node(0)
         got = []
 
@@ -112,7 +111,7 @@ class TestCrashReaping:
     def test_kill_wakes_blocked_receiver(self):
         sim = Simulator()
         transport = make_transport(sim)
-        comm = Communicator(transport.endpoint(1))
+        comm = transport.endpoint(1)
         got = []
 
         def waiter():
@@ -133,7 +132,7 @@ class TestCrashReaping:
         end is gone; it pays the transfer time, the message vanishes."""
         sim = Simulator()
         transport = make_transport(sim)
-        comm = Communicator(transport.endpoint(0))
+        comm = transport.endpoint(0)
         transport.kill_node(1)
         done = []
 
@@ -152,8 +151,8 @@ class TestMessageFaults:
         sim = Simulator()
         injector = make_injector(["drop:0->1@2"])
         transport = make_transport(sim, faults=injector)
-        master = Communicator(transport.endpoint(0))
-        slave = Communicator(transport.endpoint(1))
+        master = transport.endpoint(0)
+        slave = transport.endpoint(1)
         got = []
 
         def sender():
@@ -173,11 +172,11 @@ class TestMessageFaults:
         assert [r["action"] for r in injector.injected] == ["drop"]
 
     def test_fence_releases_stale_sender(self):
-        """drain_pair: a sender the master gave up on completes
+        """drain: a sender the master gave up on completes
         silently instead of wedging the rendezvous channel."""
         sim = Simulator()
         transport = make_transport(sim)
-        comm = Communicator(transport.endpoint(0))
+        comm = transport.endpoint(0)
         done = []
 
         def stale():
@@ -188,7 +187,7 @@ class TestMessageFaults:
 
         def fencer():
             yield sim.timeout(1.0)
-            transport.drain_pair(0, 1)
+            transport.drain(0, 1)
 
         sim.process(stale())
         sim.process(fencer())
@@ -222,8 +221,8 @@ class TestSharpenedDiagnostics:
     def test_protocol_error_names_node_peer_and_types(self):
         sim = Simulator()
         transport = make_transport(sim)
-        master = Communicator(transport.endpoint(0))
-        slave = Communicator(transport.endpoint(1))
+        master = transport.endpoint(0)
+        slave = transport.endpoint(1)
 
         def master_proc():
             yield master.send(1, Shipment(0, 0.0, 2.0, TupleBatch.empty()))
@@ -243,8 +242,8 @@ class TestSharpenedDiagnostics:
     def test_pending_summary_names_endpoints(self):
         sim = Simulator()
         transport = make_transport(sim)
-        comm0 = Communicator(transport.endpoint(0))
-        comm1 = Communicator(transport.endpoint(1))
+        comm0 = transport.endpoint(0)
+        comm1 = transport.endpoint(1)
 
         def lonely_send():
             yield comm0.send(3, SlaveSync(0, None))

@@ -450,7 +450,7 @@ class TestProcessFaults:
         victim = slave_node_id(1)
         real_run_node = process.run_node
 
-        def run_node(control, connect, transport_cls=process.ProcTransport):
+        def run_node(control, connect, series_prefix):
             def connect_muted():
                 job, peers = connect()
                 if job.node_id == victim:
@@ -460,7 +460,7 @@ class TestProcessFaults:
                     )
                 return job, peers
 
-            real_run_node(control, connect_muted, transport_cls)
+            real_run_node(control, connect_muted, series_prefix)
 
         # Patched before the fork: the children inherit it.
         monkeypatch.setattr(process, "run_node", run_node)

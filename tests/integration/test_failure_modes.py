@@ -7,7 +7,6 @@ from repro import JoinSystem, SystemConfig
 from repro.core.protocol import Halt, ReorgOrder, Shipment, SlaveSync
 from repro.data.tuples import TupleBatch
 from repro.errors import DeadlockError, ProtocolError
-from repro.net.comm import Communicator
 from repro.net.sim_transport import SimTransport
 from repro.simul.kernel import Simulator
 from repro.workload.traces import TraceReplayer
@@ -21,8 +20,8 @@ class TestProtocolViolations:
         transport = SimTransport(
             sim, SystemConfig.paper_defaults().network, 64
         )
-        master = Communicator(transport.endpoint(0))
-        slave = Communicator(transport.endpoint(1))
+        master = transport.endpoint(0)
+        slave = transport.endpoint(1)
 
         def master_proc(sim):
             yield master.send(1, Shipment(0, 0.0, 2.0, TupleBatch.empty()))
@@ -42,7 +41,7 @@ class TestProtocolViolations:
         transport = SimTransport(
             sim, SystemConfig.paper_defaults().network, 64
         )
-        comm = Communicator(transport.endpoint(0))
+        comm = transport.endpoint(0)
 
         def lonely(sim):
             yield comm.send(1, SlaveSync(0, None))

@@ -40,8 +40,8 @@ And two reach paths none of the others do:
 * ``moves_spill`` — one slave ten times slower than the other, on the
   paper's cost model and with a memory limit: fault-free partition
   moves, and probes costed one unit at a time while state spills;
-* ``three_streams`` — a three-way join, whose composite flushes probe
-  and commit one head block at a time.
+* ``three_streams`` — a three-way join, whose composite prober runs
+  the pass's six probes, one per kind of head block.
 
 Regenerate only for a change that is *meant* to move a number, and say
 so where the change is recorded::

@@ -1,11 +1,16 @@
-"""The MPI-like communicator layer."""
+"""The MPI-like endpoint layer."""
+
+import socket
 
 import pytest
 
 from repro.config import NetworkConfig
+from repro.core.protocol import Halt, Shipment
 from repro.errors import ProtocolError
-from repro.net.comm import Communicator
+from repro.net.comm import Endpoint
+from repro.net.proc_transport import LocalMesh, ProcTransport
 from repro.net.sim_transport import SimTransport
+from repro.runtime.wall import WallRuntime
 from repro.simul.kernel import Simulator
 
 
@@ -13,7 +18,7 @@ from repro.simul.kernel import Simulator
 def cluster():
     sim = Simulator()
     transport = SimTransport(sim, NetworkConfig(), tuple_bytes=64)
-    comms = {i: Communicator(transport.endpoint(i)) for i in range(4)}
+    comms = {i: transport.endpoint(i) for i in range(4)}
     return sim, comms
 
 
@@ -47,3 +52,48 @@ class TestPointToPoint:
         p = sim.process(receiver(sim))
         with pytest.raises(ProtocolError, match="expected str"):
             sim.run(until=p)
+
+
+
+class TestOneEndpoint:
+    def test_every_transport_hands_out_the_one_endpoint(self):
+        """Sim, socketpair and in-process mesh nodes all hold the same
+        class, whose typed receive fails alike on either transport."""
+        sim = Simulator()
+        sim_net = SimTransport(sim, NetworkConfig(), tuple_bytes=64)
+        rt = WallRuntime()
+        a, b = socket.socketpair()
+        wall = ProcTransport(0, {1: a}, 64, rt), ProcTransport(1, {0: b}, 64, rt)
+        mesh = LocalMesh([0, 1], 64, rt)
+        pairs = {
+            "sim": (sim_net.endpoint(0), sim_net.endpoint(1)),
+            "socketpair": (wall[0].endpoint(0), wall[1].endpoint(1)),
+        }
+        errors = {}
+        try:
+            held = [*pairs["sim"], *pairs["socketpair"], mesh.endpoint(0)]
+            assert {type(end) for end in held} == {Endpoint}
+            for name, (tx, rx) in pairs.items():
+
+                def send():
+                    yield tx.send(1, Halt(3))
+
+                def receive():
+                    yield from rx.recv_expect(0, Shipment)
+
+                with pytest.raises(ProtocolError) as caught:
+                    if name == "sim":
+                        sim.process(send())
+                        sim.process(receive())
+                        sim.run(None)
+                    else:
+                        rt.spawn(send())
+                        rt.spawn(receive())
+                        rt.run(30.0)
+                errors[name] = str(caught.value)
+        finally:
+            mesh.close()
+            for transport in wall:
+                transport.close()
+        assert errors["sim"] == errors["socketpair"]
+        assert "expected Shipment from peer 0, got Halt" in errors["sim"]

@@ -25,9 +25,9 @@ from repro.net.proc_transport import (
     FRAME_HEADER,
     MAX_FRAME_BYTES,
     FrameReader,
+    ProcTransport,
     write_frame,
 )
-from repro.net.tcp_transport import TcpTransport
 from repro.runtime.wall import WallRuntime
 from repro.net.wire import MAGIC, WIRE_VERSION, decode_message, encode_message
 
@@ -148,7 +148,9 @@ class TestFrameReaderFuzz:
 class TestTcpReceivePathFuzz:
     def _pair(self):
         sa, sb = socket.socketpair()
-        transport = TcpTransport(2, {0: sb}, 64, WallRuntime())
+        transport = ProcTransport(
+            2, {0: sb}, 64, WallRuntime(), series_prefix="tcp"
+        )
         return sa, transport
 
     @staticmethod

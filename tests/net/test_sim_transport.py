@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import NetworkConfig
 from repro.core.metrics import MeasurementWindow, SlaveMetrics
+from repro.net.comm import message_bytes
 from repro.net.sim_transport import SimTransport
 from repro.simul.kernel import Simulator
 
@@ -154,4 +155,4 @@ class TestAccounting:
 
     def test_default_size_for_unknown_messages(self, net):
         sim, transport = net
-        assert transport._message_bytes(object()) == 64
+        assert message_bytes(object(), transport.tuple_bytes) == 64

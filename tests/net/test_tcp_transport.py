@@ -17,13 +17,17 @@ import pytest
 from repro.core.protocol import Halt, MoveAck
 from repro.errors import ConnectError, WireError
 from repro.faults.markers import NodeDown
-from repro.net.proc_transport import FRAME_HEADER, FrameReader, write_frame
+from repro.net.proc_transport import (
+    FRAME_HEADER,
+    FrameReader,
+    ProcTransport,
+    write_frame,
+)
 from repro.net.tcp_transport import (
     BACKOFF_CAP_S,
     HELLO,
     KIND_CONTROL,
     KIND_PEER,
-    TcpTransport,
     backoff_schedule,
     connect_with_retry,
     read_hello,
@@ -37,8 +41,8 @@ from repro.simul.rng import RngRegistry
 def make_pair(a=0, b=2, tuple_bytes=64):
     rt = WallRuntime()
     sa, sb = socket.socketpair()
-    ta = TcpTransport(a, {b: sa}, tuple_bytes, rt)
-    tb = TcpTransport(b, {a: sb}, tuple_bytes, rt)
+    ta = ProcTransport(a, {b: sa}, tuple_bytes, rt, series_prefix="tcp")
+    tb = ProcTransport(b, {a: sb}, tuple_bytes, rt, series_prefix="tcp")
     return ta, tb
 
 
