@@ -135,6 +135,26 @@ def small_int_order(
     return np.argsort(labels, kind="stable")
 
 
+def run_key_order(rkey: HashArray) -> npt.NDArray[np.intp]:
+    """A stable argsort of run keys without numpy's stable sort of
+    64-bit integers (a timsort, three to five times slower than its
+    default sort on a block of a few thousand): the default sort, then
+    each run of equal keys put back in line order by a stable sort of
+    the tied keys alone.  ``g`` is a bijection, so only keys that repeat
+    in the block tie, and their subset is short."""
+    order = np.argsort(rkey)
+    ordered = rkey[order]
+    tied = ordered[1:] == ordered[:-1]
+    if tied.any():
+        in_tie = np.zeros(len(order), dtype=np.bool_)
+        in_tie[1:] = tied
+        in_tie[:-1] |= tied
+        at = np.flatnonzero(in_tie)
+        rows = np.sort(order[at])
+        order[at] = rows[np.argsort(rkey[rows], kind="stable")]
+    return order
+
+
 def split_by(
     labels: npt.NDArray[np.integer[t.Any]], bound: int
 ) -> t.Iterator[tuple[int, npt.NDArray[np.intp]]]:

@@ -51,10 +51,18 @@ import numpy.typing as npt
 
 from repro.core.costmodel import CostModel
 from repro.core.exthash import Bucket
-from repro.core.hashing import partition_of, run_key, small_int_order, split_by
+from repro.core.hashing import (
+    partition_of,
+    run_key,
+    run_key_order,
+    small_int_order,
+    split_by,
+)
 from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
+    Block,
     CountTable,
+    Indexes,
     JoinGeometry,
     PartitionGroup,
     PartitionGroupState,
@@ -68,14 +76,10 @@ from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, IntArray, Retire, Step
 from repro.data.blocks import n_blocks
-from repro.data.tuples import SeqArray, TsArray, TupleBatch
+from repro.data.tuples import TsArray, TupleBatch
 from repro.errors import ProtocolError
 from repro.obs.events import DirectoryEvent, MergeEvent, SplitEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-
-#: Head blocks' tuples: ``(run key, ts, seq, pid)`` columns.
-_Blocks = tuple[npt.NDArray[np.uint64], TsArray, SeqArray, IntArray]
 
 
 class _Rows(t.NamedTuple):
@@ -446,13 +450,17 @@ class _Pass:
 
     The matches are computed at once, after the expiry: each kind of
     block — full ones of stream 0, 1, ..., then partial ones of stream
-    0, 1, ..., of every group — is sorted by run key, probes the other
-    streams' runs of the store and is committed to its own, and the
-    rows are scattered into unit order.  Groups and mini-groups are
-    disjoint in key space, so a block finds what a probe of its own
-    mini-group would; inside a mini-group units run in kind order, so
-    each unit finds what it would probing at its own retire.  Two
-    streams probe pairwise, more probe for composites.
+    0, 1, ..., of every group — is sorted by run key and probes the
+    other streams' runs of the store, and the rows are scattered into
+    unit order.  A stream's run takes its full and partial blocks in one
+    splice once its full ones have probed; the probes between that
+    splice and its partial kind's turn leave the partial rows out, so
+    each kind finds what it would had every kind before it, and none
+    after, been committed.  Groups and mini-groups are disjoint in key
+    space, so a block finds what a probe of its own mini-group would;
+    inside a mini-group units run in kind order, so each unit finds
+    what it would probing at its own retire.  Two streams probe
+    pairwise, more probe for composites.
 
     The store is thus *ahead* of the windows an observer sees, the
     groups' tables, which every retire moves: a unit's block is full —
@@ -482,8 +490,8 @@ class _Pass:
         blocks, fill, holding = (np.zeros_like(self.arrived) for _ in range(3))
         #: Per stream the tuples of its full blocks, then per stream
         #: those of its partial blocks, mini-group by mini-group.
-        self.blocks: list[_Blocks] = []
-        partial: list[_Blocks] = []
+        self.blocks: list[Block] = []
+        partial: list[Block] = []
         for sid in range(n_streams):
             mine = batch.stream == sid
             rkey = run_key(batch.key[mine])
@@ -612,25 +620,39 @@ class _Pass:
         self.totals = group_bytes(geometry, self.first, self.start)
 
     def _join(self) -> _Rows:
-        """The matches of every unit, one probe per kind of block."""
+        """The matches of every unit, one probe per kind of block and
+        one splice per stream (see the class)."""
         module, store = self.module, self.module.store
         n_streams = module.geometry.n_streams
+        # One sort serves both: the probe searches the run with
+        # ascending keys and the run takes the blocks as they are.
+        orders = [run_key_order(block[0]) for block in self.blocks]
+        # Per stream, where its partial rows are in its run (None: not
+        # spliced yet, so not in it).
+        partial_at: list[Indexes | None] = [None] * n_streams
         results: list[_Rows | None] = []
-        for k, (rkey, ts, seq, pid) in enumerate(self.blocks):
+        for k, (rkey, ts, seq, _pid) in enumerate(self.blocks):
+            sid = k % n_streams
+            # Stream o's partial kind is kind n + o: kind k runs before it.
+            hidden = [at if n_streams + o > k else None for o, at in enumerate(partial_at)]
             if not len(rkey):
                 results.append(None)
-                continue
-            # One sort serves both: the probe searches the run with
-            # ascending keys and the run takes the blocks as they are.
-            order = np.argsort(rkey, kind="stable")
-            sid = k % n_streams
-            if n_streams == 2:
-                got = store.probe(1 - sid, ts, rkey, seq, module.collect_pairs, order)
+            elif n_streams == 2:
+                got = store.probe(
+                    1 - sid, ts, rkey, seq, module.collect_pairs, orders[k], hidden[1 - sid]
+                )
                 results.append(_Rows(got.newer_ts, _oriented(got, sid), got.offsets))
             else:
-                found = store.probe_composites(sid, ts, rkey, seq, module.collect_pairs)
+                found = store.probe_composites(
+                    sid, ts, rkey, seq, module.collect_pairs, hidden
+                )
                 results.append(_Rows(found.newest_ts, found.members, found.offsets))
-            store.commit(sid, rkey[order], ts[order], seq[order], pid[order])
+            if k < n_streams:
+                full, partial = (
+                    t.cast(Block, tuple(col[orders[j]] for col in self.blocks[j]))
+                    for j in (k, k + n_streams)
+                )
+                partial_at[sid] = store.splice(sid, full, partial)
         per_unit = np.zeros(len(self.src), dtype=np.intp)
         placed = []
         for k, result in enumerate(results):

@@ -27,7 +27,7 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.probe import key_ranges
+from repro.core.probe import candidates
 from repro.data.tuples import SeqArray, TsArray, TupleBatch
 
 #: Per other stream: ``(stream id, sort keys, ts, seq)``, ordered by the
@@ -68,6 +68,7 @@ def probe_composites(
     others: Others,
     windows_by_stream: t.Mapping[int, float],
     collect_members: bool = False,
+    hidden: t.Sequence[npt.NDArray[np.intp] | None] | None = None,
 ) -> CompositeResult:
     """Find all composites completed by the *probe* tuples.
 
@@ -76,7 +77,9 @@ def probe_composites(
     stream sorted by a key that is equal exactly when join keys are
     (a partition-group's run key, :func:`repro.core.hashing.run_key`),
     which *probe_key* gives for the probe tuples.  ``windows_by_stream[k]``
-    is ``Wk``.
+    is ``Wk``.  ``hidden``, aligned with ``others``, gives per stream the
+    ascending positions of rows that take no part (None: none), as
+    :func:`~repro.core.probe.probe_sorted`'s ``hidden`` does.
     """
     offsets = np.zeros(len(probe_ts) + 1, dtype=np.intp)
     if len(probe_ts) == 0 or any(len(o[1]) == 0 for o in others):
@@ -86,33 +89,32 @@ def probe_composites(
             offsets,
         )
 
-    ranges = [
-        key_ranges(sorted_key, probe_key)
-        for (_sid, sorted_key, _ts, _seq) in others
+    # Per other stream, each probe tuple's candidates: ``(positions,
+    # ends)``, tuple i's at ``positions[ends[i] : ends[i + 1]]``.
+    cands = [
+        candidates(o[1], probe_key, hidden=None if hidden is None else hidden[j])
+        for j, o in enumerate(others)
     ]
+    sizes = np.stack([np.diff(ends) for _pos, ends in cands])
 
     total = 0
     newest_parts: list[TsArray] = []
     member_rows: list[npt.NDArray[np.int64]] = []
     n_members = 1 + len(others)
 
-    for i in range(len(probe_ts)):
-        counts = [int(hi[i] - lo[i]) for lo, hi in ranges]
+    for i in np.flatnonzero(sizes.all(axis=0)).tolist():
         combos = 1
-        for c in counts:
+        for c in sizes[:, i].tolist():
             combos *= c
-        if combos == 0:
-            continue
         if combos > MAX_COMBOS_PER_TUPLE:
             raise OverflowError(
                 f"composite explosion: {combos} candidate combinations "
                 f"for one probe tuple (cap {MAX_COMBOS_PER_TUPLE}); "
                 "reduce key skew or window sizes"
             )
-        # Per-stream candidate slices for this probe tuple.
-        cand_ts = [
-            o[2][lo[i] : hi[i]] for o, (lo, hi) in zip(others, ranges)
-        ]
+        # Per-stream candidate rows for this probe tuple.
+        rows_at = [pos[ends[i] : ends[i + 1]] for pos, ends in cands]
+        cand_ts = [o[2][at] for o, at in zip(others, rows_at)]
         # Cartesian product of timestamps via broadcasting.
         grids = np.meshgrid(*cand_ts, indexing="ij") if cand_ts else []
         stack = np.stack([g.ravel() for g in grids], axis=0)
@@ -128,10 +130,7 @@ def probe_composites(
         newest_parts.append(t_star[valid])
         if collect_members:
             seq_grids = np.meshgrid(
-                *[
-                    t.cast(SeqArray, o[3])[lo[i] : hi[i]]
-                    for o, (lo, hi) in zip(others, ranges)
-                ],
+                *[t.cast(SeqArray, o[3])[at] for o, at in zip(others, rows_at)],
                 indexing="ij",
             )
             seq_stack = np.stack([g.ravel() for g in seq_grids], axis=0)

@@ -61,6 +61,9 @@ from repro.data.tuples import (
 #: One stream's tuples as ``(run key, ts, seq)`` columns (in a store's
 #: runs, ``seq`` is the packed seq and pid).
 Columns = tuple[HashArray, TsArray, SeqArray]
+#: Tuples of any of a store's groups as ``(run key, ts, seq, pid)``
+#: columns.
+Block = tuple[HashArray, TsArray, SeqArray, npt.NDArray[np.integer[t.Any]]]
 #: Per mini-group (directory bucket order) and stream, a tuple count.
 CountTable = npt.NDArray[np.int64]
 Indexes = npt.NDArray[np.intp]
@@ -211,7 +214,13 @@ def gather_tables(groups: t.Sequence[PartitionGroup]) -> tuple[CountTable, Count
 
 
 class WindowStore:
-    """The committed tuples of every partition-group of one slave."""
+    """The committed tuples of every partition-group of one slave.
+
+    A join pass puts each stream's blocks into its run with one
+    :meth:`splice`, which copies the run once and says where the new
+    rows are; :meth:`commit` holds other tuples (installed state, a
+    baseline's units) in a pending block that the next read merges in.
+    """
 
     def __init__(self, geometry: JoinGeometry, npart: int) -> None:
         self.geometry = geometry
@@ -223,7 +232,8 @@ class WindowStore:
         n = geometry.n_streams
         #: Per stream, the committed rows in run-key order ...
         self._runs: list[Columns] = [_NO_COLUMNS] * n
-        #: ... those not spliced in yet, as one run-key-ordered block ...
+        #: ... those committed and not merged in yet, as one
+        #: run-key-ordered block ...
         self._pending: list[Columns] = [_NO_COLUMNS] * n
         #: ... and the oldest timestamp of either (``inf``: none), so
         #: that an expiry that drops nothing reads nothing.
@@ -238,20 +248,45 @@ class WindowStore:
         pid: int | npt.NDArray[np.integer[t.Any]],
     ) -> None:
         """Add tuples of groups *pid* to stream *sid*'s run (whoever
-        commits them moves their groups' tables).  Blocks the join module
-        sorted to probe with come in run-key order; others (installed
-        state) are stable-sorted here.  They wait, merged after earlier
-        commits of their keys, for :meth:`sorted_run`.
+        commits them moves their groups' tables): installed state, a
+        baseline's unit.  Unsorted blocks are stable-sorted here.  They
+        wait, merged after earlier commits of their keys, for
+        :meth:`sorted_run`, so that a run of commits copies the run once.
         The arrays are kept: they must not be views of changing storage.
         """
         if not len(ts):
             return
-        new: Columns = (rkey, ts, (seq << self.pid_bits) | pid)
+        new = self._packed(rkey, ts, seq, pid)
         if (rkey[1:] < rkey[:-1]).any():
             order = np.argsort(rkey, kind="stable")
             new = (rkey[order], ts[order], new[2][order])
-        self._pending[sid] = _merged(self._pending[sid], new)
+        self._pending[sid] = _merged(self._pending[sid], new)[0]
         self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
+
+    def splice(self, sid: int, full: Block, partial: Block) -> Indexes:
+        """Commit a join pass's blocks of stream *sid*, its full ones
+        and then its partial ones, each in run-key order, to the run at
+        once: merged into one block, in the run after earlier commits of
+        its keys, so the run is copied once a pass.  Returns where the
+        partial block's rows now are (ascending), which the pass's
+        probes that run before it must not see
+        (:class:`~repro.core.join_module._Pass`); they hold until the
+        run next changes."""
+        block, at = _merged(self._packed(*full), self._packed(*partial))
+        if not len(block[0]):
+            return at
+        self._runs[sid], slots = _merged(self.sorted_run(sid), block)
+        self._oldest[sid] = min(self._oldest[sid], float(block[1].min()))
+        return slots[at]
+
+    def _packed(
+        self,
+        rkey: HashArray,
+        ts: TsArray,
+        seq: SeqArray,
+        pid: int | npt.NDArray[np.integer[t.Any]],
+    ) -> Columns:
+        return rkey, ts, (seq << self.pid_bits) | pid
 
     def sorted_run(self, sid: int) -> Columns:
         """Stream *sid*'s rows ``(run key, ts, packed seq)`` in run-key
@@ -259,7 +294,7 @@ class WindowStore:
         mutation; the pending block is merged in, nothing sorted."""
         pending = self._pending[sid]
         if len(pending[0]):
-            self._runs[sid] = _merged(self._runs[sid], pending)
+            self._runs[sid] = _merged(self._runs[sid], pending)[0]
             self._pending[sid] = _NO_COLUMNS
         return self._runs[sid]
 
@@ -271,17 +306,19 @@ class WindowStore:
         probe_seq: SeqArray,
         collect_pairs: bool = False,
         key_order: Indexes | None = None,
+        hidden: Indexes | None = None,
     ) -> ProbeResult:
         """Match probe tuples of any group, given by their run keys,
         against stream *sid*'s committed ones: ``c`` matches ``p`` iff
         ``c.key == p.key`` and ``|c.ts - p.ts| <= window_seconds``.
         Every two-stream match comes out of here.  *key_order* sorts the
         probe keys, so the run is searched in ascending order
-        (:func:`~repro.core.probe.key_ranges`); the rows are the same."""
+        (:func:`~repro.core.probe.key_ranges`); the rows are the same.
+        The rows at the run positions *hidden* are left out."""
         rkey, ts, packed = self.sorted_run(sid)
         result = probe_sorted(
             probe_ts, probe_rkey, probe_seq, rkey, ts, packed,
-            self.geometry.window_seconds, collect_pairs, key_order,
+            self.geometry.window_seconds, collect_pairs, key_order, hidden,
         )
         if result.pairs is not None:
             result.pairs[:, 1] >>= self.pid_bits
@@ -294,16 +331,19 @@ class WindowStore:
         probe_rkey: HashArray,
         probe_seq: SeqArray,
         collect_pairs: bool = False,
+        hidden: t.Sequence[Indexes | None] | None = None,
     ) -> CompositeResult:
         """n-way join: match probe tuples of stream *sid*, of any group,
         against the other streams' committed ones.  Only committed
         tuples take part, so a composite is found by the last of its
-        members to probe; its member seqs come out unpacked."""
+        members to probe; its member seqs come out unpacked.  Stream
+        ``k``'s rows at the positions ``hidden[k]`` are left out."""
         sids = range(self.geometry.n_streams)
         others = [(k, *self.sorted_run(k)) for k in sids if k != sid]
         windows = dict.fromkeys(sids, self.geometry.window_seconds)
+        hides = None if hidden is None else [hidden[k] for k in sids if k != sid]
         result = nway.probe_composites(
-            sid, probe_ts, probe_rkey, probe_seq, others, windows, collect_pairs
+            sid, probe_ts, probe_rkey, probe_seq, others, windows, collect_pairs, hides
         )
         if result.members is not None:
             result.members[:, [k for k in sids if k != sid]] >>= self.pid_bits
@@ -681,18 +721,19 @@ class PartitionGroup:
         self.total_bytes = self.bytes_used
 
 
-def _merged(old: Columns, new: Columns) -> Columns:
+def _merged(old: Columns, new: Columns) -> tuple[Columns, Indexes]:
     """Two blocks in run-key order as one, each row of *new* after the
-    rows of *old* with its key: where a stable sort of *old* followed
-    by *new* would put it."""
+    rows of *old* with its key: where a stable sort of *old* followed by
+    *new* would put it.  Returns the block and where *new*'s rows are in
+    it (``slots``, ascending)."""
     if not len(old[0]):
-        return new
+        return new, np.arange(len(new[0]))
     slots = np.searchsorted(old[0], new[0], side="right")
     slots += np.arange(len(slots))
     is_old = np.ones(len(old[0]) + len(slots), dtype=np.bool_)
     is_old[slots] = False
     rkey, ts, seq = (_spliced(o, n, is_old, slots) for o, n in zip(old, new))
-    return rkey, ts, seq
+    return (rkey, ts, seq), slots
 
 
 def _spliced(

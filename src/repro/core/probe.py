@@ -21,6 +21,13 @@ times its size about three times cheaper to search.  The join module
 sorts each block anyway, to commit it, and one scatter of the searches'
 answers (:func:`key_ranges`) keeps every row where an unsorted probe
 would put it.
+
+A probe may be told to skip rows of the run (``hidden``): the join
+module splices a pass's partial blocks into a run with its full ones,
+ahead of the probes that must not see them yet
+(:class:`~repro.core.join_module._Pass`).  Dropping a candidate keeps
+the others in their order, so the rows are those of a probe of the run
+without the hidden rows.
 """
 
 from __future__ import annotations
@@ -89,6 +96,31 @@ def key_ranges(
     return lo, hi
 
 
+def candidates(
+    sorted_key: SortKeys,
+    probe_key: SortKeys,
+    key_order: npt.NDArray[np.intp] | None = None,
+    hidden: npt.NDArray[np.intp] | None = None,
+) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    """Per probe key the ascending positions of the rows of *sorted_key*
+    equal to it, less those at the ascending positions *hidden*:
+    ``(positions, ends)``, key ``i``'s at ``positions[ends[i] :
+    ends[i + 1]]``.  A hidden row is found by one search of all the
+    candidates' positions."""
+    lo, hi = key_ranges(sorted_key, probe_key, key_order)
+    counts = hi - lo
+    ends = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=ends[1:])
+    positions = np.repeat(lo - ends[:-1], counts) + np.arange(ends[-1])
+    if hidden is not None and len(hidden):
+        at = np.minimum(np.searchsorted(hidden, positions), len(hidden) - 1)
+        shown = hidden[at] != positions
+        owner = np.repeat(np.arange(len(counts)), counts)
+        np.cumsum(np.bincount(owner[shown], minlength=len(counts)), out=ends[1:])
+        positions = positions[shown]
+    return positions, ends
+
+
 def probe_sorted(
     probe_ts: TsArray,
     probe_key: SortKeys,
@@ -99,31 +131,29 @@ def probe_sorted(
     window: float,
     collect_pairs: bool = False,
     key_order: npt.NDArray[np.intp] | None = None,
+    hidden: npt.NDArray[np.intp] | None = None,
 ) -> ProbeResult:
     """Join *probe* tuples against a committed window sorted by key.
 
     ``sorted_key``/``sorted_ts`` (and ``sorted_seq`` when pairs are
     collected) are the committed window contents ordered by key.
     *key_order*, when given, sorts *probe_key* and the searches run in
-    that order (:func:`key_ranges`); the result is the same.
+    that order (:func:`key_ranges`); the result is the same.  The rows
+    at the ascending positions *hidden* are not matched: the result is
+    that of the window without them, row for row.
     """
     n_probe = len(probe_key)
     if n_probe == 0 or len(sorted_key) == 0:
         return _no_pairs(n_probe, collect_pairs)
 
-    lo, hi = key_ranges(sorted_key, probe_key, key_order)
-    counts = hi - lo
-    # Candidate j of probe i is slot first_slot[i] + j and sits at
-    # sorted position lo[i] + j; slot_ends[i] closes probe i's slots.
-    slot_ends = np.cumsum(counts)
-    total = int(slot_ends[-1])
+    # Candidate j of probe i is slot ends[i] + j and sits at sorted
+    # position positions[ends[i] + j].
+    positions, ends = candidates(sorted_key, probe_key, key_order, hidden)
+    total = int(ends[-1])
     if total == 0:
         return _no_pairs(n_probe, collect_pairs)
 
-    owner = np.repeat(np.arange(n_probe), counts)
-    first_slot = slot_ends - counts
-    positions = np.repeat(lo - first_slot, counts) + np.arange(total)
-
+    owner = np.repeat(np.arange(n_probe), np.diff(ends))
     cand_ts = sorted_ts[positions]
     own_ts = probe_ts[owner]
     valid = np.abs(cand_ts - own_ts) <= window
@@ -135,7 +165,7 @@ def probe_sorted(
     if n_pairs == 0:
         return _no_pairs(n_probe, collect_pairs)
     offsets = np.zeros(n_probe + 1, dtype=np.intp)
-    offsets[1:] = rows_before[slot_ends]
+    offsets[1:] = rows_before[ends[1:]]
 
     newer = np.maximum(cand_ts[valid], own_ts[valid])
     pairs: npt.NDArray[np.int64] | None = None

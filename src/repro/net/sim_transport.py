@@ -260,7 +260,8 @@ class SimTransport:
         processes are being killed; their events must never fire into a
         live peer).  Live peers blocked receiving *from* it resume with
         :class:`NodeDown`; live peers sending *to* it complete after
-        the normal transfer time with the message discarded.
+        the normal transfer time with the message discarded, charged
+        their wait as idle, as a fence charges it (:meth:`drain`).
         """
         self.dead.add(node_id)
         for (src, dst), pair in self._pairs.items():
@@ -278,7 +279,7 @@ class SimTransport:
                 # Senders here are live nodes sending to the dead one.
                 for entry in pair.senders:
                     if not entry.event.triggered:
-                        self._lose(entry.event, entry.message, entry.stats)
+                        self._lose(entry.event, entry.message, entry.stats, entry.posted_at)
                 pair.senders.clear()
                 # Receivers here were posted by the dead node: discard.
                 pair.receivers.clear()

@@ -460,6 +460,70 @@ class TestOneStore:
 
 
 
+class TestSpliceOnce:
+    def test_a_pass_copies_each_run_once(self, monkeypatch):
+        """Over windows much larger than its blocks, one two-stream pass
+        with full and partial blocks in several mini-groups: ``_merged``
+        copies each run at most once, and the pass's pairs are the
+        oracle's."""
+        import repro.core.partition_group as partition_group
+        from repro.data.tuples import TupleBatch
+
+        geometry = JoinGeometry(
+            tuples_per_block=16,
+            block_bytes=1024,
+            theta_bytes=32 * 1024,
+            window_seconds=1000.0,
+            fine_tuning=True,
+            tuple_bytes=64,
+        )
+        module, metrics = make_module(geometry, npart=4, collect_pairs=True)
+        store = module.store
+        wl = TwoStreamWorkload.poisson_bmodel(RngRegistry(0), 1500.0, 0.7, 50_000)
+        before = wl.generate(0.0, 10.0)
+        module.enqueue(Shipment(0, 0.0, 10.0, before))
+        process_all(module)
+        assert all(g.n_mini_groups > 1 for g in module.groups.values())
+        seen = np.concatenate(metrics.pair_chunks())
+
+        copies, probes = [], []
+        real_merged, real_probe = partition_group._merged, WindowStore.probe
+
+        def merged(old, new):
+            copies.extend(s for s, run in enumerate(store._runs) if old is run)
+            return real_merged(old, new)
+
+        def probe(store, sid, probe_ts, probe_rkey, *args, **kwargs):
+            probes.append(len(probe_rkey))
+            return real_probe(store, sid, probe_ts, probe_rkey, *args, **kwargs)
+
+        batch = wl.generate(10.0, 10.5)
+        monkeypatch.setattr(partition_group, "_merged", merged)
+        monkeypatch.setattr(WindowStore, "probe", probe)
+        module.enqueue(Shipment(1, 10.0, 10.5, batch))
+        run_pass(module, 20.0)
+        monkeypatch.undo()
+
+        assert not module.has_work
+        # Full and partial kinds of both streams, each partial kind more
+        # than a block: partial blocks of several mini-groups.
+        assert len(probes) == 4
+        assert min(probes) > geometry.tuples_per_block
+        window = min(len(store.sorted_run(s)[0]) for s in (0, 1))
+        assert window > 10 * len(batch)
+        assert sorted(copies) == [0, 1]
+        got = np.concatenate(metrics.pair_chunks())
+        got = got[~np.isin(got[:, 0] << 32 | got[:, 1], seen[:, 0] << 32 | seen[:, 1])]
+        trace = TupleBatch.concat([before, batch])
+        every = naive_window_join(trace, geometry.window_seconds)
+        # The pass's pairs: those with a member in its batch.
+        fresh = np.isin(every[:, 0], batch.by_stream(0).seq) | np.isin(
+            every[:, 1], batch.by_stream(1).seq
+        )
+        assert np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], every[fresh])
+        assert fresh.any()
+
+
 class TestNWayPlan:
     def test_no_n_way_retire_reads_the_store(self, monkeypatch):
         """A three-stream pass finds its composites as it is planned, as

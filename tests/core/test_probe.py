@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.hashing import run_key
+from repro.core.hashing import run_key, run_key_order
 from repro.core.probe import probe_sorted
 from tests.conftest import brute_force_pairs
 
@@ -145,3 +145,51 @@ def test_searching_in_key_order_gives_the_same_rows_in_the_same_order(
     np.testing.assert_array_equal(searched.offsets, plain.offsets)
     np.testing.assert_array_equal(searched.newer_ts, plain.newer_ts)
     np.testing.assert_array_equal(searched.pairs, plain.pairs)
+
+
+_hidden = st.lists(st.booleans(), max_size=50)
+
+
+@given(block=_rows, committed=_rows, hide=_hidden, window=st.floats(0.1, 150))
+@settings(max_examples=300, deadline=None)
+def test_hidden_rows_are_as_if_deleted(block, committed, hide, window):
+    """Probing a run with the rows at ``hidden`` left out returns what
+    probing the run without them does: the same rows in the same order,
+    offsets, newer timestamps and pairs.  Six keys: duplicates inside
+    the block, inside the run and across both."""
+    p_ts = np.array([r[0] for r in block], dtype=float)
+    p_rkey = run_key(np.array([r[1] for r in block], dtype=np.int64))
+    p_seq = np.arange(len(block), dtype=np.int64)
+    w_rkey = run_key(np.array([r[1] for r in committed], dtype=np.int64))
+    order = np.argsort(w_rkey, kind="stable")
+    w_ts = np.array([r[0] for r in committed], dtype=float)[order]
+    w_seq = 1000 + order.astype(np.int64)
+    w_rkey = w_rkey[order]
+    gone = np.zeros(len(committed), dtype=np.bool_)
+    gone[: len(hide)] = hide[: len(committed)]
+    key_order = np.argsort(p_rkey, kind="stable")
+
+    hidden = probe_sorted(
+        p_ts, p_rkey, p_seq, w_rkey, w_ts, w_seq, window, True, key_order,
+        hidden=np.flatnonzero(gone),
+    )
+    kept = ~gone
+    deleted = probe_sorted(
+        p_ts, p_rkey, p_seq, w_rkey[kept], w_ts[kept], w_seq[kept], window, True,
+        key_order,
+    )
+    assert hidden.n_pairs == deleted.n_pairs
+    np.testing.assert_array_equal(hidden.offsets, deleted.offsets)
+    np.testing.assert_array_equal(hidden.newer_ts, deleted.newer_ts)
+    np.testing.assert_array_equal(hidden.pairs, deleted.pairs)
+
+
+@given(keys=st.lists(st.integers(0, 9), max_size=80), wide=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_tie_repaired_order_is_the_stable_order(keys, wide):
+    """The default sort with its ties put back in line order is numpy's
+    stable argsort, over few keys (many ties) or run keys of them."""
+    rkey = np.array(keys, dtype=np.uint64)
+    if wide:
+        rkey = run_key(rkey.astype(np.int64))
+    np.testing.assert_array_equal(run_key_order(rkey), np.argsort(rkey, kind="stable"))

@@ -195,6 +195,45 @@ class TestMessageFaults:
         assert done  # the stale process ran to completion
         assert transport.messages_lost == 2
 
+    def test_crash_charges_a_blocked_sender_its_wait_as_idle(self):
+        """A send blocked from t=0 on a peer lost at t=1 is charged its
+        wait as idle over (0, 1), whether the peer is fenced or killed:
+        one rule for every lost blocked send."""
+
+        class Stats:
+            def __init__(self):
+                self.idle = []
+
+            def record_comm(self, t0, t1, nbytes, sent):
+                pass
+
+            def record_idle(self, t0, t1):
+                self.idle.append((t0, t1))
+
+        def blocked_send(lose):
+            sim = Simulator()
+            transport = make_transport(sim)
+            stats = Stats()
+            comm = transport.endpoint(0, stats)
+
+            def sender():
+                yield comm.send(1, SlaveSync(0, None))
+
+            def loser():
+                yield sim.timeout(1.0)
+                lose(transport)
+
+            sim.process(sender())
+            sim.process(loser())
+            sim.run(None)
+            assert transport.messages_lost == 1
+            return stats.idle
+
+        fenced = blocked_send(lambda transport: transport.drain(0, 1))
+        killed = blocked_send(lambda transport: transport.kill_node(1))
+        assert fenced == [(0.0, 1.0)]
+        assert killed == fenced
+
 
 class TestSlowdowns:
     def test_scaled_cpu_applies_only_inside_the_interval(self):
