@@ -112,14 +112,6 @@ def run_key(keys: npt.NDArray[t.Any]) -> HashArray:
     return bit_reverse(directory_hash(keys))
 
 
-def directory_index(gvals: HashArray, global_depth: int) -> npt.NDArray[np.int64]:
-    """Directory slot for each ``g`` value: its ``global_depth`` LSBs."""
-    if global_depth == 0:
-        return np.zeros(len(gvals), dtype=np.int64)
-    mask = _U64((1 << global_depth) - 1)
-    return (gvals & mask).astype(np.int64)
-
-
 def small_int_order(
     labels: npt.NDArray[np.integer[t.Any]], bound: int
 ) -> npt.NDArray[np.intp]:

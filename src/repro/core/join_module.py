@@ -37,8 +37,8 @@ earlier unit having *executed* (expiry, each merge, every probe on a
 memory-limited node, whose spill fraction moves with each admission)
 the step is that one unit.  What the units *compute* is planned for
 the whole pass at once (:class:`_Pass`): each stream's arrivals are
-routed and sorted once, and the matches of every unit come out of at
-most ``2n`` probes of the store for ``n`` streams.
+routed and sorted once, and the matches of every unit come out of one
+splice and one probe of the store (:func:`join_kinds`).
 """
 
 from __future__ import annotations
@@ -72,7 +72,6 @@ from repro.core.partition_group import (
     group_bytes,
     labeller,
 )
-from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, IntArray, Retire, Step
 from repro.data.blocks import n_blocks
@@ -448,14 +447,13 @@ class _Pass:
     They go out as one step up to the end of the next group with tuning
     work (told from the counts), whose tuning steps follow.
 
-    The matches are computed at once, after the expiry: each kind of
-    block — full ones of stream 0, 1, ..., then partial ones of stream
-    0, 1, ..., of every group — is sorted by run key and probes the
-    other streams' runs of the store, and the rows are scattered into
-    unit order.  A stream's run takes its full and partial blocks in one
-    splice once its full ones have probed; the probes between that
-    splice and its partial kind's turn leave the partial rows out, so
-    each kind finds what it would had every kind before it, and none
+    The matches are computed at once, after the expiry: the blocks of
+    every kind — full ones of stream 0, 1, ..., then partial ones of
+    stream 0, 1, ..., of every group — go into the store's run with one
+    splice and probe it with one call, each row seeing the other
+    streams' older rows and their rows of the kinds before its own
+    (:func:`join_kinds`), and the rows are scattered into unit order.
+    So each kind finds what it would had every kind before it, and none
     after, been committed.  Groups and mini-groups are disjoint in key
     space, so a block finds what a probe of its own mini-group would;
     inside a mini-group units run in kind order, so each unit finds
@@ -620,59 +618,21 @@ class _Pass:
         self.totals = group_bytes(geometry, self.first, self.start)
 
     def _join(self) -> _Rows:
-        """The matches of every unit, one probe per kind of block and
-        one splice per stream (see the class)."""
-        module, store = self.module, self.module.store
-        n_streams = module.geometry.n_streams
-        # One sort serves both: the probe searches the run with
-        # ascending keys and the run takes the blocks as they are.
-        orders = [run_key_order(block[0]) for block in self.blocks]
-        # Per stream, where its partial rows are in its run (None: not
-        # spliced yet, so not in it).
-        partial_at: list[Indexes | None] = [None] * n_streams
-        results: list[_Rows | None] = []
-        for k, (rkey, ts, seq, _pid) in enumerate(self.blocks):
-            sid = k % n_streams
-            # Stream o's partial kind is kind n + o: kind k runs before it.
-            hidden = [at if n_streams + o > k else None for o, at in enumerate(partial_at)]
-            if not len(rkey):
-                results.append(None)
-            elif n_streams == 2:
-                got = store.probe(
-                    1 - sid, ts, rkey, seq, module.collect_pairs, orders[k], hidden[1 - sid]
-                )
-                results.append(_Rows(got.newer_ts, _oriented(got, sid), got.offsets))
-            else:
-                found = store.probe_composites(
-                    sid, ts, rkey, seq, module.collect_pairs, hidden
-                )
-                results.append(_Rows(found.newest_ts, found.members, found.offsets))
-            if k < n_streams:
-                full, partial = (
-                    t.cast(Block, tuple(col[orders[j]] for col in self.blocks[j]))
-                    for j in (k, k + n_streams)
-                )
-                partial_at[sid] = store.splice(sid, full, partial)
-        per_unit = np.zeros(len(self.src), dtype=np.intp)
-        placed = []
-        for k, result in enumerate(results):
-            if result is not None:
-                mine = np.flatnonzero(self.src == k)
-                bounds = result.offsets[self.row[mine]]
-                per_unit[mine] = result.offsets[self.row[mine] + self.fresh[mine]] - bounds
-                placed.append((mine, bounds, result))
+        """The matches of every unit, one splice and one probe for the
+        whole pass (see the class)."""
+        module = self.module
+        found = join_kinds(module.store, self.blocks, module.collect_pairs)
+        # Kind k's row r is row starts[k] + r of the pass; a unit's rows
+        # are its block rows' rows.
+        starts = np.cumsum([0] + [len(block[0]) for block in self.blocks])
+        row = starts[self.src] + self.row
+        first = found.offsets[row]
+        per_unit = found.offsets[row + self.fresh] - first
         offsets = np.zeros(len(self.src) + 1, dtype=np.intp)
         np.cumsum(per_unit, out=offsets[1:])
-        newer = np.empty(offsets[-1], dtype=np.float64)
-        pairs = np.empty((offsets[-1], n_streams), np.int64) if module.collect_pairs else None
-        for mine, bounds, result in placed:
-            # Row r of this kind's blocks goes to its unit's rows.
-            shift = offsets[mine] - bounds
-            to = np.repeat(shift, per_unit[mine]) + np.arange(len(result.newer_ts))
-            newer[to] = result.newer_ts
-            if pairs is not None and result.pairs is not None:
-                pairs[to] = result.pairs
-        return _Rows(newer, pairs, offsets)
+        take = np.repeat(first - offsets[:-1], per_unit) + np.arange(offsets[-1])
+        pairs = None if found.pairs is None else found.pairs[take]
+        return _Rows(found.newer_ts[take], pairs, offsets)
 
     def steps(self) -> t.Iterator[Step]:
         module, lo = self.module, 0
@@ -735,8 +695,36 @@ class _Pass:
                 metrics.record_pairs(self.groups[at].pid, rows.pairs[start:stop])
 
 
-def _oriented(matches: ProbeResult, sid: int) -> npt.NDArray[np.int64] | None:
-    """The ``(probe seq, window seq)`` pairs of a stream-*sid* probe as
-    ``(stream-0 seq, stream-1 seq)``; None when none were collected."""
-    pairs = matches.pairs
-    return pairs if pairs is None or sid == 0 else pairs[:, ::-1]
+def join_kinds(
+    store: WindowStore, blocks: t.Sequence[Block], collect_pairs: bool
+) -> _Rows:
+    """Commit a pass's blocks — kind by kind: the full ones of stream 0,
+    1, ..., then the partial ones of stream 0, 1, ... — to *store* with
+    one splice, and return their matches, grouped by row in kind then
+    line order.  A row of kind ``k`` matches every older row of the
+    other streams and their rows of the kinds below ``k``: what it would
+    find had each kind probed the store and then been committed in turn.
+    The blocks sorted as one, each key's rows are in kind order, so those
+    rows are the ones of its key in the run before it."""
+    n_streams = store.geometry.n_streams
+    sizes = [len(block[0]) for block in blocks]
+    sid = np.repeat(np.arange(len(blocks)) % n_streams, sizes)
+    rkey, ts, seq, pid = (np.concatenate(col) for col in zip(*blocks))
+    order = run_key_order(rkey)
+    lo, hi = np.empty((2, len(order)), dtype=np.intp)
+    lo[order], hi[order] = store.splice(
+        sid[order], rkey[order], ts[order], seq[order], pid[order]
+    )
+    if n_streams > 2:
+        found = store.probe_composites(sid, ts, seq, (lo, hi), collect_pairs)
+        return _Rows(found.newest_ts, found.members, found.offsets)
+    got = store.probe(1 - sid, ts, rkey, seq, collect_pairs, (lo, hi))
+    pairs = got.pairs
+    if pairs is not None:
+        # ``(probe seq, window seq)`` as ``(stream-0 seq, stream-1 seq)``.
+        flip = np.repeat(sid == 1, np.diff(got.offsets))
+        mine, theirs = pairs.T
+        pairs = np.column_stack(
+            (np.where(flip, theirs, mine), np.where(flip, mine, theirs))
+        )
+    return _Rows(got.newer_ts, pairs, got.offsets)

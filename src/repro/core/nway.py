@@ -27,7 +27,7 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.probe import candidates
+from repro.core.probe import Candidates, candidates, key_ranges
 from repro.data.tuples import SeqArray, TsArray, TupleBatch
 
 #: Per other stream: ``(stream id, sort keys, ts, seq)``, ordered by the
@@ -68,7 +68,6 @@ def probe_composites(
     others: Others,
     windows_by_stream: t.Mapping[int, float],
     collect_members: bool = False,
-    hidden: t.Sequence[npt.NDArray[np.intp] | None] | None = None,
 ) -> CompositeResult:
     """Find all composites completed by the *probe* tuples.
 
@@ -77,32 +76,55 @@ def probe_composites(
     stream sorted by a key that is equal exactly when join keys are
     (a partition-group's run key, :func:`repro.core.hashing.run_key`),
     which *probe_key* gives for the probe tuples.  ``windows_by_stream[k]``
-    is ``Wk``.  ``hidden``, aligned with ``others``, gives per stream the
-    ascending positions of rows that take no part (None: none), as
-    :func:`~repro.core.probe.probe_sorted`'s ``hidden`` does.
+    is ``Wk``.  The windows are laid end to end as one run for
+    :func:`composites`.
     """
+    # Streams by id, renumbered densely: members come out in that order.
+    sids = sorted([probe_stream, *(o[0] for o in others)])
+    found = [_none(len(probe_ts))] * len(sids)
+    at = 0
+    for sid, key, _ts, _seq in others:
+        lo, hi = key_ranges(key, probe_key)
+        found[sids.index(sid)] = candidates(lo + at, hi + at)
+        at += len(key)
+    ts = np.concatenate([o[2] for o in others])
+    seqs = [o[3] for o in others]
+    seq = None
+    if all(s is not None for s in seqs):
+        seq = np.concatenate(t.cast(list[SeqArray], seqs))
+    windows = [windows_by_stream[sid] for sid in sids]
+    streams = np.full(len(probe_ts), sids.index(probe_stream), dtype=np.intp)
+    return composites(
+        streams, probe_ts, probe_seq, found, ts, seq, windows, collect_members
+    )
+
+
+def composites(
+    probe_stream: npt.NDArray[np.intp],
+    probe_ts: TsArray,
+    probe_seq: SeqArray,
+    found: t.Sequence[Candidates],
+    ts: TsArray,
+    seq: SeqArray | None,
+    windows: t.Sequence[float],
+    collect_members: bool = False,
+) -> CompositeResult:
+    """Find all composites completed by the *probe* tuples, tuple ``i``
+    of stream ``probe_stream[i]``.  ``found[k]`` gives each probe
+    tuple's candidates of stream ``k`` among the rows ``(ts, seq)``, in
+    the stream's commit order (those of a tuple's own stream are not
+    read); ``windows[k]`` is ``Wk``.  ``seq`` may be None unless members
+    are collected."""
+    n_streams = len(found)
     offsets = np.zeros(len(probe_ts) + 1, dtype=np.intp)
-    if len(probe_ts) == 0 or any(len(o[1]) == 0 for o in others):
-        return CompositeResult(
-            0, _EMPTY, np.empty((0, 1 + len(others)), np.int64)
-            if collect_members else None,
-            offsets,
-        )
-
-    # Per other stream, each probe tuple's candidates: ``(positions,
-    # ends)``, tuple i's at ``positions[ends[i] : ends[i + 1]]``.
-    cands = [
-        candidates(o[1], probe_key, hidden=None if hidden is None else hidden[j])
-        for j, o in enumerate(others)
-    ]
-    sizes = np.stack([np.diff(ends) for _pos, ends in cands])
-
+    sizes = np.stack([np.diff(f.ends) for f in found])
+    sizes[probe_stream, np.arange(len(probe_ts))] = 1
     total = 0
     newest_parts: list[TsArray] = []
     member_rows: list[npt.NDArray[np.int64]] = []
-    n_members = 1 + len(others)
 
     for i in np.flatnonzero(sizes.all(axis=0)).tolist():
+        own = int(probe_stream[i])
         combos = 1
         for c in sizes[:, i].tolist():
             combos *= c
@@ -112,16 +134,18 @@ def probe_composites(
                 f"for one probe tuple (cap {MAX_COMBOS_PER_TUPLE}); "
                 "reduce key skew or window sizes"
             )
-        # Per-stream candidate rows for this probe tuple.
-        rows_at = [pos[ends[i] : ends[i + 1]] for pos, ends in cands]
-        cand_ts = [o[2][at] for o, at in zip(others, rows_at)]
+        # Per other stream, in stream order, this tuple's candidate rows.
+        others = [k for k in range(n_streams) if k != own]
+        rows_at = [
+            found[k].positions[found[k].ends[i] : found[k].ends[i + 1]] for k in others
+        ]
         # Cartesian product of timestamps via broadcasting.
-        grids = np.meshgrid(*cand_ts, indexing="ij") if cand_ts else []
+        grids = np.meshgrid(*(ts[at] for at in rows_at), indexing="ij")
         stack = np.stack([g.ravel() for g in grids], axis=0)
         t_star = np.maximum(stack.max(axis=0), probe_ts[i])
-        valid = t_star - probe_ts[i] <= windows_by_stream[probe_stream]
-        for row, (sid, _k, _t, _s) in zip(stack, others):
-            valid &= t_star - row <= windows_by_stream[sid]
+        valid = t_star - probe_ts[i] <= windows[own]
+        for row, k in zip(stack, others):
+            valid &= t_star - row <= windows[k]
         n_valid = int(np.count_nonzero(valid))
         if n_valid == 0:
             continue
@@ -130,35 +154,31 @@ def probe_composites(
         newest_parts.append(t_star[valid])
         if collect_members:
             seq_grids = np.meshgrid(
-                *[t.cast(SeqArray, o[3])[at] for o, at in zip(others, rows_at)],
-                indexing="ij",
+                *(t.cast(SeqArray, seq)[at] for at in rows_at), indexing="ij"
             )
-            seq_stack = np.stack([g.ravel() for g in seq_grids], axis=0)
-            rows = np.empty((n_valid, n_members), dtype=np.int64)
-            # Order members by stream id: probe stream slot + others.
-            order: list[tuple[int, int | None]] = sorted(
-                [(probe_stream, None)] + [(o[0], j) for j, o in enumerate(others)],
-                key=lambda member: member[0],
-            )
-            for col, (sid, j) in enumerate(order):
-                if j is None:
-                    rows[:, col] = probe_seq[i]
-                else:
-                    rows[:, col] = seq_stack[j][valid]
+            # Members by stream id: the probe tuple's slot, the others'.
+            rows = np.empty((n_valid, n_streams), dtype=np.int64)
+            rows[:, own] = probe_seq[i]
+            for k, grid in zip(others, seq_grids):
+                rows[:, k] = grid.ravel()[valid]
             member_rows.append(rows)
 
-    newest = (
-        np.concatenate(newest_parts) if newest_parts else _EMPTY
-    )
+    newest = np.concatenate(newest_parts) if newest_parts else _EMPTY
     members: npt.NDArray[np.int64] | None = None
     if collect_members:
         members = (
             np.concatenate(member_rows)
             if member_rows
-            else np.empty((0, n_members), dtype=np.int64)
+            else np.empty((0, n_streams), dtype=np.int64)
         )
     np.cumsum(offsets, out=offsets)
     return CompositeResult(total, newest, members, offsets)
+
+
+def _none(n_probe: int) -> Candidates:
+    """No candidates for any of *n_probe* tuples."""
+    empty = np.empty(0, np.intp)
+    return Candidates(empty, empty, np.zeros(n_probe + 1, np.intp))
 
 
 def naive_multiway_join(

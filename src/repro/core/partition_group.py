@@ -13,21 +13,27 @@ partition-group is a single mini-group of unbounded size — the paper's
 "no fine-tuning" comparison (Figures 7–10).
 
 **One store per slave.**  The committed tuples of every partition-group
-a slave owns live in one :class:`WindowStore`: per stream one **run** of
-rows ``(run key, ts, seq, pid)`` sorted by the run key ``rev(g(key))``
-— the directory hash, bits reversed — equal keys in commit order.  ``g``
-is a bijection and a key lives in one partition, so a probe of the store
-returns for each probe tuple exactly the rows, in the order, that a run
-of its own partition-group alone would.  A row's seq and pid share one
-word, ``seq << b | pid``: commits and expiries copy the runs, and a
-fourth column would add a third to that.  A standalone
-:class:`PartitionGroup` (a baseline's, a test's) is a store of one group.
+and stream a slave owns live in one :class:`WindowStore`, in one **run**
+of rows ``(run key, ts, packed)`` sorted by the run key ``rev(g(key))``
+— the directory hash, bits reversed — a stream's equal keys in commit
+order.  ``g`` is a bijection and a key lives in one partition, so a
+probe of the store returns for each probe tuple exactly the rows, in the
+order, that a run of its own partition-group and stream alone would.
+A row's seq, stream and pid share one word, ``seq << (s + b) | sid << b
+| pid``: commits and expiries copy the run, and a fourth column would
+add a third to that; for the same reason a row's timestamp and that
+word are stored side by side, one 16-byte element.  A pass's new rows of
+every stream go in with one merge, whose search also tells each row
+where its key's rows start; the probe keeps the candidates of the stream
+it matches.  A standalone :class:`PartitionGroup` (a baseline's, a
+test's) is a store of one group.
 
 **A mini-group is a range.**  A bucket with pattern ``p`` and local
 depth ``d`` holds the keys whose ``d`` low bits of ``g`` equal ``p``:
 the run keys whose ``d`` top bits are ``p`` reversed, one range, shared
 with the other groups' rows.  A split counts its group's rows in half
-the range, a merge adds two counts; no tuple is copied.  A group keeps
+the range, one read for every stream; a merge adds two counts; no tuple
+is copied.  A group keeps
 its committed and head-block counts per mini-group and stream
 (:meth:`PartitionGroup.counts`), moved by ``bincount`` at admission,
 expiry, split, merge and move, so sizes, costs and tuning read tables.
@@ -47,7 +53,7 @@ from repro.core import nway
 from repro.core.exthash import Bucket, ExtendibleDirectory
 from repro.core.hashing import HashArray, bit_reverse, directory_hash, key_of, run_key
 from repro.core.nway import CompositeResult
-from repro.core.probe import ProbeResult, probe_sorted
+from repro.core.probe import ProbeResult, candidates, key_ranges, matches
 from repro.data.blocks import n_blocks
 from repro.data.tuples import (
     SEQ_DTYPE,
@@ -58,8 +64,8 @@ from repro.data.tuples import (
     TupleBatch,
 )
 
-#: One stream's tuples as ``(run key, ts, seq)`` columns (in a store's
-#: runs, ``seq`` is the packed seq and pid).
+#: Tuples as ``(run key, ts, seq)`` columns (in a store's run, ``seq``
+#: is the packed seq, stream and pid).
 Columns = tuple[HashArray, TsArray, SeqArray]
 #: Tuples of any of a store's groups as ``(run key, ts, seq, pid)``
 #: columns.
@@ -71,6 +77,13 @@ Indexes = npt.NDArray[np.intp]
 Labeller = t.Callable[[Indexes, HashArray], Indexes]
 
 _END: t.Final = 1 << 64
+
+#: A store's rows: the run keys, and per row its timestamp and packed
+#: word side by side in one 16-byte element (:func:`_paired`).  A merge
+#: or an expiry then moves the three columns in two masked copies, not
+#: three; :meth:`WindowStore.sorted_run` reads them back as columns.
+_Run = tuple[HashArray, npt.NDArray[np.complex128]]
+_Merged = t.TypeVar("_Merged", bound=tuple[npt.NDArray[t.Any], ...])
 
 
 class JoinGeometry(t.NamedTuple):
@@ -141,6 +154,25 @@ _NO_COLUMNS: Columns = (
     np.empty(0, TS_DTYPE),
     np.empty(0, SEQ_DTYPE),
 )
+_NO_RUN: _Run = (_NO_COLUMNS[0], np.empty(0, np.complex128))
+
+
+def _paired(ts: TsArray, packed: SeqArray) -> npt.NDArray[np.complex128]:
+    """Each row's timestamp and packed word, bit for bit, in one
+    ``complex128``: numpy's one native 16-byte element, used as storage
+    only, never as a number."""
+    rows = np.empty(len(ts), np.complex128)
+    words = rows.view(np.int64)
+    words[0::2] = ts.view(np.int64)
+    words[1::2] = packed
+    return rows
+
+
+def _columns(rows: _Run) -> Columns:
+    """*rows* as ``(run key, ts, packed)`` columns (views)."""
+    rkey, pairs = rows
+    words = pairs.view(np.int64)
+    return rkey, words[0::2].view(TS_DTYPE), words[1::2]
 
 
 def _span(pattern: int, depth: int, parts: int = 1) -> list[int]:
@@ -214,30 +246,34 @@ def gather_tables(groups: t.Sequence[PartitionGroup]) -> tuple[CountTable, Count
 
 
 class WindowStore:
-    """The committed tuples of every partition-group of one slave.
+    """The committed tuples of every partition-group and stream of one
+    slave, in one run.
 
-    A join pass puts each stream's blocks into its run with one
-    :meth:`splice`, which copies the run once and says where the new
-    rows are; :meth:`commit` holds other tuples (installed state, a
-    baseline's units) in a pending block that the next read merges in.
+    A join pass puts its blocks into the run with one :meth:`splice`,
+    which copies the run once and says where each new row and the first
+    row of its key are; :meth:`commit` holds other tuples (installed
+    state, a baseline's units) in a pending block that the next read
+    merges in.
     """
 
     def __init__(self, geometry: JoinGeometry, npart: int) -> None:
         self.geometry = geometry
-        #: The low bits of a packed seq, which hold a pid below *npart*.
+        #: The low bits of a packed seq hold a pid below *npart* ...
         self.pid_bits = max(npart - 1, 0).bit_length()
         self._pid_mask = (1 << self.pid_bits) - 1
+        #: ... the bits above them a stream id, and the rest the seq.
+        self._stream_mask = (1 << max(geometry.n_streams - 1, 0).bit_length()) - 1
+        self.shift = self.pid_bits + self._stream_mask.bit_length()
         #: The groups whose tuples the store holds, by pid.
         self.groups: dict[int, PartitionGroup] = {}
-        n = geometry.n_streams
-        #: Per stream, the committed rows in run-key order ...
-        self._runs: list[Columns] = [_NO_COLUMNS] * n
+        #: The committed rows in run-key order ...
+        self._run: _Run = _NO_RUN
         #: ... those committed and not merged in yet, as one
         #: run-key-ordered block ...
-        self._pending: list[Columns] = [_NO_COLUMNS] * n
+        self._pending: _Run = _NO_RUN
         #: ... and the oldest timestamp of either (``inf``: none), so
         #: that an expiry that drops nothing reads nothing.
-        self._oldest = [float("inf")] * n
+        self._oldest = float("inf")
 
     def commit(
         self,
@@ -247,169 +283,192 @@ class WindowStore:
         seq: SeqArray,
         pid: int | npt.NDArray[np.integer[t.Any]],
     ) -> None:
-        """Add tuples of groups *pid* to stream *sid*'s run (whoever
-        commits them moves their groups' tables): installed state, a
-        baseline's unit.  Unsorted blocks are stable-sorted here.  They
-        wait, merged after earlier commits of their keys, for
+        """Add tuples of stream *sid* and groups *pid* to the run
+        (whoever commits them moves their groups' tables): installed
+        state, a baseline's unit.  Unsorted blocks are stable-sorted
+        here.  They wait, merged after earlier commits of their keys, for
         :meth:`sorted_run`, so that a run of commits copies the run once.
         The arrays are kept: they must not be views of changing storage.
         """
         if not len(ts):
             return
-        new = self._packed(rkey, ts, seq, pid)
+        new = self._packed(sid, rkey, ts, seq, pid)
         if (rkey[1:] < rkey[:-1]).any():
             order = np.argsort(rkey, kind="stable")
-            new = (rkey[order], ts[order], new[2][order])
-        self._pending[sid] = _merged(self._pending[sid], new)[0]
-        self._oldest[sid] = min(self._oldest[sid], float(ts.min()))
+            new = (rkey[order], new[1][order])
+        self._pending = _merged(self._pending, new)[0]
+        self._oldest = min(self._oldest, float(ts.min()))
 
-    def splice(self, sid: int, full: Block, partial: Block) -> Indexes:
-        """Commit a join pass's blocks of stream *sid*, its full ones
-        and then its partial ones, each in run-key order, to the run at
-        once: merged into one block, in the run after earlier commits of
-        its keys, so the run is copied once a pass.  Returns where the
-        partial block's rows now are (ascending), which the pass's
-        probes that run before it must not see
-        (:class:`~repro.core.join_module._Pass`); they hold until the
-        run next changes."""
-        block, at = _merged(self._packed(*full), self._packed(*partial))
-        if not len(block[0]):
-            return at
-        self._runs[sid], slots = _merged(self.sorted_run(sid), block)
-        self._oldest[sid] = min(self._oldest[sid], float(block[1].min()))
-        return slots[at]
+    def splice(
+        self,
+        sid: Indexes,
+        rkey: HashArray,
+        ts: TsArray,
+        seq: SeqArray,
+        pid: npt.NDArray[np.integer[t.Any]],
+    ) -> tuple[Indexes, Indexes]:
+        """Commit a join pass's rows, of streams *sid*, in run-key order,
+        to the run at once: each after the earlier commits of its key, so
+        the run is copied once a pass.  Returns per row ``(lo, hi)``: the
+        run's rows of its key before it are ``[lo, hi)``, and ``hi`` is
+        where it now is.  They hold until the run next changes.
+
+        The merge's own search gives ``hi``; ``lo`` needs a second search
+        only for the keys that the run held before."""
+        if not len(rkey):
+            return np.empty((2, 0), np.intp)
+        run = self.sorted_run()[0]
+        self._run, hi = _merged(self._run, self._packed(sid, rkey, ts, seq, pid))
+        self._oldest = min(self._oldest, float(ts.min()))
+        # A key's first new row: the run's rows up to its key, less those
+        # of its key, then the new rows below it.
+        first = np.flatnonzero(np.concatenate(([True], rkey[1:] != rkey[:-1])))
+        below = hi[first] - first
+        held = np.flatnonzero(below > 0)
+        held = held[run[below[held] - 1] == rkey[first[held]]]
+        if len(held):
+            below[held] = np.searchsorted(run, rkey[first[held]], side="left")
+        lo = np.repeat(below + first, np.diff(np.append(first, len(rkey))))
+        return lo, hi
 
     def _packed(
         self,
+        sid: int | Indexes,
         rkey: HashArray,
         ts: TsArray,
         seq: SeqArray,
         pid: int | npt.NDArray[np.integer[t.Any]],
-    ) -> Columns:
-        return rkey, ts, (seq << self.pid_bits) | pid
+    ) -> _Run:
+        return rkey, _paired(ts, (seq << self.shift) | (sid << self.pid_bits) | pid)
 
-    def sorted_run(self, sid: int) -> Columns:
-        """Stream *sid*'s rows ``(run key, ts, packed seq)`` in run-key
-        order, equal keys in commit order, valid until the next
-        mutation; the pending block is merged in, nothing sorted."""
-        pending = self._pending[sid]
-        if len(pending[0]):
-            self._runs[sid] = _merged(self._runs[sid], pending)[0]
-            self._pending[sid] = _NO_COLUMNS
-        return self._runs[sid]
+    def sorted_run(self) -> Columns:
+        """The rows ``(run key, ts, packed seq)`` in run-key order, equal
+        keys of a stream in commit order, valid until the next mutation;
+        the pending block is merged in, nothing sorted."""
+        if len(self._pending[0]):
+            self._run = _merged(self._run, self._pending)[0]
+            self._pending = _NO_RUN
+        return _columns(self._run)
+
+    def stream_of(self, packed: SeqArray) -> Indexes:
+        """The stream id of each packed seq."""
+        sid: Indexes = (packed >> self.pid_bits) & self._stream_mask
+        return sid
 
     def probe(
         self,
-        sid: int,
+        sid: int | Indexes,
         probe_ts: TsArray,
         probe_rkey: HashArray,
         probe_seq: SeqArray,
         collect_pairs: bool = False,
-        key_order: Indexes | None = None,
-        hidden: Indexes | None = None,
+        ranges: tuple[Indexes, Indexes] | None = None,
     ) -> ProbeResult:
         """Match probe tuples of any group, given by their run keys,
-        against stream *sid*'s committed ones: ``c`` matches ``p`` iff
-        ``c.key == p.key`` and ``|c.ts - p.ts| <= window_seconds``.
-        Every two-stream match comes out of here.  *key_order* sorts the
-        probe keys, so the run is searched in ascending order
-        (:func:`~repro.core.probe.key_ranges`); the rows are the same.
-        The rows at the run positions *hidden* are left out."""
-        rkey, ts, packed = self.sorted_run(sid)
-        result = probe_sorted(
-            probe_ts, probe_rkey, probe_seq, rkey, ts, packed,
-            self.geometry.window_seconds, collect_pairs, key_order, hidden,
+        against the committed ones of stream *sid* (per probe tuple, or
+        one for all): ``c`` matches ``p`` iff ``c.key == p.key`` and
+        ``|c.ts - p.ts| <= window_seconds``.  Every two-stream match
+        comes out of here.  *ranges*, :meth:`splice`'s, say which rows of
+        the run to look at instead of searching it by key."""
+        rkey, ts, packed = self.sorted_run()
+        if ranges is None:
+            ranges = key_ranges(rkey, probe_rkey)
+        found = candidates(*ranges)
+        cand_packed = packed[found.positions]
+        want = sid[found.owner] if isinstance(sid, np.ndarray) else sid
+        mine = self.stream_of(cand_packed) == want
+        found = found.where(mine)
+        result = matches(
+            probe_ts, probe_seq, found, ts[found.positions], cand_packed[mine],
+            self.geometry.window_seconds, collect_pairs,
         )
         if result.pairs is not None:
-            result.pairs[:, 1] >>= self.pid_bits
+            result.pairs[:, 1] >>= self.shift
         return result
 
     def probe_composites(
         self,
-        sid: int,
+        sid: Indexes,
         probe_ts: TsArray,
-        probe_rkey: HashArray,
         probe_seq: SeqArray,
+        ranges: tuple[Indexes, Indexes],
         collect_pairs: bool = False,
-        hidden: t.Sequence[Indexes | None] | None = None,
     ) -> CompositeResult:
-        """n-way join: match probe tuples of stream *sid*, of any group,
-        against the other streams' committed ones.  Only committed
-        tuples take part, so a composite is found by the last of its
-        members to probe; its member seqs come out unpacked.  Stream
-        ``k``'s rows at the positions ``hidden[k]`` are left out."""
-        sids = range(self.geometry.n_streams)
-        others = [(k, *self.sorted_run(k)) for k in sids if k != sid]
-        windows = dict.fromkeys(sids, self.geometry.window_seconds)
-        hides = None if hidden is None else [hidden[k] for k in sids if k != sid]
-        result = nway.probe_composites(
-            sid, probe_ts, probe_rkey, probe_seq, others, windows, collect_pairs, hides
+        """n-way join: the composites that probe tuples of streams *sid*
+        complete among the rows *ranges* (:meth:`splice`'s) of the run,
+        one stream's candidates apart from another's by their stream
+        bits.  A composite is found by the last of its members to be
+        committed; its member seqs come out unpacked."""
+        _rkey, ts, packed = self.sorted_run()
+        found = candidates(*ranges)
+        streams = self.stream_of(packed[found.positions])
+        per_stream = [found.where(streams == k) for k in range(self.geometry.n_streams)]
+        windows = [self.geometry.window_seconds] * self.geometry.n_streams
+        result = nway.composites(
+            sid, probe_ts, probe_seq << self.shift, per_stream, ts, packed,
+            windows, collect_pairs,
         )
         if result.members is not None:
-            result.members[:, [k for k in sids if k != sid]] >>= self.pid_bits
+            result.members[:] >>= self.shift
         return result
 
     def rows_of(self, pid: int, sid: int) -> Columns:
         """Group *pid*'s tuples of stream *sid*, in run-key order."""
-        rkey, ts, packed = self.sorted_run(sid)
-        mine = (packed & self._pid_mask) == pid
-        return rkey[mine], ts[mine], packed[mine] >> self.pid_bits
+        rkey, ts, packed = self.sorted_run()
+        mask = (self._stream_mask << self.pid_bits) | self._pid_mask
+        mine = (packed & mask) == (sid << self.pid_bits | pid)
+        return rkey[mine], ts[mine], packed[mine] >> self.shift
 
-    def keys_of(self, pid: int, sid: int, lo: int, hi: int) -> HashArray:
-        """Group *pid*'s run keys of stream *sid* in ``[lo, hi)``."""
-        rkey, _ts, packed = self.sorted_run(sid)
+    def streams_in(self, pid: int, lo: int, hi: int) -> tuple[HashArray, Indexes]:
+        """Group *pid*'s run keys in ``[lo, hi)``, and the stream of each."""
+        rkey, _ts, packed = self.sorted_run()
         a, b = (
             len(rkey) if key >= _END else int(np.searchsorted(rkey, np.uint64(key)))
             for key in (lo, hi)
         )
-        mine: HashArray = rkey[a:b][(packed[a:b] & self._pid_mask) == pid]
-        return mine
+        mine = (packed[a:b] & self._pid_mask) == pid
+        return rkey[a:b][mine], self.stream_of(packed[a:b][mine])
 
     def drop(self, pid: int) -> None:
         """Remove group *pid*'s rows (its tables are its own business)."""
-        for sid in range(self.geometry.n_streams):
-            self._keep(sid, (self.sorted_run(sid)[2] & self._pid_mask) != pid)
+        self._keep((self.sorted_run()[2] & self._pid_mask) != pid)
 
-    def _keep(self, sid: int, live: npt.NDArray[np.bool_]) -> None:
-        kept = t.cast(Columns, tuple(col[live] for col in self._runs[sid]))
-        self._runs[sid] = kept
-        self._oldest[sid] = float(kept[1].min()) if len(kept[1]) else float("inf")
+    def _keep(self, live: npt.NDArray[np.bool_]) -> None:
+        rkey, rows = self._run
+        self._run = rkey[live], rows[live]
+        ts = _columns(self._run)[1]
+        self._oldest = float(ts.min()) if len(ts) else float("inf")
 
     def count_before(self, cutoff_ts: float) -> int:
         """How many committed tuples :meth:`expire_before` would drop."""
-        return sum(
-            int(np.count_nonzero(self.sorted_run(sid)[1] < cutoff_ts))
-            for sid, oldest in enumerate(self._oldest)
-            if oldest < cutoff_ts
-        )
+        if self._oldest >= cutoff_ts:
+            return 0
+        return int(np.count_nonzero(self.sorted_run()[1] < cutoff_ts))
 
     def expire_before(self, cutoff_ts: float) -> int:
         """Drop committed tuples older than *cutoff_ts*, off their
         groups' tables too; returns the count dropped.  Head-block
         tuples never expire: they arrived within the current epoch."""
-        gone = []
-        for sid, oldest in enumerate(self._oldest):
-            if oldest < cutoff_ts:
-                rkey, ts, packed = self.sorted_run(sid)
-                dead = ts < cutoff_ts
-                at = np.flatnonzero(dead)
-                gone.append((sid, packed[at] & self._pid_mask, rkey[at]))
-                self._keep(sid, ~dead)
-        dropped = sum(len(pid) for _sid, pid, _rkey in gone)
-        if dropped:
-            pids = sorted(self.groups)
-            groups = [self.groups[pid] for pid in pids]
-            first, _depths, label = labeller(groups)
-            index = np.zeros(pids[-1] + 1, dtype=np.intp)
-            index[pids] = np.arange(len(pids))
-            committed, head = gather_tables(groups)
-            for sid, pid, rkey in gone:
-                at = label(index[pid], rkey)
-                committed[:, sid] -= np.bincount(at, minlength=len(committed))
-            nbytes = group_bytes(self.geometry, first, committed + head)
-            for group, total in zip(groups, nbytes.tolist()):
-                group.total_bytes = total
-        return dropped
+        if self._oldest >= cutoff_ts:
+            return 0
+        rkey, ts, packed = self.sorted_run()
+        dead = ts < cutoff_ts
+        at = np.flatnonzero(dead)
+        gone = packed[at]
+        self._keep(~dead)
+        pids = sorted(self.groups)
+        groups = [self.groups[pid] for pid in pids]
+        first, _depths, label = labeller(groups)
+        index = np.zeros(pids[-1] + 1, dtype=np.intp)
+        index[pids] = np.arange(len(pids))
+        committed, head = gather_tables(groups)
+        cell = label(index[gone & self._pid_mask], rkey[at]) * committed.shape[1]
+        cell += self.stream_of(gone)
+        committed -= np.bincount(cell, minlength=committed.size).reshape(committed.shape)
+        nbytes = group_bytes(self.geometry, first, committed + head)
+        for group, total in zip(groups, nbytes.tolist()):
+            group.total_bytes = total
+        return len(at)
 
 
 class PartitionGroup:
@@ -591,9 +650,8 @@ class PartitionGroup:
         skips it.  Its run keys are in order: the first and last bound
         them."""
         lo, hi = _span(bucket.pattern, bucket.local_depth)
-        keys = [self.store.keys_of(self.pid, sid, lo, hi) for sid in self._sids()]
-        ends = [k[i] for k in keys if len(k) for i in (0, -1)]
-        return bool(ends) and bool(min(ends) != max(ends))
+        keys = self.store.streams_in(self.pid, lo, hi)[0]
+        return bool(len(keys)) and bool(keys[0] != keys[-1])
 
     def oversized_buckets(self) -> list[Bucket]:
         return [b for b, _nbytes in self.tuning_candidates()[0]]
@@ -616,9 +674,8 @@ class PartitionGroup:
         lo, mid, _hi = _span(bucket.pattern, bucket.local_depth, 2)
         i = self._index(bucket)
         moved = self._block_bytes(self.committed[i] + self.head[i])
-        low = np.array(
-            [len(self.store.keys_of(self.pid, sid, lo, mid)) for sid in self._sids()]
-        )
+        sids = self.store.streams_in(self.pid, lo, mid)[1]
+        low = np.bincount(sids, minlength=self.geometry.n_streams)
         children = self.directory.split(bucket)
         self._relabel(dict(zip(children, (low, self.committed[i] - low))))
         # Each half rounds up to whole blocks on its own.
@@ -721,7 +778,7 @@ class PartitionGroup:
         self.total_bytes = self.bytes_used
 
 
-def _merged(old: Columns, new: Columns) -> tuple[Columns, Indexes]:
+def _merged(old: _Merged, new: _Merged) -> tuple[_Merged, Indexes]:
     """Two blocks in run-key order as one, each row of *new* after the
     rows of *old* with its key: where a stable sort of *old* followed by
     *new* would put it.  Returns the block and where *new*'s rows are in
@@ -732,8 +789,8 @@ def _merged(old: Columns, new: Columns) -> tuple[Columns, Indexes]:
     slots += np.arange(len(slots))
     is_old = np.ones(len(old[0]) + len(slots), dtype=np.bool_)
     is_old[slots] = False
-    rkey, ts, seq = (_spliced(o, n, is_old, slots) for o, n in zip(old, new))
-    return (rkey, ts, seq), slots
+    merged = tuple(_spliced(o, n, is_old, slots) for o, n in zip(old, new))
+    return t.cast(_Merged, merged), slots
 
 
 def _spliced(

@@ -13,21 +13,20 @@ The window predicate is symmetric: tuples ``a`` and ``b`` join iff
 the other's window when the later of the two arrived (Section II).
 
 The probe keys may come in any order: a probe tuple's rows do not
-depend on the others.  The join path nevertheless searches them in
-sorted order (``key_order``): numpy's ``searchsorted`` starts each
-binary search from where the one before it ended when the needles
-ascend, which makes a block of a few thousand keys against a run ten
-times its size about three times cheaper to search.  The join module
-sorts each block anyway, to commit it, and one scatter of the searches'
-answers (:func:`key_ranges`) keeps every row where an unsorted probe
-would put it.
+depend on the others.  :func:`probe_sorted` searches the window for
+them, in sorted order if given one (``key_order``): numpy's
+``searchsorted`` starts each binary search from where the one before it
+ended when the needles ascend, and one scatter of the answers
+(:func:`key_ranges`) keeps every row where an unsorted probe would put
+it.
 
-A probe may be told to skip rows of the run (``hidden``): the join
-module splices a pass's partial blocks into a run with its full ones,
-ahead of the probes that must not see them yet
-(:class:`~repro.core.join_module._Pass`).  Dropping a candidate keeps
-the others in their order, so the rows are those of a probe of the run
-without the hidden rows.
+The join module knows the ranges without searching: a pass's new rows
+go into the one run of the store with one merge, whose own search, over
+the sorted new keys, says where each row and the first row of its key
+are (:meth:`~repro.core.partition_group.WindowStore.splice`).  A store's
+run holds every stream, so a probe keeps the candidates of the stream it
+matches (:meth:`Candidates.where`); dropping a candidate keeps the
+others in their order.
 """
 
 from __future__ import annotations
@@ -42,6 +41,7 @@ from repro.data.tuples import KeyArray, SeqArray, TsArray
 #: What a probe searches by: join keys, or keys equal exactly where the
 #: join keys are (a partition-group's run keys).
 SortKeys = t.Union[KeyArray, npt.NDArray[np.uint64]]
+Indexes = npt.NDArray[np.intp]
 
 
 class ProbeResult(t.NamedTuple):
@@ -78,8 +78,8 @@ def _no_pairs(n_probe: int, collect_pairs: bool) -> ProbeResult:
 def key_ranges(
     sorted_key: SortKeys,
     probe_key: SortKeys,
-    key_order: npt.NDArray[np.intp] | None = None,
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
+    key_order: Indexes | None = None,
+) -> tuple[Indexes, Indexes]:
     """Per probe key, the ``[lo, hi)`` slice of *sorted_key* equal to it.
 
     *key_order*, a permutation that sorts *probe_key*, makes the
@@ -96,29 +96,29 @@ def key_ranges(
     return lo, hi
 
 
-def candidates(
-    sorted_key: SortKeys,
-    probe_key: SortKeys,
-    key_order: npt.NDArray[np.intp] | None = None,
-    hidden: npt.NDArray[np.intp] | None = None,
-) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-    """Per probe key the ascending positions of the rows of *sorted_key*
-    equal to it, less those at the ascending positions *hidden*:
-    ``(positions, ends)``, key ``i``'s at ``positions[ends[i] :
-    ends[i + 1]]``.  A hidden row is found by one search of all the
-    candidates' positions."""
-    lo, hi = key_ranges(sorted_key, probe_key, key_order)
+class Candidates(t.NamedTuple):
+    """Per probe tuple, rows of a run: tuple ``i``'s at ascending
+    ``positions[ends[i] : ends[i + 1]]``, each with its ``owner``, ``i``."""
+
+    positions: Indexes
+    owner: Indexes
+    ends: Indexes
+
+    def where(self, keep: npt.NDArray[np.bool_]) -> Candidates:
+        """The candidates for which *keep* holds, in their order."""
+        owner = self.owner[keep]
+        ends = np.zeros_like(self.ends)
+        np.cumsum(np.bincount(owner, minlength=len(ends) - 1), out=ends[1:])
+        return Candidates(self.positions[keep], owner, ends)
+
+
+def candidates(lo: Indexes, hi: Indexes) -> Candidates:
+    """Per probe tuple ``i`` the rows ``[lo[i], hi[i])`` of a run."""
     counts = hi - lo
     ends = np.zeros(len(counts) + 1, dtype=np.intp)
     np.cumsum(counts, out=ends[1:])
     positions = np.repeat(lo - ends[:-1], counts) + np.arange(ends[-1])
-    if hidden is not None and len(hidden):
-        at = np.minimum(np.searchsorted(hidden, positions), len(hidden) - 1)
-        shown = hidden[at] != positions
-        owner = np.repeat(np.arange(len(counts)), counts)
-        np.cumsum(np.bincount(owner[shown], minlength=len(counts)), out=ends[1:])
-        positions = positions[shown]
-    return positions, ends
+    return Candidates(positions, np.repeat(np.arange(len(counts)), counts), ends)
 
 
 def probe_sorted(
@@ -130,31 +130,46 @@ def probe_sorted(
     sorted_seq: SeqArray | None,
     window: float,
     collect_pairs: bool = False,
-    key_order: npt.NDArray[np.intp] | None = None,
-    hidden: npt.NDArray[np.intp] | None = None,
+    key_order: Indexes | None = None,
 ) -> ProbeResult:
     """Join *probe* tuples against a committed window sorted by key.
 
     ``sorted_key``/``sorted_ts`` (and ``sorted_seq`` when pairs are
     collected) are the committed window contents ordered by key.
     *key_order*, when given, sorts *probe_key* and the searches run in
-    that order (:func:`key_ranges`); the result is the same.  The rows
-    at the ascending positions *hidden* are not matched: the result is
-    that of the window without them, row for row.
+    that order (:func:`key_ranges`); the result is the same.
     """
-    n_probe = len(probe_key)
-    if n_probe == 0 or len(sorted_key) == 0:
-        return _no_pairs(n_probe, collect_pairs)
+    if len(probe_key) == 0 or len(sorted_key) == 0:
+        return _no_pairs(len(probe_key), collect_pairs)
+    if collect_pairs and sorted_seq is None:
+        raise ValueError("collect_pairs=True requires sorted_seq")
+    found = candidates(*key_ranges(sorted_key, probe_key, key_order))
+    cand_seq = t.cast(SeqArray, sorted_seq)[found.positions] if collect_pairs else None
+    return matches(
+        probe_ts, probe_seq, found, sorted_ts[found.positions], cand_seq, window,
+        collect_pairs,
+    )
 
-    # Candidate j of probe i is slot ends[i] + j and sits at sorted
-    # position positions[ends[i] + j].
-    positions, ends = candidates(sorted_key, probe_key, key_order, hidden)
-    total = int(ends[-1])
+
+def matches(
+    probe_ts: TsArray,
+    probe_seq: SeqArray,
+    found: Candidates,
+    cand_ts: TsArray,
+    cand_seq: SeqArray | None,
+    window: float,
+    collect_pairs: bool = False,
+) -> ProbeResult:
+    """The candidates *found*, with timestamps *cand_ts* and seqs
+    *cand_seq* (needed only to collect pairs), that are within *window*
+    of their probe tuples, as rows grouped by probe tuple, each tuple's
+    in its candidates' order."""
+    n_probe = len(probe_ts)
+    total = int(found.ends[-1])
     if total == 0:
         return _no_pairs(n_probe, collect_pairs)
 
-    owner = np.repeat(np.arange(n_probe), np.diff(ends))
-    cand_ts = sorted_ts[positions]
+    owner = found.owner
     own_ts = probe_ts[owner]
     valid = np.abs(cand_ts - own_ts) <= window
     # Valid candidates before each slot; read at the slot boundaries it
@@ -165,14 +180,12 @@ def probe_sorted(
     if n_pairs == 0:
         return _no_pairs(n_probe, collect_pairs)
     offsets = np.zeros(n_probe + 1, dtype=np.intp)
-    offsets[1:] = rows_before[ends[1:]]
+    offsets[1:] = rows_before[found.ends[1:]]
 
     newer = np.maximum(cand_ts[valid], own_ts[valid])
     pairs: npt.NDArray[np.int64] | None = None
     if collect_pairs:
-        if sorted_seq is None:
-            raise ValueError("collect_pairs=True requires sorted_seq")
         pairs = np.column_stack(
-            (probe_seq[owner[valid]], sorted_seq[positions[valid]])
+            (probe_seq[owner[valid]], t.cast(SeqArray, cand_seq)[valid])
         ).astype(np.int64, copy=False)
     return ProbeResult(n_pairs, newer, pairs, offsets)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import typing as t
+
 import numpy as np
 import pytest
 
 from repro.config import SystemConfig
 from repro.core.costmodel import CostModel
-from repro.core.hashing import run_key
+from repro.core.hashing import bit_reverse, key_of, run_key
+from repro.core.join_module import join_kinds
 from repro.core.metrics import MeasurementWindow, SlaveMetrics
-from repro.core.partition_group import JoinGeometry
+from repro.core.nway import probe_composites
+from repro.core.partition_group import JoinGeometry, WindowStore
+from repro.core.probe import probe_sorted
 from repro.simul.kernel import Simulator
 
 
@@ -159,3 +164,100 @@ def tune(group, busy=frozenset()) -> None:
         buddy = directory.buddy_of(bucket)
         if buddy is not None and not {bucket.pattern, buddy.pattern} & busy:
             group.try_merge_bucket(bucket)
+
+
+def pass_rows(n_streams: int):
+    """A hypothesis strategy: per stream its committed rows, then per
+    kind — full blocks of stream 0, 1, ..., then partial ones — the rows
+    of a pass, each row ``(ts, key)``.  Six keys, so that rows tie inside
+    a block, a window and across both."""
+    from hypothesis import strategies as st
+
+    rows = st.lists(st.tuples(st.floats(0, 30), st.integers(0, 5)), max_size=12)
+    return st.tuples(
+        st.lists(rows, min_size=n_streams, max_size=n_streams),
+        st.lists(rows, min_size=2 * n_streams, max_size=2 * n_streams),
+    )
+
+
+def kind_rule_case(n_streams: int, window: float, old, kinds):
+    """A store holding *old* (per stream, ``(ts, key)`` rows) and the
+    pass's *kinds* as blocks, and the reference for that pass: each kind
+    probes the windows as they are, then joins its stream's window, kind
+    by kind.  A key's tuples live in partition ``key % 3`` of three.
+
+    Returns ``(store, blocks, expected, windows)``: ``expected`` is the
+    matches as ``(newer timestamps, members by stream id, offsets)``,
+    rows grouped by block row in kind then line order; ``windows`` are
+    the windows after the pass, per stream ``(run key, ts, seq)`` in
+    commit order."""
+    geometry = JoinGeometry(
+        tuples_per_block=4,
+        block_bytes=256,
+        theta_bytes=768,
+        window_seconds=window,
+        fine_tuning=True,
+        tuple_bytes=64,
+        n_streams=n_streams,
+    )
+    store = WindowStore(geometry, 3)
+    windows, blocks = [], []
+    seq = iter(range(10**6))
+    for sid, rows in enumerate(old):
+        ts, key, seqs = _rows(rows, seq)
+        store.commit(sid, run_key(key), ts, seqs, key % 3)
+        windows.append((run_key(key), ts, seqs))
+    for rows in kinds:
+        ts, key, seqs = _rows(rows, seq)
+        blocks.append((run_key(key), ts, seqs, key % 3))
+    newer, members, counts = [], [], []
+    for k, (rkey, ts, seqs, _pid) in enumerate(blocks):
+        sid = k % n_streams
+        ordered = []
+        for o, (w_rkey, w_ts, w_seq) in enumerate(windows):
+            order = np.argsort(w_rkey, kind="stable")
+            ordered.append((o, w_rkey[order], w_ts[order], w_seq[order]))
+        if n_streams == 2:
+            _o, w_rkey, w_ts, w_seq = ordered[1 - sid]
+            got = probe_sorted(ts, rkey, seqs, w_rkey, w_ts, w_seq, window, True)
+            pairs = t.cast(np.ndarray, got.pairs)
+            found = (got.newer_ts, pairs if sid == 0 else pairs[:, ::-1], got.offsets)
+        else:
+            others = [w for w in ordered if w[0] != sid]
+            windows_of = dict.fromkeys(range(n_streams), window)
+            composites = probe_composites(sid, ts, rkey, seqs, others, windows_of, True)
+            found = (composites.newest_ts, composites.members, composites.offsets)
+        newer.append(found[0])
+        members.append(found[1])
+        counts.append(np.diff(found[2]))
+        windows[sid] = tuple(
+            np.concatenate(col) for col in zip(windows[sid], (rkey, ts, seqs))
+        )
+    offsets = np.concatenate(([0], np.cumsum(np.concatenate(counts)))).astype(np.intp)
+    expected = (np.concatenate(newer), np.concatenate(members), offsets)
+    return store, blocks, expected, windows
+
+
+def _rows(rows, seq):
+    ts = np.array([r[0] for r in rows], dtype=np.float64)
+    key = np.array([r[1] for r in rows], dtype=np.int64)
+    return ts, key, np.array([next(seq) for _ in rows], dtype=np.int64)
+
+
+def check_kind_rule(n_streams, window, case):
+    """One splice and one probe of a pass give the kind-by-kind
+    reference's rows, order, offsets, newer timestamps and members, and
+    leave each stream's tuples in commit order."""
+    old, kinds = case
+    store, blocks, expected, windows = kind_rule_case(n_streams, window, old, kinds)
+    got = join_kinds(store, blocks, collect_pairs=True)
+    newer, members, offsets = expected
+    np.testing.assert_array_equal(got.offsets, offsets)
+    np.testing.assert_array_equal(got.newer_ts, newer)
+    np.testing.assert_array_equal(got.pairs, members)
+    for sid, (rkey, ts, seq) in enumerate(windows):
+        for pid in range(3):
+            mine = (key_of(bit_reverse(rkey)) % 3) == pid
+            order = np.argsort(rkey[mine], kind="stable")
+            for col, want in zip(store.rows_of(pid, sid), (rkey, ts, seq)):
+                np.testing.assert_array_equal(col, want[mine][order])

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.hashing import (
     bit_reverse,
     directory_hash,
-    directory_index,
     key_of,
     partition_of,
     run_key,
@@ -48,19 +47,9 @@ class TestDirectoryHash:
         fine tuning could not split a partition otherwise."""
         keys = np.arange(200_000, dtype=np.int64)
         same_part = keys[partition_of(keys, 60) == 7]
-        bits = directory_index(directory_hash(same_part), 3)
+        bits = (directory_hash(same_part) & np.uint64(7)).astype(np.int64)
         counts = np.bincount(bits, minlength=8)
         assert counts.min() > 0.8 * len(same_part) / 8
-
-    def test_directory_index_depth_zero(self):
-        idx = directory_index(directory_hash(np.arange(10)), 0)
-        assert np.all(idx == 0)
-
-    def test_directory_index_masks_lsb(self):
-        g = directory_hash(np.arange(1000, dtype=np.int64))
-        idx = directory_index(g, 4)
-        assert idx.max() < 16
-        assert np.array_equal(idx, (g & np.uint64(15)).astype(np.int64))
 
     def test_deterministic(self):
         keys = np.arange(50, dtype=np.int64)

@@ -355,7 +355,7 @@ class TestSorting:
     def test_a_pass_sorts_each_block_once_and_labels_narrow(self, monkeypatch):
         """Over large windows, one two-stream pass — the shipment filed,
         then every step run: ``sorted_run`` sorts nothing, no 64-bit
-        argsort sees more than one probe's blocks, and every sort of
+        argsort sees more than the pass's blocks, and every sort of
         mini-group indexes or partition ids runs at 16 bits or fewer."""
         geometry = JoinGeometry(
             tuples_per_block=16,
@@ -379,10 +379,10 @@ class TestSorting:
             sorts.append((a.dtype, len(a), bool(in_run)))
             return real_argsort(a, *args, **kwargs)
 
-        def sorted_run(store, sid):
-            in_run.append(sid)
+        def sorted_run(store):
+            in_run.append(store)
             try:
-                return real_sorted_run(store, sid)
+                return real_sorted_run(store)
             finally:
                 in_run.pop()
 
@@ -399,7 +399,7 @@ class TestSorting:
         monkeypatch.undo()
 
         assert not module.has_work and blocks
-        window = min(len(module.store.sorted_run(s)[0]) for s in (0, 1))
+        window = len(module.store.sorted_run()[0])
         assert window > 10 * max(blocks)  # a sort of a window would show
         assert not [s for s in sorts if s[2]], "sorted_run sorted"
         wide = [n for dtype, n, _ in sorts if dtype.itemsize > 2]
@@ -414,8 +414,8 @@ class TestOneStore:
     def test_a_pass_hashes_sorts_and_probes_each_stream_once(self, geometry, monkeypatch):
         """A slave owning 30 partition-groups (``npart=60``, two slaves)
         keeps them in one store: a pass hashes each stream's arrivals
-        once, sorts them by mini-group once, and probes the store at
-        most four times — not per partition-group."""
+        once, sorts them by mini-group once, and probes the store once —
+        not per partition-group."""
         import repro.core.hashing as hashing
         import repro.core.join_module as join_module
         import repro.core.partition_group as partition_group
@@ -436,9 +436,15 @@ class TestOneStore:
 
         for where in (hashing, partition_group):
             monkeypatch.setattr(where, "directory_hash", spy(hashed, where.directory_hash))
-        real_sort, real_probe = join_module.small_int_order, partition_group.probe_sorted
+        real_sort = join_module.small_int_order
         monkeypatch.setattr(join_module, "small_int_order", spy(sorted_, real_sort))
-        monkeypatch.setattr(partition_group, "probe_sorted", spy(probes, real_probe))
+        real_probe = WindowStore.probe
+
+        def probe(store, sid, probe_ts, *args, **kwargs):
+            probes.append(len(probe_ts))
+            return real_probe(store, sid, probe_ts, *args, **kwargs)
+
+        monkeypatch.setattr(WindowStore, "probe", probe)
         trace = []
         for epoch in range(3):
             t0, t1 = 2.0 * epoch, 2.0 * (epoch + 1)
@@ -452,7 +458,7 @@ class TestOneStore:
             arrivals = sorted(len(batch.by_stream(sid)) for sid in (0, 1))
             assert sorted(hashed) == arrivals
             assert sorted(sorted_)[-2:] == arrivals and len(sorted_) <= 3
-            assert 0 < len(probes) <= 4
+            assert probes == [len(batch)]
         monkeypatch.undo()
         got = np.concatenate(metrics.pair_chunks())
         expected = naive_window_join(TupleBatch.concat(trace), geometry.window_seconds)
@@ -461,14 +467,12 @@ class TestOneStore:
 
 
 class TestSpliceOnce:
-    def test_a_pass_copies_each_run_once(self, monkeypatch):
-        """Over windows much larger than its blocks, one two-stream pass
-        with full and partial blocks in several mini-groups: ``_merged``
-        copies each run at most once, and the pass's pairs are the
-        oracle's."""
-        import repro.core.partition_group as partition_group
-        from repro.data.tuples import TupleBatch
-
+    @staticmethod
+    def large_windows():
+        """A two-stream module whose windows are more than ten times the
+        next batch, and that batch: full and partial blocks of both
+        streams in several mini-groups, each partial kind longer than a
+        block."""
         geometry = JoinGeometry(
             tuples_per_block=16,
             block_bytes=1024,
@@ -478,28 +482,45 @@ class TestSpliceOnce:
             tuple_bytes=64,
         )
         module, metrics = make_module(geometry, npart=4, collect_pairs=True)
-        store = module.store
         wl = TwoStreamWorkload.poisson_bmodel(RngRegistry(0), 1500.0, 0.7, 50_000)
         before = wl.generate(0.0, 10.0)
         module.enqueue(Shipment(0, 0.0, 10.0, before))
         process_all(module)
         assert all(g.n_mini_groups > 1 for g in module.groups.values())
-        seen = np.concatenate(metrics.pair_chunks())
+        batch = wl.generate(10.0, 10.5)
+        assert sum(g.n_tuples for g in module.groups.values()) > 10 * len(batch)
+        return module, metrics, before, batch
 
-        copies, probes = [], []
+    def test_a_pass_copies_each_run_once(self, monkeypatch):
+        """Over windows much larger than its blocks, one two-stream pass
+        with full and partial blocks in several mini-groups: ``_merged``
+        copies the run once, and the pass's pairs are the oracle's."""
+        import repro.core.join_module as join_module
+        import repro.core.partition_group as partition_group
+        from repro.data.tuples import TupleBatch
+
+        module, metrics, before, batch = self.large_windows()
+        store, tpb = module.store, module.geometry.tuples_per_block
+        seen = np.concatenate(metrics.pair_chunks())
+        copies, probes, kinds = [], [], []
         real_merged, real_probe = partition_group._merged, WindowStore.probe
+        real_join = join_module.join_kinds
 
         def merged(old, new):
-            copies.extend(s for s, run in enumerate(store._runs) if old is run)
+            copies.append(old is store._run)
             return real_merged(old, new)
 
-        def probe(store, sid, probe_ts, probe_rkey, *args, **kwargs):
-            probes.append(len(probe_rkey))
-            return real_probe(store, sid, probe_ts, probe_rkey, *args, **kwargs)
+        def probe(store, sid, probe_ts, *args, **kwargs):
+            probes.append(len(probe_ts))
+            return real_probe(store, sid, probe_ts, *args, **kwargs)
 
-        batch = wl.generate(10.0, 10.5)
+        def join_kinds(store, blocks, collect_pairs):
+            kinds.extend(len(block[0]) for block in blocks)
+            return real_join(store, blocks, collect_pairs)
+
         monkeypatch.setattr(partition_group, "_merged", merged)
         monkeypatch.setattr(WindowStore, "probe", probe)
+        monkeypatch.setattr(join_module, "join_kinds", join_kinds)
         module.enqueue(Shipment(1, 10.0, 10.5, batch))
         run_pass(module, 20.0)
         monkeypatch.undo()
@@ -507,21 +528,53 @@ class TestSpliceOnce:
         assert not module.has_work
         # Full and partial kinds of both streams, each partial kind more
         # than a block: partial blocks of several mini-groups.
-        assert len(probes) == 4
-        assert min(probes) > geometry.tuples_per_block
-        window = min(len(store.sorted_run(s)[0]) for s in (0, 1))
-        assert window > 10 * len(batch)
-        assert sorted(copies) == [0, 1]
+        assert len(kinds) == 4 and min(kinds) > tpb
+        assert probes == [sum(kinds)]
+        assert copies == [True]
         got = np.concatenate(metrics.pair_chunks())
         got = got[~np.isin(got[:, 0] << 32 | got[:, 1], seen[:, 0] << 32 | seen[:, 1])]
         trace = TupleBatch.concat([before, batch])
-        every = naive_window_join(trace, geometry.window_seconds)
+        every = naive_window_join(trace, module.geometry.window_seconds)
         # The pass's pairs: those with a member in its batch.
         fresh = np.isin(every[:, 0], batch.by_stream(0).seq) | np.isin(
             every[:, 1], batch.by_stream(1).seq
         )
         assert np.array_equal(got[np.lexsort((got[:, 1], got[:, 0]))], every[fresh])
         assert fresh.any()
+
+    def test_one_merge_and_one_search_per_pass(self, monkeypatch):
+        """The same pass merges its rows into the run once and searches
+        the run for keys at most twice: the merge's own search, and one
+        for the first rows of the keys the run held before (tuning reads
+        bucket bounds, one key at a time)."""
+        import repro.core.partition_group as partition_group
+
+        module, _metrics, _before, batch = self.large_windows()
+        # Haystacks this long are runs (a stream's own, where it has one).
+        run_sized = 4 * len(batch)
+        merges, searches = [], []
+        real_merged, real_search = partition_group._merged, np.searchsorted
+
+        def merged(old, new):
+            if len(old[0]) > run_sized:
+                merges.append(len(new[0]))
+            return real_merged(old, new)
+
+        def searchsorted(a, v, *args, **kwargs):
+            if np.size(a) > run_sized and np.ndim(v):
+                searches.append(np.size(v))
+            return real_search(a, v, *args, **kwargs)
+
+        monkeypatch.setattr(partition_group, "_merged", merged)
+        monkeypatch.setattr(np, "searchsorted", searchsorted)
+        module.enqueue(Shipment(1, 10.0, 10.5, batch))
+        run_pass(module, 20.0)
+        monkeypatch.undo()
+
+        assert not module.has_work
+        assert merges == [len(batch)]
+        assert 1 <= len(searches) <= 2
+        assert searches[0] == len(batch)
 
 
 class TestNWayPlan:
@@ -545,10 +598,10 @@ class TestNWayPlan:
         reads, probing = [], [False]
         real_sorted_run = WindowStore.sorted_run
 
-        def sorted_run(store, sid):
+        def sorted_run(store):
             if probing[0]:
-                reads.append(sid)
-            return real_sorted_run(store, sid)
+                reads.append(store)
+            return real_sorted_run(store)
 
         monkeypatch.setattr(WindowStore, "sorted_run", sorted_run)
         for epoch in range(6):

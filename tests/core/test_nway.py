@@ -16,7 +16,7 @@ from repro.data.tuples import TupleBatch
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer
-from tests.conftest import drain
+from tests.conftest import check_kind_rule, drain, pass_rows
 
 
 
@@ -196,42 +196,14 @@ def test_probe_kernel_matches_oracle_three_way(rows, windows):
     assert len(found) == len(expected)  # exactly-once
 
 
-_stream_rows = st.lists(
-    st.tuples(st.floats(0, 20), st.integers(0, 3), st.booleans()), max_size=12
-)
-
-
-@given(
-    probe=st.lists(st.tuples(st.floats(0, 20), st.integers(0, 3)), max_size=8),
-    one=_stream_rows,
-    two=_stream_rows,
-)
+@given(case=pass_rows(3), window=st.floats(0.1, 40))
 @settings(max_examples=200, deadline=None)
-def test_hidden_rows_are_as_if_deleted(probe, one, two):
-    """A stream's rows at ``hidden`` take part in no composite: the
-    result is that of its window without them, row for row.  Four keys:
-    duplicates in every stream."""
-    p_ts = np.array([r[0] for r in probe], dtype=np.float64)
-    p_key = np.array([r[1] for r in probe], dtype=np.int64)
-    p_seq = np.arange(len(probe), dtype=np.int64)
-    windows = {0: 5.0, 1: 5.0, 2: 5.0}
-    others, kept, hidden = [], [], []
-    for sid, rows in ((1, one), (2, two)):
-        rows = sorted(rows, key=lambda r: r[1])
-        key, ts, seq = _window([(r[0], r[1], 100 * sid + i) for i, r in enumerate(rows)])
-        gone = np.array([r[2] for r in rows], dtype=np.bool_)
-        others.append((sid, key, ts, seq))
-        kept.append((sid, key[~gone], ts[~gone], seq[~gone]))
-        hidden.append(np.flatnonzero(gone))
-
-    def composites(windows_of, hide):
-        return probe_composites(0, p_ts, p_key, p_seq, windows_of, windows, True, hide)
-
-    got, expected = composites(others, hidden), composites(kept, None)
-    assert got.n_composites == expected.n_composites
-    np.testing.assert_array_equal(got.offsets, expected.offsets)
-    np.testing.assert_array_equal(got.newest_ts, expected.newest_ts)
-    np.testing.assert_array_equal(got.members, expected.members)
+def test_one_splice_probes_as_kind_by_kind_commits(case, window):
+    """Three streams: a pass's rows, spliced into the one run at once,
+    complete the composites, in the order, that each kind of block would
+    probing the windows and then being committed, kind by kind.  Six
+    keys: ties in every stream and block."""
+    check_kind_rule(3, window, case)
 
 
 class TestModuleThreeWayFineTuned:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.hashing import run_key, run_key_order
 from repro.core.probe import probe_sorted
-from tests.conftest import brute_force_pairs
+from tests.conftest import brute_force_pairs, check_kind_rule, pass_rows
 
 
 def run_probe(probe, window_rows, window, collect_pairs=True):
@@ -147,41 +147,14 @@ def test_searching_in_key_order_gives_the_same_rows_in_the_same_order(
     np.testing.assert_array_equal(searched.pairs, plain.pairs)
 
 
-_hidden = st.lists(st.booleans(), max_size=50)
-
-
-@given(block=_rows, committed=_rows, hide=_hidden, window=st.floats(0.1, 150))
+@given(case=pass_rows(2), window=st.floats(0.1, 40))
 @settings(max_examples=300, deadline=None)
-def test_hidden_rows_are_as_if_deleted(block, committed, hide, window):
-    """Probing a run with the rows at ``hidden`` left out returns what
-    probing the run without them does: the same rows in the same order,
-    offsets, newer timestamps and pairs.  Six keys: duplicates inside
-    the block, inside the run and across both."""
-    p_ts = np.array([r[0] for r in block], dtype=float)
-    p_rkey = run_key(np.array([r[1] for r in block], dtype=np.int64))
-    p_seq = np.arange(len(block), dtype=np.int64)
-    w_rkey = run_key(np.array([r[1] for r in committed], dtype=np.int64))
-    order = np.argsort(w_rkey, kind="stable")
-    w_ts = np.array([r[0] for r in committed], dtype=float)[order]
-    w_seq = 1000 + order.astype(np.int64)
-    w_rkey = w_rkey[order]
-    gone = np.zeros(len(committed), dtype=np.bool_)
-    gone[: len(hide)] = hide[: len(committed)]
-    key_order = np.argsort(p_rkey, kind="stable")
-
-    hidden = probe_sorted(
-        p_ts, p_rkey, p_seq, w_rkey, w_ts, w_seq, window, True, key_order,
-        hidden=np.flatnonzero(gone),
-    )
-    kept = ~gone
-    deleted = probe_sorted(
-        p_ts, p_rkey, p_seq, w_rkey[kept], w_ts[kept], w_seq[kept], window, True,
-        key_order,
-    )
-    assert hidden.n_pairs == deleted.n_pairs
-    np.testing.assert_array_equal(hidden.offsets, deleted.offsets)
-    np.testing.assert_array_equal(hidden.newer_ts, deleted.newer_ts)
-    np.testing.assert_array_equal(hidden.pairs, deleted.pairs)
+def test_one_splice_probes_as_kind_by_kind_commits(case, window):
+    """Two streams: a pass's rows, spliced into the one run at once and
+    probed in one call, match as if each kind of block had probed the
+    windows and then been committed, kind by kind.  Six keys: ties
+    inside a block, a window and across both."""
+    check_kind_rule(2, window, case)
 
 
 @given(keys=st.lists(st.integers(0, 9), max_size=80), wide=st.booleans())

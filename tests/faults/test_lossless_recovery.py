@@ -10,6 +10,7 @@ completion.
 """
 
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def sorted_pairs(pairs):
     return pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
 
 
+def assert_oracle_pairs(pairs, oracle):
+    """The run's pair multiset is the oracle's; if not, the failure says
+    how many pairs are missing and how many extra, with a few of each."""
+    got = Counter(map(tuple, sorted_pairs(pairs).tolist()))
+    want = Counter(map(tuple, oracle.tolist()))
+    missing, extra = want - got, got - want
+    assert not missing and not extra, (
+        f"{sum(missing.values())} of {len(oracle)} oracle pairs missing, "
+        f"{sum(extra.values())} extra; missing e.g. {sorted(missing)[:5]}, "
+        f"extra e.g. {sorted(extra)[:5]}"
+    )
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("when", sorted(CRASH_TIMES), ids=sorted(CRASH_TIMES))
 def test_checkpoint_log_crash_is_lossless(seed, when):
@@ -97,7 +111,7 @@ def test_checkpoint_log_crash_is_lossless(seed, when):
 
     oracle = naive_window_join(trace, cfg.window_seconds)
     assert len(oracle), "degenerate workload: oracle joined nothing"
-    assert np.array_equal(sorted_pairs(result.pairs), oracle)
+    assert_oracle_pairs(result.pairs, oracle)
 
 
 @pytest.mark.parametrize(
@@ -131,7 +145,7 @@ def test_tcp_backend_sigkill_is_lossless(when):
 
     oracle = naive_window_join(trace, cfg.window_seconds)
     assert len(oracle), "degenerate workload: oracle joined nothing"
-    assert np.array_equal(sorted_pairs(result.pairs), oracle)
+    assert_oracle_pairs(result.pairs, oracle)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -147,7 +161,7 @@ def test_log_only_replication_is_also_lossless(seed):
     result = run_with_trace(cfg, trace)
     assert not result.degraded
     oracle = naive_window_join(trace, cfg.window_seconds)
-    assert np.array_equal(sorted_pairs(result.pairs), oracle)
+    assert_oracle_pairs(result.pairs, oracle)
 
 
 def test_replication_off_crash_stays_degraded_and_restricted():
