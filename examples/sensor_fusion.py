@@ -20,7 +20,7 @@ Run:  python examples/sensor_fusion.py
 import numpy as np
 
 from repro import JoinSystem, SystemConfig
-from repro.core.nway import naive_multiway_join
+from repro.reference import naive_multiway_join
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer

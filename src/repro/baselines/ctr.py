@@ -33,6 +33,7 @@ from repro.core.cluster import geometry_of, slave_node_id
 from repro.core.exthash import Bucket
 from repro.core.hashing import HashArray, bit_reverse, split_by
 from repro.core.partition_group import PartitionGroup
+from repro.core.probe import key_ranges
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, Step
 from repro.data.tuples import MaskArray, TsArray, TupleBatch
@@ -105,22 +106,18 @@ class CtrSlave(LightSlave):
                     # The group's run holds every mini-group's tuples;
                     # mini-groups are key-disjoint, so *part* matches
                     # only those of its own.
-                    result = group.probe(
-                        1 - sid,
+                    store = group.store
+                    result = store.probe(
+                        part.stream,
                         part.ts,
-                        rkey,
                         part.seq,
-                        collect_pairs=self.collect_pairs,
+                        key_ranges(store.sorted_run()[0], rkey),
+                        self.collect_pairs,
                     )
                     self.metrics.record_outputs(emit, result.newer_ts)
                     self.metrics.tuples_processed += len(part)
-                    if self.collect_pairs and result.pairs is not None and len(
-                        result.pairs
-                    ):
-                        pairs = result.pairs
-                        if sid == 1:
-                            pairs = pairs[:, ::-1]
-                        self.metrics.record_pairs(group.pid, pairs)
+                    if result.pairs is not None and len(result.pairs):
+                        self.metrics.record_pairs(group.pid, result.pairs)
                     home = self._home_mask(part.ts)
                     if home.any():
                         group.admit(sid, rkey[home], part.ts[home], part.seq[home])

@@ -4,15 +4,13 @@ Layering (bottom up):
 
 * :mod:`~repro.core.hashing` — the partition hash ``H`` and the
   independent directory hash ``g`` used by extendible hashing.
-* :mod:`~repro.core.probe` — the vectorized equi-join probe kernel
-  (exact match counting with the sliding-window timestamp predicate).
-* :mod:`~repro.core.window` — one stream's window data inside a
-  mini-partition-group: committed tuples in temporal order plus the
-  fresh head block (Section IV-D).
+* :mod:`~repro.core.probe` — what a probe returns and how it finds
+  its candidates.
 * :mod:`~repro.core.exthash` — the extendible-hash directory used to
   fine-tune partition sizes (split/merge within ``[theta, 2*theta]``).
 * :mod:`~repro.core.partition_group` — a partition-group: directory of
-  mini-partition-groups plus maintenance policy.
+  mini-partition-groups plus maintenance policy; a slave's window store,
+  whose ``probe`` computes every join row.
 * :mod:`~repro.core.join_module` — the slave-side join module: stream
   buffers, block-at-a-time processing, work-unit generation.
 * :mod:`~repro.core.costmodel` — calibrated CPU cost model.

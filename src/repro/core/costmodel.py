@@ -113,13 +113,3 @@ class CostModel:
         """Extracting/installing a partition-group during migration
         (charged on each of the two participating slaves)."""
         return self.cfg.state_move_byte_cost * moved_bytes / self.speed
-
-    def slave_capacity_estimate(
-        self,
-        rate_per_stream: float,
-        n_active: int,
-        mean_scan_bytes: float,
-    ) -> float:
-        """Analytic utilization estimate (used by tests and docs)."""
-        per_tuple = self.cfg.tuple_cost + self.cfg.scan_byte_cost * mean_scan_bytes
-        return (2.0 * rate_per_stream / n_active) * per_tuple

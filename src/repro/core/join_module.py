@@ -62,7 +62,6 @@ from repro.core.metrics import SlaveMetrics
 from repro.core.partition_group import (
     Block,
     CountTable,
-    Indexes,
     JoinGeometry,
     PartitionGroup,
     PartitionGroupState,
@@ -72,26 +71,14 @@ from repro.core.partition_group import (
     group_bytes,
     labeller,
 )
+from repro.core.probe import ProbeResult
 from repro.core.protocol import Shipment
 from repro.core.steps import FloatArray, IntArray, Retire, Step
 from repro.data.blocks import n_blocks
-from repro.data.tuples import TsArray, TupleBatch
+from repro.data.tuples import TupleBatch
 from repro.errors import ProtocolError
 from repro.obs.events import DirectoryEvent, MergeEvent, SplitEvent
 from repro.obs.tracer import NULL_TRACER, Tracer
-
-
-class _Rows(t.NamedTuple):
-    """Output rows, grouped by unit in unit order (a pass's) or by probe
-    tuple in probe order (one kind of block's)."""
-
-    #: Per output row, the timestamp of the newer joining tuple.
-    newer_ts: TsArray
-    #: Per output row its members' seqs, ordered by stream id; None
-    #: unless pairs are collected.
-    pairs: npt.NDArray[np.int64] | None
-    #: Unit (probe tuple) ``j`` produced rows ``[offsets[j], offsets[j + 1])``.
-    offsets: npt.NDArray[np.intp]
 
 
 class JoinModule:
@@ -457,8 +444,8 @@ class _Pass:
     after, been committed.  Groups and mini-groups are disjoint in key
     space, so a block finds what a probe of its own mini-group would;
     inside a mini-group units run in kind order, so each unit finds
-    what it would probing at its own retire.  Two streams probe
-    pairwise, more probe for composites.
+    what it would probing at its own retire.  Any number of streams
+    probe the same way: a row joins one tuple of every stream.
 
     The store is thus *ahead* of the windows an observer sees, the
     groups' tables, which every retire moves: a unit's block is full —
@@ -617,7 +604,7 @@ class _Pass:
         self.in_windows = 0
         self.totals = group_bytes(geometry, self.first, self.start)
 
-    def _join(self) -> _Rows:
+    def _join(self) -> ProbeResult:
         """The matches of every unit, one splice and one probe for the
         whole pass (see the class)."""
         module = self.module
@@ -632,7 +619,7 @@ class _Pass:
         np.cumsum(per_unit, out=offsets[1:])
         take = np.repeat(first - offsets[:-1], per_unit) + np.arange(offsets[-1])
         pairs = None if found.pairs is None else found.pairs[take]
-        return _Rows(found.newer_ts[take], pairs, offsets)
+        return ProbeResult(found.newer_ts[take], pairs, offsets)
 
     def steps(self) -> t.Iterator[Step]:
         module, lo = self.module, 0
@@ -697,34 +684,22 @@ class _Pass:
 
 def join_kinds(
     store: WindowStore, blocks: t.Sequence[Block], collect_pairs: bool
-) -> _Rows:
+) -> ProbeResult:
     """Commit a pass's blocks — kind by kind: the full ones of stream 0,
     1, ..., then the partial ones of stream 0, 1, ... — to *store* with
-    one splice, and return their matches, grouped by row in kind then
-    line order.  A row of kind ``k`` matches every older row of the
-    other streams and their rows of the kinds below ``k``: what it would
-    find had each kind probed the store and then been committed in turn.
-    The blocks sorted as one, each key's rows are in kind order, so those
-    rows are the ones of its key in the run before it."""
-    n_streams = store.geometry.n_streams
+    one splice, and return their join rows from one probe, grouped by
+    block row in kind then line order.  A row of kind ``k`` joins every
+    older row of the other streams and their rows of the kinds below
+    ``k``: what it would find had each kind probed the store and then
+    been committed in turn.  The blocks sorted as one, each key's rows
+    are in kind order, so those rows are the ones of its key in the run
+    before it."""
     sizes = [len(block[0]) for block in blocks]
-    sid = np.repeat(np.arange(len(blocks)) % n_streams, sizes)
+    sid = np.repeat(np.arange(len(blocks)) % store.geometry.n_streams, sizes)
     rkey, ts, seq, pid = (np.concatenate(col) for col in zip(*blocks))
     order = run_key_order(rkey)
     lo, hi = np.empty((2, len(order)), dtype=np.intp)
     lo[order], hi[order] = store.splice(
         sid[order], rkey[order], ts[order], seq[order], pid[order]
     )
-    if n_streams > 2:
-        found = store.probe_composites(sid, ts, seq, (lo, hi), collect_pairs)
-        return _Rows(found.newest_ts, found.members, found.offsets)
-    got = store.probe(1 - sid, ts, rkey, seq, collect_pairs, (lo, hi))
-    pairs = got.pairs
-    if pairs is not None:
-        # ``(probe seq, window seq)`` as ``(stream-0 seq, stream-1 seq)``.
-        flip = np.repeat(sid == 1, np.diff(got.offsets))
-        mine, theirs = pairs.T
-        pairs = np.column_stack(
-            (np.where(flip, theirs, mine), np.where(flip, mine, theirs))
-        )
-    return _Rows(got.newer_ts, pairs, got.offsets)
+    return store.probe(sid, ts, seq, (lo, hi), collect_pairs)

@@ -3,7 +3,7 @@
 ``perf/spans.py`` (frozen outside ``benchmark`` PRs) finds the probe it
 times as ``get_kernel(SystemConfig.kernel).probe``.  There is one probe
 path, :meth:`repro.core.partition_group.WindowStore.probe`: a join
-module's two-stream pass calls it once.  The ``benchmark`` PR that
+module's pass calls it once, for any number of streams.  The ``benchmark`` PR that
 points the span at it deletes this module.
 """
 

@@ -24,9 +24,9 @@ A row's seq, stream and pid share one word, ``seq << (s + b) | sid << b
 add a third to that; for the same reason a row's timestamp and that
 word are stored side by side, one 16-byte element.  A pass's new rows of
 every stream go in with one merge, whose search also tells each row
-where its key's rows start; the probe keeps the candidates of the stream
-it matches.  A standalone :class:`PartitionGroup` (a baseline's, a
-test's) is a store of one group.
+where its key's rows start; the probe tells one stream's candidates from
+another's by the stream bits.  A standalone :class:`PartitionGroup` (a
+baseline's, a test's) is a store of one group.
 
 **A mini-group is a range.**  A bucket with pattern ``p`` and local
 depth ``d`` holds the keys whose ``d`` low bits of ``g`` equal ``p``:
@@ -49,11 +49,9 @@ import typing as t
 import numpy as np
 import numpy.typing as npt
 
-from repro.core import nway
 from repro.core.exthash import Bucket, ExtendibleDirectory
 from repro.core.hashing import HashArray, bit_reverse, directory_hash, key_of, run_key
-from repro.core.nway import CompositeResult
-from repro.core.probe import ProbeResult, candidates, key_ranges, matches
+from repro.core.probe import MAX_COMBOS_PER_TUPLE, ProbeResult, candidates
 from repro.data.blocks import n_blocks
 from repro.data.tuples import (
     SEQ_DTYPE,
@@ -357,60 +355,70 @@ class WindowStore:
 
     def probe(
         self,
-        sid: int | Indexes,
-        probe_ts: TsArray,
-        probe_rkey: HashArray,
-        probe_seq: SeqArray,
-        collect_pairs: bool = False,
-        ranges: tuple[Indexes, Indexes] | None = None,
-    ) -> ProbeResult:
-        """Match probe tuples of any group, given by their run keys,
-        against the committed ones of stream *sid* (per probe tuple, or
-        one for all): ``c`` matches ``p`` iff ``c.key == p.key`` and
-        ``|c.ts - p.ts| <= window_seconds``.  Every two-stream match
-        comes out of here.  *ranges*, :meth:`splice`'s, say which rows of
-        the run to look at instead of searching it by key."""
-        rkey, ts, packed = self.sorted_run()
-        if ranges is None:
-            ranges = key_ranges(rkey, probe_rkey)
-        found = candidates(*ranges)
-        cand_packed = packed[found.positions]
-        want = sid[found.owner] if isinstance(sid, np.ndarray) else sid
-        mine = self.stream_of(cand_packed) == want
-        found = found.where(mine)
-        result = matches(
-            probe_ts, probe_seq, found, ts[found.positions], cand_packed[mine],
-            self.geometry.window_seconds, collect_pairs,
-        )
-        if result.pairs is not None:
-            result.pairs[:, 1] >>= self.shift
-        return result
-
-    def probe_composites(
-        self,
-        sid: Indexes,
+        sid: npt.NDArray[np.integer[t.Any]],
         probe_ts: TsArray,
         probe_seq: SeqArray,
         ranges: tuple[Indexes, Indexes],
         collect_pairs: bool = False,
-    ) -> CompositeResult:
-        """n-way join: the composites that probe tuples of streams *sid*
-        complete among the rows *ranges* (:meth:`splice`'s) of the run,
-        one stream's candidates apart from another's by their stream
-        bits.  A composite is found by the last of its members to be
-        committed; its member seqs come out unpacked."""
+    ) -> ProbeResult:
+        """The join rows that probe tuples of streams *sid* complete among
+        the rows *ranges* of the run (:meth:`splice`'s, or
+        :func:`~repro.core.probe.key_ranges`'): every choice of one
+        candidate per other stream whose members, the tuple among them,
+        span at most ``window_seconds``.  Every match comes out of here.
+
+        A tuple's first other stream, by id, gives its starting rows, each
+        further one multiplies them out, and rows spanning more than the
+        window are dropped after each (a span only grows).  Rows come
+        grouped by probe tuple, each tuple's in ``meshgrid(indexing="ij")``
+        order over its other streams' candidates, each stream's in commit
+        order; members by stream id, their seqs unpacked."""
         _rkey, ts, packed = self.sorted_run()
+        window = self.geometry.window_seconds
         found = candidates(*ranges)
-        streams = self.stream_of(packed[found.positions])
-        per_stream = [found.where(streams == k) for k in range(self.geometry.n_streams)]
-        windows = [self.geometry.window_seconds] * self.geometry.n_streams
-        result = nway.composites(
-            sid, probe_ts, probe_seq << self.shift, per_stream, ts, packed,
-            windows, collect_pairs,
-        )
-        if result.members is not None:
-            result.members[:] >>= self.shift
-        return result
+        stream = self.stream_of(packed[found.positions])
+        own = sid[found.owner]
+        # A tuple's j-th other stream, in stream-id order, is j + (sid <= j).
+        per = [
+            found.where(stream == (own <= j) + j)
+            for j in range(self.geometry.n_streams - 1)
+        ]
+        if len(per) > 1:  # counts multiply: cap them before enumerating
+            combos = np.prod([np.diff(c.ends) for c in per], axis=0, dtype=np.float64)
+            if combos.max(initial=0) > MAX_COMBOS_PER_TUPLE:
+                raise OverflowError(
+                    f"composite explosion: {int(combos.max())} candidate combinations "
+                    f"for one probe tuple (cap {MAX_COMBOS_PER_TUPLE}); "
+                    "reduce key skew or window sizes"
+                )
+        # Per row its probe tuple, its members' run positions and their
+        # newest and oldest timestamps; members and oldest timestamps are
+        # cut to the rows *keep* holds only where they are read.
+        owner, cols = per[0].owner, [per[0].positions]
+        own_ts = probe_ts[owner]
+        hi, lo, keep = _widened(own_ts, own_ts, ts[cols[0]], window)
+        owner, hi = owner[keep], hi[keep]
+        for more in per[1:]:
+            # Each row once per candidate of the next stream, in order.
+            counts = np.diff(more.ends)[owner]
+            first = np.repeat(more.ends[owner] - (np.cumsum(counts) - counts), counts)
+            picked = more.positions[first + np.arange(len(first))]
+            kept = (lo[keep], *(col[keep] for col in cols))
+            owner, hi, lo, *cols = (np.repeat(a, counts) for a in (owner, hi, *kept))
+            hi, lo, keep = _widened(hi, lo, ts[picked], window)
+            cols.append(picked)
+            owner, hi = owner[keep], hi[keep]
+        offsets = np.zeros(len(probe_ts) + 1, dtype=np.intp)
+        np.cumsum(np.bincount(owner, minlength=len(probe_ts)), out=offsets[1:])
+        pairs: npt.NDArray[np.int64] | None = None
+        if collect_pairs:
+            cols = [col[keep] for col in cols]
+            pairs = np.empty((len(owner), self.geometry.n_streams), np.int64)
+            row, mine = np.arange(len(owner)), sid[owner]
+            pairs[row, mine] = probe_seq[owner]
+            for j, col in enumerate(cols):
+                pairs[row, (mine <= j) + j] = packed[col] >> self.shift
+        return ProbeResult(hi, pairs, offsets)
 
     def rows_of(self, pid: int, sid: int) -> Columns:
         """Group *pid*'s tuples of stream *sid*, in run-key order."""
@@ -603,17 +611,6 @@ class PartitionGroup:
         order, equal keys in commit order: ``(run key, ts, seq)``."""
         return self.store.rows_of(self.pid, sid)
 
-    def probe(
-        self,
-        sid: int,
-        probe_ts: TsArray,
-        probe_rkey: HashArray,
-        probe_seq: SeqArray,
-        collect_pairs: bool = False,
-    ) -> ProbeResult:
-        """:meth:`WindowStore.probe` with this group's tuples."""
-        return self.store.probe(sid, probe_ts, probe_rkey, probe_seq, collect_pairs)
-
     def count_before(self, cutoff_ts: float) -> int:
         return self.store.count_before(cutoff_ts)
 
@@ -776,6 +773,15 @@ class PartitionGroup:
         self.committed = np.stack(committed, axis=1).astype(np.int64)
         self.head = self._held_counts()
         self.total_bytes = self.bytes_used
+
+
+def _widened(
+    hi: TsArray, lo: TsArray, member: TsArray, window: float
+) -> tuple[TsArray, TsArray, npt.NDArray[np.bool_]]:
+    """Rows' newest and oldest member timestamps with one member more,
+    and which rows still span at most *window*."""
+    hi, lo = np.maximum(hi, member), np.minimum(lo, member)
+    return hi, lo, hi - lo <= window
 
 
 def _merged(old: _Merged, new: _Merged) -> tuple[_Merged, Indexes]:

@@ -91,9 +91,6 @@ class TimeSeriesSampler:
             reservoir = self.series[key] = Reservoir(self.capacity)
         reservoir.add(now, value)
 
-    def gauges_of(self, node: int) -> list[str]:
-        return sorted(g for n, g in self.series if n == node)
-
     def get(self, node: int, gauge: str) -> list[tuple[float, float]]:
         reservoir = self.series.get((node, gauge))
         return reservoir.items() if reservoir else []

@@ -11,7 +11,12 @@ master/slaves pipeline produces exactly the same multiset of join
 pairs under hash partitioning, head-block batching, fine-tuning
 splits/merges, repartitioning moves, and declustering changes.
 
-It is a sort-merge join: each stream is sorted by key, so the
+:func:`naive_multiway_join` is the n-stream oracle: within each key it
+enumerates every combination of one tuple per stream and keeps those
+whose members are all inside their windows at the newest member's
+arrival.
+
+The two-stream oracle is a sort-merge join: each stream is sorted by key, so the
 equal-key range of every stream-0 tuple is found by binary searches
 over ascending needles.  Each surviving pair is then coded as one
 int64, ``(a - min a) * m + (b - min b)`` with ``m`` stream 1's seq span
@@ -29,6 +34,7 @@ block, never the candidates' count.
 
 from __future__ import annotations
 
+import itertools
 import typing as t
 
 import numpy as np
@@ -120,3 +126,49 @@ def _window_codes(
         codes.append(code0[owner[valid]] + code1[positions[valid]])
         start = stop
     return np.concatenate(codes)
+
+
+def naive_multiway_join(
+    batch: TupleBatch, windows: t.Sequence[float]
+) -> npt.NDArray[np.int64]:
+    """Brute-force n-way windowed equi-join oracle.
+
+    Enumerates candidate combinations *within each join key* (a full
+    cross-product over all tuples would be infeasible even at test
+    sizes) and applies the newest-member window predicate to each.
+    Returns an array of member-seq rows (one column per stream, ordered
+    by stream id), sorted lexicographically.
+    """
+    n = len(windows)
+    streams = [batch.by_stream(sid) for sid in range(n)]
+    if any(len(s) == 0 for s in streams):
+        return np.empty((0, n), dtype=np.int64)
+
+    by_key: list[dict[int, list[int]]] = []
+    for s in streams:
+        groups: dict[int, list[int]] = {}
+        for i, key in enumerate(s.key.tolist()):
+            groups.setdefault(key, []).append(i)
+        by_key.append(groups)
+
+    shared = set(by_key[0])
+    for groups in by_key[1:]:
+        shared &= set(groups)
+
+    rows: list[list[int]] = []
+    for key in shared:
+        candidate_lists = [groups[key] for groups in by_key]
+        for combo in itertools.product(*candidate_lists):
+            ts = [float(streams[k].ts[combo[k]]) for k in range(n)]
+            t_star = max(ts)
+            if all(t_star - ts[k] <= windows[k] for k in range(n)):
+                rows.append(
+                    [int(streams[k].seq[combo[k]]) for k in range(n)]
+                )
+    if not rows:
+        return np.empty((0, n), dtype=np.int64)
+    out = np.array(rows, dtype=np.int64)
+    ordered: npt.NDArray[np.int64] = out[
+        np.lexsort(tuple(out[:, c] for c in reversed(range(n))))
+    ]
+    return ordered

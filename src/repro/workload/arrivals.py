@@ -58,13 +58,6 @@ class RateProfile:
             (lo, hi, self.rate_at(lo)) for lo, hi in zip(edges[:-1], edges[1:])
         ]
 
-    def mean_rate(self, t0: float, t1: float) -> float:
-        segs = self.segments_in(t0, t1)
-        if not segs:
-            return self.rate_at(t0)
-        total = sum((hi - lo) * r for lo, hi, r in segs)
-        return total / (t1 - t0)
-
 
 class PoissonArrivals:
     """Generates arrival timestamps for one stream."""

@@ -81,14 +81,6 @@ class BModelKeys:
         return keys
 
     # -- analytic properties (used by statistical tests) ---------------------
-    def hottest_key_probability(self) -> float:
-        """Probability mass of the most frequent key."""
-        return max(self.b, 1.0 - self.b) ** self.levels
-
     def collision_mass(self) -> float:
         """``sum_k p_k^2`` — probability two draws collide."""
         return (self.b**2 + (1.0 - self.b) ** 2) ** self.levels
-
-    def expected_matches_per_probe(self, window_tuples: int) -> float:
-        """Expected equi-join partners of one tuple in a window."""
-        return window_tuples * self.collision_mass()

@@ -12,10 +12,10 @@ from repro.core.costmodel import CostModel
 from repro.core.hashing import bit_reverse, key_of, run_key
 from repro.core.join_module import join_kinds
 from repro.core.metrics import MeasurementWindow, SlaveMetrics
-from repro.core.nway import probe_composites
 from repro.core.partition_group import JoinGeometry, WindowStore
-from repro.core.probe import probe_sorted
+from repro.core.probe import key_ranges
 from repro.simul.kernel import Simulator
+from tests.probers import probe_composites, probe_sorted
 
 
 @pytest.fixture
@@ -124,13 +124,21 @@ def drain(module, emit_time: float) -> list[tuple[str, float]]:
     return units
 
 
+def probe_store(store, sid: int, ts, rkey, seq, collect_pairs: bool = True):
+    """Probe *store* with tuples of stream *sid*, given by their run
+    keys, that were never committed: search the run for their keys, then
+    join them against its other streams."""
+    ranges = key_ranges(store.sorted_run()[0], rkey)
+    return store.probe(np.full(len(ts), sid), ts, seq, ranges, collect_pairs)
+
+
 def flush_head(group, sid: int, ts, key, seq, collect_pairs: bool = True):
     """Flush one head block of stream *sid* the way a join-module unit
-    does: probe the opposite stream's run of *group* with it, then admit
+    does: probe the other streams' runs of *group* with it, then admit
     it to its own stream's run."""
     ts, key, seq = _columns(ts, key, seq)
     rkey = run_key(key)
-    result = group.probe(1 - sid, ts, rkey, seq, collect_pairs=collect_pairs)
+    result = probe_store(group.store, sid, ts, rkey, seq, collect_pairs)
     group.admit(sid, rkey, ts, seq)
     return result
 

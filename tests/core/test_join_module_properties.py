@@ -54,11 +54,11 @@ from repro.core.partition_group import (
     JoinGeometry,
     PartitionGroupState,
 )
-from repro.core.probe import probe_sorted
 from repro.core.protocol import Shipment
 from repro.data.blocks import block_bytes_used, n_blocks
 from repro.data.tuples import TupleBatch
 from tests.conftest import brute_force_pairs
+from tests.probers import probe_sorted
 
 TPB = 4
 NPART = 2

@@ -1,6 +1,6 @@
 """Property-based equivalence wall around the probe path.
 
-``PartitionGroup.probe`` — one key-sorted run per stream over all the
+``WindowStore.probe`` — one key-sorted run of every stream over all the
 group's mini-groups — must produce the *identical* joined-pair multiset
 as the naive O(n*m) oracle: for any committed contents, any probe
 batch, any interleaving of appends, flushes, watermark-driven expiry,
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.core.hashing import directory_hash, run_key
 from repro.core.partition_group import JoinGeometry, PartitionGroup
-from tests.conftest import brute_force_pairs, commit_rows, flush_head, tune
+from tests.conftest import brute_force_pairs, commit_rows, flush_head, probe_store, tune
 
 
 def group_for(tpb=4, window=10.0, fine_tuning=True):
@@ -86,9 +86,9 @@ def test_probe_matches_brute_force(case):
     p_key = np.array(p_key, dtype=np.int64)
     p_seq = np.arange(1000, 1000 + len(p_ts), dtype=np.int64)
 
-    result = group.probe(0, p_ts, run_key(p_key), p_seq, collect_pairs=True)
+    result = probe(group, p_ts, p_key, p_seq)
 
-    expected = brute_force_pairs(p_ts, p_key, p_seq, c_ts, c_key, c_seq, window_s)
+    expected = brute_force_pairs(c_ts, c_key, c_seq, p_ts, p_key, p_seq, window_s)
     got = [tuple(r) for r in result.pairs.tolist()]
     assert sorted(got) == sorted(expected)  # multiset equality
     assert result.n_pairs == len(expected)
@@ -96,7 +96,7 @@ def test_probe_matches_brute_force(case):
     assert result.offsets[0] == 0 and result.offsets[-1] == result.n_pairs
     for i, seq in enumerate(p_seq):
         rows = result.pairs[result.offsets[i] : result.offsets[i + 1]]
-        assert set(rows[:, 0].tolist()) <= {int(seq)}
+        assert set(rows[:, 1].tolist()) <= {int(seq)}
 
 
 # ---------------------------------------------------------------------------
@@ -154,10 +154,7 @@ def test_exactly_once_under_interleaving(ops, tpb, window):
         if not head:
             return
         pairs = flush_head(group, sid, *zip(*head)).pairs
-        if len(pairs):
-            if sid == 1:
-                pairs = pairs[:, ::-1]
-            found.extend(map(tuple, pairs.tolist()))
+        found.extend(map(tuple, pairs.tolist()))
 
     def flush(sid):
         for pattern, k in list(heads):
@@ -203,8 +200,9 @@ def test_exactly_once_under_interleaving(ops, tpb, window):
 # Deterministic edge cases.
 # ---------------------------------------------------------------------------
 def probe(group, ts, key, seq):
-    """Stream-0 matches of probe tuples given by their join keys."""
-    return group.probe(0, ts, run_key(key), seq, collect_pairs=True)
+    """Stream-0 matches of stream-1 probe tuples given by their join
+    keys: pairs ``(stream-0 seq, probe seq)``."""
+    return probe_store(group.store, 1, ts, run_key(key), seq)
 
 
 def one_window_group(window=10.0):
@@ -224,7 +222,7 @@ class TestEdgeCases:
             np.array([100], dtype=np.int64),
         )
         assert sorted(map(tuple, r.pairs.tolist())) == [
-            (100, 0), (100, 1), (100, 2),
+            (0, 100), (1, 100), (2, 100),
         ]
         # One epsilon beyond: only the duplicate pair at ts=5 remains.
         r = probe(
@@ -233,7 +231,7 @@ class TestEdgeCases:
             np.array([7], dtype=np.int64),
             np.array([100], dtype=np.int64),
         )
-        assert sorted(map(tuple, r.pairs.tolist())) == [(100, 2)]
+        assert sorted(map(tuple, r.pairs.tolist())) == [(2, 100)]
 
     def test_empty_window_and_empty_batch(self):
         group = one_window_group()
@@ -260,8 +258,8 @@ class TestEdgeCases:
         p_seq = np.array([100, 101, 102], dtype=np.int64)
         r = probe(group, p_ts, p_key, p_seq)
         expected = brute_force_pairs(
-            p_ts, p_key, p_seq,
-            np.array([0.0, 4.0, 9.0]), p_key, np.array([0, 1, 2]), 5.0,
+            np.array([0.0, 4.0, 9.0]), p_key, np.array([0, 1, 2]),
+            p_ts, p_key, p_seq, 5.0,
         )
         assert sorted(map(tuple, r.pairs.tolist())) == sorted(expected)
         assert r.offsets.tolist() == [0, 1, 3, 3]
@@ -280,7 +278,7 @@ class TestEdgeCases:
         assert group.n_mini_groups > 1
         after = probe(group, *probe_rows)
         assert after.pairs.tolist() == before.pairs.tolist()
-        assert before.pairs.tolist() == [[k + 100, k] for k in range(2, 12)]
+        assert before.pairs.tolist() == [[k, k + 100] for k in range(2, 12)]
 
     def test_warm_then_probe_equals_cold_probe(self):
         """A run rebuilt from an exported state (migration, crash
@@ -305,6 +303,6 @@ class TestEdgeCases:
         b = probe(restored, *p)
         assert sorted(map(tuple, a.pairs.tolist())) == sorted(
             map(tuple, b.pairs.tolist())
-        ) == [(100, 3)]
+        ) == [(3, 100)]
         for mine, theirs in zip(live.sorted_run(0), restored.sorted_run(0)):
             np.testing.assert_array_equal(mine, theirs)

@@ -7,16 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import JoinSystem, SystemConfig
-from repro.core.nway import (
-    MAX_COMBOS_PER_TUPLE,
-    naive_multiway_join,
-    probe_composites,
-)
+from repro.core.hashing import run_key
+from repro.core.partition_group import JoinGeometry, WindowStore
+from repro.core.probe import MAX_COMBOS_PER_TUPLE
 from repro.data.tuples import TupleBatch
+from repro.reference import naive_multiway_join
 from repro.simul.rng import RngRegistry
 from repro.workload.generator import TwoStreamWorkload
 from repro.workload.traces import TraceReplayer
-from tests.conftest import check_kind_rule, drain, pass_rows
+from tests.conftest import check_kind_rule, drain, pass_rows, probe_store
+from tests.probers import probe_composites
 
 
 
@@ -104,6 +104,28 @@ class TestProbeComposites:
                 {0: 10.0, 1: 10.0, 2: 10.0},
             )
         assert n * n > MAX_COMBOS_PER_TUPLE
+
+
+def test_store_caps_combinations_only_where_they_multiply():
+    """The store's prober caps a tuple's candidate combinations only
+    from three streams on: a hot key in three streams raises, while a
+    pair probe with more candidates than the cap joins them all."""
+
+    def hot_store(n_streams, rows):
+        geometry = JoinGeometry(4, 256, 768, 10.0, False, 64, n_streams)
+        store = WindowStore(geometry, 1)
+        ts = 1.0 + np.arange(rows) * 1e-6
+        for sid in range(1, n_streams):
+            store.commit(sid, run_key(np.full(rows, 5)), ts, np.arange(rows), 0)
+        return store
+
+    probe = (np.array([2.0]), run_key(np.array([5])), np.array([0]))
+    assert 500 * 500 > MAX_COMBOS_PER_TUPLE
+    with pytest.raises(OverflowError, match="composite explosion"):
+        probe_store(hot_store(3, 500), 0, *probe)
+    rows = MAX_COMBOS_PER_TUPLE + 1
+    got = probe_store(hot_store(2, rows), 0, *probe)
+    assert got.pairs[:, 1].tolist() == list(range(rows))
 
 
 class TestNaiveMultiwayOracle:
@@ -196,22 +218,26 @@ def test_probe_kernel_matches_oracle_three_way(rows, windows):
     assert len(found) == len(expected)  # exactly-once
 
 
-@given(case=pass_rows(3), window=st.floats(0.1, 40))
-@settings(max_examples=200, deadline=None)
+@given(
+    case=st.integers(3, 4).flatmap(lambda n: st.tuples(st.just(n), pass_rows(n))),
+    window=st.floats(0.1, 40),
+)
+@settings(max_examples=300, deadline=None)
 def test_one_splice_probes_as_kind_by_kind_commits(case, window):
-    """Three streams: a pass's rows, spliced into the one run at once,
-    complete the composites, in the order, that each kind of block would
-    probing the windows and then being committed, kind by kind.  Six
-    keys: ties in every stream and block."""
-    check_kind_rule(3, window, case)
+    """Three and four streams: a pass's rows, spliced into the one run
+    at once, complete the composites, in the order, that each kind of
+    block would probing the windows and then being committed, kind by
+    kind.  Six keys: ties in every stream and block."""
+    n_streams, rows = case
+    check_kind_rule(n_streams, window, rows)
 
 
 class TestModuleThreeWayFineTuned:
     def test_three_way_with_splits_matches_oracle(self):
         """Three streams through one join module with fine tuning on and
         a theta of three 4-tuple blocks, so mini-groups split while the
-        run goes on.  The composite prober reads each other stream's
-        *group* run, so its exactness rests — like the pairwise join's —
+        run goes on.  The prober reads each other stream's rows of the
+        slave's one run, so its exactness rests — as with two streams —
         on mini-groups being disjoint in key space."""
         from repro.core.costmodel import CostModel
         from repro.core.join_module import JoinModule

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.hashing import run_key, run_key_order
-from repro.core.probe import probe_sorted
 from tests.conftest import brute_force_pairs, check_kind_rule, pass_rows
+from tests.probers import probe_sorted
 
 
 def run_probe(probe, window_rows, window, collect_pairs=True):

@@ -426,13 +426,13 @@ class TestSortedRun:
 
 
 def test_perf_kernel_probe_span_still_sees_every_probe(
-    monkeypatch, geometry, metrics, cost_model
+    monkeypatch, geometry, cost_model
 ):
     """perf/ is outside tier-1, so pin here the lookup perf/spans.py uses
     for its ``kernel.probe`` span (``_resolve``): it must name the
-    function every match of the two-stream join comes out of — once a
-    pass, for all four kinds of block.  Fails if the probe is inlined
-    past that function or the lookup stops resolving."""
+    function every match comes out of — once a pass, for all ``2n``
+    kinds of block, with two, three or four streams.  Fails if the probe
+    is inlined past that function or the lookup stops resolving."""
     from repro.core.kernels import get_kernel
 
     cls = get_kernel(SystemConfig.paper_defaults().kernel)
@@ -446,15 +446,18 @@ def test_perf_kernel_probe_span_still_sees_every_probe(
 
     monkeypatch.setattr(owner, "probe", counted)
 
-    module = JoinModule(0, geometry, cost_model, 1, metrics)
-    module.add_partition(0)
-    # Five tuples a stream, four to a block: a full and a partial block
-    # of each stream, so all four steps have something to probe.
-    shipment = TupleBatch.build(
-        ts=np.arange(10.0), key=np.full(10, 5), stream=np.arange(10) % 2
-    )
-    module.enqueue(Shipment(0, 0.0, 10.0, shipment))
-    kinds = [kind for kind, _cost in run_pass(module, 10.0)]
-    assert kinds.count("probe") == 4
-    assert len(calls) == 1
-    assert metrics.outputs_emitted == 25
+    for n in (2, 3, 4):
+        calls.clear()
+        metrics = SlaveMetrics(0, MeasurementWindow(0.0))
+        module = JoinModule(0, geometry._replace(n_streams=n), cost_model, 1, metrics)
+        module.add_partition(0)
+        # Five tuples a stream, four to a block: a full and a partial
+        # block of each stream, so all 2n steps have something to probe.
+        shipment = TupleBatch.build(
+            ts=np.arange(5.0 * n) * 2 / n, key=np.full(5 * n, 5), stream=np.arange(5 * n) % n
+        )
+        module.enqueue(Shipment(0, 0.0, 10.0, shipment))
+        kinds = [kind for kind, _cost in run_pass(module, 10.0)]
+        assert kinds.count("probe") == 2 * n
+        assert len(calls) == 1, n
+        assert metrics.outputs_emitted == 5**n

@@ -60,10 +60,7 @@ def test_head_block_protocol_exactly_once(ops, tpb, window):
         head, heads[sid] = heads[sid], []
         result = flush_head(group, sid, *zip(*head)) if head else None
         if result is not None and len(result.pairs):
-            pairs = result.pairs
-            if sid == 1:
-                pairs = pairs[:, ::-1]
-            found.extend(map(tuple, pairs.tolist()))
+            found.extend(map(tuple, result.pairs.tolist()))
 
     for op in ops:
         if op[0] == "append":

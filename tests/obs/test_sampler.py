@@ -69,7 +69,6 @@ class TestTimeSeriesSampler:
         assert len(sampler) == 3
         assert sampler.get(2, "occupancy") == [(1.0, 0.5)]
         assert sampler.get(9, "occupancy") == []
-        assert sampler.gauges_of(2) == ["occupancy", "window_bytes"]
 
     def test_series_dict_keys(self):
         sampler = TimeSeriesSampler(period=1.0)

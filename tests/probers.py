@@ -1,34 +1,134 @@
-"""N-way composite probing (the paper's general join model).
+"""Independent reference probers that the store's one prober is held to.
 
-Section II defines the operator over *n* streams: the output of
-``S1[W1] ⋈ ... ⋈ Sn[Wn]`` on attribute ``A`` consists of all composite
-tuples ``(s1, ..., sn)`` with equal keys such that, at the arrival time
-of the composite's newest member, every other member is inside its own
-stream's window.  Formally, with ``t* = max_k sk.t``::
-
-    valid  ⇔  all k: t* - sk.t <= Wk
-
-(the two-stream case degenerates to ``|t1 - t2| <= W`` for equal
-windows — the predicate used by the pairwise kernel).
-
-The evaluation prototype (and this package's cluster) runs the binary
-join; this module supplies the general composite prober used when
-``SystemConfig.n_streams > 2``, plus the brute-force oracle the tests
-compare against.  Deduplication follows the same head-block rule as the
-binary join: a composite is emitted by the *last* of its members to
-flush, probing only committed tuples of the other streams.
+:func:`probe_sorted` joins probe tuples pairwise against one stream's
+key-sorted window; :func:`probe_composites` enumerates the n-way
+composites of each probe tuple with a ``meshgrid`` of its candidates,
+one tuple at a time, with a window per stream.  Neither shares an
+enumeration with :meth:`repro.core.partition_group.WindowStore.probe`:
+they share only the candidate ranges (:func:`repro.core.probe.candidates`).
 """
 
 from __future__ import annotations
 
-import itertools
 import typing as t
 
 import numpy as np
 import numpy.typing as npt
 
-from repro.core.probe import Candidates, candidates, key_ranges
-from repro.data.tuples import SeqArray, TsArray, TupleBatch
+from repro.core.probe import (
+    MAX_COMBOS_PER_TUPLE,
+    Candidates,
+    ProbeResult,
+    SortKeys,
+    candidates,
+)
+from repro.data.tuples import SeqArray, TsArray
+
+Indexes = npt.NDArray[np.intp]
+
+_EMPTY_TS: TsArray = np.empty(0, dtype=np.float64)
+_EMPTY_PAIRS: npt.NDArray[np.int64] = np.empty((0, 2), dtype=np.int64)
+
+
+def _no_pairs(n_probe: int, collect_pairs: bool) -> ProbeResult:
+    return ProbeResult(
+        _EMPTY_TS,
+        _EMPTY_PAIRS if collect_pairs else None,
+        np.zeros(n_probe + 1, dtype=np.intp),
+    )
+
+
+def key_ranges(
+    sorted_key: SortKeys,
+    probe_key: SortKeys,
+    key_order: Indexes | None = None,
+) -> tuple[Indexes, Indexes]:
+    """Per probe key, the ``[lo, hi)`` slice of *sorted_key* equal to it.
+
+    *key_order*, a permutation that sorts *probe_key*, makes the
+    searches run over ascending keys; their answers are scattered back
+    to the keys' own places."""
+    if key_order is None:
+        lo = np.searchsorted(sorted_key, probe_key, side="left")
+        hi = np.searchsorted(sorted_key, probe_key, side="right")
+        return lo, hi
+    ascending = probe_key[key_order]
+    lo, hi = np.empty((2, len(ascending)), dtype=np.intp)
+    lo[key_order] = np.searchsorted(sorted_key, ascending, side="left")
+    hi[key_order] = np.searchsorted(sorted_key, ascending, side="right")
+    return lo, hi
+
+
+def probe_sorted(
+    probe_ts: TsArray,
+    probe_key: SortKeys,
+    probe_seq: SeqArray,
+    sorted_key: SortKeys,
+    sorted_ts: TsArray,
+    sorted_seq: SeqArray | None,
+    window: float,
+    collect_pairs: bool = False,
+    key_order: Indexes | None = None,
+) -> ProbeResult:
+    """Join *probe* tuples against a committed window sorted by key.
+
+    ``sorted_key``/``sorted_ts`` (and ``sorted_seq`` when pairs are
+    collected) are the committed window contents ordered by key.
+    *key_order*, when given, sorts *probe_key* and the searches run in
+    that order (:func:`key_ranges`); the result is the same.  Pairs come
+    out as ``(probe seq, window seq)``.
+    """
+    if len(probe_key) == 0 or len(sorted_key) == 0:
+        return _no_pairs(len(probe_key), collect_pairs)
+    if collect_pairs and sorted_seq is None:
+        raise ValueError("collect_pairs=True requires sorted_seq")
+    found = candidates(*key_ranges(sorted_key, probe_key, key_order))
+    cand_seq = t.cast(SeqArray, sorted_seq)[found.positions] if collect_pairs else None
+    return matches(
+        probe_ts, probe_seq, found, sorted_ts[found.positions], cand_seq, window,
+        collect_pairs,
+    )
+
+
+def matches(
+    probe_ts: TsArray,
+    probe_seq: SeqArray,
+    found: Candidates,
+    cand_ts: TsArray,
+    cand_seq: SeqArray | None,
+    window: float,
+    collect_pairs: bool = False,
+) -> ProbeResult:
+    """The candidates *found*, with timestamps *cand_ts* and seqs
+    *cand_seq* (needed only to collect pairs), that are within *window*
+    of their probe tuples, as rows grouped by probe tuple, each tuple's
+    in its candidates' order."""
+    n_probe = len(probe_ts)
+    total = int(found.ends[-1])
+    if total == 0:
+        return _no_pairs(n_probe, collect_pairs)
+
+    owner = found.owner
+    own_ts = probe_ts[owner]
+    valid = np.abs(cand_ts - own_ts) <= window
+    # Valid candidates before each slot; read at the slot boundaries it
+    # is the row offset of every probe tuple.
+    rows_before = np.zeros(total + 1, dtype=np.intp)
+    np.cumsum(valid, out=rows_before[1:])
+    n_pairs = int(rows_before[-1])
+    if n_pairs == 0:
+        return _no_pairs(n_probe, collect_pairs)
+    offsets = np.zeros(n_probe + 1, dtype=np.intp)
+    offsets[1:] = rows_before[found.ends[1:]]
+
+    newer = np.maximum(cand_ts[valid], own_ts[valid])
+    pairs: npt.NDArray[np.int64] | None = None
+    if collect_pairs:
+        pairs = np.column_stack(
+            (probe_seq[owner[valid]], t.cast(SeqArray, cand_seq)[valid])
+        ).astype(np.int64, copy=False)
+    return ProbeResult(newer, pairs, offsets)
+
 
 #: Per other stream: ``(stream id, sort keys, ts, seq)``, ordered by the
 #: sort key (equal keys adjacent); ``seq`` may be None unless members
@@ -36,11 +136,6 @@ from repro.data.tuples import SeqArray, TsArray, TupleBatch
 Others = t.Sequence[
     tuple[int, npt.NDArray[t.Any], TsArray, SeqArray | None]
 ]
-
-#: Safety cap on enumerated combinations per probe tuple.  Composite
-#: cardinality is a product over streams; a hot key in many streams
-#: explodes it, and silently enumerating billions would hang the run.
-MAX_COMBOS_PER_TUPLE = 200_000
 
 
 class CompositeResult(t.NamedTuple):
@@ -55,9 +150,6 @@ class CompositeResult(t.NamedTuple):
     #: Composites are grouped by probe tuple, in probe order: tuple
     #: ``i`` completed rows ``[offsets[i], offsets[i + 1])``.
     offsets: npt.NDArray[np.intp]
-
-
-_EMPTY: TsArray = np.empty(0, dtype=np.float64)
 
 
 def probe_composites(
@@ -163,7 +255,7 @@ def composites(
                 rows[:, k] = grid.ravel()[valid]
             member_rows.append(rows)
 
-    newest = np.concatenate(newest_parts) if newest_parts else _EMPTY
+    newest = np.concatenate(newest_parts) if newest_parts else _EMPTY_TS
     members: npt.NDArray[np.int64] | None = None
     if collect_members:
         members = (
@@ -179,49 +271,3 @@ def _none(n_probe: int) -> Candidates:
     """No candidates for any of *n_probe* tuples."""
     empty = np.empty(0, np.intp)
     return Candidates(empty, empty, np.zeros(n_probe + 1, np.intp))
-
-
-def naive_multiway_join(
-    batch: TupleBatch, windows: t.Sequence[float]
-) -> npt.NDArray[np.int64]:
-    """Brute-force n-way windowed equi-join oracle.
-
-    Enumerates candidate combinations *within each join key* (a full
-    cross-product over all tuples would be infeasible even at test
-    sizes) and applies the newest-member window predicate to each.
-    Returns an array of member-seq rows (one column per stream, ordered
-    by stream id), sorted lexicographically.
-    """
-    n = len(windows)
-    streams = [batch.by_stream(sid) for sid in range(n)]
-    if any(len(s) == 0 for s in streams):
-        return np.empty((0, n), dtype=np.int64)
-
-    by_key: list[dict[int, list[int]]] = []
-    for s in streams:
-        groups: dict[int, list[int]] = {}
-        for i, key in enumerate(s.key.tolist()):
-            groups.setdefault(key, []).append(i)
-        by_key.append(groups)
-
-    shared = set(by_key[0])
-    for groups in by_key[1:]:
-        shared &= set(groups)
-
-    rows: list[list[int]] = []
-    for key in shared:
-        candidate_lists = [groups[key] for groups in by_key]
-        for combo in itertools.product(*candidate_lists):
-            ts = [float(streams[k].ts[combo[k]]) for k in range(n)]
-            t_star = max(ts)
-            if all(t_star - ts[k] <= windows[k] for k in range(n)):
-                rows.append(
-                    [int(streams[k].seq[combo[k]]) for k in range(n)]
-                )
-    if not rows:
-        return np.empty((0, n), dtype=np.int64)
-    out = np.array(rows, dtype=np.int64)
-    ordered: npt.NDArray[np.int64] = out[
-        np.lexsort(tuple(out[:, c] for c in reversed(range(n))))
-    ]
-    return ordered

@@ -28,10 +28,6 @@ class TestRateProfile:
     def test_segments_empty_interval(self):
         assert RateProfile.constant(1.0).segments_in(5.0, 5.0) == []
 
-    def test_mean_rate(self):
-        p = RateProfile.step(10.0, 100.0, 300.0)
-        assert p.mean_rate(0.0, 20.0) == pytest.approx(200.0)
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             RateProfile([1.0], [100.0])  # too few rates

@@ -64,19 +64,9 @@ class TestSkew:
 
 
 class TestAnalytics:
-    def test_hottest_key_probability(self):
-        model = gen(b=0.7, levels=10)
-        assert model.hottest_key_probability() == pytest.approx(0.7**10)
-
     def test_collision_mass_formula(self):
         model = gen(b=0.7, levels=10)
         assert model.collision_mass() == pytest.approx((0.49 + 0.09) ** 10)
-
-    def test_expected_matches_per_probe(self):
-        model = gen(b=0.7, levels=10)
-        assert model.expected_matches_per_probe(1000) == pytest.approx(
-            1000 * model.collision_mass()
-        )
 
     def test_uniform_levels_default_covers_domain(self):
         model = gen(domain=1 << 20)
